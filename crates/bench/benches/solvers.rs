@@ -305,8 +305,8 @@ fn bench_newton_scaling(report: &mut Report) {
     let t_bias = 0.5e-9;
     for (rows, cols) in [(8usize, 8usize), (16, 16), (32, 32), (64, 64)] {
         let a = FefetArray::new(rows, cols, FefetCell::default());
-        let ckt = a.read_circuit(0, 3e-9).expect("read circuit");
-        let plan = std::sync::Arc::new(a.block_plan(&ckt).expect("block plan"));
+        let (ckt, plan) = a.read_circuit_with_plan(0, 3e-9).expect("read circuit");
+        let plan = std::sync::Arc::new(plan);
         let asm = Assembly::new(&ckt);
         let states: Vec<ElemState> = ckt.elements().iter().map(|_| ElemState::None).collect();
         let n = asm.n_unknowns();
@@ -514,8 +514,8 @@ fn bench_newton_256(report: &mut Report) {
         return;
     }
     let a = FefetArray::new(256, 256, FefetCell::default());
-    let ckt = a.read_circuit(0, 3e-9).expect("read circuit");
-    let plan = std::sync::Arc::new(a.block_plan(&ckt).expect("block plan"));
+    let (ckt, plan) = a.read_circuit_with_plan(0, 3e-9).expect("read circuit");
+    let plan = std::sync::Arc::new(plan);
     let asm = Assembly::new(&ckt);
     let states: Vec<ElemState> = ckt.elements().iter().map(|_| ElemState::None).collect();
     let n = asm.n_unknowns();
@@ -842,7 +842,7 @@ fn bench_array_sweep(report: &mut Report) {
     assert_eq!(serial.len(), dense.len());
     for (s, d) in serial.iter().zip(&dense) {
         assert_eq!(s.bits, d.bits);
-        assert_eq!(s.op.trace.time().len(), d.op.trace.time().len());
+        assert_eq!(s.op.steps, d.op.steps);
         for (cs, cd) in s.currents.iter().zip(&d.currents) {
             let scale = cs.abs().max(cd.abs()).max(1e-30);
             assert!(

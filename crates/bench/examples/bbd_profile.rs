@@ -17,8 +17,8 @@ fn main() {
         .unwrap_or(32);
     let skip_sparse = std::env::args().nth(2).is_some();
     let a = FefetArray::new(rows, rows, FefetCell::default());
-    let ckt = a.read_circuit(0, 3e-9).expect("read circuit");
-    let plan = Arc::new(a.block_plan(&ckt).expect("plan"));
+    let (ckt, plan) = a.read_circuit_with_plan(0, 3e-9).expect("read circuit");
+    let plan = Arc::new(plan);
     let asm = Assembly::new(&ckt);
     let states: Vec<ElemState> = ckt.elements().iter().map(|_| ElemState::None).collect();
     let n = asm.n_unknowns();

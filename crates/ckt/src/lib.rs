@@ -29,8 +29,11 @@
 //! - [`ac`] — small-signal frequency-domain analysis around a bias
 //!   point (including the ferroelectric's negative capacitance).
 //! - [`transient`] — implicit (backward-Euler / trapezoidal) transient
-//!   analysis with per-step Newton, waveform breakpoints, per-source
-//!   energy metering, and full signal recording.
+//!   analysis with per-step Newton, waveform breakpoints and per-source
+//!   energy metering; each accepted point goes to an observer, which for
+//!   [`transient::transient`] records every signal.
+//! - [`probe`] — streaming observers that keep only what a measurement
+//!   reads (currents at a sample time, windowed voltage maxima).
 //! - [`trace`] — recorded waveforms plus measurement helpers (threshold
 //!   crossings, rise time, settling, integrals).
 //!
@@ -67,6 +70,7 @@ pub mod engine;
 pub mod models;
 pub mod parallel;
 pub mod plan;
+pub mod probe;
 pub mod trace;
 pub mod transient;
 pub mod waveform;

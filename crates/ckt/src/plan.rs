@@ -104,11 +104,34 @@ impl BlockPlan {
         let pos = ckt
             .element_position(name)
             .ok_or_else(|| CktError::UnknownSignal(name.to_string()))?;
+        self.assign_element_at(pos, block);
+        Ok(())
+    }
+
+    /// A plan for `ckt` from `(node, block)` and `(element position,
+    /// block)` pairs recorded while the circuit was built — no name
+    /// lookups. Out-of-range entries are ignored, as for
+    /// [`BlockPlan::assign_node`].
+    pub fn from_assignments(
+        ckt: &Circuit,
+        nodes: impl IntoIterator<Item = (Node, usize)>,
+        elements: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Self {
+        let mut plan = BlockPlan::for_circuit(ckt);
+        for (node, block) in nodes {
+            plan.assign_node(node, block);
+        }
+        for (pos, block) in elements {
+            plan.assign_element_at(pos, block);
+        }
+        plan
+    }
+
+    fn assign_element_at(&mut self, pos: usize, block: usize) {
         if let Some(slot) = self.elem_block.get_mut(pos) {
             *slot = Some(block);
             self.n_blocks = self.n_blocks.max(block + 1);
         }
-        Ok(())
     }
 
     /// Number of blocks the plan names (max assigned block + 1).

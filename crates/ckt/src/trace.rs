@@ -15,6 +15,14 @@ pub enum Edge {
     Any,
 }
 
+/// Linear interpolation at `t` between the samples `(t0, y0)` and
+/// `(t1, y1)`: the one formula [`Trace::value_at`] and the streaming
+/// probes of [`crate::probe`] share, so both give the same bits.
+pub(crate) fn interpolate(t: f64, (t0, y0): (f64, f64), (t1, y1): (f64, f64)) -> f64 {
+    let frac = if t1 > t0 { (t - t0) / (t1 - t0) } else { 0.0 };
+    y0 + frac * (y1 - y0)
+}
+
 /// A set of recorded signals over a common time axis.
 ///
 /// Signals are named `v(<node>)` for node voltages, `i(<element>)` for
@@ -106,9 +114,7 @@ impl Trace {
             Ok(i) => return Some(y[i]),
             Err(i) => i - 1,
         };
-        let (t0, t1) = (self.t[i], self.t[i + 1]);
-        let frac = if t1 > t0 { (t - t0) / (t1 - t0) } else { 0.0 };
-        Some(y[i] + frac * (y[i + 1] - y[i]))
+        Some(interpolate(t, (self.t[i], y[i]), (self.t[i + 1], y[i + 1])))
     }
 
     /// First time (s) at or after `after` (s) at which the signal

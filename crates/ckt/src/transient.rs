@@ -1,6 +1,8 @@
 //! Transient analysis: implicit time stepping with per-step Newton,
 //! waveform breakpoint alignment, automatic step halving on convergence
-//! failure, signal recording, and per-source energy metering.
+//! failure, and per-source energy metering. Each accepted point goes to
+//! an observer: [`transient`] records every signal, other callers keep
+//! only what they read (see [`crate::probe`]).
 
 use crate::circuit::Circuit;
 use crate::elements::{ElemState, Element, EvalCtx, Integration, Node};
@@ -144,19 +146,186 @@ impl Default for TransientOptions {
     }
 }
 
+/// The per-run context a [`Step`] evaluates element currents with.
+#[derive(Debug, Clone, Copy)]
+struct StepCtx<'a> {
+    ckt: &'a Circuit,
+    branch0: &'a [usize],
+    /// Nominal step (s): the `h` every recorded current is evaluated at.
+    h: f64,
+    method: Integration,
+}
+
+/// One accepted time point of a transient run, as handed to the
+/// observer of [`transient_with`]: the solution at `t` and the element
+/// states advanced to it. The `t = 0` initial point is observed first.
+#[derive(Debug, Clone, Copy)]
+pub struct Step<'a> {
+    /// Time of the point (s).
+    pub t: f64,
+    /// Solution: node voltages (node `k` at index `k − 1`), then branch
+    /// currents.
+    pub x: &'a [f64],
+    /// Element states at `t`, in [`Circuit::elements`] order.
+    pub states: &'a [ElemState],
+    ctx: StepCtx<'a>,
+}
+
+impl Step<'_> {
+    /// Voltage of `node` at this point (V); ground is 0 V.
+    pub fn v(&self, node: Node) -> f64 {
+        if node.index() == 0 {
+            0.0
+        } else {
+            self.x[node.index() - 1]
+        }
+    }
+
+    /// Current (A) through the element at position `elem`
+    /// ([`Circuit::elements`] order) at this point: exactly what
+    /// [`transient`] records as `i(<element>)`, and 0 for an element
+    /// without a defined current.
+    pub fn current(&self, elem: usize) -> f64 {
+        self.current_at(elem, self.t, self.x)
+    }
+
+    /// Current (A) through the element at position `elem` for another
+    /// solution `x` at time `t_s`, evaluated with this point's element
+    /// states. For elements whose current is a function of the solution
+    /// alone (resistors, sources, switches, diodes, MOSFETs) this is
+    /// exactly what the point that produced `x` recorded; capacitor
+    /// currents come from the states and so belong to this point.
+    pub fn current_at(&self, elem: usize, t_s: f64, x: &[f64]) -> f64 {
+        let Some((_, e)) = self.ctx.ckt.elements().get(elem) else {
+            return 0.0;
+        };
+        let ctx = EvalCtx {
+            t: t_s,
+            h: self.ctx.h,
+            method: self.ctx.method,
+            dc: false,
+            x,
+            state: self.states[elem],
+        };
+        e.current(self.ctx.branch0[elem], &ctx, self.ctx.ckt.n_nodes())
+            .unwrap_or(0.0)
+    }
+
+    /// Polarization (C/m²) of the FE capacitor at position `elem` at
+    /// this point — what [`transient`] records as `p(<element>)`; 0 for
+    /// other elements.
+    pub fn polarization(&self, elem: usize) -> f64 {
+        polarization(self.states, elem)
+    }
+}
+
+fn polarization(states: &[ElemState], elem: usize) -> f64 {
+    match states.get(elem) {
+        Some(ElemState::Fe { p, .. }) => *p,
+        _ => 0.0,
+    }
+}
+
+/// What a [`transient_with`] run returns besides what its observer
+/// kept.
+#[derive(Debug, Clone)]
+pub struct TransientRun {
+    /// Accepted time steps (the `t = 0` point is not a step).
+    pub steps: usize,
+    /// Energy delivered by each independent source (J), as
+    /// `(element position, joules)` in element order.
+    pub energies: Vec<(usize, f64)>,
+    /// Element states at the final time point.
+    pub states: Vec<ElemState>,
+}
+
+impl TransientRun {
+    /// Total energy delivered by all independent sources (J): the same
+    /// sum, in the same order, as [`Trace::total_source_energy`].
+    pub fn total_source_energy(&self) -> f64 {
+        self.energies.iter().map(|(_, e)| e).sum()
+    }
+
+    /// Final polarization (C/m²) of the FE capacitor at element
+    /// position `elem` — the last sample [`transient`] records as
+    /// `p(<element>)`; 0 for other elements.
+    pub fn polarization(&self, elem: usize) -> f64 {
+        polarization(&self.states, elem)
+    }
+}
+
 /// Runs a transient analysis of `ckt` from 0 to `t_end` (s).
 ///
 /// Records every node voltage (`v(<node>)`), every element current
 /// (`i(<element>)`), and every ferroelectric polarization
-/// (`p(<element>)`), plus delivered energy per independent source.
+/// (`p(<element>)`), plus delivered energy per independent source. This
+/// is [`transient_with`] with an observer that keeps every signal at
+/// every accepted point.
+///
+/// # Errors
+///
+/// As for [`transient_with`].
+// fefet-lint: allow-item(hot-alloc) -- full-trace entry point: allocates the signal layout and sample buffer once per run; the trace grows per step by design
+pub fn transient(ckt: &Circuit, t_end: f64, opts: TransientOptions) -> Result<Trace> {
+    // Signal layout: node voltages, element currents, FE polarizations.
+    let mut names: Vec<String> = Vec::new();
+    for n in 1..ckt.n_nodes() {
+        names.push(format!("v({})", ckt.node_name(Node(n))));
+    }
+    for (name, _) in ckt.elements() {
+        names.push(format!("i({name})"));
+    }
+    for (name, e) in ckt.elements() {
+        if matches!(e, Element::FeCap { .. }) {
+            names.push(format!("p({name})"));
+        }
+    }
+    let mut trace = Trace::new(names);
+    let mut sample = vec![0.0; trace.names().count()];
+    let nv = ckt.n_nodes() - 1;
+    let run = transient_with(ckt, t_end, opts, |s| {
+        sample[..nv].copy_from_slice(&s.x[..nv]);
+        let mut k = nv;
+        for i in 0..ckt.elements().len() {
+            sample[k] = s.current(i);
+            k += 1;
+        }
+        for (i, (_, e)) in ckt.elements().iter().enumerate() {
+            if matches!(e, Element::FeCap { .. }) {
+                sample[k] = s.polarization(i);
+                k += 1;
+            }
+        }
+        trace.push_sample(s.t, &sample);
+    })?;
+    trace.set_energies(
+        run.energies
+            .iter()
+            .map(|&(i, e)| (ckt.elements()[i].0.clone(), e))
+            .collect(),
+    );
+    Ok(trace)
+}
+
+/// Runs a transient analysis of `ckt` from 0 to `t_end` (s), handing
+/// every accepted time point — the `t = 0` initial point first — to
+/// `observe`, which keeps whatever it needs. Energy per independent
+/// source, the accepted-step count and the final element states come
+/// back in the [`TransientRun`]. The stepping is the same whatever the
+/// observer does, so any two observers see the same points.
 ///
 /// # Errors
 ///
 /// [`CktError::Netlist`] for a non-positive `t_end`;
 /// [`CktError::Convergence`] if Newton fails even at the minimum step.
-// fefet-lint: allow-item(hot-alloc) -- run driver: allocates trace storage and per-run state up front and on cold error/accept paths; the per-step warm path is solve_point_with, pinned zero-alloc by the alloctrack gate
+// fefet-lint: allow-item(hot-alloc) -- run driver: allocates per-run state up front and on cold error/accept paths; the per-step warm path is solve_point_with, pinned zero-alloc by the alloctrack gate
 #[allow(clippy::needless_range_loop)]
-pub fn transient(ckt: &Circuit, t_end: f64, opts: TransientOptions) -> Result<Trace> {
+pub fn transient_with(
+    ckt: &Circuit,
+    t_end: f64,
+    opts: TransientOptions,
+    mut observe: impl FnMut(&Step<'_>),
+) -> Result<TransientRun> {
     if !(t_end > 0.0) {
         return Err(CktError::Netlist(
             "transient: t_end must be positive".into(),
@@ -222,69 +391,25 @@ pub fn transient(ckt: &Circuit, t_end: f64, opts: TransientOptions) -> Result<Tr
         .map(|(_, e)| e.initial_state(&x))
         .collect();
 
-    // Signal layout: node voltages, element currents, FE polarizations.
-    let mut names: Vec<String> = Vec::new();
-    for n in 1..ckt.n_nodes() {
-        names.push(format!("v({})", ckt.node_name(Node(n))));
-    }
-    for (name, _) in ckt.elements() {
-        names.push(format!("i({name})"));
-    }
-    for (name, e) in ckt.elements() {
-        if matches!(e, Element::FeCap { .. }) {
-            names.push(format!("p({name})"));
-        }
-    }
-    let mut trace = Trace::new(names);
-
     // Energy meters per independent source.
-    let mut meters: Vec<(usize, String, RunningIntegral)> = ckt
+    let mut meters: Vec<(usize, RunningIntegral)> = ckt
         .elements()
         .iter()
         .enumerate()
         .filter(|(_, (_, e))| matches!(e, Element::VSource { .. } | Element::ISource { .. }))
-        .map(|(i, (name, _))| (i, name.clone(), RunningIntegral::new()))
+        .map(|(i, _)| (i, RunningIntegral::new()))
         .collect();
 
-    let mut sample = vec![0.0; trace.names().count()];
-    let record =
-        |t: f64, x: &[f64], states: &[ElemState], trace: &mut Trace, sample: &mut [f64]| {
-            let n_nodes = ckt.n_nodes();
-            let mut k = 0;
-            for idx in 0..n_nodes - 1 {
-                sample[k] = x[idx];
-                k += 1;
-            }
-            for (i, (_, e)) in ckt.elements().iter().enumerate() {
-                let ctx = EvalCtx {
-                    t,
-                    h: dt_nom,
-                    method: opts.method,
-                    dc: false,
-                    x,
-                    state: states[i],
-                };
-                sample[k] = e.current(asm.branch0[i], &ctx, n_nodes).unwrap_or(0.0);
-                k += 1;
-            }
-            for (i, (_, e)) in ckt.elements().iter().enumerate() {
-                if matches!(e, Element::FeCap { .. }) {
-                    sample[k] = match states[i] {
-                        ElemState::Fe { p, .. } => p,
-                        _ => 0.0,
-                    };
-                    k += 1;
-                }
-            }
-            trace.push_sample(t, sample);
-        };
-
+    let step_ctx = StepCtx {
+        ckt,
+        branch0: &asm.branch0,
+        h: dt_nom,
+        method: opts.method,
+    };
     let meter_push =
-        |t: f64, x: &[f64], meters: &mut Vec<(usize, String, RunningIntegral)>| -> Result<()> {
-            for (idx, _, acc) in meters.iter_mut() {
-                let (name_i, e) = &ckt.elements()[*idx];
-                let _ = name_i;
-                let p_del = match e {
+        |t: f64, x: &[f64], meters: &mut Vec<(usize, RunningIntegral)>| -> Result<()> {
+            for (idx, acc) in meters.iter_mut() {
+                let p_del = match &ckt.elements()[*idx].1 {
                     Element::VSource { a, b, .. } => {
                         let i_br = x[asm.n_nodes - 1 + asm.branch0[*idx]];
                         let va = if a.index() == 0 {
@@ -319,10 +444,16 @@ pub fn transient(ckt: &Circuit, t_end: f64, opts: TransientOptions) -> Result<Tr
             Ok(())
         };
 
-    record(0.0, &x, &states, &mut trace, &mut sample);
+    observe(&Step {
+        t: 0.0,
+        x: &x,
+        states: &states,
+        ctx: step_ctx,
+    });
     meter_push(0.0, &x, &mut meters)?;
 
     let mut t = 0.0;
+    let mut steps = 0usize;
     let mut bp_cursor = 0usize;
     // The step following t=0 or any waveform corner uses backward Euler:
     // trapezoidal integration would otherwise propagate the (unknowable)
@@ -521,17 +652,21 @@ pub fn transient(ckt: &Circuit, t_end: f64, opts: TransientOptions) -> Result<Tr
         if opts.lte.is_none() {
             dt_ctrl = dt_nom;
         }
-        record(t, &x, &states, &mut trace, &mut sample);
+        steps += 1;
+        observe(&Step {
+            t,
+            x: &x,
+            states: &states,
+            ctx: step_ctx,
+        });
         meter_push(t, &x, &mut meters)?;
     }
 
-    trace.set_energies(
-        meters
-            .into_iter()
-            .map(|(_, name, acc)| (name, acc.total()))
-            .collect(),
-    );
-    Ok(trace)
+    Ok(TransientRun {
+        steps,
+        energies: meters.iter().map(|(i, acc)| (*i, acc.total())).collect(),
+        states,
+    })
 }
 
 #[cfg(test)]

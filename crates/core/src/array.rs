@@ -10,10 +10,11 @@
 use crate::bias::Operation;
 use crate::cell::FefetCell;
 use fefet_ckt::circuit::Circuit;
+use fefet_ckt::elements::Node;
 use fefet_ckt::engine::{Assembly, SolverBackend, SolverOptions};
 use fefet_ckt::plan::{AnalysisCache, BlockPlan};
-use fefet_ckt::trace::Trace;
-use fefet_ckt::transient::{transient, TransientOptions};
+use fefet_ckt::probe::CurrentsAt;
+use fefet_ckt::transient::{transient_with, Step, TransientOptions, TransientRun};
 use fefet_ckt::waveform::Waveform;
 use fefet_ckt::{CktError, Result};
 use fefet_telemetry::Instrumentation;
@@ -23,6 +24,28 @@ use std::sync::Arc;
 const T_EDGE: f64 = 50e-12;
 /// Quiescent lead-in (s).
 const T_START: f64 = 0.2e-9;
+
+/// Shortest read window [`FefetArray::read_row`] accepts (s). Cell
+/// currents are sampled `2·T_EDGE` before the window closes; below
+/// `3·T_EDGE` that point would sit on or before the top of the
+/// read-select rising edge and every bit would sense as 0.
+pub const MIN_T_READ_S: f64 = 3.0 * T_EDGE;
+
+/// Rejects a stimulus window `t_s` (s) that is not finite, not positive,
+/// or shorter than `min_s`, naming it `what` in the typed error.
+pub(crate) fn check_window(what: &str, t_s: f64, min_s: f64) -> Result<()> {
+    if t_s.is_finite() && t_s > 0.0 && t_s >= min_s {
+        Ok(())
+    } else if min_s > 0.0 {
+        Err(CktError::Netlist(format!(
+            "{what} must be finite and >= {min_s:e} s, got {t_s:e} s"
+        )))
+    } else {
+        Err(CktError::Netlist(format!(
+            "{what} must be finite and > 0 s, got {t_s:e} s"
+        )))
+    }
+}
 
 /// Sense-amp current threshold separating ON from OFF bits (A).
 ///
@@ -110,11 +133,26 @@ pub struct MnaDims {
     pub n_unknowns: usize,
 }
 
+/// An array netlist plus the positions its row ops address it by, so
+/// nothing after construction formats or hashes a name.
+#[derive(Debug)]
+struct Netlist {
+    circuit: Circuit,
+    /// The bordered-block-diagonal partition (see [`FefetArray::build`]).
+    plan: BlockPlan,
+    /// Initial voltages of every cell's FE gate and internal node.
+    ics: Vec<(Node, f64)>,
+    /// Element position of each cell's read FET, row-major.
+    mfet: Vec<usize>,
+    /// Element position of each cell's FE capacitor, row-major.
+    ffe: Vec<usize>,
+}
+
 /// Result of an array-level operation.
 #[derive(Debug, Clone)]
 pub struct ArrayOp {
-    /// Full waveform record.
-    pub trace: Trace,
+    /// Accepted transient time steps.
+    pub steps: usize,
     /// Total driver energy (J).
     pub energy: f64,
     /// Largest polarization drift of any **unaccessed** cell (C/m²).
@@ -208,23 +246,37 @@ impl FefetArray {
         self.state[row * self.cols + col] = p;
     }
 
+    /// Builds the array netlist under the given row and column stimuli,
+    /// recording as it goes every position the row ops address later and
+    /// the bordered-block-diagonal partition for the engine's BBD
+    /// backend: one block per column (bit/sense lines, their drivers,
+    /// and every cell-internal node down the column — the cells only
+    /// talk to each other through the row lines), one tiny block per
+    /// row-line driver, and the shared `rs`/`ws` row lines left
+    /// unassigned as the coupling border.
     fn build(
         &self,
         row_waves: &[(Waveform, Waveform)], // (read_select, write_select) per row
         col_waves: &[(Waveform, Waveform)], // (bit_line, sense_line) per column
-    ) -> Circuit {
+    ) -> Netlist {
         let mut c = Circuit::new();
+        let mut node_blocks: Vec<(Node, usize)> = Vec::new();
+        let mut elem_blocks: Vec<(usize, usize)> = Vec::new();
         let mut rs_nodes = Vec::new();
         let mut ws_nodes = Vec::new();
         let mut bl_nodes = Vec::new();
         let mut sl_nodes = Vec::new();
         for (i, (w_rs, w_ws)) in row_waves.iter().enumerate() {
+            let b_rs = self.cols + 2 * i;
+            let b_ws = b_rs + 1;
             let rs = c.node(&format!("rs{i}"));
             let ws = c.node(&format!("ws{i}"));
             let rsd = c.node(&format!("rs{i}_drv"));
             let wsd = c.node(&format!("ws{i}_drv"));
+            elem_blocks.push((c.elements().len(), b_rs));
             c.vsource(&format!("Vrs{i}"), rsd, Circuit::GND, w_rs.clone());
             c.resistor(&format!("Rrs{i}"), rsd, rs, self.cell.r_driver);
+            elem_blocks.push((c.elements().len(), b_ws));
             c.vsource(&format!("Vws{i}"), wsd, Circuit::GND, w_ws.clone());
             c.resistor(&format!("Rws{i}"), wsd, ws, self.cell.r_driver);
             c.capacitor(
@@ -239,6 +291,8 @@ impl FefetArray {
                 Circuit::GND,
                 self.cell.c_write_select,
             );
+            node_blocks.push((rsd, b_rs));
+            node_blocks.push((wsd, b_ws));
             rs_nodes.push(rs);
             ws_nodes.push(ws);
         }
@@ -246,15 +300,22 @@ impl FefetArray {
             let bl = c.node(&format!("bl{j}"));
             let sl = c.node(&format!("sl{j}"));
             let bld = c.node(&format!("bl{j}_drv"));
+            elem_blocks.push((c.elements().len(), j));
             c.vsource(&format!("Vbl{j}"), bld, Circuit::GND, w_bl.clone());
             c.resistor(&format!("Rbl{j}"), bld, bl, self.cell.r_driver);
             // Sense lines are clamped at virtual ground directly.
+            elem_blocks.push((c.elements().len(), j));
             c.vsource(&format!("Vsl{j}"), sl, Circuit::GND, w_sl.clone());
             c.capacitor(&format!("Cbl{j}"), bl, Circuit::GND, self.cell.c_bit_line);
             c.capacitor(&format!("Csl{j}"), sl, Circuit::GND, self.cell.c_sense_line);
+            node_blocks.extend([(bl, j), (sl, j), (bld, j)]);
             bl_nodes.push(bl);
             sl_nodes.push(sl);
         }
+        let n_cells = self.rows * self.cols;
+        let mut mfet = Vec::with_capacity(n_cells);
+        let mut ffe = Vec::with_capacity(n_cells);
+        let mut ics = Vec::with_capacity(2 * n_cells);
         for i in 0..self.rows {
             for j in 0..self.cols {
                 let g = c.node(&format!("g{i}_{j}"));
@@ -267,7 +328,9 @@ impl FefetArray {
                     g,
                     self.cell.access,
                 );
+                ffe.push(c.elements().len());
                 c.fecap(&format!("Ffe{i}_{j}"), g, gi, self.cell.fefet.fe, p0);
+                mfet.push(c.elements().len());
                 c.mosfet(
                     &format!("Mfet{i}_{j}"),
                     rs_nodes[i],
@@ -275,73 +338,35 @@ impl FefetArray {
                     sl_nodes[j],
                     self.cell.fefet.mos,
                 );
+                node_blocks.extend([(g, j), (gi, j)]);
+                ics.push((gi, self.cell.fefet.v_mos_of(p0)));
+                ics.push((g, self.cell.fefet.v_gate_static(p0)));
             }
         }
-        c
+        let plan = BlockPlan::from_assignments(&c, node_blocks, elem_blocks);
+        Netlist {
+            circuit: c,
+            plan,
+            ics,
+            mfet,
+            ffe,
+        }
     }
 
-    fn node_ics(&self, c: &Circuit) -> Vec<(fefet_ckt::elements::Node, f64)> {
-        let mut ics = Vec::new();
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                let p0 = self.state[i * self.cols + j];
-                if let Some(gi) = c.find_node(&format!("gi{i}_{j}")) {
-                    ics.push((gi, self.cell.fefet.v_mos_of(p0)));
-                }
-                if let Some(g) = c.find_node(&format!("g{i}_{j}")) {
-                    ics.push((g, self.cell.fefet.v_gate_static(p0)));
-                }
-            }
-        }
-        ics
-    }
-
-    /// The bordered-block-diagonal partition of an array circuit, for
-    /// the engine's BBD backend: one block per column (bit/sense lines,
-    /// their drivers, and every cell-internal node down the column — the
-    /// cells only talk to each other through the row lines), one tiny
-    /// block per row-line driver, and the shared `rs`/`ws` row lines
-    /// left unassigned as the coupling border. `c` must be a circuit
-    /// built by this array (e.g. [`FefetArray::read_circuit`]); every
-    /// simulation this array runs uses this plan automatically — the
-    /// public method exists so benches can drive the engine directly.
-    ///
-    /// # Errors
-    ///
-    /// [`CktError::UnknownSignal`] if `c` is not an array circuit of
-    /// this shape.
-    pub fn block_plan(&self, c: &Circuit) -> Result<BlockPlan> {
-        let mut plan = BlockPlan::for_circuit(c);
-        for j in 0..self.cols {
-            plan.assign_node_name(c, &format!("bl{j}"), j)?;
-            plan.assign_node_name(c, &format!("sl{j}"), j)?;
-            plan.assign_node_name(c, &format!("bl{j}_drv"), j)?;
-            plan.assign_element(c, &format!("Vbl{j}"), j)?;
-            plan.assign_element(c, &format!("Vsl{j}"), j)?;
-            for i in 0..self.rows {
-                plan.assign_node_name(c, &format!("g{i}_{j}"), j)?;
-                plan.assign_node_name(c, &format!("gi{i}_{j}"), j)?;
-            }
-        }
-        for i in 0..self.rows {
-            let b_rs = self.cols + 2 * i;
-            let b_ws = b_rs + 1;
-            plan.assign_node_name(c, &format!("rs{i}_drv"), b_rs)?;
-            plan.assign_element(c, &format!("Vrs{i}"), b_rs)?;
-            plan.assign_node_name(c, &format!("ws{i}_drv"), b_ws)?;
-            plan.assign_element(c, &format!("Vws{i}"), b_ws)?;
-        }
-        Ok(plan)
-    }
-
-    fn run(&self, c: &Circuit, t_end: f64) -> Result<Trace> {
-        let plan = self.block_plan(c)?;
-        transient(
-            c,
+    fn run(
+        &self,
+        circuit: &Circuit,
+        plan: BlockPlan,
+        node_ics: Vec<(Node, f64)>,
+        t_end: f64,
+        observe: impl FnMut(&Step<'_>),
+    ) -> Result<TransientRun> {
+        transient_with(
+            circuit,
             t_end,
             TransientOptions {
                 dt: self.cell.dt,
-                node_ics: self.node_ics(c),
+                node_ics,
                 predict: self.fastpaths.predict,
                 solver: SolverOptions {
                     backend: self.solver_backend,
@@ -354,19 +379,17 @@ impl FefetArray {
                 },
                 ..TransientOptions::default()
             },
+            observe,
         )
     }
 
-    fn collect_disturb(&self, trace: &Trace, accessed_row: Option<usize>) -> f64 {
+    /// Largest polarization drift (C/m²) of any cell outside
+    /// `accessed_row`, from the run's final FE states.
+    fn disturb(&self, run: &TransientRun, ffe: &[usize], accessed_row: Option<usize>) -> f64 {
         let mut max_disturb: f64 = 0.0;
-        for i in 0..self.rows {
-            if Some(i) == accessed_row {
-                continue;
-            }
-            for j in 0..self.cols {
-                let before = self.state[i * self.cols + j];
-                let after = trace.last(&format!("p(Ffe{i}_{j})")).unwrap_or(before);
-                max_disturb = max_disturb.max((after - before).abs());
+        for (k, (&before, &e)) in self.state.iter().zip(ffe).enumerate() {
+            if Some(k / self.cols) != accessed_row {
+                max_disturb = max_disturb.max((run.polarization(e) - before).abs());
             }
         }
         max_disturb
@@ -378,27 +401,30 @@ impl FefetArray {
     ///
     /// # Errors
     ///
-    /// [`CktError::Netlist`] if `data.len() != cols`, or a simulator
+    /// [`CktError::Netlist`] if `data.len() != cols`, `row` is out of
+    /// range, or `t_pulse` is not finite and positive; a simulator
     /// convergence failure.
     pub fn write_row(&mut self, row: usize, data: &[bool], t_pulse: f64) -> Result<ArrayOp> {
-        let op = self.write_row_trial(row, data, t_pulse)?;
+        let (op, run, ffe) = self.write_row_trial(row, data, t_pulse)?;
         // Commit new states.
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                if let Some(p) = op.trace.last(&format!("p(Ffe{i}_{j})")) {
-                    self.state[i * self.cols + j] = p;
-                }
-            }
+        for (p, &e) in self.state.iter_mut().zip(&ffe) {
+            *p = run.polarization(e);
         }
         Ok(op)
     }
 
     /// The simulation core of [`FefetArray::write_row`], without the
     /// state commit: runs the write transient against the stored state
-    /// and reports the result, leaving the array untouched. This is what
+    /// and reports the result (plus the run and FE-capacitor positions
+    /// the commit reads), leaving the array untouched. This is what
     /// lets [`FefetArray::write_disturb_map`] run per-row trials against
     /// one shared array instead of deep-cloning it per worker.
-    fn write_row_trial(&self, row: usize, data: &[bool], t_pulse: f64) -> Result<ArrayOp> {
+    fn write_row_trial(
+        &self,
+        row: usize,
+        data: &[bool],
+        t_pulse: f64,
+    ) -> Result<(ArrayOp, TransientRun, Vec<usize>)> {
         if data.len() != self.cols {
             return Err(CktError::Netlist(format!(
                 "write_row: got {} bits for {} columns",
@@ -411,6 +437,7 @@ impl FefetArray {
                 "write_row: row {row} out of range"
             )));
         }
+        check_window("write_row: t_pulse", t_pulse, 0.0)?;
         let b = &self.cell.bias;
         let t_restore = 0.3e-9;
         let mut row_waves = Vec::new();
@@ -447,20 +474,21 @@ impl FefetArray {
                 Waveform::dc(0.0),
             ));
         }
-        let c = self.build(&row_waves, &col_waves);
+        let net = self.build(&row_waves, &col_waves);
         let t_end = T_START + t_pulse + t_restore + 0.5e-9;
         let _span = self.instr.span("array.write_row");
-        let trace = self.run(&c, t_end)?;
-        let max_disturb = self.collect_disturb(&trace, Some(row));
+        let run = self.run(&net.circuit, net.plan, net.ics, t_end, |_| {})?;
+        let max_disturb = self.disturb(&run, &net.ffe, Some(row));
         if let Some(tel) = self.instr.get() {
             tel.array.row_writes.inc();
             tel.array.disturb_max.update_max(max_disturb);
         }
-        Ok(ArrayOp {
-            energy: trace.total_source_energy(),
+        let op = ArrayOp {
+            steps: run.steps,
+            energy: run.total_source_energy(),
             max_disturb,
-            trace,
-        })
+        };
+        Ok((op, run, net.ffe))
     }
 
     /// Builds the read-phase circuit for `row` without running it: the
@@ -470,13 +498,33 @@ impl FefetArray {
     ///
     /// # Errors
     ///
-    /// [`CktError::Netlist`] if `row` is out of range.
+    /// [`CktError::Netlist`] if `row` is out of range or `t_read` is
+    /// not finite and at least [`MIN_T_READ_S`].
     pub fn read_circuit(&self, row: usize, t_read: f64) -> Result<Circuit> {
+        Ok(self.read_netlist(row, t_read)?.circuit)
+    }
+
+    /// [`FefetArray::read_circuit`] for `row` and read window `t_read`
+    /// (s), together with the circuit's
+    /// bordered-block-diagonal partition — the plan every simulation
+    /// this array runs hands the engine's BBD backend, so benches can
+    /// drive the engine directly.
+    ///
+    /// # Errors
+    ///
+    /// As for [`FefetArray::read_circuit`].
+    pub fn read_circuit_with_plan(&self, row: usize, t_read: f64) -> Result<(Circuit, BlockPlan)> {
+        let net = self.read_netlist(row, t_read)?;
+        Ok((net.circuit, net.plan))
+    }
+
+    fn read_netlist(&self, row: usize, t_read: f64) -> Result<Netlist> {
         if row >= self.rows {
             return Err(CktError::Netlist(format!(
                 "read_row: row {row} out of range"
             )));
         }
+        check_window("read_row: t_read", t_read, MIN_T_READ_S)?;
         let b = &self.cell.bias;
         let mut row_waves = Vec::new();
         for i in 0..self.rows {
@@ -492,7 +540,9 @@ impl FefetArray {
 
     /// Reads `row` (Table 1 read biasing) over a window `t_read` (s),
     /// reporting per-column cell currents and the sneak-current
-    /// maximum.
+    /// maximum. The cell currents are sampled at
+    /// `T_START + t_read − 2·T_EDGE`, inside the flat top of the
+    /// read-select pulse.
     ///
     /// Reads are non-destructive (that is the paper's point), so this
     /// takes `&self` and never touches the stored state — which is what
@@ -501,35 +551,26 @@ impl FefetArray {
     ///
     /// # Errors
     ///
-    /// Row range or convergence errors, as for [`FefetArray::write_row`].
+    /// As for [`FefetArray::read_circuit`], plus convergence errors.
     pub fn read_row(&self, row: usize, t_read: f64) -> Result<ArrayRead> {
-        let c = self.read_circuit(row, t_read)?;
+        let net = self.read_netlist(row, t_read)?;
         let t_end = T_START + t_read + 0.4e-9;
         let _span = self.instr.span("array.read_row");
-        let trace = self.run(&c, t_end)?;
-
         let t_sample = T_START + t_read - 2.0 * T_EDGE;
-        let mut currents = Vec::with_capacity(self.cols);
-        for j in 0..self.cols {
-            currents.push(
-                trace
-                    .value_at(&format!("i(Mfet{row}_{j})"), t_sample)
-                    .unwrap_or(0.0),
-            );
-        }
+        let mut probe = CurrentsAt::new(t_sample, net.mfet);
+        let run = self.run(&net.circuit, net.plan, net.ics, t_end, |s| probe.observe(s))?;
+        let sampled = probe.values().ok_or_else(|| {
+            CktError::Netlist("read_row: the run ended before the sample time".into())
+        })?;
+
+        let currents = sampled[row * self.cols..(row + 1) * self.cols].to_vec();
         let mut max_sneak: f64 = 0.0;
-        for i in 0..self.rows {
-            if i == row {
-                continue;
-            }
-            for j in 0..self.cols {
-                let i_cell = trace
-                    .value_at(&format!("i(Mfet{i}_{j})"), t_sample)
-                    .unwrap_or(0.0);
+        for (k, i_cell) in sampled.iter().enumerate() {
+            if k / self.cols != row {
                 max_sneak = max_sneak.max(i_cell.abs());
             }
         }
-        let max_disturb = self.collect_disturb(&trace, None); // read must disturb nobody
+        let max_disturb = self.disturb(&run, &net.ffe, None); // read must disturb nobody
         let bits: Vec<bool> = currents.iter().map(|i| *i > I_SENSE_THRESHOLD_A).collect();
         if let Some(tel) = self.instr.get() {
             tel.array.row_reads.inc();
@@ -553,9 +594,9 @@ impl FefetArray {
         }
         Ok(ArrayRead {
             op: ArrayOp {
-                energy: trace.total_source_energy(),
+                steps: run.steps,
+                energy: run.total_source_energy(),
                 max_disturb,
-                trace,
             },
             currents,
             bits,
@@ -629,7 +670,7 @@ impl FefetArray {
         let data = data.to_vec();
         crate::parallel::pool_map(rows, threads, &self.instr, move |&row| {
             this.write_row_trial(row, &data, t_pulse)
-                .map(|op| op.max_disturb)
+                .map(|(op, _, _)| op.max_disturb)
         })
         .into_iter()
         .collect()
@@ -721,6 +762,44 @@ mod tests {
         assert!(a.read_row(9, 1e-9).is_err());
     }
 
+    fn assert_netlist_err<T: std::fmt::Debug>(r: Result<T>, what: &str) {
+        match r {
+            Err(CktError::Netlist(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("expected a netlist error naming {what}, got {other:?}"),
+        }
+    }
+
+    /// Below 3·T_EDGE the sample point sits on the read-select rising
+    /// edge, where every bit used to sense as 0 without complaint.
+    #[test]
+    fn read_rejects_a_window_too_short_to_sense() {
+        let mut a = small_array();
+        a.write_row(0, &[true, true, true], 1.0e-9).unwrap();
+        assert_netlist_err(a.read_row(0, 0.1e-9), "t_read");
+        assert_netlist_err(a.read_circuit(0, 0.1e-9), "t_read");
+        let r = a.read_row(0, MIN_T_READ_S).unwrap();
+        assert_eq!(r.bits, vec![true, true, true]);
+    }
+
+    #[test]
+    fn read_rejects_a_non_finite_window() {
+        let a = small_array();
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_netlist_err(a.read_row(0, t), "t_read");
+            assert_netlist_err(a.read_circuit(0, t), "t_read");
+        }
+    }
+
+    #[test]
+    fn write_rejects_a_non_finite_or_non_positive_pulse() {
+        let mut a = small_array();
+        for t in [f64::NAN, f64::INFINITY, 0.0, -1e-9] {
+            assert_netlist_err(a.write_row(0, &[true, false, true], t), "t_pulse");
+            assert_netlist_err(a.write_disturb_map(&[true, false, true], t, 1), "t_pulse");
+        }
+        assert!(!a.bit(0, 0), "a rejected write must not commit");
+    }
+
     #[test]
     fn line_capacitance_scales_with_array_size() {
         let small = FefetArray::new(2, 2, FefetCell::default());
@@ -791,8 +870,7 @@ mod tests {
         let rs = sparse.read_row(0, 3e-9).unwrap();
         assert_eq!(rd.bits, rs.bits);
         assert_eq!(
-            rd.op.trace.time().len(),
-            rs.op.trace.time().len(),
+            rd.op.steps, rs.op.steps,
             "backends accepted different step sequences"
         );
         for (d, s) in rd.currents.iter().zip(&rs.currents) {
@@ -821,8 +899,7 @@ mod tests {
         let rb = bbd.read_row(0, 3e-9).unwrap();
         assert_eq!(rs.bits, rb.bits);
         assert_eq!(
-            rs.op.trace.time().len(),
-            rb.op.trace.time().len(),
+            rs.op.steps, rb.op.steps,
             "backends accepted different step sequences"
         );
         for (s, b) in rs.currents.iter().zip(&rb.currents) {

@@ -12,12 +12,14 @@
 //!   so repeated neighbors' operations nibble at stored polarization —
 //!   in contrast to the FEFET array's fully isolated write path.
 
+use crate::array::check_window;
 use crate::feram::FeramCell;
 use fefet_ckt::circuit::Circuit;
+use fefet_ckt::elements::Node;
 use fefet_ckt::engine::{SolverBackend, SolverOptions};
 use fefet_ckt::plan::{AnalysisCache, BlockPlan};
-use fefet_ckt::trace::Trace;
-use fefet_ckt::transient::{transient, TransientOptions};
+use fefet_ckt::probe::WindowMax;
+use fefet_ckt::transient::{transient_with, Step, TransientOptions, TransientRun};
 use fefet_ckt::waveform::Waveform;
 use fefet_ckt::{CktError, Result};
 use std::sync::Arc;
@@ -45,11 +47,24 @@ pub struct FeramArray {
     state: Vec<f64>,
 }
 
+/// A FERAM array netlist plus the positions its row ops address it by,
+/// so nothing after construction formats or hashes a name.
+#[derive(Debug)]
+struct Netlist {
+    circuit: Circuit,
+    /// The bordered-block-diagonal partition (see [`FeramArray::build`]).
+    plan: BlockPlan,
+    /// Element position of each cell's FE capacitor, row-major.
+    fcap: Vec<usize>,
+    /// Bit-line node per column.
+    bl: Vec<Node>,
+}
+
 /// Result of a FERAM array operation.
 #[derive(Debug, Clone)]
 pub struct FeramArrayOp {
-    /// Waveform record.
-    pub trace: Trace,
+    /// Accepted transient time steps.
+    pub steps: usize,
     /// Driver energy (J).
     pub energy: f64,
     /// Largest |ΔP| on any unaccessed cell (C/m²).
@@ -119,7 +134,7 @@ impl FeramArray {
         let wl_waves = vec![Waveform::dc(0.0); self.rows];
         let pl_waves = vec![Waveform::dc(0.0); self.rows];
         let bl_waves: Vec<Option<Waveform>> = vec![None; self.cols];
-        let c = self.build(&wl_waves, &pl_waves, &bl_waves);
+        let c = self.build(&wl_waves, &pl_waves, &bl_waves).circuit;
         let asm = fefet_ckt::engine::Assembly::new(&c);
         crate::array::MnaDims {
             n_nodes: asm.n_nodes - 1,
@@ -127,39 +142,58 @@ impl FeramArray {
         }
     }
 
+    /// Builds the array netlist under the given word-line, plate-line
+    /// and bit-line stimuli (`None` leaves a bit line floating),
+    /// recording the positions the row ops address later and the BBD
+    /// partition: one block per column (bit line, its driver when
+    /// present, and the cell storage nodes down the column), one tiny
+    /// block per word/plate-line driver, and the shared `wl`/`pl` row
+    /// lines as the border.
     fn build(
         &self,
         wl_waves: &[Waveform],
         pl_waves: &[Waveform],
         bl_waves: &[Option<Waveform>],
-    ) -> Circuit {
+    ) -> Netlist {
         let mut c = Circuit::new();
+        let mut node_blocks: Vec<(Node, usize)> = Vec::new();
+        let mut elem_blocks: Vec<(usize, usize)> = Vec::new();
         let mut wl_nodes = Vec::new();
         let mut pl_nodes = Vec::new();
         let mut bl_nodes = Vec::new();
         for (i, (wwl, wpl)) in wl_waves.iter().zip(pl_waves).enumerate() {
+            let b_wl = self.cols + 2 * i;
+            let b_pl = b_wl + 1;
             let wl = c.node(&format!("wl{i}"));
             let pl = c.node(&format!("pl{i}"));
             let wld = c.node(&format!("wl{i}_drv"));
             let pld = c.node(&format!("pl{i}_drv"));
+            elem_blocks.push((c.elements().len(), b_wl));
             c.vsource(&format!("Vwl{i}"), wld, Circuit::GND, wwl.clone());
             c.resistor(&format!("Rwl{i}"), wld, wl, self.cell.r_driver);
+            elem_blocks.push((c.elements().len(), b_pl));
             c.vsource(&format!("Vpl{i}"), pld, Circuit::GND, wpl.clone());
             c.resistor(&format!("Rpl{i}"), pld, pl, self.cell.r_driver);
             c.capacitor(&format!("Cpl{i}"), pl, Circuit::GND, self.cell.c_plate_line);
+            node_blocks.extend([(wld, b_wl), (pld, b_pl)]);
             wl_nodes.push(wl);
             pl_nodes.push(pl);
         }
         for (j, wbl) in bl_waves.iter().enumerate() {
             let bl = c.node(&format!("bl{j}"));
+            // Floating bit lines (reads) have no driver node or source.
             if let Some(w) = wbl {
                 let bld = c.node(&format!("bl{j}_drv"));
+                elem_blocks.push((c.elements().len(), j));
                 c.vsource(&format!("Vbl{j}"), bld, Circuit::GND, w.clone());
                 c.resistor(&format!("Rbl{j}"), bld, bl, self.cell.r_driver);
+                node_blocks.push((bld, j));
             }
             c.capacitor(&format!("Cbl{j}"), bl, Circuit::GND, self.cell.c_bit_line);
+            node_blocks.push((bl, j));
             bl_nodes.push(bl);
         }
+        let mut fcap = Vec::with_capacity(self.rows * self.cols);
         for i in 0..self.rows {
             #[allow(clippy::needless_range_loop)] // symmetric i/j indexing
             for j in 0..self.cols {
@@ -171,6 +205,7 @@ impl FeramArray {
                     n,
                     self.cell.access,
                 );
+                fcap.push(c.elements().len());
                 c.fecap(
                     &format!("Fcap{i}_{j}"),
                     n,
@@ -178,43 +213,27 @@ impl FeramArray {
                     self.cell.cap,
                     self.state[i * self.cols + j],
                 );
+                node_blocks.push((n, j));
             }
         }
-        c
+        let plan = BlockPlan::from_assignments(&c, node_blocks, elem_blocks);
+        Netlist {
+            circuit: c,
+            plan,
+            fcap,
+            bl: bl_nodes,
+        }
     }
 
-    /// The BBD partition of a FERAM array circuit: one block per column
-    /// (bit line, its driver when present, and the cell storage nodes
-    /// down the column), one tiny block per word/plate-line driver, and
-    /// the shared `wl`/`pl` row lines as the border.
-    fn block_plan(&self, c: &Circuit) -> Result<BlockPlan> {
-        let mut plan = BlockPlan::for_circuit(c);
-        for j in 0..self.cols {
-            plan.assign_node_name(c, &format!("bl{j}"), j)?;
-            // Floating bit lines (reads) have no driver node or source.
-            if c.find_node(&format!("bl{j}_drv")).is_some() {
-                plan.assign_node_name(c, &format!("bl{j}_drv"), j)?;
-                plan.assign_element(c, &format!("Vbl{j}"), j)?;
-            }
-            for i in 0..self.rows {
-                plan.assign_node_name(c, &format!("n{i}_{j}"), j)?;
-            }
-        }
-        for i in 0..self.rows {
-            let b_wl = self.cols + 2 * i;
-            let b_pl = b_wl + 1;
-            plan.assign_node_name(c, &format!("wl{i}_drv"), b_wl)?;
-            plan.assign_element(c, &format!("Vwl{i}"), b_wl)?;
-            plan.assign_node_name(c, &format!("pl{i}_drv"), b_pl)?;
-            plan.assign_element(c, &format!("Vpl{i}"), b_pl)?;
-        }
-        Ok(plan)
-    }
-
-    fn run(&self, c: &Circuit, t_end: f64) -> Result<Trace> {
-        let plan = self.block_plan(c)?;
-        transient(
-            c,
+    fn run(
+        &self,
+        circuit: &Circuit,
+        plan: BlockPlan,
+        t_end: f64,
+        observe: impl FnMut(&Step<'_>),
+    ) -> Result<TransientRun> {
+        transient_with(
+            circuit,
             t_end,
             TransientOptions {
                 dt: self.cell.dt,
@@ -226,29 +245,23 @@ impl FeramArray {
                 },
                 ..TransientOptions::default()
             },
+            observe,
         )
     }
 
-    fn commit(&mut self, trace: &Trace) {
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                if let Some(p) = trace.last(&format!("p(Fcap{i}_{j})")) {
-                    self.state[i * self.cols + j] = p;
-                }
-            }
+    fn commit(&mut self, run: &TransientRun, fcap: &[usize]) {
+        for (p, &e) in self.state.iter_mut().zip(fcap) {
+            *p = run.polarization(e);
         }
     }
 
-    fn disturb(&self, trace: &Trace, accessed_row: usize) -> f64 {
+    /// Largest polarization drift (C/m²) of any cell outside
+    /// `accessed_row`, from the run's final FE states.
+    fn disturb(&self, run: &TransientRun, fcap: &[usize], accessed_row: usize) -> f64 {
         let mut worst: f64 = 0.0;
-        for i in 0..self.rows {
-            if i == accessed_row {
-                continue;
-            }
-            for j in 0..self.cols {
-                let before = self.state[i * self.cols + j];
-                let after = trace.last(&format!("p(Fcap{i}_{j})")).unwrap_or(before);
-                worst = worst.max((after - before).abs());
+        for (k, (&before, &e)) in self.state.iter().zip(fcap).enumerate() {
+            if k / self.cols != accessed_row {
+                worst = worst.max((run.polarization(e) - before).abs());
             }
         }
         worst
@@ -261,7 +274,7 @@ impl FeramArray {
     ///
     /// # Errors
     ///
-    /// Dimension or convergence errors as in the FEFET array.
+    /// Dimension, `t_pulse` or convergence errors as in the FEFET array.
     pub fn write_row(&mut self, row: usize, data: &[bool], t_pulse: f64) -> Result<FeramArrayOp> {
         if data.len() != self.cols {
             return Err(CktError::Netlist(format!(
@@ -275,6 +288,7 @@ impl FeramArray {
                 "write_row: row {row} out of range"
             )));
         }
+        check_window("write_row: t_pulse", t_pulse, 0.0)?;
         let v = self.cell.v_write;
         let t_restore = 0.5e-9;
         // Phase A (0..t_pulse): plate at 0, bit lines high where data=1.
@@ -304,15 +318,15 @@ impl FeramArray {
                 })
             })
             .collect();
-        let ckt = self.build(&wl_waves, &pl_waves, &bl_waves);
+        let net = self.build(&wl_waves, &pl_waves, &bl_waves);
         let t_end = T_START + 2.0 * t_pulse + t_restore + 0.4e-9;
-        let trace = self.run(&ckt, t_end)?;
-        let max_disturb = self.disturb(&trace, row);
-        self.commit(&trace);
+        let run = self.run(&net.circuit, net.plan, t_end, |_| {})?;
+        let max_disturb = self.disturb(&run, &net.fcap, row);
+        self.commit(&run, &net.fcap);
         Ok(FeramArrayOp {
-            energy: trace.total_source_energy(),
+            steps: run.steps,
+            energy: run.total_source_energy(),
             max_disturb,
-            trace,
         })
     }
 
@@ -325,36 +339,36 @@ impl FeramArray {
     ///
     /// # Errors
     ///
-    /// Row range or convergence errors.
+    /// [`CktError::Netlist`] if `row` is out of range or `t_dev` is not
+    /// finite and positive; convergence errors.
     pub fn read_row(&mut self, row: usize, t_dev: f64) -> Result<(FeramArrayOp, Vec<f64>)> {
         if row >= self.rows {
             return Err(CktError::Netlist(format!(
                 "read_row: row {row} out of range"
             )));
         }
+        check_window("read_row: t_dev", t_dev, 0.0)?;
         let mut wl_waves = vec![Waveform::dc(0.0); self.rows];
         let mut pl_waves = vec![Waveform::dc(0.0); self.rows];
         wl_waves[row] = Waveform::pulse(0.0, self.cell.v_wordline, T_START, T_EDGE, T_EDGE, t_dev);
         pl_waves[row] = Waveform::pulse(0.0, self.cell.v_write, T_START, T_EDGE, T_EDGE, t_dev);
         // Floating bit lines (no drivers).
         let bl_waves: Vec<Option<Waveform>> = vec![None; self.cols];
-        let ckt = self.build(&wl_waves, &pl_waves, &bl_waves);
+        let net = self.build(&wl_waves, &pl_waves, &bl_waves);
         let t_end = T_START + t_dev + 0.4e-9;
-        let trace = self.run(&ckt, t_end)?;
-        let swings: Vec<f64> = (0..self.cols)
-            .map(|j| {
-                trace
-                    .window_max(&format!("v(bl{j})"), T_START, T_START + t_dev)
-                    .unwrap_or(0.0)
-            })
-            .collect();
-        let max_disturb = self.disturb(&trace, row);
-        self.commit(&trace);
+        let mut probe = WindowMax::new(T_START, T_START + t_dev, net.bl);
+        let run = self.run(&net.circuit, net.plan, t_end, |s| probe.observe(s))?;
+        let swings = match probe.values() {
+            Some(v) => v.to_vec(),
+            None => vec![0.0; self.cols],
+        };
+        let max_disturb = self.disturb(&run, &net.fcap, row);
+        self.commit(&run, &net.fcap);
         Ok((
             FeramArrayOp {
-                energy: trace.total_source_energy(),
+                steps: run.steps,
+                energy: run.total_source_energy(),
                 max_disturb,
-                trace,
             },
             swings,
         ))
@@ -472,6 +486,32 @@ mod tests {
         assert!(a.write_row(0, &[true], 1e-9).is_err());
         assert!(a.write_row(7, &[true, true], 1e-9).is_err());
         assert!(a.read_row(7, 1e-9).is_err());
+    }
+
+    fn assert_netlist_err<T: std::fmt::Debug>(r: Result<T>, what: &str) {
+        match r {
+            Err(CktError::Netlist(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("expected a netlist error naming {what}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn write_rejects_a_non_finite_or_non_positive_pulse() {
+        let mut a = small();
+        for t in [f64::NAN, f64::INFINITY, 0.0, -1e-9] {
+            assert_netlist_err(a.write_row(0, &[true, false], t), "t_pulse");
+        }
+        assert!(!a.bit(0, 0), "a rejected write must not commit");
+    }
+
+    #[test]
+    fn read_rejects_a_non_finite_or_non_positive_develop_window() {
+        let mut a = small();
+        a.write_row(0, &[true, false], 1.2e-9).unwrap();
+        for t in [f64::NAN, f64::INFINITY, 0.0, -1e-9] {
+            assert_netlist_err(a.read_row(0, t), "t_dev");
+        }
+        assert!(a.bit(0, 0), "a rejected read must not destroy the row");
     }
 
     #[test]

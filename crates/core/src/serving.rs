@@ -34,7 +34,7 @@
 //! ([`ServeSpec::threads`] > 1 via `pool_map_mut`) is **bit-identical**
 //! to the serial one.
 
-use crate::array::{FefetArray, I_SENSE_THRESHOLD_A};
+use crate::array::{FefetArray, I_SENSE_THRESHOLD_A, MIN_T_READ_S};
 use crate::cell::FefetCell;
 use crate::compare::MemoryKind;
 use crate::feram::FeramCell;
@@ -316,8 +316,16 @@ fn validate_spec(spec: &ServeSpec) -> Result<(), ServeError> {
             "disturb_per_write must be finite and >= 0",
             spec.disturb_per_write.is_finite() && spec.disturb_per_write >= 0.0,
         ),
-        ("t_read_s must be > 0", spec.t_read_s > 0.0),
-        ("t_write_s must be > 0", spec.t_write_s > 0.0),
+        // One window serves both bank kinds, so it must clear the FEFET
+        // read's sensing bound (a FERAM develop window only needs > 0).
+        (
+            "t_read_s must be finite and >= MIN_T_READ_S (150 ps)",
+            spec.t_read_s.is_finite() && spec.t_read_s >= MIN_T_READ_S,
+        ),
+        (
+            "t_write_s must be finite and > 0",
+            spec.t_write_s.is_finite() && spec.t_write_s > 0.0,
+        ),
     ];
     for (what, ok) in checks {
         if !ok {
@@ -1750,6 +1758,49 @@ mod tests {
         let mut svc = MemoryService::new(spec, instr).expect("service");
         svc.add_bank(fefet_bank(rows, cols));
         svc
+    }
+
+    fn assert_spec_rejected(spec: ServeSpec, what: &str) {
+        match MemoryService::new(spec, Instrumentation::off()) {
+            Err(ServeError::Config(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("spec should have been rejected for {what}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn spec_rejects_a_read_window_too_short_to_sense() {
+        let spec = ServeSpec {
+            t_read_s: 0.1e-9,
+            ..ServeSpec::default()
+        };
+        assert_spec_rejected(spec, "t_read_s");
+        let shortest = ServeSpec {
+            t_read_s: MIN_T_READ_S,
+            ..ServeSpec::default()
+        };
+        assert!(MemoryService::new(shortest, Instrumentation::off()).is_ok());
+    }
+
+    #[test]
+    fn spec_rejects_a_non_finite_read_window() {
+        for t in [f64::NAN, f64::INFINITY] {
+            let spec = ServeSpec {
+                t_read_s: t,
+                ..ServeSpec::default()
+            };
+            assert_spec_rejected(spec, "t_read_s");
+        }
+    }
+
+    #[test]
+    fn spec_rejects_a_non_finite_write_pulse() {
+        for t in [f64::NAN, f64::INFINITY] {
+            let spec = ServeSpec {
+                t_write_s: t,
+                ..ServeSpec::default()
+            };
+            assert_spec_rejected(spec, "t_write_s");
+        }
     }
 
     #[test]

@@ -575,8 +575,8 @@ impl YieldEngine {
                 array.set_polarization(i, j, if hi { p_hi } else { p_lo });
             }
         }
-        let circuit = array.read_circuit(0, 3e-9)?;
-        let plan = Arc::new(array.block_plan(&circuit)?);
+        let (circuit, plan) = array.read_circuit_with_plan(0, 3e-9)?;
+        let plan = Arc::new(plan);
         let asm = Assembly::new(&circuit);
         let opts = SolverOptions {
             backend: SolverBackend::Sparse,

@@ -84,8 +84,7 @@ fn read_parity_each_knob_vs_exact_on_seeded_8x8() {
         for (k, &row) in rows.iter().enumerate() {
             assert_eq!(got[k].bits, pattern[row], "{name}: bits, row {row}");
             assert_eq!(
-                got[k].op.trace.time().len(),
-                reference[k].op.trace.time().len(),
+                got[k].op.steps, reference[k].op.steps,
                 "{name}: accepted-step count diverged, row {row}"
             );
             for (j, (e, f)) in reference[k]
@@ -123,8 +122,7 @@ fn write_parity_each_knob_vs_exact_on_2t_cells() {
         fast.fastpaths = toggles;
         let op = fast.write_row(0, &data, 1.0e-9).expect("fast write");
         assert_eq!(
-            op.trace.time().len(),
-            ref_op.trace.time().len(),
+            op.steps, ref_op.steps,
             "{name}: accepted-step count diverged"
         );
         // The written polarizations define the stored data; they must

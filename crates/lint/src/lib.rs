@@ -115,6 +115,7 @@ pub const HOT_PATH_MODULES: &[&str] = &[
     "transient.rs",
     "dc.rs",
     "parallel.rs",
+    "ckt/src/probe.rs",
     "telemetry/src/trace.rs",
     "telemetry/src/quantile.rs",
     "core/src/serving.rs",
