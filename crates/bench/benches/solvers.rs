@@ -773,6 +773,65 @@ fn bench_fastpaths(report: &mut Report) {
     );
 }
 
+/// The data behind `BBD_CROSSOVER`: one warm served escalation (a
+/// `write_row` + `read_row` pair) on the seeded 32×32 array, sparse LU
+/// vs BBD set explicitly, batches interleaved. Each side writes the
+/// complement of its previous word into row 0 and reads it back, on its
+/// own array whose analysis cache is warmed before timing. Full runs
+/// hard-fail unless sparse's min beats BBD's: 32×32 sits below the
+/// crossover, so `Auto` runs it sparse.
+fn bench_escalation(report: &mut Report) {
+    let t_read = 0.3e-9;
+    let t_write = 1.0e-9;
+    let base = seeded(32, 32);
+    let n = base.mna_dims().expect("32x32 dims").n_unknowns as u64;
+    let side = |backend| {
+        let mut a = base.clone();
+        a.solver_backend = backend;
+        let mut word: Vec<bool> = (0..a.cols).map(|j| j % 2 == 0).collect();
+        move || {
+            for b in word.iter_mut() {
+                *b = !*b;
+            }
+            a.write_row(0, &word, t_write).expect("escalated write");
+            let read = a.read_row(0, t_read).expect("escalated read");
+            assert_eq!(
+                read.bits, word,
+                "escalated read must return the written word"
+            );
+            read.op.steps
+        }
+    };
+    let mut sparse = side(SolverBackend::Sparse);
+    let mut bbd = side(SolverBackend::Bbd);
+    sparse();
+    bbd();
+    report.bench_pair(
+        "array_escalation_32x32_sparse",
+        "array_escalation_32x32_bbd",
+        &mut sparse,
+        &mut bbd,
+    );
+    report.annotate("array_escalation_32x32_sparse", n, None);
+    report.annotate("array_escalation_32x32_bbd", n, None);
+    let s = report
+        .min_of("array_escalation_32x32_sparse")
+        .expect("sparse sample");
+    let b = report
+        .min_of("array_escalation_32x32_bbd")
+        .expect("bbd sample");
+    if !smoke() {
+        assert!(
+            s < b,
+            "sparse must beat BBD on the warm 32x32 escalation: {s:.4} s vs {b:.4} s"
+        );
+    }
+    println!(
+        "array_escalation_32x32 warm speedup (bbd/sparse, min): {:.2}x",
+        b / s
+    );
+}
+
 fn bench_array_sweep(report: &mut Report) {
     // `Auto` picks the sparse backend here (n > crossover); a forced-
     // dense copy is measured alongside as the seed-equivalent baseline.
@@ -865,9 +924,9 @@ fn bench_array_sweep(report: &mut Report) {
     });
     report.annotate("array_read_sweep_16x16_serial", n16, None);
 
-    // The tentpole headline: a 64×64 serial read sweep (8,896 unknowns
-    // per solve). `Auto` promotes to the BBD backend at this size —
-    // the array supplies its column/driver block plan — and every
+    // The large-array headline: a 64×64 serial read sweep (8,896
+    // unknowns per solve). `Auto` promotes to the BBD backend at this
+    // size — the array supplies its column/driver block plan — and every
     // pooled or serial trial shares one symbolic analysis per pattern.
     // Smoke runs sweep a 4-row subset to keep CI fast.
     let a64 = seeded(64, 64);
@@ -1105,6 +1164,7 @@ fn main() {
     bench_rc_transient(&mut report);
     bench_cell_write(&mut report);
     bench_fastpaths(&mut report);
+    bench_escalation(&mut report);
     bench_array_sweep(&mut report);
     bench_yield(&mut report);
     bench_lk_stepper(&mut report);

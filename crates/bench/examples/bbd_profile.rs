@@ -1,120 +1,71 @@
-//! Cold/warm point-solve timing of the sparse vs BBD backends on real
-//! array read circuits, through the engine's public API. Diagnostic
-//! tool for placing the Auto-promotion crossover, not a committed
-//! bench. Usage: `bbd_profile [rows] [skip-sparse]`.
+//! Measures one solver backend on FEFET array row ops, the data behind
+//! the engine's `BBD_CROSSOVER`. Run one backend per process, so the
+//! peak RSS it reports (`VmHWM`) belongs to that backend alone:
+//!
+//! ```sh
+//! for r in 32 48 64; do for b in sparse bbd; do cargo run --release -p fefet-bench --example bbd_profile -- $r $b; done; done
+//! ```
+//!
+//! Usage: `bbd_profile <rows> <sparse|bbd> [warm_ops]`. On a fresh
+//! `rows`×`rows` array it times one cold `write_row` + `read_row` pair
+//! (pattern recording and symbolic analysis included), then `warm_ops`
+//! (default 5) warm pairs against the array's analysis cache, and
+//! prints the LU fill (`sparse_fill_nnz` from telemetry) and `VmHWM`.
 
-use fefet_ckt::elements::{ElemState, Integration};
-use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverBackend, SolverOptions};
+use fefet_ckt::engine::SolverBackend;
 use fefet_mem::array::FefetArray;
 use fefet_mem::cell::FefetCell;
-use std::sync::Arc;
+use fefet_telemetry::Instrumentation;
 use std::time::Instant;
 
+/// Write pulse and read window of a served escalation (s).
+const T_WRITE: f64 = 1.0e-9;
+const T_READ: f64 = 3e-9;
+
+/// Peak resident set size of this process (`VmHWM`), in kB.
+fn vm_hwm_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
 fn main() {
-    let rows: usize = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().unwrap())
-        .unwrap_or(32);
-    let skip_sparse = std::env::args().nth(2).is_some();
-    let a = FefetArray::new(rows, rows, FefetCell::default());
-    let (ckt, plan) = a.read_circuit_with_plan(0, 3e-9).expect("read circuit");
-    let plan = Arc::new(plan);
-    let asm = Assembly::new(&ckt);
-    let states: Vec<ElemState> = ckt.elements().iter().map(|_| ElemState::None).collect();
-    let n = asm.n_unknowns();
-    println!("{rows}x{rows}: n = {n}");
-    let t_bias = 0.5e-9;
-
-    let exact = SolverOptions {
-        jacobian_reuse: false,
-        bypass: false,
-        ..SolverOptions::default()
+    let args: Vec<String> = std::env::args().collect();
+    let usage = "usage: bbd_profile <rows> <sparse|bbd> [warm_ops]";
+    let rows: usize = args.get(1).and_then(|s| s.parse().ok()).expect(usage);
+    let backend = match args.get(2).map(String::as_str) {
+        Some("sparse") => SolverBackend::Sparse,
+        Some("bbd") => SolverBackend::Bbd,
+        _ => panic!("{usage}"),
     };
-    let backends: Vec<(&str, SolverOptions)> = vec![
-        (
-            "bbd",
-            SolverOptions {
-                backend: SolverBackend::Bbd,
-                block_plan: Some(plan),
-                ..exact.clone()
-            },
-        ),
-        (
-            "sparse",
-            SolverOptions {
-                backend: SolverBackend::Sparse,
-                ..exact
-            },
-        ),
-    ];
+    let warm_ops: usize = args.get(3).map_or(5, |s| s.parse().expect(usage));
 
-    for (name, opts) in &backends {
-        if *name == "sparse" && skip_sparse {
-            continue;
-        }
-        // Cold: fresh workspace, solve from zeros (records the pattern,
-        // analyzes, factors, iterates to convergence).
-        let mut ws = NewtonWorkspace::new(n);
-        let mut x = vec![0.0; n];
+    let mut a = FefetArray::new(rows, rows, FefetCell::default());
+    a.solver_backend = backend;
+    a.instr = Instrumentation::enabled();
+    let n = a.mna_dims().expect("array dims").n_unknowns;
+    let mut op = |k: usize| {
+        let row = k % rows;
+        let data: Vec<bool> = (0..rows).map(|j| (j + k).is_multiple_of(3)).collect();
         let t0 = Instant::now();
-        asm.solve_point_with(
-            &ckt,
-            t_bias,
-            0.0,
-            Integration::BackwardEuler,
-            true,
-            opts,
-            &mut x,
-            &states,
-            &mut ws,
-        )
-        .expect("cold solve");
-        let cold = t0.elapsed();
-        let x_star = x.clone();
-        // Warm exact: stamp + full refactor + solve per call.
-        let reps = if n > 50_000 { 5 } else { 20 };
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            x.copy_from_slice(&x_star);
-            asm.solve_point_with(
-                &ckt,
-                t_bias,
-                0.0,
-                Integration::BackwardEuler,
-                true,
-                opts,
-                &mut x,
-                &states,
-                &mut ws,
-            )
-            .expect("warm solve");
-        }
-        let warm = t0.elapsed() / reps;
-        // Warm fast-path (jacobian reuse on): mostly stamp + solve.
-        let fast = SolverOptions {
-            jacobian_reuse: true,
-            bypass: false,
-            ..opts.clone()
-        };
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            x.copy_from_slice(&x_star);
-            asm.solve_point_with(
-                &ckt,
-                t_bias,
-                0.0,
-                Integration::BackwardEuler,
-                true,
-                &fast,
-                &mut x,
-                &states,
-                &mut ws,
-            )
-            .expect("fast solve");
-        }
-        let fastt = t0.elapsed() / reps;
-        println!(
-            "  {name:7} cold {cold:>12.3?}  warm-exact {warm:>10.3?}  warm-reuse {fastt:>10.3?}"
-        );
+        a.write_row(row, &data, T_WRITE).expect("write_row");
+        let read = a.read_row(row, T_READ).expect("read_row");
+        assert_eq!(read.bits, data, "read must return the written word");
+        t0.elapsed().as_secs_f64()
+    };
+    let cold = op(0);
+    let mut warm: Vec<f64> = (1..=warm_ops).map(&mut op).collect();
+    warm.sort_by(f64::total_cmp);
+    let fill = a.instr.get().map_or(0, |t| t.solver.sparse_fill_nnz.get());
+
+    println!("{rows}x{rows} {backend:?}: n = {n}");
+    println!("  cold write+read  {cold:.4} s");
+    if let (Some(min), Some(med)) = (warm.first(), warm.get(warm.len() / 2)) {
+        println!("  warm write+read  median {med:.4} s  min {min:.4} s  ({warm_ops} ops)");
+    }
+    println!("  LU fill          {fill} nnz");
+    match vm_hwm_kb() {
+        Some(kb) => println!("  VmHWM            {:.1} MB", kb as f64 / 1024.0),
+        None => println!("  VmHWM            unavailable"),
     }
 }

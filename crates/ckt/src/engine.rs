@@ -22,9 +22,11 @@ use std::sync::Arc;
 /// Linear-solver backend for the Newton inner solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverBackend {
-    /// Dense LU below [`SPARSE_CROSSOVER`] unknowns, sparse LU above —
-    /// promoted to BBD at [`BBD_CROSSOVER`] when the options carry a
-    /// [`BlockPlan`].
+    /// Dense LU below [`SPARSE_CROSSOVER`] unknowns, pattern-cached
+    /// sparse LU from there up to [`BBD_CROSSOVER`], and BBD at or past
+    /// it when the options carry a [`BlockPlan`] (sparse without one).
+    /// For FEFET arrays: 32×32 and 40×40 run sparse, 48×48 and larger
+    /// run BBD.
     #[default]
     Auto,
     /// Dense LU with partial pivoting, regardless of size.
@@ -50,11 +52,17 @@ pub const SPARSE_CROSSOVER: usize = 64;
 /// [`BlockPlan`] (without one there is nothing to exploit and `Auto`
 /// stays sparse).
 ///
-/// Small arrays gain little — the global Markowitz ordering is already
-/// near-optimal there — while a 32×32 array (2400 unknowns) factors
-/// measurably faster block-by-block with the shared per-column symbolic
-/// analysis, so the crossover sits just below it.
-pub const BBD_CROSSOVER: usize = 2000;
+/// Placed by measurement on FEFET array row ops with a warm analysis
+/// cache (the shared cache makes BBD's cold-analysis win a one-time
+/// cost). At 32×32 (2400 unknowns) sparse LU refactors and solves
+/// faster: BBD's reuse-path solve runs two triangular solves per block,
+/// forward and back, and costs about 1.9× the sparse one. From 48×48
+/// (5136 unknowns) up sparse is still faster, but the global
+/// ordering's fill (25,776 at 48×48 and 45,632 at 64×64, against BBD's
+/// 4,992 and 8,704) shows in peak RSS (14.1 vs 12.5 MB and 24.4 vs
+/// 19.7 MB per row-op process), so BBD keeps those sizes.
+/// `bbd_profile` (in the bench crate's examples) re-measures both sides.
+pub const BBD_CROSSOVER: usize = 4096;
 
 /// Newton solver tuning knobs shared by DC and transient analyses.
 ///
@@ -93,7 +101,7 @@ pub struct SolverOptions {
     /// Bordered-block-diagonal partition hint, supplied by circuit
     /// builders that know the layout (array constructors). Required for
     /// [`SolverBackend::Bbd`]; its presence lets `Auto` promote to BBD
-    /// past [`BBD_CROSSOVER`] unknowns. `Arc`'d because options are
+    /// at [`BBD_CROSSOVER`] unknowns. `Arc`'d because options are
     /// cloned per analysis and per sweep worker.
     pub block_plan: Option<Arc<BlockPlan>>,
     /// Shared analysis cache: workers solving structurally identical
@@ -1600,11 +1608,12 @@ mod tests {
         assert!(matches!(r, Err(CktError::Netlist(_))));
     }
 
-    /// With a plan attached, `Auto` promotes to BBD past
+    /// With a plan attached, `Auto` promotes to BBD at
     /// [`BBD_CROSSOVER`] unknowns and stays sparse below it.
     #[test]
     fn auto_backend_promotes_to_bbd_with_plan() {
-        // 1000 blocks of 2 nodes + center + source branch = 2002 >= 2000.
+        // Blocks of 2 nodes + center + source branch, just past the
+        // crossover.
         let big = (BBD_CROSSOVER - 2).div_ceil(2);
         let (c, plan) = star_circuit(big, false);
         let asm = Assembly::new(&c);

@@ -101,9 +101,11 @@ pub struct FefetArray {
     /// array dimensions).
     pub cell: FefetCell,
     /// Linear-solver backend for every simulation this array runs.
-    /// `Auto` (the default) picks dense below the engine's crossover
-    /// and the pattern-cached sparse LU above it; force `Dense` or
-    /// `Sparse` for A/B comparisons.
+    /// `Auto` (the default) picks dense for tiny arrays, the
+    /// pattern-cached sparse LU up to 40×40, and the BBD backend over
+    /// this array's block plan from 48×48 up (see
+    /// [`fefet_ckt::engine::BBD_CROSSOVER`]); force `Dense`, `Sparse`
+    /// or `Bbd` for A/B comparisons.
     pub solver_backend: SolverBackend,
     /// Transient fast-path switches for every simulation this array
     /// runs; defaults to all on.
@@ -822,6 +824,26 @@ mod tests {
             .mna_dims()
             .unwrap();
         assert!(big.n_unknowns > small.n_unknowns);
+    }
+
+    /// Pins which array sizes `Auto` runs on which backend: 32×32 and
+    /// 40×40 stay on sparse LU, 48×48 and larger promote to BBD.
+    /// Netlists only, no transient.
+    #[test]
+    fn auto_backend_crossover_falls_between_40x40_and_48x48() {
+        use fefet_ckt::engine::BBD_CROSSOVER;
+        let n = |size: usize| {
+            FefetArray::new(size, size, FefetCell::default())
+                .mna_dims()
+                .unwrap()
+                .n_unknowns
+        };
+        for size in [32, 40] {
+            assert!(n(size) < BBD_CROSSOVER, "{size}x{size}: n = {}", n(size));
+        }
+        for size in [48, 64] {
+            assert!(n(size) >= BBD_CROSSOVER, "{size}x{size}: n = {}", n(size));
+        }
     }
 
     /// One enabled handle must collect a whole write + parallel read

@@ -575,17 +575,17 @@ impl YieldEngine {
                 array.set_polarization(i, j, if hi { p_hi } else { p_lo });
             }
         }
-        let (circuit, plan) = array.read_circuit_with_plan(0, 3e-9)?;
-        let plan = Arc::new(plan);
+        let circuit = array.read_circuit(0, 3e-9)?;
         let asm = Assembly::new(&circuit);
         let opts = SolverOptions {
+            // Pinned: under `Auto` small arrays (n < 64) would go dense
+            // and change trial numerics.
             backend: SolverBackend::Sparse,
             // Both fast paths carry cross-trial state in a reused worker
             // workspace (factor keys, bypass banks); exact solves keep
             // every trial a pure function of its sub-seed.
             jacobian_reuse: false,
             bypass: false,
-            block_plan: Some(plan),
             cache: Some(AnalysisCache::new()),
             instr: instr.clone(),
             ..SolverOptions::default()
