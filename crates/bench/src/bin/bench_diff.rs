@@ -22,7 +22,7 @@
 //! 2 usage or parse error.
 
 use fefet_bench::fmt_time;
-use fefet_bench::jsonval::{parse, Json};
+use fefet_telemetry::json::{parse, Json};
 use std::process::ExitCode;
 
 struct Entry {

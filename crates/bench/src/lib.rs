@@ -22,7 +22,6 @@
 //! Std-only performance benches live under `benches/`; they run on the
 //! [`tinybench`] harness (the offline build cannot fetch `criterion`).
 
-pub mod jsonval;
 pub mod tinybench;
 
 /// Prints a labelled section header.

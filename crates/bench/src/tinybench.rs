@@ -15,6 +15,7 @@
 //! uses it to prove the bench targets still build and run without
 //! paying for real measurements.
 
+use fefet_telemetry::json::{escape, fmt_f64};
 use std::hint::black_box;
 use std::io::Write as _;
 use std::time::{Duration, Instant};
@@ -312,7 +313,7 @@ impl Report {
     pub fn to_json(&self, suite: &str) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"suite\": \"{}\",\n", json_escape(suite)));
+        out.push_str(&format!("  \"suite\": \"{}\",\n", escape(suite)));
         out.push_str(&format!(
             "  \"mode\": \"{}\",\n",
             if smoke() { "smoke" } else { "full" }
@@ -333,10 +334,10 @@ impl Report {
                 size.push_str(&format!(", \"refactors\": {rf}"));
             }
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"median_s\": {:e}, \"min_s\": {:e}, \"iters\": {}, \"batches\": {}{}}}{}\n",
-                json_escape(&s.name),
-                s.median_s,
-                s.min_s,
+                "    {{\"name\": \"{}\", \"median_s\": {}, \"min_s\": {}, \"iters\": {}, \"batches\": {}{}}}{}\n",
+                escape(&s.name),
+                fmt_f64(s.median_s),
+                fmt_f64(s.min_s),
                 s.iters,
                 s.batches,
                 size,
@@ -358,23 +359,6 @@ impl Report {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Formats a duration in seconds with an engineering suffix.
 fn fmt_duration(s: f64) -> String {
     if s >= 1.0 {
@@ -391,6 +375,7 @@ fn fmt_duration(s: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fefet_telemetry::json::{parse, Json};
 
     #[test]
     fn duration_formatting() {
@@ -492,9 +477,19 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping_covers_specials() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\ny");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    fn to_json_roundtrips_through_the_parser() {
+        let mut r = Report::new();
+        r.bench_once("quote\" back\\ nl\n ctrl\u{1}", || 1);
+        r.attach_telemetry("quote\" back\\ nl\n ctrl\u{1}", 7, 3);
+        let v = parse(&r.to_json("suite \"x\"")).expect("tinybench JSON parses");
+        assert_eq!(v.get("suite").and_then(Json::as_str), Some("suite \"x\""));
+        let s = &v.get("samples").and_then(Json::as_arr).expect("samples")[0];
+        assert_eq!(
+            s.get("name").and_then(Json::as_str),
+            Some("quote\" back\\ nl\n ctrl\u{1}")
+        );
+        let min_s = s.get("min_s").and_then(Json::as_f64).expect("min_s");
+        assert_eq!(Some(min_s), r.min_of("quote\" back\\ nl\n ctrl\u{1}"));
+        assert_eq!(s.get("newton_iters").and_then(Json::as_f64), Some(7.0));
     }
 }

@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn from_numerics() {
-        let e: CktError = fefet_numerics::Error::NoBracket.into();
+        let e: CktError = fefet_numerics::Error::Singular { column: 0 }.into();
         assert!(matches!(e, CktError::Numerics(_)));
         assert!(std::error::Error::source(&e).is_some());
     }

@@ -20,10 +20,9 @@
 //!   array-supplied bordered-block-diagonal partition to the engine, and
 //!   [`plan::AnalysisCache`] shares one symbolic analysis per pattern
 //!   across parallel sweep workers.
-//! - [`parallel`] — std-only fan-out: scoped-thread
-//!   [`parallel::parallel_map`] and the process-wide persistent
+//! - [`parallel`] — std-only fan-out: the process-wide persistent
 //!   work-stealing pool behind [`parallel::pool_map`], shared by array
-//!   sweeps, Monte Carlo evaluation, and the yield engine.
+//!   sweeps, Monte Carlo evaluation, the yield engine, and serving.
 //! - [`dc`] — DC operating point via Newton with gmin stepping, plus
 //!   source sweeps.
 //! - [`ac`] — small-signal frequency-domain analysis around a bias

@@ -1,23 +1,19 @@
-//! Std-only fan-out helpers for independent simulation sweeps.
+//! Std-only fan-out for independent simulation sweeps.
 //!
 //! Array operations on distinct rows (reads, disturb probes, margin
 //! sweeps), Monte Carlo sample evaluations, and yield-engine trials are
-//! independent simulations. Two fan-out styles live here (in `fefet-ckt`
-//! so both the device and memory crates can share one pool; `fefet_mem`
-//! re-exports this module unchanged):
-//!
-//! - [`parallel_map`]: per-call `std::thread::scope` workers over
-//!   contiguous chunks. Simple, but pays thread spawn/join on every
-//!   call.
-//! - [`pool_map`]: a process-wide persistent worker pool with chunked
-//!   self-scheduling. Workers are spawned once; each sweep enqueues
-//!   light jobs that claim chunks from a shared atomic cursor, and the
-//!   **caller claims chunks too**, so a sweep always makes progress even
-//!   if every pool worker is busy (or none could be spawned) — the
-//!   design cannot deadlock. Results are indexed and re-sorted, so the
-//!   output ordering — and, because each simulation is itself
-//!   deterministic, every bit of the output — is identical to a serial
-//!   run regardless of thread count or claim interleaving.
+//! independent simulations. They all fan out through [`pool_map`] (or
+//! its stateful sibling [`pool_map_mut`]), which lives in `fefet-ckt`
+//! so the device and memory crates share one pool: a process-wide
+//! persistent worker pool with chunked self-scheduling. Workers are
+//! spawned once; each sweep enqueues light jobs that claim chunks from
+//! a shared atomic cursor, and the **caller claims chunks too**, so a
+//! sweep always makes progress even if every pool worker is busy (or
+//! none could be spawned) — the design cannot deadlock. Results are
+//! indexed and re-sorted, so the output ordering — and, because each
+//! simulation is itself deterministic, every bit of the output — is
+//! identical to a serial run regardless of thread count or claim
+//! interleaving.
 
 use fefet_telemetry::{Instrumentation, TraceEvent};
 use std::cell::Cell;
@@ -46,52 +42,12 @@ pub fn default_threads() -> usize {
 /// "use all hardware threads", and a request is never allowed to exceed
 /// the hardware count — oversubscribing pure-compute workers only adds
 /// scheduler churn. In particular, on a single-core host every request
-/// resolves to 1, which makes [`parallel_map`] take its inline serial
-/// path instead of paying thread-spawn overhead for no parallelism.
+/// resolves to 1, which makes [`pool_map`] take its inline serial path
+/// instead of paying hand-off overhead for no parallelism.
 pub fn effective_threads(requested: usize, hardware: usize) -> usize {
     let hardware = hardware.max(1);
     let requested = if requested == 0 { hardware } else { requested };
     requested.min(hardware)
-}
-
-/// Maps `f` over `items` on up to `threads` scoped worker threads,
-/// returning results in input order.
-///
-/// `threads == 0` selects [`default_threads`]; the request is clamped
-/// by [`effective_threads`], so a `threads = 4` sweep on a single-core
-/// host runs serially rather than spawning four workers that time-slice
-/// one CPU. With one effective thread (or one item) the map runs inline
-/// on the caller's thread — no spawn at all — which doubles as the
-/// serial reference path for determinism tests.
-// fefet-lint: allow-item(hot-alloc) -- per-sweep fan-out setup, amortized over the whole sweep; the per-point Newton loop underneath is the alloc-pinned path
-pub fn parallel_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let threads = effective_threads(threads, default_threads());
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let f = &f;
-    let mut out: Vec<U> = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|part| scope.spawn(move || part.iter().map(f).collect::<Vec<U>>()))
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => out.extend(part),
-                // A worker panic is a programming error in `f`;
-                // re-raise it on the caller's thread.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    out
 }
 
 /// A unit of pool work: runs the chunk-claiming loop for one sweep.
@@ -308,10 +264,13 @@ fn flush_worker_stats(
 /// Maps `f` over `items` on the persistent pool, returning results in
 /// input order.
 ///
-/// `threads` follows the same rules as [`parallel_map`] (`0` = all
-/// hardware threads, clamped by [`effective_threads`]); with one
-/// effective thread or fewer than two items the map runs inline with no
-/// pool interaction at all. Otherwise the caller enqueues up to
+/// `threads == 0` selects [`default_threads`], and every request is
+/// clamped by [`effective_threads`], so a `threads = 4` sweep on a
+/// single-core host runs serially rather than queueing helpers that
+/// time-slice one CPU. With one effective thread or fewer than two
+/// items the map runs inline on the caller's thread with no pool
+/// interaction at all, which doubles as the serial reference path for
+/// determinism tests. Otherwise the caller enqueues up to
 /// `threads - 1` helper jobs and joins the chunk-claiming itself, so the
 /// sweep completes even on a saturated (or empty) pool. Chunks are
 /// `max(1, n / (threads * 4))` items: small enough to self-balance
@@ -497,36 +456,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn preserves_input_order() {
-        let items: Vec<usize> = (0..37).collect();
-        for threads in [1, 2, 3, 4, 8, 64] {
-            let out = parallel_map(&items, threads, |&i| i * i);
-            let expect: Vec<usize> = items.iter().map(|&i| i * i).collect();
-            assert_eq!(out, expect, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn zero_threads_selects_a_positive_default() {
-        assert!(default_threads() >= 1);
-        let out = parallel_map(&[1, 2, 3], 0, |&i| i + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn more_threads_than_items_is_fine() {
-        let out = parallel_map(&[5], 16, |&i| i * 2);
-        assert_eq!(out, vec![10]);
-    }
-
-    #[test]
-    fn empty_input_yields_empty_output() {
-        let items: [u8; 0] = [];
-        let out = parallel_map(&items, 4, |&i| i);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn effective_threads_clamps_to_hardware() {
         // The 1-core pessimization this guards against: a threads = 4
         // sweep on a single-core host must resolve to 1 (serial path).
@@ -543,25 +472,29 @@ mod tests {
     }
 
     /// Regression: when the effective thread count is 1 the map must run
-    /// inline on the caller's thread — no worker spawn at all. Observed
+    /// inline on the caller's thread — no pool hand-off at all. Observed
     /// via thread IDs: every invocation of `f` must see the caller's.
     #[test]
     fn serial_fallback_runs_inline_on_caller_thread() {
         let caller = std::thread::current().id();
         let items: Vec<usize> = (0..16).collect();
-        let ids = parallel_map(&items, 1, |_| std::thread::current().id());
+        let ids = pool_map(items, 1, &Instrumentation::off(), |_| {
+            std::thread::current().id()
+        });
         assert!(ids.iter().all(|&id| id == caller));
     }
 
     /// The number of distinct worker threads never exceeds the effective
-    /// thread count. On a single-core host (the bench machines this
-    /// satellite fix targets) this degenerates to the serial-fallback
+    /// thread count (the caller plus at most `effective - 1` helpers).
+    /// On a single-core host this degenerates to the serial-fallback
     /// assertion: one distinct ID, equal to the caller's.
     #[test]
     fn worker_count_is_bounded_by_effective_threads() {
         let caller = std::thread::current().id();
         let items: Vec<usize> = (0..64).collect();
-        let ids = parallel_map(&items, 4, |_| std::thread::current().id());
+        let ids = pool_map(items, 4, &Instrumentation::off(), |_| {
+            std::thread::current().id()
+        });
         let mut distinct: Vec<std::thread::ThreadId> = Vec::new();
         for id in &ids {
             if !distinct.contains(id) {
@@ -588,7 +521,8 @@ mod tests {
     #[test]
     fn pool_map_matches_serial_at_every_thread_count() {
         let expect: Vec<u64> = (0..97u64).map(|i| i * i + 1).collect();
-        for threads in [1, 2, 3, 4, 8, 64] {
+        assert!(default_threads() >= 1);
+        for threads in [0, 1, 2, 3, 4, 8, 64] {
             for _round in 0..3 {
                 let items: Vec<u64> = (0..97).collect();
                 let out = pool_map(items, threads, &Instrumentation::off(), |&i| i * i + 1);

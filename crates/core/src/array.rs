@@ -607,7 +607,7 @@ impl FefetArray {
     }
 
     /// Reads several rows, fanning the independent row transients out
-    /// over the persistent worker pool ([`crate::parallel::pool_map`];
+    /// over the persistent worker pool ([`fefet_ckt::parallel::pool_map`];
     /// `threads = 0` means one per available hardware thread). Results
     /// are returned in the order of `rows` and are bit-identical to
     /// calling [`FefetArray::read_row`] serially — each read is a
@@ -622,7 +622,7 @@ impl FefetArray {
     /// `t_read` is the read window (s).
     pub fn read_rows(&self, rows: &[usize], t_read: f64, threads: usize) -> Result<Vec<ArrayRead>> {
         let this = std::sync::Arc::new(self.clone());
-        crate::parallel::pool_map(rows.to_vec(), threads, &self.instr, move |&row| {
+        fefet_ckt::parallel::pool_map(rows.to_vec(), threads, &self.instr, move |&row| {
             this.read_row(row, t_read)
         })
         .into_iter()
@@ -670,7 +670,7 @@ impl FefetArray {
         let rows: Vec<usize> = (0..self.rows).collect();
         let this = Arc::new(self.clone());
         let data = data.to_vec();
-        crate::parallel::pool_map(rows, threads, &self.instr, move |&row| {
+        fefet_ckt::parallel::pool_map(rows, threads, &self.instr, move |&row| {
             this.write_row_trial(row, &data, t_pulse)
                 .map(|(op, _, _)| op.max_disturb)
         })

@@ -388,7 +388,7 @@ impl FeramArray {
     pub fn read_margins(&self, t_dev: f64, threads: usize) -> Result<Vec<Vec<f64>>> {
         let rows: Vec<usize> = (0..self.rows).collect();
         let this = Arc::new(self.clone());
-        crate::parallel::pool_map(
+        fefet_ckt::parallel::pool_map(
             rows,
             threads,
             &fefet_telemetry::Instrumentation::off(),

@@ -15,8 +15,6 @@
 //!   plate-line disturb the FEFET scheme avoids.
 //! - [`mod@array`] — m×n array with shared lines and metal parasitics; row
 //!   write with unaccessed-row isolation; sneak-path checks (Fig 7).
-//! - [`parallel`] — re-export of the shared `fefet_ckt::parallel` pool
-//!   used by the array read/disturb/margin sweeps and the yield engine.
 //! - [`yield_engine`] — Monte Carlo yield engine: perturbed array trials
 //!   with cross-trial symbolic-analysis reuse, warm-started Newton, and
 //!   streaming fixed-memory statistics.
@@ -45,7 +43,6 @@ pub mod feram;
 pub mod feram_array;
 pub mod layout;
 pub mod macro_model;
-pub mod parallel;
 pub mod sense;
 pub mod serving;
 pub mod shmoo;

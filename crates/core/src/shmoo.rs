@@ -146,7 +146,7 @@ pub fn write_shmoo_parallel(
     let (p_lo, p_hi) = cell.memory_states();
     let cell = *cell;
     let widths_own = widths.to_vec();
-    let rows: Vec<Vec<ShmooPoint>> = crate::parallel::pool_map(
+    let rows: Vec<Vec<ShmooPoint>> = fefet_ckt::parallel::pool_map(
         voltages.to_vec(),
         threads,
         &fefet_telemetry::Instrumentation::off(),

@@ -25,7 +25,7 @@
 //!
 //! Trial randomness is drawn **serially** at setup (one sub-seed per
 //! trial from the master seed); only the evaluation fans out over the
-//! persistent pool ([`crate::parallel::pool_map`]). Every outcome is a
+//! persistent pool ([`fefet_ckt::parallel::pool_map`]). Every outcome is a
 //! pure function of its sub-seed, and the pool preserves order, so a
 //! pooled run is bit-identical to a serial (`threads = 1`) run.
 //!
@@ -36,10 +36,10 @@
 
 use crate::array::FefetArray;
 use crate::cell::FefetCell;
-use crate::parallel::pool_map;
 use fefet_ckt::circuit::Circuit;
 use fefet_ckt::elements::{ElemState, EvalCtx, Integration};
 use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverBackend, SolverOptions};
+use fefet_ckt::parallel::pool_map;
 use fefet_ckt::plan::AnalysisCache;
 use fefet_ckt::{CktError, Result};
 use fefet_device::dynamics::be_step;

@@ -11,16 +11,16 @@
 //! - `directive` findings (malformed or stale escape hatches) are never
 //!   baselineable.
 //!
-//! The crate is dependency-free, so this module carries its own tiny
-//! JSON reader — it accepts exactly the subset the baseline and report
-//! files use (objects, arrays, strings, unsigned integers, bools,
-//! null).
+//! The file is read and written with `fefet_telemetry::json`, the
+//! workspace's one JSON codec (std-only, no dependencies of its own).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
+
+use fefet_telemetry::json::{escape, parse, Json};
 
 use crate::{Finding, Rule};
 
@@ -66,32 +66,37 @@ impl Baseline {
     }
 
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        let value = json::parse(text)?;
-        let obj = value.as_object().ok_or("top level must be an object")?;
-        let entries = obj
-            .iter()
-            .find(|(k, _)| k == "entries")
-            .and_then(|(_, v)| v.as_array())
+        let value = parse(text)?;
+        let entries = value
+            .get("entries")
+            .and_then(Json::as_arr)
             .ok_or("missing `entries` array")?;
         let mut out = Vec::new();
-        for entry in entries {
-            let e = entry.as_object().ok_or("entry must be an object")?;
-            let get = |name: &str| e.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-            let file = get("file")
-                .and_then(|v| v.as_str())
+        for e in entries {
+            let file = e
+                .get("file")
+                .and_then(Json::as_str)
                 .ok_or("entry missing `file`")?
                 .to_string();
-            let rule_name = get("rule")
-                .and_then(|v| v.as_str())
+            let rule_name = e
+                .get("rule")
+                .and_then(Json::as_str)
                 .ok_or("entry missing `rule`")?;
             let rule =
                 Rule::parse(rule_name).ok_or_else(|| format!("unknown rule `{rule_name}`"))?;
             if rule == Rule::Directive {
                 return Err("`directive` findings cannot be baselined".to_string());
             }
-            let count = get("count")
-                .and_then(|v| v.as_uint())
-                .ok_or("entry missing `count`")? as usize;
+            // A count is a non-negative integer: it must survive the
+            // round trip through `u32` bit for bit (`as` saturates).
+            let count = e
+                .get("count")
+                .and_then(Json::as_f64)
+                .and_then(|n| {
+                    let c = n as u32;
+                    (f64::from(c).to_bits() == n.to_bits()).then_some(c as usize)
+                })
+                .ok_or("entry `count` must be a non-negative integer")?;
             out.push(BaselineEntry { file, rule, count });
         }
         Ok(Baseline { entries: out })
@@ -126,9 +131,9 @@ impl Baseline {
             }
             let _ = write!(
                 out,
-                "\n    {{\"file\": {}, \"rule\": {}, \"count\": {}}}",
-                json::escape(&e.file),
-                json::escape(e.rule.name()),
+                "\n    {{\"file\": \"{}\", \"rule\": \"{}\", \"count\": {}}}",
+                escape(&e.file),
+                escape(e.rule.name()),
                 e.count
             );
         }
@@ -225,226 +230,6 @@ pub fn growth(current: &Baseline, older: &Baseline) -> Vec<BucketDiff> {
             })
         })
         .collect()
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader/escaper (the workspace is dependency-free)
-// ---------------------------------------------------------------------
-
-pub mod json {
-    pub enum Value {
-        Object(Vec<(String, Value)>),
-        Array(Vec<Value>),
-        Str(String),
-        Uint(u64),
-        Bool(bool),
-        Null,
-    }
-
-    impl Value {
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Object(v) => Some(v),
-                _ => None,
-            }
-        }
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(v) => Some(v),
-                _ => None,
-            }
-        }
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-        pub fn as_uint(&self) -> Option<u64> {
-            match self {
-                Value::Uint(n) => Some(*n),
-                _ => None,
-            }
-        }
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let b = text.as_bytes();
-        let mut pos = 0usize;
-        let v = value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && b[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", c as char, pos))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = string(b, pos)?;
-                    expect(b, pos, b':')?;
-                    fields.push((key, value(b, pos)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Object(fields));
-                        }
-                        _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    items.push(value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-            Some(b't') if b[*pos..].starts_with(b"true") => {
-                *pos += 4;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') if b[*pos..].starts_with(b"false") => {
-                *pos += 5;
-                Ok(Value::Bool(false))
-            }
-            Some(b'n') if b[*pos..].starts_with(b"null") => {
-                *pos += 4;
-                Ok(Value::Null)
-            }
-            Some(c) if c.is_ascii_digit() => {
-                let start = *pos;
-                while *pos < b.len() && b[*pos].is_ascii_digit() {
-                    *pos += 1;
-                }
-                std::str::from_utf8(&b[start..*pos])
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .map(Value::Uint)
-                    .ok_or_else(|| format!("bad number at byte {start}"))
-            }
-            _ => Err(format!("unexpected byte at {pos}")),
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {pos}"));
-        }
-        *pos += 1;
-        let mut out = Vec::new();
-        while *pos < b.len() {
-            match b[*pos] {
-                b'"' => {
-                    *pos += 1;
-                    return String::from_utf8(out).map_err(|_| "bad utf-8 in string".to_string());
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push(b'"'),
-                        Some(b'\\') => out.push(b'\\'),
-                        Some(b'/') => out.push(b'/'),
-                        Some(b'n') => out.push(b'\n'),
-                        Some(b't') => out.push(b'\t'),
-                        Some(b'r') => out.push(b'\r'),
-                        Some(b'u') => {
-                            // \uXXXX — decode the code unit (the files
-                            // we write never emit surrogate pairs).
-                            let hex = b
-                                .get(*pos + 1..*pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            let c = char::from_u32(hex).ok_or("bad \\u code point")?;
-                            let mut buf = [0u8; 4];
-                            out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                            *pos += 4;
-                        }
-                        _ => return Err("bad escape".to_string()),
-                    }
-                    *pos += 1;
-                }
-                c => {
-                    out.push(c);
-                    *pos += 1;
-                }
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    /// Escapes `s` as a JSON string literal (with quotes).
-    pub fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -561,12 +346,16 @@ mod tests {
     }
 
     #[test]
-    fn json_escape_roundtrip() {
-        let s = "a \"b\"\\\n\tc";
-        let escaped = json::escape(s);
-        match json::parse(&escaped).unwrap() {
-            json::Value::Str(back) => assert_eq!(back, s),
-            _ => panic!("expected string"),
+    fn counts_must_be_non_negative_integers() {
+        let with_count = |count: &str| {
+            format!(r#"{{"entries": [{{"file": "x.rs", "rule": "panic", "count": {count}}}]}}"#)
+        };
+        for bad in ["-1", "1.5", "2e-1", "4294967296", "\"3\"", "null"] {
+            assert!(Baseline::parse(&with_count(bad)).is_err(), "accepted {bad}");
+        }
+        for (ok, n) in [("0", 0), ("3", 3), ("2e1", 20), ("4.0", 4)] {
+            let b = Baseline::parse(&with_count(ok)).expect(ok);
+            assert_eq!(b.entries[0].count, n, "{ok}");
         }
     }
 }

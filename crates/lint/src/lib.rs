@@ -84,8 +84,6 @@ use rules::FileLint;
 /// Basenames of modules that implement iterative solvers or drive them
 /// in parallel; R2 and R4 apply only here (in workspace mode).
 pub const SOLVER_MODULES: &[&str] = &[
-    "roots.rs",
-    "ode.rs",
     "engine.rs",
     "dc.rs",
     "transient.rs",

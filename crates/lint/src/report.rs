@@ -6,7 +6,9 @@
 
 use std::fmt::Write as _;
 
-use crate::baseline::{json, Baseline, BaselineStatus};
+use fefet_telemetry::json::escape;
+
+use crate::baseline::{Baseline, BaselineStatus};
 use crate::{Finding, Rule};
 
 pub(crate) const ALL_RULES: &[Rule] = &[
@@ -49,12 +51,12 @@ pub fn render_json(
         }
         let _ = write!(
             out,
-            "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"baselined\": {}, \"message\": {}}}",
-            json::escape(&f.file),
+            "\n    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"baselined\": {}, \"message\": \"{}\"}}",
+            escape(&f.file),
             f.line,
-            json::escape(f.rule.name()),
+            escape(f.rule.name()),
             baselined,
-            json::escape(&f.message)
+            escape(&f.message)
         );
     }
     if !sorted.is_empty() {
@@ -73,7 +75,7 @@ pub fn render_json(
             out.push_str(", ");
         }
         first = false;
-        let _ = write!(out, "{}: {n}", json::escape(rule.name()));
+        let _ = write!(out, "\"{}\": {n}", escape(rule.name()));
     }
     let _ = writeln!(
         out,
@@ -105,6 +107,7 @@ pub fn render_json(
 mod tests {
     use super::*;
     use crate::baseline::BaselineEntry;
+    use fefet_telemetry::json::{parse, Json};
 
     #[test]
     fn report_is_parseable_json_with_flags() {
@@ -131,25 +134,23 @@ mod tests {
             }],
         };
         let text = render_json(42, &status, Some(&base));
-        let v = json::parse(&text).expect("valid json");
-        let obj = v.as_object().unwrap();
-        let findings = obj
-            .iter()
-            .find(|(k, _)| k == "findings")
-            .and_then(|(_, v)| v.as_array())
-            .unwrap();
+        let v = parse(&text).expect("valid json");
+        let findings = v.get("findings").and_then(Json::as_arr).unwrap();
         assert_eq!(findings.len(), 2);
         // Sorted by (file, line): the fresh hot-alloc finding first.
-        let first = findings[0].as_object().unwrap();
-        let get = |name: &str| first.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        assert_eq!(get("rule").and_then(|v| v.as_str()), Some("hot-alloc"));
-        assert_eq!(get("baselined").and_then(|v| v.as_bool()), Some(false));
+        let first = &findings[0];
+        assert_eq!(first.get("rule").and_then(Json::as_str), Some("hot-alloc"));
+        assert_eq!(first.get("baselined"), Some(&Json::Bool(false)));
+        assert_eq!(
+            findings[1].get("message").and_then(Json::as_str),
+            Some("needs \"units\"")
+        );
     }
 
     #[test]
     fn empty_report_is_valid() {
         let status = BaselineStatus::default();
         let text = render_json(0, &status, None);
-        assert!(json::parse(&text).is_ok());
+        assert!(parse(&text).is_ok());
     }
 }

@@ -23,17 +23,6 @@ pub enum Error {
         /// Row or column index implicated in the structural deficiency.
         index: usize,
     },
-    /// An iterative method exhausted its iteration budget without meeting
-    /// its tolerance.
-    NoConvergence {
-        /// Iterations performed.
-        iterations: usize,
-        /// Residual norm when iteration stopped.
-        residual: f64,
-    },
-    /// A root-bracketing method was given an interval that does not bracket
-    /// a sign change.
-    NoBracket,
     /// An argument was out of the valid domain (empty grid, non-monotone
     /// abscissae, non-positive step, ...).
     InvalidArgument(&'static str),
@@ -59,14 +48,6 @@ impl fmt::Display for Error {
             Error::StructurallySingular { index } => {
                 write!(f, "matrix is structurally singular at row/column {index}")
             }
-            Error::NoConvergence {
-                iterations,
-                residual,
-            } => write!(
-                f,
-                "no convergence after {iterations} iterations (residual {residual:.3e})"
-            ),
-            Error::NoBracket => write!(f, "interval does not bracket a root"),
             Error::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
             Error::NonFinite { context } => {
                 write!(f, "non-finite value encountered in {context}")
@@ -90,12 +71,6 @@ mod tests {
             expected: (3, 3),
         };
         assert!(e.to_string().contains("2x3"));
-        let e = Error::NoConvergence {
-            iterations: 50,
-            residual: 1e-3,
-        };
-        assert!(e.to_string().contains("50"));
-        assert!(Error::NoBracket.to_string().contains("bracket"));
         assert!(Error::InvalidArgument("empty grid")
             .to_string()
             .contains("empty grid"));

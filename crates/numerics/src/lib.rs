@@ -7,14 +7,8 @@
 //!   (frequency-domain) analysis.
 //! - [`linalg`] — dense matrices, LU factorization with partial pivoting,
 //!   and linear solves (the inner kernel of modified nodal analysis).
-//! - [`roots`] — scalar and multidimensional Newton-Raphson (with damping),
-//!   bisection and Brent's method.
-//! - [`ode`] — explicit RK4, adaptive RKF45, and implicit (backward-Euler /
-//!   trapezoidal) integrators for stiff polarization dynamics.
-//! - [`interp`] — piecewise-linear and monotone-cubic interpolation for
-//!   waveforms and tabulated device data.
-//! - [`quad`] — quadrature (trapezoid, Simpson) and running integrals for
-//!   energy metering.
+//! - [`quad`] — sample-based and running trapezoid integrals for energy
+//!   metering.
 //! - [`rng`] — seedable, dependency-free pseudo-random numbers for the
 //!   Monte-Carlo and harvester-trace machinery.
 //! - [`sparse`] — CSR sparse matrices and a pattern-cached sparse LU
@@ -47,12 +41,9 @@
 
 pub mod bbd;
 pub mod complex;
-pub mod interp;
 pub mod linalg;
-pub mod ode;
 pub mod quad;
 pub mod rng;
-pub mod roots;
 pub mod sparse;
 
 mod error;

@@ -1,58 +1,11 @@
-//! Quadrature and running integrals.
+//! Sample-based trapezoid integrals.
 //!
 //! Energy metering in the circuit simulator integrates `p(t) = v(t) i(t)`
-//! over irregular transient time points, so the sample-based trapezoid
-//! routines here accept non-uniform grids.
+//! over irregular transient time points, so both routines here accept
+//! non-uniform grids: [`trapezoid_samples`] over a recorded waveform and
+//! [`RunningIntegral`] as the samples stream in.
 
 use crate::{Error, Result};
-
-/// Composite trapezoid rule for a callable on a uniform grid.
-///
-/// # Errors
-///
-/// [`Error::InvalidArgument`] if `b <= a` or `n == 0`.
-pub fn trapezoid<F>(mut f: F, a: f64, b: f64, n: usize) -> Result<f64>
-where
-    F: FnMut(f64) -> f64,
-{
-    if !(b > a) {
-        return Err(Error::InvalidArgument("trapezoid: need b > a"));
-    }
-    if n == 0 {
-        return Err(Error::InvalidArgument("trapezoid: need n > 0"));
-    }
-    let h = (b - a) / n as f64;
-    let mut s = 0.5 * (f(a) + f(b));
-    for i in 1..n {
-        s += f(a + i as f64 * h);
-    }
-    Ok(s * h)
-}
-
-/// Composite Simpson rule (n is rounded up to even).
-///
-/// # Errors
-///
-/// Same contract as [`trapezoid`].
-pub fn simpson<F>(mut f: F, a: f64, b: f64, n: usize) -> Result<f64>
-where
-    F: FnMut(f64) -> f64,
-{
-    if !(b > a) {
-        return Err(Error::InvalidArgument("simpson: need b > a"));
-    }
-    if n == 0 {
-        return Err(Error::InvalidArgument("simpson: need n > 0"));
-    }
-    let n = if n.is_multiple_of(2) { n } else { n + 1 };
-    let h = (b - a) / n as f64;
-    let mut s = f(a) + f(b);
-    for i in 1..n {
-        let w = if i % 2 == 1 { 4.0 } else { 2.0 };
-        s += w * f(a + i as f64 * h);
-    }
-    Ok(s * h / 3.0)
-}
 
 /// Trapezoid integral of samples `(ts, ys)` over a possibly non-uniform grid.
 ///
@@ -73,32 +26,6 @@ pub fn trapezoid_samples(ts: &[f64], ys: &[f64]) -> Result<f64> {
         s += 0.5 * (ys[i] + ys[i - 1]) * (ts[i] - ts[i - 1]);
     }
     Ok(s)
-}
-
-/// Running (cumulative) trapezoid integral: `out[i] = ∫_{t0}^{ti} y dt`.
-///
-/// # Errors
-///
-/// Same contract as [`trapezoid_samples`].
-pub fn cumulative_trapezoid(ts: &[f64], ys: &[f64]) -> Result<Vec<f64>> {
-    if ts.len() != ys.len() {
-        return Err(Error::InvalidArgument(
-            "cumulative_trapezoid: length mismatch",
-        ));
-    }
-    if ts.len() < 2 {
-        return Err(Error::InvalidArgument(
-            "cumulative_trapezoid: need >= 2 samples",
-        ));
-    }
-    let mut out = Vec::with_capacity(ts.len());
-    out.push(0.0);
-    let mut acc = 0.0;
-    for i in 1..ts.len() {
-        acc += 0.5 * (ys[i] + ys[i - 1]) * (ts[i] - ts[i - 1]);
-        out.push(acc);
-    }
-    Ok(out)
 }
 
 /// An incremental trapezoid accumulator for streaming energy metering.
@@ -151,41 +78,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn trapezoid_linear_exact() {
-        // Trapezoid is exact for linear functions.
-        let v = trapezoid(|x| 2.0 * x + 1.0, 0.0, 2.0, 7).unwrap();
-        assert!((v - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trapezoid_converges_on_sine() {
-        let exact = 2.0;
-        let v = trapezoid(|x| x.sin(), 0.0, std::f64::consts::PI, 10_000).unwrap();
-        assert!((v - exact).abs() < 1e-7);
-    }
-
-    #[test]
-    fn simpson_cubic_exact() {
-        // Simpson is exact for cubics.
-        let v = simpson(|x| x * x * x, 0.0, 2.0, 10).unwrap();
-        assert!((v - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn simpson_rounds_odd_n_up() {
-        let v = simpson(|x| x * x, 0.0, 1.0, 3).unwrap();
-        assert!((v - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn bad_args_rejected() {
-        assert!(trapezoid(|x| x, 1.0, 0.0, 10).is_err());
-        assert!(trapezoid(|x| x, 0.0, 1.0, 0).is_err());
-        assert!(simpson(|x| x, 1.0, 0.0, 10).is_err());
-        assert!(simpson(|x| x, 0.0, 1.0, 0).is_err());
         assert!(trapezoid_samples(&[0.0], &[1.0]).is_err());
         assert!(trapezoid_samples(&[0.0, 1.0], &[1.0]).is_err());
-        assert!(cumulative_trapezoid(&[0.0], &[1.0]).is_err());
     }
 
     #[test]
@@ -195,16 +90,6 @@ mod tests {
         let ys = [0.0, 0.1, 0.5, 2.0];
         let v = trapezoid_samples(&ts, &ys).unwrap();
         assert!((v - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cumulative_matches_total() {
-        let ts: Vec<f64> = (0..=100).map(|i| i as f64 * 0.01).collect();
-        let ys: Vec<f64> = ts.iter().map(|t| t.cos()).collect();
-        let cum = cumulative_trapezoid(&ts, &ys).unwrap();
-        let total = trapezoid_samples(&ts, &ys).unwrap();
-        assert!((cum.last().unwrap() - total).abs() < 1e-12);
-        assert_eq!(cum[0], 0.0);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! it is a `None` check — the solver's hot loop sees one predictable
 //! branch per *solve* (not per iteration) and no clock reads. On, all
 //! recording is relaxed-atomic and allocation-free, so one `Telemetry`
-//! shared across `parallel_map` workers aggregates without locks and
+//! shared across `pool_map` workers aggregates without locks and
 //! the alloctrack warm-solve invariant holds in both states.
 
 pub mod json;
@@ -647,7 +647,7 @@ impl Telemetry {
 /// Defaults to **off** (`None`): the hot path pays one branch per
 /// solve/step and records nothing. [`Instrumentation::enabled`] turns
 /// it on with a fresh [`Telemetry`]; cloning the handle shares the same
-/// underlying `Arc<Telemetry>`, which is how `parallel_map` workers
+/// underlying `Arc<Telemetry>`, which is how `pool_map` workers
 /// aggregate into one snapshot.
 #[derive(Debug, Clone, Default)]
 pub struct Instrumentation(Option<Arc<Telemetry>>);

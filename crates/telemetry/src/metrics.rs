@@ -2,7 +2,7 @@
 //! fixed-bucket histograms.
 //!
 //! Every recording operation is a handful of relaxed atomic updates —
-//! no locks, no allocation — so `parallel_map` workers sharing one
+//! no locks, no allocation — so `pool_map` workers sharing one
 //! [`crate::Telemetry`] through an `Arc` aggregate without contention
 //! on the hot path, and the instrumented Newton warm path stays
 //! allocation-free (pinned by the alloctrack test suite).
@@ -134,7 +134,7 @@ impl FloatCell {
 /// The bucket layout is decided once at construction (a sorted list of
 /// upper edges, with one implicit overflow bucket), so recording is a
 /// binary search plus a few relaxed atomic updates — lock- and
-/// allocation-free, safe to share across `parallel_map` workers.
+/// allocation-free, safe to share across `pool_map` workers.
 #[derive(Debug)]
 pub struct Histogram {
     /// Sorted, finite, deduplicated inclusive upper edges. Bucket `i`

@@ -3,9 +3,10 @@
 //! Newton failure for its structured [`ConvergenceReport`], runs the
 //! NVP simulator against a harvesting trace, and writes:
 //!
-//! - `BENCH_telemetry.json` — the aggregate run report, now including a
-//!   self-checked `latency` section (solve / transient-step / pool-task
-//!   quantiles) and the tracing-overhead A/B bench;
+//! - `BENCH_telemetry.json` — the aggregate run report, whose
+//!   `telemetry` section nests the self-checked `latency` quantiles
+//!   (solve / transient-step / pool-task), plus the tracing-overhead
+//!   A/B bench;
 //! - `TRACE_telemetry.json` — a Chrome trace-event dump of the run,
 //!   openable in `chrome://tracing` or <https://ui.perfetto.dev>, with
 //!   one lane per recording thread.
@@ -273,7 +274,6 @@ fn run() -> Result<(), String> {
         "array write+sweep, starved diode clamp, nvp odab",
     );
     report.section("telemetry", tel.to_json());
-    report.section("latency", tel.latency.to_json());
     report.section("convergence_failure", convergence);
 
     // 5. Tracing-overhead gate: profiled vs counters-only on the same

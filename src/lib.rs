@@ -3,7 +3,8 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! - [`numerics`] — dense linear algebra, Newton, ODE integrators.
+//! - [`numerics`] — dense, sparse and bordered-block-diagonal LU,
+//!   complex solves for AC analysis, trapezoid integrals, seeded RNG.
 //! - [`ckt`] — a SPICE-class circuit simulator (MNA, DC + transient)
 //!   with MOSFET and Landau-Khalatnikov ferroelectric models.
 //! - [`device`] — the composite FEFET device: hysteresis, load lines,
