@@ -1,7 +1,7 @@
 //! Performance bench for the memory-macro serving layer: warm
 //! fast-path throughput on a calibrated 64×64 FEFET bank under mixed
 //! read/write/persist traffic, against the force-escalated baseline
-//! that routes every row operation through the full circuit solvers.
+//! that routes every row operation through the circuit solvers.
 //!
 //! Three hard gates run in every mode (including `TINYBENCH_SMOKE=1`):
 //!
@@ -95,9 +95,9 @@ fn main() {
     report.annotate(&w1_name, (ROWS * COLS) as u64, None);
 
     // --- Baseline: every row op forced through the circuit tier. -----
-    // Circuit row ops on a 64×64 array cost ~0.5 s each, so the forced
-    // stream is tiny: one write + one read + one persist, three row
-    // activations through the sparse/BBD transient solvers.
+    // A circuit row op on a 64×64 array solves its row slice in
+    // ~0.08 s, so the forced stream is tiny: one write + one read + one
+    // persist, three row activations through the transient solver.
     let mut forced = calibrated_service(ServeSpec {
         force_escalate: true,
         ..ServeSpec::default()

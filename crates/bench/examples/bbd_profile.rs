@@ -1,6 +1,6 @@
-//! Measures one solver backend on FEFET array row ops, the data behind
-//! the engine's `BBD_CROSSOVER`. Run one backend per process, so the
-//! peak RSS it reports (`VmHWM`) belongs to that backend alone:
+//! Measures one solver backend on FEFET array row ops. Run one backend
+//! per process, so the peak RSS it reports (`VmHWM`) belongs to that
+//! backend alone:
 //!
 //! ```sh
 //! for r in 32 48 64; do for b in sparse bbd; do cargo run --release -p fefet-bench --example bbd_profile -- $r $b; done; done
@@ -10,7 +10,8 @@
 //! `rows`×`rows` array it times one cold `write_row` + `read_row` pair
 //! (pattern recording and symbolic analysis included), then `warm_ops`
 //! (default 5) warm pairs against the array's analysis cache, and
-//! prints the LU fill (`sparse_fill_nnz` from telemetry) and `VmHWM`.
+//! prints the size of the row slice each op solves, the LU fill
+//! (`sparse_fill_nnz` from telemetry) and `VmHWM`.
 
 use fefet_ckt::engine::SolverBackend;
 use fefet_mem::array::FefetArray;
@@ -43,7 +44,7 @@ fn main() {
     let mut a = FefetArray::new(rows, rows, FefetCell::default());
     a.solver_backend = backend;
     a.instr = Instrumentation::enabled();
-    let n = a.mna_dims().expect("array dims").n_unknowns;
+    let n = a.row_op_dims().expect("row-op dims").n_unknowns;
     let mut op = |k: usize| {
         let row = k % rows;
         let data: Vec<bool> = (0..rows).map(|j| (j + k).is_multiple_of(3)).collect();
@@ -58,7 +59,7 @@ fn main() {
     warm.sort_by(f64::total_cmp);
     let fill = a.instr.get().map_or(0, |t| t.solver.sparse_fill_nnz.get());
 
-    println!("{rows}x{rows} {backend:?}: n = {n}");
+    println!("{rows}x{rows} {backend:?}: row slice n = {n}");
     println!("  cold write+read  {cold:.4} s");
     if let (Some(min), Some(med)) = (warm.first(), warm.get(warm.len() / 2)) {
         println!("  warm write+read  median {med:.4} s  min {min:.4} s  ({warm_ops} ops)");

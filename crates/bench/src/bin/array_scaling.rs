@@ -1,6 +1,6 @@
-//! Array-scaling study: full-circuit simulation cost and electrical
-//! behavior of the FEFET array as it grows, plus the FERAM baseline
-//! array's disturb behavior (the §4 isolation claim, side by side).
+//! Array-scaling study: row-op simulation cost and electrical behavior
+//! of the FEFET array as it grows, plus the FERAM baseline array's
+//! disturb behavior (the §4 isolation claim, side by side).
 
 use fefet_bench::{fmt_current, fmt_energy, section};
 use fefet_mem::array::FefetArray;
@@ -10,7 +10,7 @@ use fefet_mem::feram_array::FeramArray;
 use std::time::Instant;
 
 fn main() {
-    section("FEFET array: full-circuit write+read per size");
+    section("FEFET array: write+read per size (unknowns of the row slice each op solves)");
     println!(
         "{:>7} {:>10} {:>12} {:>12} {:>12} {:>10}",
         "size", "unknowns", "write E", "disturb", "I_on/I_off", "wall time"
@@ -28,7 +28,7 @@ fn main() {
             .cloned()
             .fold(f64::INFINITY, f64::min)
             .max(1e-30);
-        let unknowns = (2 * n + 2 * n + 2 * n * n) + (4 * n); // nodes + source branches (approx)
+        let unknowns = a.row_op_dims().expect("row-op dims").n_unknowns;
         println!(
             "{:>5}x{} {:>10} {:>12} {:>12.2e} {:>12.2e} {:>8.2}s",
             n,

@@ -37,6 +37,9 @@ pub struct Circuit {
     node_index: HashMap<String, usize>,
     elements: Vec<(String, Element)>,
     element_index: HashMap<String, usize>,
+    /// Nodes that stand for several identical nodes in parallel, with
+    /// their multiplicity (see [`Circuit::set_node_multiplicity`]).
+    multiplicities: Vec<(Node, f64)>,
 }
 
 impl Circuit {
@@ -50,6 +53,7 @@ impl Circuit {
             node_index: HashMap::new(),
             elements: Vec::new(),
             element_index: HashMap::new(),
+            multiplicities: Vec::new(),
         };
         c.node_index.insert("gnd".to_string(), 0);
         c
@@ -76,6 +80,33 @@ impl Circuit {
             return Some(Self::GND);
         }
         self.node_index.get(name).copied().map(Node)
+    }
+
+    /// Marks `n` as the lumped equivalent of `m` (dimensionless)
+    /// identical nodes in parallel: a builder merged `m` identical cells
+    /// into one cell with every element scaled by `m` (`m < 1` scales one
+    /// cell down to a probe that barely loads its neighbours). Every
+    /// element current at such a node is `m` times one original node's,
+    /// so the solver stamps the gmin conditioning of all `m` nodes and
+    /// judges the KCL residual divided by `m` — the residual each
+    /// original node would show. Dividing a node's equation by a constant
+    /// leaves the Newton update unchanged, so the division moves only the
+    /// convergence test, and only at `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is ground or `m` is not finite and positive.
+    pub fn set_node_multiplicity(&mut self, n: Node, m: f64) {
+        assert!(n != Self::GND, "ground has no multiplicity");
+        assert!(m.is_finite() && m > 0.0, "node multiplicity {m} <= 0");
+        self.multiplicities.retain(|(k, _)| *k != n);
+        self.multiplicities.push((n, m));
+    }
+
+    /// The nodes given a multiplicity by
+    /// [`Circuit::set_node_multiplicity`], with that multiplicity.
+    pub fn node_multiplicities(&self) -> &[(Node, f64)] {
+        &self.multiplicities
     }
 
     /// Number of nodes including ground.

@@ -25,8 +25,10 @@ pub enum SolverBackend {
     /// Dense LU below [`SPARSE_CROSSOVER`] unknowns, pattern-cached
     /// sparse LU from there up to [`BBD_CROSSOVER`], and BBD at or past
     /// it when the options carry a [`BlockPlan`] (sparse without one).
-    /// For FEFET arrays: 32×32 and 40×40 run sparse, 48×48 and larger
-    /// run BBD.
+    /// FEFET row ops solve a row slice (736 unknowns at 64×64, under
+    /// 3,000 at 256×256), so they always run sparse; full-array FEFET
+    /// read circuits handed to the engine directly run sparse through
+    /// 40×40 and BBD from 48×48.
     #[default]
     Auto,
     /// Dense LU with partial pivoting, regardless of size.
@@ -52,16 +54,18 @@ pub const SPARSE_CROSSOVER: usize = 64;
 /// [`BlockPlan`] (without one there is nothing to exploit and `Auto`
 /// stays sparse).
 ///
-/// Placed by measurement on FEFET array row ops with a warm analysis
-/// cache (the shared cache makes BBD's cold-analysis win a one-time
-/// cost). At 32×32 (2400 unknowns) sparse LU refactors and solves
-/// faster: BBD's reuse-path solve runs two triangular solves per block,
-/// forward and back, and costs about 1.9× the sparse one. From 48×48
-/// (5136 unknowns) up sparse is still faster, but the global
-/// ordering's fill (25,776 at 48×48 and 45,632 at 64×64, against BBD's
-/// 4,992 and 8,704) shows in peak RSS (14.1 vs 12.5 MB and 24.4 vs
-/// 19.7 MB per row-op process), so BBD keeps those sizes.
-/// `bbd_profile` (in the bench crate's examples) re-measures both sides.
+/// Placed by measurement of row ops over full-array FEFET netlists
+/// with a warm analysis cache (the shared cache makes BBD's
+/// cold-analysis win a one-time cost). Row ops solve row slices far
+/// below this order, so under `Auto` only full-array circuits handed to
+/// the engine directly reach BBD. At 32×32 (2400 unknowns) sparse LU
+/// refactors and solves faster: BBD's reuse-path solve runs two
+/// triangular solves per block, forward and back, and costs about 1.9×
+/// the sparse one. From 48×48 (5136 unknowns) up sparse is still
+/// faster, but the global ordering's fill (25,776 at 48×48 and 45,632 at
+/// 64×64, against BBD's 4,992 and 8,704) showed in peak RSS (14.1 vs
+/// 12.5 MB and 24.4 vs 19.7 MB per full-array row-op process), so BBD
+/// keeps those sizes.
 pub const BBD_CROSSOVER: usize = 4096;
 
 /// Newton solver tuning knobs shared by DC and transient analyses.
@@ -271,6 +275,10 @@ pub struct Assembly {
     pub n_branches: usize,
     /// Number of nodes including ground.
     pub n_nodes: usize,
+    /// Per non-ground node, the number `m` of identical nodes it stands
+    /// for ([`Circuit::set_node_multiplicity`]); empty when every node
+    /// stands for itself.
+    node_mult: Vec<f64>,
 }
 
 /// Newton acceptance test, shared by the workspace loop and the
@@ -302,11 +310,32 @@ impl Assembly {
             branch0.push(if k > 0 { nb } else { usize::MAX });
             nb += k;
         }
+        let mut node_mult = Vec::new();
+        if !ckt.node_multiplicities().is_empty() {
+            node_mult = vec![1.0; ckt.n_nodes() - 1];
+            for &(node, m) in ckt.node_multiplicities() {
+                node_mult[node.index() - 1] = m;
+            }
+        }
         Assembly {
             branch0,
             n_branches: nb,
             n_nodes: ckt.n_nodes(),
+            node_mult,
         }
+    }
+
+    /// Infinity norm of the KCL residual `res_nodes` (one entry per
+    /// non-ground node), with each lumped node's entry divided by its
+    /// multiplicity.
+    fn kcl_norm(&self, res_nodes: &[f64]) -> f64 {
+        if self.node_mult.is_empty() {
+            return norm_inf(res_nodes);
+        }
+        res_nodes
+            .iter()
+            .zip(&self.node_mult)
+            .fold(0.0, |acc, (r, m)| acc.max((r / m).abs()))
     }
 
     /// Total unknowns: node voltages (minus ground) plus branch currents.
@@ -383,10 +412,12 @@ impl Assembly {
             });
             e.stamp_cached(self.branch0[i], &ctx, sys, bp);
         }
-        // gmin to ground at every node for conditioning.
+        // gmin to ground at every node for conditioning; a lumped node
+        // carries the gmin of every node it stands for.
         for n in 0..self.n_nodes - 1 {
-            sys.jac_add(n, n, gmin);
-            sys.res[n] += gmin * x[n];
+            let g = self.node_mult.get(n).map_or(gmin, |m| gmin * m);
+            sys.jac_add(n, n, g);
+            sys.res[n] += g * x[n];
         }
     }
 
@@ -729,7 +760,7 @@ impl Assembly {
                     n_nodes: self.n_nodes,
                 };
                 self.stamp_sys(ckt, t, h, method, dc, opts.gmin, x, states, &mut sys, bank);
-                let k = norm_inf(&res[..nv]);
+                let k = self.kcl_norm(&res[..nv]);
                 let b = if nv < n { norm_inf(&res[nv..]) } else { 0.0 };
                 let cur = k.max(b);
                 if cur.is_finite() && cur <= 0.5 * prev_res {
@@ -783,7 +814,7 @@ impl Assembly {
                         let mut sys = Sys::dense(&mut dn.jac, res, self.n_nodes);
                         self.stamp_sys(ckt, t, h, method, dc, opts.gmin, x, states, &mut sys, bank);
                     }
-                    let k = norm_inf(&res[..nv]);
+                    let k = self.kcl_norm(&res[..nv]);
                     let b = if nv < n { norm_inf(&res[nv..]) } else { 0.0 };
                     let cur = k.max(b);
                     if cur.is_finite() {
@@ -964,11 +995,13 @@ impl Assembly {
         }
         // Failure path: allocate freely to explain *where* the solve
         // diverged. `res` still holds the residual stamped on the last
-        // iteration; its KCL span names the worst node.
+        // iteration; its KCL span names the worst node, judged as the
+        // convergence test judges it (lumped nodes per represented node).
         let kcl = if nv > 0 { &res[..nv] } else { &res[..] };
         let mut worst_node = 0usize;
         let mut worst_residual = 0.0f64;
         for (i, r) in kcl.iter().enumerate() {
+            let r = r / self.node_mult.get(i).copied().unwrap_or(1.0);
             if r.abs() > worst_residual {
                 worst_node = i;
                 worst_residual = r.abs();
@@ -1041,7 +1074,7 @@ mod tests {
             asm.stamp_all(
                 ckt, t, h, method, dc, opts.gmin, &x, states, &mut jac, &mut res,
             );
-            let res_kcl = norm_inf(&res[..nv]);
+            let res_kcl = asm.kcl_norm(&res[..nv]);
             let res_branch = if nv < n { norm_inf(&res[nv..]) } else { 0.0 };
             let lu = LuFactors::factor(jac.clone()).map_err(|e| CktError::Convergence {
                 time: t,

@@ -6,18 +6,34 @@
 //!   access transistors off for either bit-line polarity;
 //! - the virtual-ground sense line prevents sneak/reverse currents in
 //!   unaccessed cells during reads.
+//!
+//! Row ops solve a **row slice**, not the whole array. The accessed
+//! row keeps its own lines and cells; all unaccessed rows share one
+//! lumped row-line pair (driver `R/(rows−1)`, line capacitance
+//! `C·(rows−1)`, the unaccessed Table 1 waveform); and each column's
+//! unaccessed cells become one cell per stored-bit class with every
+//! element scaled by the class size `m` (access and read-FET width,
+//! FE area). Every device current and charge is linear in width or
+//! area, so `m` identical cells in parallel are exactly one `m`-scaled
+//! cell. Members that sit at different polarizations (freshly written
+//! cells still relax) are handled by where a lumped cell starts and by
+//! small probe cells (see `FefetArray::cell_groups`).
+//! [`FefetArray::read_circuit`] and the `*_full` row ops keep the
+//! full-array netlist as the reference the slice is tested against.
 
 use crate::bias::Operation;
 use crate::cell::FefetCell;
 use fefet_ckt::circuit::Circuit;
 use fefet_ckt::elements::Node;
 use fefet_ckt::engine::{Assembly, SolverBackend, SolverOptions};
+use fefet_ckt::models::MosParams;
 use fefet_ckt::plan::{AnalysisCache, BlockPlan};
 use fefet_ckt::probe::CurrentsAt;
 use fefet_ckt::transient::{transient_with, Step, TransientOptions, TransientRun};
 use fefet_ckt::waveform::Waveform;
 use fefet_ckt::{CktError, Result};
 use fefet_telemetry::Instrumentation;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Edge time for control ramps (s).
@@ -101,11 +117,12 @@ pub struct FefetArray {
     /// array dimensions).
     pub cell: FefetCell,
     /// Linear-solver backend for every simulation this array runs.
-    /// `Auto` (the default) picks dense for tiny arrays, the
-    /// pattern-cached sparse LU up to 40×40, and the BBD backend over
-    /// this array's block plan from 48×48 up (see
-    /// [`fefet_ckt::engine::BBD_CROSSOVER`]); force `Dense`, `Sparse`
-    /// or `Bbd` for A/B comparisons.
+    /// `Auto` (the default) picks dense for tiny circuits, the
+    /// pattern-cached sparse LU up to [`fefet_ckt::engine::BBD_CROSSOVER`]
+    /// unknowns and the BBD backend over the netlist's block plan above
+    /// it. A row slice stays below the crossover up to 256×256, so `Auto`
+    /// runs row ops on sparse LU; force `Dense`, `Sparse` or `Bbd` for
+    /// A/B comparisons.
     pub solver_backend: SolverBackend,
     /// Transient fast-path switches for every simulation this array
     /// runs; defaults to all on.
@@ -125,14 +142,66 @@ pub struct FefetArray {
 }
 
 /// MNA problem size of an array-level circuit, as reported by
-/// [`FefetArray::mna_dims`] / [`crate::feram_array::FeramArray::mna_dims`]
-/// — lets benches record how big the system a solver faced actually was.
+/// [`FefetArray::mna_dims`] / [`FefetArray::row_op_dims`] /
+/// [`crate::feram_array::FeramArray::mna_dims`] — lets benches record
+/// how big the system a solver faced actually was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MnaDims {
     /// Non-ground node count (voltage unknowns).
     pub n_nodes: usize,
     /// Total unknowns: node voltages plus source branch currents.
     pub n_unknowns: usize,
+}
+
+/// How a row-op netlist represents the cells the op does not access —
+/// the one thing that differs between the full array and the row slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Unaccessed {
+    /// Every cell on its own row lines, row-major: the full array.
+    Cells,
+    /// One lumped row-line pair for every unaccessed row, and per
+    /// column one `m`-scaled cell per stored-bit class.
+    Classes,
+}
+
+/// Scale of a probe cell (see [`FefetArray::cell_groups`]): small
+/// enough that its load on the lines it shares is negligible, while its
+/// own node voltages and polarization follow a full cell's exactly.
+const PROBE_SCALE: f64 = 1e-6;
+
+/// Probe cells per stored bit, spanning that class's stored
+/// polarizations.
+const PROBES_PER_BIT: usize = 5;
+
+/// One cell of a netlist: a real cell, the `m`-scaled equivalent of the
+/// `m` unaccessed cells of one column that store the same bit, or a
+/// probe that samples how an unaccessed cell's polarization change
+/// depends on where it starts.
+#[derive(Debug)]
+struct CellGroup {
+    /// Suffix of its node and element names (`g{label}`, `Ffe{label}`).
+    label: String,
+    /// The row-line pair it hangs on, as an index into the netlist's
+    /// row lines.
+    line: usize,
+    /// Its column.
+    col: usize,
+    /// Stored-state indices it stands for, as a range of
+    /// [`Netlist::members`]; empty for a probe.
+    members: Range<usize>,
+    /// How many cells it stands for: its member count, or
+    /// [`PROBE_SCALE`] for a probe. Every element is scaled by it.
+    scale: f64,
+    /// The stored bit of its class (unaccessed cells and probes).
+    bit: bool,
+    /// Starting polarization (C/m²); see [`FefetArray::cell_groups`].
+    p0: f64,
+}
+
+impl CellGroup {
+    fn is_probe(&self) -> bool {
+        self.members.is_empty()
+    }
 }
 
 /// An array netlist plus the positions its row ops address it by, so
@@ -144,10 +213,111 @@ struct Netlist {
     plan: BlockPlan,
     /// Initial voltages of every cell's FE gate and internal node.
     ics: Vec<(Node, f64)>,
-    /// Element position of each cell's read FET, row-major.
+    /// Every cell of the netlist, in build order.
+    cells: Vec<CellGroup>,
+    /// Concatenated stored-state indices of the cells.
+    members: Vec<usize>,
+    /// The row line of the accessed row.
+    accessed_line: usize,
+    /// Element position of each cell's read FET, in `cells` order.
     mfet: Vec<usize>,
-    /// Element position of each cell's FE capacitor, row-major.
+    /// Element position of each cell's FE capacitor, in `cells` order.
     ffe: Vec<usize>,
+}
+
+impl Netlist {
+    /// Calls `f(k, p, dp, accessed)` with the polarization `p` (C/m²)
+    /// every stored cell `k` ends `run` at and its change `dp`, given
+    /// the stored polarizations `state` the netlist was built from.
+    ///
+    /// A real cell takes its own final polarization. A member of a
+    /// lumped cell moves by the lumped cell's change plus the
+    /// difference the probes of its bit class show between starting at
+    /// the member's own polarization and at the lumped cell's: members
+    /// sitting off their stable state (freshly written, still relaxing
+    /// as their floating gate leaks) move differently from settled ones.
+    /// The probes sit on column 0, which stands for every column: a read
+    /// holds every bit line at 0 V, and in a write the unaccessed access
+    /// transistors are deep off (select at −V_DD), their leakage linear
+    /// in the bit-line voltage, so the difference does not depend on it.
+    fn for_each_update(
+        &self,
+        run: &TransientRun,
+        state: &[f64],
+        mut f: impl FnMut(usize, f64, f64, bool),
+    ) {
+        // Change vs starting polarization per stored bit, in probe
+        // order (increasing starting polarization).
+        let mut curves: [Vec<(f64, f64)>; 2] = [Vec::new(), Vec::new()];
+        for (g, &e) in self.cells.iter().zip(&self.ffe) {
+            if g.is_probe() {
+                curves[usize::from(g.bit)].push((g.p0, run.polarization(e) - g.p0));
+            }
+        }
+        for (g, &e) in self.cells.iter().zip(&self.ffe) {
+            let p = run.polarization(e);
+            match &self.members[g.members.clone()] {
+                [] => {}
+                [k] => f(*k, p, p - g.p0, g.line == self.accessed_line),
+                members => {
+                    let curve = &curves[usize::from(g.bit)];
+                    let dp_mean = p - g.p0 - interpolate(curve, g.p0);
+                    for &k in members {
+                        let dp = dp_mean + interpolate(curve, state[k]);
+                        f(k, state[k] + dp, dp, false);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Largest polarization change (C/m²) over `run` of any stored cell
+    /// — only unaccessed ones if `unaccessed_only`.
+    fn max_disturb(&self, run: &TransientRun, state: &[f64], unaccessed_only: bool) -> f64 {
+        let mut max_disturb: f64 = 0.0;
+        self.for_each_update(run, state, |_, _, dp, accessed| {
+            if !(unaccessed_only && accessed) {
+                max_disturb = max_disturb.max(dp.abs());
+            }
+        });
+        max_disturb
+    }
+}
+
+/// Sorts `cells` (stored-state indices) by polarization and cuts them
+/// in two at the widest polarization gap, so cells that sit apart
+/// (freshly written ones, still relaxing) land in a part of their own.
+/// The second part is empty for a single cell.
+fn split_at_widest_gap<'a>(cells: &'a mut [usize], state: &[f64]) -> [&'a [usize]; 2] {
+    cells.sort_by(|&a, &b| state[a].total_cmp(&state[b]));
+    let gap = |c: usize| state[cells[c]] - state[cells[c - 1]];
+    let cut = (1..cells.len())
+        .max_by(|&a, &b| gap(a).total_cmp(&gap(b)))
+        .unwrap_or(cells.len());
+    let (a, b) = cells.split_at(cut);
+    [a, b]
+}
+
+/// Piecewise-linear interpolation through `(x, y)` points sorted by
+/// `x`, constant beyond the ends; 0 with no points.
+fn interpolate(points: &[(f64, f64)], x: f64) -> f64 {
+    let Some(&(x_first, y_first)) = points.first() else {
+        return 0.0;
+    };
+    if x <= x_first {
+        return y_first;
+    }
+    for w in points.windows(2) {
+        let ((x0, y0), (x1, y1)) = (w[0], w[1]);
+        if x <= x1 {
+            return if x1 > x0 {
+                y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+            } else {
+                y1
+            };
+        }
+    }
+    points[points.len() - 1].1
 }
 
 /// Result of an array-level operation.
@@ -171,7 +341,10 @@ pub struct ArrayRead {
     /// Digitized data (current above `i_threshold`).
     pub bits: Vec<bool>,
     /// Largest current through any unaccessed cell during the read (A) —
-    /// the sneak-path check.
+    /// the sneak-path check. Row-slice reads ([`FefetArray::read_row`])
+    /// report the largest per-member average of a lumped cell, which can
+    /// sit below its worst member's current; full-array reads report
+    /// every cell's own.
     pub max_sneak: f64,
 }
 
@@ -201,21 +374,30 @@ impl FefetArray {
         }
     }
 
-    /// MNA problem size of this array's read-phase circuit (the
-    /// representative workload: every write/read builds a circuit of the
-    /// same node and branch structure).
+    /// MNA problem size of this array's full read-phase circuit
+    /// ([`FefetArray::read_circuit`]: every cell on its own lines). Row
+    /// ops solve the much smaller row slice instead; see
+    /// [`FefetArray::row_op_dims`].
     ///
     /// # Errors
     ///
     /// [`CktError::Netlist`] on an empty array (cannot happen for arrays
     /// from [`FefetArray::new`]).
     pub fn mna_dims(&self) -> Result<MnaDims> {
-        let c = self.read_circuit(0, 1e-9)?;
-        let asm = Assembly::new(&c);
-        Ok(MnaDims {
-            n_nodes: asm.n_nodes - 1,
-            n_unknowns: asm.n_unknowns(),
-        })
+        Ok(dims(&self.read_circuit(0, 1e-9)?))
+    }
+
+    /// MNA problem size of the row slice every
+    /// [`FefetArray::read_row`] / [`FefetArray::write_row`] solves
+    /// (reads and writes share one topology, whatever the stored data).
+    ///
+    /// # Errors
+    ///
+    /// As for [`FefetArray::mna_dims`].
+    pub fn row_op_dims(&self) -> Result<MnaDims> {
+        Ok(dims(
+            &self.read_netlist(0, 1e-9, Unaccessed::Classes)?.circuit,
+        ))
     }
 
     /// Stored polarization of cell `(row, col)`.
@@ -248,19 +430,176 @@ impl FefetArray {
         self.state[row * self.cols + col] = p;
     }
 
-    /// Builds the array netlist under the given row and column stimuli,
-    /// recording as it goes every position the row ops address later and
-    /// the bordered-block-diagonal partition for the engine's BBD
-    /// backend: one block per column (bit/sense lines, their drivers,
-    /// and every cell-internal node down the column — the cells only
-    /// talk to each other through the row lines), one tiny block per
-    /// row-line driver, and the shared `rs`/`ws` row lines left
-    /// unassigned as the coupling border.
+    /// The cells a netlist for an op on `row` contains, and the
+    /// stored-state indices each stands for.
+    ///
+    /// With [`Unaccessed::Classes`] the accessed row's cells come first,
+    /// then per column the unaccessed cells cut in two at their widest
+    /// polarization gap. The stored bits sit ~0.3 C/m² apart and the
+    /// cells of one bit within ~2e-2 C/m² of each other, so in a column
+    /// holding both bits the cut falls between them; a column holding
+    /// one bit is cut all the same. Every column thus has
+    /// `min(2, rows − 1)` lumped cells whatever the data — a
+    /// data-dependent topology would cost a symbolic analysis per new
+    /// pattern. A part's bit is its first member's nearest memory state
+    /// (one `memory_states` call per op). Last come
+    /// [`PROBES_PER_BIT`] probes per bit on column 0, spread over the
+    /// stored polarizations of that bit's unaccessed cells — only from
+    /// 4 rows up, where a lumped cell can have two members to tell apart.
+    ///
+    /// A lumped cell of a write starts at its members' mean
+    /// polarization, which keeps the select-line charge (and so the
+    /// write energy) right. A lumped cell of a read starts where `m`
+    /// cells leak as much bit-line current through their off access
+    /// transistors, all lines at 0 V, as the members together: the
+    /// accessed cell's gate follows the bit line, and the leakage is
+    /// exponential in each member's floating-gate voltage, so a mean
+    /// would under-count the few members that sit off their stable state.
+    fn cell_groups(
+        &self,
+        row: usize,
+        unaccessed: Unaccessed,
+        read: bool,
+    ) -> (Vec<CellGroup>, Vec<usize>) {
+        let mut cells = Vec::new();
+        let mut members = Vec::with_capacity(self.rows * self.cols);
+        let mut push = |label: String, line: usize, col: usize, bit: bool, idx: &[usize]| {
+            let start = members.len();
+            members.extend_from_slice(idx);
+            let p0 = match idx {
+                [k] => self.state[*k],
+                _ if read => self.matched(idx, |p| {
+                    let v = self.cell.fefet.v_gate_static(p);
+                    self.cell.access.ids(-v, -v).0
+                }),
+                _ => idx.iter().map(|&k| self.state[k]).sum::<f64>() / idx.len() as f64,
+            };
+            cells.push(CellGroup {
+                label,
+                line,
+                col,
+                members: start..members.len(),
+                scale: idx.len() as f64,
+                bit,
+                p0,
+            });
+        };
+        if unaccessed == Unaccessed::Cells {
+            for i in 0..self.rows {
+                for j in 0..self.cols {
+                    push(format!("{i}_{j}"), i, j, false, &[i * self.cols + j]);
+                }
+            }
+            return (cells, members);
+        }
+        for j in 0..self.cols {
+            push(format!("{row}_{j}"), 0, j, false, &[row * self.cols + j]);
+        }
+        let (p_lo, p_hi) = self.cell.memory_states();
+        let is_one = |p: f64| (p - p_hi).abs() < (p - p_lo).abs();
+        // Stored-polarization span of each bit's unaccessed cells.
+        let mut span = [(f64::INFINITY, f64::NEG_INFINITY); 2];
+        let mut column = Vec::with_capacity(self.rows);
+        for j in 0..self.cols {
+            column.clear();
+            for i in (0..self.rows).filter(|&i| i != row) {
+                let k = i * self.cols + j;
+                let p = self.state[k];
+                let (lo, hi) = &mut span[usize::from(is_one(p))];
+                (*lo, *hi) = (lo.min(p), hi.max(p));
+                column.push(k);
+            }
+            for (k, part) in split_at_widest_gap(&mut column, &self.state)
+                .into_iter()
+                .enumerate()
+            {
+                if let Some(&first) = part.first() {
+                    push(format!("u{k}_{j}"), 1, j, is_one(self.state[first]), part);
+                }
+            }
+        }
+        if self.rows > 3 {
+            for (b, (lo, hi)) in span.into_iter().enumerate() {
+                // A bit no unaccessed cell stores: probe its stable state.
+                let (lo, hi) = if lo <= hi {
+                    (lo, hi)
+                } else {
+                    ([p_lo, p_hi][b], [p_lo, p_hi][b])
+                };
+                for t in 0..PROBES_PER_BIT {
+                    let p0 = lo + (hi - lo) * t as f64 / (PROBES_PER_BIT - 1) as f64;
+                    cells.push(CellGroup {
+                        label: format!("t{b}_{t}"),
+                        line: 1,
+                        col: 0,
+                        members: members.len()..members.len(),
+                        scale: PROBE_SCALE,
+                        bit: b == 1,
+                        p0,
+                    });
+                }
+            }
+        }
+        (cells, members)
+    }
+
+    /// The polarization (C/m²) within the span of cells `idx` at which
+    /// `f` — monotone there — takes the members' mean value of `f`.
+    fn matched(&self, idx: &[usize], f: impl Fn(f64) -> f64) -> f64 {
+        let target = idx.iter().map(|&k| f(self.state[k])).sum::<f64>() / idx.len() as f64;
+        let (mut lo, mut hi) = idx
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &k| {
+                (lo.min(self.state[k]), hi.max(self.state[k]))
+            });
+        let rising = f(hi) >= f(lo);
+        for _ in 0..64 {
+            if hi - lo <= 1e-12 {
+                break;
+            }
+            let mid = 0.5 * (lo + hi);
+            if (f(mid) < target) == rising {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    /// Builds the netlist of an op on `row` under the given stimuli —
+    /// `accessed` / `others` are the (read select, write select)
+    /// waveforms of the accessed and the unaccessed rows, `col_waves`
+    /// the (bit line, sense line) waveforms per column — representing
+    /// the unaccessed cells as `unaccessed` says (`read` picks where
+    /// lumped cells start, see [`FefetArray::cell_groups`]). It records
+    /// as it goes every position the row ops address later and the
+    /// bordered-block-diagonal partition for the engine's BBD backend:
+    /// one block per column (bit/sense lines, their drivers, and every
+    /// cell-internal node down the column — the cells only talk to each
+    /// other through the row lines), one tiny block per row-line driver,
+    /// and the shared `rs`/`ws` row lines left unassigned as the
+    /// coupling border.
     fn build(
         &self,
-        row_waves: &[(Waveform, Waveform)], // (read_select, write_select) per row
-        col_waves: &[(Waveform, Waveform)], // (bit_line, sense_line) per column
+        row: usize,
+        unaccessed: Unaccessed,
+        read: bool,
+        accessed: &(Waveform, Waveform),
+        others: &(Waveform, Waveform),
+        col_waves: &[(Waveform, Waveform)],
     ) -> Netlist {
+        // Row lines as (name suffix, rows they stand for).
+        let (lines, accessed_line): (Vec<(String, usize)>, usize) = match unaccessed {
+            Unaccessed::Cells => ((0..self.rows).map(|i| (i.to_string(), 1)).collect(), row),
+            Unaccessed::Classes => {
+                let mut lines = vec![(row.to_string(), 1)];
+                if self.rows > 1 {
+                    lines.push(("u".to_string(), self.rows - 1));
+                }
+                (lines, 0)
+            }
+        };
         let mut c = Circuit::new();
         let mut node_blocks: Vec<(Node, usize)> = Vec::new();
         let mut elem_blocks: Vec<(usize, usize)> = Vec::new();
@@ -268,8 +607,12 @@ impl FefetArray {
         let mut ws_nodes = Vec::new();
         let mut bl_nodes = Vec::new();
         let mut sl_nodes = Vec::new();
-        for (i, (w_rs, w_ws)) in row_waves.iter().enumerate() {
-            let b_rs = self.cols + 2 * i;
+        for (l, (i, m)) in lines.iter().enumerate() {
+            let (w_rs, w_ws) = if l == accessed_line { accessed } else { others };
+            // `m` identical lines in parallel: one line with m-fold
+            // capacitance behind an m-fold stronger driver.
+            let m = *m as f64;
+            let b_rs = self.cols + 2 * l;
             let b_ws = b_rs + 1;
             let rs = c.node(&format!("rs{i}"));
             let ws = c.node(&format!("ws{i}"));
@@ -277,21 +620,21 @@ impl FefetArray {
             let wsd = c.node(&format!("ws{i}_drv"));
             elem_blocks.push((c.elements().len(), b_rs));
             c.vsource(&format!("Vrs{i}"), rsd, Circuit::GND, w_rs.clone());
-            c.resistor(&format!("Rrs{i}"), rsd, rs, self.cell.r_driver);
+            c.resistor(&format!("Rrs{i}"), rsd, rs, self.cell.r_driver / m);
             elem_blocks.push((c.elements().len(), b_ws));
             c.vsource(&format!("Vws{i}"), wsd, Circuit::GND, w_ws.clone());
-            c.resistor(&format!("Rws{i}"), wsd, ws, self.cell.r_driver);
+            c.resistor(&format!("Rws{i}"), wsd, ws, self.cell.r_driver / m);
             c.capacitor(
                 &format!("Crs{i}"),
                 rs,
                 Circuit::GND,
-                self.cell.c_read_select,
+                self.cell.c_read_select * m,
             );
             c.capacitor(
                 &format!("Cws{i}"),
                 ws,
                 Circuit::GND,
-                self.cell.c_write_select,
+                self.cell.c_write_select * m,
             );
             node_blocks.push((rsd, b_rs));
             node_blocks.push((wsd, b_ws));
@@ -314,57 +657,77 @@ impl FefetArray {
             bl_nodes.push(bl);
             sl_nodes.push(sl);
         }
-        let n_cells = self.rows * self.cols;
-        let mut mfet = Vec::with_capacity(n_cells);
-        let mut ffe = Vec::with_capacity(n_cells);
-        let mut ics = Vec::with_capacity(2 * n_cells);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                let g = c.node(&format!("g{i}_{j}"));
-                let gi = c.node(&format!("gi{i}_{j}"));
-                let p0 = self.state[i * self.cols + j];
-                c.mosfet(
-                    &format!("Macc{i}_{j}"),
-                    bl_nodes[j],
-                    ws_nodes[i],
-                    g,
-                    self.cell.access,
-                );
-                ffe.push(c.elements().len());
-                c.fecap(&format!("Ffe{i}_{j}"), g, gi, self.cell.fefet.fe, p0);
-                mfet.push(c.elements().len());
-                c.mosfet(
-                    &format!("Mfet{i}_{j}"),
-                    rs_nodes[i],
-                    gi,
-                    sl_nodes[j],
-                    self.cell.fefet.mos,
-                );
-                node_blocks.extend([(g, j), (gi, j)]);
-                ics.push((gi, self.cell.fefet.v_mos_of(p0)));
-                ics.push((g, self.cell.fefet.v_gate_static(p0)));
+        let (cells, members) = self.cell_groups(row, unaccessed, read);
+        let mut mfet = Vec::with_capacity(cells.len());
+        let mut ffe = Vec::with_capacity(cells.len());
+        let mut ics = Vec::with_capacity(2 * cells.len());
+        for cell in &cells {
+            let (label, j, p0) = (&cell.label, cell.col, cell.p0);
+            // `m` identical cells in parallel: every device current and
+            // charge is linear in its width or area.
+            let m = cell.scale;
+            let access = MosParams {
+                w: self.cell.access.w * m,
+                ..self.cell.access
+            };
+            let mut fe = self.cell.fefet.fe;
+            fe.area *= m;
+            let mos = MosParams {
+                w: self.cell.fefet.mos.w * m,
+                ..self.cell.fefet.mos
+            };
+            let g = c.node(&format!("g{label}"));
+            let gi = c.node(&format!("gi{label}"));
+            c.mosfet(
+                &format!("Macc{label}"),
+                bl_nodes[j],
+                ws_nodes[cell.line],
+                g,
+                access,
+            );
+            ffe.push(c.elements().len());
+            c.fecap(&format!("Ffe{label}"), g, gi, fe, p0);
+            mfet.push(c.elements().len());
+            c.mosfet(
+                &format!("Mfet{label}"),
+                rs_nodes[cell.line],
+                gi,
+                sl_nodes[j],
+                mos,
+            );
+            if cell.members.len() != 1 {
+                c.set_node_multiplicity(g, m);
+                c.set_node_multiplicity(gi, m);
             }
+            node_blocks.extend([(g, j), (gi, j)]);
+            ics.push((gi, self.cell.fefet.v_mos_of(p0)));
+            ics.push((g, self.cell.fefet.v_gate_static(p0)));
         }
         let plan = BlockPlan::from_assignments(&c, node_blocks, elem_blocks);
         Netlist {
             circuit: c,
             plan,
             ics,
+            cells,
+            members,
+            accessed_line,
             mfet,
             ffe,
         }
     }
 
+    /// Runs the transient of `net` to `t_end` (s), handing its plan and
+    /// initial conditions to the engine.
     fn run(
         &self,
-        circuit: &Circuit,
-        plan: BlockPlan,
-        node_ics: Vec<(Node, f64)>,
+        net: &mut Netlist,
         t_end: f64,
         observe: impl FnMut(&Step<'_>),
     ) -> Result<TransientRun> {
+        let plan = std::mem::take(&mut net.plan);
+        let node_ics = std::mem::take(&mut net.ics);
         transient_with(
-            circuit,
+            &net.circuit,
             t_end,
             TransientOptions {
                 dt: self.cell.dt,
@@ -385,21 +748,11 @@ impl FefetArray {
         )
     }
 
-    /// Largest polarization drift (C/m²) of any cell outside
-    /// `accessed_row`, from the run's final FE states.
-    fn disturb(&self, run: &TransientRun, ffe: &[usize], accessed_row: Option<usize>) -> f64 {
-        let mut max_disturb: f64 = 0.0;
-        for (k, (&before, &e)) in self.state.iter().zip(ffe).enumerate() {
-            if Some(k / self.cols) != accessed_row {
-                max_disturb = max_disturb.max((run.polarization(e) - before).abs());
-            }
-        }
-        max_disturb
-    }
-
     /// Writes `data` into `row` (Table 1 write biasing) with a pulse of
     /// width `t_pulse` (s), updating the stored state from the
-    /// simulation.
+    /// simulation of the row slice: the accessed cells take their final
+    /// polarization, every unaccessed cell moves by its lumped class
+    /// cell's change.
     ///
     /// # Errors
     ///
@@ -407,26 +760,50 @@ impl FefetArray {
     /// range, or `t_pulse` is not finite and positive; a simulator
     /// convergence failure.
     pub fn write_row(&mut self, row: usize, data: &[bool], t_pulse: f64) -> Result<ArrayOp> {
-        let (op, run, ffe) = self.write_row_trial(row, data, t_pulse)?;
+        self.write_row_with(row, data, t_pulse, Unaccessed::Classes)
+    }
+
+    /// [`FefetArray::write_row`] of `data` into `row` with a pulse of
+    /// width `t_pulse` (s), solved over the full-array netlist, every
+    /// cell on its own lines, committing every cell's own final
+    /// polarization: the reference the row slice is checked against,
+    /// about `rows` times slower.
+    ///
+    /// # Errors
+    ///
+    /// As for [`FefetArray::write_row`].
+    pub fn write_row_full(&mut self, row: usize, data: &[bool], t_pulse: f64) -> Result<ArrayOp> {
+        self.write_row_with(row, data, t_pulse, Unaccessed::Cells)
+    }
+
+    fn write_row_with(
+        &mut self,
+        row: usize,
+        data: &[bool],
+        t_pulse: f64,
+        unaccessed: Unaccessed,
+    ) -> Result<ArrayOp> {
+        let (op, run, net) = self.write_row_trial(row, data, t_pulse, unaccessed)?;
         // Commit new states.
-        for (p, &e) in self.state.iter_mut().zip(&ffe) {
-            *p = run.polarization(e);
-        }
+        let mut next = self.state.clone();
+        net.for_each_update(&run, &self.state, |k, p, _, _| next[k] = p);
+        self.state = next;
         Ok(op)
     }
 
     /// The simulation core of [`FefetArray::write_row`], without the
     /// state commit: runs the write transient against the stored state
-    /// and reports the result (plus the run and FE-capacitor positions
-    /// the commit reads), leaving the array untouched. This is what
-    /// lets [`FefetArray::write_disturb_map`] run per-row trials against
-    /// one shared array instead of deep-cloning it per worker.
+    /// and reports the result (plus the run and netlist the commit
+    /// reads), leaving the array untouched. This is what lets
+    /// [`FefetArray::write_disturb_map`] run per-row trials against one
+    /// shared array instead of deep-cloning it per worker.
     fn write_row_trial(
         &self,
         row: usize,
         data: &[bool],
         t_pulse: f64,
-    ) -> Result<(ArrayOp, TransientRun, Vec<usize>)> {
+        unaccessed: Unaccessed,
+    ) -> Result<(ArrayOp, TransientRun, Netlist)> {
         if data.len() != self.cols {
             return Err(CktError::Netlist(format!(
                 "write_row: got {} bits for {} columns",
@@ -442,32 +819,24 @@ impl FefetArray {
         check_window("write_row: t_pulse", t_pulse, 0.0)?;
         let b = &self.cell.bias;
         let t_restore = 0.3e-9;
-        let mut row_waves = Vec::new();
-        for i in 0..self.rows {
-            let accessed = i == row;
-            let bias = b.row_bias(Operation::Write { data: true }, accessed);
-            let w_ws = if accessed {
-                Waveform::pulse(
-                    0.0,
-                    bias.write_select,
-                    T_START,
-                    T_EDGE,
-                    T_EDGE,
-                    t_pulse + t_restore,
-                )
-            } else {
-                // Negative select for the whole write window.
-                Waveform::pulse(
-                    0.0,
-                    bias.write_select,
-                    T_START - 0.1e-9,
-                    T_EDGE,
-                    T_EDGE,
-                    t_pulse + t_restore + 0.2e-9,
-                )
-            };
-            row_waves.push((Waveform::dc(0.0), w_ws));
-        }
+        let op = Operation::Write { data: true };
+        let accessed = Waveform::pulse(
+            0.0,
+            b.row_bias(op, true).write_select,
+            T_START,
+            T_EDGE,
+            T_EDGE,
+            t_pulse + t_restore,
+        );
+        // Negative select for the whole write window.
+        let others = Waveform::pulse(
+            0.0,
+            b.row_bias(op, false).write_select,
+            T_START - 0.1e-9,
+            T_EDGE,
+            T_EDGE,
+            t_pulse + t_restore + 0.2e-9,
+        );
         let mut col_waves = Vec::new();
         for &bit in data {
             let v_bl = if bit { b.v_write } else { -b.v_write };
@@ -476,11 +845,18 @@ impl FefetArray {
                 Waveform::dc(0.0),
             ));
         }
-        let net = self.build(&row_waves, &col_waves);
+        let mut net = self.build(
+            row,
+            unaccessed,
+            false,
+            &(Waveform::dc(0.0), accessed),
+            &(Waveform::dc(0.0), others),
+            &col_waves,
+        );
         let t_end = T_START + t_pulse + t_restore + 0.5e-9;
         let _span = self.instr.span("array.write_row");
-        let run = self.run(&net.circuit, net.plan, net.ics, t_end, |_| {})?;
-        let max_disturb = self.disturb(&run, &net.ffe, Some(row));
+        let run = self.run(&mut net, t_end, |_| {})?;
+        let max_disturb = net.max_disturb(&run, &self.state, true);
         if let Some(tel) = self.instr.get() {
             tel.array.row_writes.inc();
             tel.array.disturb_max.update_max(max_disturb);
@@ -490,37 +866,38 @@ impl FefetArray {
             energy: run.total_source_energy(),
             max_disturb,
         };
-        Ok((op, run, net.ffe))
+        Ok((op, run, net))
     }
 
-    /// Builds the read-phase circuit for `row` without running it: the
-    /// Table 1 read biasing applied to this array's stored state over a
-    /// window `t_read` (s). Used by the benches to exercise the Newton
-    /// kernel at array size.
+    /// Builds the full-array read-phase circuit for `row` without
+    /// running it: the Table 1 read biasing applied to this array's
+    /// stored state over a window `t_read` (s), every cell on its own
+    /// lines. Used by the yield engine and by the benches to exercise
+    /// the Newton kernel at array size.
     ///
     /// # Errors
     ///
     /// [`CktError::Netlist`] if `row` is out of range or `t_read` is
     /// not finite and at least [`MIN_T_READ_S`].
     pub fn read_circuit(&self, row: usize, t_read: f64) -> Result<Circuit> {
-        Ok(self.read_netlist(row, t_read)?.circuit)
+        Ok(self.read_netlist(row, t_read, Unaccessed::Cells)?.circuit)
     }
 
     /// [`FefetArray::read_circuit`] for `row` and read window `t_read`
     /// (s), together with the circuit's
-    /// bordered-block-diagonal partition — the plan every simulation
-    /// this array runs hands the engine's BBD backend, so benches can
-    /// drive the engine directly.
+    /// bordered-block-diagonal partition — the plan a simulation hands
+    /// the engine's BBD backend, so benches can drive the engine
+    /// directly.
     ///
     /// # Errors
     ///
     /// As for [`FefetArray::read_circuit`].
     pub fn read_circuit_with_plan(&self, row: usize, t_read: f64) -> Result<(Circuit, BlockPlan)> {
-        let net = self.read_netlist(row, t_read)?;
+        let net = self.read_netlist(row, t_read, Unaccessed::Cells)?;
         Ok((net.circuit, net.plan))
     }
 
-    fn read_netlist(&self, row: usize, t_read: f64) -> Result<Netlist> {
+    fn read_netlist(&self, row: usize, t_read: f64, unaccessed: Unaccessed) -> Result<Netlist> {
         if row >= self.rows {
             return Err(CktError::Netlist(format!(
                 "read_row: row {row} out of range"
@@ -528,23 +905,30 @@ impl FefetArray {
         }
         check_window("read_row: t_read", t_read, MIN_T_READ_S)?;
         let b = &self.cell.bias;
-        let mut row_waves = Vec::new();
-        for i in 0..self.rows {
-            let accessed = i == row;
+        let waves = |accessed: bool| {
             let bias = b.row_bias(Operation::Read, accessed);
-            let w_rs = Waveform::pulse(0.0, bias.read_select, T_START, T_EDGE, T_EDGE, t_read);
-            let w_ws = Waveform::pulse(0.0, bias.write_select, T_START, T_EDGE, T_EDGE, t_read);
-            row_waves.push((w_rs, w_ws));
-        }
+            (
+                Waveform::pulse(0.0, bias.read_select, T_START, T_EDGE, T_EDGE, t_read),
+                Waveform::pulse(0.0, bias.write_select, T_START, T_EDGE, T_EDGE, t_read),
+            )
+        };
         let col_waves = vec![(Waveform::dc(0.0), Waveform::dc(0.0)); self.cols];
-        Ok(self.build(&row_waves, &col_waves))
+        Ok(self.build(
+            row,
+            unaccessed,
+            true,
+            &waves(true),
+            &waves(false),
+            &col_waves,
+        ))
     }
 
     /// Reads `row` (Table 1 read biasing) over a window `t_read` (s),
     /// reporting per-column cell currents and the sneak-current
     /// maximum. The cell currents are sampled at
     /// `T_START + t_read − 2·T_EDGE`, inside the flat top of the
-    /// read-select pulse.
+    /// read-select pulse. The op solves the row slice; a lumped class
+    /// cell's sneak current counts per member (divided by `m`).
     ///
     /// Reads are non-destructive (that is the paper's point), so this
     /// takes `&self` and never touches the stored state — which is what
@@ -555,24 +939,42 @@ impl FefetArray {
     ///
     /// As for [`FefetArray::read_circuit`], plus convergence errors.
     pub fn read_row(&self, row: usize, t_read: f64) -> Result<ArrayRead> {
-        let net = self.read_netlist(row, t_read)?;
+        self.read_row_with(row, t_read, Unaccessed::Classes)
+    }
+
+    /// [`FefetArray::read_row`] of `row` over a window `t_read` (s),
+    /// solved over the full-array netlist
+    /// ([`FefetArray::read_circuit`]): the reference the row slice is
+    /// checked against, about `rows` times slower.
+    ///
+    /// # Errors
+    ///
+    /// As for [`FefetArray::read_row`].
+    pub fn read_row_full(&self, row: usize, t_read: f64) -> Result<ArrayRead> {
+        self.read_row_with(row, t_read, Unaccessed::Cells)
+    }
+
+    fn read_row_with(&self, row: usize, t_read: f64, unaccessed: Unaccessed) -> Result<ArrayRead> {
+        let mut net = self.read_netlist(row, t_read, unaccessed)?;
         let t_end = T_START + t_read + 0.4e-9;
         let _span = self.instr.span("array.read_row");
         let t_sample = T_START + t_read - 2.0 * T_EDGE;
-        let mut probe = CurrentsAt::new(t_sample, net.mfet);
-        let run = self.run(&net.circuit, net.plan, net.ics, t_end, |s| probe.observe(s))?;
+        let mut probe = CurrentsAt::new(t_sample, std::mem::take(&mut net.mfet));
+        let run = self.run(&mut net, t_end, |s| probe.observe(s))?;
         let sampled = probe.values().ok_or_else(|| {
             CktError::Netlist("read_row: the run ended before the sample time".into())
         })?;
 
-        let currents = sampled[row * self.cols..(row + 1) * self.cols].to_vec();
+        let mut currents = Vec::with_capacity(self.cols);
         let mut max_sneak: f64 = 0.0;
-        for (k, i_cell) in sampled.iter().enumerate() {
-            if k / self.cols != row {
-                max_sneak = max_sneak.max(i_cell.abs());
+        for (cell, i_cell) in net.cells.iter().zip(sampled) {
+            if cell.line == net.accessed_line {
+                currents.push(*i_cell);
+            } else if !cell.is_probe() {
+                max_sneak = max_sneak.max(i_cell.abs() / cell.scale);
             }
         }
-        let max_disturb = self.disturb(&run, &net.ffe, None); // read must disturb nobody
+        let max_disturb = net.max_disturb(&run, &self.state, false); // read must disturb nobody
         let bits: Vec<bool> = currents.iter().map(|i| *i > I_SENSE_THRESHOLD_A).collect();
         if let Some(tel) = self.instr.get() {
             tel.array.row_reads.inc();
@@ -671,11 +1073,20 @@ impl FefetArray {
         let this = Arc::new(self.clone());
         let data = data.to_vec();
         fefet_ckt::parallel::pool_map(rows, threads, &self.instr, move |&row| {
-            this.write_row_trial(row, &data, t_pulse)
+            this.write_row_trial(row, &data, t_pulse, Unaccessed::Classes)
                 .map(|(op, _, _)| op.max_disturb)
         })
         .into_iter()
         .collect()
+    }
+}
+
+/// MNA problem size of `c`.
+fn dims(c: &Circuit) -> MnaDims {
+    let asm = Assembly::new(c);
+    MnaDims {
+        n_nodes: asm.n_nodes - 1,
+        n_unknowns: asm.n_unknowns(),
     }
 }
 
@@ -826,9 +1237,10 @@ mod tests {
         assert!(big.n_unknowns > small.n_unknowns);
     }
 
-    /// Pins which array sizes `Auto` runs on which backend: 32×32 and
-    /// 40×40 stay on sparse LU, 48×48 and larger promote to BBD.
-    /// Netlists only, no transient.
+    /// Pins which full-array read circuits (what the benches hand the
+    /// engine directly) `Auto` runs on which backend: 32×32 and 40×40
+    /// stay on sparse LU, 48×48 and larger promote to BBD. Netlists
+    /// only, no transient.
     #[test]
     fn auto_backend_crossover_falls_between_40x40_and_48x48() {
         use fefet_ckt::engine::BBD_CROSSOVER;
@@ -844,6 +1256,56 @@ mod tests {
         for size in [48, 64] {
             assert!(n(size) >= BBD_CROSSOVER, "{size}x{size}: n = {}", n(size));
         }
+    }
+
+    /// The row slices the row ops solve stay below the BBD crossover up
+    /// to 256×256, so `Auto` runs every row op on sparse LU.
+    #[test]
+    fn row_slices_stay_below_the_bbd_crossover() {
+        use fefet_ckt::engine::BBD_CROSSOVER;
+        let a = FefetArray::new(256, 256, FefetCell::default());
+        let slice = a.row_op_dims().unwrap().n_unknowns;
+        assert!(slice < BBD_CROSSOVER, "256x256 slice: n = {slice}");
+        let small = FefetArray::new(8, 8, FefetCell::default());
+        assert!(small.row_op_dims().unwrap().n_unknowns < small.mna_dims().unwrap().n_unknowns);
+    }
+
+    /// The slice topology depends on the array size only: once one op
+    /// has analyzed its pattern, reads and writes of any data — columns
+    /// storing a single bit, mixed columns, freshly written rows — add
+    /// no symbolic analysis.
+    #[test]
+    fn varied_data_adds_no_symbolic_analysis_once_warm() {
+        let mut a = FefetArray::new(6, 4, FefetCell::default());
+        a.cell.dt = 40e-12;
+        a.solver_backend = SolverBackend::Sparse;
+        a.instr = Instrumentation::enabled();
+        let (p_lo, p_hi) = a.cell.memory_states();
+        for i in 0..6 {
+            // Column 0 all '1', column 1 all '0', the rest mixed.
+            for (j, bit) in [true, false, i % 2 == 0, i % 3 == 0]
+                .into_iter()
+                .enumerate()
+            {
+                a.set_polarization(i, j, if bit { p_hi } else { p_lo });
+            }
+        }
+        a.read_row(0, 0.3e-9).unwrap();
+        let instr = a.instr.clone();
+        let tel = instr.get().unwrap();
+        let warm = tel.solver.sparse_symbolic_analyses.get();
+        assert_eq!(warm, 1);
+        for (row, data) in [
+            (1, [true, true, true, true]),
+            (4, [false, false, false, false]),
+            (2, [true, false, false, true]),
+        ] {
+            a.write_row(row, &data, 1.0e-9).unwrap();
+            let r = a.read_row(row, 0.3e-9).unwrap();
+            assert_eq!(r.bits, data);
+            a.read_row((row + 3) % 6, 0.3e-9).unwrap();
+        }
+        assert_eq!(tel.solver.sparse_symbolic_analyses.get(), warm);
     }
 
     /// One enabled handle must collect a whole write + parallel read
