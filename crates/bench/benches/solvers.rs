@@ -14,7 +14,9 @@ use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverBackend, SolverOptions}
 use fefet_ckt::transient::{transient, TransientOptions};
 use fefet_ckt::waveform::Waveform;
 use fefet_device::dynamics::integrate;
+use fefet_device::endurance::EnduranceModel;
 use fefet_device::paper_fefet;
+use fefet_device::variability::{monte_carlo, VariationSpec};
 use fefet_mem::array::{FastPathToggles, FefetArray};
 use fefet_mem::cell::FefetCell;
 use fefet_mem::yield_engine::{YieldEngine, YieldSpec};
@@ -1164,6 +1166,25 @@ fn bench_lk_stepper(report: &mut Report) {
     });
 }
 
+/// The static equilibrium scans behind the paper's device figures: a
+/// quasi-static I_D-V_G sweep, a 500-sample Monte Carlo and the
+/// endurance cycles-to-failure bisection. Each reads one gate-branch
+/// table per C-V card instead of re-inverting `V_MOS(P)` per grid point.
+fn bench_device_scans(report: &mut Report) {
+    let dev = paper_fefet();
+    report.bench("device_sweep_id_vg_300", || {
+        dev.sweep_id_vg(opaque(-1.0), 1.0, 300, 0.05)
+    });
+    let spec = VariationSpec::default();
+    report.bench("device_monte_carlo_500", || {
+        monte_carlo(&dev, &spec, 500, opaque(42))
+    });
+    let model = EnduranceModel::default();
+    report.bench("device_cycles_to_failure", || {
+        model.cycles_to_failure(&dev, opaque(1e6), 1e18)
+    });
+}
+
 fn main() {
     let mut report = Report::new();
     bench_lu(&mut report);
@@ -1178,6 +1199,7 @@ fn main() {
     bench_array_sweep(&mut report);
     bench_yield(&mut report);
     bench_lk_stepper(&mut report);
+    bench_device_scans(&mut report);
 
     // Derived headline ratios.
     if let (Some(alloc), Some(inplace)) = (

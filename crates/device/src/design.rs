@@ -4,7 +4,7 @@
 //! non-volatility. ... Our analysis shows that T_FE > 1.9 nm is required
 //! to retain the polarization in FE."
 
-use crate::fefet::Fefet;
+use crate::fefet::{Fefet, GateBranch};
 
 /// Summary of a single thickness point in the design sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,16 +54,21 @@ pub fn thickness_sweep(base: &Fefet, t_lo: f64, t_hi: f64, steps: usize) -> Vec<
 /// nonvolatile one `t_nonvolatile` (both in m).
 ///
 /// Returns `None` if the bracket does not actually bracket the boundary.
+/// Thickness leaves the gate C-V card alone, so every probe reads one
+/// gate-branch table.
 pub fn nonvolatility_boundary(base: &Fefet, t_volatile: f64, t_nonvolatile: f64) -> Option<f64> {
-    if base.with_thickness(t_volatile).is_nonvolatile()
-        || !base.with_thickness(t_nonvolatile).is_nonvolatile()
+    let states = GateBranch::states(&base.mos);
+    if base.with_thickness(t_volatile).is_nonvolatile_on(&states)
+        || !base
+            .with_thickness(t_nonvolatile)
+            .is_nonvolatile_on(&states)
     {
         return None;
     }
     let (mut lo, mut hi) = (t_volatile, t_nonvolatile);
     for _ in 0..40 {
         let mid = 0.5 * (lo + hi);
-        if base.with_thickness(mid).is_nonvolatile() {
+        if base.with_thickness(mid).is_nonvolatile_on(&states) {
             hi = mid;
         } else {
             lo = mid;

@@ -25,6 +25,83 @@ pub struct Fefet {
     pub mos: MosParams,
 }
 
+/// Polarization half-range (C/m²) of the zero-bias state scan behind
+/// [`Fefet::stable_states_at_zero`] and [`Fefet::is_nonvolatile`].
+const STATE_P_MAX: f64 = 0.9;
+/// Grid intervals of the zero-bias state scan.
+const STATE_GRID: usize = 4000;
+
+/// The MOS gate branch `V_MOS(p_i)` tabulated on an equilibrium grid
+/// over `[-p_max, p_max]` (C/m²).
+///
+/// `V_MOS(P)` — the gate voltage at which the MOSFET holds charge
+/// density `P` — depends only on the gate C-V card (`cox_area`,
+/// `cdep_ratio`, `vt_q`, `v_smooth`): not on the applied gate voltage,
+/// the ferroelectric, `vt0` or the width. A scan reading the table adds
+/// the same `f64` at every grid point as [`Fefet::equilibria`] computes
+/// inline, so repeated scans of one card share one table and stay
+/// bit-identical.
+#[derive(Debug)]
+pub(crate) struct GateBranch {
+    /// The C-V card the table was built for, as bit patterns.
+    card: [u64; 4],
+    p_max: f64,
+    /// `V_MOS` (V) at each of the `grid + 1` scan points.
+    v_mos: Vec<f64>,
+}
+
+impl GateBranch {
+    /// Tabulates `mos`'s gate branch on the `grid`-interval scan over
+    /// `[-p_max, p_max]` (C/m²).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grid < 3`.
+    pub(crate) fn new(mos: &MosParams, p_max: f64, grid: usize) -> Self {
+        assert!(grid >= 3, "gate branch: grid too small");
+        GateBranch {
+            card: cv_card(mos),
+            p_max,
+            v_mos: grid_points(p_max, grid)
+                .map(|p| mos.v_gate_of_density(p))
+                .collect(),
+        }
+    }
+
+    /// The branch on the zero-bias state scan's grid, for
+    /// [`Fefet::stable_states_on`] and [`Fefet::is_nonvolatile_on`].
+    pub(crate) fn states(mos: &MosParams) -> Self {
+        GateBranch::new(mos, STATE_P_MAX, STATE_GRID)
+    }
+}
+
+/// The fields `MosParams::v_gate_of_density` reads, as bit patterns.
+fn cv_card(mos: &MosParams) -> [u64; 4] {
+    [
+        mos.cox_area.to_bits(),
+        mos.cdep_ratio.to_bits(),
+        mos.vt_q.to_bits(),
+        mos.v_smooth.to_bits(),
+    ]
+}
+
+/// The `grid + 1` polarizations (C/m²) of a scan over `[-p_max, p_max]`.
+fn grid_points(p_max: f64, grid: usize) -> impl Iterator<Item = f64> {
+    std::iter::once(-p_max)
+        .chain((1..=grid).map(move |i| -p_max + 2.0 * p_max * i as f64 / grid as f64))
+}
+
+/// The stable polarizations among `eqs`.
+fn stable(eqs: Vec<Equilibrium>) -> Vec<f64> {
+    eqs.into_iter().filter(|e| e.stable).map(|e| e.p).collect()
+}
+
+/// The §3 memory criterion on zero-bias stable states: one well below
+/// and one well above zero polarization.
+fn holds_two_states(states: &[f64]) -> bool {
+    states.iter().any(|p| *p < -0.05) && states.iter().any(|p| *p > 0.05)
+}
+
 /// An equilibrium polarization at a given gate voltage.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Equilibrium {
@@ -187,15 +264,53 @@ impl Fefet {
     }
 
     /// All equilibria at gate voltage `v_g` (V), found by scanning
-    /// `V_G(P) − v_g` for sign changes over `[-p_max, p_max]` (C/m²).
+    /// `V_G(P) − v_g` for sign changes over `[-p_max, p_max]` (C/m²) on a
+    /// `grid`-interval polarization grid, then bisecting each bracket.
+    ///
+    /// This one-shot form inverts `V_MOS(P)` at every grid point. Callers
+    /// that scan the same device family many times read a tabulated
+    /// `GateBranch` instead; both run one scan and agree bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grid < 3`.
     pub fn equilibria(&self, v_g: f64, p_max: f64, grid: usize) -> Vec<Equilibrium> {
         assert!(grid >= 3, "equilibria: grid too small");
+        self.scan(v_g, p_max, grid, |_, p| self.mos.v_gate_of_density(p))
+    }
+
+    /// [`Fefet::equilibria`] on `branch`'s grid, reading `V_MOS(p_i)`
+    /// from the table instead of inverting it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `branch` was built for another gate C-V card.
+    pub(crate) fn equilibria_on(&self, branch: &GateBranch, v_g: f64) -> Vec<Equilibrium> {
+        assert!(
+            branch.card == cv_card(&self.mos),
+            "equilibria_on: gate branch built for another C-V card"
+        );
+        self.scan(v_g, branch.p_max, branch.v_mos.len() - 1, |i, _| {
+            branch.v_mos[i]
+        })
+    }
+
+    /// The equilibrium scan shared by [`Fefet::equilibria`] and
+    /// [`Fefet::equilibria_on`]: `v_mos(i, p_i)` supplies `V_MOS` at grid
+    /// point `i`; the bisection always evaluates the full stack curve.
+    fn scan(
+        &self,
+        v_g: f64,
+        p_max: f64,
+        grid: usize,
+        v_mos: impl Fn(usize, f64) -> f64,
+    ) -> Vec<Equilibrium> {
+        let offset = |i: usize, p: f64| (v_mos(i, p) + self.fe.v_static(p)) - v_g;
         let mut out = Vec::new();
         let mut prev_p = -p_max;
-        let mut prev_f = self.v_gate_static(prev_p) - v_g;
-        for i in 1..=grid {
-            let p = -p_max + 2.0 * p_max * i as f64 / grid as f64;
-            let f = self.v_gate_static(p) - v_g;
+        let mut prev_f = offset(0, prev_p);
+        for (i, p) in grid_points(p_max, grid).enumerate().skip(1) {
+            let f = offset(i, p);
             if prev_f == 0.0 {
                 out.push(Equilibrium {
                     p: prev_p,
@@ -227,21 +342,26 @@ impl Fefet {
 
     /// Stable polarization states at zero gate bias — the memory states.
     pub fn stable_states_at_zero(&self) -> Vec<f64> {
-        self.equilibria(0.0, 0.9, 4000)
-            .into_iter()
-            .filter(|e| e.stable)
-            .map(|e| e.p)
-            .collect()
+        stable(self.equilibria(0.0, STATE_P_MAX, STATE_GRID))
+    }
+
+    /// [`Fefet::stable_states_at_zero`] read from `branch`; equal to it
+    /// bit for bit when `branch` is [`GateBranch::states`].
+    pub(crate) fn stable_states_on(&self, branch: &GateBranch) -> Vec<f64> {
+        stable(self.equilibria_on(branch, 0.0))
     }
 
     /// True if the device retains two well-separated polarization states
     /// at `V_G = 0` (the §3 non-volatility criterion: hysteresis spans
     /// both positive and negative gate voltage).
     pub fn is_nonvolatile(&self) -> bool {
-        let states = self.stable_states_at_zero();
-        let has_low = states.iter().any(|p| *p < -0.05);
-        let has_high = states.iter().any(|p| *p > 0.05);
-        has_low && has_high
+        holds_two_states(&self.stable_states_at_zero())
+    }
+
+    /// [`Fefet::is_nonvolatile`] read from `branch` (see
+    /// [`Fefet::stable_states_on`]).
+    pub(crate) fn is_nonvolatile_on(&self, branch: &GateBranch) -> bool {
+        holds_two_states(&self.stable_states_on(branch))
     }
 
     /// Drain current (A) at drain bias `v_ds` (V), with the stack
@@ -255,6 +375,10 @@ impl Fefet {
     /// Fig 2a / Fig 3a: the polarization follows the nearest stable
     /// equilibrium as `V_G` ramps `v_lo → v_hi → v_lo` (V).
     ///
+    /// Every tracking point scans one 2,000-interval `GateBranch` built
+    /// once per sweep, so the result is bit-identical to tracking
+    /// with one-shot [`Fefet::equilibria`] at the same grid.
+    ///
     /// # Panics
     ///
     /// Panics if `v_lo >= v_hi` or `steps < 2`.
@@ -262,21 +386,13 @@ impl Fefet {
         assert!(v_lo < v_hi, "sweep: need v_lo < v_hi");
         assert!(steps >= 2, "sweep: need steps >= 2");
         // Start from the most negative stable state at v_lo.
-        let start = self
-            .equilibria(v_lo, 0.9, 4000)
+        let start = stable(self.equilibria(v_lo, 0.9, 4000))
             .into_iter()
-            .filter(|e| e.stable)
-            .map(|e| e.p)
             .fold(f64::INFINITY, f64::min);
         let mut p = if start.is_finite() { start } else { 0.0 };
+        let branch = GateBranch::new(&self.mos, 0.9, 2000);
         let track = |v_g: f64, p_prev: f64| -> f64 {
-            let stables: Vec<f64> = self
-                .equilibria(v_g, 0.9, 2000)
-                .into_iter()
-                .filter(|e| e.stable)
-                .map(|e| e.p)
-                .collect();
-            stables
+            stable(self.equilibria_on(&branch, v_g))
                 .into_iter()
                 .min_by(|a, b| (a - p_prev).abs().total_cmp(&(b - p_prev).abs()))
                 .unwrap_or(p_prev)
@@ -464,7 +580,90 @@ impl Fefet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::endurance::EnduranceModel;
     use crate::params::paper_fefet;
+    use crate::thermal::ThermalModel;
+    use crate::variability::{sample_device, VariationSpec};
+    use fefet_numerics::rng::Rng;
+
+    /// Devices that share the paper's gate C-V card: the four Fig 2-4
+    /// thicknesses, a fatigued film, a hot film and seeded variation
+    /// draws with the P_r/E_c and trap knobs on.
+    fn same_card_devices() -> Vec<Fefet> {
+        let base = paper_fefet();
+        let mut devs: Vec<Fefet> = [2.25e-9, 1.9e-9, 1.0e-9, 2.5e-9]
+            .iter()
+            .map(|&t| base.with_thickness(t))
+            .collect();
+        devs.push(EnduranceModel::default().fefet_after(&base, 1e14).0);
+        devs.push(ThermalModel::default().fefet_at(&base, 400.0));
+        let spec = VariationSpec {
+            pr_sigma_rel: 0.05,
+            ec_sigma_rel: 0.05,
+            trap_density: 20.0 / base.fe.area,
+            ..VariationSpec::default()
+        };
+        let mut rng = Rng::seed_from_u64(0x6a7e);
+        devs.extend((0..3).map(|_| sample_device(&base, &spec, &mut rng)));
+        devs
+    }
+
+    fn bits(eqs: &[Equilibrium]) -> Vec<(u64, bool)> {
+        eqs.iter().map(|e| (e.p.to_bits(), e.stable)).collect()
+    }
+
+    #[test]
+    fn branch_scan_matches_one_shot_bit_for_bit() {
+        let card = paper_fefet().mos;
+        for grid in [2000, 4000, 6000] {
+            let branch = GateBranch::new(&card, 0.9, grid);
+            for dev in same_card_devices() {
+                for k in 0..=48 {
+                    let v_g = -1.2 + 2.4 * k as f64 / 48.0;
+                    let table = dev.equilibria_on(&branch, v_g);
+                    let inline = dev.equilibria(v_g, 0.9, grid);
+                    assert_eq!(
+                        bits(&table),
+                        bits(&inline),
+                        "{dev:?} at {v_g} V, grid {grid}"
+                    );
+                }
+            }
+        }
+        let states = GateBranch::states(&card);
+        for dev in same_card_devices() {
+            let table: Vec<u64> = dev
+                .stable_states_on(&states)
+                .iter()
+                .map(|p| p.to_bits())
+                .collect();
+            let inline: Vec<u64> = dev
+                .stable_states_at_zero()
+                .iter()
+                .map(|p| p.to_bits())
+                .collect();
+            assert_eq!(table, inline, "{dev:?}");
+            assert_eq!(dev.is_nonvolatile_on(&states), dev.is_nonvolatile());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another C-V card")]
+    fn branch_for_another_cox_area_is_rejected() {
+        let dev = paper_fefet();
+        let mut other = dev.mos;
+        other.cox_area *= 1.01;
+        dev.equilibria_on(&GateBranch::states(&other), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "another C-V card")]
+    fn branch_for_another_vt_q_is_rejected() {
+        let dev = paper_fefet();
+        let mut other = dev.mos;
+        other.vt_q += 0.01;
+        dev.equilibria_on(&GateBranch::states(&other), 0.0);
+    }
 
     #[test]
     fn fig2_nonvolatile_at_2_25nm() {

@@ -8,10 +8,8 @@
 //! states, and the read-current ratio — the quantities that set sensing
 //! margin and yield.
 
-use crate::fefet::Fefet;
-use fefet_ckt::parallel::pool_map;
+use crate::fefet::{Fefet, GateBranch};
 use fefet_numerics::rng::Rng;
-use fefet_telemetry::Instrumentation;
 
 /// 1-σ relative/absolute spreads of the varied parameters.
 ///
@@ -209,8 +207,8 @@ pub fn sample_device(nominal: &Fefet, spec: &VariationSpec, rng: &mut Rng) -> Fe
     dev
 }
 
-fn evaluate(dev: &Fefet) -> SampleResult {
-    let states = dev.stable_states_at_zero();
+fn evaluate(dev: &Fefet, branch: &GateBranch) -> SampleResult {
+    let states = dev.stable_states_on(branch);
     let lo = states.iter().cloned().fold(f64::INFINITY, f64::min);
     let hi = states.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let nonvolatile = lo < -0.05 && hi > 0.05;
@@ -228,51 +226,24 @@ fn evaluate(dev: &Fefet) -> SampleResult {
     }
 }
 
-fn draw_devices(nominal: &Fefet, spec: &VariationSpec, n: usize, seed: u64) -> Vec<Fefet> {
-    let mut rng = Rng::seed_from_u64(seed ^ 0xfe0f_37a7);
-    (0..n)
-        .map(|_| sample_device(nominal, spec, &mut rng))
-        .collect()
-}
-
 /// Runs an `n`-sample Monte Carlo, seeded for reproducibility.
+///
+/// [`sample_device`] varies `vt0`, the width, the areas, the thickness
+/// and the Landau coefficients but never the gate C-V card, so every
+/// sample's zero-bias state scan reads one gate-branch table built from
+/// `nominal.mos` — bit-identical to calling
+/// [`Fefet::stable_states_at_zero`] per sample.
 ///
 /// # Panics
 ///
 /// Panics if `n == 0`.
 pub fn monte_carlo(nominal: &Fefet, spec: &VariationSpec, n: usize, seed: u64) -> MonteCarlo {
     assert!(n > 0, "monte_carlo: need at least one sample");
-    let samples = draw_devices(nominal, spec, n, seed)
-        .iter()
-        .map(evaluate)
+    let branch = GateBranch::states(&nominal.mos);
+    let mut rng = Rng::seed_from_u64(seed ^ 0xfe0f_37a7);
+    let samples = (0..n)
+        .map(|_| evaluate(&sample_device(nominal, spec, &mut rng), &branch))
         .collect();
-    MonteCarlo { samples }
-}
-
-/// The parallel variant of [`monte_carlo`]: the random draws are made
-/// serially (so the result is bit-identical to the serial version), then
-/// the per-sample equilibrium analyses are fanned out over the shared
-/// persistent work-stealing pool ([`fefet_ckt::parallel::pool_map`]),
-/// which preserves input order and hence bit-identity with the serial
-/// run regardless of how workers steal chunks.
-///
-/// # Panics
-///
-/// Panics if `n == 0` or `threads == 0`.
-pub fn monte_carlo_parallel(
-    nominal: &Fefet,
-    spec: &VariationSpec,
-    n: usize,
-    seed: u64,
-    threads: usize,
-) -> MonteCarlo {
-    assert!(n > 0, "monte_carlo_parallel: need at least one sample");
-    assert!(
-        threads > 0,
-        "monte_carlo_parallel: need at least one thread"
-    );
-    let devices = draw_devices(nominal, spec, n, seed);
-    let samples = pool_map(devices, threads, &Instrumentation::off(), |d| evaluate(d));
     MonteCarlo { samples }
 }
 
@@ -347,17 +318,6 @@ mod tests {
         assert_eq!(a, b);
         let c = monte_carlo(&paper_fefet(), &VariationSpec::default(), 20, 6);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn parallel_matches_serial_exactly() {
-        let spec = VariationSpec::default();
-        let serial = monte_carlo(&paper_fefet(), &spec, 64, 9);
-        let parallel = monte_carlo_parallel(&paper_fefet(), &spec, 64, 9, 4);
-        assert_eq!(serial, parallel);
-        // Thread counts beyond the sample count are fine too.
-        let over = monte_carlo_parallel(&paper_fefet(), &spec, 5, 9, 16);
-        assert_eq!(over.samples.len(), 5);
     }
 
     #[test]
