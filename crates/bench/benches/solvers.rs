@@ -286,29 +286,23 @@ fn bench_newton(report: &mut Report) {
     }
 }
 
-/// Dense vs pattern-cached sparse vs BBD/Schur at growing array sizes,
-/// in two regimes:
+/// Dense vs pattern-cached sparse at growing array sizes, in two
+/// regimes:
 ///
 /// **Warm exact** — from the converged point with Jacobian reuse off,
 /// so each call is one full stamp + factor + solve (the cost a
-/// transient pays on every Jacobian change). Here the global Markowitz
-/// ordering is excellent on the crossbar pattern and plain sparse
-/// stays ahead of the Schur path; the numbers are recorded so that
-/// tradeoff stays visible. Dense is measured alongside (once, above
-/// 16×16, where a dense factor costs seconds to minutes).
+/// transient pays on every Jacobian change). Dense is measured
+/// alongside (once, above 16×16, where a dense factor costs seconds to
+/// minutes).
 ///
 /// **Cold** — a fresh workspace solving from zeros: pattern recording,
-/// symbolic analysis, factorization, Newton iteration. This is where
-/// the BBD tier's shared symbolic state pays: one small block analysis
-/// per pattern class instead of a global Markowitz elimination whose
-/// cost grows superlinearly. The 32×32 and 64×64 cold solves are hard
-/// gates: BBD must beat plain sparse.
+/// symbolic analysis, factorization, Newton iteration — what an array
+/// of this shape costs the first time it is simulated.
 fn bench_newton_scaling(report: &mut Report) {
     let t_bias = 0.5e-9;
     for (rows, cols) in [(8usize, 8usize), (16, 16), (32, 32), (64, 64)] {
         let a = FefetArray::new(rows, cols, FefetCell::default());
-        let (ckt, plan) = a.read_circuit_with_plan(0, 3e-9).expect("read circuit");
-        let plan = std::sync::Arc::new(plan);
+        let ckt = a.read_circuit(0, 3e-9).expect("read circuit");
         let asm = Assembly::new(&ckt);
         let states: Vec<ElemState> = ckt.elements().iter().map(|_| ElemState::None).collect();
         let n = asm.n_unknowns();
@@ -323,11 +317,6 @@ fn bench_newton_scaling(report: &mut Report) {
         };
         let opts_sparse = SolverOptions {
             backend: SolverBackend::Sparse,
-            ..exact.clone()
-        };
-        let opts_bbd = SolverOptions {
-            backend: SolverBackend::Bbd,
-            block_plan: Some(plan),
             ..exact
         };
         // Converge once (cheaply, via the sparse path) for the warm start.
@@ -345,54 +334,22 @@ fn bench_newton_scaling(report: &mut Report) {
             &mut ws,
         );
         let nnz = ws.sparse_nnz(true).map(|z| z as u64);
-        let mut ws_bbd = NewtonWorkspace::new(n);
         let mut xs = vec![0.0; n];
-        let mut xb = vec![0.0; n];
-        // Warm the BBD workspace so its one-time structure analysis
-        // stays out of the timed region.
-        newton_inplace(
-            &asm,
-            &ckt,
-            t_bias,
-            &opts_bbd,
-            &mut xb,
-            &x_star,
-            &states,
-            &mut ws_bbd,
-        );
         let name_dense = format!("newton_array_{rows}x{cols}_dense");
         let name_sparse = format!("newton_array_{rows}x{cols}_sparse");
-        let name_bbd = format!("newton_array_{rows}x{cols}_bbd");
-        report.bench_pair(
-            &name_sparse,
-            &name_bbd,
-            || {
-                newton_inplace(
-                    &asm,
-                    &ckt,
-                    t_bias,
-                    &opts_sparse,
-                    &mut xs,
-                    &x_star,
-                    &states,
-                    &mut ws,
-                );
-                xs.last().copied()
-            },
-            || {
-                newton_inplace(
-                    &asm,
-                    &ckt,
-                    t_bias,
-                    &opts_bbd,
-                    &mut xb,
-                    &x_star,
-                    &states,
-                    &mut ws_bbd,
-                );
-                xb.last().copied()
-            },
-        );
+        report.bench(&name_sparse, || {
+            newton_inplace(
+                &asm,
+                &ckt,
+                t_bias,
+                &opts_sparse,
+                &mut xs,
+                &x_star,
+                &states,
+                &mut ws,
+            );
+            xs.last().copied()
+        });
         // A dense exact factor is O(n³): ~seconds at 32×32, minutes at
         // 64×64 — one measured sample records the scaling story without
         // dominating the run; the 64×64 point is skipped in smoke runs.
@@ -423,145 +380,44 @@ fn bench_newton_scaling(report: &mut Report) {
             report.annotate(&name_dense, n as u64, None);
         }
         report.annotate(&name_sparse, n as u64, nnz);
-        report.annotate(&name_bbd, n as u64, nnz);
-        // One instrumented solve per side records how many Newton
-        // iterations and factorizations the timed workload performs,
-        // plus the BBD partition the engine actually used.
-        for (name, opts) in [(&name_sparse, &opts_sparse), (&name_bbd, &opts_bbd)] {
-            let instr = Instrumentation::enabled();
-            let counted = SolverOptions {
-                instr: instr.clone(),
-                ..opts.clone()
-            };
-            let ws_i = if counted.backend == SolverBackend::Bbd {
-                &mut ws_bbd
-            } else {
-                &mut ws
-            };
-            newton_inplace(
-                &asm, &ckt, t_bias, &counted, &mut xs, &x_star, &states, ws_i,
-            );
-            if let Some(tel) = instr.get() {
-                report.attach_telemetry(
-                    name,
-                    tel.solver.newton_iterations.sum() as u64,
-                    tel.solver.sparse_refactors.get() + tel.solver.bbd_refactors.get(),
-                );
-            }
-        }
-        let (blocks, border, classes) = ws_bbd.bbd_dims(true).expect("BBD state");
-        println!(
-            "newton_array_{rows}x{cols} bbd partition: {blocks} blocks, border {border}, \
-             {classes} pattern class(es)"
+        // One instrumented solve records how many Newton iterations and
+        // factorizations the timed workload performs.
+        let instr = Instrumentation::enabled();
+        let counted = SolverOptions {
+            instr: instr.clone(),
+            ..opts_sparse.clone()
+        };
+        newton_inplace(
+            &asm, &ckt, t_bias, &counted, &mut xs, &x_star, &states, &mut ws,
         );
+        if let Some(tel) = instr.get() {
+            report.attach_telemetry(
+                &name_sparse,
+                tel.solver.newton_iterations.sum() as u64,
+                tel.solver.sparse_refactors.get(),
+            );
+        }
         // Cold point solves: workspace standup + analysis + factor +
         // Newton from zeros, fresh every call (no AnalysisCache, so
-        // each sample pays the full first-solve cost an array of this
-        // shape costs the first time it is simulated).
+        // each sample pays the full first-solve cost).
         let name_cold_sparse = format!("newton_array_{rows}x{cols}_cold_sparse");
-        let name_cold_bbd = format!("newton_array_{rows}x{cols}_cold_bbd");
-        report.bench_pair(
-            &name_cold_sparse,
-            &name_cold_bbd,
-            || {
-                let mut ws = NewtonWorkspace::new(n);
-                let mut xc = vec![0.0; n];
-                newton_inplace(
-                    &asm,
-                    &ckt,
-                    t_bias,
-                    &opts_sparse,
-                    &mut xc,
-                    &x0,
-                    &states,
-                    &mut ws,
-                );
-                xc.last().copied()
-            },
-            || {
-                let mut ws = NewtonWorkspace::new(n);
-                let mut xc = vec![0.0; n];
-                newton_inplace(
-                    &asm, &ckt, t_bias, &opts_bbd, &mut xc, &x0, &states, &mut ws,
-                );
-                xc.last().copied()
-            },
-        );
+        report.bench(&name_cold_sparse, || {
+            let mut ws = NewtonWorkspace::new(n);
+            let mut xc = vec![0.0; n];
+            newton_inplace(
+                &asm,
+                &ckt,
+                t_bias,
+                &opts_sparse,
+                &mut xc,
+                &x0,
+                &states,
+                &mut ws,
+            );
+            xc.last().copied()
+        });
         report.annotate(&name_cold_sparse, n as u64, nnz);
-        report.annotate(&name_cold_bbd, n as u64, nnz);
-        // The acceptance gate: at and above 32×32, the BBD cold solve
-        // must beat the plain sparse one (min-of-batches, interleaved,
-        // so host-load drift cannot manufacture a pass).
-        if rows >= 32 {
-            let s = report.min_of(&name_cold_sparse).expect("sparse sample");
-            let b = report.min_of(&name_cold_bbd).expect("bbd sample");
-            assert!(
-                b <= s,
-                "BBD must beat plain sparse on the {rows}x{cols} cold solve: {b:.6} s vs {s:.6} s"
-            );
-            println!(
-                "newton_array_{rows}x{cols} cold speedup (sparse/bbd, min): {:.2}x",
-                s / b
-            );
-        }
     }
-}
-
-/// The feasibility milestone: one exact point solve of the 256×256
-/// array's read circuit (133,888 unknowns) on the BBD backend. Dense
-/// is hopeless at this size and even the plain sparse factorization
-/// is painful; the block structure keeps it tractable. Full runs only.
-fn bench_newton_256(report: &mut Report) {
-    if smoke() {
-        return;
-    }
-    let a = FefetArray::new(256, 256, FefetCell::default());
-    let (ckt, plan) = a.read_circuit_with_plan(0, 3e-9).expect("read circuit");
-    let plan = std::sync::Arc::new(plan);
-    let asm = Assembly::new(&ckt);
-    let states: Vec<ElemState> = ckt.elements().iter().map(|_| ElemState::None).collect();
-    let n = asm.n_unknowns();
-    let opts = SolverOptions {
-        backend: SolverBackend::Bbd,
-        block_plan: Some(plan),
-        jacobian_reuse: false,
-        bypass: false,
-        ..SolverOptions::default()
-    };
-    let t_bias = 0.5e-9;
-    let x0 = vec![0.0; n];
-    let mut x_star = vec![0.0; n];
-    let mut ws = NewtonWorkspace::new(n);
-    // The feasibility number itself: fresh workspace, full analysis,
-    // Newton from zeros. (The sparse backend's global analysis alone
-    // takes minutes at this order, which is why it is not measured.)
-    report.bench_once("newton_array_256x256_cold_bbd", || {
-        ws = NewtonWorkspace::new(n);
-        newton_inplace(
-            &asm,
-            &ckt,
-            t_bias,
-            &opts,
-            &mut x_star,
-            &x0,
-            &states,
-            &mut ws,
-        );
-        x_star.last().copied()
-    });
-    let mut x = vec![0.0; n];
-    report.bench_once("newton_array_256x256_bbd", || {
-        newton_inplace(&asm, &ckt, t_bias, &opts, &mut x, &x_star, &states, &mut ws);
-        x.last().copied()
-    });
-    let nnz = ws.sparse_nnz(true).map(|z| z as u64);
-    report.annotate("newton_array_256x256_cold_bbd", n as u64, nnz);
-    report.annotate("newton_array_256x256_bbd", n as u64, nnz);
-    let (blocks, border, classes) = ws.bbd_dims(true).expect("BBD state");
-    println!(
-        "newton_array_256x256 bbd partition: {blocks} blocks, border {border}, \
-         {classes} pattern class(es)"
-    );
 }
 
 /// Instrumentation-overhead A/B on the acceptance workload: the 16×16
@@ -776,62 +632,31 @@ fn bench_fastpaths(report: &mut Report) {
 }
 
 /// One warm served escalation (a `write_row` + `read_row` pair) on the
-/// seeded 32×32 array, sparse LU vs BBD set explicitly, batches
-/// interleaved. Each side writes the complement of its previous word
-/// into row 0 and reads it back, on its own array whose analysis cache
-/// is warmed before timing. The row ops solve a row slice (384
-/// unknowns), far below `BBD_CROSSOVER`, so `Auto` runs it sparse; full
-/// runs hard-fail unless sparse's min beats BBD's.
+/// seeded 32×32 array under `Auto`: each call writes the complement of
+/// the previous word into row 0 and reads it back, with the array's
+/// analysis cache warmed before timing. The row ops solve a row slice
+/// (384 unknowns), so `Auto` runs it on sparse LU.
 fn bench_escalation(report: &mut Report) {
     let t_read = 0.3e-9;
     let t_write = 1.0e-9;
-    let base = seeded(32, 32);
-    let n = base.row_op_dims().expect("32x32 dims").n_unknowns as u64;
-    let side = |backend| {
-        let mut a = base.clone();
-        a.solver_backend = backend;
-        let mut word: Vec<bool> = (0..a.cols).map(|j| j % 2 == 0).collect();
-        move || {
-            for b in word.iter_mut() {
-                *b = !*b;
-            }
-            a.write_row(0, &word, t_write).expect("escalated write");
-            let read = a.read_row(0, t_read).expect("escalated read");
-            assert_eq!(
-                read.bits, word,
-                "escalated read must return the written word"
-            );
-            read.op.steps
+    let mut a = seeded(32, 32);
+    let n = a.row_op_dims().expect("32x32 dims").n_unknowns as u64;
+    let mut word: Vec<bool> = (0..a.cols).map(|j| j % 2 == 0).collect();
+    let mut escalate = move || {
+        for b in word.iter_mut() {
+            *b = !*b;
         }
-    };
-    let mut sparse = side(SolverBackend::Sparse);
-    let mut bbd = side(SolverBackend::Bbd);
-    sparse();
-    bbd();
-    report.bench_pair(
-        "array_escalation_32x32_sparse",
-        "array_escalation_32x32_bbd",
-        &mut sparse,
-        &mut bbd,
-    );
-    report.annotate("array_escalation_32x32_sparse", n, None);
-    report.annotate("array_escalation_32x32_bbd", n, None);
-    let s = report
-        .min_of("array_escalation_32x32_sparse")
-        .expect("sparse sample");
-    let b = report
-        .min_of("array_escalation_32x32_bbd")
-        .expect("bbd sample");
-    if !smoke() {
-        assert!(
-            s < b,
-            "sparse must beat BBD on the warm 32x32 escalation: {s:.4} s vs {b:.4} s"
+        a.write_row(0, &word, t_write).expect("escalated write");
+        let read = a.read_row(0, t_read).expect("escalated read");
+        assert_eq!(
+            read.bits, word,
+            "escalated read must return the written word"
         );
-    }
-    println!(
-        "array_escalation_32x32 warm speedup (bbd/sparse, min): {:.2}x",
-        b / s
-    );
+        read.op.steps
+    };
+    escalate();
+    report.bench("array_escalation_32x32_sparse", &mut escalate);
+    report.annotate("array_escalation_32x32_sparse", n, None);
 }
 
 fn bench_array_sweep(report: &mut Report) {
@@ -1190,7 +1015,6 @@ fn main() {
     bench_lu(&mut report);
     bench_newton(&mut report);
     bench_newton_scaling(&mut report);
-    bench_newton_256(&mut report);
     bench_instr_overhead(&mut report);
     bench_rc_transient(&mut report);
     bench_cell_write(&mut report);
@@ -1246,24 +1070,6 @@ fn main() {
             println!(
                 "newton_array_{size} speedup (dense/sparse):   {:.2}x",
                 dense / sparse
-            );
-        }
-        if let (Some(sparse), Some(bbd)) = (
-            report.median_of(&format!("newton_array_{size}_sparse")),
-            report.median_of(&format!("newton_array_{size}_bbd")),
-        ) {
-            println!(
-                "newton_array_{size} speedup (sparse/bbd):     {:.2}x",
-                sparse / bbd
-            );
-        }
-        if let (Some(sparse), Some(bbd)) = (
-            report.median_of(&format!("newton_array_{size}_cold_sparse")),
-            report.median_of(&format!("newton_array_{size}_cold_bbd")),
-        ) {
-            println!(
-                "newton_array_{size} cold speedup (sparse/bbd): {:.2}x",
-                sparse / bbd
             );
         }
     }

@@ -135,7 +135,7 @@ impl Circuit {
 
     /// Position of an element in [`Circuit::elements`] order, by name —
     /// the index used for per-element solver bookkeeping (branch
-    /// offsets, block-plan assignments).
+    /// offsets, probes).
     pub fn element_position(&self, name: &str) -> Option<usize> {
         self.element_index.get(name).copied()
     }
@@ -188,25 +188,12 @@ impl Circuit {
         }
     }
 
-    /// Replaces the parameter set of an existing MOSFET, allowing one
-    /// netlist to be re-simulated under perturbed device parameters.
-    ///
-    /// # Errors
-    ///
-    /// [`CktError::UnknownSignal`] if `name` does not exist,
-    /// [`CktError::Netlist`] if the element is not a MOSFET.
-    pub fn set_mosfet_params(&mut self, name: &str, params: MosParams) -> Result<(), CktError> {
-        let idx = *self
-            .element_index
-            .get(name)
-            .ok_or_else(|| CktError::UnknownSignal(name.to_string()))?;
-        self.set_mosfet_params_at(idx, params)
-    }
-
     /// Replaces the parameter set of the MOSFET at element position
-    /// `idx` ([`Circuit::element_position`] order). The index-based form
-    /// does no hashing or string formatting on success, so Monte Carlo
-    /// trial loops can re-parameterize a cached circuit allocation-free.
+    /// `idx` ([`Circuit::element_position`] order), allowing one netlist
+    /// to be re-simulated under perturbed device parameters. The
+    /// index-based form does no hashing or string formatting on success,
+    /// so Monte Carlo trial loops can re-parameterize a cached circuit
+    /// allocation-free.
     ///
     /// # Errors
     ///
@@ -694,7 +681,8 @@ mod tests {
 
         let mut mos = MosParams::nmos_45nm();
         mos.vt0 += 0.123;
-        c.set_mosfet_params("M1", mos).unwrap();
+        let m1 = c.element_position("M1").unwrap();
+        c.set_mosfet_params_at(m1, mos).unwrap();
         match c.find_element("M1").unwrap() {
             Element::Mosfet { params, .. } => assert!((params.vt0 - mos.vt0).abs() < 1e-15),
             _ => panic!(),
@@ -714,7 +702,11 @@ mod tests {
 
         // Kind and range validation.
         assert!(matches!(
-            c.set_mosfet_params("F1", mos),
+            c.set_mosfet_params_at(idx, mos),
+            Err(CktError::Netlist(_))
+        ));
+        assert!(matches!(
+            c.set_mosfet_params_at(99, mos),
             Err(CktError::Netlist(_))
         ));
         assert!(matches!(

@@ -11,33 +11,25 @@ use crate::circuit::Circuit;
 use crate::elements::{
     BypassBank, BypassCtx, ElemState, EvalCtx, Integration, JacTarget, Node, Sys,
 };
-use crate::plan::{AnalysisCache, BlockPlan};
+use crate::plan::AnalysisCache;
 use crate::CktError;
-use fefet_numerics::bbd::BbdLu;
 use fefet_numerics::linalg::{norm_inf, LuWorkspace, Matrix};
 use fefet_numerics::sparse::{CsrMatrix, CsrPattern, SparseLu};
 use fefet_telemetry::{ConvergenceReport, Instrumentation, TraceEvent};
-use std::sync::Arc;
 
 /// Linear-solver backend for the Newton inner solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverBackend {
     /// Dense LU below [`SPARSE_CROSSOVER`] unknowns, pattern-cached
-    /// sparse LU from there up to [`BBD_CROSSOVER`], and BBD at or past
-    /// it when the options carry a [`BlockPlan`] (sparse without one).
-    /// FEFET row ops solve a row slice (736 unknowns at 64×64, under
-    /// 3,000 at 256×256), so they always run sparse; full-array FEFET
-    /// read circuits handed to the engine directly run sparse through
-    /// 40×40 and BBD from 48×48.
+    /// sparse LU at or above it. Cells run dense; every array netlist
+    /// (FEFET row slices, full FEFET read circuits, FERAM arrays) runs
+    /// sparse.
     #[default]
     Auto,
     /// Dense LU with partial pivoting, regardless of size.
     Dense,
     /// Pattern-cached sparse LU, regardless of size.
     Sparse,
-    /// Bordered-block-diagonal Schur-complement LU over the partition in
-    /// [`SolverOptions::block_plan`] (required), regardless of size.
-    Bbd,
 }
 
 /// System order at which `Auto` switches from dense to sparse LU.
@@ -48,25 +40,6 @@ pub enum SolverBackend {
 /// The break-even sits near a few dozen unknowns; 64 is conservative in
 /// the safe direction on both sides.
 pub const SPARSE_CROSSOVER: usize = 64;
-
-/// System order at which `Auto` promotes sparse LU to the
-/// bordered-block-diagonal backend, provided the options carry a
-/// [`BlockPlan`] (without one there is nothing to exploit and `Auto`
-/// stays sparse).
-///
-/// Placed by measurement of row ops over full-array FEFET netlists
-/// with a warm analysis cache (the shared cache makes BBD's
-/// cold-analysis win a one-time cost). Row ops solve row slices far
-/// below this order, so under `Auto` only full-array circuits handed to
-/// the engine directly reach BBD. At 32×32 (2400 unknowns) sparse LU
-/// refactors and solves faster: BBD's reuse-path solve runs two
-/// triangular solves per block, forward and back, and costs about 1.9×
-/// the sparse one. From 48×48 (5136 unknowns) up sparse is still
-/// faster, but the global ordering's fill (25,776 at 48×48 and 45,632 at
-/// 64×64, against BBD's 4,992 and 8,704) showed in peak RSS (14.1 vs
-/// 12.5 MB and 24.4 vs 19.7 MB per full-array row-op process), so BBD
-/// keeps those sizes.
-pub const BBD_CROSSOVER: usize = 4096;
 
 /// Newton solver tuning knobs shared by DC and transient analyses.
 ///
@@ -102,12 +75,6 @@ pub struct SolverOptions {
     /// Terminal-voltage tolerance for a device-bypass cache hit (V).
     /// The bypass error is O(vtol²) in the stamped currents.
     pub bypass_vtol: f64,
-    /// Bordered-block-diagonal partition hint, supplied by circuit
-    /// builders that know the layout (array constructors). Required for
-    /// [`SolverBackend::Bbd`]; its presence lets `Auto` promote to BBD
-    /// at [`BBD_CROSSOVER`] unknowns. `Arc`'d because options are
-    /// cloned per analysis and per sweep worker.
-    pub block_plan: Option<Arc<BlockPlan>>,
     /// Shared analysis cache: workers solving structurally identical
     /// systems (array clones in a pooled sweep) reuse one symbolic
     /// analysis per pattern instead of re-analyzing per worker.
@@ -128,7 +95,6 @@ impl Default for SolverOptions {
             jacobian_reuse: true,
             bypass: true,
             bypass_vtol: 1e-6,
-            block_plan: None,
             cache: None,
             instr: Instrumentation::off(),
         }
@@ -154,12 +120,11 @@ struct FactorKey {
 }
 
 /// Resolved backend for one solve — [`SolverBackend`] with `Auto`
-/// already decided by system order and plan availability.
+/// already decided by system order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BackendKind {
     Dense,
     Sparse,
-    Bbd,
 }
 
 /// Reusable Newton-iteration buffers: Jacobian, residual, update vector,
@@ -183,8 +148,6 @@ pub struct NewtonWorkspace {
     dense: Option<DenseState>,
     sparse_dc: Option<SparseState>,
     sparse_tr: Option<SparseState>,
-    bbd_dc: Option<BbdState>,
-    bbd_tr: Option<BbdState>,
     /// Device-bypass operating-point cache, one slot per element; built
     /// lazily on the first bypass-enabled solve.
     bypass: Option<BypassBank>,
@@ -210,17 +173,6 @@ struct SparseState {
     lu: SparseLu,
 }
 
-/// BBD backend for one stamping mode: elements stamp the *global* CSR
-/// Jacobian exactly as for the sparse backend (same pattern, same slot
-/// table), and the factorization scatters it into block/border storage
-/// through its precomputed destination map.
-#[derive(Debug)]
-struct BbdState {
-    a: CsrMatrix,
-    slots: Vec<usize>,
-    lu: BbdLu,
-}
-
 impl NewtonWorkspace {
     /// Creates a workspace for systems of `n` unknowns
     /// ([`Assembly::n_unknowns`]).
@@ -233,8 +185,6 @@ impl NewtonWorkspace {
             dense: None,
             sparse_dc: None,
             sparse_tr: None,
-            bbd_dc: None,
-            bbd_tr: None,
             bypass: None,
             factor_key: None,
         }
@@ -250,19 +200,6 @@ impl NewtonWorkspace {
     pub fn sparse_nnz(&self, dc: bool) -> Option<usize> {
         let s = if dc { &self.sparse_dc } else { &self.sparse_tr };
         s.as_ref().map(|s| s.a.nnz())
-    }
-
-    /// BBD backend shape for the given stamping mode, if that state has
-    /// been built: `(diagonal blocks, border order, pattern classes)`.
-    pub fn bbd_dims(&self, dc: bool) -> Option<(usize, usize, usize)> {
-        let s = if dc { &self.bbd_dc } else { &self.bbd_tr };
-        s.as_ref().map(|s| {
-            (
-                s.lu.block_count(),
-                s.lu.border_len(),
-                s.lu.pattern_classes(),
-            )
-        })
     }
 }
 
@@ -423,7 +360,7 @@ impl Assembly {
 
     /// Records the Jacobian add sequence with a pattern-target stamp
     /// pass, assembles the CSR pattern, and resolves every add to its
-    /// value-array slot. Shared setup for the sparse and BBD backends.
+    /// value-array slot.
     // fefet-lint: allow-item(hot-alloc) -- first-use backend setup cached in the workspace; the Newton loop reuses it allocation-free
     #[allow(clippy::too_many_arguments)]
     fn record_pattern(
@@ -497,53 +434,6 @@ impl Assembly {
         }
         let a = CsrMatrix::from_pattern(pattern);
         Ok(SparseState { a, slots, lu })
-    }
-
-    /// Builds the BBD backend state for one stamping mode: the global
-    /// CSR pattern and slot table exactly as for sparse, plus the
-    /// bordered-block-diagonal factorization over the partition in
-    /// `plan`, cache-shared like the sparse analysis.
-    #[allow(clippy::too_many_arguments)]
-    fn build_bbd_state(
-        &self,
-        ckt: &Circuit,
-        t: f64,
-        h: f64,
-        method: Integration,
-        dc: bool,
-        opts: &SolverOptions,
-        plan: &BlockPlan,
-        x: &[f64],
-        states: &[ElemState],
-    ) -> Result<BbdState, CktError> {
-        let (pattern, slots) = self.record_pattern(ckt, t, h, method, dc, opts.gmin, x, states)?;
-        let structure = plan.block_structure(self)?;
-        let (lu, cache_hit) = match &opts.cache {
-            Some(cache) => cache.bbd(&pattern, &structure, || {
-                BbdLu::analyze(&pattern, &structure)
-            })?,
-            None => (
-                BbdLu::analyze(&pattern, &structure).map_err(CktError::from)?,
-                false,
-            ),
-        };
-        if let Some(tel) = opts.instr.get() {
-            if cache_hit {
-                tel.solver.analysis_cache_hits.inc();
-            } else {
-                tel.solver
-                    .bbd_pattern_classes
-                    .record_max(lu.pattern_classes() as u64);
-            }
-            tel.solver.bbd_blocks.record_max(lu.block_count() as u64);
-            tel.solver.bbd_border_len.record_max(lu.border_len() as u64);
-            tel.solver
-                .sparse_pattern_nnz
-                .record_max(pattern.nnz() as u64);
-            tel.solver.sparse_fill_nnz.record_max(lu.fill_nnz() as u64);
-        }
-        let a = CsrMatrix::from_pattern(pattern);
-        Ok(BbdState { a, slots, lu })
     }
 
     /// Newton iteration for one solution point. Returns the converged
@@ -625,22 +515,9 @@ impl Assembly {
         let kind = match opts.backend {
             SolverBackend::Dense => BackendKind::Dense,
             SolverBackend::Sparse => BackendKind::Sparse,
-            SolverBackend::Bbd => BackendKind::Bbd,
-            SolverBackend::Auto => {
-                if opts.block_plan.is_some() && n >= BBD_CROSSOVER {
-                    BackendKind::Bbd
-                } else if n >= SPARSE_CROSSOVER {
-                    BackendKind::Sparse
-                } else {
-                    BackendKind::Dense
-                }
-            }
+            SolverBackend::Auto if n >= SPARSE_CROSSOVER => BackendKind::Sparse,
+            SolverBackend::Auto => BackendKind::Dense,
         };
-        if kind == BackendKind::Bbd && opts.block_plan.is_none() {
-            return Err(CktError::Netlist(
-                "bbd backend requires a block plan in SolverOptions".into(),
-            ));
-        }
         // Lazy one-time backend setup; every later call reuses it.
         match kind {
             BackendKind::Sparse => {
@@ -651,25 +528,6 @@ impl Assembly {
                 };
                 if slot.is_none() {
                     *slot = Some(self.build_sparse_state(ckt, t, h, method, dc, opts, x, states)?);
-                }
-            }
-            BackendKind::Bbd => {
-                let built = if dc {
-                    ws.bbd_dc.is_some()
-                } else {
-                    ws.bbd_tr.is_some()
-                };
-                if !built {
-                    let plan = opts.block_plan.as_deref().ok_or_else(|| {
-                        CktError::Netlist("bbd backend requires a block plan".into())
-                    })?;
-                    let state =
-                        self.build_bbd_state(ckt, t, h, method, dc, opts, plan, x, states)?;
-                    if dc {
-                        ws.bbd_dc = Some(state);
-                    } else {
-                        ws.bbd_tr = Some(state);
-                    }
                 }
             }
             BackendKind::Dense => {
@@ -687,14 +545,11 @@ impl Assembly {
             dense,
             sparse_dc,
             sparse_tr,
-            bbd_dc,
-            bbd_tr,
             bypass,
             factor_key,
             ..
         } = ws;
         let sparse = if dc { sparse_dc } else { sparse_tr };
-        let bbd = if dc { bbd_dc } else { bbd_tr };
 
         // Device bypass: per-element operating-point cache, built lazily
         // on the first bypass-enabled transient solve and rebuilt if the
@@ -745,7 +600,6 @@ impl Assembly {
             let stored_ok = *factor_key == Some(key)
                 && match kind {
                     BackendKind::Sparse => sparse.as_ref().is_some_and(|sp| sp.lu.is_factored()),
-                    BackendKind::Bbd => bbd.as_ref().is_some_and(|st| st.lu.is_factored()),
                     BackendKind::Dense => dense.as_ref().is_some_and(|dn| dn.lu.is_factored()),
                 };
             // Fast path: residual-only stamp (Jacobian adds discarded by
@@ -780,16 +634,9 @@ impl Assembly {
                 Some(norms) => norms,
                 None => {
                     // Exact iteration: assemble into the active
-                    // backend's Jacobian storage. The sparse and BBD
-                    // backends stamp the same global CSR shape.
-                    let csr: Option<(&mut CsrMatrix, &[usize])> = match kind {
-                        BackendKind::Sparse => {
-                            sparse.as_mut().map(|sp| (&mut sp.a, sp.slots.as_slice()))
-                        }
-                        BackendKind::Bbd => bbd.as_mut().map(|st| (&mut st.a, st.slots.as_slice())),
-                        BackendKind::Dense => None,
-                    };
-                    if let Some((a, slots)) = csr {
+                    // backend's Jacobian storage.
+                    let csr = sparse.as_mut().filter(|_| kind == BackendKind::Sparse);
+                    if let Some(SparseState { a, slots, .. }) = csr {
                         a.clear();
                         res.fill(0.0);
                         let n_slots = slots.len();
@@ -847,12 +694,6 @@ impl Assembly {
                             return Err(CktError::Netlist("newton workspace has no backend".into()))
                         }
                     },
-                    BackendKind::Bbd => match bbd.as_mut() {
-                        Some(st) => st.lu.solve_in_place(dx),
-                        None => {
-                            return Err(CktError::Netlist("newton workspace has no backend".into()))
-                        }
-                    },
                     BackendKind::Dense => match dense.as_mut() {
                         Some(dn) => dn.lu.solve_into(dx),
                         None => {
@@ -872,12 +713,6 @@ impl Assembly {
                             return Err(CktError::Netlist("newton workspace has no backend".into()))
                         }
                     },
-                    BackendKind::Bbd => match bbd.as_mut() {
-                        Some(st) => st.lu.factor_solve_in_place(&st.a, dx),
-                        None => {
-                            return Err(CktError::Netlist("newton workspace has no backend".into()))
-                        }
-                    },
                     // One of the setup branches always built its state.
                     BackendKind::Dense => match dense.as_mut() {
                         Some(dn) => dn.lu.factor_solve_in_place(&mut dn.jac, dx),
@@ -893,7 +728,6 @@ impl Assembly {
                         let backend = match kind {
                             BackendKind::Dense => 0,
                             BackendKind::Sparse => 1,
-                            BackendKind::Bbd => 2,
                         };
                         tr.instant(TraceEvent::Factor, backend);
                     }
@@ -901,6 +735,11 @@ impl Assembly {
                 r
             };
             if let Err(e) = solved {
+                // Drop this mode's sparse state: the next solve records
+                // its pattern afresh (an analysis-cache hit when the
+                // pattern is unchanged), so a workspace whose netlist
+                // could not be factored can be handed a corrected one.
+                *sparse = None;
                 return Err(CktError::Convergence {
                     time: t,
                     // fefet-lint: allow(hot-alloc) -- cold error path: the iteration is already abandoned
@@ -948,16 +787,6 @@ impl Assembly {
                     match kind {
                         BackendKind::Sparse => {
                             tel.solver.sparse_refactors.add(factors as u64);
-                        }
-                        BackendKind::Bbd => {
-                            tel.solver.bbd_refactors.add(factors as u64);
-                            if let Some(st) = bbd.as_ref() {
-                                // Two triangular solves per block per
-                                // iteration (forward + back).
-                                tel.solver
-                                    .bbd_block_solves
-                                    .add(2 * (iters as u64) * st.lu.block_count() as u64);
-                            }
                         }
                         BackendKind::Dense => {
                             tel.solver.dense_factors.add(factors as u64);
@@ -1509,11 +1338,9 @@ mod tests {
         );
     }
 
-    /// Star-of-blocks circuit: `k` two-node branches (series resistors
-    /// into a diode + capacitor) hanging off one driven center node —
-    /// the bordered-block-diagonal shape, where blocks couple only
-    /// through the border (center node and source branch).
-    fn star_circuit(k: usize, nonlinear: bool) -> (Circuit, BlockPlan) {
+    /// Star circuit: `k` two-node branches (series resistors into a
+    /// diode + capacitor) hanging off one driven center node.
+    fn star_circuit(k: usize) -> Circuit {
         let mut c = Circuit::new();
         let center = c.node("c");
         c.vsource("V1", center, Circuit::GND, Waveform::dc(1.0));
@@ -1522,184 +1349,10 @@ mod tests {
             let b = c.node(&format!("b{j}"));
             c.resistor(&format!("Ra{j}"), center, a, 1e3);
             c.resistor(&format!("Rab{j}"), a, b, 2e3);
-            if nonlinear {
-                c.diode(&format!("D{j}"), b, Circuit::GND, 1e-14, 1.0);
-            } else {
-                c.resistor(&format!("Rb{j}"), b, Circuit::GND, 3e3);
-            }
+            c.diode(&format!("D{j}"), b, Circuit::GND, 1e-14, 1.0);
             c.capacitor(&format!("Cb{j}"), b, Circuit::GND, 1e-12);
         }
-        let mut plan = BlockPlan::for_circuit(&c);
-        for j in 0..k {
-            plan.assign_node_name(&c, &format!("a{j}"), j).unwrap();
-            plan.assign_node_name(&c, &format!("b{j}"), j).unwrap();
-        }
-        (c, plan)
-    }
-
-    /// The BBD backend must track the sparse one exactly: same Newton
-    /// iteration counts (same Jacobian, only factored block-wise) and
-    /// solutions within 1e-9, in both stamping modes — and the workspace
-    /// must report the expected partition (k blocks, center + source
-    /// branch border, one shared pattern class).
-    #[test]
-    fn bbd_backend_matches_sparse_newton() {
-        let k = 5;
-        let (c, plan) = star_circuit(k, true);
-        let asm = Assembly::new(&c);
-        let states: Vec<ElemState> = c.elements().iter().map(|_| ElemState::None).collect();
-        let n = asm.n_unknowns();
-
-        for (dc, t, h) in [(true, 0.0, 0.0), (false, 1e-9, 1e-9)] {
-            let sparse_opts = SolverOptions {
-                backend: SolverBackend::Sparse,
-                jacobian_reuse: false,
-                bypass: false,
-                ..SolverOptions::default()
-            };
-            let bbd_opts = SolverOptions {
-                backend: SolverBackend::Bbd,
-                block_plan: Some(Arc::new(plan.clone())),
-                jacobian_reuse: false,
-                bypass: false,
-                ..SolverOptions::default()
-            };
-            let mut xs = vec![0.0; n];
-            let mut ws_s = NewtonWorkspace::new(n);
-            let it_s = asm
-                .solve_point_with(
-                    &c,
-                    t,
-                    h,
-                    Integration::BackwardEuler,
-                    dc,
-                    &sparse_opts,
-                    &mut xs,
-                    &states,
-                    &mut ws_s,
-                )
-                .unwrap();
-            let mut xb = vec![0.0; n];
-            let mut ws_b = NewtonWorkspace::new(n);
-            let it_b = asm
-                .solve_point_with(
-                    &c,
-                    t,
-                    h,
-                    Integration::BackwardEuler,
-                    dc,
-                    &bbd_opts,
-                    &mut xb,
-                    &states,
-                    &mut ws_b,
-                )
-                .unwrap();
-            assert_eq!(it_s, it_b, "newton iteration counts diverged (dc={dc})");
-            for i in 0..n {
-                let scale = xs[i].abs().max(1.0);
-                assert!(
-                    (xb[i] - xs[i]).abs() <= 1e-9 * scale,
-                    "dc={dc} unknown {i}: bbd {} vs sparse {}",
-                    xb[i],
-                    xs[i]
-                );
-            }
-            let (blocks, border, classes) = ws_b.bbd_dims(dc).unwrap();
-            assert_eq!(blocks, k);
-            assert_eq!(border, 2, "border = center node + source branch");
-            assert_eq!(
-                classes, 1,
-                "structurally identical blocks must share one symbolic analysis"
-            );
-            assert!(ws_b.bbd_dims(!dc).is_none());
-        }
-    }
-
-    /// `SolverBackend::Bbd` without a block plan is a configuration
-    /// error, not a silent fallback.
-    #[test]
-    fn bbd_without_plan_is_an_error() {
-        let (c, _plan) = star_circuit(2, false);
-        let asm = Assembly::new(&c);
-        let states: Vec<ElemState> = c.elements().iter().map(|_| ElemState::None).collect();
-        let mut x = vec![0.0; asm.n_unknowns()];
-        let mut ws = NewtonWorkspace::new(asm.n_unknowns());
-        let r = asm.solve_point_with(
-            &c,
-            0.0,
-            0.0,
-            Integration::BackwardEuler,
-            true,
-            &SolverOptions {
-                backend: SolverBackend::Bbd,
-                ..SolverOptions::default()
-            },
-            &mut x,
-            &states,
-            &mut ws,
-        );
-        assert!(matches!(r, Err(CktError::Netlist(_))));
-    }
-
-    /// With a plan attached, `Auto` promotes to BBD at
-    /// [`BBD_CROSSOVER`] unknowns and stays sparse below it.
-    #[test]
-    fn auto_backend_promotes_to_bbd_with_plan() {
-        // Blocks of 2 nodes + center + source branch, just past the
-        // crossover.
-        let big = (BBD_CROSSOVER - 2).div_ceil(2);
-        let (c, plan) = star_circuit(big, false);
-        let asm = Assembly::new(&c);
-        assert!(asm.n_unknowns() >= BBD_CROSSOVER);
-        let states: Vec<ElemState> = c.elements().iter().map(|_| ElemState::None).collect();
-        let opts = SolverOptions {
-            block_plan: Some(Arc::new(plan)),
-            ..SolverOptions::default()
-        };
-        let mut x = vec![0.0; asm.n_unknowns()];
-        let mut ws = NewtonWorkspace::new(asm.n_unknowns());
-        asm.solve_point_with(
-            &c,
-            0.0,
-            0.0,
-            Integration::BackwardEuler,
-            true,
-            &opts,
-            &mut x,
-            &states,
-            &mut ws,
-        )
-        .unwrap();
-        let (blocks, _, classes) = ws.bbd_dims(true).unwrap();
-        assert_eq!(blocks, big);
-        assert_eq!(classes, 1);
-        assert!(ws.sparse_nnz(true).is_none(), "sparse state must not build");
-
-        // Below the crossover the same plan stays on sparse.
-        let (c2, plan2) = star_circuit(4, false);
-        let asm2 = Assembly::new(&c2);
-        assert!(asm2.n_unknowns() < BBD_CROSSOVER);
-        let states2: Vec<ElemState> = c2.elements().iter().map(|_| ElemState::None).collect();
-        let opts2 = SolverOptions {
-            block_plan: Some(Arc::new(plan2)),
-            backend: SolverBackend::Auto,
-            ..SolverOptions::default()
-        };
-        let mut x2 = vec![0.0; asm2.n_unknowns()];
-        let mut ws2 = NewtonWorkspace::new(asm2.n_unknowns());
-        asm2.solve_point_with(
-            &c2,
-            0.0,
-            0.0,
-            Integration::BackwardEuler,
-            true,
-            &opts2,
-            &mut x2,
-            &states2,
-            &mut ws2,
-        )
-        .unwrap();
-        assert!(ws2.bbd_dims(true).is_none());
+        c
     }
 
     /// Workspaces sharing an [`AnalysisCache`] run the symbolic analysis
@@ -1707,24 +1360,105 @@ mod tests {
     /// the cache — the invariant pooled sweep workers rely on.
     #[test]
     fn analysis_cache_shares_symbolic_work_across_workspaces() {
-        let (c, plan) = star_circuit(3, true);
+        let c = star_circuit(3);
         let asm = Assembly::new(&c);
         let states: Vec<ElemState> = c.elements().iter().map(|_| ElemState::None).collect();
         let n = asm.n_unknowns();
+        let opts = SolverOptions {
+            backend: SolverBackend::Sparse,
+            cache: Some(AnalysisCache::new()),
+            instr: Instrumentation::enabled(),
+            ..SolverOptions::default()
+        };
+        for _worker in 0..3 {
+            let mut x = vec![0.0; n];
+            let mut ws = NewtonWorkspace::new(n);
+            asm.solve_point_with(
+                &c,
+                0.0,
+                0.0,
+                Integration::BackwardEuler,
+                true,
+                &opts,
+                &mut x,
+                &states,
+                &mut ws,
+            )
+            .unwrap();
+        }
+        let tel = opts.instr.get().unwrap();
+        assert_eq!(
+            tel.solver.sparse_symbolic_analyses.get(),
+            1,
+            "symbolic analysis must run once"
+        );
+        assert_eq!(
+            tel.solver.analysis_cache_hits.get(),
+            2,
+            "workers 2 and 3 must hit the cache"
+        );
+    }
 
-        for backend in [SolverBackend::Sparse, SolverBackend::Bbd] {
-            let opts = SolverOptions {
-                backend,
-                block_plan: Some(Arc::new(plan.clone())),
-                cache: Some(AnalysisCache::new()),
-                instr: Instrumentation::enabled(),
-                ..SolverOptions::default()
-            };
-            for _worker in 0..3 {
-                let mut x = vec![0.0; n];
-                let mut ws = NewtonWorkspace::new(n);
-                asm.solve_point_with(
-                    &c,
+    /// Two sources driving `a` (1 V and, when `conflict`, 2 V on the
+    /// same node; otherwise 2 V on `b`), joined by a resistor and padded
+    /// with a `ladder`-node resistor chain from `b`. Both variants have
+    /// the same unknown count; the conflicting one is structurally
+    /// singular (both branch rows hold only `v(a)`).
+    fn parallel_sources(ladder: usize, conflict: bool) -> Circuit {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        let b = c.node("b");
+        c.vsource("V1", a, Circuit::GND, Waveform::dc(1.0));
+        let v2 = if conflict { a } else { b };
+        c.vsource("V2", v2, Circuit::GND, Waveform::dc(2.0));
+        c.resistor("Rab", a, b, 1e3);
+        let mut prev = b;
+        for i in 0..ladder {
+            let n = c.node(&format!("n{i}"));
+            c.resistor(&format!("R{i}"), prev, n, 1e3);
+            c.resistor(&format!("Rg{i}"), n, Circuit::GND, 1e3);
+            prev = n;
+        }
+        c
+    }
+
+    /// A singular Jacobian is a typed error on both `Auto` tiers —
+    /// dense below [`SPARSE_CROSSOVER`] unknowns, sparse at or above
+    /// it — and leaves the workspace usable: the same workspace then
+    /// solves a healthy circuit of the same order.
+    #[test]
+    fn singular_netlists_are_typed_errors_on_both_backends() {
+        for (ladder, sparse) in [(4, false), (SPARSE_CROSSOVER, true)] {
+            let bad = parallel_sources(ladder, true);
+            let good = parallel_sources(ladder, false);
+            let asm_bad = Assembly::new(&bad);
+            let asm_good = Assembly::new(&good);
+            let n = asm_bad.n_unknowns();
+            assert_eq!(n, asm_good.n_unknowns());
+            assert_eq!(n >= SPARSE_CROSSOVER, sparse, "n = {n}");
+            let states: Vec<ElemState> = bad.elements().iter().map(|_| ElemState::None).collect();
+            let opts = SolverOptions::default();
+            let mut ws = NewtonWorkspace::new(n);
+            let mut x = vec![0.0; n];
+            let r = asm_bad.solve_point_with(
+                &bad,
+                0.0,
+                0.0,
+                Integration::BackwardEuler,
+                true,
+                &opts,
+                &mut x,
+                &states,
+                &mut ws,
+            );
+            assert!(
+                matches!(r, Err(CktError::Convergence { .. } | CktError::Numerics(_))),
+                "n = {n}: expected a typed singular-matrix error, got {r:?}"
+            );
+            let mut x = vec![0.0; n];
+            asm_good
+                .solve_point_with(
+                    &good,
                     0.0,
                     0.0,
                     Integration::BackwardEuler,
@@ -1735,20 +1469,10 @@ mod tests {
                     &mut ws,
                 )
                 .unwrap();
-            }
-            let tel = opts.instr.get().unwrap();
-            let analyses = if backend == SolverBackend::Sparse {
-                tel.solver.sparse_symbolic_analyses.get()
-            } else {
-                // BBD counts distinct block-pattern classes instead.
-                u64::from(tel.solver.bbd_pattern_classes.get() > 0)
-            };
-            assert_eq!(analyses, 1, "{backend:?}: symbolic analysis must run once");
-            assert_eq!(
-                tel.solver.analysis_cache_hits.get(),
-                2,
-                "{backend:?}: workers 2 and 3 must hit the cache"
-            );
+            assert_eq!(ws.sparse_nnz(true).is_some(), sparse, "n = {n}");
+            let v = |name: &str| x[good.find_node(name).unwrap().index() - 1];
+            assert!((v("a") - 1.0).abs() < 1e-9, "n = {n}: v(a) = {}", v("a"));
+            assert!((v("b") - 2.0).abs() < 1e-9, "n = {n}: v(b) = {}", v("b"));
         }
     }
 

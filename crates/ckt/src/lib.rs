@@ -16,10 +16,8 @@
 //! - [`engine`] — the shared Newton kernel: MNA assembly plus the
 //!   reusable [`engine::NewtonWorkspace`] buffers that make the
 //!   iteration allocation-free.
-//! - [`plan`] — solver structure hints: [`plan::BlockPlan`] carries the
-//!   array-supplied bordered-block-diagonal partition to the engine, and
-//!   [`plan::AnalysisCache`] shares one symbolic analysis per pattern
-//!   across parallel sweep workers.
+//! - [`plan`] — [`plan::AnalysisCache`] shares one sparse symbolic
+//!   analysis per pattern across parallel sweep workers.
 //! - [`parallel`] — std-only fan-out: the process-wide persistent
 //!   work-stealing pool behind [`parallel::pool_map`], shared by array
 //!   sweeps, Monte Carlo evaluation, the yield engine, and serving.

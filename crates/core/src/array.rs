@@ -27,7 +27,7 @@ use fefet_ckt::circuit::Circuit;
 use fefet_ckt::elements::Node;
 use fefet_ckt::engine::{Assembly, SolverBackend, SolverOptions};
 use fefet_ckt::models::MosParams;
-use fefet_ckt::plan::{AnalysisCache, BlockPlan};
+use fefet_ckt::plan::AnalysisCache;
 use fefet_ckt::probe::CurrentsAt;
 use fefet_ckt::transient::{transient_with, Step, TransientOptions, TransientRun};
 use fefet_ckt::waveform::Waveform;
@@ -117,12 +117,10 @@ pub struct FefetArray {
     /// array dimensions).
     pub cell: FefetCell,
     /// Linear-solver backend for every simulation this array runs.
-    /// `Auto` (the default) picks dense for tiny circuits, the
-    /// pattern-cached sparse LU up to [`fefet_ckt::engine::BBD_CROSSOVER`]
-    /// unknowns and the BBD backend over the netlist's block plan above
-    /// it. A row slice stays below the crossover up to 256×256, so `Auto`
-    /// runs row ops on sparse LU; force `Dense`, `Sparse` or `Bbd` for
-    /// A/B comparisons.
+    /// `Auto` (the default) picks dense below
+    /// [`fefet_ckt::engine::SPARSE_CROSSOVER`] unknowns and the
+    /// pattern-cached sparse LU above, so every array netlist runs
+    /// sparse; force `Dense` or `Sparse` for A/B comparisons.
     pub solver_backend: SolverBackend,
     /// Transient fast-path switches for every simulation this array
     /// runs; defaults to all on.
@@ -209,8 +207,6 @@ impl CellGroup {
 #[derive(Debug)]
 struct Netlist {
     circuit: Circuit,
-    /// The bordered-block-diagonal partition (see [`FefetArray::build`]).
-    plan: BlockPlan,
     /// Initial voltages of every cell's FE gate and internal node.
     ics: Vec<(Node, f64)>,
     /// Every cell of the netlist, in build order.
@@ -573,13 +569,7 @@ impl FefetArray {
     /// the (bit line, sense line) waveforms per column — representing
     /// the unaccessed cells as `unaccessed` says (`read` picks where
     /// lumped cells start, see [`FefetArray::cell_groups`]). It records
-    /// as it goes every position the row ops address later and the
-    /// bordered-block-diagonal partition for the engine's BBD backend:
-    /// one block per column (bit/sense lines, their drivers, and every
-    /// cell-internal node down the column — the cells only talk to each
-    /// other through the row lines), one tiny block per row-line driver,
-    /// and the shared `rs`/`ws` row lines left unassigned as the
-    /// coupling border.
+    /// as it goes every position the row ops address later.
     fn build(
         &self,
         row: usize,
@@ -601,8 +591,6 @@ impl FefetArray {
             }
         };
         let mut c = Circuit::new();
-        let mut node_blocks: Vec<(Node, usize)> = Vec::new();
-        let mut elem_blocks: Vec<(usize, usize)> = Vec::new();
         let mut rs_nodes = Vec::new();
         let mut ws_nodes = Vec::new();
         let mut bl_nodes = Vec::new();
@@ -612,16 +600,12 @@ impl FefetArray {
             // `m` identical lines in parallel: one line with m-fold
             // capacitance behind an m-fold stronger driver.
             let m = *m as f64;
-            let b_rs = self.cols + 2 * l;
-            let b_ws = b_rs + 1;
             let rs = c.node(&format!("rs{i}"));
             let ws = c.node(&format!("ws{i}"));
             let rsd = c.node(&format!("rs{i}_drv"));
             let wsd = c.node(&format!("ws{i}_drv"));
-            elem_blocks.push((c.elements().len(), b_rs));
             c.vsource(&format!("Vrs{i}"), rsd, Circuit::GND, w_rs.clone());
             c.resistor(&format!("Rrs{i}"), rsd, rs, self.cell.r_driver / m);
-            elem_blocks.push((c.elements().len(), b_ws));
             c.vsource(&format!("Vws{i}"), wsd, Circuit::GND, w_ws.clone());
             c.resistor(&format!("Rws{i}"), wsd, ws, self.cell.r_driver / m);
             c.capacitor(
@@ -636,8 +620,6 @@ impl FefetArray {
                 Circuit::GND,
                 self.cell.c_write_select * m,
             );
-            node_blocks.push((rsd, b_rs));
-            node_blocks.push((wsd, b_ws));
             rs_nodes.push(rs);
             ws_nodes.push(ws);
         }
@@ -645,15 +627,12 @@ impl FefetArray {
             let bl = c.node(&format!("bl{j}"));
             let sl = c.node(&format!("sl{j}"));
             let bld = c.node(&format!("bl{j}_drv"));
-            elem_blocks.push((c.elements().len(), j));
             c.vsource(&format!("Vbl{j}"), bld, Circuit::GND, w_bl.clone());
             c.resistor(&format!("Rbl{j}"), bld, bl, self.cell.r_driver);
             // Sense lines are clamped at virtual ground directly.
-            elem_blocks.push((c.elements().len(), j));
             c.vsource(&format!("Vsl{j}"), sl, Circuit::GND, w_sl.clone());
             c.capacitor(&format!("Cbl{j}"), bl, Circuit::GND, self.cell.c_bit_line);
             c.capacitor(&format!("Csl{j}"), sl, Circuit::GND, self.cell.c_sense_line);
-            node_blocks.extend([(bl, j), (sl, j), (bld, j)]);
             bl_nodes.push(bl);
             sl_nodes.push(sl);
         }
@@ -699,14 +678,11 @@ impl FefetArray {
                 c.set_node_multiplicity(g, m);
                 c.set_node_multiplicity(gi, m);
             }
-            node_blocks.extend([(g, j), (gi, j)]);
             ics.push((gi, self.cell.fefet.v_mos_of(p0)));
             ics.push((g, self.cell.fefet.v_gate_static(p0)));
         }
-        let plan = BlockPlan::from_assignments(&c, node_blocks, elem_blocks);
         Netlist {
             circuit: c,
-            plan,
             ics,
             cells,
             members,
@@ -716,15 +692,14 @@ impl FefetArray {
         }
     }
 
-    /// Runs the transient of `net` to `t_end` (s), handing its plan and
-    /// initial conditions to the engine.
+    /// Runs the transient of `net` to `t_end` (s), handing its initial
+    /// conditions to the engine.
     fn run(
         &self,
         net: &mut Netlist,
         t_end: f64,
         observe: impl FnMut(&Step<'_>),
     ) -> Result<TransientRun> {
-        let plan = std::mem::take(&mut net.plan);
         let node_ics = std::mem::take(&mut net.ics);
         transient_with(
             &net.circuit,
@@ -738,7 +713,6 @@ impl FefetArray {
                     jacobian_reuse: self.fastpaths.jacobian_reuse,
                     bypass: self.fastpaths.bypass,
                     instr: self.instr.clone(),
-                    block_plan: Some(Arc::new(plan)),
                     cache: Some(self.cache.clone()),
                     ..SolverOptions::default()
                 },
@@ -883,20 +857,6 @@ impl FefetArray {
         Ok(self.read_netlist(row, t_read, Unaccessed::Cells)?.circuit)
     }
 
-    /// [`FefetArray::read_circuit`] for `row` and read window `t_read`
-    /// (s), together with the circuit's
-    /// bordered-block-diagonal partition — the plan a simulation hands
-    /// the engine's BBD backend, so benches can drive the engine
-    /// directly.
-    ///
-    /// # Errors
-    ///
-    /// As for [`FefetArray::read_circuit`].
-    pub fn read_circuit_with_plan(&self, row: usize, t_read: f64) -> Result<(Circuit, BlockPlan)> {
-        let net = self.read_netlist(row, t_read, Unaccessed::Cells)?;
-        Ok((net.circuit, net.plan))
-    }
-
     fn read_netlist(&self, row: usize, t_read: f64, unaccessed: Unaccessed) -> Result<Netlist> {
         if row >= self.rows {
             return Err(CktError::Netlist(format!(
@@ -1023,7 +983,7 @@ impl FefetArray {
     /// The first row-range or convergence error, in `rows` order.
     /// `t_read` is the read window (s).
     pub fn read_rows(&self, rows: &[usize], t_read: f64, threads: usize) -> Result<Vec<ArrayRead>> {
-        let this = std::sync::Arc::new(self.clone());
+        let this = Arc::new(self.clone());
         fefet_ckt::parallel::pool_map(rows.to_vec(), threads, &self.instr, move |&row| {
             this.read_row(row, t_read)
         })
@@ -1235,39 +1195,8 @@ mod tests {
             .mna_dims()
             .unwrap();
         assert!(big.n_unknowns > small.n_unknowns);
-    }
-
-    /// Pins which full-array read circuits (what the benches hand the
-    /// engine directly) `Auto` runs on which backend: 32×32 and 40×40
-    /// stay on sparse LU, 48×48 and larger promote to BBD. Netlists
-    /// only, no transient.
-    #[test]
-    fn auto_backend_crossover_falls_between_40x40_and_48x48() {
-        use fefet_ckt::engine::BBD_CROSSOVER;
-        let n = |size: usize| {
-            FefetArray::new(size, size, FefetCell::default())
-                .mna_dims()
-                .unwrap()
-                .n_unknowns
-        };
-        for size in [32, 40] {
-            assert!(n(size) < BBD_CROSSOVER, "{size}x{size}: n = {}", n(size));
-        }
-        for size in [48, 64] {
-            assert!(n(size) >= BBD_CROSSOVER, "{size}x{size}: n = {}", n(size));
-        }
-    }
-
-    /// The row slices the row ops solve stay below the BBD crossover up
-    /// to 256×256, so `Auto` runs every row op on sparse LU.
-    #[test]
-    fn row_slices_stay_below_the_bbd_crossover() {
-        use fefet_ckt::engine::BBD_CROSSOVER;
-        let a = FefetArray::new(256, 256, FefetCell::default());
-        let slice = a.row_op_dims().unwrap().n_unknowns;
-        assert!(slice < BBD_CROSSOVER, "256x256 slice: n = {slice}");
-        let small = FefetArray::new(8, 8, FefetCell::default());
-        assert!(small.row_op_dims().unwrap().n_unknowns < small.mna_dims().unwrap().n_unknowns);
+        let eight = FefetArray::new(8, 8, FefetCell::default());
+        assert!(eight.row_op_dims().unwrap().n_unknowns < eight.mna_dims().unwrap().n_unknowns);
     }
 
     /// The slice topology depends on the array size only: once one op
@@ -1364,41 +1293,6 @@ mod tests {
                 "currents diverge: dense {d:e} vs sparse {s:e}"
             );
         }
-    }
-
-    /// The array-supplied column/driver/border partition must be a valid
-    /// BBD structure for the real array circuit (no direct coupling
-    /// between two blocks), and the BBD backend must agree with the
-    /// sparse one on the physics.
-    #[test]
-    fn bbd_backend_agrees_with_sparse_on_a_read() {
-        let mut a = small_array();
-        a.write_row(0, &[true, false, true], 1.0e-9).unwrap();
-        let mut sparse = a.clone();
-        sparse.solver_backend = SolverBackend::Sparse;
-        let mut bbd = a;
-        bbd.solver_backend = SolverBackend::Bbd;
-        bbd.instr = Instrumentation::enabled();
-        let rs = sparse.read_row(0, 3e-9).unwrap();
-        let rb = bbd.read_row(0, 3e-9).unwrap();
-        assert_eq!(rs.bits, rb.bits);
-        assert_eq!(
-            rs.op.steps, rb.op.steps,
-            "backends accepted different step sequences"
-        );
-        for (s, b) in rs.currents.iter().zip(&rb.currents) {
-            let scale = s.abs().max(b.abs()).max(1e-30);
-            assert!(
-                (s - b).abs() / scale < 1e-6,
-                "currents diverge: sparse {s:e} vs bbd {b:e}"
-            );
-        }
-        let tel = bbd.instr.get().unwrap();
-        assert!(tel.solver.bbd_refactors.get() > 0, "BBD path not engaged");
-        // 2x3 array: one block per column + two driver blocks per row,
-        // border = the rs/ws row lines.
-        assert_eq!(tel.solver.bbd_blocks.get(), (3 + 2 * 2) as u64);
-        assert_eq!(tel.solver.bbd_border_len.get(), (2 * 2) as u64);
     }
 
     /// Pooled sweep workers share the array's analysis cache: the number

@@ -17,7 +17,7 @@ use crate::feram::FeramCell;
 use fefet_ckt::circuit::Circuit;
 use fefet_ckt::elements::Node;
 use fefet_ckt::engine::{SolverBackend, SolverOptions};
-use fefet_ckt::plan::{AnalysisCache, BlockPlan};
+use fefet_ckt::plan::AnalysisCache;
 use fefet_ckt::probe::WindowMax;
 use fefet_ckt::transient::{transient_with, Step, TransientOptions, TransientRun};
 use fefet_ckt::waveform::Waveform;
@@ -52,8 +52,6 @@ pub struct FeramArray {
 #[derive(Debug)]
 struct Netlist {
     circuit: Circuit,
-    /// The bordered-block-diagonal partition (see [`FeramArray::build`]).
-    plan: BlockPlan,
     /// Element position of each cell's FE capacitor, row-major.
     fcap: Vec<usize>,
     /// Bit-line node per column.
@@ -144,11 +142,7 @@ impl FeramArray {
 
     /// Builds the array netlist under the given word-line, plate-line
     /// and bit-line stimuli (`None` leaves a bit line floating),
-    /// recording the positions the row ops address later and the BBD
-    /// partition: one block per column (bit line, its driver when
-    /// present, and the cell storage nodes down the column), one tiny
-    /// block per word/plate-line driver, and the shared `wl`/`pl` row
-    /// lines as the border.
+    /// recording the positions the row ops address later.
     fn build(
         &self,
         wl_waves: &[Waveform],
@@ -156,26 +150,19 @@ impl FeramArray {
         bl_waves: &[Option<Waveform>],
     ) -> Netlist {
         let mut c = Circuit::new();
-        let mut node_blocks: Vec<(Node, usize)> = Vec::new();
-        let mut elem_blocks: Vec<(usize, usize)> = Vec::new();
         let mut wl_nodes = Vec::new();
         let mut pl_nodes = Vec::new();
         let mut bl_nodes = Vec::new();
         for (i, (wwl, wpl)) in wl_waves.iter().zip(pl_waves).enumerate() {
-            let b_wl = self.cols + 2 * i;
-            let b_pl = b_wl + 1;
             let wl = c.node(&format!("wl{i}"));
             let pl = c.node(&format!("pl{i}"));
             let wld = c.node(&format!("wl{i}_drv"));
             let pld = c.node(&format!("pl{i}_drv"));
-            elem_blocks.push((c.elements().len(), b_wl));
             c.vsource(&format!("Vwl{i}"), wld, Circuit::GND, wwl.clone());
             c.resistor(&format!("Rwl{i}"), wld, wl, self.cell.r_driver);
-            elem_blocks.push((c.elements().len(), b_pl));
             c.vsource(&format!("Vpl{i}"), pld, Circuit::GND, wpl.clone());
             c.resistor(&format!("Rpl{i}"), pld, pl, self.cell.r_driver);
             c.capacitor(&format!("Cpl{i}"), pl, Circuit::GND, self.cell.c_plate_line);
-            node_blocks.extend([(wld, b_wl), (pld, b_pl)]);
             wl_nodes.push(wl);
             pl_nodes.push(pl);
         }
@@ -184,13 +171,10 @@ impl FeramArray {
             // Floating bit lines (reads) have no driver node or source.
             if let Some(w) = wbl {
                 let bld = c.node(&format!("bl{j}_drv"));
-                elem_blocks.push((c.elements().len(), j));
                 c.vsource(&format!("Vbl{j}"), bld, Circuit::GND, w.clone());
                 c.resistor(&format!("Rbl{j}"), bld, bl, self.cell.r_driver);
-                node_blocks.push((bld, j));
             }
             c.capacitor(&format!("Cbl{j}"), bl, Circuit::GND, self.cell.c_bit_line);
-            node_blocks.push((bl, j));
             bl_nodes.push(bl);
         }
         let mut fcap = Vec::with_capacity(self.rows * self.cols);
@@ -213,13 +197,10 @@ impl FeramArray {
                     self.cell.cap,
                     self.state[i * self.cols + j],
                 );
-                node_blocks.push((n, j));
             }
         }
-        let plan = BlockPlan::from_assignments(&c, node_blocks, elem_blocks);
         Netlist {
             circuit: c,
-            plan,
             fcap,
             bl: bl_nodes,
         }
@@ -228,7 +209,6 @@ impl FeramArray {
     fn run(
         &self,
         circuit: &Circuit,
-        plan: BlockPlan,
         t_end: f64,
         observe: impl FnMut(&Step<'_>),
     ) -> Result<TransientRun> {
@@ -239,7 +219,6 @@ impl FeramArray {
                 dt: self.cell.dt,
                 solver: SolverOptions {
                     backend: self.solver_backend,
-                    block_plan: Some(Arc::new(plan)),
                     cache: Some(self.cache.clone()),
                     ..SolverOptions::default()
                 },
@@ -320,7 +299,7 @@ impl FeramArray {
             .collect();
         let net = self.build(&wl_waves, &pl_waves, &bl_waves);
         let t_end = T_START + 2.0 * t_pulse + t_restore + 0.4e-9;
-        let run = self.run(&net.circuit, net.plan, t_end, |_| {})?;
+        let run = self.run(&net.circuit, t_end, |_| {})?;
         let max_disturb = self.disturb(&run, &net.fcap, row);
         self.commit(&run, &net.fcap);
         Ok(FeramArrayOp {
@@ -357,7 +336,7 @@ impl FeramArray {
         let net = self.build(&wl_waves, &pl_waves, &bl_waves);
         let t_end = T_START + t_dev + 0.4e-9;
         let mut probe = WindowMax::new(T_START, T_START + t_dev, net.bl);
-        let run = self.run(&net.circuit, net.plan, t_end, |s| probe.observe(s))?;
+        let run = self.run(&net.circuit, t_end, |s| probe.observe(s))?;
         let swings = match probe.values() {
             Some(v) => v.to_vec(),
             None => vec![0.0; self.cols],
@@ -455,29 +434,6 @@ mod tests {
             feram_op.max_disturb,
             fefet_op.max_disturb
         );
-    }
-
-    /// The FERAM column/driver/border partition must be a valid BBD
-    /// structure for both the driven (write) and floating-bit-line
-    /// (read) circuits, with physics matching the default backend.
-    #[test]
-    fn bbd_backend_agrees_on_feram_write_and_read() {
-        let mut auto_a = small();
-        let mut bbd = small();
-        bbd.solver_backend = SolverBackend::Bbd;
-        auto_a.write_row(0, &[true, false], 1.2e-9).unwrap();
-        bbd.write_row(0, &[true, false], 1.2e-9).unwrap();
-        for j in 0..2 {
-            assert_eq!(auto_a.bit(0, j), bbd.bit(0, j), "column {j}");
-        }
-        let (_, sa) = auto_a.read_row(0, 2e-9).unwrap();
-        let (_, sb) = bbd.read_row(0, 2e-9).unwrap();
-        for (x, y) in sa.iter().zip(&sb) {
-            assert!(
-                (x - y).abs() < 1e-6 * x.abs().max(1.0),
-                "swings diverge: {x} vs {y}"
-            );
-        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!    solves, zero heap allocations once warm.
 //! 2. **Circuit escalation** (the marginal case): an op escalates to a
 //!    full transient solve (`read_row`/`write_row` on the existing
-//!    BBD/sparse backends) when its sense margin sits inside a
+//!    dense/sparse backends) when its sense margin sits inside a
 //!    configurable guard band, its row's disturb accumulator passed the
 //!    threshold, a column has never been calibrated in the state being
 //!    read (first touch), or escalation is forced outright. Escalated

@@ -125,60 +125,6 @@ pub fn write_shmoo(cell: &FefetCell, voltages: &[f64], widths: &[f64], tol: f64)
     })
 }
 
-/// [`write_shmoo`] with the voltage rows fanned out over the persistent
-/// worker pool (`threads = 0` = one per available hardware thread). Each
-/// row is an independent pair-of-writes sweep over the widths; rows are
-/// reassembled in voltage order, so the map is identical to the serial
-/// one.
-///
-/// # Errors
-///
-/// Propagates simulator convergence failures (first failing row in
-/// voltage order). `tol` is the pass tolerance on the final
-/// polarization (C/m²).
-pub fn write_shmoo_parallel(
-    cell: &FefetCell,
-    voltages: &[f64],
-    widths: &[f64],
-    tol: f64,
-    threads: usize,
-) -> Result<Shmoo> {
-    let (p_lo, p_hi) = cell.memory_states();
-    let cell = *cell;
-    let widths_own = widths.to_vec();
-    let rows: Vec<Vec<ShmooPoint>> = fefet_ckt::parallel::pool_map(
-        voltages.to_vec(),
-        threads,
-        &fefet_telemetry::Instrumentation::off(),
-        move |&v| -> Result<Vec<ShmooPoint>> {
-            let mut c = cell;
-            c.bias.v_write = v;
-            c.bias.v_boost = v + 0.72;
-            let mut row = Vec::with_capacity(widths_own.len());
-            for &w in &widths_own {
-                let one = c.write(true, p_lo, w)?;
-                let zero = c.write(false, p_hi, w)?;
-                let ok1 = (one.p_final - p_hi).abs() < tol;
-                let ok0 = (zero.p_final - p_lo).abs() < tol;
-                row.push(match (ok1, ok0) {
-                    (true, true) => ShmooPoint::Pass,
-                    (false, true) => ShmooPoint::FailOne,
-                    (true, false) => ShmooPoint::FailZero,
-                    (false, false) => ShmooPoint::FailBoth,
-                });
-            }
-            Ok(row)
-        },
-    )
-    .into_iter()
-    .collect::<Result<_>>()?;
-    Ok(Shmoo {
-        voltages: voltages.to_vec(),
-        widths: widths.to_vec(),
-        grid: rows,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,18 +180,6 @@ mod tests {
         assert!(txt.contains("0.68V"));
         assert!(txt.contains('#'));
         assert!(txt.contains("ps"));
-    }
-
-    #[test]
-    fn parallel_shmoo_matches_serial() {
-        let cell = FefetCell::default();
-        let voltages = [0.2, 0.68, 0.9];
-        let widths = [0.6e-9, 2.0e-9];
-        let serial = write_shmoo(&cell, &voltages, &widths, 0.06).unwrap();
-        for threads in [1, 4] {
-            let par = write_shmoo_parallel(&cell, &voltages, &widths, 0.06, threads).unwrap();
-            assert_eq!(par, serial, "threads = {threads}");
-        }
     }
 
     #[test]

@@ -89,7 +89,6 @@ pub const SOLVER_MODULES: &[&str] = &[
     "transient.rs",
     "dynamics.rs",
     "sparse.rs",
-    "bbd.rs",
     "ac.rs",
     "parallel.rs",
 ];
@@ -109,7 +108,6 @@ pub const PANIC_FREE_CRATES: &[&str] = &["numerics", "ckt", "device", "core", "n
 pub const HOT_PATH_MODULES: &[&str] = &[
     "engine.rs",
     "sparse.rs",
-    "bbd.rs",
     "transient.rs",
     "dc.rs",
     "parallel.rs",

@@ -14,10 +14,6 @@
 //! - [`sparse`] — CSR sparse matrices and a pattern-cached sparse LU
 //!   (one-time symbolic analysis, allocation-free numeric
 //!   refactorization) for array-scale MNA systems.
-//! - [`bbd`] — bordered-block-diagonal Schur-complement factorization
-//!   for crossbar-structured systems: per-block sparse LU with one
-//!   shared symbolic analysis across structurally identical blocks and
-//!   a dense border solve.
 //!
 //! # Example
 //!
@@ -39,7 +35,6 @@
 // `!(b > a)` is used deliberately for NaN-safe argument validation.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-pub mod bbd;
 pub mod complex;
 pub mod linalg;
 pub mod quad;

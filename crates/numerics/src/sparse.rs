@@ -27,9 +27,8 @@
 //!
 //! The analysis products themselves are immutable and live in a
 //! [`SparseSymbolic`] behind an `Arc`: many [`SparseLu`] instances (one
-//! per parallel sweep worker, or one per identical diagonal block of a
-//! bordered-block-diagonal system) share a single symbolic analysis and
-//! carry only their own numeric buffers.
+//! per parallel sweep worker) share a single symbolic analysis and carry
+//! only their own numeric buffers.
 
 use crate::linalg::Matrix;
 use crate::{Error, Result};
@@ -220,9 +219,8 @@ impl CsrMatrix {
 /// fill-in pattern, and the scatter maps the numeric phase replays.
 ///
 /// Shareable across any number of [`SparseLu`] instances via `Arc` —
-/// pooled sweep workers factoring the same circuit topology, or the
-/// identical per-column blocks of a bordered-block-diagonal system, pay
-/// for the Markowitz ordering exactly once.
+/// pooled sweep workers factoring the same circuit topology pay for the
+/// Markowitz ordering exactly once.
 #[derive(Debug, PartialEq, Eq)]
 pub struct SparseSymbolic {
     n: usize,
@@ -544,11 +542,6 @@ impl SparseLu {
         }
     }
 
-    /// The shared symbolic analysis this instance factors against.
-    pub fn symbolic(&self) -> &Arc<SparseSymbolic> {
-        &self.sym
-    }
-
     /// Matrix order.
     pub fn n(&self) -> usize {
         self.sym.n
@@ -681,88 +674,6 @@ impl SparseLu {
         // Un-permute the solution into original column order.
         for i in 0..sym.n {
             b[sym.col_perm[i]] = self.y[i];
-        }
-        Ok(())
-    }
-
-    /// Solves `A·X = B` for `ncols` right-hand sides at once, stored
-    /// row-major (`x[i * stride + c]` holds row `i` of column `c`). The
-    /// factor is traversed once for the whole batch with a contiguous
-    /// inner loop over columns, so the per-entry index traffic of
-    /// [`SparseLu::solve_in_place`] is amortized across the batch —
-    /// this is what makes a Schur complement build affordable. The
-    /// caller provides `scratch` (same layout, at least `n * stride`)
-    /// so the batch width is not baked into this type. Allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidArgument`] if the analysis holds no numeric
-    /// factorization or `ncols > stride`;
-    /// [`Error::DimensionMismatch`] if `x` or `scratch` is shorter
-    /// than `n * stride`.
-    pub fn solve_multi_in_place(
-        &mut self,
-        x: &mut [f64],
-        stride: usize,
-        ncols: usize,
-        scratch: &mut [f64],
-    ) -> Result<()> {
-        if !self.factored {
-            return Err(Error::InvalidArgument(
-                "solve_multi_in_place: analysis holds no numeric factorization",
-            ));
-        }
-        if ncols > stride {
-            return Err(Error::InvalidArgument(
-                "solve_multi_in_place: ncols exceeds the row stride",
-            ));
-        }
-        let sym = &*self.sym;
-        let n = sym.n;
-        if x.len() < n * stride || scratch.len() < n * stride {
-            return Err(Error::DimensionMismatch {
-                found: (x.len().min(scratch.len()), ncols),
-                expected: (n * stride, ncols),
-            });
-        }
-        self.solves += ncols as u64;
-        // Permute the right-hand sides into factored row order.
-        for i in 0..n {
-            let src = sym.row_perm[i] * stride;
-            scratch[i * stride..i * stride + ncols].copy_from_slice(&x[src..src + ncols]);
-        }
-        // Forward substitution (unit lower-triangular L), batched.
-        for i in 0..n {
-            let (head, tail) = scratch.split_at_mut(i * stride);
-            let yi = &mut tail[..ncols];
-            for t in sym.lu_row_ptr[i]..sym.diag_ptr[i] {
-                let l = self.lu_vals[t];
-                let yj = &head[sym.lu_cols[t] * stride..][..ncols];
-                for (a, b) in yi.iter_mut().zip(yj) {
-                    *a -= l * *b;
-                }
-            }
-        }
-        // Back substitution (U with stored diagonal), batched.
-        for i in (0..n).rev() {
-            let (head, tail) = scratch.split_at_mut((i + 1) * stride);
-            let yi = &mut head[i * stride..][..ncols];
-            for t in sym.diag_ptr[i] + 1..sym.lu_row_ptr[i + 1] {
-                let u = self.lu_vals[t];
-                let yj = &tail[(sym.lu_cols[t] - i - 1) * stride..][..ncols];
-                for (a, b) in yi.iter_mut().zip(yj) {
-                    *a -= u * *b;
-                }
-            }
-            let dinv = self.inv_diag[i];
-            for a in yi.iter_mut() {
-                *a *= dinv;
-            }
-        }
-        // Un-permute the solutions into original column order.
-        for i in 0..n {
-            let dst = sym.col_perm[i] * stride;
-            x[dst..dst + ncols].copy_from_slice(&scratch[i * stride..i * stride + ncols]);
         }
         Ok(())
     }
@@ -929,55 +840,6 @@ mod tests {
         }
         // The branch-row constraint v0 - v1 = 1.5 must hold exactly-ish.
         assert!((x[0] - x[1] - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn solve_multi_matches_repeated_single_solves() {
-        let m = csr_from_dense(&[
-            &[2.0, 1.0, 0.0, 0.0],
-            &[1.0, 3.0, 1.0, 0.0],
-            &[0.0, 1.0, 4.0, 2.0],
-            &[0.5, 0.0, 1.0, 5.0],
-        ]);
-        let n = 4;
-        let mut lu = SparseLu::analyze(m.pattern()).unwrap();
-        lu.refactor(&m).unwrap();
-        // Three right-hand sides in a stride-4 row-major batch (one
-        // lane left unused to exercise ncols < stride).
-        let stride = 4;
-        let ncols = 3;
-        let cols: [Vec<f64>; 3] = [
-            vec![1.0, 0.0, 0.0, 0.0],
-            vec![-2.0, 0.5, 3.0, 1.0],
-            vec![0.0, 0.0, 0.0, 7.0],
-        ];
-        let mut x = vec![0.0; n * stride];
-        for (c, col) in cols.iter().enumerate() {
-            for i in 0..n {
-                x[i * stride + c] = col[i];
-            }
-        }
-        let mut scratch = vec![0.0; n * stride];
-        lu.solve_multi_in_place(&mut x, stride, ncols, &mut scratch)
-            .unwrap();
-        for (c, col) in cols.iter().enumerate() {
-            let mut single = col.clone();
-            lu.solve_in_place(&mut single).unwrap();
-            for i in 0..n {
-                assert!(
-                    (x[i * stride + c] - single[i]).abs() < 1e-13,
-                    "col {c}, row {i}: batched {} vs single {}",
-                    x[i * stride + c],
-                    single[i]
-                );
-            }
-        }
-        // The unused lane is untouched input space, not part of the
-        // contract — but ncols > stride must be rejected.
-        assert!(matches!(
-            lu.solve_multi_in_place(&mut x, 2, 3, &mut scratch),
-            Err(Error::InvalidArgument(_))
-        ));
     }
 
     #[test]

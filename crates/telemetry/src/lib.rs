@@ -75,19 +75,10 @@ pub struct SolverStats {
     pub sparse_fill_nnz: Counter,
     /// One-time symbolic analyses performed.
     pub sparse_symbolic_analyses: Counter,
-    /// BBD numeric refactorizations (one per Newton iteration on the
-    /// bordered-block-diagonal backend).
+    /// Always 0: the bordered-block-diagonal backend it counted was
+    /// removed. Kept only because the external benchmark's per-layer
+    /// report still reads it; not part of the JSON export.
     pub bbd_refactors: Counter,
-    /// Per-block forward/back solves performed inside BBD solves.
-    pub bbd_block_solves: Counter,
-    /// High-water mark: diagonal blocks in the BBD partition.
-    pub bbd_blocks: Counter,
-    /// High-water mark: border (Schur complement) order.
-    pub bbd_border_len: Counter,
-    /// High-water mark: distinct block patterns per BBD setup — the
-    /// symbolic analyses actually run (structurally identical blocks
-    /// share one).
-    pub bbd_pattern_classes: Counter,
     /// Sweep-level symbolic/setup work answered from a shared analysis
     /// cache proto instead of a fresh analysis (counted at the engine's
     /// lazy-build site).
@@ -130,10 +121,6 @@ impl Default for SolverStats {
             sparse_fill_nnz: Counter::new(),
             sparse_symbolic_analyses: Counter::new(),
             bbd_refactors: Counter::new(),
-            bbd_block_solves: Counter::new(),
-            bbd_blocks: Counter::new(),
-            bbd_border_len: Counter::new(),
-            bbd_pattern_classes: Counter::new(),
             analysis_cache_hits: Counter::new(),
             ac_points: Counter::new(),
             ac_stamp_passes: Counter::new(),
@@ -156,9 +143,7 @@ impl SolverStats {
              \"bypass_misses\":{},\
              \"sparse_pattern_nnz\":{},\"sparse_fill_nnz\":{},\
              \"sparse_symbolic_analyses\":{},\
-             \"bbd_refactors\":{},\"bbd_block_solves\":{},\
-             \"bbd_blocks\":{},\"bbd_border_len\":{},\
-             \"bbd_pattern_classes\":{},\"analysis_cache_hits\":{},\
+             \"analysis_cache_hits\":{},\
              \"ac_points\":{},\"ac_stamp_passes\":{}}}",
             self.solves.get(),
             self.failures.get(),
@@ -175,11 +160,6 @@ impl SolverStats {
             self.sparse_pattern_nnz.get(),
             self.sparse_fill_nnz.get(),
             self.sparse_symbolic_analyses.get(),
-            self.bbd_refactors.get(),
-            self.bbd_block_solves.get(),
-            self.bbd_blocks.get(),
-            self.bbd_border_len.get(),
-            self.bbd_pattern_classes.get(),
             self.analysis_cache_hits.get(),
             self.ac_points.get(),
             self.ac_stamp_passes.get(),

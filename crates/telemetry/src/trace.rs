@@ -51,7 +51,7 @@ pub enum TraceEvent {
     /// One converged (or failed) Newton point solve. `arg` = iterations.
     NewtonSolve = 0,
     /// A Jacobian (re)factorization. `arg` = backend (0 dense, 1
-    /// sparse, 2 BBD).
+    /// sparse).
     Factor = 1,
     /// One accepted transient step. `arg` = step size in femtoseconds.
     TransientStep = 2,

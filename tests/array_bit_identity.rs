@@ -8,7 +8,6 @@
 //! come from the row-slice row ops, whose agreement with the full-array
 //! netlist `array_slice_parity.rs` checks within stated tolerances.
 
-use fefet::ckt::plan::BlockPlan;
 use fefet::mem::array::FefetArray;
 use fefet::mem::cell::FefetCell;
 use fefet::mem::feram::FeramCell;
@@ -150,42 +149,4 @@ fn feram_write_then_destructive_read_are_bit_identical() {
     assert_eq!(op.steps, 131);
     // The destructive read commits the flipped cells.
     assert_eq!(feram_polarizations(&a), 0xc3ef_e8af_e682_8b38);
-}
-
-/// The index-built partition the row ops hand the BBD backend equals
-/// the one named lookups over the same netlist give.
-#[test]
-fn index_built_block_plan_matches_the_named_partition() {
-    let (a, _, _, _) = seeded_arrays();
-    let (c, plan) = a.read_circuit_with_plan(2, 3e-9).expect("read circuit");
-    let mut named = BlockPlan::for_circuit(&c);
-    for j in 0..a.cols {
-        for node in [format!("bl{j}"), format!("sl{j}"), format!("bl{j}_drv")] {
-            named.assign_node_name(&c, &node, j).expect("column node");
-        }
-        for src in [format!("Vbl{j}"), format!("Vsl{j}")] {
-            named.assign_element(&c, &src, j).expect("column source");
-        }
-        for i in 0..a.rows {
-            for node in [format!("g{i}_{j}"), format!("gi{i}_{j}")] {
-                named.assign_node_name(&c, &node, j).expect("cell node");
-            }
-        }
-    }
-    for i in 0..a.rows {
-        let b_rs = a.cols + 2 * i;
-        named
-            .assign_node_name(&c, &format!("rs{i}_drv"), b_rs)
-            .expect("rs driver");
-        named
-            .assign_element(&c, &format!("Vrs{i}"), b_rs)
-            .expect("rs source");
-        named
-            .assign_node_name(&c, &format!("ws{i}_drv"), b_rs + 1)
-            .expect("ws driver");
-        named
-            .assign_element(&c, &format!("Vws{i}"), b_rs + 1)
-            .expect("ws source");
-    }
-    assert_eq!(plan, named);
 }
