@@ -993,8 +993,9 @@ fn bench_lk_stepper(report: &mut Report) {
 
 /// The static equilibrium scans behind the paper's device figures: a
 /// quasi-static I_D-V_G sweep, a 500-sample Monte Carlo and the
-/// endurance cycles-to-failure bisection. Each reads one gate-branch
-/// table per C-V card instead of re-inverting `V_MOS(P)` per grid point.
+/// endurance cycles-to-failure bisection. Each reads its C-V card's
+/// cached gate-branch table instead of re-inverting `V_MOS(P)` per grid
+/// point, and bisects only the roots it reads.
 fn bench_device_scans(report: &mut Report) {
     let dev = paper_fefet();
     report.bench("device_sweep_id_vg_300", || {

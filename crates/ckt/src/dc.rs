@@ -453,6 +453,44 @@ mod tests {
     }
 
     #[test]
+    fn exhausted_solves_count_their_iterations() {
+        use fefet_telemetry::Instrumentation;
+        // The starved diode clamp again: every solve that exhausts its
+        // two iterations adds both to `failed_iterations`, while the
+        // converged-solve counters stay as they were.
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        let b = c.node("b");
+        c.vsource("V1", a, Circuit::GND, Waveform::dc(3.0));
+        c.resistor("R1", a, b, 1e3);
+        c.diode("D1", b, Circuit::GND, 1e-14, 1.0);
+        let instr = Instrumentation::enabled();
+        let opts = DcOptions {
+            solver: SolverOptions {
+                max_newton: 2,
+                instr: instr.clone(),
+                ..SolverOptions::default()
+            },
+            ..DcOptions::default()
+        };
+        assert!(dc_operating_point(&c, opts).is_err());
+        let tel = instr.get().unwrap();
+        let failures = tel.solver.failures.get();
+        assert!(failures >= 2, "direct + gmin pass failed");
+        assert_eq!(tel.solver.failed_iterations.get(), 2 * failures);
+        assert_eq!(
+            tel.solver.newton_iterations.count(),
+            tel.solver.solves.get(),
+            "only converged solves enter the iteration histogram"
+        );
+        let json = tel.solver.to_json();
+        assert!(
+            json.contains(&format!("\"failed_iterations\":{}", 2 * failures)),
+            "{json}"
+        );
+    }
+
+    #[test]
     fn vccs_gain() {
         let mut c = Circuit::new();
         let a = c.node("a");

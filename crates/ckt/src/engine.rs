@@ -815,6 +815,7 @@ impl Assembly {
         }
         if let Some(tel) = opts.instr.get() {
             tel.solver.failures.inc();
+            tel.solver.failed_iterations.add(opts.max_newton as u64);
             tel.solver.jacobian_reuses.add(reuses as u64);
             if let Some((b, _)) = bank {
                 let (bh, bm) = b.take_counts();

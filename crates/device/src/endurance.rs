@@ -15,7 +15,7 @@
 //! re-evaluates the §3 memory criteria, yielding cycles-to-failure — the
 //! quantity a system architect trades against the NVP's backup rate.
 
-use crate::fefet::{Fefet, GateBranch};
+use crate::fefet::Fefet;
 use fefet_ckt::models::LkParams;
 
 /// Phenomenological endurance model.
@@ -90,15 +90,8 @@ impl EnduranceModel {
     /// write cycles (dimensionless): nonvolatile and with both states'
     /// margins exceeding the imprint offset.
     pub fn survives(&self, base: &Fefet, cycles: f64) -> bool {
-        self.survives_on(&GateBranch::states(&base.mos), base, cycles)
-    }
-
-    /// [`EnduranceModel::survives`] with the zero-bias state scan read
-    /// from `states`. Cycling degrades only the film, never the gate
-    /// C-V card, so one table serves every cycle count.
-    fn survives_on(&self, states: &GateBranch, base: &Fefet, cycles: f64) -> bool {
         let (dev, v_imprint) = self.fefet_after(base, cycles);
-        if !dev.is_nonvolatile_on(states) {
+        if !dev.is_nonvolatile() {
             return false;
         }
         // Margin: the hysteresis window must still enclose 0 with room
@@ -113,17 +106,16 @@ impl EnduranceModel {
     /// `hi` cycle counts (dimensionless); `None` if the device survives
     /// `hi`.
     pub fn cycles_to_failure(&self, base: &Fefet, lo: f64, hi: f64) -> Option<f64> {
-        let states = GateBranch::states(&base.mos);
-        if self.survives_on(&states, base, hi) {
+        if self.survives(base, hi) {
             return None;
         }
-        if !self.survives_on(&states, base, lo) {
+        if !self.survives(base, lo) {
             return Some(lo);
         }
         let (mut llo, mut lhi) = (lo.log10(), hi.log10());
         for _ in 0..14 {
             let mid = 0.5 * (llo + lhi);
-            if self.survives_on(&states, base, 10f64.powf(mid)) {
+            if self.survives(base, 10f64.powf(mid)) {
                 llo = mid;
             } else {
                 lhi = mid;

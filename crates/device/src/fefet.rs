@@ -15,6 +15,7 @@
 use crate::dynamics::{self, PSample};
 use fefet_ckt::models::{FeCapParams, MosParams};
 use fefet_numerics::Result;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A composite ferroelectric transistor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,6 +31,15 @@ pub struct Fefet {
 const STATE_P_MAX: f64 = 0.9;
 /// Grid intervals of the zero-bias state scan.
 const STATE_GRID: usize = 4000;
+/// The §3 memory criterion (C/m²): a nonvolatile device holds one
+/// stable zero-bias state below `-STATE_MARGIN` and one above
+/// `STATE_MARGIN`.
+const STATE_MARGIN: f64 = 0.05;
+
+/// Gate-branch tables kept by [`gate_branch`]. Production scans use one
+/// C-V card on four grids; the bound only matters to callers that vary
+/// the card.
+const BRANCH_CACHE_CAPACITY: usize = 8;
 
 /// The MOS gate branch `V_MOS(p_i)` tabulated on an equilibrium grid
 /// over `[-p_max, p_max]` (C/m²).
@@ -37,42 +47,69 @@ const STATE_GRID: usize = 4000;
 /// `V_MOS(P)` — the gate voltage at which the MOSFET holds charge
 /// density `P` — depends only on the gate C-V card (`cox_area`,
 /// `cdep_ratio`, `vt_q`, `v_smooth`): not on the applied gate voltage,
-/// the ferroelectric, `vt0` or the width. A scan reading the table adds
-/// the same `f64` at every grid point as [`Fefet::equilibria`] computes
-/// inline, so repeated scans of one card share one table and stay
-/// bit-identical.
+/// the ferroelectric, `vt0` or the width. Every scan of a card reads
+/// one table, so it adds the same `f64` at every grid point as a scan
+/// that inverts `V_MOS` afresh.
 #[derive(Debug)]
-pub(crate) struct GateBranch {
+struct GateBranch {
     /// The C-V card the table was built for, as bit patterns.
     card: [u64; 4],
-    p_max: f64,
-    /// `V_MOS` (V) at each of the `grid + 1` scan points.
+    /// `p_max` as a bit pattern.
+    p_max: u64,
+    /// The `grid + 1` scan polarizations (C/m²).
+    p: Vec<f64>,
+    /// `V_MOS` (V) at each scan polarization.
     v_mos: Vec<f64>,
 }
 
 impl GateBranch {
-    /// Tabulates `mos`'s gate branch on the `grid`-interval scan over
-    /// `[-p_max, p_max]` (C/m²).
+    /// `V_MOS` (V) at each scan polarization, for a device whose gate
+    /// C-V card is `mos`'s.
     ///
     /// # Panics
     ///
-    /// Panics if `grid < 3`.
-    pub(crate) fn new(mos: &MosParams, p_max: f64, grid: usize) -> Self {
-        assert!(grid >= 3, "gate branch: grid too small");
-        GateBranch {
-            card: cv_card(mos),
-            p_max,
-            v_mos: grid_points(p_max, grid)
-                .map(|p| mos.v_gate_of_density(p))
-                .collect(),
-        }
+    /// Panics if the table was built for another gate C-V card.
+    fn v_mos_for(&self, mos: &MosParams) -> &[f64] {
+        assert!(
+            self.card == cv_card(mos),
+            "gate branch built for another C-V card"
+        );
+        &self.v_mos
     }
+}
 
-    /// The branch on the zero-bias state scan's grid, for
-    /// [`Fefet::stable_states_on`] and [`Fefet::is_nonvolatile_on`].
-    pub(crate) fn states(mos: &MosParams) -> Self {
-        GateBranch::new(mos, STATE_P_MAX, STATE_GRID)
-    }
+/// The most recently used gate-branch tables, oldest first.
+static BRANCHES: Mutex<Vec<Arc<GateBranch>>> = Mutex::new(Vec::new());
+
+/// `mos`'s gate branch on the `grid`-interval scan over
+/// `[-p_max, p_max]` (C/m²), from the process-wide cache: built on the
+/// first scan of a (card, `p_max`, `grid`) key, shared after that.
+fn gate_branch(mos: &MosParams, p_max: f64, grid: usize) -> Arc<GateBranch> {
+    let card = cv_card(mos);
+    // The cache holds only finished tables, so a panic elsewhere while
+    // the lock was held leaves nothing half-written behind.
+    let mut cache = BRANCHES.lock().unwrap_or_else(PoisonError::into_inner);
+    let hit = cache
+        .iter()
+        .position(|b| b.card == card && b.p_max == p_max.to_bits() && b.p.len() == grid + 1);
+    let branch = match hit {
+        Some(i) => cache.remove(i),
+        None => {
+            let p: Vec<f64> = grid_points(p_max, grid).collect();
+            let v_mos = p.iter().map(|&p| mos.v_gate_of_density(p)).collect();
+            if cache.len() == BRANCH_CACHE_CAPACITY {
+                cache.remove(0);
+            }
+            Arc::new(GateBranch {
+                card,
+                p_max: p_max.to_bits(),
+                p,
+                v_mos,
+            })
+        }
+    };
+    cache.push(Arc::clone(&branch));
+    branch
 }
 
 /// The fields `MosParams::v_gate_of_density` reads, as bit patterns.
@@ -91,15 +128,195 @@ fn grid_points(p_max: f64, grid: usize) -> impl Iterator<Item = f64> {
         .chain((1..=grid).map(move |i| -p_max + 2.0 * p_max * i as f64 / grid as f64))
 }
 
-/// The stable polarizations among `eqs`.
-fn stable(eqs: Vec<Equilibrium>) -> Vec<f64> {
-    eqs.into_iter().filter(|e| e.stable).map(|e| e.p).collect()
+/// Where an equilibrium scan saw the stack offset `V_G(P) − v_g` change
+/// sign: between adjacent grid polarizations `lo < hi` (C/m²), or
+/// exactly zero at the grid polarization `lo == hi`. The equilibrium
+/// lies in `[lo, hi]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Bracket {
+    lo: f64,
+    hi: f64,
+    /// The offset is positive at `lo`.
+    lo_above: bool,
+    /// Rising crossing (`dV_G/dP > 0`): a stable equilibrium.
+    stable: bool,
 }
 
-/// The §3 memory criterion on zero-bias stable states: one well below
-/// and one well above zero polarization.
-fn holds_two_states(states: &[f64]) -> bool {
-    states.iter().any(|p| *p < -0.05) && states.iter().any(|p| *p > 0.05)
+impl Bracket {
+    /// The equilibrium polarization (C/m²) at gate voltage `v_g` (V):
+    /// the grid point of an exact zero, else up to 60 bisection halvings
+    /// of `[lo, hi]`.
+    ///
+    /// The halving stops once the midpoint equals `lo` or `hi` bit for
+    /// bit. `lo` always satisfies the side test and `hi` never does, so
+    /// from then on every halving would reassign an end its own value:
+    /// stopping leaves the root's bits unchanged.
+    fn root(&self, dev: &Fefet, v_g: f64) -> f64 {
+        if self.lo == self.hi {
+            return self.lo;
+        }
+        let (mut lo, mut hi) = (self.lo, self.hi);
+        for _ in 0..60 {
+            let mid = 0.5 * (lo + hi);
+            if mid.to_bits() == lo.to_bits() || mid.to_bits() == hi.to_bits() {
+                break;
+            }
+            if (dev.v_gate_static(mid) - v_g > 0.0) == self.lo_above {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+}
+
+/// The brackets of `g(i) − v_g` on the grid `p` (C/m²), where `g(i)` is
+/// the stack curve `V_G(p_i)` (V), in grid order: a linear scan over
+/// adjacent points.
+fn scan(p: &[f64], g: impl Fn(usize) -> f64, v_g: f64) -> Vec<Bracket> {
+    let mut out = Vec::new();
+    let mut prev_f = g(0) - v_g;
+    for i in 1..p.len() {
+        let f = g(i) - v_g;
+        if prev_f == 0.0 {
+            out.push(Bracket {
+                lo: p[i - 1],
+                hi: p[i - 1],
+                lo_above: false,
+                stable: f > prev_f,
+            });
+        } else if prev_f * f < 0.0 {
+            out.push(Bracket {
+                lo: p[i - 1],
+                hi: p[i],
+                lo_above: prev_f > 0.0,
+                stable: f > prev_f,
+            });
+        }
+        prev_f = f;
+    }
+    out
+}
+
+/// A maximal monotone stretch `start..=end` of a tabulated stack curve.
+/// Adjacent runs share their boundary point.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    start: usize,
+    end: usize,
+    rising: bool,
+}
+
+/// One device's stack curve `V_G(p_i)` (V) tabulated on a scan grid
+/// and split into monotone runs, for scanning many gate voltages.
+///
+/// A gate voltage crosses each monotone run at most once, so a binary
+/// search per run finds the brackets the linear [`scan`] would: the
+/// sign of `g_i − v_g` is the order of `g_i` and `v_g`, and an exact
+/// zero is `g_i == v_g`.
+#[derive(Debug)]
+pub(crate) struct StackCurve {
+    p: Vec<f64>,
+    g: Vec<f64>,
+    runs: Vec<Run>,
+}
+
+impl StackCurve {
+    /// `dev`'s stack curve on the `grid`-interval scan over
+    /// `[-p_max, p_max]` (C/m²): the same `v_mos_i + T_FE·E(p_i)` sums
+    /// the linear scan forms.
+    pub(crate) fn new(dev: &Fefet, p_max: f64, grid: usize) -> Self {
+        let branch = gate_branch(&dev.mos, p_max, grid);
+        let g = branch
+            .p
+            .iter()
+            .zip(branch.v_mos_for(&dev.mos))
+            .map(|(&p, &v_mos)| v_mos + dev.fe.v_static(p))
+            .collect();
+        StackCurve::from_curve(branch.p.clone(), g)
+    }
+
+    /// Splits the curve `g` (V) over the grid `p` (C/m²) into monotone
+    /// runs. A flat step joins the run it sits in.
+    fn from_curve(p: Vec<f64>, g: Vec<f64>) -> Self {
+        let mut runs = Vec::new();
+        let (mut start, mut rising) = (0, None);
+        for k in 1..g.len() {
+            let step = if g[k] > g[k - 1] {
+                Some(true)
+            } else if g[k] < g[k - 1] {
+                Some(false)
+            } else {
+                None
+            };
+            match (rising, step) {
+                (Some(r), Some(s)) if r != s => {
+                    runs.push(Run {
+                        start,
+                        end: k - 1,
+                        rising: r,
+                    });
+                    start = k - 1;
+                    rising = step;
+                }
+                (None, Some(_)) => rising = step,
+                _ => {}
+            }
+        }
+        runs.push(Run {
+            start,
+            end: g.len() - 1,
+            rising: rising.unwrap_or(true),
+        });
+        StackCurve { p, g, runs }
+    }
+
+    /// The brackets at gate voltage `v_g` (V), equal to the linear
+    /// scan's.
+    pub(crate) fn brackets(&self, v_g: f64) -> Vec<Bracket> {
+        let (p, g) = (&self.p, &self.g);
+        let mut out = Vec::new();
+        for run in &self.runs {
+            let seg = &g[run.start..=run.end];
+            // `seg[..below]` lies strictly on the run's starting side of
+            // `v_g`, `seg[below..past]` equals it.
+            let (below, past) = if run.rising {
+                (
+                    seg.partition_point(|&x| x < v_g),
+                    seg.partition_point(|&x| x <= v_g),
+                )
+            } else {
+                (
+                    seg.partition_point(|&x| x > v_g),
+                    seg.partition_point(|&x| x >= v_g),
+                )
+            };
+            // Exact zeros; a run's last point belongs to the next run,
+            // and the scan never reports the grid's last point.
+            for j in run.start + below..(run.start + past).min(run.end) {
+                out.push(Bracket {
+                    lo: p[j],
+                    hi: p[j],
+                    lo_above: false,
+                    stable: g[j + 1] - v_g > 0.0,
+                });
+            }
+            let i = run.start + below;
+            if below == past && below > 0 && i <= run.end {
+                let (prev_f, f) = (g[i - 1] - v_g, g[i] - v_g);
+                if prev_f * f < 0.0 {
+                    out.push(Bracket {
+                        lo: p[i - 1],
+                        hi: p[i],
+                        lo_above: prev_f > 0.0,
+                        stable: f > prev_f,
+                    });
+                }
+            }
+        }
+        out
+    }
 }
 
 /// An equilibrium polarization at a given gate voltage.
@@ -266,102 +483,97 @@ impl Fefet {
     /// All equilibria at gate voltage `v_g` (V), found by scanning
     /// `V_G(P) − v_g` for sign changes over `[-p_max, p_max]` (C/m²) on a
     /// `grid`-interval polarization grid, then bisecting each bracket.
-    ///
-    /// This one-shot form inverts `V_MOS(P)` at every grid point. Callers
-    /// that scan the same device family many times read a tabulated
-    /// `GateBranch` instead; both run one scan and agree bit for bit.
+    /// The scan reads `V_MOS(p_i)` from the card's cached gate branch.
     ///
     /// # Panics
     ///
     /// Panics if `grid < 3`.
     pub fn equilibria(&self, v_g: f64, p_max: f64, grid: usize) -> Vec<Equilibrium> {
-        assert!(grid >= 3, "equilibria: grid too small");
-        self.scan(v_g, p_max, grid, |_, p| self.mos.v_gate_of_density(p))
+        self.brackets(v_g, p_max, grid)
+            .iter()
+            .map(|b| Equilibrium {
+                p: b.root(self, v_g),
+                stable: b.stable,
+            })
+            .collect()
     }
 
-    /// [`Fefet::equilibria`] on `branch`'s grid, reading `V_MOS(p_i)`
-    /// from the table instead of inverting it.
+    /// The brackets of the equilibrium scan [`Fefet::equilibria`]
+    /// describes, before any bisection.
     ///
     /// # Panics
     ///
-    /// Panics if `branch` was built for another gate C-V card.
-    pub(crate) fn equilibria_on(&self, branch: &GateBranch, v_g: f64) -> Vec<Equilibrium> {
-        assert!(
-            branch.card == cv_card(&self.mos),
-            "equilibria_on: gate branch built for another C-V card"
-        );
-        self.scan(v_g, branch.p_max, branch.v_mos.len() - 1, |i, _| {
-            branch.v_mos[i]
-        })
+    /// Panics if `grid < 3`.
+    pub(crate) fn brackets(&self, v_g: f64, p_max: f64, grid: usize) -> Vec<Bracket> {
+        assert!(grid >= 3, "equilibria: grid too small");
+        let branch = gate_branch(&self.mos, p_max, grid);
+        let (p, v_mos) = (&branch.p, branch.v_mos_for(&self.mos));
+        scan(p, |i| v_mos[i] + self.fe.v_static(p[i]), v_g)
     }
 
-    /// The equilibrium scan shared by [`Fefet::equilibria`] and
-    /// [`Fefet::equilibria_on`]: `v_mos(i, p_i)` supplies `V_MOS` at grid
-    /// point `i`; the bisection always evaluates the full stack curve.
-    fn scan(
-        &self,
-        v_g: f64,
-        p_max: f64,
-        grid: usize,
-        v_mos: impl Fn(usize, f64) -> f64,
-    ) -> Vec<Equilibrium> {
-        let offset = |i: usize, p: f64| (v_mos(i, p) + self.fe.v_static(p)) - v_g;
-        let mut out = Vec::new();
-        let mut prev_p = -p_max;
-        let mut prev_f = offset(0, prev_p);
-        for (i, p) in grid_points(p_max, grid).enumerate().skip(1) {
-            let f = offset(i, p);
-            if prev_f == 0.0 {
-                out.push(Equilibrium {
-                    p: prev_p,
-                    stable: f > prev_f,
-                });
-            } else if prev_f * f < 0.0 {
-                // Bisect for the root.
-                let (mut lo, mut hi, lo_f) = (prev_p, p, prev_f);
-                for _ in 0..60 {
-                    let mid = 0.5 * (lo + hi);
-                    let fm = self.v_gate_static(mid) - v_g;
-                    if (fm > 0.0) == (lo_f > 0.0) {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                let root = 0.5 * (lo + hi);
-                out.push(Equilibrium {
-                    p: root,
-                    stable: f > prev_f, // rising crossing = stable
-                });
-            }
-            prev_p = p;
-            prev_f = f;
-        }
-        out
+    /// The stable equilibria (C/m²) at gate voltage `v_g` (V) of the
+    /// scan [`Fefet::equilibria`] describes; unstable brackets are not
+    /// bisected.
+    fn stable_roots(&self, v_g: f64, p_max: f64, grid: usize) -> Vec<f64> {
+        self.brackets(v_g, p_max, grid)
+            .iter()
+            .filter(|b| b.stable)
+            .map(|b| b.root(self, v_g))
+            .collect()
     }
 
     /// Stable polarization states at zero gate bias — the memory states.
     pub fn stable_states_at_zero(&self) -> Vec<f64> {
-        stable(self.equilibria(0.0, STATE_P_MAX, STATE_GRID))
-    }
-
-    /// [`Fefet::stable_states_at_zero`] read from `branch`; equal to it
-    /// bit for bit when `branch` is [`GateBranch::states`].
-    pub(crate) fn stable_states_on(&self, branch: &GateBranch) -> Vec<f64> {
-        stable(self.equilibria_on(branch, 0.0))
+        self.stable_roots(0.0, STATE_P_MAX, STATE_GRID)
     }
 
     /// True if the device retains two well-separated polarization states
     /// at `V_G = 0` (the §3 non-volatility criterion: hysteresis spans
     /// both positive and negative gate voltage).
+    ///
+    /// Equal to testing [`Fefet::stable_states_at_zero`] against
+    /// ±0.05 C/m², but a stable state lies inside its bracket, so only a
+    /// bracket that straddles a threshold is bisected.
     pub fn is_nonvolatile(&self) -> bool {
-        holds_two_states(&self.stable_states_at_zero())
+        let brackets = self.brackets(0.0, STATE_P_MAX, STATE_GRID);
+        let stable = || brackets.iter().filter(|b| b.stable);
+        let root = |b: &Bracket| b.root(self, 0.0);
+        let below = || {
+            stable()
+                .any(|b| b.hi < -STATE_MARGIN || (b.lo < -STATE_MARGIN && root(b) < -STATE_MARGIN))
+        };
+        let above = || {
+            stable().any(|b| b.lo > STATE_MARGIN || (b.hi > STATE_MARGIN && root(b) > STATE_MARGIN))
+        };
+        below() && above()
     }
 
-    /// [`Fefet::is_nonvolatile`] read from `branch` (see
-    /// [`Fefet::stable_states_on`]).
-    pub(crate) fn is_nonvolatile_on(&self, branch: &GateBranch) -> bool {
-        holds_two_states(&self.stable_states_on(branch))
+    /// The stable equilibrium among `brackets` (at gate voltage `v_g`,
+    /// V) nearest `p_prev` (C/m²), the first of equally near ones; `None`
+    /// without a stable bracket.
+    ///
+    /// A root in `[lo, hi]` lies between `|lo − p_prev|` and
+    /// `|hi − p_prev|` (or 0 if `p_prev` is inside), and float
+    /// subtraction is monotone, so a bracket whose nearest possible
+    /// distance exceeds another's farthest cannot win and is not
+    /// bisected.
+    fn nearest_stable(&self, brackets: &[Bracket], v_g: f64, p_prev: f64) -> Option<f64> {
+        let dist = |p: f64| (p - p_prev).abs();
+        let nearest = |b: &Bracket| {
+            if b.lo - p_prev <= 0.0 && b.hi - p_prev >= 0.0 {
+                0.0
+            } else {
+                dist(b.lo).min(dist(b.hi))
+            }
+        };
+        let stable = || brackets.iter().filter(|b| b.stable);
+        let bound = stable()
+            .map(|b| dist(b.lo).max(dist(b.hi)))
+            .fold(f64::INFINITY, f64::min);
+        stable()
+            .filter(|b| nearest(b) <= bound)
+            .map(|b| b.root(self, v_g))
+            .min_by(|a, b| dist(*a).total_cmp(&dist(*b)))
     }
 
     /// Drain current (A) at drain bias `v_ds` (V), with the stack
@@ -375,9 +587,9 @@ impl Fefet {
     /// Fig 2a / Fig 3a: the polarization follows the nearest stable
     /// equilibrium as `V_G` ramps `v_lo → v_hi → v_lo` (V).
     ///
-    /// Every tracking point scans one 2,000-interval `GateBranch` built
-    /// once per sweep, so the result is bit-identical to tracking
-    /// with one-shot [`Fefet::equilibria`] at the same grid.
+    /// Every tracking point scans one 2,000-interval [`StackCurve`]
+    /// built once per sweep, so the result is bit-identical to tracking
+    /// with [`Fefet::equilibria`] at the same grid.
     ///
     /// # Panics
     ///
@@ -386,15 +598,14 @@ impl Fefet {
         assert!(v_lo < v_hi, "sweep: need v_lo < v_hi");
         assert!(steps >= 2, "sweep: need steps >= 2");
         // Start from the most negative stable state at v_lo.
-        let start = stable(self.equilibria(v_lo, 0.9, 4000))
+        let start = self
+            .stable_roots(v_lo, 0.9, 4000)
             .into_iter()
             .fold(f64::INFINITY, f64::min);
         let mut p = if start.is_finite() { start } else { 0.0 };
-        let branch = GateBranch::new(&self.mos, 0.9, 2000);
+        let curve = StackCurve::new(self, 0.9, 2000);
         let track = |v_g: f64, p_prev: f64| -> f64 {
-            stable(self.equilibria_on(&branch, v_g))
-                .into_iter()
-                .min_by(|a, b| (a - p_prev).abs().total_cmp(&(b - p_prev).abs()))
+            self.nearest_stable(&curve.brackets(v_g), v_g, p_prev)
                 .unwrap_or(p_prev)
         };
         let mut up = Vec::with_capacity(steps + 1);
@@ -488,10 +699,8 @@ impl Fefet {
         assert!(v_lo < v_hi, "dynamic_sweep: need v_lo < v_hi");
         // Start from the most negative stable state at v_lo.
         let p0 = self
-            .equilibria(v_lo, 0.9, 2000)
+            .stable_roots(v_lo, 0.9, 2000)
             .into_iter()
-            .filter(|e| e.stable)
-            .map(|e| e.p)
             .fold(f64::INFINITY, f64::min);
         let p0 = if p0.is_finite() { p0 } else { 0.0 };
         let span = v_hi - v_lo;
@@ -535,19 +744,14 @@ impl Fefet {
         tol: f64,
     ) -> Result<Option<f64>> {
         // Destination: stable state at v_write nearest the drive direction.
-        let dest = self
-            .equilibria(v_write, 0.9, 3000)
-            .into_iter()
-            .filter(|e| e.stable)
-            .map(|e| e.p)
-            .fold(
-                if v_write > 0.0 {
-                    f64::NEG_INFINITY
-                } else {
-                    f64::INFINITY
-                },
-                if v_write > 0.0 { f64::max } else { f64::min },
-            );
+        let dest = self.stable_roots(v_write, 0.9, 3000).into_iter().fold(
+            if v_write > 0.0 {
+                f64::NEG_INFINITY
+            } else {
+                f64::INFINITY
+            },
+            if v_write > 0.0 { f64::max } else { f64::min },
+        );
         if !dest.is_finite() {
             return Ok(None);
         }
@@ -608,42 +812,129 @@ mod tests {
         devs
     }
 
+    /// The paper-card devices, then one device on another C-V card
+    /// (`cox_area`×1.01, `vt_q`+0.01): a cache that ignored the card
+    /// would hand it a paper-card table.
+    fn devices() -> Vec<Fefet> {
+        let mut devs = same_card_devices();
+        let mut off_card = paper_fefet();
+        off_card.mos.cox_area *= 1.01;
+        off_card.mos.vt_q += 0.01;
+        devs.push(off_card);
+        devs
+    }
+
+    /// The eager reference scan: inverts `V_MOS` at every grid point and
+    /// bisects every bracket for the full 60 halvings.
+    fn eager_equilibria(dev: &Fefet, v_g: f64, p_max: f64, grid: usize) -> Vec<Equilibrium> {
+        let offset = |p: f64| (dev.mos.v_gate_of_density(p) + dev.fe.v_static(p)) - v_g;
+        let mut out = Vec::new();
+        let mut prev_p = -p_max;
+        let mut prev_f = offset(prev_p);
+        for p in grid_points(p_max, grid).skip(1) {
+            let f = offset(p);
+            if prev_f == 0.0 {
+                out.push(Equilibrium {
+                    p: prev_p,
+                    stable: f > prev_f,
+                });
+            } else if prev_f * f < 0.0 {
+                let (mut lo, mut hi) = (prev_p, p);
+                for _ in 0..60 {
+                    let mid = 0.5 * (lo + hi);
+                    let fm = dev.v_gate_static(mid) - v_g;
+                    if (fm > 0.0) == (prev_f > 0.0) {
+                        lo = mid;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                out.push(Equilibrium {
+                    p: 0.5 * (lo + hi),
+                    stable: f > prev_f,
+                });
+            }
+            prev_p = p;
+            prev_f = f;
+        }
+        out
+    }
+
+    fn eager_stable(dev: &Fefet, v_g: f64, p_max: f64, grid: usize) -> Vec<f64> {
+        eager_equilibria(dev, v_g, p_max, grid)
+            .into_iter()
+            .filter(|e| e.stable)
+            .map(|e| e.p)
+            .collect()
+    }
+
+    /// The quasi-static sweep tracked on the eager reference scan.
+    fn eager_sweep(dev: &Fefet, v_lo: f64, v_hi: f64, steps: usize, v_ds: f64) -> IdVgSweep {
+        let start = eager_stable(dev, v_lo, 0.9, 4000)
+            .into_iter()
+            .fold(f64::INFINITY, f64::min);
+        let mut p = if start.is_finite() { start } else { 0.0 };
+        let mut point = |v_g: f64| {
+            p = eager_stable(dev, v_g, 0.9, 2000)
+                .into_iter()
+                .min_by(|a, b| (a - p).abs().total_cmp(&(b - p).abs()))
+                .unwrap_or(p);
+            SweepPoint {
+                v_g,
+                i_d: dev.drain_current(p, v_ds),
+                p,
+                v_mos: dev.v_mos_of(p),
+            }
+        };
+        let up = (0..=steps)
+            .map(|i| point(v_lo + (v_hi - v_lo) * i as f64 / steps as f64))
+            .collect();
+        let down = (0..=steps)
+            .map(|i| point(v_hi - (v_hi - v_lo) * i as f64 / steps as f64))
+            .collect();
+        IdVgSweep { up, down }
+    }
+
     fn bits(eqs: &[Equilibrium]) -> Vec<(u64, bool)> {
         eqs.iter().map(|e| (e.p.to_bits(), e.stable)).collect()
     }
 
+    fn p_bits(ps: &[f64]) -> Vec<u64> {
+        ps.iter().map(|p| p.to_bits()).collect()
+    }
+
+    /// Gate voltages (V) over [−1.2, 1.2] V: an even grid, then points of
+    /// `dev`'s stack curve on the `grid`-interval scan, where the scan
+    /// offset is exactly zero.
+    fn gate_voltages(dev: &Fefet, grid: usize) -> Vec<f64> {
+        let mut v: Vec<f64> = (0..=48).map(|k| -1.2 + 2.4 * k as f64 / 48.0).collect();
+        let p: Vec<f64> = grid_points(0.9, grid).collect();
+        v.extend(
+            (1..32)
+                .map(|k| {
+                    let p = p[k * grid / 32];
+                    dev.mos.v_gate_of_density(p) + dev.fe.v_static(p)
+                })
+                .filter(|g| g.abs() <= 1.2),
+        );
+        v
+    }
+
     #[test]
     fn branch_scan_matches_one_shot_bit_for_bit() {
-        let card = paper_fefet().mos;
         for grid in [2000, 4000, 6000] {
-            let branch = GateBranch::new(&card, 0.9, grid);
-            for dev in same_card_devices() {
-                for k in 0..=48 {
-                    let v_g = -1.2 + 2.4 * k as f64 / 48.0;
-                    let table = dev.equilibria_on(&branch, v_g);
-                    let inline = dev.equilibria(v_g, 0.9, grid);
+            for dev in devices() {
+                for v_g in gate_voltages(&dev, grid) {
+                    let eager = eager_equilibria(&dev, v_g, 0.9, grid);
+                    let lazy = dev.equilibria(v_g, 0.9, grid);
+                    assert_eq!(bits(&lazy), bits(&eager), "{dev:?} at {v_g} V, grid {grid}");
                     assert_eq!(
-                        bits(&table),
-                        bits(&inline),
-                        "{dev:?} at {v_g} V, grid {grid}"
+                        p_bits(&dev.stable_roots(v_g, 0.9, grid)),
+                        p_bits(&eager_stable(&dev, v_g, 0.9, grid))
                     );
+                    assert_eq!(dev.brackets(v_g, 0.9, grid).len(), eager.len());
                 }
             }
-        }
-        let states = GateBranch::states(&card);
-        for dev in same_card_devices() {
-            let table: Vec<u64> = dev
-                .stable_states_on(&states)
-                .iter()
-                .map(|p| p.to_bits())
-                .collect();
-            let inline: Vec<u64> = dev
-                .stable_states_at_zero()
-                .iter()
-                .map(|p| p.to_bits())
-                .collect();
-            assert_eq!(table, inline, "{dev:?}");
-            assert_eq!(dev.is_nonvolatile_on(&states), dev.is_nonvolatile());
         }
     }
 
@@ -653,7 +944,7 @@ mod tests {
         let dev = paper_fefet();
         let mut other = dev.mos;
         other.cox_area *= 1.01;
-        dev.equilibria_on(&GateBranch::states(&other), 0.0);
+        gate_branch(&other, STATE_P_MAX, STATE_GRID).v_mos_for(&dev.mos);
     }
 
     #[test]
@@ -662,7 +953,169 @@ mod tests {
         let dev = paper_fefet();
         let mut other = dev.mos;
         other.vt_q += 0.01;
-        dev.equilibria_on(&GateBranch::states(&other), 0.0);
+        gate_branch(&other, STATE_P_MAX, STATE_GRID).v_mos_for(&dev.mos);
+    }
+
+    #[test]
+    fn curve_points_scan_as_exact_zeros() {
+        let dev = paper_fefet();
+        let exact = gate_voltages(&dev, 2000)
+            .into_iter()
+            .skip(49)
+            .filter(|&v_g| dev.brackets(v_g, 0.9, 2000).iter().any(|b| b.lo == b.hi))
+            .count();
+        assert!(exact > 0, "no curve point scanned as an exact zero");
+    }
+
+    #[test]
+    fn zero_bias_queries_match_the_eager_scan() {
+        // Thicknesses across the non-volatility boundary, where the
+        // memory states cross ±0.05 C/m²: the finest steps put a state's
+        // bracket across the threshold, so `is_nonvolatile` bisects.
+        let base = paper_fefet();
+        let t_b = crate::design::nonvolatility_boundary(&base, 1.9e-9, 2.25e-9)
+            .expect("1.9 and 2.25 nm bracket the boundary");
+        let thicknesses = (0..=30)
+            .map(|k| 1.8e-9 + 0.01e-9 * k as f64)
+            .chain((-10..=10).map(|k| t_b * (1.0 + 1e-5 * k as f64)))
+            .map(|t| base.with_thickness(t));
+        for dev in devices().into_iter().chain(thicknesses) {
+            let eager = eager_stable(&dev, 0.0, STATE_P_MAX, STATE_GRID);
+            assert_eq!(
+                p_bits(&dev.stable_states_at_zero()),
+                p_bits(&eager),
+                "{dev:?}"
+            );
+            let two_states =
+                eager.iter().any(|&p| p < -STATE_MARGIN) && eager.iter().any(|&p| p > STATE_MARGIN);
+            assert_eq!(dev.is_nonvolatile(), two_states, "{dev:?}");
+        }
+    }
+
+    #[test]
+    fn sweeps_and_counts_match_the_eager_scan() {
+        use crate::loadline::{intersection_count, max_intersections};
+        let flat = |s: &IdVgSweep| -> Vec<u64> {
+            s.up.iter()
+                .chain(&s.down)
+                .flat_map(|pt| [pt.v_g, pt.i_d, pt.p, pt.v_mos])
+                .map(f64::to_bits)
+                .collect()
+        };
+        for dev in devices() {
+            let lazy = dev.sweep_id_vg(-1.2, 1.2, 60, 0.05);
+            let eager = eager_sweep(&dev, -1.2, 1.2, 60, 0.05);
+            assert_eq!(flat(&lazy), flat(&eager), "{dev:?}");
+            let counts: Vec<usize> = (0..=20)
+                .map(|k| eager_equilibria(&dev, -1.0 + 2.0 * k as f64 / 20.0, 0.9, 6000).len())
+                .collect();
+            assert_eq!(
+                max_intersections(&dev, -1.0, 1.0, 20),
+                counts.iter().copied().max().unwrap_or(0),
+                "{dev:?}"
+            );
+            assert_eq!(intersection_count(&dev, 0.0), counts[10], "{dev:?}");
+        }
+    }
+
+    #[test]
+    fn nearest_stable_matches_bisecting_every_stable_bracket() {
+        // Wide random brackets, so that the distance bounds of several
+        // brackets overlap and the pruning has to get its bound right.
+        let dev = paper_fefet();
+        let mut rng = Rng::seed_from_u64(0x5eed);
+        for _ in 0..400 {
+            let mut ends: Vec<f64> = (0..6).map(|_| rng.uniform_in(-0.9, 0.9)).collect();
+            ends.sort_by(f64::total_cmp);
+            let v_g = rng.uniform_in(-0.5, 0.5);
+            let brackets: Vec<Bracket> = ends
+                .chunks(2)
+                .map(|e| Bracket {
+                    lo: e[0],
+                    hi: e[1],
+                    lo_above: rng.bool(),
+                    stable: rng.uniform() < 0.8,
+                })
+                .collect();
+            let p_prev = rng.uniform_in(-1.0, 1.0);
+            let every = brackets
+                .iter()
+                .filter(|b| b.stable)
+                .map(|b| b.root(&dev, v_g))
+                .min_by(|a, b| (a - p_prev).abs().total_cmp(&(b - p_prev).abs()));
+            assert_eq!(
+                dev.nearest_stable(&brackets, v_g, p_prev).map(f64::to_bits),
+                every.map(f64::to_bits),
+                "{brackets:?} from {p_prev}"
+            );
+        }
+    }
+
+    #[test]
+    fn run_search_finds_the_linear_scan_brackets() {
+        for dev in devices() {
+            let curve = StackCurve::new(&dev, 0.9, 2000);
+            let mut v: Vec<f64> = (0..=96).map(|k| -1.2 + 2.4 * k as f64 / 96.0).collect();
+            v.extend(curve.g.iter().step_by(37).copied());
+            for v_g in v {
+                assert_eq!(
+                    curve.brackets(v_g),
+                    scan(&curve.p, |i| curve.g[i], v_g),
+                    "{dev:?} at {v_g} V"
+                );
+            }
+        }
+        // Synthetic curves: flat steps on and off the gate voltage, flat
+        // starts and ends, extrema on grid points, and sign changes whose
+        // offset product underflows.
+        let curves: [&[f64]; 5] = [
+            &[0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 0.0, -1.0, -1.0, 3.0],
+            &[2.0, 2.0, 2.0, 1.0, 1.0, 2.0, 2.0, 0.5, 0.5, 0.5],
+            &[1.0, 1.0, 1.0, 1.0],
+            &[-1e-170, 1e-170, -1e-170, 0.0, 1e-170, 2.0],
+            &[3.0, 1.0, 2.0, 0.0, 2.0, 1.0, 3.0, 3.0],
+        ];
+        for g in curves {
+            let p: Vec<f64> = (0..g.len()).map(|i| i as f64).collect();
+            let curve = StackCurve::from_curve(p.clone(), g.to_vec());
+            for v_g in [
+                -2.0, -1.0, -1e-170, 0.0, 1e-170, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0,
+            ] {
+                assert_eq!(
+                    curve.brackets(v_g),
+                    scan(&p, |i| g[i], v_g),
+                    "{g:?} at {v_g}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn early_exit_keeps_the_full_bisection_root() {
+        // Wide brackets around each zero-bias equilibrium, bisected
+        // with and without the early exit.
+        let dev = paper_fefet();
+        for eq in eager_equilibria(&dev, 0.0, 0.9, 400) {
+            for half_width in [1e-2, 1e-9, 1e-15] {
+                let (lo, hi) = (eq.p - half_width, eq.p + half_width);
+                let b = Bracket {
+                    lo,
+                    hi,
+                    lo_above: dev.v_gate_static(lo) > 0.0,
+                    stable: eq.stable,
+                };
+                let (mut lo, mut hi) = (lo, hi);
+                for _ in 0..60 {
+                    let mid = 0.5 * (lo + hi);
+                    if (dev.v_gate_static(mid) > 0.0) == b.lo_above {
+                        lo = mid;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                assert_eq!(b.root(&dev, 0.0).to_bits(), (0.5 * (lo + hi)).to_bits());
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! charge line decides hysteresis: one intersection per gate voltage
 //! means a single-valued transfer curve; three means bistability.
 
-use crate::fefet::{Fefet, GateBranch};
+use crate::fefet::{Fefet, StackCurve};
 
 /// One point of a Q-V curve (charge density vs voltage).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,21 +60,21 @@ const SCAN_GRID: usize = 6000;
 /// static solutions of the series stack. One = single-valued; three =
 /// hysteretic.
 pub fn intersection_count(dev: &Fefet, v_g: f64) -> usize {
-    // Solutions of v_gate_static(P) = v_g; reuse the equilibrium scan.
-    dev.equilibria(v_g, SCAN_P_MAX, SCAN_GRID).len()
+    // Solutions of v_gate_static(P) = v_g: one per scan bracket.
+    dev.brackets(v_g, SCAN_P_MAX, SCAN_GRID).len()
 }
 
 /// The largest number of simultaneous intersections over the
 /// gate-voltage range `[v_lo, v_hi]` (V) — 1 for a hysteresis-free
-/// design, ≥3 for a hysteretic one. Every gate voltage scans one
-/// gate-branch table, so each count equals [`intersection_count`]'s.
+/// design, ≥3 for a hysteretic one. Every gate voltage searches one
+/// tabulated stack curve, so each count equals [`intersection_count`]'s.
 pub fn max_intersections(dev: &Fefet, v_lo: f64, v_hi: f64, steps: usize) -> usize {
     assert!(steps >= 1, "max_intersections: need steps");
-    let branch = GateBranch::new(&dev.mos, SCAN_P_MAX, SCAN_GRID);
+    let curve = StackCurve::new(dev, SCAN_P_MAX, SCAN_GRID);
     (0..=steps)
         .map(|i| {
             let v = v_lo + (v_hi - v_lo) * i as f64 / steps as f64;
-            dev.equilibria_on(&branch, v).len()
+            curve.brackets(v).len()
         })
         .max()
         .unwrap_or(0)

@@ -8,7 +8,7 @@
 //! through the §3 analyses and finds the temperature at which the
 //! 2.25 nm design stops being nonvolatile (its thermal corner).
 
-use crate::fefet::{Fefet, GateBranch};
+use crate::fefet::Fefet;
 use crate::retention::RetentionModel;
 use fefet_ckt::models::LkParams;
 
@@ -63,20 +63,18 @@ impl ThermalModel {
 
     /// The temperature (K) above which `base` loses non-volatility, found
     /// by bisection over `[t_ref, t_hi]`; `None` if it is still
-    /// nonvolatile at `t_hi`. Temperature scales only α, never the gate
-    /// C-V card, so every probe reads one gate-branch table.
+    /// nonvolatile at `t_hi`.
     pub fn volatility_temperature(&self, base: &Fefet, t_hi: f64) -> Option<f64> {
-        let states = GateBranch::states(&base.mos);
-        if self.fefet_at(base, t_hi).is_nonvolatile_on(&states) {
+        if self.fefet_at(base, t_hi).is_nonvolatile() {
             return None;
         }
-        if !self.fefet_at(base, self.t_ref).is_nonvolatile_on(&states) {
+        if !self.fefet_at(base, self.t_ref).is_nonvolatile() {
             return Some(self.t_ref);
         }
         let (mut lo, mut hi) = (self.t_ref, t_hi);
         for _ in 0..40 {
             let mid = 0.5 * (lo + hi);
-            if self.fefet_at(base, mid).is_nonvolatile_on(&states) {
+            if self.fefet_at(base, mid).is_nonvolatile() {
                 lo = mid;
             } else {
                 hi = mid;

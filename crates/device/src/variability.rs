@@ -8,7 +8,7 @@
 //! states, and the read-current ratio — the quantities that set sensing
 //! margin and yield.
 
-use crate::fefet::{Fefet, GateBranch};
+use crate::fefet::Fefet;
 use fefet_numerics::rng::Rng;
 
 /// 1-σ relative/absolute spreads of the varied parameters.
@@ -207,8 +207,8 @@ pub fn sample_device(nominal: &Fefet, spec: &VariationSpec, rng: &mut Rng) -> Fe
     dev
 }
 
-fn evaluate(dev: &Fefet, branch: &GateBranch) -> SampleResult {
-    let states = dev.stable_states_on(branch);
+fn evaluate(dev: &Fefet) -> SampleResult {
+    let states = dev.stable_states_at_zero();
     let lo = states.iter().cloned().fold(f64::INFINITY, f64::min);
     let hi = states.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let nonvolatile = lo < -0.05 && hi > 0.05;
@@ -228,21 +228,14 @@ fn evaluate(dev: &Fefet, branch: &GateBranch) -> SampleResult {
 
 /// Runs an `n`-sample Monte Carlo, seeded for reproducibility.
 ///
-/// [`sample_device`] varies `vt0`, the width, the areas, the thickness
-/// and the Landau coefficients but never the gate C-V card, so every
-/// sample's zero-bias state scan reads one gate-branch table built from
-/// `nominal.mos` — bit-identical to calling
-/// [`Fefet::stable_states_at_zero`] per sample.
-///
 /// # Panics
 ///
 /// Panics if `n == 0`.
 pub fn monte_carlo(nominal: &Fefet, spec: &VariationSpec, n: usize, seed: u64) -> MonteCarlo {
     assert!(n > 0, "monte_carlo: need at least one sample");
-    let branch = GateBranch::states(&nominal.mos);
     let mut rng = Rng::seed_from_u64(seed ^ 0xfe0f_37a7);
     let samples = (0..n)
-        .map(|_| evaluate(&sample_device(nominal, spec, &mut rng), &branch))
+        .map(|_| evaluate(&sample_device(nominal, spec, &mut rng)))
         .collect();
     MonteCarlo { samples }
 }

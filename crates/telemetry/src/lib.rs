@@ -56,6 +56,9 @@ pub struct SolverStats {
     pub failures: Counter,
     /// Newton iterations per converged solve.
     pub newton_iterations: Histogram,
+    /// Newton iterations spent in solves that exhausted the iteration
+    /// budget (counted in `failures`, absent from `newton_iterations`).
+    pub failed_iterations: Counter,
     /// |KCL residual| (A) at convergence, per solve.
     pub residual_at_convergence: Histogram,
     /// Dense LU factorizations (one per Newton iteration on the dense
@@ -112,6 +115,7 @@ impl Default for SolverStats {
             solves: Counter::new(),
             failures: Counter::new(),
             newton_iterations: Histogram::with_edges(iteration_edges()),
+            failed_iterations: Counter::new(),
             residual_at_convergence: Histogram::log10_decades(-18, 0),
             dense_factors: Counter::new(),
             sparse_refactors: Counter::new(),
@@ -136,7 +140,8 @@ impl SolverStats {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"solves\":{},\"failures\":{},\"gmin_retries\":{},\
-             \"newton_iterations\":{},\"residual_at_convergence\":{},\
+             \"newton_iterations\":{},\"failed_iterations\":{},\
+             \"residual_at_convergence\":{},\
              \"dense_factors\":{},\"sparse_refactors\":{},\
              \"back_substitutions\":{},\"factors_per_solve\":{},\
              \"jacobian_reuses\":{},\"bypass_hits\":{},\
@@ -149,6 +154,7 @@ impl SolverStats {
             self.failures.get(),
             self.gmin_retries.get(),
             self.newton_iterations.to_json(),
+            self.failed_iterations.get(),
             self.residual_at_convergence.to_json(),
             self.dense_factors.get(),
             self.sparse_refactors.get(),
