@@ -814,13 +814,13 @@ fn bench_yield(report: &mut Report) {
     let mut scratch = engine.make_scratch();
     engine.run_trial(&mut scratch, 0); // stand the scratch up untimed
 
-    // Trials differ in cost: at this seed 8 of the 64 take ~0.1 s more
-    // on both sides (those checked fail their read-point solve), which
-    // pulls their cold/warm ratio to ~1.15x (1.78x over all 64 trials).
-    // A batch holds only a few cold trials, so timing different trials
-    // on each side would compare different mixes. Both sides time one
-    // fixed block, the first eight trials (all solve cleanly): the same
-    // work, and the solver reuse this pair isolates.
+    // Trials differ in cost: at this seed 8 of the 64 (13, 16, 26, 28,
+    // 35, 40, 45, 62) escape a Newton damping-clamp cycle and take 23-25
+    // warm iterations against 14-18 for the rest. A batch holds only a
+    // few cold trials, so timing different trials on each side would
+    // compare different mixes. Both sides time one fixed block, the
+    // first eight trials (all solve cleanly): the same work, and the
+    // solver reuse this pair isolates.
     const TRIAL_BLOCK: usize = 8;
     report.bench_pair(
         "yield_trial_cold",

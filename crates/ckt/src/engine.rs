@@ -236,6 +236,82 @@ fn newton_accepted(opts: &SolverOptions, dv: f64, res_kcl: f64, res_branch: f64)
     dv < 10.0 * opts.tol_v && res_kcl < 0.1 * opts.tol_i && res_branch < 0.1 * opts.tol_v
 }
 
+/// Per-solve node-voltage step bound with a clamp-cycle escape, shared
+/// by the workspace loop and the allocating reference so the two stay
+/// bit-identical.
+///
+/// The bound starts at [`SolverOptions::max_v_step`]. It halves (floor:
+/// `max_v_step / 64`) before an update is damped when three things hold:
+/// the update is clamped; the previous update was clamped too, with its
+/// largest node-voltage change at the same unknown but in the opposite
+/// direction; and the residual norm is not below 0.9× its value two
+/// iterations back. That is the period-2 cycle in which the clamp cuts
+/// an overshooting step and its opposite-signed successor to the same
+/// length, returning the iterate to where it started. Clamped steps that
+/// keep contracting the residual, or that keep heading the same way (a
+/// long ramp toward a distant source voltage), never trigger it, so
+/// their trajectory is exactly the plain clamp's. The bound lives for
+/// one solve only: warm workspaces carry no damping state between
+/// solves.
+#[derive(Debug)]
+struct StepBound {
+    /// Current node-voltage step bound (V).
+    v_step: f64,
+    /// Smallest bound the escape may reach (V).
+    floor: f64,
+    /// Largest-change unknown and its sign (`true` = rising) of the
+    /// previous update, if that update was clamped.
+    prev_clamp: Option<(usize, bool)>,
+    /// Residual norms of the previous two iterations, oldest first.
+    res_hist: [f64; 2],
+    /// Halvings taken so far in this solve.
+    halvings: usize,
+}
+
+impl StepBound {
+    fn new(opts: &SolverOptions) -> Self {
+        StepBound {
+            v_step: opts.max_v_step,
+            floor: opts.max_v_step / 64.0,
+            prev_clamp: None,
+            res_hist: [f64::INFINITY; 2],
+            halvings: 0,
+        }
+    }
+
+    /// Scale factor that brings the node-voltage update `dx_nodes` (V),
+    /// taken at an iterate with residual norm `res`, within the bound;
+    /// `None` when the update is applied in full.
+    fn clamp(&mut self, dx_nodes: &[f64], res: f64) -> Option<f64> {
+        // Largest node-voltage change (the same value `norm_inf` gives)
+        // and the first unknown that carries it.
+        let mut dv_max = 0.0f64;
+        let mut arg = 0;
+        for (i, d) in dx_nodes.iter().enumerate() {
+            if d.abs() > dv_max {
+                dv_max = d.abs();
+                arg = i;
+            }
+        }
+        let res_two_back = self.res_hist[0];
+        self.res_hist = [self.res_hist[1], res];
+        let clamped = dv_max > self.v_step;
+        if !clamped {
+            self.prev_clamp = None;
+            return None;
+        }
+        let rising = dx_nodes[arg] > 0.0;
+        let reversed = self.prev_clamp == Some((arg, !rising));
+        let contracting = res < 0.9 * res_two_back;
+        if reversed && !contracting && self.v_step > self.floor {
+            self.v_step = (0.5 * self.v_step).max(self.floor);
+            self.halvings += 1;
+        }
+        self.prev_clamp = Some((arg, rising));
+        Some(self.v_step / dv_max)
+    }
+}
+
 impl Assembly {
     /// Builds the element/branch bookkeeping for `ckt`.
     // fefet-lint: allow-item(hot-alloc) -- one-time assembly construction per circuit, before any solve
@@ -588,6 +664,7 @@ impl Assembly {
         // Damping factor applied on the most recent iteration (1.0 =
         // full Newton step); reported in convergence diagnostics.
         let mut last_damping = 1.0;
+        let mut bound = StepBound::new(opts);
         // Modified-Newton bookkeeping: iterations that rode a stored
         // factorization vs. fresh factorizations this solve, plus the
         // residual-contraction monitor that demotes the fast path.
@@ -749,11 +826,9 @@ impl Assembly {
             // Damp on the node-voltage part of the update; pure-branch
             // systems (nv == 0) have no voltage to bound, so the damping
             // (a voltage limit) does not apply to them.
-            let dv_max = if nv > 0 { norm_inf(&dx[..nv]) } else { 0.0 };
-            last_damping = 1.0;
-            if nv > 0 && dv_max > opts.max_v_step {
-                let s = opts.max_v_step / dv_max;
-                last_damping = s;
+            let clamp = bound.clamp(&dx[..nv], res_kcl.max(res_branch));
+            last_damping = clamp.unwrap_or(1.0);
+            if let Some(s) = clamp {
                 // Branch currents are linear consequences of the node
                 // voltages; scale them the same way to stay consistent
                 // within the iteration.
@@ -794,6 +869,7 @@ impl Assembly {
                     }
                     tel.solver.back_substitutions.add(iters as u64);
                     tel.solver.jacobian_reuses.add(reuses as u64);
+                    tel.solver.damping_halvings.add(bound.halvings as u64);
                     if let Some((b, _)) = bank {
                         let (bh, bm) = b.take_counts();
                         tel.solver.bypass_hits.add(bh);
@@ -817,6 +893,7 @@ impl Assembly {
             tel.solver.failures.inc();
             tel.solver.failed_iterations.add(opts.max_newton as u64);
             tel.solver.jacobian_reuses.add(reuses as u64);
+            tel.solver.damping_halvings.add(bound.halvings as u64);
             if let Some((b, _)) = bank {
                 let (bh, bm) = b.take_counts();
                 tel.solver.bypass_hits.add(bh);
@@ -850,6 +927,7 @@ impl Assembly {
                 worst_node_name,
                 worst_residual,
                 last_damping,
+                max_v_step: bound.v_step,
                 gmin: opts.gmin,
                 // fefet-lint: allow(hot-alloc) -- cold error path: empty placeholder in the exhaustion report
                 gmin_trajectory: Vec::new(),
@@ -877,6 +955,16 @@ mod tests {
         assert_eq!(asm.n_unknowns(), 2 + 2);
     }
 
+    /// What the allocating reference saw: the converged unknowns, every
+    /// iterate it visited (the start included), the damping factor it
+    /// applied at each iteration, and the step-bound halvings it took.
+    struct RefSolve {
+        x: Vec<f64>,
+        iterates: Vec<Vec<f64>>,
+        damping: Vec<f64>,
+        halvings: usize,
+    }
+
     /// Reference Newton loop in the seed's allocating style: fresh
     /// Jacobian/residual/negated-residual vectors and an owning
     /// [`LuFactors::factor`] every iteration. Mirrors the arithmetic of
@@ -893,11 +981,14 @@ mod tests {
         opts: &SolverOptions,
         x0: &[f64],
         states: &[ElemState],
-    ) -> Result<Vec<f64>, CktError> {
+    ) -> Result<RefSolve, CktError> {
         use fefet_numerics::linalg::LuFactors;
         let n = asm.n_unknowns();
         let nv = asm.n_nodes - 1;
         let mut x = x0.to_vec();
+        let mut bound = StepBound::new(opts);
+        let mut iterates = vec![x.clone()];
+        let mut damping = Vec::new();
         for _it in 0..opts.max_newton {
             let mut jac = Matrix::zeros(n, n);
             let mut res = vec![0.0; n];
@@ -912,9 +1003,9 @@ mod tests {
             })?;
             let neg: Vec<f64> = res.iter().map(|r| -r).collect();
             let mut dx = lu.solve(&neg).map_err(CktError::from)?;
-            let dv_max = if nv > 0 { norm_inf(&dx[..nv]) } else { 0.0 };
-            if nv > 0 && dv_max > opts.max_v_step {
-                let s = opts.max_v_step / dv_max;
+            let clamp = bound.clamp(&dx[..nv], res_kcl.max(res_branch));
+            damping.push(clamp.unwrap_or(1.0));
+            if let Some(s) = clamp {
                 for d in dx.iter_mut() {
                     *d *= s;
                 }
@@ -922,9 +1013,15 @@ mod tests {
             for (xi, di) in x.iter_mut().zip(&dx) {
                 *xi += di;
             }
+            iterates.push(x.clone());
             let dv = if nv > 0 { norm_inf(&dx[..nv]) } else { 0.0 };
             if newton_accepted(opts, dv, res_kcl, res_branch) {
-                return Ok(x);
+                return Ok(RefSolve {
+                    x,
+                    iterates,
+                    damping,
+                    halvings: bound.halvings,
+                });
             }
         }
         Err(CktError::Convergence {
@@ -972,7 +1069,8 @@ mod tests {
             &x0,
             &states,
         )
-        .unwrap();
+        .unwrap()
+        .x;
 
         let mut x = x0.clone();
         let mut ws = NewtonWorkspace::new(asm.n_unknowns());
@@ -1521,5 +1619,247 @@ mod tests {
             tel.solver.dense_factors.get() > factors_before,
             "h change did not trigger a refactor"
         );
+    }
+
+    /// Exact Newton (no factor reuse, no bypass) with telemetry on, so
+    /// the workspace path is comparable bit for bit with the allocating
+    /// reference and reports its step-bound halvings.
+    fn exact_traced() -> SolverOptions {
+        SolverOptions {
+            jacobian_reuse: false,
+            bypass: false,
+            instr: Instrumentation::enabled(),
+            ..SolverOptions::default()
+        }
+    }
+
+    /// Runs `ckt` through the workspace loop from `x0` and returns the
+    /// solution, the iteration count and the step-bound halvings.
+    #[allow(clippy::too_many_arguments)]
+    fn workspace_solve(
+        asm: &Assembly,
+        ckt: &Circuit,
+        t: f64,
+        h: f64,
+        dc: bool,
+        opts: &SolverOptions,
+        x0: &[f64],
+        states: &[ElemState],
+    ) -> Result<(Vec<f64>, usize, u64), CktError> {
+        let mut x = x0.to_vec();
+        let mut ws = NewtonWorkspace::new(asm.n_unknowns());
+        let halvings_before = opts
+            .instr
+            .get()
+            .map_or(0, |tel| tel.solver.damping_halvings.get());
+        let iters = asm.solve_point_with(
+            ckt,
+            t,
+            h,
+            Integration::BackwardEuler,
+            dc,
+            opts,
+            &mut x,
+            states,
+            &mut ws,
+        )?;
+        let halvings = opts
+            .instr
+            .get()
+            .map_or(0, |tel| tel.solver.damping_halvings.get())
+            - halvings_before;
+        Ok((x, iters, halvings))
+    }
+
+    /// Clamped updates that never reverse, or that keep contracting the
+    /// residual, leave the step bound alone: the trajectory is the plain
+    /// 0.5 V clamp's, and the workspace loop matches the reference bit
+    /// for bit. The 20 V divider walks 39 clamped steps whose residual
+    /// falls by well under 10% per two iterations; the diode stage takes
+    /// contracting clamped steps before the junction turns on.
+    #[test]
+    fn clamped_steps_without_a_cycle_keep_the_plain_clamp_trajectory() {
+        let mut divider = Circuit::new();
+        let a = divider.node("a");
+        let b = divider.node("b");
+        divider.vsource("V1", a, Circuit::GND, Waveform::dc(20.0));
+        divider.resistor("R1", a, b, 1e3);
+        divider.resistor("R2", b, Circuit::GND, 1e3);
+
+        let mut diode = Circuit::new();
+        let s = diode.node("s");
+        let d = diode.node("d");
+        diode.vsource("V1", s, Circuit::GND, Waveform::dc(3.0));
+        diode.resistor("R1", s, d, 1e3);
+        diode.diode("D1", d, Circuit::GND, 1e-14, 1.0);
+
+        for (name, c, min_clamped) in [("divider", &divider, 39), ("diode", &diode, 2)] {
+            let asm = Assembly::new(c);
+            let states: Vec<ElemState> = c.elements().iter().map(|_| ElemState::None).collect();
+            let opts = exact_traced();
+            let x0 = vec![0.0; asm.n_unknowns()];
+            let reference = solve_point_allocating(
+                &asm,
+                c,
+                0.0,
+                0.0,
+                Integration::BackwardEuler,
+                true,
+                &opts,
+                &x0,
+                &states,
+            )
+            .unwrap();
+            let clamped = reference.damping.iter().filter(|&&s| s < 1.0).count();
+            assert!(
+                clamped >= min_clamped,
+                "{name}: only {clamped} clamped iterations"
+            );
+            assert!(
+                reference
+                    .damping
+                    .windows(2)
+                    .any(|w| w[0] < 1.0 && w[1] < 1.0),
+                "{name}: no two consecutive clamped iterations"
+            );
+            assert_eq!(reference.halvings, 0, "{name}: the reference halved");
+            let (x, iters, halvings) =
+                workspace_solve(&asm, c, 0.0, 0.0, true, &opts, &x0, &states).unwrap();
+            assert_eq!(halvings, 0, "{name}: the workspace loop halved");
+            assert_eq!(iters, reference.damping.len(), "{name}: iteration counts");
+            for (i, (r, w)) in reference.x.iter().zip(&x).enumerate() {
+                assert_eq!(
+                    r.to_bits(),
+                    w.to_bits(),
+                    "{name}: unknown {i}: {r:?} vs {w:?}"
+                );
+            }
+        }
+    }
+
+    /// One backward-Euler step of a 0.2 V source driving a cell-sized
+    /// ferroelectric capacitor through 1 MOhm, taken from a cold start.
+    /// Polarization switching makes the capacitor's charge jump across
+    /// the film voltage, and under a 0.5 V clamp Newton falls into a
+    /// period-2 cycle on `m`: one clamped step overshoots, the next
+    /// clamped step comes straight back.
+    fn fe_cycle_circuit() -> (Circuit, Assembly, Vec<ElemState>) {
+        use crate::models::FeCapParams;
+        let mut c = Circuit::new();
+        let s = c.node("s");
+        let m = c.node("m");
+        c.vsource("V1", s, Circuit::GND, Waveform::dc(0.2));
+        c.resistor("R1", s, m, 1e6);
+        c.fecap(
+            "F1",
+            m,
+            Circuit::GND,
+            FeCapParams::new(2.25e-9, 65e-9 * 45e-9),
+            -0.1,
+        );
+        let asm = Assembly::new(&c);
+        let states: Vec<ElemState> = c
+            .elements()
+            .iter()
+            .map(|(_, e)| e.initial_state(&[0.0; 3]))
+            .collect();
+        (c, asm, states)
+    }
+
+    /// The clamp cycle is caught inside the solve: the iterate returns
+    /// to where it was two iterations earlier, the bound halves, and the
+    /// solve converges to the point a 0.1 V-clamped solve finds. The
+    /// workspace loop takes the same halvings and lands on the same bits
+    /// as the reference.
+    #[test]
+    fn clamp_cycle_halves_the_step_bound_within_the_solve() {
+        const H: f64 = 1e-10;
+        let (c, asm, states) = fe_cycle_circuit();
+        let m = c.find_node("m").unwrap().index() - 1;
+        let opts = exact_traced();
+        let x0 = vec![0.0; asm.n_unknowns()];
+        let reference = solve_point_allocating(
+            &asm,
+            &c,
+            H,
+            H,
+            Integration::BackwardEuler,
+            false,
+            &opts,
+            &x0,
+            &states,
+        )
+        .unwrap();
+        assert!(
+            reference.halvings >= 1,
+            "the cycle never tripped the escape"
+        );
+        // Under the clamp alone the iterate came back to where it stood
+        // two clamped steps earlier.
+        let d = &reference.damping;
+        let xs = &reference.iterates;
+        let cycled = (2..xs.len())
+            .any(|k| d[k - 2] < 1.0 && d[k - 1] < 1.0 && (xs[k][m] - xs[k - 2][m]).abs() < 1e-12);
+        assert!(cycled, "no period-2 return of v(m) before the escape");
+
+        let (x, iters, halvings) =
+            workspace_solve(&asm, &c, H, H, false, &opts, &x0, &states).unwrap();
+        assert_eq!(halvings, reference.halvings as u64);
+        assert_eq!(iters, reference.damping.len());
+        for (i, (r, w)) in reference.x.iter().zip(&x).enumerate() {
+            assert_eq!(r.to_bits(), w.to_bits(), "unknown {i}: {r:?} vs {w:?}");
+        }
+
+        let fine = SolverOptions {
+            max_v_step: 0.1,
+            ..exact_traced()
+        };
+        let (x_fine, _, _) = workspace_solve(&asm, &c, H, H, false, &fine, &x0, &states).unwrap();
+        for (i, (a, b)) in x.iter().zip(&x_fine).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-9 * b.abs().max(1e-12),
+                "unknown {i}: escape {a:e} vs 0.1 V clamp {b:e}"
+            );
+        }
+    }
+
+    /// A solve that runs out of iterations mid-escape reports the bound
+    /// it had reached, not the configured one.
+    #[test]
+    fn exhaustion_report_carries_the_reduced_step_bound() {
+        const H: f64 = 1e-10;
+        let (c, asm, states) = fe_cycle_circuit();
+        let x0 = vec![0.0; asm.n_unknowns()];
+        let reference = solve_point_allocating(
+            &asm,
+            &c,
+            H,
+            H,
+            Integration::BackwardEuler,
+            false,
+            &exact_traced(),
+            &x0,
+            &states,
+        )
+        .unwrap();
+        // One iteration short of convergence, well after the halving.
+        let budget = reference.damping.len() - 1;
+        let opts = SolverOptions {
+            max_newton: budget,
+            ..exact_traced()
+        };
+        match workspace_solve(&asm, &c, H, H, false, &opts, &x0, &states) {
+            Err(CktError::NewtonExhausted { report, .. }) => {
+                assert!(
+                    report.max_v_step < SolverOptions::default().max_v_step,
+                    "report kept the configured bound: {report}"
+                );
+                assert!(report.to_json().contains("\"max_v_step\":"));
+            }
+            other => panic!("expected exhaustion, got {other:?}"),
+        }
+        let tel = opts.instr.get().unwrap();
+        assert!(tel.solver.damping_halvings.get() >= 1);
+        assert_eq!(tel.solver.failures.get(), 1);
     }
 }

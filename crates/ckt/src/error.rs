@@ -115,6 +115,7 @@ mod tests {
                 worst_node_name: "bl0".into(),
                 worst_residual: 4.2e-3,
                 last_damping: 0.5,
+                max_v_step: 0.5,
                 gmin: 1e-12,
                 gmin_trajectory: vec![],
             },

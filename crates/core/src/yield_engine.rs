@@ -153,7 +153,8 @@ pub struct TrialOutcome {
     /// Trial index.
     pub trial: usize,
     /// False if any Newton point solve of this trial failed to
-    /// converge (the trial then fails the read workload).
+    /// converge (the trial then has no read margin and is left out of
+    /// the read yield).
     pub solver_ok: bool,
     /// Accessed-row read margin: min ON over max OFF cell current
     /// (dimensionless ratio).
@@ -344,9 +345,12 @@ pub struct WorstCorner {
 pub struct YieldReport {
     /// Trials evaluated.
     pub n_trials: usize,
-    /// Trials with a non-converged point solve.
+    /// Trials with a non-converged point solve. A solver failure says
+    /// nothing about the sampled devices, so these trials are left out
+    /// of `read_yield` rather than counted as failed reads.
     pub solver_failures: usize,
-    /// Fraction of trials passing the read-margin criterion.
+    /// Fraction of converged trials passing the read-margin criterion
+    /// (0 when no trial converged).
     pub read_yield: f64,
     /// Fraction of trials whose best shmoo corner writes successfully.
     pub write_yield: f64,
@@ -839,10 +843,15 @@ impl YieldEngine {
             start = end;
         }
         let frac = |k: usize| k as f64 / spec.n_trials as f64;
+        let clean = spec.n_trials - failures;
         YieldReport {
             n_trials: spec.n_trials,
             solver_failures: failures,
-            read_yield: frac(read_pass),
+            read_yield: if clean > 0 {
+                read_pass as f64 / clean as f64
+            } else {
+                0.0
+            },
             write_yield: frac(write_pass),
             disturb_yield: frac(disturb_pass),
             margin: margin_s.stats(),
@@ -1251,5 +1260,165 @@ mod tests {
             tel.solver.analysis_cache_hits.get() >= 1,
             "later workspaces must hit the shared analysis cache"
         );
+    }
+
+    /// The committed study's spec (`examples/yield_study.rs`), serial.
+    fn committed_spec() -> YieldSpec {
+        YieldSpec {
+            rows: 4,
+            cols: 4,
+            n_trials: 256,
+            seed: 0x5eed_f00d,
+            threads: 1,
+            ..YieldSpec::default()
+        }
+    }
+
+    /// The 16×16 array at seed 7, serial.
+    fn array16_seed7() -> YieldSpec {
+        YieldSpec {
+            rows: 16,
+            cols: 16,
+            n_trials: 3,
+            seed: 7,
+            threads: 1,
+            ..YieldSpec::default()
+        }
+    }
+
+    /// Trials whose read solves fell into a 0.5 V clamp cycle (and
+    /// failed before the in-solve escape existed) now converge, through
+    /// the escape, to the margin a 0.1 V-clamped re-solve finds.
+    #[test]
+    fn clamp_cycle_trials_match_a_finely_damped_resolve() {
+        let cases: [(YieldSpec, &[usize]); 2] = [
+            (committed_spec(), &[127, 144, 160, 186, 244]),
+            (array16_seed7(), &[2]),
+        ];
+        for (spec, trials) in cases {
+            let label = format!("{}x{} seed {}", spec.rows, spec.cols, spec.seed);
+            let instr = Instrumentation::enabled();
+            let engine =
+                YieldEngine::new(FefetCell::default(), spec, instr.clone()).expect("engine");
+            let core = &*engine.core;
+            let fine = SolverOptions {
+                max_v_step: 0.1,
+                ..core.opts.clone()
+            };
+            let tel = instr.get().expect("telemetry");
+            let mut scratch = engine.make_scratch();
+            for &t in trials {
+                let halvings = tel.solver.damping_halvings.get();
+                let o = engine.run_trial(&mut scratch, t);
+                assert!(o.solver_ok, "{label} trial {t} did not converge");
+                assert!(
+                    tel.solver.damping_halvings.get() > halvings,
+                    "{label} trial {t} converged without the escape"
+                );
+                let mut fresh = engine.make_scratch();
+                let r = trial_body(
+                    core,
+                    &mut fresh,
+                    t,
+                    &fine,
+                    &core.x_nominal,
+                    &core.states_nominal,
+                );
+                assert!(r.solver_ok, "{label} trial {t}: 0.1 V re-solve failed");
+                let rel = (o.margin_ratio - r.margin_ratio).abs() / r.margin_ratio.abs();
+                assert!(
+                    rel <= 1e-9,
+                    "{label} trial {t}: margin {} vs 0.1 V re-solve {} (rel {rel:e})",
+                    o.margin_ratio,
+                    r.margin_ratio
+                );
+            }
+            assert_eq!(tel.solver.failures.get(), 0, "{label}: a solve failed");
+        }
+    }
+
+    /// `TrialOutcome` bits as (margin, i_on, i_off, warm_iters, shmoo,
+    /// disturb, worst_col, vt0, t_fe).
+    type OutcomeBits = (u64, u64, u64, u64, u64, u64, usize, u64, u64);
+
+    fn outcome_bits(o: &TrialOutcome) -> OutcomeBits {
+        (
+            o.margin_ratio.to_bits(),
+            o.i_on_min_a.to_bits(),
+            o.i_off_max_a.to_bits(),
+            o.warm_iters,
+            o.shmoo_pass,
+            o.disturb_dp.to_bits(),
+            o.worst_col,
+            o.worst_vt0_v.to_bits(),
+            o.worst_t_fe_m.to_bits(),
+        )
+    }
+
+    /// Trials that converged without the clamp-cycle escape keep their
+    /// outcomes to the bit, including on a workspace that just ran an
+    /// escaping trial. Pinned values predate the escape.
+    #[test]
+    fn clean_trial_outcomes_are_pinned() {
+        let engine = YieldEngine::new(
+            FefetCell::default(),
+            committed_spec(),
+            Instrumentation::off(),
+        )
+        .expect("engine");
+        assert_eq!(engine.bootstrap_iters(), 42);
+        assert_eq!(engine.nominal_margin().to_bits(), 0x4134_2b4e_6485_2c83);
+        let pins: [(usize, OutcomeBits); 3] = [
+            (
+                0,
+                (
+                    0x4120_6033_521e_7de4,
+                    0x3ee9_8d7e_b0e6_355a,
+                    0x3db8_f762_4e63_1cb8,
+                    13,
+                    0xf_ffff_efbc,
+                    0x3fa5_4e3c_b136_ea48,
+                    1,
+                    0x4002_6497_8261_a95b,
+                    0x3e22_a1c3_c5ce_7155,
+                ),
+            ),
+            (
+                100,
+                (
+                    0x40d4_682a_c026_6050,
+                    0x3ea1_2655_170e_0a7e,
+                    0x3dba_e477_6f47_52db,
+                    15,
+                    0xf_ffff_efbc,
+                    0x3fd6_145f_ebe7_562a,
+                    3,
+                    0x4002_d2d3_d368_c288,
+                    0x3e21_919c_e399_148f,
+                ),
+            ),
+            (
+                128,
+                (
+                    0x412a_e6c8_aaae_724c,
+                    0x3ef5_c10e_65a2_2602,
+                    0x3db9_e087_c576_acab,
+                    13,
+                    0xf_ffff_efa0,
+                    0x3f91_5560_6534_d130,
+                    1,
+                    0x4002_9f1f_39d4_64ca,
+                    0x3e23_3cca_1784_0db9,
+                ),
+            ),
+        ];
+        let mut scratch = engine.make_scratch();
+        // Trial 127 escapes a clamp cycle; trial 128 follows on the same
+        // workspace and must not see any of it.
+        engine.run_trial(&mut scratch, 127);
+        for (t, want) in pins.iter().rev() {
+            let got = outcome_bits(&engine.run_trial(&mut scratch, *t));
+            assert_eq!(got, *want, "trial {t} moved");
+        }
     }
 }

@@ -27,6 +27,9 @@ pub struct ConvergenceReport {
     pub worst_residual: f64,
     /// Damping factor applied on the last iteration (1.0 = full step).
     pub last_damping: f64,
+    /// Node-voltage step bound (V) in force at the last iteration: the
+    /// configured bound, or less if clamp-cycle escapes halved it.
+    pub max_v_step: f64,
     /// The gmin in effect for the failing solve.
     pub gmin: f64,
     /// The gmin values attempted by gmin stepping before this failure
@@ -49,6 +52,7 @@ impl ConvergenceReport {
             fmt_f64(self.worst_residual)
         ));
         s.push_str(&format!(",\"last_damping\":{}", fmt_f64(self.last_damping)));
+        s.push_str(&format!(",\"max_v_step\":{}", fmt_f64(self.max_v_step)));
         s.push_str(&format!(",\"gmin\":{}", fmt_f64(self.gmin)));
         s.push_str(",\"gmin_trajectory\":[");
         for (i, g) in self.gmin_trajectory.iter().enumerate() {
@@ -74,8 +78,8 @@ impl fmt::Display for ConvergenceReport {
         }
         write!(
             f,
-            ", last damping {:.3}, gmin {:.1e}",
-            self.last_damping, self.gmin
+            ", last damping {:.3}, step bound {:.3e} V, gmin {:.1e}",
+            self.last_damping, self.max_v_step, self.gmin
         )?;
         if !self.gmin_trajectory.is_empty() {
             write!(f, ", after {} gmin steps", self.gmin_trajectory.len())?;
@@ -167,6 +171,7 @@ mod tests {
             worst_node_name: "bl0".to_string(),
             worst_residual: 1.25e-3,
             last_damping: 0.25,
+            max_v_step: 0.125,
             gmin: 1e-12,
             gmin_trajectory: vec![1e-3, 1e-4],
         }
@@ -178,6 +183,7 @@ mod tests {
         assert!(validate(&j).is_ok(), "{j}");
         assert!(j.contains("\"worst_node\":5"));
         assert!(j.contains("\"worst_node_name\":\"bl0\""));
+        assert!(j.contains("\"max_v_step\":1.25e-1"), "{j}");
         assert!(j.contains("\"gmin_trajectory\":[1e-3,1e-4]"));
     }
 

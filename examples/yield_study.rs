@@ -4,18 +4,18 @@
 //! statistics, and worst-corner report as `BENCH_yield.json` at the
 //! repository root.
 //!
-//! CI runs this example and fails the build if the artifact is
-//! malformed JSON or the run's own invariants do not hold (trial
-//! accounting, distribution counts, yield fractions in range).
+//! CI runs this example at the committed depth and fails the build if
+//! the artifact is malformed JSON or the run's own invariants do not
+//! hold (trial accounting, distribution counts, yield fractions in
+//! range, no solver failures).
 //!
 //! Run with `cargo run --release --example yield_study`. Set
-//! `YIELD_TRIALS` to override the Monte Carlo depth (CI's smoke lane
-//! uses a small value; a full run leaves the committed artifact at the
-//! repository root). Set `YIELD_TRACE=1` to also record a Chrome
-//! trace-event profile of the run (per-trial spans plus solver and
-//! pool events, one lane per worker) and dump it as
-//! `TRACE_yield.json` — open it in `chrome://tracing` or
-//! <https://ui.perfetto.dev>.
+//! `YIELD_TRIALS` to override the Monte Carlo depth (the default 256
+//! trials leave the committed artifact at the repository root). Set
+//! `YIELD_TRACE=1` to also record a Chrome trace-event profile of the
+//! run (per-trial spans plus solver and pool events, one lane per
+//! worker) and dump it as `TRACE_yield.json` — open it in
+//! `chrome://tracing` or <https://ui.perfetto.dev>.
 
 use fefet::mem::cell::FefetCell;
 use fefet::mem::yield_engine::{YieldEngine, YieldSpec};
@@ -67,6 +67,7 @@ fn run() -> Result<(), String> {
     let clean = n_trials - yld.solver_failures;
     let checks: &[(&str, bool)] = &[
         ("trial count", yld.n_trials == n_trials),
+        ("no solver failures", yld.solver_failures == 0),
         (
             "margin samples == clean trials",
             yld.margin.n == clean as u64,
