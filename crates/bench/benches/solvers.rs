@@ -550,8 +550,9 @@ fn bench_cell_write(report: &mut Report) {
 /// Seeded array for the sweep workloads. As in the determinism test,
 /// the timestep is coarsened to 40 ps and the read window cut to 0.3 ns
 /// (the shortest that still digitizes correctly): the stored
-/// polarizations park every FE cap near its switching region, where the
-/// default 10 ps grid costs ~100 s per row read.
+/// polarizations park every FE cap near its switching region, where
+/// Newton iterates hard on every step, and the 20 ps default grid would
+/// take twice the steps.
 fn seeded(rows: usize, cols: usize) -> FefetArray {
     let mut a = FefetArray::new(rows, cols, FefetCell::default());
     a.cell.dt = 40e-12;

@@ -65,13 +65,14 @@ fn print_wave(trace: &fefet_ckt::trace::Trace, signals: &[&str]) {
         }
     }
     println!();
-    let t = trace.time();
-    let n = t.len();
-    let step = (n / 12).max(1);
-    for k in (0..n).step_by(step) {
-        print!("{:>9.3}", t[k] * 1e9);
+    // Thirteen fixed times across the run, interpolated, so tables from
+    // different step sizes line up row for row.
+    let t_end = trace.time().last().copied().unwrap_or(0.0);
+    for k in 0..=12 {
+        let t = t_end * k as f64 / 12.0;
+        print!("{:>9.3}", t * 1e9);
         for s in signals {
-            let mut v = trace.signal(s).map(|x| x[k]).unwrap_or(f64::NAN);
+            let mut v = trace.value_at(s, t).unwrap_or(f64::NAN);
             if s.starts_with("i(") {
                 v *= 1e6;
             }

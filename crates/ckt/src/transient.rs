@@ -9,7 +9,6 @@ use crate::elements::{ElemState, Element, EvalCtx, Integration, Node};
 use crate::engine::{Assembly, NewtonWorkspace, SolverOptions};
 use crate::trace::Trace;
 use crate::{CktError, Result};
-use fefet_numerics::quad::RunningIntegral;
 use fefet_telemetry::TraceEvent;
 
 /// Bounded accepted-point history for the LTE step controller: the times
@@ -226,6 +225,52 @@ fn polarization(states: &[ElemState], elem: usize) -> f64 {
     }
 }
 
+/// Energy meter of one independent source: the energy it has delivered
+/// so far and its terminal voltage and delivered current at the last
+/// accepted point.
+#[derive(Debug, Clone, Copy)]
+struct Meter {
+    elem: usize,
+    v: f64,
+    i: f64,
+    joules: f64,
+}
+
+impl Meter {
+    /// Adds the energy of an accepted step of width `h` that ended at
+    /// `(v, i)`, by the rule matching the integrator that took it. A
+    /// backward-Euler step's current is the average over the step, so
+    /// the step delivers ½(V_{k−1}+V_k)·I_k·h — exactly the energy a
+    /// linear capacitor stores under that step. A trapezoidal step's
+    /// currents are point values, so the trapezoid rule applies to the
+    /// power itself: ½(V_{k−1}·I_{k−1}+V_k·I_k)·h.
+    fn accept(&mut self, method: Integration, h: f64, (v, i): (f64, f64)) {
+        self.joules += match method {
+            Integration::BackwardEuler => 0.5 * (self.v + v) * i * h,
+            Integration::Trapezoidal => 0.5 * (self.v * self.i + v * i) * h,
+        };
+        (self.v, self.i) = (v, i);
+    }
+}
+
+/// Terminal voltage `V(a) − V(b)` and delivered current of the source at
+/// element position `elem` for the solution `x` at time `t`; their
+/// product is the power the source delivers to the circuit.
+fn source_vi(ckt: &Circuit, branch0: &[usize], elem: usize, t: f64, x: &[f64]) -> (f64, f64) {
+    let v = |n: Node| {
+        if n.index() == 0 {
+            0.0
+        } else {
+            x[n.index() - 1]
+        }
+    };
+    match &ckt.elements()[elem].1 {
+        Element::VSource { a, b, .. } => (v(*a) - v(*b), -x[ckt.n_nodes() - 1 + branch0[elem]]),
+        Element::ISource { a, b, wave } => (v(*a) - v(*b), -wave.eval(t)),
+        _ => (0.0, 0.0),
+    }
+}
+
 /// What a [`transient_with`] run returns besides what its observer
 /// kept.
 #[derive(Debug, Clone)]
@@ -392,12 +437,20 @@ pub fn transient_with(
         .collect();
 
     // Energy meters per independent source.
-    let mut meters: Vec<(usize, RunningIntegral)> = ckt
+    let mut meters: Vec<Meter> = ckt
         .elements()
         .iter()
         .enumerate()
         .filter(|(_, (_, e))| matches!(e, Element::VSource { .. } | Element::ISource { .. }))
-        .map(|(i, _)| (i, RunningIntegral::new()))
+        .map(|(elem, _)| {
+            let (v, i) = source_vi(ckt, &asm.branch0, elem, 0.0, &x);
+            Meter {
+                elem,
+                v,
+                i,
+                joules: 0.0,
+            }
+        })
         .collect();
 
     let step_ctx = StepCtx {
@@ -406,43 +459,6 @@ pub fn transient_with(
         h: dt_nom,
         method: opts.method,
     };
-    let meter_push =
-        |t: f64, x: &[f64], meters: &mut Vec<(usize, RunningIntegral)>| -> Result<()> {
-            for (idx, acc) in meters.iter_mut() {
-                let p_del = match &ckt.elements()[*idx].1 {
-                    Element::VSource { a, b, .. } => {
-                        let i_br = x[asm.n_nodes - 1 + asm.branch0[*idx]];
-                        let va = if a.index() == 0 {
-                            0.0
-                        } else {
-                            x[a.index() - 1]
-                        };
-                        let vb = if b.index() == 0 {
-                            0.0
-                        } else {
-                            x[b.index() - 1]
-                        };
-                        -(va - vb) * i_br
-                    }
-                    Element::ISource { a, b, wave } => {
-                        let va = if a.index() == 0 {
-                            0.0
-                        } else {
-                            x[a.index() - 1]
-                        };
-                        let vb = if b.index() == 0 {
-                            0.0
-                        } else {
-                            x[b.index() - 1]
-                        };
-                        -(va - vb) * wave.eval(t)
-                    }
-                    _ => 0.0,
-                };
-                acc.push(t, p_del).map_err(CktError::from)?;
-            }
-            Ok(())
-        };
 
     observe(&Step {
         t: 0.0,
@@ -450,7 +466,6 @@ pub fn transient_with(
         states: &states,
         ctx: step_ctx,
     });
-    meter_push(0.0, &x, &mut meters)?;
 
     let mut t = 0.0;
     let mut steps = 0usize;
@@ -647,6 +662,13 @@ pub fn transient_with(
             dt_ctrl = dt_nom;
             hist.clear();
         }
+        for m in meters.iter_mut() {
+            m.accept(
+                step_method,
+                h,
+                source_vi(ckt, &asm.branch0, m.elem, t_new, &x),
+            );
+        }
         t = t_new;
         hist.push(t, &x);
         if opts.lte.is_none() {
@@ -659,12 +681,11 @@ pub fn transient_with(
             states: &states,
             ctx: step_ctx,
         });
-        meter_push(t, &x, &mut meters)?;
     }
 
     Ok(TransientRun {
         steps,
-        energies: meters.iter().map(|(i, acc)| (*i, acc.total())).collect(),
+        energies: meters.iter().map(|m| (m.elem, m.joules)).collect(),
         states,
     })
 }
@@ -747,6 +768,86 @@ mod tests {
             (e - 1e-9).abs() < 0.03e-9,
             "source energy {e:.3e} J, expected C·V² = 1e-9 J"
         );
+    }
+
+    #[test]
+    fn energy_meter_is_exact_on_a_driven_capacitor() {
+        // A capacitor straight across a piecewise-linear source stores
+        // ½·C·V_end², all of it delivered by the source. Each meter rule
+        // matches its integrator's charge balance, so the metered energy
+        // is exact at any step up to the Newton tolerance, corners
+        // included — where BE steps follow trapezoidal ones.
+        let cap = 1e-12;
+        let wave = Waveform::pwl(vec![(0.0, 0.0), (1e-9, 1.0), (2e-9, 0.4), (3e-9, 0.9)]);
+        for method in [Integration::BackwardEuler, Integration::Trapezoidal] {
+            let mut c = Circuit::new();
+            let a = c.node("a");
+            c.vsource("V1", a, Circuit::GND, wave.clone());
+            c.capacitor("C1", a, Circuit::GND, cap);
+            let opts = TransientOptions {
+                dt: 0.3e-9,
+                method,
+                ..TransientOptions::default()
+            };
+            let e = transient(&c, 3e-9, opts).unwrap().energy("V1").unwrap();
+            let exact = 0.5 * cap * 0.9 * 0.9;
+            assert!(
+                (e - exact).abs() < 1e-6 * exact,
+                "{method:?}: metered {e:e} J, stored {exact:e} J"
+            );
+        }
+    }
+
+    #[test]
+    fn energy_meter_converges_at_the_integrator_order() {
+        // A linear ramp into an RC load delivers a closed-form energy,
+        // so the meter's error can be measured at each step: halving dt
+        // halves it under backward Euler and quarters it under the
+        // trapezoidal rule (whose first step, at t = 0, is still BE).
+        let (r, cap, slope, t_ramp): (f64, f64, f64, f64) = (1e3, 1e-12, 1e9, 2e-9);
+        let tau = r * cap;
+        let exact = slope
+            * slope
+            * cap
+            * (0.5 * t_ramp * t_ramp
+                - tau * tau * (1.0 - (-t_ramp / tau).exp() * (1.0 + t_ramp / tau)));
+        let err = |method, dt| {
+            let mut c = Circuit::new();
+            let vin = c.node("in");
+            let vout = c.node("out");
+            c.vsource(
+                "V1",
+                vin,
+                Circuit::GND,
+                Waveform::pwl(vec![(0.0, 0.0), (t_ramp, slope * t_ramp)]),
+            );
+            c.resistor("R1", vin, vout, r);
+            c.capacitor("C1", vout, Circuit::GND, cap);
+            let opts = TransientOptions {
+                dt,
+                method,
+                ..TransientOptions::default()
+            };
+            let e = transient(&c, t_ramp, opts).unwrap().energy("V1").unwrap();
+            (e - exact).abs() / exact
+        };
+        for (method, lo, hi) in [
+            (Integration::BackwardEuler, 1.8, 2.2),
+            (Integration::Trapezoidal, 3.5, 4.5),
+        ] {
+            let errs = [
+                err(method, 0.1e-9),
+                err(method, 0.05e-9),
+                err(method, 0.025e-9),
+            ];
+            for w in errs.windows(2) {
+                let ratio = w[0] / w[1];
+                assert!(
+                    (lo..hi).contains(&ratio),
+                    "{method:?}: error ratio {ratio:.3} per halving, errors {errs:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::bias::Operation;
 use crate::cell::FefetCell;
 use fefet_ckt::circuit::Circuit;
-use fefet_ckt::elements::Node;
+use fefet_ckt::elements::{Integration, Node};
 use fefet_ckt::engine::{Assembly, SolverBackend, SolverOptions};
 use fefet_ckt::models::MosParams;
 use fefet_ckt::plan::AnalysisCache;
@@ -706,6 +706,7 @@ impl FefetArray {
             t_end,
             TransientOptions {
                 dt: self.cell.dt,
+                method: Integration::Trapezoidal,
                 node_ics,
                 predict: self.fastpaths.predict,
                 solver: SolverOptions {

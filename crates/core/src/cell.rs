@@ -7,8 +7,9 @@
 
 use crate::bias::BiasSpec;
 use fefet_ckt::circuit::Circuit;
+use fefet_ckt::elements::Integration;
 use fefet_ckt::models::MosParams;
-use fefet_ckt::trace::Trace;
+use fefet_ckt::trace::{Edge, Trace};
 use fefet_ckt::transient::{transient, TransientOptions};
 use fefet_ckt::waveform::Waveform;
 use fefet_ckt::Result;
@@ -40,7 +41,7 @@ pub struct FefetCell {
     pub c_sense_line: f64,
     /// Line-driver output resistance (Ω) — makes CV² driver losses real.
     pub r_driver: f64,
-    /// Simulation step (s).
+    /// Simulation step (s) of the trapezoidal transient; 20 ps by default.
     pub dt: f64,
 }
 
@@ -63,7 +64,7 @@ impl Default for FefetCell {
             c_read_select: metal_per_m * row_len,
             c_sense_line: metal_per_m * col_len,
             r_driver: 1e3,
-            dt: 10e-12,
+            dt: 20e-12,
         }
     }
 }
@@ -76,8 +77,10 @@ pub struct WriteResult {
     pub trace: Trace,
     /// Polarization at the end of the run (C/m²).
     pub p_final: f64,
-    /// Time from write-pulse onset until the polarization reached the
-    /// destination state (s); `None` if the write failed.
+    /// Time from write-pulse onset until the polarization crossed 60% of
+    /// the destination state (s), interpolated between samples; `None`
+    /// if it never crossed (a failed write, or one from a state already
+    /// past the level).
     pub switch_time: Option<f64>,
     /// Total energy delivered by all drivers during the run (J).
     pub energy: f64,
@@ -184,6 +187,7 @@ impl FefetCell {
             t_end,
             TransientOptions {
                 dt: self.dt,
+                method: Integration::Trapezoidal,
                 node_ics: ics,
                 ..TransientOptions::default()
             },
@@ -220,15 +224,16 @@ impl FefetCell {
         let (p_lo, p_hi) = self.memory_states();
         // A write has committed once the polarization crosses 60% of the
         // destination state: from there the cell relaxes into the correct
-        // well even if released immediately.
-        let commit = if data { 0.6 * p_hi } else { 0.6 * p_lo };
-        let p_sig = trace.try_signal("p(Ffe)")?;
+        // well even if released immediately. The crossing is interpolated
+        // between samples, so the time does not snap to the step grid.
+        let (commit, edge) = if data {
+            (0.6 * p_hi, Edge::Rising)
+        } else {
+            (0.6 * p_lo, Edge::Falling)
+        };
         let switch_time = trace
-            .time()
-            .iter()
-            .zip(p_sig)
-            .find(|(_, p)| if data { **p >= commit } else { **p <= commit })
-            .map(|(t, _)| (t - T_START).max(0.0));
+            .checked_cross_time("p(Ffe)", commit, edge, 0.0)?
+            .map(|t| (t - T_START).max(0.0));
         let energy = trace.total_source_energy();
         Ok(WriteResult {
             trace,

@@ -10,8 +10,9 @@
 //!   its write energy.
 
 use fefet_ckt::circuit::Circuit;
+use fefet_ckt::elements::Integration;
 use fefet_ckt::models::{FeCapParams, MosParams};
-use fefet_ckt::trace::Trace;
+use fefet_ckt::trace::{Edge, Trace};
 use fefet_ckt::transient::{transient, TransientOptions};
 use fefet_ckt::waveform::Waveform;
 use fefet_ckt::Result;
@@ -39,7 +40,7 @@ pub struct FeramCell {
     pub c_plate_line: f64,
     /// Line-driver output resistance (Ω).
     pub r_driver: f64,
-    /// Simulation step (s).
+    /// Simulation step (s) of the trapezoidal transient; 20 ps by default.
     pub dt: f64,
 }
 
@@ -62,7 +63,7 @@ impl Default for FeramCell {
             c_bit_line: metal_per_m * col_len + c_sa_input,
             c_plate_line: metal_per_m * col_len,
             r_driver: 1e3,
-            dt: 10e-12,
+            dt: 20e-12,
         }
     }
 }
@@ -74,7 +75,10 @@ pub struct FeramWriteResult {
     pub trace: Trace,
     /// Final polarization (C/m²).
     pub p_final: f64,
-    /// Time from pulse onset to reaching the destination state (s).
+    /// Time from pulse onset until the polarization entered the
+    /// ±0.05 C/m² band around the destination state (s), interpolated
+    /// between samples; `None` if it never entered (a failed write, or
+    /// one from a state already inside the band).
     pub switch_time: Option<f64>,
     /// Driver energy (J).
     pub energy: f64,
@@ -184,19 +188,22 @@ impl FeramCell {
             t_end,
             TransientOptions {
                 dt: self.dt,
+                method: Integration::Trapezoidal,
                 ..TransientOptions::default()
             },
         )?;
         let p_final = trace.last("p(Fcap)").unwrap_or(p_from);
         let (p_lo, p_hi) = self.memory_states();
-        let target = if data { p_hi } else { p_lo };
-        let p_sig = trace.try_signal("p(Fcap)")?;
+        // Switched once the polarization enters the ±0.05 C/m² band
+        // around the target state, interpolated between samples.
+        let (band_edge, edge) = if data {
+            (p_hi - 0.05, Edge::Rising)
+        } else {
+            (p_lo + 0.05, Edge::Falling)
+        };
         let switch_time = trace
-            .time()
-            .iter()
-            .zip(p_sig)
-            .find(|(_, p)| (**p - target).abs() < 0.05)
-            .map(|(t, _)| (t - T_START).max(0.0));
+            .checked_cross_time("p(Fcap)", band_edge, edge, 0.0)?
+            .map(|t| (t - T_START).max(0.0));
         Ok(FeramWriteResult {
             p_final,
             switch_time,
@@ -229,6 +236,7 @@ impl FeramCell {
             t_end,
             TransientOptions {
                 dt: self.dt,
+                method: Integration::Trapezoidal,
                 ..TransientOptions::default()
             },
         )?;

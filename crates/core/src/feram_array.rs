@@ -15,7 +15,7 @@
 use crate::array::check_window;
 use crate::feram::FeramCell;
 use fefet_ckt::circuit::Circuit;
-use fefet_ckt::elements::Node;
+use fefet_ckt::elements::{Integration, Node};
 use fefet_ckt::engine::{SolverBackend, SolverOptions};
 use fefet_ckt::plan::AnalysisCache;
 use fefet_ckt::probe::WindowMax;
@@ -217,6 +217,7 @@ impl FeramArray {
             t_end,
             TransientOptions {
                 dt: self.cell.dt,
+                method: Integration::Trapezoidal,
                 solver: SolverOptions {
                     backend: self.solver_backend,
                     cache: Some(self.cache.clone()),

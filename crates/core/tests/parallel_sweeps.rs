@@ -15,9 +15,9 @@ use fefet_numerics::rng::Rng;
 /// stored polarizations (writing 8 rows through full transients would
 /// dominate the test budget without adding coverage). The timestep is
 /// coarsened to 40 ps: determinism does not depend on integration
-/// accuracy, and a read at the default 10 ps costs ~100 s of wall clock
-/// (the stored-state node ICs park every FE cap near its switching
-/// region, where Newton iterates hard on each of ~200 steps).
+/// accuracy, and the 20 ps default would take twice the steps (the
+/// stored-state node ICs park every FE cap near its switching region,
+/// where Newton iterates hard on every step).
 fn seeded_8x8() -> (FefetArray, Vec<Vec<bool>>) {
     let mut a = FefetArray::new(8, 8, FefetCell::default());
     a.cell.dt = 40e-12;

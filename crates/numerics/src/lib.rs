@@ -7,8 +7,8 @@
 //!   (frequency-domain) analysis.
 //! - [`linalg`] — dense matrices, LU factorization with partial pivoting,
 //!   and linear solves (the inner kernel of modified nodal analysis).
-//! - [`quad`] — sample-based and running trapezoid integrals for energy
-//!   metering.
+//! - [`quad`] — the sample-based trapezoid integral behind
+//!   `Trace::integral`.
 //! - [`rng`] — seedable, dependency-free pseudo-random numbers for the
 //!   Monte-Carlo and harvester-trace machinery.
 //! - [`sparse`] — CSR sparse matrices and a pattern-cached sparse LU

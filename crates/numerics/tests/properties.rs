@@ -7,7 +7,6 @@
 
 use fefet_numerics::complex::{CMatrix, Complex};
 use fefet_numerics::linalg::{norm_inf, LuFactors, LuWorkspace, Matrix};
-use fefet_numerics::quad::{trapezoid_samples, RunningIntegral};
 use fefet_numerics::rng::Rng;
 
 const CASES: usize = 64;
@@ -179,26 +178,6 @@ fn lu_determinant_sign_consistent_with_solvability() {
         let lu = LuFactors::factor(m).unwrap();
         // Diagonally dominant with positive diagonal => det > 0.
         assert!(lu.det() > 0.0, "case {case}: det {}", lu.det());
-    }
-}
-
-#[test]
-fn running_integral_matches_batch() {
-    let mut rng = Rng::seed_from_u64(0x100a);
-    for case in 0..CASES {
-        let n = 2 + rng.below(38) as usize;
-        let ys = vec_in(&mut rng, -5.0, 5.0, n);
-        let ts: Vec<f64> = (0..ys.len()).map(|i| i as f64 * 0.05).collect();
-        let batch = trapezoid_samples(&ts, &ys).unwrap();
-        let mut acc = RunningIntegral::new();
-        for (t, y) in ts.iter().zip(&ys) {
-            acc.push(*t, *y).unwrap();
-        }
-        assert!(
-            (acc.total() - batch).abs() < 1e-12,
-            "case {case}: {} vs {batch}",
-            acc.total()
-        );
     }
 }
 

@@ -2,11 +2,12 @@
 //! FERAM arrays driven through a fixed write/read sequence, with every
 //! reported quantity compared by `to_bits` against captured constants —
 //! sensed currents and bits, sneak and disturb maxima, FERAM swings,
-//! energies, committed polarizations and accepted-step counts. The
-//! FERAM constants come from the full-trace implementation (every signal
-//! recorded at every step, then looked up by name). The FEFET constants
-//! come from the row-slice row ops, whose agreement with the full-array
-//! netlist `array_slice_parity.rs` checks within stated tolerances.
+//! energies, committed polarizations and accepted-step counts. Both
+//! arrays step with the trapezoidal rule at the explicit `dt` set below,
+//! and the energies come from the step-matched meter. The FEFET
+//! constants come from the row-slice row ops, whose agreement with the
+//! full-array netlist `array_slice_parity.rs` checks within stated
+//! tolerances.
 
 use fefet::mem::array::FefetArray;
 use fefet::mem::cell::FefetCell;
@@ -71,52 +72,52 @@ fn fefet_write_then_reads_are_bit_identical() {
     assert_eq!(data, [false, false, false, false, true, true, true, true]);
 
     let w = a.write_row(3, &data, 1.0e-9).expect("write");
-    assert_eq!(w.energy.to_bits(), 0x3d0e_b190_a532_e133);
-    assert_eq!(w.max_disturb.to_bits(), 0x3ef1_bfce_65ff_6000);
+    assert_eq!(w.energy.to_bits(), 0x3ceb_a4ad_1f20_6744);
+    assert_eq!(w.max_disturb.to_bits(), 0x3ef2_26b6_1b7e_e000);
     assert_eq!(w.steps, 57);
-    assert_eq!(fefet_polarizations(&a), 0x3f99_347a_3db8_0a20);
+    assert_eq!(fefet_polarizations(&a), 0xbadb_36c7_2a5e_a2fb);
 
     let r3 = a.read_row(3, 0.3e-9).expect("read row 3");
     assert_eq!(
         bits_of(&r3.currents),
         [
-            0x3db6_58e9_54bd_3eb6,
-            0x3db6_58e9_54bd_3eb6,
-            0x3db6_58e9_54bd_3eb6,
-            0x3db6_58e9_54bd_3eb6,
-            0x3ef6_ee4e_0c6e_e7a8,
-            0x3ef6_ee4e_0c26_17bd,
-            0x3ef6_ee4e_0c26_17bd,
-            0x3ef6_ee4e_0c6e_e7a8,
+            0x3db5_ba2d_42b2_73b8,
+            0x3db5_ba2d_42b2_73b8,
+            0x3db5_ba2d_42b2_73b8,
+            0x3db5_ba2d_42b2_73b8,
+            0x3ef9_34e7_fff2_6b5a,
+            0x3ef9_34e7_ffb3_9758,
+            0x3ef9_34e7_ffb3_9758,
+            0x3ef9_34e7_fff2_6b5a,
         ]
     );
     assert_eq!(r3.bits, data);
-    assert_eq!(r3.max_sneak.to_bits(), 0x39c6_7b8b_2842_e703);
-    assert_eq!(r3.op.max_disturb.to_bits(), 0x3f74_fe63_e568_cfa0);
-    assert_eq!(r3.op.energy.to_bits(), 0x3d0d_7848_8e9d_ed9f);
+    assert_eq!(r3.max_sneak.to_bits(), 0x3998_c478_9fe7_8a31);
+    assert_eq!(r3.op.max_disturb.to_bits(), 0x3f74_acd2_50c8_8340);
+    assert_eq!(r3.op.energy.to_bits(), 0x3d0a_f8b9_eb6b_5aff);
     assert_eq!(r3.op.steps, 25);
 
     let r6 = a.read_row(6, 0.3e-9).expect("read row 6");
     assert_eq!(
         bits_of(&r6.currents),
         [
-            0x3efd_cd46_55b9_652a,
-            0x3efd_cd46_f0f8_256d,
-            0x3db0_6582_d47f_1c35,
-            0x3efd_cd46_f0f8_256d,
-            0x3efd_d038_769a_22af,
-            0x3efd_d038_76a4_c158,
-            0x3efd_d038_76a4_c158,
-            0x3db0_6582_d47f_1c35,
+            0x3efd_c3f1_b440_30c6,
+            0x3efd_c3f2_399c_34da,
+            0x3db0_69f6_7074_d1f8,
+            0x3efd_c3f2_399c_34da,
+            0x3efd_c674_7abb_91ac,
+            0x3efd_c674_7ac3_f035,
+            0x3efd_c674_7ac3_f035,
+            0x3db0_69f6_7074_d1f8,
         ]
     );
     assert_eq!(r6.bits, [true, true, false, true, true, true, true, false]);
-    assert_eq!(r6.max_sneak.to_bits(), 0x39b2_4949_4c64_d9e7);
-    assert_eq!(r6.op.max_disturb.to_bits(), 0x3f96_8735_c469_7a38);
-    assert_eq!(r6.op.energy.to_bits(), 0x3d1c_915d_35cc_1271);
+    assert_eq!(r6.max_sneak.to_bits(), 0x39e5_027d_d8ce_8092);
+    assert_eq!(r6.op.max_disturb.to_bits(), 0x3f94_412e_2976_5e00);
+    assert_eq!(r6.op.energy.to_bits(), 0x3d19_6ff6_64dd_b241);
     assert_eq!(r6.op.steps, 25);
     // Reads never commit.
-    assert_eq!(fefet_polarizations(&a), 0x3f99_347a_3db8_0a20);
+    assert_eq!(fefet_polarizations(&a), 0xbadb_36c7_2a5e_a2fb);
 }
 
 #[test]
@@ -125,28 +126,28 @@ fn feram_write_then_destructive_read_are_bit_identical() {
     assert_eq!(data, [true, true, false, true, true, true, false, false]);
 
     let w = a.write_row(2, &data, 1.2e-9).expect("write");
-    assert_eq!(w.energy.to_bits(), 0x3d4e_f6a7_a797_021a);
-    assert_eq!(w.max_disturb.to_bits(), 0x3f0e_7115_c404_c000);
+    assert_eq!(w.energy.to_bits(), 0x3d46_1ad5_a4f2_973d);
+    assert_eq!(w.max_disturb.to_bits(), 0x3f0e_6f5a_11a7_0000);
     assert_eq!(w.steps, 178);
-    assert_eq!(feram_polarizations(&a), 0x9885_d90e_1e74_95df);
+    assert_eq!(feram_polarizations(&a), 0xd544_81dd_4009_60a5);
 
     let (op, swings) = a.read_row(2, 2e-9).expect("read");
     assert_eq!(
         bits_of(&swings),
         [
-            0x3fcd_16cb_6e26_3f9f,
-            0x3fcd_16cb_6e0f_8cce,
-            0x3fa3_9f89_f2f8_1f36,
-            0x3fcd_16cb_6e0c_65b4,
-            0x3fcd_16cb_6e0e_7df5,
-            0x3fcd_16cb_6e29_6e73,
-            0x3fa3_9f89_f202_1c60,
-            0x3fa3_9f89_f202_1cc1,
+            0x3fcd_4b64_8a32_48fc,
+            0x3fcd_4b64_8a1c_ea01,
+            0x3fa4_6d79_a72b_2859,
+            0x3fcd_4b64_8a19_e27c,
+            0x3fcd_4b64_8a1b_eb4a,
+            0x3fcd_4b64_8a35_498d,
+            0x3fa4_6d79_a645_1ab6,
+            0x3fa4_6d79_a645_1af9,
         ]
     );
-    assert_eq!(op.energy.to_bits(), 0x3d25_fc9c_7ee3_9d16);
-    assert_eq!(op.max_disturb.to_bits(), 0x3ec3_fe16_1cc0_0000);
+    assert_eq!(op.energy.to_bits(), 0x3d23_e12b_3ffe_c33d);
+    assert_eq!(op.max_disturb.to_bits(), 0x3ec3_e930_741a_0000);
     assert_eq!(op.steps, 131);
     // The destructive read commits the flipped cells.
-    assert_eq!(feram_polarizations(&a), 0xc3ef_e8af_e682_8b38);
+    assert_eq!(feram_polarizations(&a), 0xc27f_a6e1_9312_66ff);
 }
