@@ -6,6 +6,10 @@
 //! steps, counting the fixed lead-in and tail) must make exactly as
 //! many allocations as the short one.
 //!
+//! The quasi-static read kernel (`sense_row`) takes a fixed number of
+//! point solves whatever the window, so its allocations must not grow
+//! with the window either.
+//!
 //! Separate file on purpose: the allocation counter is process-global,
 //! so each alloctrack test needs its own process.
 
@@ -42,5 +46,16 @@ fn row_read_allocations_do_not_scale_with_the_window() {
         "read_row allocations grew with the window: {short} for {} steps, \
          {long} for {} steps",
         r_short.op.steps, r_long.op.steps
+    );
+
+    let (short, s_short) = count_allocations(|| a.sense_row(5, t_short));
+    let (long, s_long) = count_allocations(|| a.sense_row(5, t_long));
+    let (s_short, s_long) = (s_short.expect("short sense"), s_long.expect("long sense"));
+    assert_eq!(s_short.bits, r_short.bits, "the kernel senses the same row");
+    assert_eq!(s_long.bits, r_long.bits, "the kernel senses the same row");
+    assert_eq!(
+        short, long,
+        "sense_row allocations grew with the window: {short} at {t_short:e} s, \
+         {long} at {t_long:e} s"
     );
 }

@@ -41,6 +41,10 @@ pub enum SolverBackend {
 /// the safe direction on both sides.
 pub const SPARSE_CROSSOVER: usize = 64;
 
+/// How often [`Assembly::relax_at_bias`] may halve a step whose point
+/// solve does not converge: its finest split is `h / 16`.
+pub const MAX_SPLIT_DEPTH: u32 = 4;
+
 /// Newton solver tuning knobs shared by DC and transient analyses.
 ///
 /// Not `Copy`: the [`Instrumentation`] handle holds an optional shared
@@ -145,6 +149,9 @@ pub struct NewtonWorkspace {
     n: usize,
     res: Vec<f64>,
     dx: Vec<f64>,
+    /// The solution a split step of [`Assembly::relax_at_bias`]
+    /// restarts from.
+    x_split: Vec<f64>,
     dense: Option<DenseState>,
     sparse_dc: Option<SparseState>,
     sparse_tr: Option<SparseState>,
@@ -182,6 +189,7 @@ impl NewtonWorkspace {
             n,
             res: vec![0.0; n],
             dx: vec![0.0; n],
+            x_split: vec![0.0; n],
             dense: None,
             sparse_dc: None,
             sparse_tr: None,
@@ -933,6 +941,107 @@ impl Assembly {
                 gmin_trajectory: Vec::new(),
             },
         })
+    }
+
+    /// Relaxes the circuit at a fixed bias: holds every source at its
+    /// value at time `t` (s) and takes `steps` backward-Euler point
+    /// solves of pseudo-time width `h` (s), advancing the element states
+    /// after each one. `x` and `states` hold the starting point on entry
+    /// and the relaxed solution and states on return. Returns the Newton
+    /// iterations spent.
+    ///
+    /// A point solve that does not converge is split, as
+    /// [`crate::transient::transient_with`] rejects and halves a step:
+    /// `x` restarts from the step's start and the step is covered in
+    /// halves, each split again as needed, down to `h / 2^MAX_SPLIT_DEPTH`.
+    /// The remainder of a split step keeps its smaller width; the next
+    /// step starts at `h` again. A run in which every solve converges
+    /// takes exactly `steps` solves. The split scratch lives in `ws`, so
+    /// a warm workspace relaxes without allocating.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Assembly::solve_point_with`]: a non-finite iterate at
+    /// once, and a solve that still fails at the smallest split width.
+    #[allow(clippy::too_many_arguments)]
+    pub fn relax_at_bias(
+        &self,
+        ckt: &Circuit,
+        t: f64,
+        h: f64,
+        steps: usize,
+        opts: &SolverOptions,
+        x: &mut [f64],
+        states: &mut [ElemState],
+        ws: &mut NewtonWorkspace,
+    ) -> Result<usize, CktError> {
+        let n = self.n_unknowns();
+        if x.len() != n || ws.order() != n || states.len() != ckt.elements().len() {
+            // fefet-lint: allow(hot-alloc) -- cold error path: formatting happens once, on the way out
+            return Err(CktError::Netlist(format!(
+                "relax_at_bias: system has {n} unknowns and {} elements but x has {}, \
+                 workspace {} and states {}",
+                ckt.elements().len(),
+                x.len(),
+                ws.order(),
+                states.len()
+            )));
+        }
+        // Positions within a step count in units of its finest split.
+        const FULL: u32 = 1 << MAX_SPLIT_DEPTH;
+        let mut iters = 0;
+        for _ in 0..steps {
+            let mut depth = 0;
+            let mut covered = 0u32;
+            while covered < FULL {
+                let h_sub = h / f64::from(1u32 << depth);
+                ws.x_split.copy_from_slice(x);
+                let solved = self.solve_point_with(
+                    ckt,
+                    t,
+                    h_sub,
+                    Integration::BackwardEuler,
+                    false,
+                    opts,
+                    x,
+                    states,
+                    ws,
+                );
+                match solved {
+                    Ok(it) => {
+                        iters += it;
+                        self.advance_states(ckt, t, h_sub, x, states);
+                        covered += FULL >> depth;
+                    }
+                    Err(e @ CktError::NonFinite { .. }) => return Err(e),
+                    Err(e) if depth == MAX_SPLIT_DEPTH => return Err(e),
+                    Err(_) => {
+                        if let Some(tel) = opts.instr.get() {
+                            tel.steps.rejected_newton.inc();
+                        }
+                        x.copy_from_slice(&ws.x_split);
+                        depth += 1;
+                    }
+                }
+            }
+        }
+        Ok(iters)
+    }
+
+    /// Advances every element's state over a backward-Euler step of
+    /// width `h` (s) ending at time `t` (s) with solution `x`.
+    fn advance_states(&self, ckt: &Circuit, t: f64, h: f64, x: &[f64], states: &mut [ElemState]) {
+        for (k, (_, e)) in ckt.elements().iter().enumerate() {
+            let ctx = EvalCtx {
+                t,
+                h,
+                method: Integration::BackwardEuler,
+                dc: false,
+                x,
+                state: states[k],
+            };
+            states[k] = e.next_state(self.branch0[k], self.n_nodes, &ctx);
+        }
     }
 }
 
@@ -1861,5 +1970,64 @@ mod tests {
         let tel = opts.instr.get().unwrap();
         assert!(tel.solver.damping_halvings.get() >= 1);
         assert_eq!(tel.solver.failures.get(), 1);
+    }
+
+    /// A 5 V source charging 1 pF through 1 kΩ (RC = 1 ns), relaxed
+    /// from an empty capacitor over one 4 ns step. The linear solve's only limit is the
+    /// 0.5 V damping bound, so the iterations a solve needs grow with
+    /// how far its step moves the capacitor node.
+    fn relax_rc(max_newton: usize) -> (Result<usize, CktError>, f64, SolverOptions) {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        let b = c.node("b");
+        c.vsource("V1", a, Circuit::GND, Waveform::dc(5.0));
+        c.resistor("R1", a, b, 1e3);
+        c.capacitor("C1", b, Circuit::GND, 1e-12);
+        let asm = Assembly::new(&c);
+        // The driven node starts at the source voltage; only `b` moves.
+        let mut x = vec![0.0; asm.n_unknowns()];
+        x[a.index() - 1] = 5.0;
+        let mut states: Vec<ElemState> = c
+            .elements()
+            .iter()
+            .map(|(_, e)| e.initial_state(&x))
+            .collect();
+        let opts = SolverOptions {
+            max_newton,
+            instr: Instrumentation::enabled(),
+            ..SolverOptions::default()
+        };
+        let mut ws = NewtonWorkspace::new(asm.n_unknowns());
+        let r = asm.relax_at_bias(&c, 1e-9, 4e-9, 1, &opts, &mut x, &mut states, &mut ws);
+        (r, x[b.index() - 1], opts)
+    }
+
+    #[test]
+    fn relax_at_bias_splits_a_step_that_does_not_converge() {
+        // Converging: one solve, exactly the 4 ns backward-Euler step.
+        let (r, v, opts) = relax_rc(100);
+        r.expect("full step converges");
+        let tel = opts.instr.get().unwrap();
+        assert_eq!(tel.solver.solves.get(), 1);
+        assert_eq!(tel.steps.rejected_newton.get(), 0);
+        assert!(
+            (v - 4.0).abs() < 1e-6,
+            "BE step of 4·RC ends at 4 V, got {v}"
+        );
+        // Six iterations move the node at most 2.5 V: the full and half
+        // steps fail, finer parts converge and cover the same 4 ns, which
+        // lands nearer the exact 5·(1 − e⁻⁴) V than one BE step does.
+        let (r, v, opts) = relax_rc(6);
+        r.expect("split step converges");
+        let tel = opts.instr.get().unwrap();
+        assert!(tel.steps.rejected_newton.get() >= 2);
+        assert!(tel.solver.solves.get() > 2);
+        let exact = 5.0 * (1.0 - (-4.0f64).exp());
+        assert!(v > 4.0 && v < exact, "split relaxation ended at {v} V");
+        // One iteration cannot converge even at the finest split.
+        assert!(matches!(
+            relax_rc(1).0,
+            Err(CktError::NewtonExhausted { .. })
+        ));
     }
 }

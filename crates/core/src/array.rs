@@ -24,8 +24,8 @@
 use crate::bias::Operation;
 use crate::cell::FefetCell;
 use fefet_ckt::circuit::Circuit;
-use fefet_ckt::elements::{Integration, Node};
-use fefet_ckt::engine::{Assembly, SolverBackend, SolverOptions};
+use fefet_ckt::elements::{ElemState, EvalCtx, Integration, Node};
+use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverBackend, SolverOptions, MAX_SPLIT_DEPTH};
 use fefet_ckt::models::MosParams;
 use fefet_ckt::plan::AnalysisCache;
 use fefet_ckt::probe::CurrentsAt;
@@ -40,6 +40,17 @@ use std::sync::Arc;
 const T_EDGE: f64 = 50e-12;
 /// Quiescent lead-in (s).
 const T_START: f64 = 0.2e-9;
+
+/// Backward-Euler point solves a [`FefetArray::sense_row`] takes.
+const SENSE_STEPS: usize = 8;
+
+/// Smallest companion slope ([`fefet_ckt::models::LkParams::companion_slope`])
+/// a [`FefetArray::sense_row`] step may leave any FE capacitor at. The
+/// stored states sit in the film's negative-capacitance region, where
+/// the slope crosses zero at step widths of 70–200 ps; point solves
+/// within 6 % of that crossing cycle until their iteration budget runs
+/// out, so a step closer than this splits before it is solved.
+const SENSE_MIN_SLOPE: f64 = 0.15;
 
 /// Shortest read window [`FefetArray::read_row`] accepts (s). Cell
 /// currents are sampled `2·T_EDGE` before the window closes; below
@@ -342,6 +353,15 @@ pub struct ArrayRead {
     /// sit below its worst member's current; full-array reads report
     /// every cell's own.
     pub max_sneak: f64,
+}
+
+/// Result of a quasi-static row sense ([`FefetArray::sense_row`]).
+#[derive(Debug, Clone)]
+pub struct RowSense {
+    /// Sensed cell currents per column of the accessed row (A).
+    pub currents: Vec<f64>,
+    /// Digitized data (current above [`I_SENSE_THRESHOLD_A`]).
+    pub bits: Vec<bool>,
 }
 
 impl FefetArray {
@@ -709,18 +729,24 @@ impl FefetArray {
                 method: Integration::Trapezoidal,
                 node_ics,
                 predict: self.fastpaths.predict,
-                solver: SolverOptions {
-                    backend: self.solver_backend,
-                    jacobian_reuse: self.fastpaths.jacobian_reuse,
-                    bypass: self.fastpaths.bypass,
-                    instr: self.instr.clone(),
-                    cache: Some(self.cache.clone()),
-                    ..SolverOptions::default()
-                },
+                solver: self.solver_options(),
                 ..TransientOptions::default()
             },
             observe,
         )
+    }
+
+    /// Newton settings for every simulation this array runs: its
+    /// backend, fast-path switches, telemetry and analysis cache.
+    fn solver_options(&self) -> SolverOptions {
+        SolverOptions {
+            backend: self.solver_backend,
+            jacobian_reuse: self.fastpaths.jacobian_reuse,
+            bypass: self.fastpaths.bypass,
+            instr: self.instr.clone(),
+            cache: Some(self.cache.clone()),
+            ..SolverOptions::default()
+        }
     }
 
     /// Writes `data` into `row` (Table 1 write biasing) with a pulse of
@@ -936,11 +962,135 @@ impl FefetArray {
             }
         }
         let max_disturb = net.max_disturb(&run, &self.state, false); // read must disturb nobody
+        let bits = self.digitize(&currents);
+        if let Some(tel) = self.instr.get() {
+            tel.array.sneak_current_max.update_max(max_sneak);
+            tel.array.disturb_max.update_max(max_disturb);
+        }
+        Ok(ArrayRead {
+            op: ArrayOp {
+                steps: run.steps,
+                energy: run.total_source_energy(),
+                max_disturb,
+            },
+            currents,
+            bits,
+            max_sneak,
+        })
+    }
+
+    /// Senses `row` as [`FefetArray::read_row`] does over a window
+    /// `t_read` (s), with point solves instead of a transient: the read
+    /// kernel the serving layer's escalated reads use.
+    ///
+    /// A FEFET read switches nothing, so sensing asks only for the
+    /// read-FET currents at the Table 1 read bias. The kernel builds the
+    /// same row slice as `read_row` and starts from the hold solution:
+    /// every FE capacitor at its stored polarization, its gate nodes at
+    /// the static stack solution. It holds the read-plateau bias and
+    /// takes 8 backward-Euler point solves
+    /// ([`Assembly::relax_at_bias`]) that together span
+    /// `t_read − 2.5·T_EDGE`: the bias exposure `read_row`'s sample
+    /// point sees, counted from the middle of the select edge. The
+    /// accessed row's read-FET currents at the end digitize against
+    /// [`I_SENSE_THRESHOLD_A`].
+    ///
+    /// A step whose width would leave an FE capacitor's backward-Euler
+    /// companion near singular (see
+    /// [`fefet_ckt::models::LkParams::companion_slope`]) is solved in
+    /// equal parts instead. The work is fixed by the array size and the
+    /// stored state, whatever `t_read`. A point solve has no energy
+    /// meter and the kernel tracks no disturb or sneak current; reads
+    /// that need those take `read_row`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`FefetArray::read_row`].
+    pub fn sense_row(&self, row: usize, t_read: f64) -> Result<RowSense> {
+        let net = self.read_netlist(row, t_read, Unaccessed::Classes)?;
+        let _span = self.instr.span("array.read_row");
+        let _transient = self.instr.span("ckt.transient");
+        let ckt = &net.circuit;
+        let asm = Assembly::new(ckt);
+        let n = asm.n_unknowns();
+        let mut x = vec![0.0; n];
+        for (node, v) in &net.ics {
+            x[node.index() - 1] = *v;
+        }
+        let mut states: Vec<ElemState> = ckt
+            .elements()
+            .iter()
+            .map(|(_, e)| e.initial_state(&x))
+            .collect();
+        let t_hold = T_START + t_read - 2.0 * T_EDGE;
+        let h = (t_read - 2.5 * T_EDGE) / SENSE_STEPS as f64;
+        // Exact Newton: near a companion's singular width, modified
+        // Newton keeps stale factors while the residual merely halves per
+        // iteration, and spends three to four times the iterations.
+        let opts = SolverOptions {
+            jacobian_reuse: false,
+            ..self.solver_options()
+        };
+        let mut ws = NewtonWorkspace::new(n);
+        for _ in 0..SENSE_STEPS {
+            let parts = self.sense_parts(h, &states, &net.ffe);
+            asm.relax_at_bias(
+                ckt,
+                t_hold,
+                h / parts as f64,
+                parts,
+                &opts,
+                &mut x,
+                &mut states,
+                &mut ws,
+            )?;
+        }
+        let mut currents = Vec::with_capacity(self.cols);
+        for (cell, &m) in net.cells.iter().zip(&net.mfet) {
+            if cell.line == net.accessed_line {
+                let ctx = EvalCtx {
+                    t: t_hold,
+                    h,
+                    method: Integration::BackwardEuler,
+                    dc: false,
+                    x: &x,
+                    state: states[m],
+                };
+                let (_, e) = &ckt.elements()[m];
+                currents.push(e.current(asm.branch0[m], &ctx, asm.n_nodes).unwrap_or(0.0));
+            }
+        }
+        let bits = self.digitize(&currents);
+        Ok(RowSense { currents, bits })
+    }
+
+    /// Equal parts to cover one sense step of width `h` (s) in: the
+    /// fewest that keep every FE capacitor's backward-Euler companion
+    /// slope at its polarization in `states` at least
+    /// [`SENSE_MIN_SLOPE`] from zero, at most as many as the finest
+    /// split of [`Assembly::relax_at_bias`].
+    fn sense_parts(&self, h: f64, states: &[ElemState], ffe: &[usize]) -> usize {
+        let lk = &self.cell.fefet.fe.lk;
+        let near_singular = |h_part: f64| {
+            ffe.iter().any(|&e| {
+                matches!(states[e], ElemState::Fe { p, .. }
+                    if lk.companion_slope(p, h_part).abs() < SENSE_MIN_SLOPE)
+            })
+        };
+        let mut parts = 1;
+        while parts < 1 << MAX_SPLIT_DEPTH && near_singular(h / parts as f64) {
+            parts += 1;
+        }
+        parts
+    }
+
+    /// Digitizes the accessed row's cell `currents` (A) against
+    /// [`I_SENSE_THRESHOLD_A`], counting the read and its margin into
+    /// the array's telemetry.
+    fn digitize(&self, currents: &[f64]) -> Vec<bool> {
         let bits: Vec<bool> = currents.iter().map(|i| *i > I_SENSE_THRESHOLD_A).collect();
         if let Some(tel) = self.instr.get() {
             tel.array.row_reads.inc();
-            tel.array.sneak_current_max.update_max(max_sneak);
-            tel.array.disturb_max.update_max(max_disturb);
             // Read margin: smallest ON-bit current over largest OFF-bit
             // current for this row; only meaningful when both states
             // appear, and the worst case across rows is kept.
@@ -957,16 +1107,7 @@ impl FefetArray {
                 tel.array.read_margin_worst.update_min(i_on_min / i_off_max);
             }
         }
-        Ok(ArrayRead {
-            op: ArrayOp {
-                steps: run.steps,
-                energy: run.total_source_energy(),
-                max_disturb,
-            },
-            currents,
-            bits,
-            max_sneak,
-        })
+        bits
     }
 
     /// Reads several rows, fanning the independent row transients out

@@ -16,13 +16,16 @@
 //!    [`fefet_device::variability::sample_write_cycle`]. Zero circuit
 //!    solves, zero heap allocations once warm.
 //! 2. **Circuit escalation** (the marginal case): an op escalates to a
-//!    full transient solve (`read_row`/`write_row` on the existing
-//!    dense/sparse backends) when its sense margin sits inside a
+//!    circuit solve of its row when its sense margin sits inside a
 //!    configurable guard band, its row's disturb accumulator passed the
 //!    threshold, a column has never been calibrated in the state being
-//!    read (first touch), or escalation is forced outright. Escalated
-//!    reads refresh the bank's per-column calibration cache, so repeat
-//!    traffic returns to the fast path.
+//!    read (first touch), or escalation is forced outright. Writes and
+//!    persists run the write transient (`write_row`); FERAM reads run
+//!    their destructive read transient (`read_row`); FEFET reads, which
+//!    switch nothing, sense with the quasi-static read kernel
+//!    ([`FefetArray::sense_row`]). Escalated reads refresh the bank's
+//!    per-column calibration cache, so repeat traffic returns to the
+//!    fast path.
 //!
 //! Ops are batched into **deterministic windows**: the op stream is cut
 //! into fixed-size chunks by global op index, and within a window all
@@ -193,7 +196,11 @@ pub struct OpResult {
     pub fidelity: Fidelity,
     /// Energy attributed to this op (J). The first op of each class in
     /// a coalesced row group carries the row activation's full energy;
-    /// coalesced followers carry zero.
+    /// coalesced followers carry zero. Escalated writes, persists and
+    /// FERAM reads report the energy their transient metered; escalated
+    /// FEFET reads sense with point solves, which meter none, and report
+    /// the bank's [`MacroTable::read_energy_per_word`], as the fast path
+    /// does.
     pub energy_j: f64,
     /// Modeled service latency (s): the macro read or write time of the
     /// row-level operation that served this op.
@@ -249,8 +256,12 @@ pub struct ServeSpec {
     /// Serve every row-level operation at circuit fidelity — the
     /// baseline side of the fast-path benchmark.
     pub force_escalate: bool,
-    /// Read develop/sense window passed to the circuit `read_row` on
-    /// escalation (s).
+    /// Read develop/sense window of an escalated read (s). A FEFET read
+    /// senses with [`FefetArray::sense_row`]: point solves that span the
+    /// window's bias exposure at a cost that does not grow with it, and
+    /// whose energy comes from the macro table (see
+    /// [`OpResult::energy_j`]). A FERAM read develops its bit lines over
+    /// this window in `read_row`.
     pub t_read_s: f64,
     /// Write pulse width passed to the circuit `write_row` on
     /// escalation (s).
@@ -280,7 +291,7 @@ impl Default for ServeSpec {
 pub enum ServeError {
     /// Invalid spec, bank layout, or op addressing.
     Config(String),
-    /// An escalated `read_row`/`write_row` failed to converge or build.
+    /// An escalated circuit op failed to converge or build.
     Circuit(CktError),
 }
 
@@ -636,7 +647,7 @@ impl Bank {
 
     /// The underlying FEFET array, when this bank is FEFET — the
     /// escalation-correctness tests compare escalated serving reads
-    /// against direct `read_row` calls on a clone of this.
+    /// against direct `sense_row` calls on a clone of this.
     pub fn as_fefet(&self) -> Option<&FefetArray> {
         match &self.array {
             BankArray::Fefet(a) => Some(a),
@@ -826,7 +837,10 @@ impl Bank {
         let tracked = self.words[row];
         let (measured, energy) = match &mut self.array {
             BankArray::Fefet(a) => {
-                let rd = a.read_row(row, spec.t_read_s)?;
+                // A FEFET read switches nothing: sense at the read bias
+                // with point solves. They meter no energy, so the read
+                // reports the bank's calibrated per-word read energy.
+                let rd = a.sense_row(row, spec.t_read_s)?;
                 let mut word = 0u64;
                 for (col, &bit) in rd.bits.iter().enumerate() {
                     if bit {
@@ -834,7 +848,7 @@ impl Bank {
                     }
                 }
                 self.calib.refresh(&rd.currents, word, self.sense_threshold);
-                (word, rd.op.energy)
+                (word, self.table.read_energy_per_word())
             }
             BankArray::Feram(a) => {
                 // Destructive read: digitize the development swings,
@@ -2031,8 +2045,9 @@ mod tests {
     fn escalated_read_matches_direct_read_row() {
         // A guard band wider than the FEFET margins forces every read
         // through the circuit path even after calibration; the served
-        // word and refreshed signals must agree with a direct read_row
-        // on an identical array.
+        // word and refreshed signals must agree with a direct sense_row
+        // on an identical array, and the read reports the macro table's
+        // read energy.
         let spec = ServeSpec {
             guard_band_decades: 1e6,
             ..ServeSpec::default()
@@ -2050,7 +2065,7 @@ mod tests {
         )
         .expect("write");
         let reference = svc.bank(0).and_then(Bank::as_fefet).expect("array").clone();
-        let direct = reference.read_row(0, spec.t_read_s).expect("direct read");
+        let direct = reference.sense_row(0, spec.t_read_s).expect("direct read");
         svc.serve(&[MemOp::Read { bank: 0, row: 0 }], &mut out)
             .expect("read");
         let mut direct_word = 0u64;
@@ -2062,10 +2077,15 @@ mod tests {
         assert!(matches!(out[0].fidelity, Fidelity::Circuit(_)));
         assert_eq!(
             out[0].word, direct_word,
-            "escalated serving read must digitize identically to read_row"
+            "escalated serving read must digitize identically to sense_row"
         );
         assert_eq!(out[0].word, word);
         let bank = svc.bank(0).expect("bank");
+        assert_eq!(
+            out[0].energy_j.to_bits(),
+            bank.table().read_energy_per_word().to_bits(),
+            "an escalated FEFET read reports the macro table's read energy"
+        );
         for col in 0..4 {
             let state = word & (1u64 << col) != 0;
             let sig = bank.calibrated_signal(col, state).expect("refreshed");

@@ -37,7 +37,7 @@
 use crate::array::FefetArray;
 use crate::cell::FefetCell;
 use fefet_ckt::circuit::Circuit;
-use fefet_ckt::elements::{ElemState, EvalCtx, Integration};
+use fefet_ckt::elements::ElemState;
 use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverBackend, SolverOptions};
 use fefet_ckt::parallel::pool_map;
 use fefet_ckt::plan::AnalysisCache;
@@ -492,27 +492,6 @@ thread_local! {
     static SCRATCH: RefCell<Option<(usize, TrialScratch)>> = const { RefCell::new(None) };
 }
 
-fn advance_states(
-    ckt: &Circuit,
-    asm: &Assembly,
-    t: f64,
-    h: f64,
-    x: &[f64],
-    states: &mut [ElemState],
-) {
-    for (k, (_, e)) in ckt.elements().iter().enumerate() {
-        let ctx = EvalCtx {
-            t,
-            h,
-            method: Integration::BackwardEuler,
-            dc: false,
-            x,
-            state: states[k],
-        };
-        states[k] = e.next_state(asm.branch0[k], asm.n_nodes, &ctx);
-    }
-}
-
 /// Closed-form coercive voltage (V) of a ferroelectric film: the
 /// extremum of the Landau S-curve at x = P² solving 5γx² + 3βx + α = 0
 /// (smaller positive root), times the film thickness. Allocation-free,
@@ -649,22 +628,16 @@ impl YieldEngine {
         let mut x = x_boot.clone();
         let mut states = states_boot.clone();
         let mut ws = NewtonWorkspace::new(n);
-        let mut boot_iters = 0u64;
-        for _ in 0..K_BOOT {
-            let iters = asm.solve_point_with(
-                &circuit,
-                T_BIAS,
-                H_STEP,
-                Integration::BackwardEuler,
-                false,
-                &opts,
-                &mut x,
-                &states,
-                &mut ws,
-            )?;
-            boot_iters += iters as u64;
-            advance_states(&circuit, &asm, T_BIAS, H_STEP, &x, &mut states);
-        }
+        let boot_iters = asm.relax_at_bias(
+            &circuit,
+            T_BIAS,
+            H_STEP,
+            K_BOOT,
+            &opts,
+            &mut x,
+            &mut states,
+            &mut ws,
+        )? as u64;
         let x_nominal = x;
         // Trials restart the FE caps from their stored polarization
         // (`initial_state` resets each to its p0) with node voltages
@@ -955,32 +928,18 @@ fn trial_body(
     scratch.states.copy_from_slice(states0);
     let mut warm_iters = 0u64;
     if solver_ok {
-        for _ in 0..K_TRIAL {
-            match core.asm.solve_point_with(
-                &scratch.circuit,
-                T_BIAS,
-                H_STEP,
-                Integration::BackwardEuler,
-                false,
-                opts,
-                &mut scratch.x,
-                &scratch.states,
-                &mut scratch.ws,
-            ) {
-                Ok(iters) => warm_iters += iters as u64,
-                Err(_) => {
-                    solver_ok = false;
-                    break;
-                }
-            }
-            advance_states(
-                &scratch.circuit,
-                &core.asm,
-                T_BIAS,
-                H_STEP,
-                &scratch.x,
-                &mut scratch.states,
-            );
+        match core.asm.relax_at_bias(
+            &scratch.circuit,
+            T_BIAS,
+            H_STEP,
+            K_TRIAL,
+            opts,
+            &mut scratch.x,
+            &mut scratch.states,
+            &mut scratch.ws,
+        ) {
+            Ok(iters) => warm_iters = iters as u64,
+            Err(_) => solver_ok = false,
         }
     }
     let (margin_ratio, i_on_min, i_off_max, worst_col) = if solver_ok {
