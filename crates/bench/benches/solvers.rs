@@ -792,9 +792,12 @@ fn bench_array_sweep(report: &mut Report) {
 fn bench_yield(report: &mut Report) {
     // 32×32 array, minimal device-level grids: the pair isolates the
     // solver-reuse win (symbolic analysis + warm start) rather than the
-    // (identical-cost) per-trial shmoo work. At this size the cold
-    // side's Markowitz analysis dominates, which is exactly the cost
-    // the shared cache deletes.
+    // (identical-cost) per-trial shmoo work. A trial solves the 384-
+    // unknown read row slice; the cold side's symbolic analysis and
+    // workspace set-up then cost about as much as the warm trial
+    // itself, which is the cost the shared cache deletes. The draws
+    // and device workloads over all 1024 cells (about 0.35 ms a trial)
+    // are paid on both sides.
     let trial_spec = YieldSpec {
         rows: 32,
         cols: 32,
@@ -816,8 +819,8 @@ fn bench_yield(report: &mut Report) {
     engine.run_trial(&mut scratch, 0); // stand the scratch up untimed
 
     // Trials differ in cost: at this seed 8 of the 64 (13, 16, 26, 28,
-    // 35, 40, 45, 62) escape a Newton damping-clamp cycle and take 23-25
-    // warm iterations against 14-18 for the rest. A batch holds only a
+    // 35, 40, 45, 62) escape a Newton damping-clamp cycle and take 20-25
+    // warm iterations against 12-18 for the rest. A batch holds only a
     // few cold trials, so timing different trials on each side would
     // compare different mixes. Both sides time one fixed block, the
     // first eight trials (all solve cleanly): the same work, and the

@@ -291,6 +291,57 @@ impl Netlist {
     }
 }
 
+/// The read row slice ([`Unaccessed::Classes`]) under the read-plateau
+/// bias, ready for point solves: what [`FefetArray::sense_row`] and the
+/// yield engine's trials solve.
+#[derive(Debug)]
+pub(crate) struct ReadSlice {
+    /// The row slice under Table 1 read biasing.
+    pub(crate) circuit: Circuit,
+    /// Its element and branch bookkeeping.
+    pub(crate) asm: Assembly,
+    /// The hold solution: every cell's FE gate and internal node at the
+    /// static stack solution of its starting polarization, every other
+    /// unknown at 0 V / 0 A.
+    pub(crate) x_hold: Vec<f64>,
+    /// Element position of each accessed-row cell's read FET, by column.
+    pub(crate) mfet: Vec<usize>,
+    /// Element position of each accessed-row cell's FE capacitor, by
+    /// column.
+    pub(crate) ffe: Vec<usize>,
+}
+
+impl ReadSlice {
+    /// Every element's state at iterate `x`: each FE capacitor at its
+    /// starting polarization.
+    pub(crate) fn states_at(&self, x: &[f64]) -> Vec<ElemState> {
+        self.circuit
+            .elements()
+            .iter()
+            .map(|(_, e)| e.initial_state(x))
+            .collect()
+    }
+
+    /// Read-FET current (A) of the accessed-row cell in column `j` at
+    /// iterate `x`, with the devices of `ckt`: this slice's circuit or a
+    /// copy re-parameterized in place. Allocation-free.
+    pub(crate) fn read_current(&self, ckt: &Circuit, x: &[f64], j: usize) -> f64 {
+        let m = self.mfet[j];
+        // A MOSFET's current depends on its terminal voltages alone.
+        let ctx = EvalCtx {
+            t: 0.0,
+            h: 0.0,
+            method: Integration::BackwardEuler,
+            dc: false,
+            x,
+            state: ElemState::None,
+        };
+        let (_, e) = &ckt.elements()[m];
+        e.current(self.asm.branch0[m], &ctx, self.asm.n_nodes)
+            .unwrap_or(0.0)
+    }
+}
+
 /// Sorts `cells` (stored-state indices) by polarization and cuts them
 /// in two at the widest polarization gap, so cells that sit apart
 /// (freshly written ones, still relaxing) land in a part of their own.
@@ -873,8 +924,9 @@ impl FefetArray {
     /// Builds the full-array read-phase circuit for `row` without
     /// running it: the Table 1 read biasing applied to this array's
     /// stored state over a window `t_read` (s), every cell on its own
-    /// lines. Used by the yield engine and by the benches to exercise
-    /// the Newton kernel at array size.
+    /// lines. The benches use it to exercise the Newton kernel at array
+    /// size, and tests as the reference the row slice is checked
+    /// against.
     ///
     /// # Errors
     ///
@@ -882,6 +934,37 @@ impl FefetArray {
     /// not finite and at least [`MIN_T_READ_S`].
     pub fn read_circuit(&self, row: usize, t_read: f64) -> Result<Circuit> {
         Ok(self.read_netlist(row, t_read, Unaccessed::Cells)?.circuit)
+    }
+
+    /// Builds the read row slice of `row` over a window `t_read` (s)
+    /// with its hold solution and the accessed row's element positions.
+    ///
+    /// # Errors
+    ///
+    /// As for [`FefetArray::read_circuit`].
+    pub(crate) fn read_slice(&self, row: usize, t_read: f64) -> Result<ReadSlice> {
+        let net = self.read_netlist(row, t_read, Unaccessed::Classes)?;
+        let asm = Assembly::new(&net.circuit);
+        let mut x_hold = vec![0.0; asm.n_unknowns()];
+        for (node, v) in &net.ics {
+            x_hold[node.index() - 1] = *v;
+        }
+        let accessed = |pos: &[usize]| -> Vec<usize> {
+            net.cells
+                .iter()
+                .zip(pos)
+                .filter(|(cell, _)| cell.line == net.accessed_line)
+                .map(|(_, &e)| e)
+                .collect()
+        };
+        let (mfet, ffe) = (accessed(&net.mfet), accessed(&net.ffe));
+        Ok(ReadSlice {
+            circuit: net.circuit,
+            asm,
+            x_hold,
+            mfet,
+            ffe,
+        })
     }
 
     fn read_netlist(&self, row: usize, t_read: f64, unaccessed: Unaccessed) -> Result<Netlist> {
@@ -1007,21 +1090,12 @@ impl FefetArray {
     ///
     /// As for [`FefetArray::read_row`].
     pub fn sense_row(&self, row: usize, t_read: f64) -> Result<RowSense> {
-        let net = self.read_netlist(row, t_read, Unaccessed::Classes)?;
+        let slice = self.read_slice(row, t_read)?;
         let _span = self.instr.span("array.read_row");
         let _transient = self.instr.span("ckt.transient");
-        let ckt = &net.circuit;
-        let asm = Assembly::new(ckt);
-        let n = asm.n_unknowns();
-        let mut x = vec![0.0; n];
-        for (node, v) in &net.ics {
-            x[node.index() - 1] = *v;
-        }
-        let mut states: Vec<ElemState> = ckt
-            .elements()
-            .iter()
-            .map(|(_, e)| e.initial_state(&x))
-            .collect();
+        let (ckt, asm) = (&slice.circuit, &slice.asm);
+        let mut states = slice.states_at(&slice.x_hold);
+        let mut x = slice.x_hold.clone();
         let t_hold = T_START + t_read - 2.0 * T_EDGE;
         let h = (t_read - 2.5 * T_EDGE) / SENSE_STEPS as f64;
         // Exact Newton: near a companion's singular width, modified
@@ -1031,9 +1105,9 @@ impl FefetArray {
             jacobian_reuse: false,
             ..self.solver_options()
         };
-        let mut ws = NewtonWorkspace::new(n);
+        let mut ws = NewtonWorkspace::new(asm.n_unknowns());
         for _ in 0..SENSE_STEPS {
-            let parts = self.sense_parts(h, &states, &net.ffe);
+            let parts = self.sense_parts(h, &states);
             asm.relax_at_bias(
                 ckt,
                 t_hold,
@@ -1045,21 +1119,9 @@ impl FefetArray {
                 &mut ws,
             )?;
         }
-        let mut currents = Vec::with_capacity(self.cols);
-        for (cell, &m) in net.cells.iter().zip(&net.mfet) {
-            if cell.line == net.accessed_line {
-                let ctx = EvalCtx {
-                    t: t_hold,
-                    h,
-                    method: Integration::BackwardEuler,
-                    dc: false,
-                    x: &x,
-                    state: states[m],
-                };
-                let (_, e) = &ckt.elements()[m];
-                currents.push(e.current(asm.branch0[m], &ctx, asm.n_nodes).unwrap_or(0.0));
-            }
-        }
+        let currents: Vec<f64> = (0..self.cols)
+            .map(|j| slice.read_current(ckt, &x, j))
+            .collect();
         let bits = self.digitize(&currents);
         Ok(RowSense { currents, bits })
     }
@@ -1069,11 +1131,11 @@ impl FefetArray {
     /// slope at its polarization in `states` at least
     /// [`SENSE_MIN_SLOPE`] from zero, at most as many as the finest
     /// split of [`Assembly::relax_at_bias`].
-    fn sense_parts(&self, h: f64, states: &[ElemState], ffe: &[usize]) -> usize {
+    fn sense_parts(&self, h: f64, states: &[ElemState]) -> usize {
         let lk = &self.cell.fefet.fe.lk;
         let near_singular = |h_part: f64| {
-            ffe.iter().any(|&e| {
-                matches!(states[e], ElemState::Fe { p, .. }
+            states.iter().any(|s| {
+                matches!(*s, ElemState::Fe { p, .. }
                     if lk.companion_slope(p, h_part).abs() < SENSE_MIN_SLOPE)
             })
         };

@@ -7,15 +7,18 @@
 //! [`fefet_device::variability::VariationSpec`]) and evaluates three
 //! workloads: the read margin of the accessed row, a (write-voltage ×
 //! pulse-width) shmoo of the hardest cell, and a read-disturb stress of
-//! the easiest cell. The performance substance is what is **shared**
-//! across trials:
+//! the easiest cell. The read margin is solved on the read row slice
+//! that [`FefetArray::sense_row`] reads: only the accessed row's cells
+//! carry their sampled devices, because under Table 1 read biasing an
+//! unaccessed cell's read FET has no drain bias. The performance
+//! substance is what is **shared** across trials:
 //!
 //! - **One symbolic analysis per pattern, process-wide.** Every trial
 //!   solves a structurally identical MNA system (perturbations change
 //!   values, never the pattern), so all trials share one
 //!   [`AnalysisCache`] entry instead of re-analyzing per trial.
 //! - **Reusable per-worker trial workspaces.** Each pooled worker owns a
-//!   [`TrialScratch`] (circuit clone, Newton workspace, state/solution
+//!   [`TrialScratch`] (read-slice clone, Newton workspace, state/solution
 //!   vectors, device scratch) that is re-parameterized in place — the
 //!   warm trial loop performs zero heap allocations.
 //! - **Warm-started Newton.** Trials start from the converged nominal
@@ -34,11 +37,11 @@
 //! trial count — and condense into a [`YieldReport`] that renders as a
 //! self-validating JSON [`RunReport`].
 
-use crate::array::FefetArray;
+use crate::array::{FefetArray, ReadSlice};
 use crate::cell::FefetCell;
 use fefet_ckt::circuit::Circuit;
 use fefet_ckt::elements::ElemState;
-use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverBackend, SolverOptions};
+use fefet_ckt::engine::{NewtonWorkspace, SolverBackend, SolverOptions};
 use fefet_ckt::parallel::pool_map;
 use fefet_ckt::plan::AnalysisCache;
 use fefet_ckt::{CktError, Result};
@@ -52,7 +55,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Read-window bias point (s) at which trials are evaluated — inside
-/// the pulse plateau of [`FefetArray::read_circuit`].
+/// the read-select plateau of the 3 ns read the engine builds.
 const T_BIAS: f64 = 0.5e-9;
 /// Pseudo-transient step (s) for the fixed-bias point solves.
 const H_STEP: f64 = 50e-12;
@@ -180,7 +183,7 @@ pub struct TrialOutcome {
     pub worst_t_fe_m: f64,
 }
 
-/// Reusable per-worker trial workspace: a circuit clone that is
+/// Reusable per-worker trial workspace: a read-slice clone that is
 /// re-parameterized in place, the Newton workspace, solution and state
 /// vectors, and per-cell device scratch. After the first (cold) use,
 /// [`YieldEngine::run_trial`] performs zero heap allocations on it.
@@ -450,28 +453,19 @@ impl YieldReport {
     }
 }
 
-/// Immutable state shared by every trial: the nominal circuit and its
-/// assembly, the solver options carrying the process-wide analysis
-/// cache, the converged warm-start solution, cached element/node
-/// indices, and the pre-drawn trial sub-seeds.
+/// Immutable state shared by every trial: the nominal read row slice
+/// with its assembly and accessed-row positions, the solver options
+/// carrying the process-wide analysis cache, the converged warm-start
+/// solution, and the pre-drawn trial sub-seeds.
 #[derive(Debug)]
 struct EngineCore {
     cell: FefetCell,
     spec: YieldSpec,
-    circuit: Circuit,
-    asm: Assembly,
+    slice: ReadSlice,
     opts: SolverOptions,
-    x_boot: Vec<f64>,
     x_nominal: Vec<f64>,
-    states_boot: Vec<ElemState>,
     states_nominal: Vec<ElemState>,
     trial_seeds: Vec<u64>,
-    fe_idx: Vec<usize>,
-    mfet_idx: Vec<usize>,
-    gi0_x: Vec<usize>,
-    sl_x: Vec<usize>,
-    rs0_x: usize,
-    pattern_hi: Vec<bool>,
     p_lo: f64,
     p_hi: f64,
     boot_iters: u64,
@@ -526,21 +520,42 @@ fn settle(dev: &Fefet, v_g: f64, p0: f64, t_tot: f64, n: usize) -> Option<f64> {
     Some(p)
 }
 
+/// Whether cell `(i, j)` of the checkerboard pattern stores the high
+/// polarization state.
+fn stores_hi(i: usize, j: usize) -> bool {
+    (i + j) % 2 == 1
+}
+
 impl YieldEngine {
     /// Builds the engine: constructs the checkerboard-patterned array's
-    /// read circuit, performs the one-time symbolic analysis and the
-    /// nominal warm-start bootstrap, and pre-draws every trial's
-    /// sub-seed serially from `spec.seed`.
+    /// read row slice for row 0 (the circuit
+    /// [`FefetArray::sense_row`] solves), performs the one-time symbolic
+    /// analysis and the nominal warm-start bootstrap, and pre-draws
+    /// every trial's sub-seed serially from `spec.seed`.
+    ///
+    /// Trials put their sampled devices into row 0's cells only. Under
+    /// Table 1 read biasing an unaccessed row's read select sits at 0 V
+    /// and every sense line at virtual ground, so an unaccessed cell's
+    /// read FET has no drain bias and adds nothing to the sensed
+    /// currents; the slice's lumped unaccessed cells stay nominal.
     ///
     /// # Errors
     ///
-    /// [`CktError::Netlist`] on an invalid spec (zero trials, shmoo
-    /// grid beyond 64 points); solver errors if the nominal bootstrap
-    /// fails to converge.
+    /// [`CktError::Netlist`] on an invalid spec (zero rows, trials or
+    /// batch; fewer than 2 columns, which leaves the accessed row
+    /// without an ON cell and so without a read margin; a shmoo grid
+    /// beyond 64 points); solver errors if the nominal bootstrap fails
+    /// to converge.
     pub fn new(cell: FefetCell, spec: YieldSpec, instr: Instrumentation) -> Result<Self> {
-        if spec.n_trials == 0 || spec.rows == 0 || spec.cols == 0 || spec.batch == 0 {
+        if spec.n_trials == 0 || spec.rows == 0 || spec.batch == 0 {
             return Err(CktError::Netlist(
-                "yield: rows, cols, n_trials and batch must all be >= 1".into(),
+                "yield: rows, n_trials and batch must all be >= 1".into(),
+            ));
+        }
+        if spec.cols < 2 {
+            return Err(CktError::Netlist(
+                "yield: cols must be >= 2 (the checkerboard row 0 needs an ON and an OFF cell)"
+                    .into(),
             ));
         }
         if spec.shmoo_nv == 0 || spec.shmoo_nt == 0 || spec.shmoo_nv * spec.shmoo_nt > 64 {
@@ -550,16 +565,12 @@ impl YieldEngine {
         }
         let mut array = FefetArray::new(spec.rows, spec.cols, cell);
         let (p_lo, p_hi) = array.cell.memory_states();
-        let mut pattern_hi = Vec::with_capacity(spec.rows * spec.cols);
         for i in 0..spec.rows {
             for j in 0..spec.cols {
-                let hi = (i + j) % 2 == 1;
-                pattern_hi.push(hi);
-                array.set_polarization(i, j, if hi { p_hi } else { p_lo });
+                array.set_polarization(i, j, if stores_hi(i, j) { p_hi } else { p_lo });
             }
         }
-        let circuit = array.read_circuit(0, 3e-9)?;
-        let asm = Assembly::new(&circuit);
+        let slice = array.read_slice(0, 3e-9)?;
         let opts = SolverOptions {
             // Pinned: under `Auto` small arrays (n < 64) would go dense
             // and change trial numerics.
@@ -573,63 +584,15 @@ impl YieldEngine {
             instr: instr.clone(),
             ..SolverOptions::default()
         };
-        let n = asm.n_unknowns();
         let cell = array.cell;
-        // Initial-condition seed: every cell's internal nodes at the
-        // static stack solution of its stored polarization.
-        let mut x_boot = vec![0.0; n];
-        let missing = || CktError::Netlist("yield: array circuit missing cell nodes".into());
-        let mut fe_idx = Vec::with_capacity(spec.rows * spec.cols);
-        let mut mfet_idx = Vec::with_capacity(spec.rows * spec.cols);
-        for i in 0..spec.rows {
-            for j in 0..spec.cols {
-                let p0 = if pattern_hi[i * spec.cols + j] {
-                    p_hi
-                } else {
-                    p_lo
-                };
-                let g = circuit
-                    .find_node(&format!("g{i}_{j}"))
-                    .ok_or_else(missing)?;
-                let gi = circuit
-                    .find_node(&format!("gi{i}_{j}"))
-                    .ok_or_else(missing)?;
-                x_boot[g.index() - 1] = cell.fefet.v_gate_static(p0);
-                x_boot[gi.index() - 1] = cell.fefet.v_mos_of(p0);
-                fe_idx.push(
-                    circuit
-                        .element_position(&format!("Ffe{i}_{j}"))
-                        .ok_or_else(missing)?,
-                );
-                mfet_idx.push(
-                    circuit
-                        .element_position(&format!("Mfet{i}_{j}"))
-                        .ok_or_else(missing)?,
-                );
-            }
-        }
-        let mut gi0_x = Vec::with_capacity(spec.cols);
-        let mut sl_x = Vec::with_capacity(spec.cols);
-        for j in 0..spec.cols {
-            let gi = circuit.find_node(&format!("gi0_{j}")).ok_or_else(missing)?;
-            let sl = circuit.find_node(&format!("sl{j}")).ok_or_else(missing)?;
-            gi0_x.push(gi.index() - 1);
-            sl_x.push(sl.index() - 1);
-        }
-        let rs0_x = circuit.find_node("rs0").ok_or_else(missing)?.index() - 1;
-        // Nominal bootstrap: relax the read bias point by pseudo-
-        // transient stepping (the FE caps are open in DC, so a pure DC
-        // solve cannot see the stored polarization).
-        let states_boot: Vec<ElemState> = circuit
-            .elements()
-            .iter()
-            .map(|(_, e)| e.initial_state(&x_boot))
-            .collect();
-        let mut x = x_boot.clone();
-        let mut states = states_boot.clone();
-        let mut ws = NewtonWorkspace::new(n);
-        let boot_iters = asm.relax_at_bias(
-            &circuit,
+        // Nominal bootstrap: relax the read bias point from the hold
+        // solution by pseudo-transient stepping (the FE caps are open in
+        // DC, so a pure DC solve cannot see the stored polarization).
+        let mut x = slice.x_hold.clone();
+        let mut states = slice.states_at(&slice.x_hold);
+        let mut ws = NewtonWorkspace::new(slice.asm.n_unknowns());
+        let boot_iters = slice.asm.relax_at_bias(
+            &slice.circuit,
             T_BIAS,
             H_STEP,
             K_BOOT,
@@ -642,37 +605,24 @@ impl YieldEngine {
         // Trials restart the FE caps from their stored polarization
         // (`initial_state` resets each to its p0) with node voltages
         // warm-started at the converged read bias.
-        let states_nominal: Vec<ElemState> = circuit
-            .elements()
-            .iter()
-            .map(|(_, e)| e.initial_state(&x_nominal))
-            .collect();
+        let states_nominal = slice.states_at(&x_nominal);
         let mut rng = Rng::seed_from_u64(spec.seed ^ SEED_SALT);
         let trial_seeds: Vec<u64> = (0..spec.n_trials).map(|_| rng.next_u64()).collect();
         let mut core = EngineCore {
             cell,
             spec,
-            circuit,
-            asm,
+            slice,
             opts,
-            x_boot,
             x_nominal,
-            states_boot,
             states_nominal,
             trial_seeds,
-            fe_idx,
-            mfet_idx,
-            gi0_x,
-            sl_x,
-            rs0_x,
-            pattern_hi,
             p_lo,
             p_hi,
             boot_iters,
             nominal_margin: 0.0,
             instr,
         };
-        let (margin, _, _, _) = margin_of(&core, &core.x_nominal, |_| &core.cell.fefet);
+        let (margin, _, _, _) = margin_of(&core, &core.slice.circuit, &core.x_nominal);
         core.nominal_margin = margin;
         Ok(YieldEngine {
             core: Arc::new(core),
@@ -684,9 +634,10 @@ impl YieldEngine {
         &self.core.spec
     }
 
-    /// MNA unknowns per trial solve.
+    /// MNA unknowns per trial solve: the read row slice's. From 4 rows
+    /// up they depend on `cols` alone (208 at 16 columns).
     pub fn n_unknowns(&self) -> usize {
-        self.core.asm.n_unknowns()
+        self.core.slice.asm.n_unknowns()
     }
 
     /// Newton iterations the nominal bootstrap spent reaching the
@@ -705,10 +656,11 @@ impl YieldEngine {
     /// allocating.
     pub fn make_scratch(&self) -> TrialScratch {
         let core = &*self.core;
+        let n = core.slice.asm.n_unknowns();
         TrialScratch {
-            circuit: core.circuit.clone(),
-            ws: NewtonWorkspace::new(core.asm.n_unknowns()),
-            x: vec![0.0; core.asm.n_unknowns()],
+            circuit: core.slice.circuit.clone(),
+            ws: NewtonWorkspace::new(n),
+            x: vec![0.0; n],
             states: core.states_nominal.clone(),
             devices: vec![core.cell.fefet; core.spec.rows * core.spec.cols],
         }
@@ -745,8 +697,8 @@ impl YieldEngine {
             &mut scratch,
             trial,
             &opts,
-            &core.x_boot,
-            &core.states_boot,
+            &core.slice.x_hold,
+            &core.slice.states_at(&core.slice.x_hold),
         )
     }
 
@@ -868,22 +820,16 @@ fn run_trial_pooled(core: &Arc<EngineCore>, trial: usize) -> TrialOutcome {
     out
 }
 
-/// Read margin of the accessed row from a solved iterate: smallest ON
-/// over largest OFF cell current, plus the limiting ON column.
-fn margin_of<'a, F>(core: &EngineCore, x: &[f64], dev_of: F) -> (f64, f64, f64, usize)
-where
-    F: Fn(usize) -> &'a Fefet,
-{
-    let v_rs0 = x[core.rs0_x];
+/// Read margin of the accessed row from a solved iterate `x` with the
+/// devices of `ckt`: smallest ON over largest OFF cell current, plus
+/// the limiting ON column.
+fn margin_of(core: &EngineCore, ckt: &Circuit, x: &[f64]) -> (f64, f64, f64, usize) {
     let mut i_on_min = f64::INFINITY;
     let mut i_off_max = 0.0f64;
     let mut worst_col = 0usize;
     for j in 0..core.spec.cols {
-        let dev = dev_of(j);
-        let v_gs = x[core.gi0_x[j]] - x[core.sl_x[j]];
-        let v_ds = v_rs0 - x[core.sl_x[j]];
-        let i_d = dev.mos.ids(v_gs, v_ds).0;
-        if core.pattern_hi[j] {
+        let i_d = core.slice.read_current(ckt, x, j);
+        if stores_hi(0, j) {
             if i_d < i_on_min {
                 i_on_min = i_d;
                 worst_col = j;
@@ -900,59 +846,26 @@ where
     (margin, i_on_min, i_off_max, worst_col)
 }
 
-fn trial_body(
-    core: &EngineCore,
-    scratch: &mut TrialScratch,
-    trial: usize,
-    opts: &SolverOptions,
-    x0: &[f64],
-    states0: &[ElemState],
-) -> TrialOutcome {
-    let spec = &core.spec;
+/// Draws trial `trial`'s devices from its sub-seed into `devices`
+/// (`rows × cols`, row-major).
+fn draw_devices(core: &EngineCore, trial: usize, devices: &mut [Fefet]) {
     let mut rng = Rng::seed_from_u64(core.trial_seeds[trial]);
-    for dev in scratch.devices.iter_mut() {
-        *dev = sample_device(&core.cell.fefet, &spec.variation, &mut rng);
+    for dev in devices.iter_mut() {
+        *dev = sample_device(&core.cell.fefet, &core.spec.variation, &mut rng);
     }
-    let mut solver_ok = true;
-    for (k, dev) in scratch.devices.iter().enumerate() {
-        solver_ok &= scratch
-            .circuit
-            .set_fecap_params_at(core.fe_idx[k], dev.fe)
-            .is_ok();
-        solver_ok &= scratch
-            .circuit
-            .set_mosfet_params_at(core.mfet_idx[k], dev.mos)
-            .is_ok();
-    }
-    scratch.x.copy_from_slice(x0);
-    scratch.states.copy_from_slice(states0);
-    let mut warm_iters = 0u64;
-    if solver_ok {
-        match core.asm.relax_at_bias(
-            &scratch.circuit,
-            T_BIAS,
-            H_STEP,
-            K_TRIAL,
-            opts,
-            &mut scratch.x,
-            &mut scratch.states,
-            &mut scratch.ws,
-        ) {
-            Ok(iters) => warm_iters = iters as u64,
-            Err(_) => solver_ok = false,
-        }
-    }
-    let (margin_ratio, i_on_min, i_off_max, worst_col) = if solver_ok {
-        margin_of(core, &scratch.x, |j| &scratch.devices[j])
-    } else {
-        (0.0, 0.0, 0.0, 0)
-    };
+}
+
+/// The device-level workloads of one trial over all its `devices`: the
+/// shmoo pass mask of the hardest cell and the worst disturb shift
+/// (C/m²) of the easiest one.
+fn stress_of(core: &EngineCore, devices: &[Fefet]) -> (u64, f64) {
+    let spec = &core.spec;
     // Shmoo the hardest cell (largest closed-form coercive voltage).
     let mut hard = 0usize;
     let mut easy = 0usize;
     let mut vc_max = f64::NEG_INFINITY;
     let mut vc_min = f64::INFINITY;
-    for (k, dev) in scratch.devices.iter().enumerate() {
+    for (k, dev) in devices.iter().enumerate() {
         let vc = coercive_voltage(&dev.fe);
         if vc > vc_max {
             vc_max = vc;
@@ -963,7 +876,7 @@ fn trial_body(
             easy = k;
         }
     }
-    let dev = &scratch.devices[hard];
+    let dev = &devices[hard];
     let mut shmoo_pass = 0u64;
     for iv in 0..spec.shmoo_nv {
         let fv = if spec.shmoo_nv > 1 {
@@ -996,7 +909,7 @@ fn trial_body(
     }
     // Disturb-stress the easiest cell (smallest coercive voltage) from
     // both stored states with both stress polarities.
-    let dev = &scratch.devices[easy];
+    let dev = &devices[easy];
     let mut disturb_dp = 0.0f64;
     for &(p0, v) in &[
         (core.p_lo, spec.disturb_v),
@@ -1011,6 +924,55 @@ fn trial_body(
             None => disturb_dp = f64::INFINITY,
         }
     }
+    (shmoo_pass, disturb_dp)
+}
+
+fn trial_body(
+    core: &EngineCore,
+    scratch: &mut TrialScratch,
+    trial: usize,
+    opts: &SolverOptions,
+    x0: &[f64],
+    states0: &[ElemState],
+) -> TrialOutcome {
+    let spec = &core.spec;
+    draw_devices(core, trial, &mut scratch.devices);
+    // Row 0 is the accessed row: its devices are the first `cols` draws.
+    let mut solver_ok = true;
+    for (j, dev) in scratch.devices[..spec.cols].iter().enumerate() {
+        solver_ok &= scratch
+            .circuit
+            .set_fecap_params_at(core.slice.ffe[j], dev.fe)
+            .is_ok();
+        solver_ok &= scratch
+            .circuit
+            .set_mosfet_params_at(core.slice.mfet[j], dev.mos)
+            .is_ok();
+    }
+    scratch.x.copy_from_slice(x0);
+    scratch.states.copy_from_slice(states0);
+    let mut warm_iters = 0u64;
+    if solver_ok {
+        match core.slice.asm.relax_at_bias(
+            &scratch.circuit,
+            T_BIAS,
+            H_STEP,
+            K_TRIAL,
+            opts,
+            &mut scratch.x,
+            &mut scratch.states,
+            &mut scratch.ws,
+        ) {
+            Ok(iters) => warm_iters = iters as u64,
+            Err(_) => solver_ok = false,
+        }
+    }
+    let (margin_ratio, i_on_min, i_off_max, worst_col) = if solver_ok {
+        margin_of(core, &scratch.circuit, &scratch.x)
+    } else {
+        (0.0, 0.0, 0.0, 0)
+    };
+    let (shmoo_pass, disturb_dp) = stress_of(core, &scratch.devices);
     let limiter = &scratch.devices[worst_col];
     TrialOutcome {
         trial,
@@ -1031,6 +993,8 @@ fn trial_body(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fefet_ckt::elements::{EvalCtx, Integration};
+    use fefet_ckt::engine::Assembly;
     use fefet_telemetry::json;
 
     fn small_spec() -> YieldSpec {
@@ -1183,6 +1147,23 @@ mod tests {
     }
 
     #[test]
+    fn spec_validation_rejects_a_row_without_an_on_cell() {
+        // One column: row 0 of the checkerboard holds only an OFF cell,
+        // so no trial could have a read margin.
+        for rows in [1, 4] {
+            let one_col = YieldSpec {
+                rows,
+                cols: 1,
+                ..small_spec()
+            };
+            match YieldEngine::new(FefetCell::default(), one_col, Instrumentation::off()) {
+                Err(CktError::Netlist(msg)) => assert!(msg.contains("cols"), "{msg}"),
+                other => panic!("{rows}x1 spec must be a netlist error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn spec_validation_rejects_oversized_shmoo_grids() {
         let bad = YieldSpec {
             shmoo_nv: 9,
@@ -1316,7 +1297,10 @@ mod tests {
 
     /// Trials that converged without the clamp-cycle escape keep their
     /// outcomes to the bit, including on a workspace that just ran an
-    /// escaping trial. Pinned values predate the escape.
+    /// escaping trial. The device-owned values (bootstrap iterations,
+    /// shmoo, disturb, limiting column and its device) predate the
+    /// escape; the margins, currents and iteration counts are the read
+    /// row slice's.
     #[test]
     fn clean_trial_outcomes_are_pinned() {
         let engine = YieldEngine::new(
@@ -1326,15 +1310,15 @@ mod tests {
         )
         .expect("engine");
         assert_eq!(engine.bootstrap_iters(), 42);
-        assert_eq!(engine.nominal_margin().to_bits(), 0x4134_2b4e_6485_2c83);
+        assert_eq!(engine.nominal_margin().to_bits(), 0x4134_2b4e_6485_2d24);
         let pins: [(usize, OutcomeBits); 3] = [
             (
                 0,
                 (
-                    0x4120_6033_521e_7de4,
-                    0x3ee9_8d7e_b0e6_355a,
-                    0x3db8_f762_4e63_1cb8,
-                    13,
+                    0x4120_6034_e9dc_0d3f,
+                    0x3ee9_8d81_0ff1_b006,
+                    0x3db8_f762_31dd_78f8,
+                    12,
                     0xf_ffff_efbc,
                     0x3fa5_4e3c_b136_ea48,
                     1,
@@ -1345,9 +1329,9 @@ mod tests {
             (
                 100,
                 (
-                    0x40d4_682a_c026_6050,
-                    0x3ea1_2655_170e_0a7e,
-                    0x3dba_e477_6f47_52db,
+                    0x40d4_682a_dde3_c1a4,
+                    0x3ea1_2655_2efe_c5fb,
+                    0x3dba_e477_6da0_c564,
                     15,
                     0xf_ffff_efbc,
                     0x3fd6_145f_ebe7_562a,
@@ -1359,10 +1343,10 @@ mod tests {
             (
                 128,
                 (
-                    0x412a_e6c8_aaae_724c,
-                    0x3ef5_c10e_65a2_2602,
-                    0x3db9_e087_c576_acab,
-                    13,
+                    0x412a_e6c8_c419_dc53,
+                    0x3ef5_c10e_5ba5_c8ae,
+                    0x3db9_e087_a122_356d,
+                    12,
                     0xf_ffff_efa0,
                     0x3f91_5560_6534_d130,
                     1,
@@ -1379,5 +1363,260 @@ mod tests {
             let got = outcome_bits(&engine.run_trial(&mut scratch, *t));
             assert_eq!(got, *want, "trial {t} moved");
         }
+    }
+
+    /// Test-only reference for the read row slice: a trial solved on
+    /// the full netlist ([`FefetArray::read_circuit`]: every cell on its
+    /// own lines), which carries all `rows × cols` sampled devices and
+    /// relaxes from its own nominal bootstrap with the same `T_BIAS`,
+    /// `H_STEP`, `K_BOOT` and `K_TRIAL`.
+    struct FullNetlist {
+        circuit: Circuit,
+        asm: Assembly,
+        opts: SolverOptions,
+        x_nominal: Vec<f64>,
+        states_nominal: Vec<ElemState>,
+        ffe: Vec<usize>,
+        mfet: Vec<usize>,
+        boot_iters: u64,
+    }
+
+    impl FullNetlist {
+        fn new(engine: &YieldEngine) -> Self {
+            let core = &*engine.core;
+            let (rows, cols) = (core.spec.rows, core.spec.cols);
+            let mut array = FefetArray::new(rows, cols, FefetCell::default());
+            for i in 0..rows {
+                for j in 0..cols {
+                    let p = if stores_hi(i, j) {
+                        core.p_hi
+                    } else {
+                        core.p_lo
+                    };
+                    array.set_polarization(i, j, p);
+                }
+            }
+            let circuit = array.read_circuit(0, 3e-9).expect("full read circuit");
+            let asm = Assembly::new(&circuit);
+            let node = |name: String| circuit.find_node(&name).expect("node").index() - 1;
+            let elem = |name: String| circuit.element_position(&name).expect("element");
+            let fefet = &core.cell.fefet;
+            let mut x = vec![0.0; asm.n_unknowns()];
+            let (mut ffe, mut mfet) = (Vec::new(), Vec::new());
+            for i in 0..rows {
+                for j in 0..cols {
+                    let p0 = array.polarization(i, j);
+                    x[node(format!("g{i}_{j}"))] = fefet.v_gate_static(p0);
+                    x[node(format!("gi{i}_{j}"))] = fefet.v_mos_of(p0);
+                    ffe.push(elem(format!("Ffe{i}_{j}")));
+                    mfet.push(elem(format!("Mfet{i}_{j}")));
+                }
+            }
+            let opts = SolverOptions {
+                cache: Some(AnalysisCache::new()),
+                ..core.opts.clone()
+            };
+            let initial = |x: &[f64]| -> Vec<ElemState> {
+                circuit
+                    .elements()
+                    .iter()
+                    .map(|(_, e)| e.initial_state(x))
+                    .collect()
+            };
+            let mut states = initial(&x);
+            let mut ws = NewtonWorkspace::new(asm.n_unknowns());
+            let boot_iters = asm
+                .relax_at_bias(
+                    &circuit,
+                    T_BIAS,
+                    H_STEP,
+                    K_BOOT,
+                    &opts,
+                    &mut x,
+                    &mut states,
+                    &mut ws,
+                )
+                .expect("full-netlist bootstrap") as u64;
+            let states_nominal = initial(&x);
+            FullNetlist {
+                circuit,
+                asm,
+                opts,
+                x_nominal: x,
+                states_nominal,
+                ffe,
+                mfet,
+                boot_iters,
+            }
+        }
+
+        /// Trial `trial` of `engine`, its read solved on the full
+        /// netlist; the device workloads run on the same draws.
+        fn trial(&self, engine: &YieldEngine, trial: usize) -> TrialOutcome {
+            let core = &*engine.core;
+            let cols = core.spec.cols;
+            let mut devices = vec![core.cell.fefet; core.spec.rows * cols];
+            draw_devices(core, trial, &mut devices);
+            let mut ckt = self.circuit.clone();
+            for (k, dev) in devices.iter().enumerate() {
+                ckt.set_fecap_params_at(self.ffe[k], dev.fe).expect("fe");
+                ckt.set_mosfet_params_at(self.mfet[k], dev.mos)
+                    .expect("mos");
+            }
+            let mut x = self.x_nominal.clone();
+            let mut states = self.states_nominal.clone();
+            let mut ws = NewtonWorkspace::new(self.asm.n_unknowns());
+            let solved = self.asm.relax_at_bias(
+                &ckt,
+                T_BIAS,
+                H_STEP,
+                K_TRIAL,
+                &self.opts,
+                &mut x,
+                &mut states,
+                &mut ws,
+            );
+            let (mut i_on_min, mut i_off_max, mut worst_col) = (f64::INFINITY, 0.0f64, 0);
+            for j in 0..cols {
+                let ctx = EvalCtx {
+                    t: T_BIAS,
+                    h: H_STEP,
+                    method: Integration::BackwardEuler,
+                    dc: false,
+                    x: &x,
+                    state: ElemState::None,
+                };
+                let m = self.mfet[j];
+                let i_d = ckt.elements()[m]
+                    .1
+                    .current(self.asm.branch0[m], &ctx, self.asm.n_nodes)
+                    .expect("read FET current");
+                if stores_hi(0, j) {
+                    if i_d < i_on_min {
+                        (i_on_min, worst_col) = (i_d, j);
+                    }
+                } else {
+                    i_off_max = i_off_max.max(i_d.abs());
+                }
+            }
+            let (shmoo_pass, disturb_dp) = stress_of(core, &devices);
+            TrialOutcome {
+                trial,
+                solver_ok: solved.is_ok(),
+                margin_ratio: i_on_min / i_off_max.max(1e-30),
+                i_on_min_a: i_on_min,
+                i_off_max_a: i_off_max,
+                warm_iters: solved.unwrap_or(0) as u64,
+                shmoo_pass,
+                shmoo_npass: shmoo_pass.count_ones(),
+                disturb_dp,
+                worst_col,
+                worst_vt0_v: devices[worst_col].mos.vt0,
+                worst_t_fe_m: devices[worst_col].fe.thickness,
+            }
+        }
+    }
+
+    /// Largest relative difference the read currents and margin of a
+    /// slice trial may show against the full netlist: 2× the per-trial
+    /// worst measured over every spec the parity test runs.
+    const SLICE_PARITY_REL: f64 = 9e-5;
+
+    /// Runs `trials` of `spec` on the slice and on the full netlist and
+    /// returns the worst relative difference over margin, ON and OFF
+    /// currents, asserting everything that must match exactly.
+    fn slice_vs_full(spec: YieldSpec, trials: &[usize]) -> f64 {
+        let label = format!("{}x{} seed {}", spec.rows, spec.cols, spec.seed);
+        let engine =
+            YieldEngine::new(FefetCell::default(), spec, Instrumentation::off()).expect("engine");
+        let full = FullNetlist::new(&engine);
+        assert_eq!(
+            engine.bootstrap_iters(),
+            full.boot_iters,
+            "{label}: bootstrap iterations"
+        );
+        let margin_min = engine.spec().margin_min;
+        let mut scratch = engine.make_scratch();
+        let mut worst = 0.0f64;
+        for &t in trials {
+            let a = engine.run_trial(&mut scratch, t);
+            let b = full.trial(&engine, t);
+            assert!(a.solver_ok && b.solver_ok, "{label} trial {t} failed");
+            assert_eq!(
+                a.margin_ratio >= margin_min,
+                b.margin_ratio >= margin_min,
+                "{label} trial {t}: read pass/fail moved ({} vs {})",
+                a.margin_ratio,
+                b.margin_ratio
+            );
+            assert_eq!(a.shmoo_pass, b.shmoo_pass, "{label} trial {t}: shmoo");
+            assert_eq!(
+                a.disturb_dp.to_bits(),
+                b.disturb_dp.to_bits(),
+                "{label} trial {t}: disturb"
+            );
+            assert_eq!(a.worst_col, b.worst_col, "{label} trial {t}: worst column");
+            assert_eq!(a.worst_vt0_v.to_bits(), b.worst_vt0_v.to_bits());
+            assert_eq!(a.worst_t_fe_m.to_bits(), b.worst_t_fe_m.to_bits());
+            for (what, x, y) in [
+                ("margin", a.margin_ratio, b.margin_ratio),
+                ("i_on_min", a.i_on_min_a, b.i_on_min_a),
+                ("i_off_max", a.i_off_max_a, b.i_off_max_a),
+            ] {
+                let rel = (x - y).abs() / y.abs();
+                assert!(
+                    rel <= SLICE_PARITY_REL,
+                    "{label} trial {t}: {what} {x:e} vs full {y:e} (rel {rel:e})"
+                );
+                worst = worst.max(rel);
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn slice_trials_match_the_full_netlist_on_the_committed_spec() {
+        let spec = committed_spec();
+        let trials: Vec<usize> = (0..spec.n_trials).collect();
+        let worst = slice_vs_full(spec, &trials);
+        eprintln!("4x4 committed spec: worst relative difference {worst:e}");
+    }
+
+    #[test]
+    fn slice_trials_match_the_full_netlist_without_probes() {
+        for n in [2, 3] {
+            let spec = YieldSpec {
+                rows: n,
+                cols: n,
+                n_trials: 64,
+                seed: 0x5eed_f00d,
+                threads: 1,
+                ..YieldSpec::default()
+            };
+            let trials: Vec<usize> = (0..spec.n_trials).collect();
+            let worst = slice_vs_full(spec, &trials);
+            eprintln!("{n}x{n}: worst relative difference {worst:e}");
+        }
+    }
+
+    #[test]
+    fn slice_trials_match_the_full_netlist_on_larger_arrays() {
+        let reduced = |spec: YieldSpec| YieldSpec {
+            shmoo_nv: 2,
+            shmoo_nt: 2,
+            ..spec
+        };
+        let spec8 = reduced(YieldSpec {
+            rows: 8,
+            cols: 8,
+            n_trials: 16,
+            seed: 0x5eed_f00d,
+            threads: 1,
+            ..YieldSpec::default()
+        });
+        let worst = slice_vs_full(spec8, &(0..16).collect::<Vec<_>>());
+        eprintln!("8x8: worst relative difference {worst:e}");
+        let worst = slice_vs_full(reduced(array16_seed7()), &[0, 1, 2]);
+        eprintln!("16x16 seed 7: worst relative difference {worst:e}");
     }
 }

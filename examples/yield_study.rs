@@ -53,7 +53,7 @@ fn run() -> Result<(), String> {
     let engine = YieldEngine::new(FefetCell::default(), spec.clone(), instr.clone())
         .map_err(|e| format!("engine construction: {e}"))?;
     println!(
-        "yield study: {}x{} array, {} unknowns, {} trials",
+        "yield study: {}x{} array, {} read-slice unknowns per trial solve, {} trials",
         spec.rows,
         spec.cols,
         engine.n_unknowns(),
