@@ -13,7 +13,6 @@ use fefet_ckt::elements::{ElemState, Integration};
 use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverBackend, SolverOptions};
 use fefet_ckt::transient::{transient, TransientOptions};
 use fefet_ckt::waveform::Waveform;
-use fefet_device::dynamics::integrate;
 use fefet_device::endurance::EnduranceModel;
 use fefet_device::paper_fefet;
 use fefet_device::variability::{monte_carlo, VariationSpec};
@@ -795,9 +794,10 @@ fn bench_yield(report: &mut Report) {
     // (identical-cost) per-trial shmoo work. A trial solves the 384-
     // unknown read row slice; the cold side's symbolic analysis and
     // workspace set-up then cost about as much as the warm trial
-    // itself, which is the cost the shared cache deletes. The draws
-    // and device workloads over all 1024 cells (about 0.35 ms a trial)
-    // are paid on both sides.
+    // itself, which is the cost the shared cache deletes. Both sides
+    // also pay the device draws and coercive ranking over all 1024
+    // cells and the 1×1 shmoo and disturb integrations of the two cells
+    // that ranking picks.
     let trial_spec = YieldSpec {
         rows: 32,
         cols: 32,
@@ -987,11 +987,7 @@ fn bench_yield(report: &mut Report) {
 fn bench_lk_stepper(report: &mut Report) {
     let dev = paper_fefet();
     report.bench("lk_write_transient_2000_steps", || {
-        let rate = |_t: f64, p: f64| {
-            let v_fe = 0.68 - dev.mos.v_gate_of_density(p);
-            (v_fe - dev.fe.v_static(p)) / (dev.fe.thickness * dev.fe.lk.rho)
-        };
-        integrate(rate, opaque(-0.18), 2e-9, 2000).unwrap()
+        dev.transient(|_t| 0.68, opaque(-0.18), 2e-9, 2000).unwrap()
     });
 }
 

@@ -188,21 +188,16 @@ impl MosParams {
         self.q_gate_density(v) * self.w * self.l
     }
 
-    /// Gate-charge density (C/m²) at gate voltage `v`.
+    /// Gate-charge density (C/m²) at gate voltage `v` (V).
     pub fn q_gate_density(&self, v: f64) -> f64 {
-        let clow = self.c_low();
-        let dc = self.cox_area - clow;
-        let vs = self.v_smooth;
-        let inv = softplus((v - self.vt_q) / vs) - softplus(-self.vt_q / vs);
-        clow * v + dc * vs * inv
+        let cv = ChargeBranch::of(self);
+        cv.q_density(v, cv.softplus_at_zero())
     }
 
     /// Gate-capacitance density (F/m²) at gate voltage `v`:
     /// `C(v) = C_low + (C_high − C_low)·σ((v − vt_q)/v_smooth)`.
     pub fn c_gate_density(&self, v: f64) -> f64 {
-        let clow = self.c_low();
-        let dc = self.cox_area - clow;
-        clow + dc * sigmoid((v - self.vt_q) / self.v_smooth)
+        ChargeBranch::of(self).c_density(v)
     }
 
     /// Gate capacitance (F) at gate voltage `v`.
@@ -210,24 +205,110 @@ impl MosParams {
         self.c_gate_density(v) * self.w * self.l
     }
 
-    /// Inverse of [`MosParams::q_gate_density`]: the gate voltage that
-    /// holds charge density `q` (C/m²). The charge is strictly monotone
-    /// with slope in `[C_low, C_high]`, so Newton from a plateau-based
-    /// guess converges in a handful of iterations.
+    /// Inverse of [`MosParams::q_gate_density`]: the gate voltage (V)
+    /// that holds charge density `q` (C/m²). Callers that invert many
+    /// charges on one card should hold a [`GateInverse`] instead, which
+    /// returns the same bits without re-deriving the card per call.
     pub fn v_gate_of_density(&self, q: f64) -> f64 {
-        let clow = self.c_low();
-        let q_knee = self.q_gate_density(self.vt_q);
-        let mut v = if q > q_knee {
-            self.vt_q + (q - q_knee) / self.cox_area
+        GateInverse::new(self).v_gate(q)
+    }
+}
+
+/// The two-plateau C-V charge branch of one card: the one place the
+/// charge and capacitance formulas live.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ChargeBranch {
+    /// Subthreshold plateau `C_low` (F/m²).
+    c_low: f64,
+    /// Plateau step `C_high − C_low` (F/m²).
+    dc: f64,
+    /// Charge threshold (V).
+    vt_q: f64,
+    /// Transition smoothness (V).
+    v_smooth: f64,
+}
+
+impl ChargeBranch {
+    fn of(mos: &MosParams) -> Self {
+        let c_low = mos.c_low();
+        ChargeBranch {
+            c_low,
+            dc: mos.cox_area - c_low,
+            vt_q: mos.vt_q,
+            v_smooth: mos.v_smooth,
+        }
+    }
+
+    /// `softplus(−vt_q/v_smooth)`, the term that pins the charge at
+    /// 0 V to zero.
+    fn softplus_at_zero(&self) -> f64 {
+        softplus(-self.vt_q / self.v_smooth)
+    }
+
+    /// Charge density (C/m²) at gate voltage `v` (V), given
+    /// [`ChargeBranch::softplus_at_zero`] as `sp0`.
+    #[inline]
+    fn q_density(&self, v: f64, sp0: f64) -> f64 {
+        let vs = self.v_smooth;
+        let inv = softplus((v - self.vt_q) / vs) - sp0;
+        self.c_low * v + self.dc * vs * inv
+    }
+
+    /// Capacitance density (F/m²) at gate voltage `v` (V).
+    #[inline]
+    fn c_density(&self, v: f64) -> f64 {
+        self.c_low + self.dc * sigmoid((v - self.vt_q) / self.v_smooth)
+    }
+}
+
+/// A card's gate-charge inverse `V(q)` with its per-card constants
+/// derived once: the C-V plateaus, the softplus term at 0 V and the
+/// knee charge `q(vt_q)`. [`MosParams::v_gate_of_density`] builds one
+/// per call; a caller that inverts many charges on one card (an LK
+/// integration, a gate-branch table) builds it once and gets the same
+/// bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GateInverse {
+    cv: ChargeBranch,
+    /// Strong-inversion capacitance density `C_high` (F/m²).
+    cox_area: f64,
+    /// `softplus(−vt_q/v_smooth)`.
+    sp0: f64,
+    /// Charge density (C/m²) at the charge threshold `vt_q`.
+    q_knee: f64,
+}
+
+impl GateInverse {
+    /// Derives `mos`'s per-card constants.
+    pub fn new(mos: &MosParams) -> Self {
+        let cv = ChargeBranch::of(mos);
+        let sp0 = cv.softplus_at_zero();
+        GateInverse {
+            cv,
+            cox_area: mos.cox_area,
+            sp0,
+            q_knee: cv.q_density(cv.vt_q, sp0),
+        }
+    }
+
+    /// The gate voltage (V) that holds charge density `q` (C/m²). The
+    /// charge is strictly monotone with slope in `[C_low, C_high]`, so
+    /// Newton from a plateau-based guess converges in a handful of
+    /// iterations (at most 60).
+    pub fn v_gate(&self, q: f64) -> f64 {
+        let cv = &self.cv;
+        let mut v = if q > self.q_knee {
+            cv.vt_q + (q - self.q_knee) / self.cox_area
         } else {
-            q / clow
+            q / cv.c_low
         };
+        let tol = 1e-15 * (1.0 + q.abs());
         for _ in 0..60 {
-            let f = self.q_gate_density(v) - q;
-            if f.abs() < 1e-15 * (1.0 + q.abs()) {
+            let f = cv.q_density(v, self.sp0) - q;
+            if f.abs() < tol {
                 break;
             }
-            v -= f / self.c_gate_density(v);
+            v -= f / cv.c_density(v);
         }
         v
     }
@@ -411,6 +492,119 @@ mod tests {
             let q = m.q_gate_density(v);
             let v_back = m.v_gate_of_density(q);
             assert!((v - v_back).abs() < 1e-6, "{v} -> {q} -> {v_back}");
+        }
+    }
+
+    /// The gate-charge branch as it stood before [`GateInverse`]
+    /// existed, verbatim: every call re-derives the card.
+    mod reference {
+        use super::super::{sigmoid, softplus, MosParams};
+
+        pub fn q_gate_density(m: &MosParams, v: f64) -> f64 {
+            let clow = m.c_low();
+            let dc = m.cox_area - clow;
+            let vs = m.v_smooth;
+            let inv = softplus((v - m.vt_q) / vs) - softplus(-m.vt_q / vs);
+            clow * v + dc * vs * inv
+        }
+
+        pub fn c_gate_density(m: &MosParams, v: f64) -> f64 {
+            let clow = m.c_low();
+            let dc = m.cox_area - clow;
+            clow + dc * sigmoid((v - m.vt_q) / m.v_smooth)
+        }
+
+        pub fn v_gate_of_density(m: &MosParams, q: f64) -> f64 {
+            let clow = m.c_low();
+            let q_knee = q_gate_density(m, m.vt_q);
+            let mut v = if q > q_knee {
+                m.vt_q + (q - q_knee) / m.cox_area
+            } else {
+                q / clow
+            };
+            for _ in 0..60 {
+                let f = q_gate_density(m, v) - q;
+                if f.abs() < 1e-15 * (1.0 + q.abs()) {
+                    break;
+                }
+                v -= f / c_gate_density(m, v);
+            }
+            v
+        }
+    }
+
+    /// NMOS, PMOS, the FEFET's gate card, and 60 cards with `vt_q`,
+    /// `v_smooth` and `cdep_ratio` perturbed around the NMOS and FEFET
+    /// cards.
+    fn cv_cards() -> Vec<MosParams> {
+        let mut cards = vec![
+            MosParams::nmos_45nm(),
+            MosParams::pmos_45nm(),
+            MosParams::nmos_45nm_fefet_base(),
+        ];
+        let mut rng = fefet_numerics::rng::Rng::seed_from_u64(0xc0de);
+        for k in 0..60 {
+            let base = if k % 2 == 0 {
+                MosParams::nmos_45nm()
+            } else {
+                MosParams::nmos_45nm_fefet_base()
+            };
+            cards.push(MosParams {
+                vt_q: base.vt_q + rng.uniform_in(-0.3, 0.3),
+                v_smooth: base.v_smooth * rng.uniform_in(0.5, 2.0),
+                cdep_ratio: (base.cdep_ratio * rng.uniform_in(0.7, 1.3)).min(0.95),
+                ..base
+            });
+        }
+        cards
+    }
+
+    /// `x` and its `k` nearest floats on each side.
+    fn ulp_neighbourhood(x: f64, k: usize) -> Vec<f64> {
+        let (mut lo, mut hi) = (x, x);
+        let mut out = vec![x];
+        for _ in 0..k {
+            lo = lo.next_down();
+            hi = hi.next_up();
+            out.extend([lo, hi]);
+        }
+        out
+    }
+
+    /// Charge densities (C/m²) that exercise `m`'s inversion: a dense
+    /// grid over ±1.6, the knee charge and its ulp neighbours, and the
+    /// charges whose voltages put `(v − vt_q)/v_smooth` at the softplus
+    /// and sigmoid branch edges 0 and ±35, each with neighbours.
+    fn probe_charges(m: &MosParams) -> Vec<f64> {
+        let n = 8000;
+        let mut qs: Vec<f64> = (0..=n).map(|i| -1.6 + 3.2 * i as f64 / n as f64).collect();
+        qs.extend(ulp_neighbourhood(reference::q_gate_density(m, m.vt_q), 8));
+        for edge in [0.0, 35.0, -35.0] {
+            for v in ulp_neighbourhood(m.vt_q + edge * m.v_smooth, 4) {
+                qs.extend(ulp_neighbourhood(reference::q_gate_density(m, v), 4));
+            }
+        }
+        qs
+    }
+
+    #[test]
+    fn held_inverse_matches_the_per_call_inverse_bit_for_bit() {
+        for m in cv_cards() {
+            let inv = GateInverse::new(&m);
+            for q in probe_charges(&m) {
+                let want = reference::v_gate_of_density(&m, q).to_bits();
+                assert_eq!(inv.v_gate(q).to_bits(), want, "{m:?} at q = {q:e}");
+                assert_eq!(m.v_gate_of_density(q).to_bits(), want, "{m:?} at q = {q:e}");
+                let v = f64::from_bits(want);
+                assert_eq!(
+                    m.q_gate_density(v).to_bits(),
+                    reference::q_gate_density(&m, v).to_bits()
+                );
+                assert_eq!(
+                    m.c_gate_density(v).to_bits(),
+                    reference::c_gate_density(&m, v).to_bits()
+                );
+            }
         }
     }
 

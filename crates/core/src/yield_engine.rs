@@ -26,6 +26,14 @@
 //!   the per-trial iteration counts recorded in [`TrialOutcome`] prove
 //!   the reduction against [`YieldEngine::run_trial_cold`].
 //!
+//! The write shmoo and the disturb stress integrate the stack's LK
+//! rate ([`Fefet::lk_rate`]) in backward-Euler steps on two cells per
+//! trial: the hardest (largest closed-form coercive voltage) and the
+//! easiest. Each cell's rate is built once per trial, holding its gate
+//! card's charge inverse and its last `V_MOS`, and a shmoo point's down
+//! write runs only after its up write passed. The results are the bits
+//! a per-call inversion of every polarization gives.
+//!
 //! Trial randomness is drawn **serially** at setup (one sub-seed per
 //! trial from the master seed); only the evaluation fans out over the
 //! persistent pool ([`fefet_ckt::parallel::pool_map`]). Every outcome is a
@@ -46,7 +54,7 @@ use fefet_ckt::parallel::pool_map;
 use fefet_ckt::plan::AnalysisCache;
 use fefet_ckt::{CktError, Result};
 use fefet_device::dynamics::be_step;
-use fefet_device::fefet::Fefet;
+use fefet_device::fefet::{Fefet, LkRate};
 use fefet_device::variability::{sample_device, VariationSpec};
 use fefet_numerics::rng::Rng;
 use fefet_telemetry::json::fmt_f64;
@@ -504,20 +512,76 @@ fn coercive_voltage(fe: &fefet_ckt::models::FeCapParams) -> f64 {
     }
 }
 
-/// Integrates the FEFET stack's LK dynamics at fixed gate bias `v_g`
-/// over `t_tot` in `n` backward-Euler steps. Allocation-free; `None`
-/// if the inner root solve hits a non-finite residual.
-fn settle(dev: &Fefet, v_g: f64, p0: f64, t_tot: f64, n: usize) -> Option<f64> {
-    let tau = dev.fe.thickness * dev.fe.lk.rho;
-    let rate = |_t: f64, p: f64| (v_g - dev.mos.v_gate_of_density(p) - dev.fe.v_static(p)) / tau;
+/// Integrates a FEFET stack's LK `rate` at fixed gate bias `v_g` (V)
+/// from polarization `p0` (C/m²) over `t_tot` (s) in `n`
+/// backward-Euler steps. Allocation-free; `None` if the inner root
+/// solve hits a non-finite residual. Consecutive settles on one `rate`
+/// share its last `V_MOS`: a pulse's hold settle starts where the pulse
+/// ended.
+fn settle(rate: &LkRate<'_>, v_g: f64, p0: f64, t_tot: f64, n: usize) -> Option<f64> {
     let h = t_tot / n as f64;
     let mut p = p0;
     let mut t = 0.0;
     for _ in 0..n {
         t += h;
-        p = be_step(&rate, t, p, h).ok()?;
+        p = be_step(&|_t, p| rate.at(v_g, p), t, p, h).ok()?;
     }
     Some(p)
+}
+
+/// A write pulse of `v_w` (V) for `t_p` (s) from `p0` (C/m²), then the
+/// zero-bias hold: the settled polarization (C/m²).
+fn pulse_then_hold(rate: &LkRate<'_>, v_w: f64, p0: f64, t_p: f64) -> Option<f64> {
+    settle(rate, v_w, p0, t_p, N_PULSE).and_then(|p| settle(rate, 0.0, p, T_HOLD, N_HOLD))
+}
+
+/// [`CktError::Netlist`] naming the first field of `spec` that no
+/// study could run on (or would run on and report a meaningless yield
+/// for: a NaN threshold fails every trial, a negative pulse integrates
+/// backwards).
+fn validate_spec(spec: &YieldSpec) -> Result<()> {
+    let positive = |t: f64| t.is_finite() && t > 0.0;
+    let checks: &[(&str, bool)] = &[
+        (
+            "rows, n_trials and batch must all be >= 1",
+            spec.n_trials > 0 && spec.rows > 0 && spec.batch > 0,
+        ),
+        (
+            "cols must be >= 2 (the checkerboard row 0 needs an ON and an OFF cell)",
+            spec.cols >= 2,
+        ),
+        (
+            "shmoo grid must have 1..=64 points",
+            spec.shmoo_nv
+                .checked_mul(spec.shmoo_nt)
+                .is_some_and(|n| (1..=64).contains(&n)),
+        ),
+        ("margin_min must be finite", spec.margin_min.is_finite()),
+        ("shmoo_v_lo must be finite", spec.shmoo_v_lo.is_finite()),
+        ("shmoo_v_hi must be finite", spec.shmoo_v_hi.is_finite()),
+        ("disturb_v must be finite", spec.disturb_v.is_finite()),
+        (
+            "shmoo_t_lo must be finite and > 0",
+            positive(spec.shmoo_t_lo),
+        ),
+        (
+            "shmoo_t_hi must be finite and > 0",
+            positive(spec.shmoo_t_hi),
+        ),
+        ("disturb_t must be finite and > 0", positive(spec.disturb_t)),
+        (
+            "write_frac must lie in (0, 1]",
+            spec.write_frac > 0.0 && spec.write_frac <= 1.0,
+        ),
+        (
+            "disturb_max_dp must be finite and >= 0",
+            spec.disturb_max_dp.is_finite() && spec.disturb_max_dp >= 0.0,
+        ),
+    ];
+    match checks.iter().find(|(_, ok)| !ok) {
+        Some((what, _)) => Err(CktError::Netlist(format!("yield: {what}"))),
+        None => Ok(()),
+    }
 }
 
 /// Whether cell `(i, j)` of the checkerboard pattern stores the high
@@ -541,28 +605,16 @@ impl YieldEngine {
     ///
     /// # Errors
     ///
-    /// [`CktError::Netlist`] on an invalid spec (zero rows, trials or
+    /// [`CktError::Netlist`] on an invalid spec: zero rows, trials or
     /// batch; fewer than 2 columns, which leaves the accessed row
     /// without an ON cell and so without a read margin; a shmoo grid
-    /// beyond 64 points); solver errors if the nominal bootstrap fails
-    /// to converge.
+    /// beyond 64 points; a non-finite `margin_min`, shmoo amplitude or
+    /// `disturb_v`; a shmoo width or `disturb_t` that is not finite and
+    /// positive; `write_frac` outside (0, 1]; a `disturb_max_dp` that is
+    /// not finite and non-negative. Solver errors if the nominal
+    /// bootstrap fails to converge.
     pub fn new(cell: FefetCell, spec: YieldSpec, instr: Instrumentation) -> Result<Self> {
-        if spec.n_trials == 0 || spec.rows == 0 || spec.batch == 0 {
-            return Err(CktError::Netlist(
-                "yield: rows, n_trials and batch must all be >= 1".into(),
-            ));
-        }
-        if spec.cols < 2 {
-            return Err(CktError::Netlist(
-                "yield: cols must be >= 2 (the checkerboard row 0 needs an ON and an OFF cell)"
-                    .into(),
-            ));
-        }
-        if spec.shmoo_nv == 0 || spec.shmoo_nt == 0 || spec.shmoo_nv * spec.shmoo_nt > 64 {
-            return Err(CktError::Netlist(
-                "yield: shmoo grid must have 1..=64 points".into(),
-            ));
-        }
+        validate_spec(&spec)?;
         let mut array = FefetArray::new(spec.rows, spec.cols, cell);
         let (p_lo, p_hi) = array.cell.memory_states();
         for i in 0..spec.rows {
@@ -876,7 +928,7 @@ fn stress_of(core: &EngineCore, devices: &[Fefet]) -> (u64, f64) {
             easy = k;
         }
     }
-    let dev = &devices[hard];
+    let rate = devices[hard].lk_rate();
     let mut shmoo_pass = 0u64;
     for iv in 0..spec.shmoo_nv {
         let fv = if spec.shmoo_nv > 1 {
@@ -892,16 +944,12 @@ fn stress_of(core: &EngineCore, devices: &[Fefet]) -> (u64, f64) {
                 0.0
             };
             let t_p = spec.shmoo_t_lo + (spec.shmoo_t_hi - spec.shmoo_t_lo) * ft;
-            let up = settle(dev, v_w, core.p_lo, t_p, N_PULSE)
-                .and_then(|p| settle(dev, 0.0, p, T_HOLD, N_HOLD));
-            let down = settle(dev, -v_w, core.p_hi, t_p, N_PULSE)
-                .and_then(|p| settle(dev, 0.0, p, T_HOLD, N_HOLD));
-            let ok = match (up, down) {
-                (Some(p1), Some(p0)) => {
-                    p1 >= spec.write_frac * core.p_hi && p0 <= spec.write_frac * core.p_lo
-                }
-                _ => false,
-            };
+            // A point passes only if both polarities write, so the down
+            // write runs only after the up write passed.
+            let ok = pulse_then_hold(&rate, v_w, core.p_lo, t_p)
+                .is_some_and(|p1| p1 >= spec.write_frac * core.p_hi)
+                && pulse_then_hold(&rate, -v_w, core.p_hi, t_p)
+                    .is_some_and(|p0| p0 <= spec.write_frac * core.p_lo);
             if ok {
                 shmoo_pass |= 1u64 << (iv * spec.shmoo_nt + it);
             }
@@ -909,7 +957,7 @@ fn stress_of(core: &EngineCore, devices: &[Fefet]) -> (u64, f64) {
     }
     // Disturb-stress the easiest cell (smallest coercive voltage) from
     // both stored states with both stress polarities.
-    let dev = &devices[easy];
+    let rate = devices[easy].lk_rate();
     let mut disturb_dp = 0.0f64;
     for &(p0, v) in &[
         (core.p_lo, spec.disturb_v),
@@ -917,9 +965,7 @@ fn stress_of(core: &EngineCore, devices: &[Fefet]) -> (u64, f64) {
         (core.p_hi, spec.disturb_v),
         (core.p_hi, -spec.disturb_v),
     ] {
-        let p_end = settle(dev, v, p0, spec.disturb_t, N_PULSE)
-            .and_then(|p| settle(dev, 0.0, p, T_HOLD, N_HOLD));
-        match p_end {
+        match pulse_then_hold(&rate, v, p0, spec.disturb_t) {
             Some(p) => disturb_dp = disturb_dp.max((p - p0).abs()),
             None => disturb_dp = f64::INFINITY,
         }
@@ -1171,11 +1217,57 @@ mod tests {
             ..small_spec()
         };
         assert!(YieldEngine::new(FefetCell::default(), bad, Instrumentation::off()).is_err());
+        let overflowing = YieldSpec {
+            shmoo_nv: usize::MAX,
+            shmoo_nt: 2,
+            ..small_spec()
+        };
+        assert!(
+            YieldEngine::new(FefetCell::default(), overflowing, Instrumentation::off()).is_err()
+        );
         let empty = YieldSpec {
             n_trials: 0,
             ..small_spec()
         };
         assert!(YieldEngine::new(FefetCell::default(), empty, Instrumentation::off()).is_err());
+    }
+
+    /// Each stress or threshold field that would otherwise run a study
+    /// with a silently wrong yield (a NaN threshold fails every trial, a
+    /// negative width integrates backwards) is a netlist error naming
+    /// the field.
+    #[test]
+    fn spec_validation_rejects_malformed_stress_fields() {
+        type Edit = fn(&mut YieldSpec);
+        let cases: &[(&str, Edit)] = &[
+            ("margin_min", |s| s.margin_min = f64::NAN),
+            ("shmoo_v_lo", |s| s.shmoo_v_lo = f64::NEG_INFINITY),
+            ("shmoo_v_hi", |s| s.shmoo_v_hi = f64::NAN),
+            ("disturb_v", |s| s.disturb_v = f64::INFINITY),
+            ("shmoo_t_lo", |s| s.shmoo_t_lo = 0.0),
+            ("shmoo_t_hi", |s| s.shmoo_t_hi = f64::INFINITY),
+            ("disturb_t", |s| s.disturb_t = -2e-9),
+            ("write_frac", |s| s.write_frac = 2.0),
+            ("write_frac", |s| s.write_frac = 0.0),
+            ("disturb_max_dp", |s| s.disturb_max_dp = -0.01),
+            ("disturb_max_dp", |s| s.disturb_max_dp = f64::NAN),
+        ];
+        for (field, edit) in cases {
+            let mut spec = small_spec();
+            edit(&mut spec);
+            match YieldEngine::new(FefetCell::default(), spec, Instrumentation::off()) {
+                Err(CktError::Netlist(msg)) => assert!(msg.contains(field), "{msg}"),
+                other => panic!("malformed {field} must be a netlist error, got {other:?}"),
+            }
+        }
+        // The edges of the accepted ranges stay accepted.
+        let edge = YieldSpec {
+            write_frac: 1.0,
+            disturb_max_dp: 0.0,
+            disturb_v: 0.0,
+            ..small_spec()
+        };
+        assert!(YieldEngine::new(FefetCell::default(), edge, Instrumentation::off()).is_ok());
     }
 
     #[test]
@@ -1223,6 +1315,104 @@ mod tests {
             seed: 7,
             threads: 1,
             ..YieldSpec::default()
+        }
+    }
+
+    /// The trial stress as it stood before the held gate inverse: every
+    /// rate evaluation inverts `V_MOS` through
+    /// `MosParams::v_gate_of_density`, nothing is memoized, and both
+    /// write polarities run at every shmoo point.
+    fn stress_reference(core: &EngineCore, devices: &[Fefet]) -> (u64, f64) {
+        fn settle(dev: &Fefet, v_g: f64, p0: f64, t_tot: f64, n: usize) -> Option<f64> {
+            let tau = dev.fe.thickness * dev.fe.lk.rho;
+            let rate =
+                |_t: f64, p: f64| (v_g - dev.mos.v_gate_of_density(p) - dev.fe.v_static(p)) / tau;
+            let h = t_tot / n as f64;
+            let mut p = p0;
+            let mut t = 0.0;
+            for _ in 0..n {
+                t += h;
+                p = be_step(&rate, t, p, h).ok()?;
+            }
+            Some(p)
+        }
+        let stress = |dev: &Fefet, v: f64, p0: f64, t: f64| {
+            settle(dev, v, p0, t, N_PULSE).and_then(|p| settle(dev, 0.0, p, T_HOLD, N_HOLD))
+        };
+        let spec = &core.spec;
+        let vc = |k: &usize| coercive_voltage(&devices[*k].fe);
+        // Ties resolve as the engine's strict comparisons do: first
+        // largest, first smallest.
+        let hard = (0..devices.len())
+            .rev()
+            .max_by(|a, b| vc(a).total_cmp(&vc(b)))
+            .unwrap();
+        let easy = (0..devices.len())
+            .min_by(|a, b| vc(a).total_cmp(&vc(b)))
+            .unwrap();
+        let mut shmoo_pass = 0u64;
+        for iv in 0..spec.shmoo_nv {
+            let fv = if spec.shmoo_nv > 1 {
+                iv as f64 / (spec.shmoo_nv - 1) as f64
+            } else {
+                0.0
+            };
+            let v_w = spec.shmoo_v_lo + (spec.shmoo_v_hi - spec.shmoo_v_lo) * fv;
+            for it in 0..spec.shmoo_nt {
+                let ft = if spec.shmoo_nt > 1 {
+                    it as f64 / (spec.shmoo_nt - 1) as f64
+                } else {
+                    0.0
+                };
+                let t_p = spec.shmoo_t_lo + (spec.shmoo_t_hi - spec.shmoo_t_lo) * ft;
+                let up = stress(&devices[hard], v_w, core.p_lo, t_p);
+                let down = stress(&devices[hard], -v_w, core.p_hi, t_p);
+                if let (Some(p1), Some(p0)) = (up, down) {
+                    if p1 >= spec.write_frac * core.p_hi && p0 <= spec.write_frac * core.p_lo {
+                        shmoo_pass |= 1u64 << (iv * spec.shmoo_nt + it);
+                    }
+                }
+            }
+        }
+        let mut disturb_dp = 0.0f64;
+        for (p0, v) in [
+            (core.p_lo, spec.disturb_v),
+            (core.p_lo, -spec.disturb_v),
+            (core.p_hi, spec.disturb_v),
+            (core.p_hi, -spec.disturb_v),
+        ] {
+            disturb_dp = match stress(&devices[easy], v, p0, spec.disturb_t) {
+                Some(p) => disturb_dp.max((p - p0).abs()),
+                None => f64::INFINITY,
+            };
+        }
+        (shmoo_pass, disturb_dp)
+    }
+
+    /// The held inverse, the `V_MOS` memo and the shmoo short-circuit
+    /// leave every trial's stress bits where the per-call inverse put
+    /// them.
+    #[test]
+    fn stress_matches_the_per_call_reference_bit_for_bit() {
+        for spec in [committed_spec(), array16_seed7()] {
+            let engine =
+                YieldEngine::new(FefetCell::default(), spec.clone(), Instrumentation::off())
+                    .expect("engine");
+            let core = &*engine.core;
+            let mut devices = vec![core.cell.fefet; spec.rows * spec.cols];
+            for trial in 0..spec.n_trials {
+                draw_devices(core, trial, &mut devices);
+                let (pass, dp) = stress_of(core, &devices);
+                let (pass_ref, dp_ref) = stress_reference(core, &devices);
+                assert_eq!(pass, pass_ref, "{}x{} trial {trial}", spec.rows, spec.cols);
+                assert_eq!(
+                    dp.to_bits(),
+                    dp_ref.to_bits(),
+                    "{}x{} trial {trial}",
+                    spec.rows,
+                    spec.cols
+                );
+            }
         }
     }
 

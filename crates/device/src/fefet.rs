@@ -13,8 +13,9 @@
 //! analysis integrates the `dP/dt` term directly.
 
 use crate::dynamics::{self, PSample};
-use fefet_ckt::models::{FeCapParams, MosParams};
+use fefet_ckt::models::{FeCapParams, GateInverse, MosParams};
 use fefet_numerics::Result;
+use std::cell::Cell;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// A composite ferroelectric transistor.
@@ -24,6 +25,42 @@ pub struct Fefet {
     pub fe: FeCapParams,
     /// The underlying MOSFET.
     pub mos: MosParams,
+}
+
+/// A FEFET stack's Landau-Khalatnikov rate
+/// `dP/dt = (v_g − V_MOS(P) − T_FE·E_static(P)) / (T_FE·ρ)`, built by
+/// [`Fefet::lk_rate`]. It holds the gate card's [`GateInverse`] and the
+/// last `V_MOS(P)` it computed, keyed by P's bits: a backward-Euler
+/// step first evaluates the rate at its start point, which is where
+/// the previous step's solve evaluated it last. Allocation-free; the
+/// values are the bits the per-call inverse gives.
+#[derive(Debug)]
+pub struct LkRate<'a> {
+    fe: &'a FeCapParams,
+    gate: GateInverse,
+    /// `T_FE·ρ` (V·s·m²/C).
+    tau: f64,
+    /// `(P bits, V_MOS(P))` of the last inversion.
+    last_v_mos: Cell<(u64, f64)>,
+}
+
+impl LkRate<'_> {
+    /// Polarization rate (C/m²/s) at polarization `p` (C/m²) under gate
+    /// voltage `v_g` (V).
+    pub fn at(&self, v_g: f64, p: f64) -> f64 {
+        (v_g - self.v_mos(p) - self.fe.v_static(p)) / self.tau
+    }
+
+    /// `V_MOS` (V) at gate-charge density `p` (C/m²).
+    fn v_mos(&self, p: f64) -> f64 {
+        let (key, v) = self.last_v_mos.get();
+        if key == p.to_bits() {
+            return v;
+        }
+        let v = self.gate.v_gate(p);
+        self.last_v_mos.set((p.to_bits(), v));
+        v
+    }
 }
 
 /// Polarization half-range (C/m²) of the zero-bias state scan behind
@@ -96,7 +133,8 @@ fn gate_branch(mos: &MosParams, p_max: f64, grid: usize) -> Arc<GateBranch> {
         Some(i) => cache.remove(i),
         None => {
             let p: Vec<f64> = grid_points(p_max, grid).collect();
-            let v_mos = p.iter().map(|&p| mos.v_gate_of_density(p)).collect();
+            let inverse = GateInverse::new(mos);
+            let v_mos = p.iter().map(|&p| inverse.v_gate(p)).collect();
             if cache.len() == BRANCH_CACHE_CAPACITY {
                 cache.remove(0);
             }
@@ -666,11 +704,19 @@ impl Fefet {
     where
         F: Fn(f64) -> f64,
     {
-        let rate = |t: f64, p: f64| {
-            let v_fe = v_g(t) - self.mos.v_gate_of_density(p);
-            (v_fe - self.fe.v_static(p)) / (self.fe.thickness * self.fe.lk.rho)
-        };
-        dynamics::integrate(rate, p0, t_end, steps)
+        let lk = self.lk_rate();
+        dynamics::integrate(|t, p| lk.at(v_g(t), p), p0, t_end, steps)
+    }
+
+    /// The stack's LK rate with this device's gate card derived once;
+    /// what [`Fefet::transient`] integrates.
+    pub fn lk_rate(&self) -> LkRate<'_> {
+        LkRate {
+            fe: &self.fe,
+            gate: GateInverse::new(&self.mos),
+            tau: self.fe.thickness * self.fe.lk.rho,
+            last_v_mos: Cell::new((f64::NAN.to_bits(), f64::NAN)),
+        }
     }
 
     /// Dynamic (rate-dependent) I_D-V_G loop: a triangular gate sweep at

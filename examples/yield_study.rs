@@ -7,7 +7,9 @@
 //! CI runs this example at the committed depth and fails the build if
 //! the artifact is malformed JSON or the run's own invariants do not
 //! hold (trial accounting, distribution counts, yield fractions in
-//! range, no solver failures).
+//! range, no solver failures). The artifact is deterministic (a pooled
+//! run equals a serial one bit for bit), so CI then requires the
+//! regenerated file to equal the committed one byte for byte.
 //!
 //! Run with `cargo run --release --example yield_study`. Set
 //! `YIELD_TRIALS` to override the Monte Carlo depth (the default 256
