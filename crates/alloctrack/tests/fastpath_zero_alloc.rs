@@ -3,7 +3,9 @@
 //! ON must not touch the heap — the bypass bank is `Cell` slots sized at
 //! the cold solve, a fast iteration is a residual-only stamp plus
 //! permuted triangular solves against stored factors, and demotion back
-//! to exact Newton refactors entirely inside the workspace.
+//! to exact Newton — or the refresh a solve after a demoted or long one
+//! takes on its first iteration — refactors entirely inside the
+//! workspace.
 //!
 //! Separate file on purpose: the allocation counter is process-global,
 //! so each alloctrack test needs its own process.
@@ -130,14 +132,53 @@ fn fastpath_warm_transient_solves_allocate_nothing() {
                  {warm} heap allocations"
             );
         }
+
+        // Phase 3 — refresh: each perturbed solve leaves the fast path
+        // or runs long, so the resolve from its converged point refactors
+        // on its first iteration (one factorization where a reuse would
+        // have taken none) and converges there. Still zero allocations.
+        let tel = instr.get().expect("enabled");
+        let factors = || tel.solver.sparse_refactors.get() + tel.solver.dense_factors.get();
+        for trial in 0..2 {
+            for v in x.iter_mut() {
+                *v -= 0.021;
+            }
+            let solve = |x: &mut [f64], ws: &mut NewtonWorkspace| {
+                asm.solve_point_with(
+                    &c,
+                    1e-9,
+                    1e-9,
+                    Integration::BackwardEuler,
+                    false,
+                    &opts,
+                    x,
+                    &states,
+                    ws,
+                )
+            };
+            solve(&mut x, &mut ws).unwrap();
+            let before = factors();
+            let (warm, r) = count_allocations(|| solve(&mut x, &mut ws));
+            assert_eq!(r.unwrap(), 1, "{backend:?} refresh trial {trial}");
+            assert_eq!(
+                factors() - before,
+                1,
+                "{backend:?} refresh trial {trial}: the resolve rode stale factors"
+            );
+            assert_eq!(
+                warm, 0,
+                "{backend:?} refresh trial {trial}: refreshing solve performed \
+                 {warm} heap allocations"
+            );
+        }
     }
 
     // The fast paths actually fired while staying allocation-free.
     let tel = instr.get().expect("enabled");
     assert_eq!(
         tel.solver.solves.get(),
-        14,
-        "2 backends x (1 cold + 6 warm)"
+        22,
+        "2 backends x (1 cold + 10 warm)"
     );
     assert!(
         tel.solver.jacobian_reuses.get() > 0,

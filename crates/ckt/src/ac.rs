@@ -270,7 +270,8 @@ fn stamp_static<F>(
                 s: params.dv_dp(*p0) / params.area,
             });
         }
-        Element::Mosfet { d, g, s, params } => {
+        Element::Mosfet { d, g, s, card } => {
+            let params = card.params();
             let (vd, vg, vs) = (v_of(d), v_of(g), v_of(s));
             let (gm, gds, sign) = match params.polarity {
                 MosPolarity::Nmos => {

@@ -2,7 +2,7 @@
 
 use crate::elements::{Element, Node};
 use crate::error::CktError;
-use crate::models::{FeCapParams, MosParams};
+use crate::models::{FeCapParams, MosCard, MosParams};
 use crate::waveform::Waveform;
 use std::collections::HashMap;
 
@@ -201,8 +201,8 @@ impl Circuit {
     /// not a MOSFET.
     pub fn set_mosfet_params_at(&mut self, idx: usize, params: MosParams) -> Result<(), CktError> {
         match self.elements.get_mut(idx) {
-            Some((_, Element::Mosfet { params: p, .. })) => {
-                *p = params;
+            Some((_, Element::Mosfet { card, .. })) => {
+                **card = MosCard::new(params);
                 Ok(())
             }
             Some((name, other)) => Err(CktError::Netlist(format!(
@@ -397,7 +397,15 @@ impl Circuit {
             params.w > 0.0 && params.l > 0.0,
             "mosfet {name}: bad geometry"
         );
-        self.push(name, Element::Mosfet { d, g, s, params })
+        self.push(
+            name,
+            Element::Mosfet {
+                d,
+                g,
+                s,
+                card: Box::new(MosCard::new(params)),
+            },
+        )
     }
 
     /// Adds a ferroelectric capacitor with initial polarization `p0`
@@ -494,7 +502,8 @@ impl Circuit {
                         node(b)
                     );
                 }
-                Element::Mosfet { d, g, s, params } => {
+                Element::Mosfet { d, g, s, card } => {
+                    let params = card.params();
                     let _ = writeln!(
                         out,
                         "M{name} {} {} {} {} EKV W={:.3e} L={:.3e} VT0={:.3} KP={:.3e}",
@@ -684,7 +693,7 @@ mod tests {
         let m1 = c.element_position("M1").unwrap();
         c.set_mosfet_params_at(m1, mos).unwrap();
         match c.find_element("M1").unwrap() {
-            Element::Mosfet { params, .. } => assert!((params.vt0 - mos.vt0).abs() < 1e-15),
+            Element::Mosfet { card, .. } => assert_eq!(**card, MosCard::new(mos)),
             _ => panic!(),
         }
 

@@ -10,7 +10,7 @@
 //! - A voltage source's branch unknown is the current entering terminal
 //!   `a`; its branch equation is `v(a) - v(b) - V(t) = 0`.
 
-use crate::models::{FeCapParams, MosParams, MosPolarity};
+use crate::models::{FeCapParams, MosCard, MosPolarity};
 use crate::waveform::Waveform;
 use fefet_numerics::linalg::Matrix;
 use std::cell::Cell;
@@ -91,11 +91,13 @@ pub enum Element {
         n_ideality: f64,
     },
     /// MOSFET with drain/gate/source terminals (bulk tied to source).
+    /// The card is boxed so its derived constants do not widen every
+    /// element of a netlist.
     Mosfet {
         d: Node,
         g: Node,
         s: Node,
-        params: MosParams,
+        card: Box<MosCard>,
     },
     /// Ferroelectric (LK) capacitor; `p0` is the initial polarization in
     /// C/m² (positive `p` corresponds to positive charge on terminal `a`).
@@ -444,14 +446,14 @@ impl Element {
                 i: 0.0,
             },
             Element::Inductor { .. } => ElemState::Ind { i: 0.0, v: 0.0 },
-            Element::Mosfet { g, s, params, .. } => {
-                let sign = match params.polarity {
+            Element::Mosfet { g, s, card, .. } => {
+                let sign = match card.params().polarity {
                     MosPolarity::Nmos => 1.0,
                     MosPolarity::Pmos => -1.0,
                 };
                 let vgs = v_of(g) - v_of(s);
                 ElemState::Mos {
-                    q_g: sign * params.q_gate(sign * vgs),
+                    q_g: sign * card.q_gate(sign * vgs),
                     i_g: 0.0,
                 }
             }
@@ -640,8 +642,8 @@ impl Element {
                 // Norton: i(v) ≈ i + g (v' - v)  => i0 = i - g v.
                 sys.stamp_conductance(*a, *b, g, i - g * v, ctx.v(*a), ctx.v(*b));
             }
-            Element::Mosfet { d, g, s, params } => {
-                self.stamp_mosfet(*d, *g, *s, params, ctx, sys, bypass);
+            Element::Mosfet { d, g, s, card } => {
+                self.stamp_mosfet(*d, *g, *s, card, ctx, sys, bypass);
             }
             Element::FeCap { a, b, params, .. } => {
                 if ctx.dc {
@@ -713,16 +715,17 @@ impl Element {
         d: Node,
         g: Node,
         s: Node,
-        params: &MosParams,
+        card: &MosCard,
         ctx: &EvalCtx<'_>,
         sys: &mut Sys<'_>,
         bypass: Option<BypassCtx<'_>>,
     ) {
         let (vd, vg, vs) = (ctx.v(d), ctx.v(g), ctx.v(s));
+        let polarity = card.params().polarity;
         // Polarity-normalized terminal drives: a1 = sign·vgs, a2 =
-        // sign·vds — the arguments `ids`/`q_gate`/`c_gate` see for both
+        // sign·vds — the arguments `ids`/`q_c_gate` see for both
         // polarities, which makes the cache key polarity-agnostic.
-        let (a1, a2) = match params.polarity {
+        let (a1, a2) = match polarity {
             MosPolarity::Nmos => (vg - vs, vd - vs),
             MosPolarity::Pmos => (vs - vg, vs - vd),
         };
@@ -758,13 +761,13 @@ impl Element {
                 v
             }
             None => {
-                let (i, gm, gds) = params.ids(a1, a2);
+                let (i, gm, gds) = card.ids(a1, a2);
                 // Gate charge is state-free, so cache it alongside the
                 // channel even though DC stamps never read it.
                 let (q_raw, c) = if ctx.dc && bypass.is_none() {
                     (0.0, 0.0)
                 } else {
-                    (params.q_gate(a1), params.c_gate(a1))
+                    card.q_c_gate(a1)
                 };
                 if let Some(bp) = bypass {
                     bp.bank.record_miss();
@@ -781,7 +784,7 @@ impl Element {
                 (i, gm, gds, q_raw, c)
             }
         };
-        match params.polarity {
+        match polarity {
             MosPolarity::Nmos => {
                 // Current i flows d -> s through the channel.
                 sys.add_res_node(d, i);
@@ -812,7 +815,7 @@ impl Element {
                 ElemState::Mos { q_g, i_g } => (q_g, i_g),
                 _ => (0.0, 0.0),
             };
-            let sign = match params.polarity {
+            let sign = match polarity {
                 MosPolarity::Nmos => 1.0,
                 MosPolarity::Pmos => -1.0,
             };
@@ -853,16 +856,16 @@ impl Element {
                 let i = ctx.x[n_nodes - 1 + branch0];
                 ElemState::Ind { i, v }
             }
-            Element::Mosfet { g, s, params, .. } => {
+            Element::Mosfet { g, s, card, .. } => {
                 let (q_prev, ig_prev) = match ctx.state {
                     ElemState::Mos { q_g, i_g } => (q_g, i_g),
                     _ => (0.0, 0.0),
                 };
-                let sign = match params.polarity {
+                let sign = match card.params().polarity {
                     MosPolarity::Nmos => 1.0,
                     MosPolarity::Pmos => -1.0,
                 };
-                let q = sign * params.q_gate(sign * (v_of(g) - v_of(s)));
+                let q = sign * card.q_gate(sign * (v_of(g) - v_of(s)));
                 let i_g = match ctx.method {
                     Integration::BackwardEuler => (q - q_prev) / ctx.h,
                     Integration::Trapezoidal => 2.0 * (q - q_prev) / ctx.h - ig_prev,
@@ -923,11 +926,11 @@ impl Element {
                 let x = ((ctx.v(*a) - ctx.v(*b)) / vt).min(40.0);
                 Some(i_sat * (x.exp() - 1.0))
             }
-            Element::Mosfet { d, g, s, params } => {
+            Element::Mosfet { d, g, s, card } => {
                 let (vd, vg, vs) = (ctx.v(*d), ctx.v(*g), ctx.v(*s));
-                let i = match params.polarity {
-                    MosPolarity::Nmos => params.ids(vg - vs, vd - vs).0,
-                    MosPolarity::Pmos => -params.ids(vs - vg, vs - vd).0,
+                let i = match card.params().polarity {
+                    MosPolarity::Nmos => card.ids(vg - vs, vd - vs).0,
+                    MosPolarity::Pmos => -card.ids(vs - vg, vs - vd).0,
                 };
                 Some(i)
             }
@@ -1037,7 +1040,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::FeCapParams;
+    use crate::models::{FeCapParams, MosParams};
 
     fn ctx<'a>(x: &'a [f64], h: f64, state: ElemState) -> EvalCtx<'a> {
         EvalCtx {
@@ -1273,7 +1276,7 @@ mod tests {
             d: Node(1),
             g: Node(2),
             s: Node(3),
-            params: MosParams::nmos_45nm(),
+            card: Box::new(MosCard::new(MosParams::nmos_45nm())),
         };
         let c = EvalCtx {
             dc: true,
@@ -1300,7 +1303,7 @@ mod tests {
             d: Node(1),
             g: Node(2),
             s: Node(3),
-            params: MosParams::pmos_45nm(),
+            card: Box::new(MosCard::new(MosParams::pmos_45nm())),
         };
         let c = EvalCtx {
             dc: true,

@@ -41,6 +41,17 @@ pub enum SolverBackend {
 /// the safe direction on both sides.
 pub const SPARSE_CROSSOVER: usize = 64;
 
+/// Residual contraction a modified-Newton iteration must reach: a fast
+/// iteration is kept only if it cuts the residual norm to this fraction
+/// of the previous iteration's, or less. Anything slower demotes the
+/// rest of the solve to exact Newton.
+const FAST_CONTRACTION: f64 = 0.25;
+
+/// Iteration count above which a solve's stored factors count as stale:
+/// the next solve in the same workspace refactors on its first
+/// iteration.
+const REFRESH_AFTER_ITERS: usize = 3;
+
 /// How often [`Assembly::relax_at_bias`] may halve a step whose point
 /// solve does not converge: its finest split is `h / 16`.
 pub const MAX_SPLIT_DEPTH: u32 = 4;
@@ -65,10 +76,13 @@ pub struct SolverOptions {
     /// Linear-solver backend for the inner solve.
     pub backend: SolverBackend,
     /// Modified Newton: keep the factored Jacobian and skip
-    /// restamp+refactor while the residual norm contracts, falling back
-    /// to a full iteration the moment it stalls. Convergence is still
-    /// judged on a freshly stamped residual, so accepted solutions meet
-    /// the same tolerances as the exact path. Default on.
+    /// restamp+refactor while each iteration cuts the residual norm at
+    /// least 4x, falling back to exact Newton for the rest of the solve
+    /// the moment one does not. A solve after one that fell back, took
+    /// more than three iterations or failed refactors on its first
+    /// iteration. Convergence is still judged on a freshly stamped
+    /// residual, so accepted solutions meet the same tolerances as the
+    /// exact path. Default on.
     pub jacobian_reuse: bool,
     /// Device bypass: per-element caching of the last operating point so
     /// elements whose terminal voltages moved less than
@@ -161,6 +175,11 @@ pub struct NewtonWorkspace {
     /// Configuration the currently stored factorization belongs to;
     /// `None` when no reusable factorization exists.
     factor_key: Option<FactorKey>,
+    /// The previous solve left the fast path, took more than
+    /// [`REFRESH_AFTER_ITERS`] iterations or failed: the next solve
+    /// refactors on its first iteration instead of riding the stored
+    /// factors.
+    refresh: bool,
 }
 
 /// Dense backend: full Jacobian storage plus LU workspace.
@@ -195,6 +214,7 @@ impl NewtonWorkspace {
             sparse_tr: None,
             bypass: None,
             factor_key: None,
+            refresh: false,
         }
     }
 
@@ -631,6 +651,7 @@ impl Assembly {
             sparse_tr,
             bypass,
             factor_key,
+            refresh,
             ..
         } = ws;
         let sparse = if dc { sparse_dc } else { sparse_tr };
@@ -677,6 +698,11 @@ impl Assembly {
         // factorization vs. fresh factorizations this solve, plus the
         // residual-contraction monitor that demotes the fast path.
         let mut exact_only = !opts.jacobian_reuse;
+        // A previous solve that demoted, ran long or failed left stale
+        // factors: this one refactors on iteration 0. The flag stays set
+        // until this solve converges, so an error here does the same.
+        let refresh_first = std::mem::replace(refresh, true);
+        let mut demoted = false;
         let mut prev_res = f64::INFINITY;
         let mut factors: usize = 0;
         let mut reuses: usize = 0;
@@ -688,10 +714,10 @@ impl Assembly {
                     BackendKind::Dense => dense.as_ref().is_some_and(|dn| dn.lu.is_factored()),
                 };
             // Fast path: residual-only stamp (Jacobian adds discarded by
-            // the Null target), accepted only while the residual keeps
-            // contracting under the stale factors.
+            // the Null target), accepted only while each iteration cuts
+            // the residual to FAST_CONTRACTION of the last one or less.
             let mut fast_norms: Option<(f64, f64)> = None;
-            if !exact_only && stored_ok {
+            if !exact_only && stored_ok && !(it == 0 && refresh_first) {
                 res.fill(0.0);
                 let mut sys = Sys {
                     jac: JacTarget::Null,
@@ -702,7 +728,7 @@ impl Assembly {
                 let k = self.kcl_norm(&res[..nv]);
                 let b = if nv < n { norm_inf(&res[nv..]) } else { 0.0 };
                 let cur = k.max(b);
-                if cur.is_finite() && cur <= 0.5 * prev_res {
+                if cur.is_finite() && cur <= FAST_CONTRACTION * prev_res {
                     prev_res = cur;
                     fast_norms = Some((k, b));
                 } else {
@@ -712,6 +738,7 @@ impl Assembly {
                     // Exact Newton for the rest of this solve; the full
                     // stamp below overwrites the residual.
                     exact_only = true;
+                    demoted = true;
                 }
             }
             let fast = fast_norms.is_some();
@@ -855,6 +882,7 @@ impl Assembly {
             }
             let dv = if nv > 0 { norm_inf(&dx[..nv]) } else { 0.0 };
             if newton_accepted(opts, dv, res_kcl, res_branch) {
+                *refresh = demoted || it + 1 > REFRESH_AFTER_ITERS;
                 // Per-solve telemetry: relaxed atomics only, nothing
                 // allocated, so the warm-path zero-allocation invariant
                 // holds with instrumentation on as well as off.
@@ -1727,6 +1755,140 @@ mod tests {
         assert!(
             tel.solver.dense_factors.get() > factors_before,
             "h change did not trigger a refactor"
+        );
+    }
+
+    /// Runs one warm transient solve at time `t` (s) with a 1 ns
+    /// backward-Euler step and returns its iterations, fresh
+    /// factorizations and iterations that rode stored factors.
+    fn counted_solve(
+        asm: &Assembly,
+        c: &Circuit,
+        t: f64,
+        opts: &SolverOptions,
+        x: &mut [f64],
+        ws: &mut NewtonWorkspace,
+    ) -> (usize, u64, u64) {
+        let states: Vec<ElemState> = c.elements().iter().map(|_| ElemState::None).collect();
+        let tel = opts.instr.get().expect("counted solves need telemetry");
+        let factors = || tel.solver.dense_factors.get() + tel.solver.sparse_refactors.get();
+        let (f0, r0) = (factors(), tel.solver.jacobian_reuses.get());
+        let iters = asm
+            .solve_point_with(
+                c,
+                t,
+                1e-9,
+                Integration::BackwardEuler,
+                false,
+                opts,
+                x,
+                &states,
+                ws,
+            )
+            .unwrap();
+        (iters, factors() - f0, tel.solver.jacobian_reuses.get() - r0)
+    }
+
+    /// Modified Newton with telemetry on and bypass off, so factor and
+    /// reuse counts follow from the refresh policy alone.
+    fn reuse_counted() -> SolverOptions {
+        SolverOptions {
+            bypass: false,
+            instr: Instrumentation::enabled(),
+            ..SolverOptions::default()
+        }
+    }
+
+    /// A solve that stays on stored factors and converges in at most
+    /// [`REFRESH_AFTER_ITERS`] iterations leaves them in place: the next
+    /// solve starts on them. One that needed more iterations, even
+    /// without leaving the fast path, makes the next solve refactor on
+    /// its first iteration; that refreshed solve, converging at once,
+    /// hands clean factors on again.
+    #[test]
+    fn a_long_solve_refreshes_the_next_solves_factors() {
+        let (mut c, asm, _) = mos_test_circuit();
+        let opts = reuse_counted();
+        let n = asm.n_unknowns();
+        let mut x = vec![0.0; n];
+        let mut ws = NewtonWorkspace::new(n);
+        counted_solve(&asm, &c, 1e-9, &opts, &mut x, &mut ws);
+        // Converged point, stored factors refreshed there: one exact
+        // iteration, then a clean short solve that rides them.
+        assert_eq!(
+            counted_solve(&asm, &c, 1e-9, &opts, &mut x, &mut ws),
+            (1, 1, 0)
+        );
+        assert!(!ws.refresh);
+        assert_eq!(
+            counted_solve(&asm, &c, 1e-9, &opts, &mut x, &mut ws),
+            (1, 0, 1)
+        );
+        assert!(!ws.refresh);
+        // A small gate step: every iteration contracts under the stored
+        // factors, but it takes more than REFRESH_AFTER_ITERS of them.
+        c.set_waveform("VG", Waveform::dc(0.62)).unwrap();
+        let (iters, factors, reuses) = counted_solve(&asm, &c, 1e-9, &opts, &mut x, &mut ws);
+        assert!(iters > REFRESH_AFTER_ITERS, "{iters} iterations");
+        assert_eq!(
+            (factors, reuses),
+            (0, iters as u64),
+            "the solve left the fast path"
+        );
+        assert!(ws.refresh);
+        assert_eq!(
+            counted_solve(&asm, &c, 1e-9, &opts, &mut x, &mut ws),
+            (1, 1, 0)
+        );
+        assert_eq!(
+            counted_solve(&asm, &c, 1e-9, &opts, &mut x, &mut ws),
+            (1, 0, 1)
+        );
+    }
+
+    /// A solve that leaves the fast path makes the next solve refactor
+    /// on its first iteration, even when it converged within
+    /// [`REFRESH_AFTER_ITERS`] iterations. A switch closing behind the
+    /// factor key changes the Jacobian: the stale first iteration cannot
+    /// cut the residual 4x, and the solve demotes to exact Newton.
+    #[test]
+    fn a_demoted_solve_refreshes_the_next_solves_factors() {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        let b = c.node("b");
+        c.vsource("V1", a, Circuit::GND, Waveform::dc(1.0));
+        c.resistor("R1", a, b, 1e4);
+        let closes = Waveform::pulse(0.0, 1.0, 5e-9, 1e-12, 1e-12, 1.0);
+        c.switch("S1", b, Circuit::GND, closes, 1e3, 1e9);
+        c.capacitor("CL", b, Circuit::GND, 1e-15);
+        let asm = Assembly::new(&c);
+        let opts = reuse_counted();
+        let n = asm.n_unknowns();
+        let mut x = vec![0.0; n];
+        let mut ws = NewtonWorkspace::new(n);
+        counted_solve(&asm, &c, 1e-9, &opts, &mut x, &mut ws);
+        counted_solve(&asm, &c, 1e-9, &opts, &mut x, &mut ws);
+        assert_eq!(
+            counted_solve(&asm, &c, 1e-9, &opts, &mut x, &mut ws),
+            (1, 0, 1)
+        );
+        // Switch closed: the solve starts on the stored factors, then
+        // refactors.
+        let (iters, factors, reuses) = counted_solve(&asm, &c, 9e-9, &opts, &mut x, &mut ws);
+        assert!(iters <= REFRESH_AFTER_ITERS, "{iters} iterations");
+        assert!(
+            reuses >= 1 && factors >= 1,
+            "{reuses} reuses, {factors} factors"
+        );
+        assert!(ws.refresh);
+        assert_eq!(
+            counted_solve(&asm, &c, 9e-9, &opts, &mut x, &mut ws),
+            (1, 1, 0)
+        );
+        assert!(!ws.refresh);
+        assert_eq!(
+            counted_solve(&asm, &c, 9e-9, &opts, &mut x, &mut ws),
+            (1, 0, 1)
         );
     }
 

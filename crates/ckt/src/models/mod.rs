@@ -11,4 +11,4 @@ pub mod lk;
 pub mod mosfet;
 
 pub use lk::{FeCapParams, LkParams};
-pub use mosfet::{GateInverse, MosParams, MosPolarity};
+pub use mosfet::{GateInverse, MosCard, MosParams, MosPolarity};

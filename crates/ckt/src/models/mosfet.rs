@@ -151,28 +151,7 @@ impl MosParams {
     /// valid for either sign of `v_ds` (channel symmetry is used for
     /// reverse operation).
     pub fn ids(&self, v_gs: f64, v_ds: f64) -> (f64, f64, f64) {
-        if v_ds >= 0.0 {
-            self.ids_fwd(v_gs, v_ds)
-        } else {
-            // Source/drain swap: I(vgs, vds) = -I(vgs - vds, -vds).
-            let (i, gm, gds) = self.ids_fwd(v_gs - v_ds, -v_ds);
-            // I' = -I(vgs', vds') with vgs' = vgs - vds, vds' = -vds:
-            // dI'/dvgs = -gm; dI'/dvds = gm + gds.
-            (-i, -gm, gm + gds)
-        }
-    }
-
-    fn ids_fwd(&self, v_gs: f64, v_ds: f64) -> (f64, f64, f64) {
-        let vp = (v_gs - self.vt0) / self.n;
-        let (f_f, df_f) = ekv_f(vp, self.phi_t);
-        let (f_r, df_r) = ekv_f(vp - v_ds, self.phi_t);
-        let i_spec = self.i_spec();
-        let clm = 1.0 + self.lambda * v_ds;
-        let g_leak = self.g_leak_per_w * self.w;
-        let i = i_spec * (f_f - f_r) * clm + g_leak * v_ds;
-        let gm = i_spec * clm * (df_f - df_r) / self.n;
-        let gds = i_spec * (self.lambda * (f_f - f_r) + clm * df_r) + g_leak;
-        (i, gm, gds)
+        Channel::of(self).ids(self, v_gs, v_ds)
     }
 
     /// Subthreshold-plateau capacitance density `C_low` (F/m²).
@@ -211,6 +190,106 @@ impl MosParams {
     /// returns the same bits without re-deriving the card per call.
     pub fn v_gate_of_density(&self, q: f64) -> f64 {
         GateInverse::new(self).v_gate(q)
+    }
+}
+
+/// The drain-current constants a card derives: with the card's own
+/// fields, the one place the channel formulas live.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Channel {
+    /// Specific current [`MosParams::i_spec`] (A).
+    i_spec: f64,
+    /// Leakage conductance `g_leak_per_w·W` (S).
+    g_leak: f64,
+}
+
+impl Channel {
+    fn of(mos: &MosParams) -> Self {
+        Channel {
+            i_spec: mos.i_spec(),
+            g_leak: mos.g_leak_per_w * mos.w,
+        }
+    }
+
+    /// [`MosParams::ids`] of `mos`, the card these constants belong to.
+    #[inline]
+    fn ids(&self, mos: &MosParams, v_gs: f64, v_ds: f64) -> (f64, f64, f64) {
+        if v_ds >= 0.0 {
+            self.ids_fwd(mos, v_gs, v_ds)
+        } else {
+            // Source/drain swap: I(vgs, vds) = -I(vgs - vds, -vds).
+            let (i, gm, gds) = self.ids_fwd(mos, v_gs - v_ds, -v_ds);
+            // I' = -I(vgs', vds') with vgs' = vgs - vds, vds' = -vds:
+            // dI'/dvgs = -gm; dI'/dvds = gm + gds.
+            (-i, -gm, gm + gds)
+        }
+    }
+
+    #[inline]
+    fn ids_fwd(&self, mos: &MosParams, v_gs: f64, v_ds: f64) -> (f64, f64, f64) {
+        let vp = (v_gs - mos.vt0) / mos.n;
+        let (f_f, df_f) = ekv_f(vp, mos.phi_t);
+        let (f_r, df_r) = ekv_f(vp - v_ds, mos.phi_t);
+        let clm = 1.0 + mos.lambda * v_ds;
+        let i = self.i_spec * (f_f - f_r) * clm + self.g_leak * v_ds;
+        let gm = self.i_spec * clm * (df_f - df_r) / mos.n;
+        let gds = self.i_spec * (mos.lambda * (f_f - f_r) + clm * df_r) + self.g_leak;
+        (i, gm, gds)
+    }
+}
+
+/// A MOSFET card with its evaluation constants derived once: the
+/// specific current, the leakage conductance, the C-V charge branch and
+/// its softplus term at 0 V. A circuit element holds one per device, so
+/// a Newton stamp pass evaluates the model without re-deriving the card;
+/// the evaluations return the same bits as the [`MosParams`] methods.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MosCard {
+    params: MosParams,
+    ch: Channel,
+    cv: ChargeBranch,
+    /// `softplus(−vt_q/v_smooth)`.
+    sp0: f64,
+}
+
+impl MosCard {
+    /// Derives `params`' evaluation constants.
+    pub fn new(params: MosParams) -> Self {
+        let cv = ChargeBranch::of(&params);
+        MosCard {
+            params,
+            ch: Channel::of(&params),
+            cv,
+            sp0: cv.softplus_at_zero(),
+        }
+    }
+
+    /// The model card the constants were derived from.
+    pub fn params(&self) -> &MosParams {
+        &self.params
+    }
+
+    /// Drain current (A) and its derivatives at polarity-normalized
+    /// `v_gs`, `v_ds` (V), as [`MosParams::ids`] returns them.
+    #[inline]
+    pub(crate) fn ids(&self, v_gs: f64, v_ds: f64) -> (f64, f64, f64) {
+        self.ch.ids(&self.params, v_gs, v_ds)
+    }
+
+    /// Gate charge (C) at gate voltage `v` (V): [`MosParams::q_gate`].
+    #[inline]
+    pub(crate) fn q_gate(&self, v: f64) -> f64 {
+        self.cv.q_density(v, self.sp0) * self.params.w * self.params.l
+    }
+
+    /// Gate charge (C) and capacitance (F) at gate voltage `v` (V):
+    /// [`MosParams::q_gate`] and [`MosParams::c_gate`] from one call,
+    /// sharing one exponential where both formulas take it.
+    #[inline]
+    pub(crate) fn q_c_gate(&self, v: f64) -> (f64, f64) {
+        let (q, c) = self.cv.q_c_density(v, self.sp0);
+        let (w, l) = (self.params.w, self.params.l);
+        (q * w * l, c * w * l)
     }
 }
 
@@ -258,6 +337,18 @@ impl ChargeBranch {
     #[inline]
     fn c_density(&self, v: f64) -> f64 {
         self.c_low + self.dc * sigmoid((v - self.vt_q) / self.v_smooth)
+    }
+
+    /// [`ChargeBranch::q_density`] and [`ChargeBranch::c_density`] at
+    /// one gate voltage `v` (V).
+    #[inline]
+    fn q_c_density(&self, v: f64, sp0: f64) -> (f64, f64) {
+        let vs = self.v_smooth;
+        let (sp, sg) = softplus_sigmoid((v - self.vt_q) / vs);
+        (
+            self.c_low * v + self.dc * vs * (sp - sp0),
+            self.c_low + self.dc * sg,
+        )
     }
 }
 
@@ -337,13 +428,24 @@ fn sigmoid(x: f64) -> f64 {
     }
 }
 
+/// [`softplus`] and [`sigmoid`] of one `x`, bit for bit, taking one
+/// exponential for `x < 0`, where both take `e^x`.
+#[inline]
+fn softplus_sigmoid(x: f64) -> (f64, f64) {
+    if x >= 0.0 {
+        (softplus(x), sigmoid(x))
+    } else {
+        let e = x.exp();
+        let sp = if x < -35.0 { 0.0 } else { e.ln_1p() };
+        (sp, e / (1.0 + e))
+    }
+}
+
 /// EKV interpolation function `F(v) = ln²(1 + e^(v/2φt))` and its
 /// derivative with respect to `v`.
 #[inline]
 fn ekv_f(v: f64, phi_t: f64) -> (f64, f64) {
-    let x = v / (2.0 * phi_t);
-    let sp = softplus(x);
-    let sg = sigmoid(x);
+    let (sp, sg) = softplus_sigmoid(v / (2.0 * phi_t));
     (sp * sp, sp * sg / phi_t)
 }
 
@@ -495,10 +597,67 @@ mod tests {
         }
     }
 
-    /// The gate-charge branch as it stood before [`GateInverse`]
-    /// existed, verbatim: every call re-derives the card.
+    /// The MOSFET model as it stood before [`MosCard`] existed,
+    /// verbatim: every call re-derives the card, and softplus and
+    /// sigmoid each take their own exponential.
     mod reference {
-        use super::super::{sigmoid, softplus, MosParams};
+        use super::super::MosParams;
+
+        pub fn softplus(x: f64) -> f64 {
+            if x > 35.0 {
+                x
+            } else if x < -35.0 {
+                0.0
+            } else {
+                x.exp().ln_1p()
+            }
+        }
+
+        pub fn sigmoid(x: f64) -> f64 {
+            if x >= 0.0 {
+                1.0 / (1.0 + (-x).exp())
+            } else {
+                let e = x.exp();
+                e / (1.0 + e)
+            }
+        }
+
+        fn ekv_f(v: f64, phi_t: f64) -> (f64, f64) {
+            let x = v / (2.0 * phi_t);
+            let sp = softplus(x);
+            let sg = sigmoid(x);
+            (sp * sp, sp * sg / phi_t)
+        }
+
+        pub fn ids(m: &MosParams, v_gs: f64, v_ds: f64) -> (f64, f64, f64) {
+            if v_ds >= 0.0 {
+                ids_fwd(m, v_gs, v_ds)
+            } else {
+                let (i, gm, gds) = ids_fwd(m, v_gs - v_ds, -v_ds);
+                (-i, -gm, gm + gds)
+            }
+        }
+
+        fn ids_fwd(m: &MosParams, v_gs: f64, v_ds: f64) -> (f64, f64, f64) {
+            let vp = (v_gs - m.vt0) / m.n;
+            let (f_f, df_f) = ekv_f(vp, m.phi_t);
+            let (f_r, df_r) = ekv_f(vp - v_ds, m.phi_t);
+            let i_spec = m.i_spec();
+            let clm = 1.0 + m.lambda * v_ds;
+            let g_leak = m.g_leak_per_w * m.w;
+            let i = i_spec * (f_f - f_r) * clm + g_leak * v_ds;
+            let gm = i_spec * clm * (df_f - df_r) / m.n;
+            let gds = i_spec * (m.lambda * (f_f - f_r) + clm * df_r) + g_leak;
+            (i, gm, gds)
+        }
+
+        pub fn q_gate(m: &MosParams, v: f64) -> f64 {
+            q_gate_density(m, v) * m.w * m.l
+        }
+
+        pub fn c_gate(m: &MosParams, v: f64) -> f64 {
+            c_gate_density(m, v) * m.w * m.l
+        }
 
         pub fn q_gate_density(m: &MosParams, v: f64) -> f64 {
             let clow = m.c_low();
@@ -603,6 +762,121 @@ mod tests {
                 assert_eq!(
                     m.c_gate_density(v).to_bits(),
                     reference::c_gate_density(&m, v).to_bits()
+                );
+            }
+        }
+    }
+
+    /// NMOS, PMOS, the FEFET's base card, and 90 cards with every
+    /// channel and charge-branch field perturbed around each of them.
+    fn model_cards() -> Vec<MosParams> {
+        let bases = [
+            MosParams::nmos_45nm(),
+            MosParams::pmos_45nm(),
+            MosParams::nmos_45nm_fefet_base(),
+        ];
+        let mut cards = bases.to_vec();
+        let mut rng = fefet_numerics::rng::Rng::seed_from_u64(0x5eed_ca7d);
+        for k in 0..90 {
+            let base = bases[k % 3];
+            cards.push(MosParams {
+                w: base.w * rng.uniform_in(0.5, 4.0),
+                l: base.l * rng.uniform_in(0.8, 1.5),
+                vt0: base.vt0 + rng.uniform_in(-0.2, 0.2),
+                n: base.n * rng.uniform_in(0.9, 1.2),
+                kp: base.kp * rng.uniform_in(0.7, 1.3),
+                lambda: base.lambda * rng.uniform_in(0.5, 2.0),
+                phi_t: base.phi_t * rng.uniform_in(0.9, 1.1),
+                g_leak_per_w: base.g_leak_per_w * rng.uniform_in(0.1, 10.0),
+                vt_q: base.vt_q + rng.uniform_in(-0.3, 0.3),
+                v_smooth: base.v_smooth * rng.uniform_in(0.5, 2.0),
+                cdep_ratio: (base.cdep_ratio * rng.uniform_in(0.7, 1.3)).min(0.95),
+                ..base
+            });
+        }
+        cards
+    }
+
+    /// Gate-source drives that put the EKV argument `v/(2φt)` of the
+    /// forward channel end at the softplus/sigmoid branch edges 0 and
+    /// ±35, each with ulp neighbours, plus a grid over -1.5..4 V.
+    fn probe_v_gs(m: &MosParams) -> Vec<f64> {
+        let mut v: Vec<f64> = (0..=110).map(|i| -1.5 + 0.05 * i as f64).collect();
+        for edge in [0.0, 35.0, -35.0] {
+            v.extend(ulp_neighbourhood(m.vt0 + m.n * 2.0 * m.phi_t * edge, 4));
+        }
+        v
+    }
+
+    #[test]
+    fn shared_exponential_matches_softplus_and_sigmoid_bit_for_bit() {
+        let mut xs = vec![0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, -745.0];
+        for edge in [0.0, 35.0, -35.0] {
+            xs.extend(ulp_neighbourhood(edge, 4));
+        }
+        xs.extend((0..=8000).map(|i| -40.0 + 0.01 * i as f64));
+        for x in xs {
+            let (sp, sg) = softplus_sigmoid(x);
+            assert_eq!(
+                sp.to_bits(),
+                reference::softplus(x).to_bits(),
+                "softplus({x:e})"
+            );
+            assert_eq!(
+                sg.to_bits(),
+                reference::sigmoid(x).to_bits(),
+                "sigmoid({x:e})"
+            );
+        }
+    }
+
+    /// The held card evaluates the channel current, gate charge and gate
+    /// capacitance with the same bits as the model before [`MosCard`],
+    /// over both signs of `v_ds` and the softplus/sigmoid branch edges
+    /// of the channel and charge arguments; so does [`MosParams`].
+    #[test]
+    fn held_card_matches_the_per_call_model_bit_for_bit() {
+        let v_ds: Vec<f64> = (0..=40)
+            .map(|i| -1.5 + 0.075 * i as f64)
+            .chain([0.0, -0.0, 1e-12, -1e-12])
+            .collect();
+        for m in model_cards() {
+            let card = MosCard::new(m);
+            assert_eq!(*card.params(), m);
+            for &vgs in &probe_v_gs(&m) {
+                // The reverse channel end sits at a branch edge when
+                // v_ds moves the argument by the edge itself.
+                let edge_vds = (vgs - m.vt0) / m.n;
+                for &vds in v_ds.iter().chain(&ulp_neighbourhood(edge_vds, 2)) {
+                    let want = reference::ids(&m, vgs, vds);
+                    for (got, who) in [(card.ids(vgs, vds), "card"), (m.ids(vgs, vds), "params")] {
+                        assert_eq!(
+                            [got.0.to_bits(), got.1.to_bits(), got.2.to_bits()],
+                            [want.0.to_bits(), want.1.to_bits(), want.2.to_bits()],
+                            "{who} ids({vgs:e}, {vds:e}) on {m:?}"
+                        );
+                    }
+                }
+            }
+            let mut vs: Vec<f64> = (0..=120).map(|i| -3.0 + 0.05 * i as f64).collect();
+            for edge in [0.0, 35.0, -35.0] {
+                vs.extend(ulp_neighbourhood(m.vt_q + edge * m.v_smooth, 4));
+            }
+            for v in vs {
+                let (q, c) = card.q_c_gate(v);
+                let (q_ref, c_ref) = (reference::q_gate(&m, v), reference::c_gate(&m, v));
+                assert_eq!(q.to_bits(), q_ref.to_bits(), "q_c_gate({v:e}).0 on {m:?}");
+                assert_eq!(c.to_bits(), c_ref.to_bits(), "q_c_gate({v:e}).1 on {m:?}");
+                assert_eq!(card.q_gate(v).to_bits(), q_ref.to_bits(), "q_gate({v:e})");
+                assert_eq!(
+                    m.q_gate(v).to_bits(),
+                    q_ref.to_bits(),
+                    "params q_gate({v:e})"
+                );
+                assert_eq!(
+                    m.c_gate(v).to_bits(),
+                    c_ref.to_bits(),
+                    "params c_gate({v:e})"
                 );
             }
         }

@@ -87,7 +87,9 @@ pub const I_SENSE_THRESHOLD_A: f64 = 1e-7;
 /// tests use to bound the fast paths' error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FastPathToggles {
-    /// Reuse factored Jacobians while the residual contracts.
+    /// Reuse factored Jacobians while each Newton iteration cuts the
+    /// residual at least 4x; refactor at the start of a step whose
+    /// previous step left them or took more than three iterations.
     pub jacobian_reuse: bool,
     /// Skip model evaluation for elements at an unchanged operating
     /// point.
@@ -1098,9 +1100,9 @@ impl FefetArray {
         let mut x = slice.x_hold.clone();
         let t_hold = T_START + t_read - 2.0 * T_EDGE;
         let h = (t_read - 2.5 * T_EDGE) / SENSE_STEPS as f64;
-        // Exact Newton: near a companion's singular width, modified
-        // Newton keeps stale factors while the residual merely halves per
-        // iteration, and spends three to four times the iterations.
+        // Exact Newton: near a companion's singular width, stale factors
+        // contract the residual slowly; modified Newton with a halving
+        // contraction rule spent three to four times the iterations.
         let opts = SolverOptions {
             jacobian_reuse: false,
             ..self.solver_options()
@@ -1439,6 +1441,45 @@ mod tests {
             a.read_row((row + 3) % 6, 0.3e-9).unwrap();
         }
         assert_eq!(tel.solver.sparse_symbolic_analyses.get(), warm);
+    }
+
+    /// Deterministic work pin for the modified-Newton refresh policy:
+    /// every seeded 16×16 write, the cold first one included, takes its
+    /// 104 steps within stated Newton-iteration and factorization
+    /// ceilings, read from telemetry. The writes take 410–421 iterations
+    /// and 89–94 factorizations each; a halving contraction rule without
+    /// refreshes takes about 582 iterations.
+    #[test]
+    fn seeded_16x16_writes_stay_within_newton_work_ceilings() {
+        const MAX_ITERS_PER_WRITE: f64 = 450.0;
+        const MAX_FACTORS_PER_WRITE: u64 = 100;
+        let mut rng = fefet_numerics::rng::Rng::seed_from_u64(0x16_16);
+        let mut a = FefetArray::new(16, 16, FefetCell::default());
+        let (p_lo, p_hi) = a.cell.memory_states();
+        for i in 0..16 {
+            for j in 0..16 {
+                a.set_polarization(i, j, if rng.uniform() > 0.5 { p_hi } else { p_lo });
+            }
+        }
+        a.instr = Instrumentation::enabled();
+        let instr = a.instr.clone();
+        let tel = instr.get().unwrap();
+        let factors = || tel.solver.sparse_refactors.get() + tel.solver.dense_factors.get();
+        for w in 0..4 {
+            let row = (w * 5 + 3) % 16;
+            let data: Vec<bool> = (0..16).map(|_| rng.uniform() > 0.5).collect();
+            let (i0, f0) = (tel.solver.newton_iterations.sum(), factors());
+            let op = a.write_row(row, &data, 1.0e-9).unwrap();
+            let iters = tel.solver.newton_iterations.sum() - i0;
+            let f = factors() - f0;
+            assert_eq!(op.steps, 104, "write {w}");
+            assert!(
+                iters <= MAX_ITERS_PER_WRITE,
+                "write {w}: {iters} Newton iterations"
+            );
+            assert!(f <= MAX_FACTORS_PER_WRITE, "write {w}: {f} factorizations");
+        }
+        assert_eq!(tel.solver.failures.get(), 0);
     }
 
     /// One enabled handle must collect a whole write + parallel read
