@@ -706,6 +706,7 @@ impl Assembly {
         let mut prev_res = f64::INFINITY;
         let mut factors: usize = 0;
         let mut reuses: usize = 0;
+        let mut stamp_passes: usize = 0;
         for it in 0..opts.max_newton {
             // Is the stored factorization valid for this configuration?
             let stored_ok = *factor_key == Some(key)
@@ -725,6 +726,7 @@ impl Assembly {
                     n_nodes: self.n_nodes,
                 };
                 self.stamp_sys(ckt, t, h, method, dc, opts.gmin, x, states, &mut sys, bank);
+                stamp_passes += 1;
                 let k = self.kcl_norm(&res[..nv]);
                 let b = if nv < n { norm_inf(&res[nv..]) } else { 0.0 };
                 let cur = k.max(b);
@@ -762,6 +764,7 @@ impl Assembly {
                             n_nodes: self.n_nodes,
                         };
                         self.stamp_sys(ckt, t, h, method, dc, opts.gmin, x, states, &mut sys, bank);
+                        stamp_passes += 1;
                         if sys.sparse_cursor() != Some(n_slots) {
                             return Err(CktError::Netlist(
                                 "stamp sequence diverged from the cached sparse pattern".into(),
@@ -772,6 +775,7 @@ impl Assembly {
                         res.fill(0.0);
                         let mut sys = Sys::dense(&mut dn.jac, res, self.n_nodes);
                         self.stamp_sys(ckt, t, h, method, dc, opts.gmin, x, states, &mut sys, bank);
+                        stamp_passes += 1;
                     }
                     let k = self.kcl_norm(&res[..nv]);
                     let b = if nv < n { norm_inf(&res[nv..]) } else { 0.0 };
@@ -905,6 +909,7 @@ impl Assembly {
                     }
                     tel.solver.back_substitutions.add(iters as u64);
                     tel.solver.jacobian_reuses.add(reuses as u64);
+                    tel.solver.stamp_passes.add(stamp_passes as u64);
                     tel.solver.damping_halvings.add(bound.halvings as u64);
                     if let Some((b, _)) = bank {
                         let (bh, bm) = b.take_counts();
@@ -929,6 +934,7 @@ impl Assembly {
             tel.solver.failures.inc();
             tel.solver.failed_iterations.add(opts.max_newton as u64);
             tel.solver.jacobian_reuses.add(reuses as u64);
+            tel.solver.stamp_passes.add(stamp_passes as u64);
             tel.solver.damping_halvings.add(bound.halvings as u64);
             if let Some((b, _)) = bank {
                 let (bh, bm) = b.take_counts();
@@ -1873,12 +1879,20 @@ mod tests {
             (1, 0, 1)
         );
         // Switch closed: the solve starts on the stored factors, then
-        // refactors.
+        // refactors. The rejected fast attempt costs one stamp pass on
+        // top of one per iteration.
+        let tel = opts.instr.get().expect("telemetry");
+        let passes0 = tel.solver.stamp_passes.get();
         let (iters, factors, reuses) = counted_solve(&asm, &c, 9e-9, &opts, &mut x, &mut ws);
         assert!(iters <= REFRESH_AFTER_ITERS, "{iters} iterations");
         assert!(
             reuses >= 1 && factors >= 1,
             "{reuses} reuses, {factors} factors"
+        );
+        assert_eq!(
+            tel.solver.stamp_passes.get() - passes0,
+            iters as u64 + 1,
+            "stamp passes of a {iters}-iteration demoted solve"
         );
         assert!(ws.refresh);
         assert_eq!(

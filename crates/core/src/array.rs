@@ -1445,14 +1445,16 @@ mod tests {
 
     /// Deterministic work pin for the modified-Newton refresh policy:
     /// every seeded 16×16 write, the cold first one included, takes its
-    /// 104 steps within stated Newton-iteration and factorization
-    /// ceilings, read from telemetry. The writes take 410–421 iterations
-    /// and 89–94 factorizations each; a halving contraction rule without
-    /// refreshes takes about 582 iterations.
+    /// 104 steps within stated Newton-iteration, factorization and
+    /// stamp-pass ceilings, read from telemetry. The writes take 410–421
+    /// iterations, 89–94 factorizations and 416–427 stamp passes each; a
+    /// halving contraction rule without refreshes takes about 582
+    /// iterations.
     #[test]
     fn seeded_16x16_writes_stay_within_newton_work_ceilings() {
         const MAX_ITERS_PER_WRITE: f64 = 450.0;
         const MAX_FACTORS_PER_WRITE: u64 = 100;
+        const MAX_STAMP_PASSES_PER_WRITE: u64 = 460;
         let mut rng = fefet_numerics::rng::Rng::seed_from_u64(0x16_16);
         let mut a = FefetArray::new(16, 16, FefetCell::default());
         let (p_lo, p_hi) = a.cell.memory_states();
@@ -1468,16 +1470,25 @@ mod tests {
         for w in 0..4 {
             let row = (w * 5 + 3) % 16;
             let data: Vec<bool> = (0..16).map(|_| rng.uniform() > 0.5).collect();
-            let (i0, f0) = (tel.solver.newton_iterations.sum(), factors());
+            let (i0, f0, s0) = (
+                tel.solver.newton_iterations.sum(),
+                factors(),
+                tel.solver.stamp_passes.get(),
+            );
             let op = a.write_row(row, &data, 1.0e-9).unwrap();
             let iters = tel.solver.newton_iterations.sum() - i0;
             let f = factors() - f0;
+            let passes = tel.solver.stamp_passes.get() - s0;
             assert_eq!(op.steps, 104, "write {w}");
             assert!(
                 iters <= MAX_ITERS_PER_WRITE,
                 "write {w}: {iters} Newton iterations"
             );
             assert!(f <= MAX_FACTORS_PER_WRITE, "write {w}: {f} factorizations");
+            assert!(
+                passes <= MAX_STAMP_PASSES_PER_WRITE,
+                "write {w}: {passes} stamp passes"
+            );
         }
         assert_eq!(tel.solver.failures.get(), 0);
     }

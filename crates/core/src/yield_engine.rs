@@ -30,9 +30,11 @@
 //! rate ([`Fefet::lk_rate`]) in backward-Euler steps on two cells per
 //! trial: the hardest (largest closed-form coercive voltage) and the
 //! easiest. Each cell's rate is built once per trial, holding its gate
-//! card's charge inverse and its last `V_MOS`, and a shmoo point's down
-//! write runs only after its up write passed. The results are the bits
-//! a per-call inversion of every polarization gives.
+//! card's charge inverse and its last `V_MOS`. The shmoo walks the
+//! boundary of its monotone pass map instead of filling the grid (at
+//! most `shmoo_nv + shmoo_nt` points), and a point's down write runs
+//! only after its up write passed. The results are the bits a per-call
+//! inversion of every polarization over the full grid gives.
 //!
 //! Trial randomness is drawn **serially** at setup (one sub-seed per
 //! trial from the master seed); only the evaluation fans out over the
@@ -115,7 +117,9 @@ pub struct YieldSpec {
     /// Shmoo grid: longest write pulse (s).
     pub shmoo_t_hi: f64,
     /// Shmoo grid: pulse-width points. `shmoo_nv × shmoo_nt` must be
-    /// ≤ 64 (pass/fail packs into a `u64` mask).
+    /// ≤ 64 (pass/fail packs into a `u64` mask). A trial evaluates at
+    /// most `shmoo_nv + shmoo_nt` of the points: it walks the boundary
+    /// of the monotone pass map and fills in the rest.
     pub shmoo_nt: usize,
     /// A write passes when the settled polarization reaches this
     /// fraction of the nominal stored state, with the right sign.
@@ -177,7 +181,8 @@ pub struct TrialOutcome {
     /// Newton iterations summed over this trial's warm point solves.
     pub warm_iters: u64,
     /// Shmoo pass/fail bitmask; bit `iv·shmoo_nt + it` is the grid
-    /// point at amplitude `iv`, width `it`.
+    /// point at amplitude `iv`, width `it`. It is the full grid's
+    /// result, found by a walk along the pass map's boundary.
     pub shmoo_pass: u64,
     /// Population count of `shmoo_pass`.
     pub shmoo_npass: u32,
@@ -907,9 +912,52 @@ fn draw_devices(core: &EngineCore, trial: usize, devices: &mut [Fefet]) {
     }
 }
 
+/// Point `i` of an `n`-point grid from `lo` to `hi` (`lo` alone when
+/// `n == 1`).
+fn grid_at(lo: f64, hi: f64, i: usize, n: usize) -> f64 {
+    let f = if n > 1 {
+        i as f64 / (n - 1) as f64
+    } else {
+        0.0
+    };
+    lo + (hi - lo) * f
+}
+
+/// The pass mask (bit `iv·nt + it`) of an `nv × nt` shmoo whose pass
+/// map is monotone: a passing point's higher amplitudes and longer
+/// widths pass too. The walk visits the widths in ascending order and
+/// starts above the top amplitude; in each width it steps down one
+/// amplitude while the next point passes, and the first failing point
+/// ends the width. Every point at or above the boundary is set, and the
+/// next width starts from the boundary this one reached. Each call to
+/// `pass` either lowers the boundary or ends a width, so it runs at
+/// most `nv + nt` times instead of `nv·nt`.
+fn shmoo_walk(nv: usize, nt: usize, mut pass: impl FnMut(usize, usize) -> bool) -> u64 {
+    let mut mask = 0u64;
+    // Lowest amplitude known to pass at the current width; `nv` = none.
+    let mut lowest = nv;
+    for it in 0..nt {
+        while lowest > 0 && pass(lowest - 1, it) {
+            lowest -= 1;
+        }
+        for iv in lowest..nv {
+            mask |= 1u64 << (iv * nt + it);
+        }
+    }
+    mask
+}
+
 /// The device-level workloads of one trial over all its `devices`: the
 /// shmoo pass mask of the hardest cell and the worst disturb shift
-/// (C/m²) of the easiest one.
+/// (C/m²) of the easiest one. The mask is the full grid's, found by
+/// [`shmoo_walk`]. The walk is exact in amplitude: each backward-Euler
+/// step solves `p' = p + h·r(v, p')` with `r` increasing in `v`, so
+/// wherever `p' − h·r(v, p')` increases in `p'` (the step's root is
+/// unique) the step's result rises with `v` and with its start `p`,
+/// and the zero-bias hold keeps that order. A larger amplitude thus
+/// writes each polarity at least as far. In width (`h = t_p/N_PULSE`
+/// changes with it) monotonicity is checked against the full-grid
+/// reference in the tests, not proven.
 fn stress_of(core: &EngineCore, devices: &[Fefet]) -> (u64, f64) {
     let spec = &core.spec;
     // Shmoo the hardest cell (largest closed-form coercive voltage).
@@ -929,32 +977,17 @@ fn stress_of(core: &EngineCore, devices: &[Fefet]) -> (u64, f64) {
         }
     }
     let rate = devices[hard].lk_rate();
-    let mut shmoo_pass = 0u64;
-    for iv in 0..spec.shmoo_nv {
-        let fv = if spec.shmoo_nv > 1 {
-            iv as f64 / (spec.shmoo_nv - 1) as f64
-        } else {
-            0.0
-        };
-        let v_w = spec.shmoo_v_lo + (spec.shmoo_v_hi - spec.shmoo_v_lo) * fv;
-        for it in 0..spec.shmoo_nt {
-            let ft = if spec.shmoo_nt > 1 {
-                it as f64 / (spec.shmoo_nt - 1) as f64
-            } else {
-                0.0
-            };
-            let t_p = spec.shmoo_t_lo + (spec.shmoo_t_hi - spec.shmoo_t_lo) * ft;
-            // A point passes only if both polarities write, so the down
-            // write runs only after the up write passed.
-            let ok = pulse_then_hold(&rate, v_w, core.p_lo, t_p)
-                .is_some_and(|p1| p1 >= spec.write_frac * core.p_hi)
-                && pulse_then_hold(&rate, -v_w, core.p_hi, t_p)
-                    .is_some_and(|p0| p0 <= spec.write_frac * core.p_lo);
-            if ok {
-                shmoo_pass |= 1u64 << (iv * spec.shmoo_nt + it);
-            }
-        }
-    }
+    let (nv, nt) = (spec.shmoo_nv, spec.shmoo_nt);
+    let shmoo_pass = shmoo_walk(nv, nt, |iv, it| {
+        let v_w = grid_at(spec.shmoo_v_lo, spec.shmoo_v_hi, iv, nv);
+        let t_p = grid_at(spec.shmoo_t_lo, spec.shmoo_t_hi, it, nt);
+        // A point passes only if both polarities write, so the down
+        // write runs only after the up write passed.
+        pulse_then_hold(&rate, v_w, core.p_lo, t_p)
+            .is_some_and(|p1| p1 >= spec.write_frac * core.p_hi)
+            && pulse_then_hold(&rate, -v_w, core.p_hi, t_p)
+                .is_some_and(|p0| p0 <= spec.write_frac * core.p_lo)
+    });
     // Disturb-stress the easiest cell (smallest coercive voltage) from
     // both stored states with both stress polarities.
     let rate = devices[easy].lk_rate();
@@ -1321,7 +1354,7 @@ mod tests {
     /// The trial stress as it stood before the held gate inverse: every
     /// rate evaluation inverts `V_MOS` through
     /// `MosParams::v_gate_of_density`, nothing is memoized, and both
-    /// write polarities run at every shmoo point.
+    /// write polarities run at every point of the full shmoo grid.
     fn stress_reference(core: &EngineCore, devices: &[Fefet]) -> (u64, f64) {
         fn settle(dev: &Fefet, v_g: f64, p0: f64, t_tot: f64, n: usize) -> Option<f64> {
             let tau = dev.fe.thickness * dev.fe.lk.rho;
@@ -1389,29 +1422,107 @@ mod tests {
         (shmoo_pass, disturb_dp)
     }
 
-    /// The held inverse, the `V_MOS` memo and the shmoo short-circuit
-    /// leave every trial's stress bits where the per-call inverse put
-    /// them.
-    #[test]
-    fn stress_matches_the_per_call_reference_bit_for_bit() {
-        for spec in [committed_spec(), array16_seed7()] {
-            let engine =
-                YieldEngine::new(FefetCell::default(), spec.clone(), Instrumentation::off())
-                    .expect("engine");
-            let core = &*engine.core;
-            let mut devices = vec![core.cell.fefet; spec.rows * spec.cols];
-            for trial in 0..spec.n_trials {
+    /// Runs the walk's stress and the full-grid reference on every trial
+    /// of `spec` and demands the same mask and disturb bits; returns the
+    /// masks.
+    fn stress_masks_match_the_reference(spec: &YieldSpec) -> Vec<u64> {
+        let label = format!(
+            "{}x{} seed {} shmoo {}x{} {}..{} V",
+            spec.rows,
+            spec.cols,
+            spec.seed,
+            spec.shmoo_nv,
+            spec.shmoo_nt,
+            spec.shmoo_v_lo,
+            spec.shmoo_v_hi
+        );
+        let engine = YieldEngine::new(FefetCell::default(), spec.clone(), Instrumentation::off())
+            .expect("engine");
+        let core = &*engine.core;
+        let mut devices = vec![core.cell.fefet; spec.rows * spec.cols];
+        (0..spec.n_trials)
+            .map(|trial| {
                 draw_devices(core, trial, &mut devices);
                 let (pass, dp) = stress_of(core, &devices);
                 let (pass_ref, dp_ref) = stress_reference(core, &devices);
-                assert_eq!(pass, pass_ref, "{}x{} trial {trial}", spec.rows, spec.cols);
-                assert_eq!(
-                    dp.to_bits(),
-                    dp_ref.to_bits(),
-                    "{}x{} trial {trial}",
-                    spec.rows,
-                    spec.cols
-                );
+                assert_eq!(pass, pass_ref, "{label} trial {trial}");
+                assert_eq!(dp.to_bits(), dp_ref.to_bits(), "{label} trial {trial}");
+                pass
+            })
+            .collect()
+    }
+
+    /// The held inverse, the `V_MOS` memo, the shmoo short-circuit and
+    /// the boundary walk leave every trial's stress bits where the
+    /// per-call inverse over the full grid put them: on the committed
+    /// study, on 32 trials of the 16×16 array, on 1×8, 8×1 and 8×8
+    /// (a full 64-bit mask) grids, and on grids where no point or every
+    /// point passes.
+    #[test]
+    fn stress_matches_the_per_call_reference_bit_for_bit() {
+        stress_masks_match_the_reference(&committed_spec());
+        stress_masks_match_the_reference(&YieldSpec {
+            n_trials: 32,
+            ..array16_seed7()
+        });
+        for (nv, nt) in [(1, 8), (8, 1), (8, 8)] {
+            stress_masks_match_the_reference(&YieldSpec {
+                n_trials: 32,
+                shmoo_nv: nv,
+                shmoo_nt: nt,
+                ..committed_spec()
+            });
+        }
+        // Amplitudes below any sampled device's switching write nothing.
+        let none = stress_masks_match_the_reference(&YieldSpec {
+            n_trials: 32,
+            shmoo_v_lo: 0.05,
+            shmoo_v_hi: 0.2,
+            ..committed_spec()
+        });
+        assert!(none.iter().all(|&m| m == 0), "{none:x?}");
+        // Amplitudes well above switching write every point.
+        let all = stress_masks_match_the_reference(&YieldSpec {
+            n_trials: 32,
+            shmoo_v_lo: 2.0,
+            shmoo_v_hi: 3.0,
+            ..committed_spec()
+        });
+        assert!(all.iter().all(|&m| m == (1u64 << 36) - 1), "{all:x?}");
+    }
+
+    /// The walk returns the exact mask of every monotone pass map on
+    /// every grid up to 4×4 (1×n and n×1 included), calling `pass` at
+    /// most `nv + nt` times. The maps are found by brute force over all
+    /// `2^(nv·nt)` masks, and their count is checked against the
+    /// lattice-path count `C(nv + nt, nv)`.
+    #[test]
+    fn shmoo_walk_finds_every_monotone_map_exactly() {
+        for nv in 1..=4usize {
+            for nt in 1..=4usize {
+                let bit = |iv: usize, it: usize| 1u64 << (iv * nt + it);
+                let monotone = |m: u64| {
+                    (0..nv).all(|iv| {
+                        (0..nt).all(|it| {
+                            m & bit(iv, it) == 0
+                                || ((iv + 1 == nv || m & bit(iv + 1, it) != 0)
+                                    && (it + 1 == nt || m & bit(iv, it + 1) != 0))
+                        })
+                    })
+                };
+                let mut maps = 0u64;
+                for m in (0..1u64 << (nv * nt)).filter(|&m| monotone(m)) {
+                    maps += 1;
+                    let mut calls = 0;
+                    let got = shmoo_walk(nv, nt, |iv, it| {
+                        calls += 1;
+                        m & bit(iv, it) != 0
+                    });
+                    assert_eq!(got, m, "{nv}x{nt} map {m:#b}");
+                    assert!(calls <= nv + nt, "{nv}x{nt} map {m:#b}: {calls} calls");
+                }
+                let paths = (1..=nv as u64).fold(1u64, |c, k| c * (nt as u64 + k) / k);
+                assert_eq!(maps, paths, "{nv}x{nt}");
             }
         }
     }

@@ -101,6 +101,11 @@ pub struct SolverStats {
     /// Newton iterations that reused the stored Jacobian factorization
     /// (modified Newton: residual-only stamp + back-substitution).
     pub jacobian_reuses: Counter,
+    /// Device-stamp passes over the netlist, summed over converged and
+    /// failed solves: one per exact iteration and one per fast attempt,
+    /// including a fast attempt that fails the contraction test and is
+    /// followed by an exact stamp in the same iteration.
+    pub stamp_passes: Counter,
     /// Device model evaluations answered from the per-element bypass
     /// cache (linearized around the cached operating point).
     pub bypass_hits: Counter,
@@ -136,6 +141,7 @@ impl Default for SolverStats {
             gmin_retries: Counter::new(),
             damping_halvings: Counter::new(),
             jacobian_reuses: Counter::new(),
+            stamp_passes: Counter::new(),
             bypass_hits: Counter::new(),
             bypass_misses: Counter::new(),
         }
@@ -151,7 +157,8 @@ impl SolverStats {
              \"residual_at_convergence\":{},\
              \"dense_factors\":{},\"sparse_refactors\":{},\
              \"back_substitutions\":{},\"factors_per_solve\":{},\
-             \"jacobian_reuses\":{},\"bypass_hits\":{},\
+             \"jacobian_reuses\":{},\"stamp_passes\":{},\
+             \"bypass_hits\":{},\
              \"bypass_misses\":{},\
              \"sparse_pattern_nnz\":{},\"sparse_fill_nnz\":{},\
              \"sparse_symbolic_analyses\":{},\
@@ -169,6 +176,7 @@ impl SolverStats {
             self.back_substitutions.get(),
             self.factors_per_solve.to_json(),
             self.jacobian_reuses.get(),
+            self.stamp_passes.get(),
             self.bypass_hits.get(),
             self.bypass_misses.get(),
             self.sparse_pattern_nnz.get(),
@@ -839,6 +847,7 @@ mod tests {
         tel.nvp.runs.inc();
         tel.nvp.backup_energy_j.add(1.5e-9);
         tel.solver.jacobian_reuses.add(7);
+        tel.solver.stamp_passes.add(11);
         tel.solver.bypass_hits.add(3);
         tel.steps.predicted.add(9);
         tel.pool.sweeps.inc();
@@ -854,6 +863,7 @@ mod tests {
         assert!(j.contains("\"solves\":1"));
         assert!(j.contains("\"accepted\":10"));
         assert!(j.contains("\"jacobian_reuses\":7"));
+        assert!(j.contains("\"stamp_passes\":11"));
         assert!(j.contains("\"predicted\":9"));
         assert!(j.contains("\"workers_active\":4"));
         assert!(j.contains("\"fast_path\":990"));

@@ -1,14 +1,17 @@
 //! Bit-identity pins for the array row ops: seeded 8×8 FEFET and 8×8
 //! FERAM arrays driven through a fixed write/read sequence, with every
 //! reported quantity compared by `to_bits` against captured constants —
-//! sensed currents and bits, sneak and disturb maxima, FERAM swings,
-//! energies, committed polarizations and accepted-step counts. Both
+//! sensed currents and bits, disturb maxima, FERAM swings, energies,
+//! committed polarizations and accepted-step counts. The FEFET reads'
+//! sneak maxima are rounding noise far below the solver's current
+//! tolerance, so they are bounded instead of pinned. Both
 //! arrays step with the trapezoidal rule at the explicit `dt` set below,
 //! and the energies come from the step-matched meter. The FEFET
 //! constants come from the row-slice row ops, whose agreement with the
 //! full-array netlist `array_slice_parity.rs` checks within stated
 //! tolerances.
 
+use fefet::ckt::engine::SolverOptions;
 use fefet::mem::array::FefetArray;
 use fefet::mem::cell::FefetCell;
 use fefet::mem::feram::FeramCell;
@@ -30,6 +33,16 @@ fn digest(vals: impl IntoIterator<Item = f64>) -> u64 {
 
 fn bits_of(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A read's largest unaccessed-cell current (A) is rounding noise: it
+/// must stay six orders below the Newton current tolerance.
+fn assert_sneak_is_noise(max_sneak: f64) {
+    let bound = 1e-6 * SolverOptions::default().tol_i;
+    assert!(
+        (0.0..=bound).contains(&max_sneak),
+        "max sneak {max_sneak:e} A above {bound:e} A"
+    );
 }
 
 fn fefet_polarizations(a: &FefetArray) -> u64 {
@@ -92,7 +105,7 @@ fn fefet_write_then_reads_are_bit_identical() {
         ]
     );
     assert_eq!(r3.bits, data);
-    assert_eq!(r3.max_sneak.to_bits(), 0x39b4_281a_faf7_6098);
+    assert_sneak_is_noise(r3.max_sneak);
     assert_eq!(r3.op.max_disturb.to_bits(), 0x3f74_acd2_3a20_2d80);
     assert_eq!(r3.op.energy.to_bits(), 0x3d0a_f8b9_eb73_955e);
     assert_eq!(r3.op.steps, 25);
@@ -112,7 +125,7 @@ fn fefet_write_then_reads_are_bit_identical() {
         ]
     );
     assert_eq!(r6.bits, [true, true, false, true, true, true, true, false]);
-    assert_eq!(r6.max_sneak.to_bits(), 0x39cd_afa9_eda4_f3ff);
+    assert_sneak_is_noise(r6.max_sneak);
     assert_eq!(r6.op.max_disturb.to_bits(), 0x3f94_412e_2903_87a8);
     assert_eq!(r6.op.energy.to_bits(), 0x3d19_6ff6_64d4_a612);
     assert_eq!(r6.op.steps, 25);
