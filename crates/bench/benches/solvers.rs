@@ -918,6 +918,38 @@ fn bench_yield(report: &mut Report) {
         );
     }
 
+    // The committed study's trials (`examples/yield_study.rs`: 4×4,
+    // default 6×6 shmoo grid and disturb stress), serial and warm. At
+    // this size the write shmoo and disturb LK integrations of a trial's
+    // two stressed cells are a third or more of its cost, so this entry
+    // shows a change to the stress integrator, which the 1×1 and 2×2
+    // grids of the other yield entries hardly exercise. One fixed block
+    // of trials (the first eight, all solving cleanly), as above.
+    let committed = YieldEngine::new(
+        FefetCell::default(),
+        YieldSpec {
+            rows: 4,
+            cols: 4,
+            n_trials: 256,
+            seed: 0x5eed_f00d,
+            threads: 1,
+            ..YieldSpec::default()
+        },
+        Instrumentation::off(),
+    )
+    .expect("committed-spec yield engine");
+    let mut committed_scratch = committed.make_scratch();
+    committed.run_trial(&mut committed_scratch, 0);
+    report.bench("yield_trial_4x4_default_grid", || {
+        (0..TRIAL_BLOCK)
+            .map(|t| {
+                committed
+                    .run_trial(&mut committed_scratch, opaque(t))
+                    .shmoo_pass
+            })
+            .fold(0u64, |a, m| a ^ m)
+    });
+
     // Serial vs pooled streaming run, bit-identity asserted inline.
     let run_spec = YieldSpec {
         rows: 4,

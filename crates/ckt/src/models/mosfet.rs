@@ -403,6 +403,16 @@ impl GateInverse {
         }
         v
     }
+
+    /// Gate-charge density (C/m²) and capacitance density (F/m²) at gate
+    /// voltage `v` (V): the forward branch that [`GateInverse::v_gate`]
+    /// inverts, from one shared exponential. An integration whose state
+    /// is the gate voltage reads the charge here instead of inverting
+    /// it.
+    #[inline]
+    pub fn q_c(&self, v: f64) -> (f64, f64) {
+        self.cv.q_c_density(v, self.sp0)
+    }
 }
 
 /// Numerically safe `ln(1+e^x)`.
@@ -762,6 +772,15 @@ mod tests {
                 assert_eq!(
                     m.c_gate_density(v).to_bits(),
                     reference::c_gate_density(&m, v).to_bits()
+                );
+                // The forward branch the V_MOS-form LK step reads: the
+                // same charge and capacitance, and it undoes the inverse.
+                let (qv, cv) = inv.q_c(v);
+                assert_eq!(qv.to_bits(), reference::q_gate_density(&m, v).to_bits());
+                assert_eq!(cv.to_bits(), reference::c_gate_density(&m, v).to_bits());
+                assert!(
+                    (qv - q).abs() <= 1e-15 * (1.0 + q.abs()),
+                    "{m:?} at q = {q:e}"
                 );
             }
         }

@@ -11,13 +11,13 @@ use crate::trace::Trace;
 use crate::{CktError, Result};
 use fefet_telemetry::TraceEvent;
 
-/// Bounded accepted-point history for the LTE step controller: the times
-/// and node-voltage parts of the last (up to) three accepted solutions,
-/// held in fixed buffers so that accepting a step never allocates.
+/// Bounded accepted-point history for step prediction: the times and
+/// node-voltage parts of the last (up to) two accepted solutions, held
+/// in fixed buffers so that accepting a step never allocates.
 #[derive(Debug)]
 struct NodeHistory {
-    times: [f64; 3],
-    bufs: [Vec<f64>; 3],
+    times: [f64; 2],
+    bufs: [Vec<f64>; 2],
     len: usize,
 }
 
@@ -25,8 +25,8 @@ impl NodeHistory {
     // fefet-lint: allow-item(hot-alloc) -- history ring buffers are allocated once per run, then rotated in place
     fn new(nv: usize) -> Self {
         NodeHistory {
-            times: [0.0; 3],
-            bufs: [vec![0.0; nv], vec![0.0; nv], vec![0.0; nv]],
+            times: [0.0; 2],
+            bufs: [vec![0.0; nv], vec![0.0; nv]],
             len: 0,
         }
     }
@@ -36,7 +36,7 @@ impl NodeHistory {
     }
 
     /// Records an accepted point, dropping the oldest once full. Only
-    /// the node-voltage prefix of `x` is kept — all the controller uses.
+    /// the node-voltage prefix of `x` is kept — all prediction uses.
     fn push(&mut self, t: f64, x: &[f64]) {
         let nv = self.bufs[0].len();
         if self.len == self.bufs.len() {
@@ -79,30 +79,6 @@ pub enum StartMode {
     DcOperatingPoint,
 }
 
-/// Local-truncation-error step control (SPICE-style): the second
-/// derivative of each node voltage is estimated from the last three
-/// accepted points and the step is grown or shrunk to hold the estimated
-/// LTE inside `atol + rtol·|v|`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LteControl {
-    /// Relative tolerance on node voltages (dimensionless).
-    pub rtol: f64,
-    /// Absolute tolerance on node voltages (V).
-    pub atol: f64,
-    /// Largest step the controller may grow to (s); `0.0` = 50× nominal.
-    pub dt_max: f64,
-}
-
-impl Default for LteControl {
-    fn default() -> Self {
-        LteControl {
-            rtol: 1e-3,
-            atol: 50e-6,
-            dt_max: 0.0,
-        }
-    }
-}
-
 /// Options for [`transient`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransientOptions {
@@ -118,8 +94,6 @@ pub struct TransientOptions {
     pub node_ics: Vec<(Node, f64)>,
     /// Initial-condition mode.
     pub start: StartMode,
-    /// Optional adaptive step control; `None` keeps fixed stepping.
-    pub lte: Option<LteControl>,
     /// Step prediction: start each Newton solve from a linear
     /// extrapolation of the last two accepted node vectors instead of
     /// the previous solution. Cuts Newton iterations on smooth segments
@@ -139,7 +113,6 @@ impl Default for TransientOptions {
             solver: SolverOptions::default(),
             node_ics: Vec::new(),
             start: StartMode::UseIcs,
-            lte: None,
             predict: true,
         }
     }
@@ -474,15 +447,6 @@ pub fn transient_with(
     // trapezoidal integration would otherwise propagate the (unknowable)
     // pre-corner derivative into the new segment.
     let mut at_corner = true;
-    // LTE history: the two previous accepted points (time and voltages).
-    let dt_max = opts.lte.map(|l| {
-        if l.dt_max > 0.0 {
-            l.dt_max
-        } else {
-            50.0 * dt_nom
-        }
-    });
-    let mut dt_ctrl = dt_nom;
     let nv = ckt.n_nodes() - 1;
     let mut hist = NodeHistory::new(nv);
     hist.push(0.0, &x);
@@ -507,7 +471,7 @@ pub fn transient_with(
         } else {
             opts.method
         };
-        let mut dt_try = dt_ctrl.min(t_ceiling - t);
+        let mut dt_try = dt_nom.min(t_ceiling - t);
         // Halving from dt_nom to dt_min covers ~23 attempts at the
         // default ratio; the cap turns a pathological reject cycle into
         // a typed error instead of an unbounded retry loop.
@@ -556,42 +520,6 @@ pub fn transient_with(
             );
             match solved {
                 Ok(_) => {
-                    // LTE acceptance test (only with 2+ history points and
-                    // away from waveform corners, where the derivative is
-                    // legitimately discontinuous).
-                    if let (Some(lte), true, Some(((t0, x0), (t1, x1)))) =
-                        (opts.lte, !at_corner, hist.last_two())
-                    {
-                        let h1 = t_attempt - t1;
-                        let h0 = t1 - t0;
-                        if h0 > 0.0 && h1 > 0.0 {
-                            let mut err: f64 = 0.0;
-                            for i in 0..nv {
-                                let d1 = (x_new[i] - x1[i]) / h1;
-                                let d0 = (x1[i] - x0[i]) / h0;
-                                let d2 = 2.0 * (d1 - d0) / (h1 + h0);
-                                let lte_est = 0.5 * h1 * h1 * d2;
-                                let scale = lte.atol + lte.rtol * x_new[i].abs();
-                                err = err.max((lte_est / scale).abs());
-                            }
-                            if err > 1.0 && dt_try > dt_min * 4.0 {
-                                if let Some(tel) = opts.solver.instr.get() {
-                                    tel.steps.rejected_lte.inc();
-                                }
-                                dt_try *= (0.9 / err.sqrt()).clamp(0.2, 0.9);
-                                continue;
-                            }
-                            // Accepted: plan the next step size.
-                            let grow = if err > 0.0 {
-                                (0.9 / err.sqrt()).clamp(0.3, 2.0)
-                            } else {
-                                2.0
-                            };
-                            dt_ctrl = (dt_try * grow)
-                                .min(dt_max.unwrap_or(f64::INFINITY))
-                                .max(dt_min);
-                        }
-                    }
                     accepted = Some(t_attempt);
                     break;
                 }
@@ -658,8 +586,7 @@ pub fn transient_with(
             tr.complete_at(TraceEvent::TransientStep, t0, end, (h * 1e15) as u64);
         }
         if at_corner {
-            // Restart the controller after a stimulus corner.
-            dt_ctrl = dt_nom;
+            // Prediction restarts after a stimulus corner.
             hist.clear();
         }
         for m in meters.iter_mut() {
@@ -671,9 +598,6 @@ pub fn transient_with(
         }
         t = t_new;
         hist.push(t, &x);
-        if opts.lte.is_none() {
-            dt_ctrl = dt_nom;
-        }
         steps += 1;
         observe(&Step {
             t,
@@ -1095,112 +1019,6 @@ mod tests {
         assert!(p_mid > 0.3, "P should have switched positive, got {p_mid}");
         let p_end = tr.last("p(F1)").unwrap();
         assert!(p_end < -0.3, "P should have switched back, got {p_end}");
-    }
-
-    #[test]
-    fn lte_adaptive_uses_fewer_steps_at_equal_accuracy() {
-        // RC step response: the adaptive controller takes big steps on the
-        // settled tail and still matches the analytic curve.
-        let build = || {
-            let mut c = Circuit::new();
-            let vin = c.node("in");
-            let vout = c.node("out");
-            c.vsource(
-                "V1",
-                vin,
-                Circuit::GND,
-                Waveform::pulse(0.0, 1.0, 0.1e-6, 10e-9, 10e-9, 100e-6),
-            );
-            c.resistor("R1", vin, vout, 1e3);
-            c.capacitor("C1", vout, Circuit::GND, 1e-9);
-            c
-        };
-        let fixed = transient(
-            &build(),
-            20e-6,
-            TransientOptions {
-                dt: 10e-9,
-                ..TransientOptions::default()
-            },
-        )
-        .unwrap();
-        let adaptive = transient(
-            &build(),
-            20e-6,
-            TransientOptions {
-                dt: 10e-9,
-                lte: Some(LteControl::default()),
-                ..TransientOptions::default()
-            },
-        )
-        .unwrap();
-        // Accuracy: both match the analytic value at 1 tau after the edge.
-        let exact = 1.0 - (-1.0f64).exp();
-        let t_probe = 0.1e-6 + 10e-9 + 1e-6;
-        for tr in [&fixed, &adaptive] {
-            let v = tr.value_at("v(out)", t_probe).unwrap();
-            assert!((v - exact).abs() < 5e-3, "value {v} vs {exact}");
-        }
-        // Efficiency: adaptive takes far fewer samples.
-        assert!(
-            adaptive.time().len() * 3 < fixed.time().len(),
-            "adaptive {} vs fixed {} samples",
-            adaptive.time().len(),
-            fixed.time().len()
-        );
-    }
-
-    #[test]
-    fn lte_adaptive_resolves_fefet_switching() {
-        // The controller must shrink steps through the polarization jump:
-        // final state matches the fixed-step reference.
-        use crate::models::FeCapParams;
-        let build = || {
-            let mut c = Circuit::new();
-            let a = c.node("a");
-            let f = c.node("f");
-            c.vsource(
-                "V1",
-                a,
-                Circuit::GND,
-                Waveform::pulse(0.0, 2.0, 1e-9, 0.1e-9, 0.1e-9, 3e-9),
-            );
-            c.resistor("R1", a, f, 100.0);
-            c.fecap(
-                "F1",
-                f,
-                Circuit::GND,
-                FeCapParams::new(1e-9, 65e-9 * 65e-9),
-                -0.46,
-            );
-            c
-        };
-        let fixed = transient(
-            &build(),
-            6e-9,
-            TransientOptions {
-                dt: 2e-12,
-                ..TransientOptions::default()
-            },
-        )
-        .unwrap();
-        let adaptive = transient(
-            &build(),
-            6e-9,
-            TransientOptions {
-                dt: 2e-12,
-                lte: Some(LteControl::default()),
-                ..TransientOptions::default()
-            },
-        )
-        .unwrap();
-        let p_fixed = fixed.last("p(F1)").unwrap();
-        let p_adapt = adaptive.last("p(F1)").unwrap();
-        assert!(p_fixed > 0.4, "reference must switch");
-        assert!(
-            (p_adapt - p_fixed).abs() < 0.03,
-            "adaptive {p_adapt} vs fixed {p_fixed}"
-        );
     }
 
     #[test]

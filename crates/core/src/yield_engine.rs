@@ -27,14 +27,16 @@
 //!   the reduction against [`YieldEngine::run_trial_cold`].
 //!
 //! The write shmoo and the disturb stress integrate the stack's LK
-//! rate ([`Fefet::lk_rate`]) in backward-Euler steps on two cells per
-//! trial: the hardest (largest closed-form coercive voltage) and the
+//! dynamics ([`Fefet::lk_rate`]) in backward-Euler steps on two cells
+//! per trial: the hardest (largest closed-form coercive voltage) and the
 //! easiest. Each cell's rate is built once per trial, holding its gate
-//! card's charge inverse and its last `V_MOS`. The shmoo walks the
-//! boundary of its monotone pass map instead of filling the grid (at
-//! most `shmoo_nv + shmoo_nt` points), and a point's down write runs
-//! only after its up write passed. The results are the bits a per-call
-//! inversion of every polarization over the full grid gives.
+//! card's charge inverse. The steps solve for `V_MOS`, in which the
+//! gate charge is explicit, so the inverse runs once per pulse instead
+//! of inside every step. The shmoo walks the boundary of its monotone
+//! pass map instead of filling the grid (at most `shmoo_nv + shmoo_nt`
+//! points), and a point's down write runs only after its up write
+//! passed. The masks and disturb shifts are the bits the full grid on
+//! the same step gives.
 //!
 //! Trial randomness is drawn **serially** at setup (one sub-seed per
 //! trial from the master seed); only the evaluation fans out over the
@@ -55,8 +57,7 @@ use fefet_ckt::engine::{NewtonWorkspace, SolverBackend, SolverOptions};
 use fefet_ckt::parallel::pool_map;
 use fefet_ckt::plan::AnalysisCache;
 use fefet_ckt::{CktError, Result};
-use fefet_device::dynamics::be_step;
-use fefet_device::fefet::{Fefet, LkRate};
+use fefet_device::fefet::{Fefet, LkRate, LkState};
 use fefet_device::variability::{sample_device, VariationSpec};
 use fefet_numerics::rng::Rng;
 use fefet_telemetry::json::fmt_f64;
@@ -517,27 +518,27 @@ fn coercive_voltage(fe: &fefet_ckt::models::FeCapParams) -> f64 {
     }
 }
 
-/// Integrates a FEFET stack's LK `rate` at fixed gate bias `v_g` (V)
-/// from polarization `p0` (C/m²) over `t_tot` (s) in `n`
-/// backward-Euler steps. Allocation-free; `None` if the inner root
-/// solve hits a non-finite residual. Consecutive settles on one `rate`
-/// share its last `V_MOS`: a pulse's hold settle starts where the pulse
-/// ended.
-fn settle(rate: &LkRate<'_>, v_g: f64, p0: f64, t_tot: f64, n: usize) -> Option<f64> {
+/// Integrates a FEFET stack's LK dynamics at fixed gate bias `v_g` (V)
+/// from `s` over `t_tot` (s) in `n` backward-Euler steps of
+/// [`LkRate::step`], whose unknown is `V_MOS`: the state carries V from
+/// step to step, so no step inverts the gate charge. Allocation-free;
+/// `None` if a step meets a non-finite value.
+fn settle(rate: &LkRate<'_>, v_g: f64, s: LkState, t_tot: f64, n: usize) -> Option<LkState> {
     let h = t_tot / n as f64;
-    let mut p = p0;
-    let mut t = 0.0;
+    let mut s = s;
     for _ in 0..n {
-        t += h;
-        p = be_step(&|_t, p| rate.at(v_g, p), t, p, h).ok()?;
+        s = rate.step(v_g, h, s).ok()?;
     }
-    Some(p)
+    Some(s)
 }
 
 /// A write pulse of `v_w` (V) for `t_p` (s) from `p0` (C/m²), then the
-/// zero-bias hold: the settled polarization (C/m²).
+/// zero-bias hold: the settled polarization (C/m²). `V_MOS` is inverted
+/// from `p0` once and carries from the pulse into the hold.
 fn pulse_then_hold(rate: &LkRate<'_>, v_w: f64, p0: f64, t_p: f64) -> Option<f64> {
-    settle(rate, v_w, p0, t_p, N_PULSE).and_then(|p| settle(rate, 0.0, p, T_HOLD, N_HOLD))
+    settle(rate, v_w, rate.state(p0), t_p, N_PULSE)
+        .and_then(|s| settle(rate, 0.0, s, T_HOLD, N_HOLD))
+        .map(|s| s.p())
 }
 
 /// [`CktError::Netlist`] naming the first field of `spec` that no
@@ -1074,6 +1075,7 @@ mod tests {
     use super::*;
     use fefet_ckt::elements::{EvalCtx, Integration};
     use fefet_ckt::engine::Assembly;
+    use fefet_device::dynamics::be_step;
     use fefet_telemetry::json;
 
     fn small_spec() -> YieldSpec {
@@ -1351,27 +1353,14 @@ mod tests {
         }
     }
 
-    /// The trial stress as it stood before the held gate inverse: every
-    /// rate evaluation inverts `V_MOS` through
-    /// `MosParams::v_gate_of_density`, nothing is memoized, and both
-    /// write polarities run at every point of the full shmoo grid.
-    fn stress_reference(core: &EngineCore, devices: &[Fefet]) -> (u64, f64) {
-        fn settle(dev: &Fefet, v_g: f64, p0: f64, t_tot: f64, n: usize) -> Option<f64> {
-            let tau = dev.fe.thickness * dev.fe.lk.rho;
-            let rate =
-                |_t: f64, p: f64| (v_g - dev.mos.v_gate_of_density(p) - dev.fe.v_static(p)) / tau;
-            let h = t_tot / n as f64;
-            let mut p = p0;
-            let mut t = 0.0;
-            for _ in 0..n {
-                t += h;
-                p = be_step(&rate, t, p, h).ok()?;
-            }
-            Some(p)
-        }
-        let stress = |dev: &Fefet, v: f64, p0: f64, t: f64| {
-            settle(dev, v, p0, t, N_PULSE).and_then(|p| settle(dev, 0.0, p, T_HOLD, N_HOLD))
-        };
+    /// The trial stress before the walk and the short-circuit: both
+    /// write polarities at every point of the full shmoo grid, each one
+    /// a `stress(device, v, p0, t_p)` pulse-and-hold integration.
+    fn stress_reference(
+        core: &EngineCore,
+        devices: &[Fefet],
+        stress: impl Fn(&Fefet, f64, f64, f64) -> Option<f64>,
+    ) -> (u64, f64) {
         let spec = &core.spec;
         let vc = |k: &usize| coercive_voltage(&devices[*k].fe);
         // Ties resolve as the engine's strict comparisons do: first
@@ -1444,7 +1433,9 @@ mod tests {
             .map(|trial| {
                 draw_devices(core, trial, &mut devices);
                 let (pass, dp) = stress_of(core, &devices);
-                let (pass_ref, dp_ref) = stress_reference(core, &devices);
+                let (pass_ref, dp_ref) = stress_reference(core, &devices, |dev, v, p0, t| {
+                    pulse_then_hold(&dev.lk_rate(), v, p0, t)
+                });
                 assert_eq!(pass, pass_ref, "{label} trial {trial}");
                 assert_eq!(dp.to_bits(), dp_ref.to_bits(), "{label} trial {trial}");
                 pass
@@ -1452,14 +1443,13 @@ mod tests {
             .collect()
     }
 
-    /// The held inverse, the `V_MOS` memo, the shmoo short-circuit and
-    /// the boundary walk leave every trial's stress bits where the
-    /// per-call inverse over the full grid put them: on the committed
-    /// study, on 32 trials of the 16×16 array, on 1×8, 8×1 and 8×8
-    /// (a full 64-bit mask) grids, and on grids where no point or every
-    /// point passes.
+    /// The shared LK rate, the shmoo short-circuit and the boundary walk
+    /// leave every trial's stress bits where the full grid on the same
+    /// step puts them: on the committed study, on 32 trials of the 16×16
+    /// array, on 1×8, 8×1 and 8×8 (a full 64-bit mask) grids, and on
+    /// grids where no point or every point passes.
     #[test]
-    fn stress_matches_the_per_call_reference_bit_for_bit() {
+    fn stress_walk_matches_the_full_grid_reference_bit_for_bit() {
         stress_masks_match_the_reference(&committed_spec());
         stress_masks_match_the_reference(&YieldSpec {
             n_trials: 32,
@@ -1489,6 +1479,125 @@ mod tests {
             ..committed_spec()
         });
         assert!(all.iter().all(|&m| m == (1u64 << 36) - 1), "{all:x?}");
+    }
+
+    /// One P-form backward-Euler step (`dynamics::be_step` on the rate
+    /// with `V_MOS(P)` inverted per call, the step the V_MOS form
+    /// replaced) of width `h` under `v_g` from `p_old`.
+    fn p_form_step(dev: &Fefet, v_g: f64, h: f64, p_old: f64) -> Option<f64> {
+        let tau = dev.fe.thickness * dev.fe.lk.rho;
+        let rate =
+            |_t: f64, p: f64| (v_g - dev.mos.v_gate_of_density(p) - dev.fe.v_static(p)) / tau;
+        be_step(&rate, h, p_old, h).ok()
+    }
+
+    /// A pulse and its hold on the P-form step: the settled
+    /// polarization.
+    fn p_form_pulse_then_hold(dev: &Fefet, v: f64, p0: f64, t: f64) -> Option<f64> {
+        let settle = |v_g: f64, p0: f64, t_tot: f64, n: usize| {
+            (0..n).try_fold(p0, |p, _| p_form_step(dev, v_g, t_tot / n as f64, p))
+        };
+        settle(v, p0, t, N_PULSE).and_then(|p| settle(0.0, p, T_HOLD, N_HOLD))
+    }
+
+    /// The V_MOS-form stress keeps the P-form stress's outcomes: the
+    /// same shmoo mask and a disturb shift within 1e-12 C/m², on all 256
+    /// committed trials and on 32 trials of the 16×16 array at seed 7.
+    #[test]
+    fn lk_stress_keeps_the_p_form_outcomes() {
+        for spec in [
+            committed_spec(),
+            YieldSpec {
+                n_trials: 32,
+                ..array16_seed7()
+            },
+        ] {
+            let engine =
+                YieldEngine::new(FefetCell::default(), spec.clone(), Instrumentation::off())
+                    .expect("engine");
+            let core = &*engine.core;
+            let mut devices = vec![core.cell.fefet; spec.rows * spec.cols];
+            for trial in 0..spec.n_trials {
+                draw_devices(core, trial, &mut devices);
+                let (pass, dp) = stress_of(core, &devices);
+                let (pass_ref, dp_ref) = stress_reference(core, &devices, p_form_pulse_then_hold);
+                let label = format!(
+                    "{}x{} seed {} trial {trial}",
+                    spec.rows, spec.cols, spec.seed
+                );
+                assert_eq!(pass, pass_ref, "{label}");
+                assert!((dp - dp_ref).abs() <= 1e-12, "{label}: {dp} vs {dp_ref}");
+            }
+        }
+    }
+
+    /// Every V_MOS-form step lands within the two forms' summed
+    /// tolerance of the P-form step from the same polarization: along
+    /// every pulse and hold of the default 6×6 shmoo grid (both
+    /// polarities) and of the four disturb stresses, on the nominal card
+    /// and on every sampled card of 8 committed-study trials. Each form
+    /// stops within `1e-12·(1 + |P|)` of a zero residual whose slope in P
+    /// is `1 + (h/τ)·dV_G/dP`, so their roots differ by at most twice
+    /// that over the slope (the largest gap here is 0.74 of it). On the
+    /// nominal card the settled polarizations also agree within 1e-12
+    /// (7.5e-14 measured); on perturbed cards a pulse
+    /// can end next to the zero-bias saddle, whose hold magnifies the
+    /// per-step gap (up to 3e-11 here), so they are held to the
+    /// per-step band only.
+    #[test]
+    fn lk_stress_steps_stay_within_the_p_form_band() {
+        let spec = committed_spec();
+        let engine = YieldEngine::new(FefetCell::default(), spec.clone(), Instrumentation::off())
+            .expect("engine");
+        let core = &*engine.core;
+        let mut cards = vec![core.cell.fefet];
+        let mut devices = vec![core.cell.fefet; spec.rows * spec.cols];
+        for trial in 0..8 {
+            draw_devices(core, trial, &mut devices);
+            cards.extend_from_slice(&devices);
+        }
+        let mut stresses = Vec::new();
+        for iv in 0..spec.shmoo_nv {
+            let v = grid_at(spec.shmoo_v_lo, spec.shmoo_v_hi, iv, spec.shmoo_nv);
+            for it in 0..spec.shmoo_nt {
+                let t = grid_at(spec.shmoo_t_lo, spec.shmoo_t_hi, it, spec.shmoo_nt);
+                stresses.extend([(v, core.p_lo, t), (-v, core.p_hi, t)]);
+            }
+        }
+        for (p0, v) in [(core.p_lo, spec.disturb_v), (core.p_hi, spec.disturb_v)] {
+            stresses.extend([(v, p0, spec.disturb_t), (-v, p0, spec.disturb_t)]);
+        }
+        assert_eq!(stresses.len(), 76);
+        for (k, dev) in cards.iter().enumerate() {
+            let rate = dev.lk_rate();
+            let tau = dev.fe.thickness * dev.fe.lk.rho;
+            for &(v, p0, t) in &stresses {
+                let label = format!("card {k} v {v} p0 {p0} t {t:e}");
+                let mut s = rate.state(p0);
+                for (v_g, t_tot, n) in [(v, t, N_PULSE), (0.0, T_HOLD, N_HOLD)] {
+                    let h = t_tot / n as f64;
+                    for i in 0..n {
+                        let want = p_form_step(dev, v_g, h, s.p()).expect("P-form step");
+                        s = rate.step(v_g, h, s).expect("V-form step");
+                        let slope = 1.0 + h / tau * dev.dv_gate_dp(want);
+                        let band = 2e-12 * (1.0 + want.abs()) / slope;
+                        assert!(
+                            (s.p() - want).abs() <= band,
+                            "{label} step {i}: {} vs {want} (band {band:e})",
+                            s.p()
+                        );
+                    }
+                }
+                if k == 0 {
+                    let want = p_form_pulse_then_hold(dev, v, p0, t).expect("P-form stress");
+                    assert!(
+                        (s.p() - want).abs() <= 1e-12,
+                        "{label}: {} vs {want}",
+                        s.p()
+                    );
+                }
+            }
+        }
     }
 
     /// The walk returns the exact mask of every monotone pass map on
@@ -1599,9 +1708,11 @@ mod tests {
     /// Trials that converged without the clamp-cycle escape keep their
     /// outcomes to the bit, including on a workspace that just ran an
     /// escaping trial. The device-owned values (bootstrap iterations,
-    /// shmoo, disturb, limiting column and its device) predate the
-    /// escape; the margins, currents and iteration counts are the read
-    /// row slice's.
+    /// shmoo, limiting column and its device) predate the escape; the
+    /// margins, currents and iteration counts are the read row slice's;
+    /// the disturb shifts are the V_MOS-form LK step's (−5.6e-15,
+    /// −5.7e-15 and −5.3e-16 C/m² from the P-form step's at trials 0,
+    /// 100 and 128).
     #[test]
     fn clean_trial_outcomes_are_pinned() {
         let engine = YieldEngine::new(
@@ -1621,7 +1732,7 @@ mod tests {
                     0x3db8_f762_31dd_78f8,
                     12,
                     0xf_ffff_efbc,
-                    0x3fa5_4e3c_b136_ea48,
+                    0x3fa5_4e3c_b136_e71c,
                     1,
                     0x4002_6497_8261_a95b,
                     0x3e22_a1c3_c5ce_7155,
@@ -1635,7 +1746,7 @@ mod tests {
                     0x3dba_e477_6da0_c564,
                     15,
                     0xf_ffff_efbc,
-                    0x3fd6_145f_ebe7_562a,
+                    0x3fd6_145f_ebe7_55c4,
                     3,
                     0x4002_d2d3_d368_c288,
                     0x3e21_919c_e399_148f,
@@ -1649,7 +1760,7 @@ mod tests {
                     0x3db9_e087_a122_356d,
                     12,
                     0xf_ffff_efa0,
-                    0x3f91_5560_6534_d130,
+                    0x3f91_5560_6534_d098,
                     1,
                     0x4002_9f1f_39d4_64ca,
                     0x3e23_3cca_1784_0db9,

@@ -7,6 +7,12 @@
 //! bisection fallback on the bracket `[-P_BOUND, P_BOUND]`, inside which
 //! the residual always changes sign because the quintic Landau term
 //! dominates at the bracket ends.
+//!
+//! [`be_step`] steps in P, which suits a rate that is explicit in P (the
+//! bare FE capacitor). The FEFET stack's rate needs `V_MOS(P)`, an
+//! inverse, so the stack steps in `V_MOS` instead
+//! ([`crate::fefet::LkRate::step`]) and shares only [`march`] and
+//! [`P_BOUND`] with this module.
 
 use fefet_numerics::{Error, Result};
 
@@ -114,12 +120,28 @@ where
 ///
 /// # Errors
 ///
-/// [`Error::InvalidArgument`] if `t_end <= 0` or `steps == 0`;
-/// [`Error::NonFinite`] if the initial polarization is NaN/infinite or
-/// any step produces a non-finite value.
+/// As for [`march`].
 pub fn integrate<F>(rate: F, p0: f64, t_end: f64, steps: usize) -> Result<Vec<PSample>>
 where
     F: Fn(f64, f64) -> f64,
+{
+    march(p0, t_end, steps, |t, p, h| be_step(&rate, t, p, h))
+}
+
+/// Marches a polarization from `p0` (C/m²) over `[0, t_end]` (s) in
+/// `steps` fixed steps of width `h = t_end/steps`, returning all
+/// samples. `step(t_new, p_old, h)` takes one step to `t_new`; a
+/// stepper that carries more state than P (the FEFET's `V_MOS`) keeps
+/// it itself.
+///
+/// # Errors
+///
+/// [`Error::InvalidArgument`] if `t_end <= 0` or `steps == 0`;
+/// [`Error::NonFinite`] if the initial polarization is NaN/infinite;
+/// whatever `step` returns.
+pub fn march<S>(p0: f64, t_end: f64, steps: usize, mut step: S) -> Result<Vec<PSample>>
+where
+    S: FnMut(f64, f64, f64) -> Result<f64>,
 {
     if !(t_end > 0.0) {
         return Err(Error::InvalidArgument("integrate: t_end must be positive"));
@@ -138,7 +160,7 @@ where
     out.push(PSample { t: 0.0, p });
     for i in 1..=steps {
         let t = i as f64 * h;
-        p = be_step(&rate, t, p, h)?;
+        p = step(t, p, h)?;
         out.push(PSample { t, p });
     }
     Ok(out)

@@ -12,10 +12,9 @@
 //! Static analysis walks this relation on a polarization grid; transient
 //! analysis integrates the `dP/dt` term directly.
 
-use crate::dynamics::{self, PSample};
+use crate::dynamics::{self, PSample, P_BOUND};
 use fefet_ckt::models::{FeCapParams, GateInverse, MosParams};
-use fefet_numerics::Result;
-use std::cell::Cell;
+use fefet_numerics::{Error, Result};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// A composite ferroelectric transistor.
@@ -27,39 +26,175 @@ pub struct Fefet {
     pub mos: MosParams,
 }
 
-/// A FEFET stack's Landau-Khalatnikov rate
-/// `dP/dt = (v_g − V_MOS(P) − T_FE·E_static(P)) / (T_FE·ρ)`, built by
-/// [`Fefet::lk_rate`]. It holds the gate card's [`GateInverse`] and the
-/// last `V_MOS(P)` it computed, keyed by P's bits: a backward-Euler
-/// step first evaluates the rate at its start point, which is where
-/// the previous step's solve evaluated it last. Allocation-free; the
-/// values are the bits the per-call inverse gives.
+/// A FEFET stack's Landau-Khalatnikov dynamics
+/// `T_FE·ρ·dP/dt = v_g − V_MOS − T_FE·E_static(P)` with `P = q(V_MOS)`,
+/// stepped in backward Euler with the MOS gate voltage as the unknown.
+/// Built by [`Fefet::lk_rate`] once per device; it holds the gate
+/// card's [`GateInverse`] and the `V_MOS` bracket of `±P_BOUND`.
+///
+/// In V the charge is explicit: one [`GateInverse::q_c`] call gives
+/// `P = q(V)` and `C(V) = dq/dV`, where a P-form step would invert
+/// `V_MOS(P)` with a nested Newton at every rate evaluation. The
+/// inverse runs once, when a trajectory starts ([`LkRate::state`]);
+/// from there [`LkState`] carries V from step to step. Allocation-free.
 #[derive(Debug)]
 pub struct LkRate<'a> {
     fe: &'a FeCapParams,
     gate: GateInverse,
     /// `T_FE·ρ` (V·s·m²/C).
     tau: f64,
-    /// `(P bits, V_MOS(P))` of the last inversion.
-    last_v_mos: Cell<(u64, f64)>,
+    /// `V_MOS` (V) at `−P_BOUND` and `P_BOUND`: the bisection bracket
+    /// and the clamp on every Newton iterate.
+    v_bound: (f64, f64),
 }
 
-impl LkRate<'_> {
-    /// Polarization rate (C/m²/s) at polarization `p` (C/m²) under gate
-    /// voltage `v_g` (V).
-    pub fn at(&self, v_g: f64, p: f64) -> f64 {
-        (v_g - self.v_mos(p) - self.fe.v_static(p)) / self.tau
+/// The state [`LkRate::step`] carries: the MOS gate voltage and the
+/// polarization (equal to the gate-charge density) it holds. Built only
+/// by [`LkRate::state`] and [`LkRate::step`], which keep the pair on
+/// one card's charge branch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LkState {
+    /// Internal MOS gate voltage `V_MOS` (V).
+    v_mos: f64,
+    /// Polarization (C/m²).
+    p: f64,
+}
+
+impl LkState {
+    /// Polarization (C/m²).
+    pub fn p(&self) -> f64 {
+        self.p
     }
 
-    /// `V_MOS` (V) at gate-charge density `p` (C/m²).
-    fn v_mos(&self, p: f64) -> f64 {
-        let (key, v) = self.last_v_mos.get();
-        if key == p.to_bits() {
-            return v;
+    /// Internal MOS gate voltage `V_MOS` (V).
+    pub fn v_mos(&self) -> f64 {
+        self.v_mos
+    }
+}
+
+/// Newton iterations of one [`LkRate::step`] before the bisection
+/// fallback.
+const LK_NEWTON_ITERS: usize = 40;
+/// Largest polarization change (C/m²) one damped Newton iteration of
+/// [`LkRate::step`] may make.
+const LK_MAX_DP: f64 = 0.05;
+/// Bisection halvings of [`LkRate::step`]'s fallback. The `V_MOS`
+/// bracket is tens to hundreds of volts wide, so about 60 halvings
+/// reach adjacent floats, and the loop stops there.
+const LK_BISECTIONS: usize = 100;
+
+impl LkRate<'_> {
+    /// The state at polarization `p` (C/m²): `V_MOS` from the gate
+    /// inverse. A trajectory starts here.
+    pub fn state(&self, p: f64) -> LkState {
+        LkState {
+            v_mos: self.gate.v_gate(p),
+            p,
         }
-        let v = self.gate.v_gate(p);
-        self.last_v_mos.set((p.to_bits(), v));
-        v
+    }
+
+    /// One backward-Euler step of width `h` (s) under gate voltage
+    /// `v_g` (V) from `from`.
+    ///
+    /// Solves `f(V) = q(V) − p_old − (h/τ)·(v_g − V − v_static(q(V))) = 0`
+    /// by damped Newton from `V_old` with the analytic slope
+    /// `f'(V) = C(V)·(1 + (h/τ)·v_static'(q)) + h/τ`. That is `C(V)`
+    /// times the P-form slope `1 + (h/τ)·(1/C + v_static')`, so it is
+    /// positive wherever the stack curve rises (`1/C + v_static' > 0`):
+    /// there the step's root is unique, as the P-form's is. `f` is the
+    /// P-form residual at `P = q(V)`, and the step keeps that form's
+    /// safeguards: the `1e-12·(1 + |P|)` residual test, at most
+    /// 0.05 C/m² of P per iteration, iterates clamped to
+    /// `[V(−P_BOUND), V(P_BOUND)]`, and bisection on that bracket when
+    /// Newton stalls.
+    ///
+    /// # Errors
+    ///
+    /// [`fefet_numerics::Error::NonFinite`] if the residual or an
+    /// iterate is NaN/infinite (a non-finite `v_g`, `h` or state).
+    pub fn step(&self, v_g: f64, h: f64, from: LkState) -> Result<LkState> {
+        self.step_traced(v_g, h, from).map(|(s, _)| s)
+    }
+
+    /// [`LkRate::step`], also telling whether it took the bisection
+    /// fallback.
+    fn step_traced(&self, v_g: f64, h: f64, from: LkState) -> Result<(LkState, bool)> {
+        let k = h / self.tau;
+        let p_old = from.p;
+        // Residual, charge and capacitance at V.
+        let f = |v: f64| {
+            let (q, c) = self.gate.q_c(v);
+            (q - p_old - k * (v_g - v - self.fe.v_static(q)), q, c)
+        };
+        let at = |v_mos: f64, p: f64| LkState { v_mos, p };
+        let (v_lo, v_hi) = self.v_bound;
+        let mut v = from.v_mos;
+        for _ in 0..LK_NEWTON_ITERS {
+            let (fv, q, c) = f(v);
+            if !fv.is_finite() {
+                return Err(Error::NonFinite {
+                    context: "lk step residual",
+                });
+            }
+            if fv.abs() < 1e-12 * (1.0 + q.abs()) {
+                return Ok((at(v, q), false));
+            }
+            let slope = c * (1.0 + k * self.fe.dv_dp(q)) + k;
+            if slope.abs() < 1e-12 * c {
+                break;
+            }
+            let mut dv = -fv / slope;
+            if (c * dv).abs() > LK_MAX_DP {
+                dv = dv.signum() * LK_MAX_DP / c;
+            }
+            let v_next = (v + dv).clamp(v_lo, v_hi);
+            if !v_next.is_finite() {
+                return Err(Error::NonFinite {
+                    context: "lk step newton update",
+                });
+            }
+            let stalled = (c * (v_next - v)).abs() < 1e-14;
+            v = v_next;
+            if stalled {
+                break;
+            }
+        }
+        let (fv, q, _) = f(v);
+        if fv.abs() < 1e-9 {
+            return Ok((at(v, q), false));
+        }
+        // Bisection: the quintic Landau term makes f(V(−P_BOUND)) < 0 <
+        // f(V(P_BOUND)).
+        let (mut lo, mut hi) = (v_lo, v_hi);
+        let (f_lo, ..) = f(lo);
+        if !f_lo.is_finite() {
+            return Err(Error::NonFinite {
+                context: "lk step bisection bracket",
+            });
+        }
+        if f_lo > 0.0 {
+            // Pathological stack; return the damped-Newton iterate.
+            return Ok((at(v, q), false));
+        }
+        for _ in 0..LK_BISECTIONS {
+            let mid = 0.5 * (lo + hi);
+            if mid <= lo || mid >= hi {
+                break;
+            }
+            let (fm, ..) = f(mid);
+            if !fm.is_finite() {
+                return Err(Error::NonFinite {
+                    context: "lk step bisection",
+                });
+            }
+            if fm < 0.0 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let v = 0.5 * (lo + hi);
+        Ok((at(v, self.gate.q_c(v).0), true))
     }
 }
 
@@ -693,7 +828,9 @@ impl Fefet {
     /// `dP/dt = (v_g(t) − V_MOS(P) − T_FE·E_static(P)) / (T_FE·ρ)`.
     ///
     /// Returns `(t, P)` samples over `[0, t_end]` (s), starting from
-    /// polarization `p0` (C/m²).
+    /// polarization `p0` (C/m²), in `steps` backward-Euler steps of
+    /// [`LkRate::step`]: `V_MOS` carries from step to step and is
+    /// inverted from `p0` once.
     ///
     /// # Errors
     ///
@@ -705,17 +842,23 @@ impl Fefet {
         F: Fn(f64) -> f64,
     {
         let lk = self.lk_rate();
-        dynamics::integrate(|t, p| lk.at(v_g(t), p), p0, t_end, steps)
+        let mut s = lk.state(p0);
+        dynamics::march(p0, t_end, steps, |t, _p, h| {
+            s = lk.step(v_g(t), h, s)?;
+            Ok(s.p())
+        })
     }
 
-    /// The stack's LK rate with this device's gate card derived once;
-    /// what [`Fefet::transient`] integrates.
+    /// The stack's LK dynamics with this device's gate card derived
+    /// once; what [`Fefet::transient`] and the yield engine's stress
+    /// integrate.
     pub fn lk_rate(&self) -> LkRate<'_> {
+        let gate = GateInverse::new(&self.mos);
         LkRate {
             fe: &self.fe,
-            gate: GateInverse::new(&self.mos),
+            gate,
             tau: self.fe.thickness * self.fe.lk.rho,
-            last_v_mos: Cell::new((f64::NAN.to_bits(), f64::NAN)),
+            v_bound: (gate.v_gate(-P_BOUND), gate.v_gate(P_BOUND)),
         }
     }
 
@@ -1400,5 +1543,119 @@ mod tests {
         // At V_G = 0 the two branches differ by the full distinguishability.
         let ratio = sweep.branch_ratio_at(0.0).unwrap();
         assert!(ratio > 1e5, "branch ratio {ratio:.2e}");
+    }
+
+    /// The P-form backward-Euler step the V_MOS form replaced:
+    /// `dynamics::be_step` on the rate with `V_MOS(P)` inverted per call.
+    fn p_form_step(dev: &Fefet, v_g: f64, h: f64, p_old: f64) -> f64 {
+        let tau = dev.fe.thickness * dev.fe.lk.rho;
+        let rate =
+            |_t: f64, p: f64| (v_g - dev.mos.v_gate_of_density(p) - dev.fe.v_static(p)) / tau;
+        dynamics::be_step(&rate, h, p_old, h).expect("P-form step")
+    }
+
+    /// A 1 µs step from the erased state at 4 V crosses the whole fold
+    /// in one step: Newton runs out of iterations under the 0.05 C/m²
+    /// damping, and the bisection on `[V(−P_BOUND), V(P_BOUND)]` lands
+    /// on the P-form step's root.
+    #[test]
+    fn lk_step_bisection_lands_on_the_p_form_root() {
+        let dev = paper_fefet();
+        let lk = dev.lk_rate();
+        let (v_g, h, p0) = (4.0, 1e-6, -0.5);
+        let (s, bisected) = lk.step_traced(v_g, h, lk.state(p0)).expect("step");
+        assert!(
+            bisected,
+            "Newton converged; the case no longer reaches bisection"
+        );
+        let want = p_form_step(&dev, v_g, h, p0);
+        assert!((s.p() - want).abs() <= 1e-12, "{} vs {want}", s.p());
+        assert!(s.p() > 0.3, "the step must write the device: {}", s.p());
+        let (q, _) = lk.gate.q_c(s.v_mos());
+        assert_eq!(q.to_bits(), s.p().to_bits());
+    }
+
+    /// On small steps (the stress and transient regime) Newton converges
+    /// without the fallback, within the two forms' summed residual
+    /// tolerance of the P-form step (at most 1.4e-12 C/m² here), from
+    /// both stored states and in between, at gate voltages across ±3 V,
+    /// on every same-card device.
+    #[test]
+    fn lk_step_matches_the_p_form_step_on_small_steps() {
+        for dev in same_card_devices() {
+            let lk = dev.lk_rate();
+            let tau = dev.fe.thickness * dev.fe.lk.rho;
+            for p0 in [-0.5, -0.2, 0.0, 0.2, 0.5] {
+                for k in 0..=30 {
+                    let v_g = -3.0 + 0.2 * k as f64;
+                    for h in [1e-12, 1e-11, 5e-11] {
+                        let (s, bisected) = lk.step_traced(v_g, h, lk.state(p0)).expect("step");
+                        let want = p_form_step(&dev, v_g, h, p0);
+                        assert!(!bisected, "{dev:?} p0 {p0} v_g {v_g} h {h:e}");
+                        // Each form stops within 1e-12·(1 + |P|) of a zero
+                        // residual whose slope in P is 1 + (h/τ)·dV_G/dP.
+                        let slope = 1.0 + h / tau * dev.dv_gate_dp(want);
+                        let band = 2e-12 * (1.0 + want.abs()) / slope;
+                        assert!(
+                            (s.p() - want).abs() <= band,
+                            "{dev:?} p0 {p0} v_g {v_g} h {h:e}: {} vs {want}",
+                            s.p()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A NaN or infinite gate voltage is a typed error, in one step and
+    /// in a transient.
+    #[test]
+    fn lk_step_non_finite_bias_is_a_typed_error() {
+        let dev = paper_fefet();
+        let lk = dev.lk_rate();
+        for v_g in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let res = lk.step(v_g, 1e-11, lk.state(0.3));
+            assert!(
+                matches!(res, Err(Error::NonFinite { .. })),
+                "{v_g}: {res:?}"
+            );
+        }
+        let res = dev.transient(|t| if t > 0.5e-9 { f64::NAN } else { 1.0 }, 0.3, 1e-9, 100);
+        assert!(matches!(res, Err(Error::NonFinite { .. })), "{res:?}");
+    }
+
+    /// `Fefet::transient` on the V_MOS-form step follows the P-form
+    /// integration within 1e-11 C/m² (a few step tolerances; 4.4e-12
+    /// measured) at every sample of a switching ramp and of a write
+    /// pulse.
+    #[test]
+    fn transient_matches_the_p_form_integration() {
+        let dev = paper_fefet();
+        let tau = dev.fe.thickness * dev.fe.lk.rho;
+        let cases: [(&dyn Fn(f64) -> f64, f64, f64); 2] = [
+            (&|t: f64| -2.0 + 4.0 * (t / 5e-9).min(1.0), -0.4, 5e-9),
+            (&|_t: f64| -0.9, 0.4, 2e-9),
+        ];
+        for (wave, p0, t_end) in cases {
+            let got = dev.transient(wave, p0, t_end, 2000).expect("V form");
+            let rate = |t: f64, p: f64| {
+                (wave(t) - dev.mos.v_gate_of_density(p) - dev.fe.v_static(p)) / tau
+            };
+            let want = dynamics::integrate(rate, p0, t_end, 2000).expect("P form");
+            assert!(
+                (want.last().unwrap().p - p0).abs() > 0.3,
+                "the case must switch"
+            );
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.t.to_bits(), w.t.to_bits());
+                assert!(
+                    (g.p - w.p).abs() <= 1e-11,
+                    "t {:e}: {} vs {}",
+                    g.t,
+                    g.p,
+                    w.p
+                );
+            }
+        }
     }
 }

@@ -197,7 +197,9 @@ pub struct StepStats {
     pub accepted: Counter,
     /// Steps rejected because Newton failed (dt halved).
     pub rejected_newton: Counter,
-    /// Steps rejected by local-truncation-error control.
+    /// Steps rejected by local-truncation-error control. The stepping
+    /// loop has no LTE control, so this stays 0; it remains in the
+    /// report because the repository benchmark's layer metrics read it.
     pub rejected_lte: Counter,
     /// Accepted steps that landed on a waveform corner via snapping.
     pub corner_snaps: Counter,
