@@ -6,10 +6,6 @@
 //! disturb integration, margin extraction — must perform exactly zero
 //! heap allocations.
 //!
-//! The same holds for a warm trial whose read solve escapes a Newton
-//! damping-clamp cycle by halving its step bound mid-solve: the escape
-//! keeps its state on the stack.
-//!
 //! This file holds a single `#[test]` on purpose: the allocation
 //! counter is process-global, so a concurrently running sibling test
 //! would inflate the counts.
@@ -50,32 +46,4 @@ fn warm_yield_trials_allocate_nothing() {
             "warm yield trial {trial} performed {warm} heap allocations"
         );
     }
-
-    // Trial 127 of the committed 4x4 study falls into a clamp cycle that
-    // the solve escapes by halving its step bound; warm, it too must not
-    // allocate.
-    let instr = Instrumentation::enabled();
-    let spec = YieldSpec {
-        rows: 4,
-        cols: 4,
-        n_trials: 256,
-        seed: 0x5eed_f00d,
-        threads: 1,
-        ..YieldSpec::default()
-    };
-    let engine = YieldEngine::new(FefetCell::default(), spec, instr.clone()).expect("4x4 engine");
-    let tel = instr.get().expect("telemetry");
-    let mut scratch = engine.make_scratch();
-    assert!(engine.run_trial(&mut scratch, 0).solver_ok);
-    let halvings = tel.solver.damping_halvings.get();
-    let (warm, out) = count_allocations(|| engine.run_trial(&mut scratch, 127));
-    assert!(out.solver_ok, "trial 127 must converge");
-    assert!(
-        tel.solver.damping_halvings.get() > halvings,
-        "trial 127 no longer takes the escape path"
-    );
-    assert_eq!(
-        warm, 0,
-        "warm escaping trial 127 performed {warm} heap allocations"
-    );
 }

@@ -291,8 +291,9 @@ fn bench_newton(report: &mut Report) {
 /// **Warm exact** — from the converged point with Jacobian reuse off,
 /// so each call is one full stamp + factor + solve (the cost a
 /// transient pays on every Jacobian change). Dense is measured
-/// alongside (once, above 16×16, where a dense factor costs seconds to
-/// minutes).
+/// alongside at 8×8 and 16×16, the sizes that bracket
+/// `SPARSE_CROSSOVER`; above them no path runs dense, and one dense
+/// factor costs tens of seconds to minutes.
 ///
 /// **Cold** — a fresh workspace solving from zeros: pattern recording,
 /// symbolic analysis, factorization, Newton iteration — what an array
@@ -349,33 +350,22 @@ fn bench_newton_scaling(report: &mut Report) {
             );
             xs.last().copied()
         });
-        // A dense exact factor is O(n³): ~seconds at 32×32, minutes at
-        // 64×64 — one measured sample records the scaling story without
-        // dominating the run; the 64×64 point is skipped in smoke runs.
-        let mut ws_dense = NewtonWorkspace::new(n);
-        let mut xd = vec![0.0; n];
-        let mut dense_measured = true;
-        let dense_solve = |xd: &mut Vec<f64>, ws_dense: &mut NewtonWorkspace| {
-            newton_inplace(
-                &asm,
-                &ckt,
-                t_bias,
-                &opts_dense,
-                xd,
-                &x_star,
-                &states,
-                ws_dense,
-            );
-            xd.last().copied()
-        };
         if rows <= 16 {
-            report.bench(&name_dense, || dense_solve(&mut xd, &mut ws_dense));
-        } else if rows <= 32 || !smoke() {
-            report.bench_once(&name_dense, || dense_solve(&mut xd, &mut ws_dense));
-        } else {
-            dense_measured = false;
-        }
-        if dense_measured {
+            let mut ws_dense = NewtonWorkspace::new(n);
+            let mut xd = vec![0.0; n];
+            report.bench(&name_dense, || {
+                newton_inplace(
+                    &asm,
+                    &ckt,
+                    t_bias,
+                    &opts_dense,
+                    &mut xd,
+                    &x_star,
+                    &states,
+                    &mut ws_dense,
+                );
+                xd.last().copied()
+            });
             report.annotate(&name_dense, n as u64, None);
         }
         report.annotate(&name_sparse, n as u64, nnz);
@@ -1095,7 +1085,7 @@ fn main() {
             serial / par
         );
     }
-    for size in ["8x8", "16x16", "32x32", "64x64"] {
+    for size in ["8x8", "16x16"] {
         if let (Some(dense), Some(sparse)) = (
             report.median_of(&format!("newton_array_{size}_dense")),
             report.median_of(&format!("newton_array_{size}_sparse")),

@@ -1,6 +1,7 @@
 //! DC operating-point analysis.
 //!
-//! Capacitors and ferroelectric capacitors are open circuits in DC; the
+//! Capacitors and ferroelectric capacitors are open circuits in DC (an
+//! FE capacitor's polarization unknown stays at its stored value); the
 //! solve uses Newton with gmin stepping as a convergence aid for strongly
 //! nonlinear (MOSFET/diode) circuits.
 
@@ -48,8 +49,9 @@ impl DcSolution {
         }
     }
 
-    /// Branch current of a voltage source / VCVS by element name
-    /// (positive into the element's positive terminal).
+    /// Branch unknown by element name: the current of a voltage source,
+    /// VCVS or inductor (positive into the element's positive terminal),
+    /// or an FE capacitor's polarization (C/m²).
     pub fn branch_current(&self, name: &str) -> Option<f64> {
         self.branch_names
             .iter()

@@ -60,18 +60,6 @@ impl LkParams {
         self.alpha + p2 * (3.0 * self.beta + p2 * 5.0 * self.gamma)
     }
 
-    /// Slope of the film's backward-Euler companion over a step of
-    /// width `h` (s) at polarization `p` (C/m²), relative to its
-    /// viscous part: `(ρ + h·dE/dP) / ρ` (dimensionless). It is 1 for
-    /// vanishing steps. In the negative-capacitance region it falls
-    /// through zero at `h = ρ / |dE/dP|`, where the element's
-    /// small-signal conductance diverges and a Newton solve around it
-    /// cycles instead of converging.
-    #[inline]
-    pub fn companion_slope(&self, p: f64, h: f64) -> f64 {
-        1.0 + h * self.de_dp(p) / self.rho
-    }
-
     /// Free-energy density `U(P) = α/2 P² + β/4 P⁴ + γ/6 P⁶` (J/m³).
     #[inline]
     pub fn energy_density(&self, p: f64) -> f64 {

@@ -388,6 +388,7 @@ pub fn transient_with(
         }
     }
     if opts.start == StartMode::DcOperatingPoint {
+        // Without states every FE capacitor's DC row pins it to `p0`.
         let states: Vec<ElemState> = ckt.elements().iter().map(|_| ElemState::None).collect();
         asm.solve_point_with(
             ckt,
@@ -408,6 +409,7 @@ pub fn transient_with(
         .iter()
         .map(|(_, e)| e.initial_state(&x))
         .collect();
+    asm.seed_polarization(ckt, &states, 0.0, &mut x);
 
     // Energy meters per independent source.
     let mut meters: Vec<Meter> = ckt
@@ -486,8 +488,9 @@ pub fn transient_with(
             x_new.copy_from_slice(&x);
             // Transient prediction: linear extrapolation of the node
             // voltages through the last two accepted points as the
-            // Newton initial guess. Branch currents keep their previous
-            // values — they are linear consequences of the voltages and
+            // Newton initial guess, and each FE polarization advanced at
+            // its last rate. Branch currents keep their previous values
+            // — they are linear consequences of the voltages and
             // converge in the same iteration either way. Skipped on the
             // step after a corner (history was cleared there anyway) and
             // clamped to the damping bound so a wild extrapolation can
@@ -502,6 +505,7 @@ pub fn transient_with(
                     for i in 0..nv {
                         x_new[i] = x1[i] + (w * (x1[i] - x0[i])).clamp(-bound, bound);
                     }
+                    asm.seed_polarization(ckt, &states, t_attempt - t, &mut x_new);
                     if let Some(tel) = opts.solver.instr.get() {
                         tel.steps.predicted.inc();
                     }

@@ -306,6 +306,63 @@ mod tests {
         FefetCell::default()
     }
 
+    /// A cell written '1' from '0' with the write bias held, in 100 ps
+    /// backward-Euler steps: every step converges, including those
+    /// that carry the film through its negative-capacitance region,
+    /// and the cell ends past the write-commit point.
+    #[test]
+    fn write_in_100ps_steps_through_the_nc_region_converges() {
+        use fefet_ckt::elements::ElemState;
+        use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverOptions};
+        const H: f64 = 100e-12;
+        let cell = cell();
+        let (p_lo, p_hi) = cell.memory_states();
+        let b = &cell.bias;
+        let (ckt, ics) = cell.build(
+            p_lo,
+            Waveform::dc(b.v_write),
+            Waveform::dc(b.v_boost),
+            Waveform::dc(0.0),
+        );
+        let asm = Assembly::new(&ckt);
+        let mut x = vec![0.0; asm.n_unknowns()];
+        for (node, v) in ics {
+            x[node.index() - 1] = v;
+        }
+        let mut states: Vec<ElemState> = ckt
+            .elements()
+            .iter()
+            .map(|(_, e)| e.initial_state(&x))
+            .collect();
+        asm.seed_polarization(&ckt, &states, 0.0, &mut x);
+        let fe = ckt.element_position("Ffe").unwrap();
+        let lk = cell.fefet.fe.lk;
+        let mut ws = NewtonWorkspace::new(asm.n_unknowns());
+        let mut nc_steps = 0;
+        for k in 0..20 {
+            let t = (k + 1) as f64 * H;
+            asm.relax_at_bias(
+                &ckt,
+                t,
+                H,
+                1,
+                &SolverOptions::default(),
+                &mut x,
+                &mut states,
+                &mut ws,
+            )
+            .unwrap_or_else(|e| panic!("step {k}: {e}"));
+            if let ElemState::Fe { p, .. } = states[fe] {
+                nc_steps += usize::from(lk.de_dp(p) < 0.0);
+            }
+        }
+        assert!(nc_steps > 0, "no step ended in the NC region");
+        match states[fe] {
+            ElemState::Fe { p, .. } => assert!(p > 0.6 * p_hi, "P = {p} after 2 ns"),
+            other => panic!("wrong state {other:?}"),
+        }
+    }
+
     #[test]
     fn memory_states_are_bipolar() {
         let (lo, hi) = cell().memory_states();

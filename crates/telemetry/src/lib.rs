@@ -93,11 +93,6 @@ pub struct SolverStats {
     pub ac_stamp_passes: Counter,
     /// Extra gmin-stepping passes taken after a direct solve failed.
     pub gmin_retries: Counter,
-    /// Halvings of a solve's node-voltage step bound by the clamp-cycle
-    /// escape (consecutive clamped updates that reverse direction while
-    /// the residual stops contracting), summed over converged and failed
-    /// solves.
-    pub damping_halvings: Counter,
     /// Newton iterations that reused the stored Jacobian factorization
     /// (modified Newton: residual-only stamp + back-substitution).
     pub jacobian_reuses: Counter,
@@ -139,7 +134,6 @@ impl Default for SolverStats {
             ac_points: Counter::new(),
             ac_stamp_passes: Counter::new(),
             gmin_retries: Counter::new(),
-            damping_halvings: Counter::new(),
             jacobian_reuses: Counter::new(),
             stamp_passes: Counter::new(),
             bypass_hits: Counter::new(),
@@ -153,7 +147,6 @@ impl SolverStats {
         format!(
             "{{\"solves\":{},\"failures\":{},\"gmin_retries\":{},\
              \"newton_iterations\":{},\"failed_iterations\":{},\
-             \"damping_halvings\":{},\
              \"residual_at_convergence\":{},\
              \"dense_factors\":{},\"sparse_refactors\":{},\
              \"back_substitutions\":{},\"factors_per_solve\":{},\
@@ -169,7 +162,6 @@ impl SolverStats {
             self.gmin_retries.get(),
             self.newton_iterations.to_json(),
             self.failed_iterations.get(),
-            self.damping_halvings.get(),
             self.residual_at_convergence.to_json(),
             self.dense_factors.get(),
             self.sparse_refactors.get(),
