@@ -15,6 +15,8 @@
 //!   plate-line disturb the FEFET scheme avoids.
 //! - [`mod@array`] — m×n array with shared lines and metal parasitics; row
 //!   write with unaccessed-row isolation; sneak-path checks (Fig 7).
+//! - `slice` (crate-internal) — the row slice both arrays' row ops
+//!   solve: unaccessed rows lumped into `m`-scaled class cells.
 //! - [`yield_engine`] — Monte Carlo yield engine: perturbed array trials
 //!   with cross-trial symbolic-analysis reuse, warm-started Newton, and
 //!   streaming fixed-memory statistics.
@@ -46,6 +48,7 @@ pub mod macro_model;
 pub mod sense;
 pub mod serving;
 pub mod shmoo;
+mod slice;
 pub mod yield_engine;
 
 pub use bias::{BiasSpec, LineBias, Operation};

@@ -1408,8 +1408,9 @@ impl MemoryService {
     pub fn add_bank(&mut self, mut bank: Bank) -> u32 {
         let id = self.banks.len() as u32;
         bank.rng = Rng::seed_from_u64(bank_seed(self.spec.seed, id));
-        if let BankArray::Fefet(a) = &mut bank.array {
-            a.instr = self.instr.clone();
+        match &mut bank.array {
+            BankArray::Fefet(a) => a.instr = self.instr.clone(),
+            BankArray::Feram(a) => a.instr = self.instr.clone(),
         }
         self.scratch.push(BankScratch::for_rows(bank.rows()));
         self.bank_ops.push(Vec::new());
@@ -2348,6 +2349,35 @@ mod tests {
         assert_eq!(out[0].fidelity, Fidelity::Macro);
         assert_eq!(out[0].word, word);
         assert_eq!(s.escalations, 0);
+    }
+
+    /// A FERAM bank's escalations are as observable as a FEFET bank's:
+    /// `add_bank` wires the service's telemetry into the FERAM array, so
+    /// an escalated read records its `array.read_row` span and the
+    /// engine's solves.
+    #[test]
+    fn traced_feram_escalation_records_its_read_span_and_solves() {
+        let instr = Instrumentation::enabled();
+        let spec = ServeSpec {
+            force_escalate: true,
+            ..ServeSpec::default()
+        };
+        let mut svc = MemoryService::new(spec, instr.clone()).expect("service");
+        svc.add_bank(feram_bank(4, 4));
+        let tel = instr.get().expect("telemetry");
+        let mut out = Vec::new();
+        svc.serve(&[MemOp::Read { bank: 0, row: 1 }], &mut out)
+            .expect("read");
+        assert_eq!(out[0].fidelity, Fidelity::Circuit(EscalationCause::Forced));
+        let spans = tel.spans.snapshot();
+        let reads = spans
+            .iter()
+            .find(|(n, _, _)| n == "array.read_row")
+            .map(|&(_, count, _)| count);
+        assert_eq!(reads, Some(1), "spans: {spans:?}");
+        assert!(tel.solver.solves.get() > 0);
+        assert_eq!(tel.solver.failures.get(), 0);
+        assert_eq!(tel.array.row_reads.get(), 1);
     }
 
     #[test]

@@ -7,8 +7,6 @@
 
 use fefet_mem::array::FefetArray;
 use fefet_mem::cell::FefetCell;
-use fefet_mem::feram::FeramCell;
-use fefet_mem::feram_array::FeramArray;
 use fefet_numerics::rng::Rng;
 
 /// An 8×8 array with a seeded random bit pattern, installed directly as
@@ -110,45 +108,4 @@ fn write_disturb_map_matches_serial_write_row_and_leaves_array_untouched() {
         assert_eq!(b.to_bits(), f.to_bits(), "cell {k} changed");
     }
     assert!(map.iter().all(|d| d.is_finite()));
-}
-
-#[test]
-fn feram_read_margins_preserve_state_and_match_destructive_reads() {
-    let mut a = FeramArray::new(2, 2, FeramCell::default());
-    a.write_row(0, &[true, false], 1.2e-9).expect("write row 0");
-    let stored: Vec<f64> = vec![
-        a.polarization(0, 0),
-        a.polarization(0, 1),
-        a.polarization(1, 0),
-        a.polarization(1, 1),
-    ];
-
-    let margins = a.read_margins(2e-9, 2).expect("margin sweep");
-    assert_eq!(margins.len(), 2);
-    // Row 0 holds [1, 0]: its '1' column develops the larger swing.
-    assert!(
-        margins[0][0] - margins[0][1] > 0.05,
-        "row 0 margin: {} vs {}",
-        margins[0][0],
-        margins[0][1]
-    );
-
-    // The destructive reads ran on clones — the stored '1' survives.
-    let now = [
-        a.polarization(0, 0),
-        a.polarization(0, 1),
-        a.polarization(1, 0),
-        a.polarization(1, 1),
-    ];
-    for (k, (s, n)) in stored.iter().zip(&now).enumerate() {
-        assert_eq!(s.to_bits(), n.to_bits(), "cell {k} changed");
-    }
-    assert!(a.bit(0, 0), "stored '1' must survive the margin sweep");
-
-    // Reference: a clone read destructively gives the same swings.
-    let mut clone = a.clone();
-    let (_, swings) = clone.read_row(0, 2e-9).expect("reference read");
-    for (j, (m, s)) in margins[0].iter().zip(&swings).enumerate() {
-        assert_eq!(m.to_bits(), s.to_bits(), "swing col {j}");
-    }
 }
