@@ -426,117 +426,6 @@ impl Circuit {
         self.push(name, Element::FeCap { a, b, params, p0 })
     }
 
-    /// Exports the netlist in a SPICE-compatible textual form for
-    /// inspection or interop. Behavioral elements (MOSFET cards, LK
-    /// capacitors, switches) are emitted with their parameters as
-    /// comments on `X`/`B` style lines, since no external simulator
-    /// carries these exact models.
-    pub fn to_spice(&self, title: &str) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "* {title}");
-        let node = |n: &Node| {
-            if n.index() == 0 {
-                "0".to_string()
-            } else {
-                self.node_names[n.index()].clone()
-            }
-        };
-        for (name, e) in &self.elements {
-            match e {
-                Element::Resistor { a, b, ohms } => {
-                    let _ = writeln!(out, "R{name} {} {} {ohms:.6e}", node(a), node(b));
-                }
-                Element::Capacitor { a, b, farads } => {
-                    let _ = writeln!(out, "C{name} {} {} {farads:.6e}", node(a), node(b));
-                }
-                Element::Inductor { a, b, henries } => {
-                    let _ = writeln!(out, "L{name} {} {} {henries:.6e}", node(a), node(b));
-                }
-                Element::VSource { a, b, wave } => {
-                    let _ = writeln!(out, "V{name} {} {} {}", node(a), node(b), spice_wave(wave));
-                }
-                Element::ISource { a, b, wave } => {
-                    let _ = writeln!(out, "I{name} {} {} {}", node(a), node(b), spice_wave(wave));
-                }
-                Element::Vcvs { p, n, cp, cn, gain } => {
-                    let _ = writeln!(
-                        out,
-                        "E{name} {} {} {} {} {gain:.6e}",
-                        node(p),
-                        node(n),
-                        node(cp),
-                        node(cn)
-                    );
-                }
-                Element::Vccs { p, n, cp, cn, gm } => {
-                    let _ = writeln!(
-                        out,
-                        "G{name} {} {} {} {} {gm:.6e}",
-                        node(p),
-                        node(n),
-                        node(cp),
-                        node(cn)
-                    );
-                }
-                Element::Switch {
-                    a, b, r_on, r_off, ..
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "* S{name} {} {} timed switch r_on={r_on:.3e} r_off={r_off:.3e}",
-                        node(a),
-                        node(b)
-                    );
-                }
-                Element::Diode {
-                    a,
-                    b,
-                    i_sat,
-                    n_ideality,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "D{name} {} {} DMOD_{name}\n.model DMOD_{name} D(IS={i_sat:.3e} N={n_ideality:.3})",
-                        node(a),
-                        node(b)
-                    );
-                }
-                Element::Mosfet { d, g, s, card } => {
-                    let params = card.params();
-                    let _ = writeln!(
-                        out,
-                        "M{name} {} {} {} {} EKV W={:.3e} L={:.3e} VT0={:.3} KP={:.3e}",
-                        node(d),
-                        node(g),
-                        node(s),
-                        node(s),
-                        params.w,
-                        params.l,
-                        params.vt0,
-                        params.kp
-                    );
-                }
-                Element::FeCap { a, b, params, p0 } => {
-                    let _ = writeln!(
-                        out,
-                        "* F{name} {} {} LK alpha={:.3e} beta={:.3e} gamma={:.3e} rho={:.3} tFE={:.3e} A={:.3e} P0={p0:.3}",
-                        node(a),
-                        node(b),
-                        params.lk.alpha,
-                        params.lk.beta,
-                        params.lk.gamma,
-                        params.lk.rho,
-                        params.thickness,
-                        params.area
-                    );
-                }
-            }
-        }
-        out.push_str(".end\n");
-        out
-    }
-
     fn validate_wave(&self, name: &str, wave: &Waveform) {
         if let Waveform::Pwl(pts) = wave {
             assert!(
@@ -544,36 +433,6 @@ impl Circuit {
                 "source {name}: PWL times must be non-decreasing"
             );
         }
-    }
-}
-
-/// SPICE text for a stimulus.
-fn spice_wave(w: &Waveform) -> String {
-    match w {
-        Waveform::Dc(v) => format!("DC {v:.6e}"),
-        Waveform::Pulse(p) => format!(
-            "PULSE({} {} {} {} {} {} {})",
-            p.v0,
-            p.v1,
-            p.delay,
-            p.rise,
-            p.fall,
-            p.width,
-            p.period.unwrap_or(0.0)
-        ),
-        Waveform::Pwl(pts) => {
-            let body: Vec<String> = pts
-                .iter()
-                .map(|(t, v)| format!("{t:.6e} {v:.6e}"))
-                .collect();
-            format!("PWL({})", body.join(" "))
-        }
-        Waveform::Sin {
-            offset,
-            ampl,
-            freq,
-            delay,
-        } => format!("SIN({offset} {ampl} {freq} {delay})"),
     }
 }
 
@@ -734,53 +593,6 @@ mod tests {
         let mut c = Circuit::new();
         let a = c.node("a");
         c.switch("S1", a, Circuit::GND, Waveform::dc(1.0), 100.0, 10.0);
-    }
-
-    #[test]
-    fn spice_export_contains_all_elements() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let b = c.node("b");
-        c.vsource("V1", a, Circuit::GND, Waveform::dc(1.0))
-            .resistor("R1", a, b, 1e3)
-            .capacitor("C1", b, Circuit::GND, 1e-12)
-            .inductor("L1", b, Circuit::GND, 1e-9)
-            .fecap("F1", b, Circuit::GND, FeCapParams::new(2.25e-9, 1e-15), 0.2)
-            .mosfet("M1", b, a, Circuit::GND, MosParams::nmos_45nm());
-        let spice = c.to_spice("test netlist");
-        assert!(spice.starts_with("* test netlist"));
-        for token in [
-            "RR1 a b",
-            "CC1 b 0",
-            "LL1 b 0",
-            "VV1 a 0 DC",
-            "MM1 b a 0 0 EKV",
-            "LK alpha",
-        ] {
-            assert!(spice.contains(token), "missing {token} in:\n{spice}");
-        }
-        assert!(spice.trim_end().ends_with(".end"));
-    }
-
-    #[test]
-    fn spice_export_waveforms() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        c.vsource(
-            "Vp",
-            a,
-            Circuit::GND,
-            Waveform::pulse(0.0, 1.0, 1e-9, 0.0, 0.0, 2e-9),
-        );
-        c.isource(
-            "Ip",
-            a,
-            Circuit::GND,
-            Waveform::pwl(vec![(0.0, 0.0), (1e-9, 1e-3)]),
-        );
-        let spice = c.to_spice("waves");
-        assert!(spice.contains("PULSE("));
-        assert!(spice.contains("PWL(0"));
     }
 
     #[test]

@@ -401,6 +401,13 @@ impl BypassBank {
         self.slots.len()
     }
 
+    /// Empties every slot in place (no allocation).
+    pub(crate) fn clear(&self) {
+        for slot in &self.slots {
+            slot.set(ModelCache::Empty);
+        }
+    }
+
     fn record_hit(&self) {
         self.hits.set(self.hits.get() + 1);
     }

@@ -47,6 +47,15 @@ pub const SPARSE_CROSSOVER: usize = 64;
 /// rest of the solve to exact Newton.
 const FAST_CONTRACTION: f64 = 0.25;
 
+/// Node update, in units of [`SolverOptions::tol_v`], below which an
+/// exact iteration of a solve that carries no factors across solves
+/// hands its own factors to the next iteration (1e-4 V at the default
+/// `tol_v`). Measured on yield trials: 1e5·`tol_v` saves the final
+/// factorization of every solve (3 per trial) without adding
+/// iterations; 1e3·`tol_v` saves 2 per trial, and 1e7·`tol_v` adds
+/// iterations.
+const CONFIRM_BELOW_TOL_V: f64 = 1e5;
+
 /// Iteration count above which a solve's stored factors count as stale:
 /// the next solve in the same workspace refactors on its first
 /// iteration.
@@ -79,6 +88,14 @@ pub struct SolverOptions {
     /// iteration. Convergence is still judged on a freshly stamped
     /// residual, so accepted solutions meet the same tolerances as the
     /// exact path. Default on.
+    ///
+    /// `false` carries no factors across solves: every solve starts
+    /// with an exact iteration, so it depends only on its own inputs.
+    /// Within the solve, an exact iteration that moved every node by
+    /// less than 1e5·`tol_v` hands its factors to the next iteration,
+    /// which confirms convergence with a residual-only stamp and a
+    /// back-solve. That iteration is kept under the same 4x contraction
+    /// test and is redone exactly when it fails it.
     pub jacobian_reuse: bool,
     /// Device bypass: each MOSFET and diode caches its last operating
     /// point, and one whose terminal voltages moved less than
@@ -218,8 +235,25 @@ impl NewtonWorkspace {
     /// Structural nonzero count of the sparse Jacobian pattern for the
     /// given stamping mode, if that sparse state has been built.
     pub fn sparse_nnz(&self, dc: bool) -> Option<usize> {
+        self.sparse_pattern(dc).map(CsrPattern::nnz)
+    }
+
+    /// Structural pattern of the sparse Jacobian for the given stamping
+    /// mode, if that sparse state has been built.
+    pub fn sparse_pattern(&self, dc: bool) -> Option<&CsrPattern> {
         let s = if dc { &self.sparse_dc } else { &self.sparse_tr };
-        s.as_ref().map(|s| s.a.nnz())
+        s.as_ref().map(|s| s.a.pattern())
+    }
+
+    /// Empties the device-bypass cache in place, so the next solve
+    /// evaluates every device afresh. A caller that re-parameterizes
+    /// devices between solves on one workspace calls it first: a cache
+    /// entry holds a device's currents at an operating point, not the
+    /// parameters they came from.
+    pub fn clear_bypass(&mut self) {
+        if let Some(bank) = &self.bypass {
+            bank.clear();
+        }
     }
 }
 
@@ -255,6 +289,14 @@ fn newton_accepted(opts: &SolverOptions, dv: f64, res_kcl: f64, res_branch: f64)
         return true;
     }
     dv < 10.0 * opts.tol_v && res_kcl < 0.1 * opts.tol_i && res_branch < 0.1 * opts.tol_v
+}
+
+/// Whether an exact iteration of a solve without cross-solve reuse
+/// hands its factors to the next iteration: its node update `dv` (V)
+/// was below [`CONFIRM_BELOW_TOL_V`]·`tol_v`. Shared by the workspace
+/// loop and the allocating reference so the two stay bit-identical.
+fn confirms_on_own_factors(opts: &SolverOptions, dv: f64) -> bool {
+    !opts.jacobian_reuse && dv < CONFIRM_BELOW_TOL_V * opts.tol_v
 }
 
 /// Damping: the factor that brings the node-voltage update `dx_nodes`
@@ -628,6 +670,9 @@ impl Assembly {
         // until this solve converges, so an error here does the same.
         let refresh_first = std::mem::replace(refresh, true);
         let mut demoted = false;
+        // The previous iteration was exact and handed its factors on
+        // ([`confirms_on_own_factors`]).
+        let mut confirm = false;
         let mut prev_res = f64::INFINITY;
         let mut factors: usize = 0;
         let mut reuses: usize = 0;
@@ -642,8 +687,15 @@ impl Assembly {
             // Fast path: residual-only stamp (Jacobian adds discarded by
             // the Null target), accepted only while each iteration cuts
             // the residual to FAST_CONTRACTION of the last one or less.
+            // Without cross-solve reuse it runs only as a confirming
+            // iteration on the previous iteration's factors.
             let mut fast_norms: Option<(f64, f64)> = None;
-            if !exact_only && stored_ok && !(it == 0 && refresh_first) {
+            let try_fast = if exact_only {
+                confirm
+            } else {
+                !(it == 0 && refresh_first)
+            };
+            if try_fast && stored_ok {
                 res.fill(0.0);
                 let mut sys = Sys {
                     jac: JacTarget::Null,
@@ -810,6 +862,7 @@ impl Assembly {
                 });
             }
             let dv = if nv > 0 { norm_inf(&dx[..nv]) } else { 0.0 };
+            confirm = !fast && confirms_on_own_factors(opts, dv);
             if newton_accepted(opts, dv, res_kcl, res_branch) {
                 *refresh = demoted || it + 1 > REFRESH_AFTER_ITERS;
                 // Per-solve telemetry: relaxed atomics only, nothing
@@ -1015,9 +1068,11 @@ mod tests {
 
     /// Reference Newton loop in the seed's allocating style: fresh
     /// Jacobian/residual/negated-residual vectors and an owning
-    /// [`LuFactors::factor`] every iteration. Mirrors the arithmetic of
-    /// [`Assembly::solve_point_with`] operation for operation so the two
-    /// must agree bit for bit.
+    /// [`LuFactors::factor`] every exact iteration. Mirrors the
+    /// arithmetic of [`Assembly::solve_point_with`] without cross-solve
+    /// reuse operation for operation, confirming iterations on the
+    /// previous iteration's factors included, so the two must agree bit
+    /// for bit.
     #[allow(clippy::too_many_arguments)]
     fn solve_point_allocating(
         asm: &Assembly,
@@ -1035,6 +1090,10 @@ mod tests {
         let nv = asm.n_nodes - 1;
         let mut x = x0.to_vec();
         let mut damping = Vec::new();
+        // Factors the last exact iteration handed on, and the residual
+        // norm they were stamped at.
+        let mut handed: Option<LuFactors> = None;
+        let mut prev_res = f64::INFINITY;
         for _it in 0..opts.max_newton {
             let mut jac = Matrix::zeros(n, n);
             let mut res = vec![0.0; n];
@@ -1043,10 +1102,21 @@ mod tests {
             );
             let res_kcl = asm.kcl_norm(&res[..nv]);
             let res_branch = if nv < n { norm_inf(&res[nv..]) } else { 0.0 };
-            let lu = LuFactors::factor(jac.clone()).map_err(|e| CktError::Convergence {
-                time: t,
-                detail: format!("jacobian factorization failed: {e}"),
-            })?;
+            let cur = res_kcl.max(res_branch);
+            let own = handed
+                .take()
+                .filter(|_| cur.is_finite() && cur <= FAST_CONTRACTION * prev_res);
+            if cur.is_finite() {
+                prev_res = cur;
+            }
+            let fast = own.is_some();
+            let lu = match own {
+                Some(lu) => lu,
+                None => LuFactors::factor(jac.clone()).map_err(|e| CktError::Convergence {
+                    time: t,
+                    detail: format!("jacobian factorization failed: {e}"),
+                })?,
+            };
             let neg: Vec<f64> = res.iter().map(|r| -r).collect();
             let mut dx = lu.solve(&neg).map_err(CktError::from)?;
             let clamp = super::damping(opts, &dx[..nv]);
@@ -1062,6 +1132,9 @@ mod tests {
             let dv = if nv > 0 { norm_inf(&dx[..nv]) } else { 0.0 };
             if newton_accepted(opts, dv, res_kcl, res_branch) {
                 return Ok(RefSolve { x, damping });
+            }
+            if !fast && confirms_on_own_factors(opts, dv) {
+                handed = Some(lu);
             }
         }
         Err(CktError::Convergence {
@@ -1436,6 +1509,101 @@ mod tests {
         }
     }
 
+    /// A solve without cross-solve reuse confirms on its own factors:
+    /// where the all-exact trajectory's penultimate update is below the
+    /// hand-on threshold, the solve takes as many iterations, one
+    /// factorization fewer, and lands within `tol_v` of it. The
+    /// all-exact trajectory is the same solve taken one iteration per
+    /// call, since nothing crosses solves.
+    #[test]
+    fn an_exact_solve_confirms_on_its_own_factors() {
+        // The drain node of a common-source stage, converged at a 0.6 V
+        // gate, after the gate steps to 0.601 V: the drain moves 2.7 mV,
+        // then 10 µV, then converges.
+        let (mut c, asm, states) = mos_test_circuit();
+        let mut x0 = vec![0.0; asm.n_unknowns()];
+        asm.solve_point_with(
+            &c,
+            1e-9,
+            1e-9,
+            Integration::BackwardEuler,
+            false,
+            &exact(),
+            &mut x0,
+            &states,
+            &mut NewtonWorkspace::new(asm.n_unknowns()),
+        )
+        .unwrap();
+        c.set_waveform("VG", Waveform::dc(0.601)).unwrap();
+        let n = asm.n_unknowns();
+        let nv = asm.n_nodes - 1;
+        let opts = SolverOptions {
+            backend: SolverBackend::Sparse,
+            instr: Instrumentation::enabled(),
+            ..exact()
+        };
+        let tel = opts.instr.get().unwrap();
+        let solve = |opts: &SolverOptions, x: &mut [f64], ws: &mut NewtonWorkspace| {
+            asm.solve_point_with(
+                &c,
+                1e-9,
+                1e-9,
+                Integration::BackwardEuler,
+                false,
+                opts,
+                x,
+                &states,
+                ws,
+            )
+        };
+
+        let one_step = SolverOptions {
+            max_newton: 1,
+            ..opts.clone()
+        };
+        let mut x_exact = x0.clone();
+        let mut ws = NewtonWorkspace::new(n);
+        let mut updates = Vec::new();
+        loop {
+            let before = x_exact.clone();
+            let r = solve(&one_step, &mut x_exact, &mut ws);
+            let dv = x_exact[..nv]
+                .iter()
+                .zip(&before)
+                .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+            updates.push(dv);
+            match r {
+                Ok(_) => break,
+                Err(CktError::NewtonExhausted { .. }) => assert!(updates.len() < 50),
+                Err(e) => panic!("{e:?}"),
+            }
+        }
+        let iters_exact = updates.len();
+        let penultimate = updates[iters_exact - 2];
+        assert!(
+            penultimate > opts.tol_v && confirms_on_own_factors(&opts, penultimate),
+            "penultimate update {penultimate:e} V in {updates:?}"
+        );
+
+        let mut x = x0.clone();
+        let mut ws = NewtonWorkspace::new(n);
+        let f0 = tel.solver.sparse_refactors.get();
+        let iters = solve(&opts, &mut x, &mut ws).unwrap();
+        assert_eq!(iters, iters_exact);
+        assert_eq!(
+            tel.solver.sparse_refactors.get() - f0,
+            iters_exact as u64 - 1
+        );
+        for i in 0..nv {
+            assert!(
+                (x[i] - x_exact[i]).abs() < opts.tol_v,
+                "node {i}: {} vs all-exact {}",
+                x[i],
+                x_exact[i]
+            );
+        }
+    }
+
     /// Device bypass: warm re-solves at an (almost) unchanged operating
     /// point must hit the per-element cache; the cold first solve must
     /// record misses.
@@ -1475,6 +1643,64 @@ mod tests {
             tel.solver.bypass_hits.get() > 0,
             "warm re-solves at an unchanged operating point never hit the cache"
         );
+    }
+
+    /// A bypass entry holds a device's currents at an operating point,
+    /// not the parameters they came from. After the MOSFET is replaced
+    /// in place, a re-solve from the same point on a warm workspace hits
+    /// the stale entry and leaves the fresh-workspace trajectory; after
+    /// `clear_bypass` it matches a fresh workspace bit for bit.
+    #[test]
+    fn clearing_the_bypass_forgets_replaced_devices() {
+        use crate::models::MosParams;
+        let (mut c, asm, states) = mos_test_circuit();
+        let n = asm.n_unknowns();
+        let opts = SolverOptions {
+            bypass: true,
+            ..exact()
+        };
+        let solve = |c: &Circuit, x: &mut [f64], ws: &mut NewtonWorkspace| {
+            let iters = asm
+                .solve_point_with(
+                    c,
+                    1e-9,
+                    1e-9,
+                    Integration::BackwardEuler,
+                    false,
+                    &opts,
+                    x,
+                    &states,
+                    ws,
+                )
+                .unwrap();
+            (iters, x.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        // Two workspaces warmed identically at the converged point x0.
+        let mut x0 = vec![0.0; n];
+        let mut warm = [NewtonWorkspace::new(n), NewtonWorkspace::new(n)];
+        for ws in &mut warm {
+            x0.fill(0.0);
+            solve(&c, &mut x0, ws);
+            solve(&c, &mut x0, ws);
+        }
+        let m1 = c
+            .elements()
+            .iter()
+            .position(|(name, _)| name == "M1")
+            .unwrap();
+        let shifted = MosParams {
+            vt0: MosParams::nmos_45nm().vt0 + 0.05,
+            ..MosParams::nmos_45nm()
+        };
+        c.set_mosfet_params_at(m1, shifted).unwrap();
+
+        let fresh = solve(&c, &mut x0.clone(), &mut NewtonWorkspace::new(n));
+        let [stale_ws, cleared_ws] = &mut warm;
+        let stale = solve(&c, &mut x0.clone(), stale_ws);
+        assert_ne!(stale, fresh, "the stale entry was never hit");
+        cleared_ws.clear_bypass();
+        let cleared = solve(&c, &mut x0.clone(), cleared_ws);
+        assert_eq!(cleared, fresh);
     }
 
     /// Star circuit: `k` two-node branches (series resistors into a

@@ -86,6 +86,9 @@ pub struct FastPathToggles {
     /// Reuse factored Jacobians while each Newton iteration cuts the
     /// residual at least 4x; refactor at the start of a step whose
     /// previous step left them or took more than three iterations.
+    /// Off, no factors cross a step, though a step's converging
+    /// iteration may still ride the previous iteration's factors
+    /// ([`SolverOptions::jacobian_reuse`]).
     pub jacobian_reuse: bool,
     /// Skip model evaluation for MOSFETs and diodes at an unchanged
     /// operating point.
@@ -106,7 +109,13 @@ impl Default for FastPathToggles {
 }
 
 impl FastPathToggles {
-    /// Every fast path disabled: the exact PR-3 solver behavior.
+    /// Every fast path disabled: fresh factors at every step's first
+    /// iteration, every device evaluated at every stamp, no step
+    /// prediction. The exact reference the parity tests bound the fast
+    /// paths against. Within a step, an iteration after an update below
+    /// 1e5·`tol_v` still confirms convergence on the previous
+    /// iteration's factors, which moves a solution by far less than
+    /// `tol_v`.
     pub fn exact() -> Self {
         FastPathToggles {
             jacobian_reuse: false,
@@ -344,6 +353,16 @@ impl FefetArray {
             "cell index out of range"
         );
         self.state[row * self.cols + col] = p;
+    }
+
+    /// Stored polarizations (C/m²) of `row`'s cells, by column, for
+    /// callers that overwrite a whole row at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub(crate) fn row_state_mut(&mut self, row: usize) -> &mut [f64] {
+        &mut self.state[row * self.cols..(row + 1) * self.cols]
     }
 
     /// The cells a netlist for an op on `row` contains, and the
@@ -975,9 +994,67 @@ pub(crate) fn dims(c: &Circuit) -> MnaDims {
     }
 }
 
+/// A sparse pattern as the numerics crate's refactorization test reads
+/// it from `crates/numerics/tests/data`: the order, then each row's
+/// columns on a line. That test checks the refactorization bit for bit
+/// against its scatter/gather reference on two committed patterns,
+/// which tests here pin to the live netlists.
+#[cfg(test)]
+pub(crate) fn pattern_text(p: &fefet_numerics::sparse::CsrPattern) -> String {
+    let mut out = format!("{}\n", p.n());
+    for r in 0..p.n() {
+        let cols = &p.col_idx()[p.row_ptr()[r]..p.row_ptr()[r + 1]];
+        let line: Vec<String> = cols.iter().map(usize::to_string).collect();
+        out.push_str(&line.join(" "));
+        out.push('\n');
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The 32×32 row-op slice's pattern (writes and reads share it) is
+    /// the one the numerics crate's refactorization test reads from its
+    /// committed file.
+    #[test]
+    fn refactor_fixture_is_the_live_32x32_row_slice_pattern() {
+        let a = FefetArray::new(32, 32, FefetCell::default());
+        let net = a.read_netlist(0, 1e-9, Unaccessed::Classes).unwrap();
+        let asm = Assembly::new(&net.circuit);
+        let mut x = vec![0.0; asm.n_unknowns()];
+        let states: Vec<ElemState> = net
+            .circuit
+            .elements()
+            .iter()
+            .map(|(_, e)| e.initial_state(&x))
+            .collect();
+        asm.seed_polarization(&net.circuit, &states, 0.0, &mut x);
+        let opts = SolverOptions {
+            backend: SolverBackend::Sparse,
+            ..SolverOptions::default()
+        };
+        let mut ws = NewtonWorkspace::new(asm.n_unknowns());
+        asm.solve_point_with(
+            &net.circuit,
+            0.0,
+            1e-12,
+            Integration::BackwardEuler,
+            false,
+            &opts,
+            &mut x,
+            &states,
+            &mut ws,
+        )
+        .unwrap();
+        assert_eq!(asm.n_unknowns(), a.row_op_dims().unwrap().n_unknowns);
+        let live = ws.sparse_pattern(false).expect("transient pattern");
+        assert!(
+            pattern_text(live) == include_str!("../../numerics/tests/data/row_slice_32x32.txt"),
+            "the row slice's pattern changed: rewrite the fixture with `pattern_text`"
+        );
+    }
 
     fn small_array() -> FefetArray {
         // The paper's Fig 7 demonstration array.

@@ -145,6 +145,16 @@ impl FeramArray {
         self.state[row * self.cols + col] = p;
     }
 
+    /// Stored polarizations (C/m²) of `row`'s cells, by column, for
+    /// callers that overwrite a whole row at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub(crate) fn row_state_mut(&mut self, row: usize) -> &mut [f64] {
+        &mut self.state[row * self.cols..(row + 1) * self.cols]
+    }
+
     /// Logic value of cell `(row, col)`.
     pub fn bit(&self, row: usize, col: usize) -> bool {
         let (p_lo, p_hi) = self.cell.memory_states();

@@ -723,13 +723,10 @@ impl Bank {
     fn apply_write_stress(&mut self, row: usize, spec: &ServeSpec) {
         let cycle = sample_write_cycle(&spec.variation, &mut self.rng);
         let bump = spec.disturb_per_write * cycle.stress_weight();
-        for (r, s) in self.stress.iter_mut().enumerate() {
-            if r == row {
-                *s = 0.0;
-            } else {
-                *s += bump;
-            }
+        for s in self.stress.iter_mut() {
+            *s += bump;
         }
+        self.stress[row] = 0.0;
     }
 
     /// Macro-fidelity row write: update the tracked word and poke every
@@ -737,28 +734,16 @@ impl Bank {
     /// circuit ground truth consistent with the fast path.
     fn macro_commit(&mut self, row: usize, word: u64) {
         let (p_lo, p_hi) = (self.p_lo, self.p_hi);
-        let cols = self.config.cols;
-        match &mut self.array {
-            BankArray::Fefet(a) => {
-                for col in 0..cols {
-                    let p = if word & (1u64 << col) != 0 {
-                        p_hi
-                    } else {
-                        p_lo
-                    };
-                    a.set_polarization(row, col, p);
-                }
-            }
-            BankArray::Feram(a) => {
-                for col in 0..cols {
-                    let p = if word & (1u64 << col) != 0 {
-                        p_hi
-                    } else {
-                        p_lo
-                    };
-                    a.set_polarization(row, col, p);
-                }
-            }
+        let cells = match &mut self.array {
+            BankArray::Fefet(a) => a.row_state_mut(row),
+            BankArray::Feram(a) => a.row_state_mut(row),
+        };
+        for (col, p) in cells.iter_mut().enumerate() {
+            *p = if word & (1u64 << col) != 0 {
+                p_hi
+            } else {
+                p_lo
+            };
         }
         self.words[row] = word;
     }

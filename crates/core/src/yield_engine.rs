@@ -25,6 +25,10 @@
 //!   read-bias solution rather than from cold initial conditions, and
 //!   the per-trial iteration counts recorded in [`TrialOutcome`] prove
 //!   the reduction against [`YieldEngine::run_trial_cold`].
+//! - **Reuse inside a trial only.** Device bypass caches model
+//!   evaluations across a trial's solves (the cache is emptied when the
+//!   trial starts), and a solve's converging iteration rides the
+//!   previous iteration's factors; no factors cross a solve.
 //!
 //! The write shmoo and the disturb stress integrate the stack's LK
 //! dynamics ([`Fefet::lk_rate`]) in backward-Euler steps on two cells
@@ -633,11 +637,11 @@ impl YieldEngine {
             // Pinned: under `Auto` small arrays (n < 64) would go dense
             // and change trial numerics.
             backend: SolverBackend::Sparse,
-            // Both fast paths carry cross-trial state in a reused worker
-            // workspace (factor keys, bypass banks); exact solves keep
-            // every trial a pure function of its sub-seed.
+            // No factors cross a solve, so none cross a trial. Device
+            // bypass does carry state in the worker workspace, and each
+            // trial clears it first (`trial_body`): a trial stays a pure
+            // function of its sub-seed.
             jacobian_reuse: false,
-            bypass: false,
             cache: Some(AnalysisCache::new()),
             instr: instr.clone(),
             ..SolverOptions::default()
@@ -1029,6 +1033,9 @@ fn trial_body(
             .set_mosfet_params_at(core.slice.mfet[j], dev.mos)
             .is_ok();
     }
+    // Cache entries hold the previous trial's devices at their
+    // operating points; this trial's row-0 devices differ.
+    scratch.ws.clear_bypass();
     scratch.x.copy_from_slice(x0);
     scratch.states.copy_from_slice(states0);
     let mut warm_iters = 0u64;
@@ -1152,12 +1159,18 @@ mod tests {
         );
     }
 
+    /// A reused workspace carries a bypass bank from trial to trial;
+    /// running trials out of order, one of them twice, on it must give
+    /// what a fresh workspace gives for each. (A stale entry only hits
+    /// where a device's terminals sit within `bypass_vtol` of its last
+    /// evaluation; `fefet-ckt`'s
+    /// `clearing_the_bypass_forgets_replaced_devices` forces that.)
     #[test]
     fn reused_scratch_matches_fresh_scratch() {
         let engine = YieldEngine::new(FefetCell::default(), small_spec(), Instrumentation::off())
             .expect("engine");
         let mut reused = engine.make_scratch();
-        for t in 0..4 {
+        for t in [3, 0, 2, 1, 3] {
             let a = engine.run_trial(&mut reused, t);
             let mut fresh = engine.make_scratch();
             let b = engine.run_trial(&mut fresh, t);
@@ -1166,6 +1179,27 @@ mod tests {
                 "trial {t}: reused scratch diverged from fresh"
             );
         }
+    }
+
+    /// The yield trials' pattern is the one the numerics crate's
+    /// refactorization test reads from its committed file (see
+    /// [`crate::array::pattern_text`]).
+    #[test]
+    fn refactor_fixture_is_the_live_yield_pattern() {
+        let engine = YieldEngine::new(
+            FefetCell::default(),
+            array16_seed7(),
+            Instrumentation::off(),
+        )
+        .expect("engine");
+        let mut scratch = engine.make_scratch();
+        engine.run_trial(&mut scratch, 0);
+        let live = scratch.ws.sparse_pattern(false).expect("transient pattern");
+        assert!(
+            crate::array::pattern_text(live)
+                == include_str!("../../numerics/tests/data/yield_slice_16.txt"),
+            "the yield slice's pattern changed: rewrite the fixture with `pattern_text`"
+        );
     }
 
     #[test]
@@ -1710,7 +1744,12 @@ mod tests {
     /// nominal and −1.1e-8 to +6.5e-9 at these trials when it came in);
     /// the disturb shifts are the V_MOS-form LK step's (−5.6e-15,
     /// −5.7e-15 and −5.3e-16 C/m² from the P-form step's at trials 0,
-    /// 100 and 128).
+    /// 100 and 128). Device bypass and confirming iterations on a
+    /// solve's own factors moved the nominal margin by −1.5e-12 and the
+    /// margins at trials 0, 100 and 128 by +7.3e-13, +2.0e-12 and
+    /// −2.9e-12 relative (ON currents +6.8e-13, +2.0e-12, −2.6e-12; OFF
+    /// currents −5.1e-14, −2.2e-14, +3.1e-13); iteration counts and
+    /// everything device-owned stayed.
     #[test]
     fn clean_trial_outcomes_are_pinned() {
         let engine = YieldEngine::new(
@@ -1720,14 +1759,14 @@ mod tests {
         )
         .expect("engine");
         assert_eq!(engine.bootstrap_iters(), 42);
-        assert_eq!(engine.nominal_margin().to_bits(), 0x4134_2b4e_6293_37f0);
+        assert_eq!(engine.nominal_margin().to_bits(), 0x4134_2b4e_6293_17af);
         let pins: [(usize, OutcomeBits); 3] = [
             (
                 0,
                 (
-                    0x4120_6034_e6b8_5eb1,
-                    0x3ee9_8d81_0b29_7103,
-                    0x3db8_f762_31fa_9abb,
+                    0x4120_6034_e6b8_6bda,
+                    0x3ee9_8d81_0b29_841b,
+                    0x3db8_f762_31fa_9952,
                     12,
                     0xf_ffff_efbc,
                     0x3fa5_4e3c_b136_e71c,
@@ -1739,9 +1778,9 @@ mod tests {
             (
                 100,
                 (
-                    0x40d4_682a_e01e_fed4,
-                    0x3ea1_2655_30f0_e142,
-                    0x3dba_e477_6dbd_10ac,
+                    0x40d4_682a_e01f_2c09,
+                    0x3ea1_2655_30f1_06d4,
+                    0x3dba_e477_6dbd_1004,
                     12,
                     0xf_ffff_efbc,
                     0x3fd6_145f_ebe7_55c4,
@@ -1753,9 +1792,9 @@ mod tests {
             (
                 128,
                 (
-                    0x412a_e6c8_c3e7_b672,
-                    0x3ef5_c10e_5b7f_88b2,
-                    0x3db9_e087_a124_f29f,
+                    0x412a_e6c8_c3e7_60da,
+                    0x3ef5_c10e_5b7f_4aff,
+                    0x3db9_e087_a124_fb90,
                     11,
                     0xf_ffff_efa0,
                     0x3f91_5560_6534_d098,

@@ -15,9 +15,11 @@
 //!   every buffer the numeric phase will touch.
 //! - **Numeric refactorization, every Newton iteration**
 //!   ([`SparseLu::refactor`]): a row-wise Doolittle elimination that
-//!   scatters each matrix row into a dense work array, applies the
-//!   precomputed update sequence, and gathers back into the LU value
-//!   array. No allocation, no searching, no hashing in the hot path.
+//!   writes each LU row in place. The analysis records where every
+//!   matrix entry and every elimination update lands inside its LU
+//!   row, so the numeric phase replays those position maps: no dense
+//!   work array, no allocation, no searching, no hashing in the hot
+//!   path.
 //!
 //! The matrix itself ([`CsrMatrix`]) has a **fixed pattern**: callers
 //! resolve (row, col) coordinates to value-array slots once at setup
@@ -216,7 +218,7 @@ impl CsrMatrix {
 }
 
 /// Immutable products of one symbolic analysis: permutations, the full
-/// fill-in pattern, and the scatter maps the numeric phase replays.
+/// fill-in pattern, and the position maps the numeric phase replays.
 ///
 /// Shareable across any number of [`SparseLu`] instances via `Arc` —
 /// pooled sweep workers factoring the same circuit topology pay for the
@@ -233,11 +235,16 @@ pub struct SparseSymbolic {
     lu_cols: Vec<usize>,
     /// Slot of the diagonal within the LU values for each permuted row.
     diag_ptr: Vec<usize>,
-    /// For each A value slot: its permuted column position (searchless
-    /// scatter during refactorization).
-    a_cols_permuted: Vec<usize>,
+    /// For each A value slot: its offset inside the LU row it lands in
+    /// (the row `row_perm` maps its matrix row to).
+    a_lu_off: Vec<u32>,
     /// Copy of A's row pointers (so refactor only needs A's values).
     a_row_ptr: Vec<usize>,
+    /// Destination offset, inside the row being eliminated, of every
+    /// elimination update in the order [`SparseLu::refactor`] applies
+    /// them: rows ascending, then each row's sub-diagonal entries
+    /// ascending, then the pivot row's upper entries ascending.
+    upd_off: Vec<u32>,
 }
 
 /// Pattern-cached sparse LU with one-time symbolic analysis and
@@ -253,8 +260,6 @@ pub struct SparseLu {
     sym: Arc<SparseSymbolic>,
     lu_vals: Vec<f64>,
     inv_diag: Vec<f64>,
-    /// Dense scatter/gather work array, indexed by permuted position.
-    work: Vec<f64>,
     /// Solve scratch (permuted RHS / solution).
     y: Vec<f64>,
     /// Numeric refactorizations performed (observability; plain
@@ -468,7 +473,37 @@ impl SparseSymbolic {
             return Err(Error::StructurallySingular { index: col_perm[i] });
         }
 
-        let a_cols_permuted: Vec<usize> = pattern.col_idx.iter().map(|&c| col_pos[c]).collect();
+        // Position maps the numeric phase replays. `slot_in_row[p]` is
+        // the offset of permuted column p inside the LU row being mapped
+        // (u32::MAX where that row has no entry).
+        let mut slot_in_row = vec![u32::MAX; n];
+        let mut a_lu_off = vec![0u32; pattern.nnz()];
+        let mut upd_off: Vec<u32> = Vec::new();
+        for (i, &r) in row_perm.iter().enumerate() {
+            let (lo, hi) = (lu_row_ptr[i], lu_row_ptr[i + 1]);
+            for (off, &p) in lu_cols[lo..hi].iter().enumerate() {
+                slot_in_row[p] = u32::try_from(off)
+                    .map_err(|_| Error::InvalidArgument("LU row too long for u32 offsets"))?;
+            }
+            // Every entry of A and every update of the elimination lands
+            // inside the row's pattern: the fill computed above is closed
+            // under elimination. Checked rather than trusted.
+            let lands = |p: usize| match slot_in_row[p] {
+                u32::MAX => Err(Error::StructurallySingular { index: col_perm[p] }),
+                off => Ok(off),
+            };
+            for k in pattern.row_ptr[r]..pattern.row_ptr[r + 1] {
+                a_lu_off[k] = lands(col_pos[pattern.col_idx[k]])?;
+            }
+            for &k in &lu_cols[lo..diag_ptr[i]] {
+                for &p in &lu_cols[diag_ptr[k] + 1..lu_row_ptr[k + 1]] {
+                    upd_off.push(lands(p)?);
+                }
+            }
+            for &p in &lu_cols[lo..hi] {
+                slot_in_row[p] = u32::MAX;
+            }
+        }
         Ok(Self {
             n,
             row_perm,
@@ -476,8 +511,9 @@ impl SparseSymbolic {
             lu_row_ptr,
             lu_cols,
             diag_ptr,
-            a_cols_permuted,
+            a_lu_off,
             a_row_ptr: pattern.row_ptr.clone(),
+            upd_off,
         })
     }
 
@@ -494,9 +530,7 @@ impl SparseSymbolic {
     /// Fill-in nonzeros added by symbolic analysis beyond the original
     /// matrix pattern.
     pub fn fill_nnz(&self) -> usize {
-        self.lu_cols
-            .len()
-            .saturating_sub(self.a_cols_permuted.len())
+        self.lu_cols.len().saturating_sub(self.a_lu_off.len())
     }
 
     fn singular_index(row_active: &[bool], row_count: &[usize], col_active: &[bool]) -> usize {
@@ -534,7 +568,6 @@ impl SparseLu {
             sym,
             lu_vals: vec![0.0; lu_nnz],
             inv_diag: vec![0.0; n],
-            work: vec![0.0; n],
             y: vec![0.0; n],
             refactors: 0,
             solves: 0,
@@ -584,40 +617,42 @@ impl SparseLu {
     /// identifying the original column of the failed pivot.
     pub fn refactor(&mut self, a: &CsrMatrix) -> Result<()> {
         let sym = &*self.sym;
-        if a.n() != sym.n || a.nnz() != sym.a_cols_permuted.len() {
+        if a.n() != sym.n || a.nnz() != sym.a_lu_off.len() {
             return Err(Error::DimensionMismatch {
                 found: (a.n(), a.nnz()),
-                expected: (sym.n, sym.a_cols_permuted.len()),
+                expected: (sym.n, sym.a_lu_off.len()),
             });
         }
         self.refactors += 1;
         self.factored = false;
         let av = a.values();
+        let mut upd = &sym.upd_off[..];
         for i in 0..sym.n {
-            // Scatter row `row_perm[i]` of A into the dense work array
-            // (zeroing exactly the LU row-i positions first).
-            for k in sym.lu_row_ptr[i]..sym.lu_row_ptr[i + 1] {
-                self.work[sym.lu_cols[k]] = 0.0;
-            }
+            // Row i is written in place; rows above it are final.
+            let (lo, hi) = (sym.lu_row_ptr[i], sym.lu_row_ptr[i + 1]);
+            let (done, rest) = self.lu_vals.split_at_mut(lo);
+            let row = &mut rest[..hi - lo];
+            // Load row `row_perm[i]` of A over a zeroed LU row.
+            row.fill(0.0);
             let r = sym.row_perm[i];
             for k in sym.a_row_ptr[r]..sym.a_row_ptr[r + 1] {
-                self.work[sym.a_cols_permuted[k]] += av[k];
+                row[sym.a_lu_off[k] as usize] += av[k];
             }
-            // Eliminate: for each sub-diagonal position k (ascending),
-            // apply pivot row k's upper part.
-            for t in sym.lu_row_ptr[i]..sym.diag_ptr[i] {
-                let k = sym.lu_cols[t];
-                let l = self.work[k] * self.inv_diag[k];
-                self.work[k] = l;
-                for u in sym.diag_ptr[k] + 1..sym.lu_row_ptr[k + 1] {
-                    self.work[sym.lu_cols[u]] -= l * self.lu_vals[u];
+            // Eliminate: for each sub-diagonal entry (ascending), apply
+            // pivot row k's upper part at the recorded offsets.
+            for t in 0..sym.diag_ptr[i] - lo {
+                let k = sym.lu_cols[lo + t];
+                let l = row[t] * self.inv_diag[k];
+                row[t] = l;
+                let u_row = &done[sym.diag_ptr[k] + 1..sym.lu_row_ptr[k + 1]];
+                let (dst, tail) = upd.split_at(u_row.len());
+                upd = tail;
+                for (&d, &u) in dst.iter().zip(u_row) {
+                    row[d as usize] -= l * u;
                 }
             }
-            // Gather back and invert the pivot.
-            for k in sym.lu_row_ptr[i]..sym.lu_row_ptr[i + 1] {
-                self.lu_vals[k] = self.work[sym.lu_cols[k]];
-            }
-            let d = self.lu_vals[sym.diag_ptr[i]];
+            // Invert the pivot.
+            let d = row[sym.diag_ptr[i] - lo];
             if !(d.abs() >= PIVOT_EPS) {
                 return Err(Error::Singular {
                     column: sym.col_perm[i],
@@ -712,6 +747,69 @@ mod tests {
             }
         }
         m
+    }
+
+    /// The scatter/gather refactorization the position maps replaced:
+    /// each row is scattered into a dense work array, eliminated there
+    /// and gathered back. [`SparseLu::refactor`] must match it bit for
+    /// bit, since it applies the same operations to every position in
+    /// the same order.
+    fn refactor_scatter(lu: &mut SparseLu, a: &CsrMatrix) -> Result<()> {
+        let sym = &*lu.sym;
+        let mut col_pos = vec![0usize; sym.n];
+        for (i, &c) in sym.col_perm.iter().enumerate() {
+            col_pos[c] = i;
+        }
+        let (a_ptr, a_cols, av) = (a.pattern().row_ptr(), a.pattern().col_idx(), a.values());
+        let mut work = vec![0.0; sym.n];
+        for i in 0..sym.n {
+            for k in sym.lu_row_ptr[i]..sym.lu_row_ptr[i + 1] {
+                work[sym.lu_cols[k]] = 0.0;
+            }
+            let r = sym.row_perm[i];
+            for k in a_ptr[r]..a_ptr[r + 1] {
+                work[col_pos[a_cols[k]]] += av[k];
+            }
+            for t in sym.lu_row_ptr[i]..sym.diag_ptr[i] {
+                let k = sym.lu_cols[t];
+                let l = work[k] * lu.inv_diag[k];
+                work[k] = l;
+                for u in sym.diag_ptr[k] + 1..sym.lu_row_ptr[k + 1] {
+                    work[sym.lu_cols[u]] -= l * lu.lu_vals[u];
+                }
+            }
+            for k in sym.lu_row_ptr[i]..sym.lu_row_ptr[i + 1] {
+                lu.lu_vals[k] = work[sym.lu_cols[k]];
+            }
+            let d = lu.lu_vals[sym.diag_ptr[i]];
+            if !(d.abs() >= PIVOT_EPS) {
+                return Err(Error::Singular {
+                    column: sym.col_perm[i],
+                });
+            }
+            lu.inv_diag[i] = 1.0 / d;
+        }
+        Ok(())
+    }
+
+    /// Refactors `m` both ways over one analysis and asserts identical
+    /// LU values and inverted pivots, bit for bit.
+    fn assert_refactor_matches_scatter(m: &CsrMatrix, what: &str) {
+        let mut mapped = SparseLu::analyze(m.pattern()).unwrap();
+        let mut scatter = mapped.clone();
+        mapped.refactor(m).unwrap();
+        refactor_scatter(&mut scatter, m).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&mapped.lu_vals),
+            bits(&scatter.lu_vals),
+            "{what}: LU values"
+        );
+        assert_eq!(
+            bits(&mapped.inv_diag),
+            bits(&scatter.inv_diag),
+            "{what}: pivots"
+        );
     }
 
     fn solve_sparse(m: &CsrMatrix, b: &[f64]) -> Vec<f64> {
@@ -902,6 +1000,7 @@ mod tests {
             let (m, b) = random_system(&mut rng, n);
             let dense = LuFactors::factor(m.to_dense()).unwrap();
             let xd = dense.solve(&b).unwrap();
+            assert_refactor_matches_scatter(&m, &format!("trial {trial} n={n}"));
             let mut lu = SparseLu::analyze(m.pattern()).unwrap();
             let mut xs = b.clone();
             lu.factor_solve_in_place(&m, &mut xs).unwrap();
@@ -913,6 +1012,54 @@ mod tests {
                     xs[i],
                     xd[i]
                 );
+            }
+        }
+    }
+
+    /// A pattern fixture: the order on the first line, then one line per
+    /// row listing its columns.
+    fn fixture_matrix(text: &str, rng: &mut Rng) -> CsrMatrix {
+        let mut lines = text.lines();
+        let n: usize = lines.next().unwrap().parse().unwrap();
+        let mut entries = Vec::new();
+        for (r, line) in lines.enumerate() {
+            for c in line.split_whitespace() {
+                entries.push((r, c.parse().unwrap()));
+            }
+        }
+        let mut m = CsrMatrix::from_pattern(CsrPattern::from_entries(n, &entries).unwrap());
+        for r in 0..n {
+            for k in m.pattern().row_ptr()[r]..m.pattern().row_ptr()[r + 1] {
+                let diag = m.pattern().col_idx()[k] == r;
+                m.values_mut()[k] = rng.uniform_in(-1.0, 1.0) + if diag { 4.0 } else { 0.0 };
+            }
+        }
+        m
+    }
+
+    /// The MNA patterns the hot solves factor: the yield engine's
+    /// 16-column read slice and a 32×32 array's row-op slice (writes
+    /// and reads share it). `fefet-mem` tests pin both files to the
+    /// live netlists.
+    #[test]
+    fn mapped_refactor_matches_scatter_on_array_slice_patterns() {
+        let mut rng = Rng::seed_from_u64(7);
+        for (what, text) in [
+            (
+                "yield slice",
+                include_str!("../tests/data/yield_slice_16.txt"),
+            ),
+            (
+                "32x32 row slice",
+                include_str!("../tests/data/row_slice_32x32.txt"),
+            ),
+        ] {
+            let m = fixture_matrix(text, &mut rng);
+            let lu = SparseLu::analyze(m.pattern()).unwrap();
+            assert!(lu.sym.upd_off.len() > 1000, "{what}: a trivial pattern");
+            for _ in 0..5 {
+                let m = fixture_matrix(text, &mut rng);
+                assert_refactor_matches_scatter(&m, what);
             }
         }
     }

@@ -106,39 +106,3 @@ fn ac_fecap_matches_analytic_divider() {
         );
     }
 }
-
-/// SPICE export of a full 2T cell netlist carries every element and the
-/// LK parameters.
-#[test]
-fn spice_export_of_cell_netlist() {
-    let dev = paper_fefet();
-    let mut c = Circuit::new();
-    let bl = c.node("bl");
-    let ws = c.node("ws");
-    let g = c.node("g");
-    let gi = c.node("gi");
-    let rs = c.node("rs");
-    c.vsource(
-        "Vbl",
-        bl,
-        Circuit::GND,
-        Waveform::pulse(0.0, 0.68, 0.0, 0.0, 0.0, 1e-9),
-    );
-    c.vsource("Vws", ws, Circuit::GND, Waveform::dc(1.4));
-    c.vsource("Vrs", rs, Circuit::GND, Waveform::dc(0.0));
-    c.mosfet(
-        "Macc",
-        bl,
-        ws,
-        g,
-        fefet::ckt::models::MosParams::nmos_45nm(),
-    );
-    c.fecap("Ffe", g, gi, dev.fe, -0.18);
-    c.mosfet("Mfet", rs, gi, Circuit::GND, dev.mos);
-    let spice = c.to_spice("2T FEFET cell");
-    assert!(spice.contains("* 2T FEFET cell"));
-    assert!(spice.contains("MMacc bl ws g g EKV"));
-    assert!(spice.contains("LK alpha=-7.000e9") || spice.contains("LK alpha=-7e9"));
-    assert!(spice.contains("PULSE("));
-    assert!(spice.trim_end().ends_with(".end"));
-}
