@@ -18,6 +18,9 @@ use fefet_device::paper_fefet;
 use fefet_device::variability::{monte_carlo, VariationSpec};
 use fefet_mem::array::{FastPathToggles, FefetArray};
 use fefet_mem::cell::FefetCell;
+use fefet_mem::compare::iso_comparison;
+use fefet_mem::feram::FeramCell;
+use fefet_mem::shmoo::write_shmoo;
 use fefet_mem::yield_engine::{YieldEngine, YieldSpec};
 use fefet_numerics::linalg::{norm_inf, LuWorkspace, Matrix};
 use fefet_numerics::rng::Rng;
@@ -528,11 +531,24 @@ fn bench_rc_transient(report: &mut Report) {
     });
 }
 
+/// One cell write transient, and the two paper searches built on it:
+/// the `shmoo` bin's 9×8 write shmoo (a boundary walk per polarity,
+/// 30 writes) and the `table3` bin's iso-write-time comparison (a
+/// 4-point bisection per memory, then the read energies).
 fn bench_cell_write(report: &mut Report) {
     let cell = FefetCell::default();
     let (p_lo, _) = cell.memory_states();
     report.bench("cell_write_transient_2t", || {
         cell.write(true, opaque(p_lo), 1.0e-9).unwrap()
+    });
+    let volts: Vec<f64> = (0..=8).map(|i| 0.20 + 0.10 * i as f64).collect();
+    let widths: Vec<f64> = (0..=7).map(|i| (0.2 + 0.4 * i as f64) * 1e-9).collect();
+    report.bench("cell_write_shmoo_9x8", || {
+        write_shmoo(&cell, opaque(&volts), &widths, 0.06).unwrap()
+    });
+    let feram = FeramCell::default();
+    report.bench("iso_comparison_table3", || {
+        iso_comparison(&cell, &feram, opaque(0.8e-9), 32).unwrap()
     });
 }
 

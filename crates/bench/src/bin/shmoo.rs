@@ -3,6 +3,7 @@
 
 use fefet_bench::section;
 use fefet_mem::cell::FefetCell;
+use fefet_mem::compare::feram_write_sweep;
 use fefet_mem::feram::FeramCell;
 use fefet_mem::shmoo::write_shmoo;
 
@@ -21,19 +22,14 @@ fn main() {
     );
 
     section("FERAM write boundary (time to switch vs voltage)");
-    let feram = FeramCell::default();
-    let (p_lo, p_hi) = feram.memory_states();
+    let sweep =
+        feram_write_sweep(&FeramCell::default(), &[1.2, 1.4, 1.6, 1.8, 2.0]).expect("FERAM sweep");
     println!("{:>8} {:>12}", "V (V)", "switch time");
-    for v in [1.2, 1.4, 1.6, 1.8, 2.0] {
-        let mut f = feram;
-        f.v_write = v;
-        f.v_wordline = v + 0.66;
-        let w1 = f.write(true, p_lo, 4e-9).expect("write");
-        let w0 = f.write(false, p_hi, 4e-9).expect("write");
-        let t = match (w1.switch_time, w0.switch_time) {
-            (Some(a), Some(b)) => format!("{:.0} ps", a.max(b) * 1e12),
-            _ => "FAIL".to_string(),
+    for p in &sweep {
+        let t = match p.write_time {
+            Some(t) => format!("{:.0} ps", t * 1e12),
+            None => "FAIL".to_string(),
         };
-        println!("{v:>8.2} {t:>12}");
+        println!("{:>8.2} {t:>12}", p.voltage);
     }
 }

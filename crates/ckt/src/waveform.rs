@@ -205,7 +205,9 @@ fn eval_pwl(pts: &[(f64, f64)], t: f64) -> f64 {
         let (t0, v0) = w[0];
         let (t1, v1) = w[1];
         if t >= t0 && t <= t1 {
-            if t1 == t0 {
+            // Inside `t0 <= t <= t1`, `t1 <= t0` only when the two are
+            // equal: a step, which takes the later value.
+            if t1 <= t0 {
                 return v1;
             }
             return v0 + (v1 - v0) * (t - t0) / (t1 - t0);

@@ -37,10 +37,10 @@
 //! card's charge inverse. The steps solve for `V_MOS`, in which the
 //! gate charge is explicit, so the inverse runs once per pulse instead
 //! of inside every step. The shmoo walks the boundary of its monotone
-//! pass map instead of filling the grid (at most `shmoo_nv + shmoo_nt`
-//! points), and a point's down write runs only after its up write
-//! passed. The masks and disturb shifts are the bits the full grid on
-//! the same step gives.
+//! pass map ([`crate::shmoo::shmoo_walk`]) instead of filling the grid
+//! (at most `shmoo_nv + shmoo_nt` points), and a point's down write
+//! runs only after its up write passed. The masks and disturb shifts
+//! are the bits the full grid on the same step gives.
 //!
 //! Trial randomness is drawn **serially** at setup (one sub-seed per
 //! trial from the master seed); only the evaluation fans out over the
@@ -55,6 +55,7 @@
 
 use crate::array::{FefetArray, ReadSlice};
 use crate::cell::FefetCell;
+use crate::shmoo::shmoo_walk_mask;
 use fefet_ckt::circuit::Circuit;
 use fefet_ckt::elements::ElemState;
 use fefet_ckt::engine::{NewtonWorkspace, SolverBackend, SolverOptions};
@@ -928,36 +929,13 @@ fn grid_at(lo: f64, hi: f64, i: usize, n: usize) -> f64 {
     lo + (hi - lo) * f
 }
 
-/// The pass mask (bit `iv·nt + it`) of an `nv × nt` shmoo whose pass
-/// map is monotone: a passing point's higher amplitudes and longer
-/// widths pass too. The walk visits the widths in ascending order and
-/// starts above the top amplitude; in each width it steps down one
-/// amplitude while the next point passes, and the first failing point
-/// ends the width. Every point at or above the boundary is set, and the
-/// next width starts from the boundary this one reached. Each call to
-/// `pass` either lowers the boundary or ends a width, so it runs at
-/// most `nv + nt` times instead of `nv·nt`.
-fn shmoo_walk(nv: usize, nt: usize, mut pass: impl FnMut(usize, usize) -> bool) -> u64 {
-    let mut mask = 0u64;
-    // Lowest amplitude known to pass at the current width; `nv` = none.
-    let mut lowest = nv;
-    for it in 0..nt {
-        while lowest > 0 && pass(lowest - 1, it) {
-            lowest -= 1;
-        }
-        for iv in lowest..nv {
-            mask |= 1u64 << (iv * nt + it);
-        }
-    }
-    mask
-}
-
 /// The device-level workloads of one trial over all its `devices`: the
 /// shmoo pass mask of the hardest cell and the worst disturb shift
 /// (C/m²) of the easiest one. The mask is the full grid's, found by
-/// [`shmoo_walk`]. The walk is exact in amplitude: each backward-Euler
-/// step solves `p' = p + h·r(v, p')` with `r` increasing in `v`, so
-/// wherever `p' − h·r(v, p')` increases in `p'` (the step's root is
+/// the workspace's one boundary walk ([`shmoo_walk_mask`]). The walk
+/// is exact in amplitude: each backward-Euler step solves
+/// `p' = p + h·r(v, p')` with `r` increasing in `v`, so wherever
+/// `p' − h·r(v, p')` increases in `p'` (the step's root is
 /// unique) the step's result rises with `v` and with its start `p`,
 /// and the zero-bias hold keeps that order. A larger amplitude thus
 /// writes each polarity at least as far. In width (`h = t_p/N_PULSE`
@@ -983,7 +961,7 @@ fn stress_of(core: &EngineCore, devices: &[Fefet]) -> (u64, f64) {
     }
     let rate = devices[hard].lk_rate();
     let (nv, nt) = (spec.shmoo_nv, spec.shmoo_nt);
-    let shmoo_pass = shmoo_walk(nv, nt, |iv, it| {
+    let shmoo_pass = shmoo_walk_mask(nv, nt, |iv, it| {
         let v_w = grid_at(spec.shmoo_v_lo, spec.shmoo_v_hi, iv, nv);
         let t_p = grid_at(spec.shmoo_t_lo, spec.shmoo_t_hi, it, nt);
         // A point passes only if both polarities write, so the down
@@ -1630,42 +1608,6 @@ mod tests {
                         s.p()
                     );
                 }
-            }
-        }
-    }
-
-    /// The walk returns the exact mask of every monotone pass map on
-    /// every grid up to 4×4 (1×n and n×1 included), calling `pass` at
-    /// most `nv + nt` times. The maps are found by brute force over all
-    /// `2^(nv·nt)` masks, and their count is checked against the
-    /// lattice-path count `C(nv + nt, nv)`.
-    #[test]
-    fn shmoo_walk_finds_every_monotone_map_exactly() {
-        for nv in 1..=4usize {
-            for nt in 1..=4usize {
-                let bit = |iv: usize, it: usize| 1u64 << (iv * nt + it);
-                let monotone = |m: u64| {
-                    (0..nv).all(|iv| {
-                        (0..nt).all(|it| {
-                            m & bit(iv, it) == 0
-                                || ((iv + 1 == nv || m & bit(iv + 1, it) != 0)
-                                    && (it + 1 == nt || m & bit(iv, it + 1) != 0))
-                        })
-                    })
-                };
-                let mut maps = 0u64;
-                for m in (0..1u64 << (nv * nt)).filter(|&m| monotone(m)) {
-                    maps += 1;
-                    let mut calls = 0;
-                    let got = shmoo_walk(nv, nt, |iv, it| {
-                        calls += 1;
-                        m & bit(iv, it) != 0
-                    });
-                    assert_eq!(got, m, "{nv}x{nt} map {m:#b}");
-                    assert!(calls <= nv + nt, "{nv}x{nt} map {m:#b}: {calls} calls");
-                }
-                let paths = (1..=nv as u64).fold(1u64, |c, k| c * (nt as u64 + k) / k);
-                assert_eq!(maps, paths, "{nv}x{nt}");
             }
         }
     }

@@ -325,7 +325,8 @@ impl Bracket {
     /// from then on every halving would reassign an end its own value:
     /// stopping leaves the root's bits unchanged.
     fn root(&self, dev: &Fefet, v_g: f64) -> f64 {
-        if self.lo == self.hi {
+        // `lo <= hi` always, so this holds only at an exact grid zero.
+        if self.hi <= self.lo {
             return self.lo;
         }
         let (mut lo, mut hi) = (self.lo, self.hi);
@@ -596,7 +597,9 @@ fn interp_current(branch: &[SweepPoint], v_g: f64) -> Option<f64> {
     // Branches may run in either direction; find the bracketing segment.
     for w in branch.windows(2) {
         let (a, b) = (w[0].v_g, w[1].v_g);
-        if (a - v_g) * (b - v_g) <= 0.0 && a != b {
+        // A nonzero span to divide by: for ends that pass the product
+        // test, `b - a != 0.0` is `a != b`.
+        if (a - v_g) * (b - v_g) <= 0.0 && b - a != 0.0 {
             let f = (v_g - a) / (b - a);
             return Some(w[0].i_d + f * (w[1].i_d - w[0].i_d));
         }
