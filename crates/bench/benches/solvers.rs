@@ -1032,8 +1032,9 @@ fn bench_lk_stepper(report: &mut Report) {
 /// The static equilibrium scans behind the paper's device figures: a
 /// quasi-static I_D-V_G sweep, a 500-sample Monte Carlo and the
 /// endurance cycles-to-failure bisection. Each reads its C-V card's
-/// cached gate-branch table instead of re-inverting `V_MOS(P)` per grid
-/// point, and bisects only the roots it reads.
+/// cached gate-branch table and its Landau coefficients' cached field
+/// table instead of re-evaluating either per grid point, and solves only
+/// the roots it reads, by Newton in `V_MOS`.
 fn bench_device_scans(report: &mut Report) {
     let dev = paper_fefet();
     report.bench("device_sweep_id_vg_300", || {

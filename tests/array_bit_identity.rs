@@ -9,7 +9,11 @@
 //! and the energies come from the step-matched meter. The constants of
 //! both arrays come from the row-slice row ops, whose agreement with the
 //! full-array netlist `array_slice_parity.rs` (FEFET) and
-//! `feram_slice_parity.rs` (FERAM) check within stated tolerances.
+//! `feram_slice_parity.rs` (FERAM) check within stated tolerances. The
+//! FEFET pins follow the cell's memory states, which the static root in
+//! `V_MOS` moved by rounding (the low state by 1.1e-16 C/m²): the FEFET
+//! currents, disturbs and energies by at most 4.8e-14 relative, with
+//! every sensed bit and step count kept.
 
 use fefet::ckt::engine::SolverOptions;
 use fefet::mem::array::FefetArray;
@@ -85,10 +89,10 @@ fn fefet_write_then_reads_are_bit_identical() {
     assert_eq!(data, [false, false, false, false, true, true, true, true]);
 
     let w = a.write_row(3, &data, 1.0e-9).expect("write");
-    assert_eq!(w.energy.to_bits(), 0x3ceb_a4ad_1eff_b8cb);
+    assert_eq!(w.energy.to_bits(), 0x3ceb_a4ad_1eff_b8c1);
     assert_eq!(w.max_disturb.to_bits(), 0x3ef2_26b6_be03_6000);
     assert_eq!(w.steps, 57);
-    assert_eq!(fefet_polarizations(&a), 0x95b5_27f2_7c9a_b625);
+    assert_eq!(fefet_polarizations(&a), 0x9b17_c7d6_acfa_b819);
 
     let r3 = a.read_row(3, 0.3e-9).expect("read row 3");
     assert_eq!(
@@ -106,31 +110,31 @@ fn fefet_write_then_reads_are_bit_identical() {
     );
     assert_eq!(r3.bits, data);
     assert_sneak_is_noise(r3.max_sneak);
-    assert_eq!(r3.op.max_disturb.to_bits(), 0x3f74_acd2_4838_46c0);
-    assert_eq!(r3.op.energy.to_bits(), 0x3d0a_f8b9_ed4d_f81f);
+    assert_eq!(r3.op.max_disturb.to_bits(), 0x3f74_acd2_4838_4740);
+    assert_eq!(r3.op.energy.to_bits(), 0x3d0a_f8b9_ed4d_f821);
     assert_eq!(r3.op.steps, 25);
 
     let r6 = a.read_row(6, 0.3e-9).expect("read row 6");
     assert_eq!(
         bits_of(&r6.currents),
         [
-            0x3efd_c3f1_b7a4_a393,
-            0x3efd_c3f2_3d00_8317,
-            0x3db0_69f6_6f30_4992,
-            0x3efd_c3f2_3d00_8317,
-            0x3efd_c674_7d90_9aee,
-            0x3efd_c674_7d98_f99d,
-            0x3efd_c674_7d98_f98d,
-            0x3db0_69f6_6f30_4992,
+            0x3efd_c3f1_b7a4_a384,
+            0x3efd_c3f2_3d00_831a,
+            0x3db0_69f6_6f30_499a,
+            0x3efd_c3f2_3d00_831a,
+            0x3efd_c674_7d90_9af2,
+            0x3efd_c674_7d98_f954,
+            0x3efd_c674_7d98_f954,
+            0x3db0_69f6_6f30_499a,
         ]
     );
     assert_eq!(r6.bits, [true, true, false, true, true, true, true, false]);
     assert_sneak_is_noise(r6.max_sneak);
-    assert_eq!(r6.op.max_disturb.to_bits(), 0x3f94_412e_349f_b430);
-    assert_eq!(r6.op.energy.to_bits(), 0x3d19_6ff6_6734_5627);
+    assert_eq!(r6.op.max_disturb.to_bits(), 0x3f94_412e_349f_b320);
+    assert_eq!(r6.op.energy.to_bits(), 0x3d19_6ff6_6734_5614);
     assert_eq!(r6.op.steps, 25);
     // Reads never commit.
-    assert_eq!(fefet_polarizations(&a), 0x95b5_27f2_7c9a_b625);
+    assert_eq!(fefet_polarizations(&a), 0x9b17_c7d6_acfa_b819);
 }
 
 #[test]
