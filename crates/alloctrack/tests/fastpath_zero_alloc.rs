@@ -11,58 +11,27 @@
 //! so each alloctrack test needs its own process.
 
 use fefet_alloctrack::count_allocations;
-use fefet_ckt::circuit::Circuit;
-use fefet_ckt::elements::{ElemState, Integration};
-use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverBackend, SolverOptions};
-use fefet_ckt::models::MosParams;
-use fefet_ckt::waveform::Waveform;
+use fefet_ckt::elements::Integration;
+use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverOptions};
 use fefet_telemetry::Instrumentation;
 
-/// Same nonlinear RC/MOSFET ladder as the other alloctrack tests:
-/// > 100 unknowns so the sparse backend sees real fill-in.
-fn ladder() -> Circuit {
-    let mut c = Circuit::new();
-    let vdd = c.node("vdd");
-    c.vsource("VDD", vdd, Circuit::GND, Waveform::dc(1.0));
-    let mut prev = vdd;
-    for i in 0..60 {
-        let n = c.node(&format!("n{i}"));
-        c.resistor(&format!("R{i}"), prev, n, 1e3);
-        c.capacitor(&format!("C{i}"), n, Circuit::GND, 1e-15);
-        if i % 10 == 5 {
-            c.mosfet(
-                &format!("M{i}"),
-                n,
-                prev,
-                Circuit::GND,
-                MosParams::nmos_45nm(),
-            );
-        }
-        prev = n;
-    }
-    c
-}
+mod common;
 
 #[test]
 fn fastpath_warm_transient_solves_allocate_nothing() {
-    let c = ladder();
-    let asm = Assembly::new(&c);
-    let n = asm.n_unknowns();
-    let states: Vec<ElemState> = c.elements().iter().map(|_| ElemState::None).collect();
     let instr = Instrumentation::enabled();
-
-    for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
-        let opts = SolverOptions {
-            backend,
-            jacobian_reuse: true,
-            bypass: true,
-            instr: instr.clone(),
-            ..SolverOptions::default()
-        };
-        let mut ws = NewtonWorkspace::new(n);
-        let mut x = vec![0.0; n];
-        // Cold transient solve: builds backend state, factors, and the
-        // bypass bank; must allocate.
+    let opts = SolverOptions {
+        jacobian_reuse: true,
+        bypass: true,
+        instr: instr.clone(),
+        ..SolverOptions::default()
+    };
+    for (name, c) in common::systems() {
+        let asm = Assembly::new(&c);
+        let mut ws = NewtonWorkspace::new(asm.n_unknowns());
+        let (mut x, states) = common::cold_start(&c, &asm);
+        // Cold transient solve: builds the sparse state, factors, and
+        // the bypass bank; must allocate.
         let (cold, r) = count_allocations(|| {
             asm.solve_point_with(
                 &c,
@@ -77,7 +46,7 @@ fn fastpath_warm_transient_solves_allocate_nothing() {
             )
         });
         r.unwrap();
-        assert!(cold > 0, "{backend:?}: cold solve should build state");
+        assert!(cold > 0, "{name}: cold solve should build state");
 
         // Phase 1 — resolves from the converged point: the stored
         // factorization and the cached operating points both hit, so
@@ -99,7 +68,7 @@ fn fastpath_warm_transient_solves_allocate_nothing() {
             r.unwrap();
             assert_eq!(
                 warm, 0,
-                "{backend:?} trial {trial}: fast-path warm solve performed \
+                "{name} trial {trial}: fast-path warm solve performed \
                  {warm} heap allocations"
             );
         }
@@ -128,7 +97,7 @@ fn fastpath_warm_transient_solves_allocate_nothing() {
             assert!(iters >= 1);
             assert_eq!(
                 warm, 0,
-                "{backend:?} perturbed trial {trial}: warm solve performed \
+                "{name} perturbed trial {trial}: warm solve performed \
                  {warm} heap allocations"
             );
         }
@@ -138,7 +107,7 @@ fn fastpath_warm_transient_solves_allocate_nothing() {
         // on its first iteration (one factorization where a reuse would
         // have taken none) and converges there. Still zero allocations.
         let tel = instr.get().expect("enabled");
-        let factors = || tel.solver.sparse_refactors.get() + tel.solver.dense_factors.get();
+        let factors = || tel.solver.sparse_refactors.get();
         for trial in 0..2 {
             for v in x.iter_mut() {
                 *v -= 0.021;
@@ -159,15 +128,15 @@ fn fastpath_warm_transient_solves_allocate_nothing() {
             solve(&mut x, &mut ws).unwrap();
             let before = factors();
             let (warm, r) = count_allocations(|| solve(&mut x, &mut ws));
-            assert_eq!(r.unwrap(), 1, "{backend:?} refresh trial {trial}");
+            assert_eq!(r.unwrap(), 1, "{name} refresh trial {trial}");
             assert_eq!(
                 factors() - before,
                 1,
-                "{backend:?} refresh trial {trial}: the resolve rode stale factors"
+                "{name} refresh trial {trial}: the resolve rode stale factors"
             );
             assert_eq!(
                 warm, 0,
-                "{backend:?} refresh trial {trial}: refreshing solve performed \
+                "{name} refresh trial {trial}: refreshing solve performed \
                  {warm} heap allocations"
             );
         }
@@ -178,7 +147,7 @@ fn fastpath_warm_transient_solves_allocate_nothing() {
     assert_eq!(
         tel.solver.solves.get(),
         22,
-        "2 backends x (1 cold + 10 warm)"
+        "2 systems x (1 cold + 10 warm)"
     );
     assert!(
         tel.solver.jacobian_reuses.get() > 0,

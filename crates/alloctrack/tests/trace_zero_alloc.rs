@@ -10,59 +10,29 @@
 //! so each alloctrack test needs its own process.
 
 use fefet_alloctrack::count_allocations;
-use fefet_ckt::circuit::Circuit;
-use fefet_ckt::elements::{ElemState, Integration};
-use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverBackend, SolverOptions};
-use fefet_ckt::models::MosParams;
-use fefet_ckt::waveform::Waveform;
+use fefet_ckt::elements::Integration;
+use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverOptions};
 use fefet_telemetry::Instrumentation;
 
-/// Same nonlinear ladder as the other solver pins (> 100 unknowns).
-fn ladder() -> Circuit {
-    let mut c = Circuit::new();
-    let vdd = c.node("vdd");
-    c.vsource("VDD", vdd, Circuit::GND, Waveform::dc(1.0));
-    let mut prev = vdd;
-    for i in 0..60 {
-        let n = c.node(&format!("n{i}"));
-        c.resistor(&format!("R{i}"), prev, n, 1e3);
-        c.capacitor(&format!("C{i}"), n, Circuit::GND, 1e-15);
-        if i % 10 == 5 {
-            c.mosfet(
-                &format!("M{i}"),
-                n,
-                prev,
-                Circuit::GND,
-                MosParams::nmos_45nm(),
-            );
-        }
-        prev = n;
-    }
-    c
-}
+mod common;
 
 #[test]
 fn profiled_warm_newton_solves_allocate_nothing() {
-    let c = ladder();
-    let asm = Assembly::new(&c);
-    let n = asm.n_unknowns();
-    let states: Vec<ElemState> = c.elements().iter().map(|_| ElemState::None).collect();
     let instr = Instrumentation::enabled();
     let tr = instr
         .get()
         .expect("enabled")
         .attach_trace(fefet_telemetry::trace::DEFAULT_EVENTS_PER_LANE);
-
-    for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
-        let opts = SolverOptions {
-            backend,
-            instr: instr.clone(),
-            ..SolverOptions::default()
-        };
-        let mut ws = NewtonWorkspace::new(n);
-        let mut x = vec![0.0; n];
-        // Cold solve: builds backend state and claims this thread's
-        // trace lane; both may (and do) allocate.
+    let opts = SolverOptions {
+        instr: instr.clone(),
+        ..SolverOptions::default()
+    };
+    for (name, c) in common::systems() {
+        let asm = Assembly::new(&c);
+        let mut ws = NewtonWorkspace::new(asm.n_unknowns());
+        let (mut x, states) = common::cold_start(&c, &asm);
+        // Cold solve: builds the sparse state and, on the first system,
+        // claims this thread's trace lane; both may (and do) allocate.
         let (cold, r) = count_allocations(|| {
             asm.solve_point_with(
                 &c,
@@ -77,7 +47,7 @@ fn profiled_warm_newton_solves_allocate_nothing() {
             )
         });
         r.unwrap();
-        assert!(cold > 0, "{backend:?}: cold solve builds backend state");
+        assert!(cold > 0, "{name}: cold solve builds the sparse state");
         for trial in 0..3 {
             for v in x.iter_mut() {
                 *v += 0.013;
@@ -99,7 +69,7 @@ fn profiled_warm_newton_solves_allocate_nothing() {
             assert!(iters >= 1);
             assert_eq!(
                 warm, 0,
-                "{backend:?} trial {trial}: profiled warm solve \
+                "{name} trial {trial}: profiled warm solve \
                  performed {warm} heap allocations"
             );
         }
@@ -107,7 +77,7 @@ fn profiled_warm_newton_solves_allocate_nothing() {
     // The profiling actually happened: every solve emitted a Newton
     // complete event and a latency sample, with nothing dropped.
     let tel = instr.get().expect("enabled");
-    assert_eq!(tel.solver.solves.get(), 8, "2 backends x (1 cold + 3 warm)");
+    assert_eq!(tel.solver.solves.get(), 8, "2 systems x (1 cold + 3 warm)");
     assert_eq!(tel.latency.solve_ns.count(), 8);
     assert!(tel.latency.solve_ns.p50() <= tel.latency.solve_ns.p99());
     assert!(

@@ -1,7 +1,7 @@
-//! Performance benches for the numerical substrate: the LU kernel, the
-//! Newton/transient engine, and the array-level sweeps — comparing the
-//! zero-allocation workspace paths against the original allocating
-//! implementations they replaced.
+//! Performance benches for the numerical substrate: the LU kernel
+//! (against the original allocating implementation it replaced), the
+//! Newton/transient engine on its one sparse LU path, and the
+//! array-level sweeps.
 //!
 //! A full run writes `BENCH_solvers.json` at the repository root (the
 //! committed baseline); `TINYBENCH_SMOKE=1` runs every workload once
@@ -10,7 +10,7 @@
 use fefet_bench::tinybench::{opaque, smoke, Report};
 use fefet_ckt::circuit::Circuit;
 use fefet_ckt::elements::{ElemState, Integration};
-use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverBackend, SolverOptions};
+use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverOptions};
 use fefet_ckt::transient::{transient, TransientOptions};
 use fefet_ckt::waveform::Waveform;
 use fefet_device::endurance::EnduranceModel;
@@ -22,7 +22,7 @@ use fefet_mem::compare::iso_comparison;
 use fefet_mem::feram::FeramCell;
 use fefet_mem::shmoo::write_shmoo;
 use fefet_mem::yield_engine::{YieldEngine, YieldSpec};
-use fefet_numerics::linalg::{norm_inf, LuWorkspace, Matrix};
+use fefet_numerics::linalg::{LuWorkspace, Matrix};
 use fefet_numerics::rng::Rng;
 use fefet_telemetry::Instrumentation;
 
@@ -97,63 +97,8 @@ mod seed_lu {
     }
 }
 
-/// The original engine's Newton loop, the baseline this PR replaces: a
-/// fresh `Matrix::zeros`, residual `Vec`, `jac.clone()`, negated-residual
-/// `Vec`, and allocating solve on **every iteration**, on top of
-/// [`seed_lu`]. Arithmetic matches [`Assembly::solve_point_with`], so
-/// both converge through identical iterates — only the memory behavior
-/// differs.
-#[allow(clippy::too_many_arguments)]
-fn newton_alloc(
-    asm: &Assembly,
-    ckt: &Circuit,
-    t: f64,
-    opts: &SolverOptions,
-    x0: &[f64],
-    states: &[ElemState],
-) -> Vec<f64> {
-    let n = asm.n_unknowns();
-    let nv = asm.n_nodes - 1;
-    let mut x = x0.to_vec();
-    for _ in 0..opts.max_newton {
-        let mut jac = Matrix::zeros(n, n);
-        let mut res = vec![0.0; n];
-        asm.stamp_all(
-            ckt,
-            t,
-            0.0,
-            Integration::BackwardEuler,
-            true,
-            opts.gmin,
-            &x,
-            states,
-            &mut jac,
-            &mut res,
-        );
-        let res_kcl = norm_inf(&res[..nv]);
-        let res_branch = if nv < n { norm_inf(&res[nv..]) } else { 0.0 };
-        let lu = seed_lu::factor(jac.clone());
-        let neg: Vec<f64> = res.iter().map(|r| -r).collect();
-        let mut dx = lu.solve(&neg);
-        let dv_max = if nv > 0 { norm_inf(&dx[..nv]) } else { 0.0 };
-        if nv > 0 && dv_max > opts.max_v_step {
-            let s = opts.max_v_step / dv_max;
-            for d in dx.iter_mut() {
-                *d *= s;
-            }
-        }
-        for (xi, di) in x.iter_mut().zip(&dx) {
-            *xi += di;
-        }
-        let dv = if nv > 0 { norm_inf(&dx[..nv]) } else { 0.0 };
-        if dv < opts.tol_v && res_kcl < opts.tol_i && res_branch < opts.tol_v {
-            return x;
-        }
-    }
-    panic!("newton_alloc failed to converge");
-}
-
-/// In-place counterpart on the same circuit and options.
+/// One DC Newton solve at time `t` (s) from `x0`, into `x`, on the
+/// caller's workspace.
 #[allow(clippy::too_many_arguments)]
 fn newton_inplace(
     asm: &Assembly,
@@ -233,15 +178,10 @@ fn bench_newton(report: &mut Report) {
         let x0 = vec![0.0; asm.n_unknowns()];
         let mut ws = NewtonWorkspace::new(asm.n_unknowns());
         let mut x = vec![0.0; asm.n_unknowns()];
-        report.bench_pair(
-            "newton_cell_2t_alloc",
-            "newton_cell_2t",
-            || newton_alloc(&asm, &ckt, t_bias, &opts, &x0, &states),
-            || {
-                newton_inplace(&asm, &ckt, t_bias, &opts, &mut x, &x0, &states, &mut ws);
-                x.last().copied()
-            },
-        );
+        report.bench("newton_cell_2t", || {
+            newton_inplace(&asm, &ckt, t_bias, &opts, &mut x, &x0, &states, &mut ws);
+            x.last().copied()
+        });
         // The transient per-timestep workload: warm-started from the
         // converged point, as every accepted step warm-starts from its
         // predecessor. This is the solve the engine runs thousands of
@@ -258,17 +198,12 @@ fn bench_newton(report: &mut Report) {
             &states,
             &mut ws2,
         );
-        report.bench_pair(
-            "newton_cell_2t_step_alloc",
-            "newton_cell_2t_step",
-            || newton_alloc(&asm, &ckt, t_bias, &opts, &x_star, &states),
-            || {
-                newton_inplace(
-                    &asm, &ckt, t_bias, &opts, &mut x, &x_star, &states, &mut ws2,
-                );
-                x.last().copied()
-            },
-        );
+        report.bench("newton_cell_2t_step", || {
+            newton_inplace(
+                &asm, &ckt, t_bias, &opts, &mut x, &x_star, &states, &mut ws2,
+            );
+            x.last().copied()
+        });
     }
     // Array-sized system: the 8x8 read circuit (~200+ unknowns).
     {
@@ -276,27 +211,19 @@ fn bench_newton(report: &mut Report) {
         let x0 = vec![0.0; asm.n_unknowns()];
         let mut ws = NewtonWorkspace::new(asm.n_unknowns());
         let mut x = vec![0.0; asm.n_unknowns()];
-        report.bench_pair(
-            "newton_array_8x8_alloc",
-            "newton_array_8x8",
-            || newton_alloc(&asm, &ckt, t_bias, &opts, &x0, &states),
-            || {
-                newton_inplace(&asm, &ckt, t_bias, &opts, &mut x, &x0, &states, &mut ws);
-                x.last().copied()
-            },
-        );
+        report.bench("newton_array_8x8", || {
+            newton_inplace(&asm, &ckt, t_bias, &opts, &mut x, &x0, &states, &mut ws);
+            x.last().copied()
+        });
     }
 }
 
-/// Dense vs pattern-cached sparse at growing array sizes, in two
-/// regimes:
+/// The pattern-cached sparse Newton solve at growing array sizes, in
+/// two regimes:
 ///
 /// **Warm exact** — from the converged point with Jacobian reuse off,
 /// so each call is one full stamp + factor + solve (the cost a
-/// transient pays on every Jacobian change). Dense is measured
-/// alongside at 8×8 and 16×16, the sizes that bracket
-/// `SPARSE_CROSSOVER`; above them no path runs dense, and one dense
-/// factor costs tens of seconds to minutes.
+/// transient pays on every Jacobian change).
 ///
 /// **Cold** — a fresh workspace solving from zeros: pattern recording,
 /// symbolic analysis, factorization, Newton iteration — what an array
@@ -314,15 +241,7 @@ fn bench_newton_scaling(report: &mut Report) {
             bypass: false,
             ..SolverOptions::default()
         };
-        let opts_dense = SolverOptions {
-            backend: SolverBackend::Dense,
-            ..exact.clone()
-        };
-        let opts_sparse = SolverOptions {
-            backend: SolverBackend::Sparse,
-            ..exact
-        };
-        // Converge once (cheaply, via the sparse path) for the warm start.
+        // Converge once for the warm start.
         let x0 = vec![0.0; n];
         let mut x_star = vec![0.0; n];
         let mut ws = NewtonWorkspace::new(n);
@@ -330,7 +249,7 @@ fn bench_newton_scaling(report: &mut Report) {
             &asm,
             &ckt,
             t_bias,
-            &opts_sparse,
+            &exact,
             &mut x_star,
             &x0,
             &states,
@@ -338,46 +257,20 @@ fn bench_newton_scaling(report: &mut Report) {
         );
         let nnz = ws.sparse_nnz(true).map(|z| z as u64);
         let mut xs = vec![0.0; n];
-        let name_dense = format!("newton_array_{rows}x{cols}_dense");
         let name_sparse = format!("newton_array_{rows}x{cols}_sparse");
         report.bench(&name_sparse, || {
             newton_inplace(
-                &asm,
-                &ckt,
-                t_bias,
-                &opts_sparse,
-                &mut xs,
-                &x_star,
-                &states,
-                &mut ws,
+                &asm, &ckt, t_bias, &exact, &mut xs, &x_star, &states, &mut ws,
             );
             xs.last().copied()
         });
-        if rows <= 16 {
-            let mut ws_dense = NewtonWorkspace::new(n);
-            let mut xd = vec![0.0; n];
-            report.bench(&name_dense, || {
-                newton_inplace(
-                    &asm,
-                    &ckt,
-                    t_bias,
-                    &opts_dense,
-                    &mut xd,
-                    &x_star,
-                    &states,
-                    &mut ws_dense,
-                );
-                xd.last().copied()
-            });
-            report.annotate(&name_dense, n as u64, None);
-        }
         report.annotate(&name_sparse, n as u64, nnz);
         // One instrumented solve records how many Newton iterations and
         // factorizations the timed workload performs.
         let instr = Instrumentation::enabled();
         let counted = SolverOptions {
             instr: instr.clone(),
-            ..opts_sparse.clone()
+            ..exact.clone()
         };
         newton_inplace(
             &asm, &ckt, t_bias, &counted, &mut xs, &x_star, &states, &mut ws,
@@ -396,16 +289,7 @@ fn bench_newton_scaling(report: &mut Report) {
         report.bench(&name_cold_sparse, || {
             let mut ws = NewtonWorkspace::new(n);
             let mut xc = vec![0.0; n];
-            newton_inplace(
-                &asm,
-                &ckt,
-                t_bias,
-                &opts_sparse,
-                &mut xc,
-                &x0,
-                &states,
-                &mut ws,
-            );
+            newton_inplace(&asm, &ckt, t_bias, &exact, &mut xc, &x0, &states, &mut ws);
             xc.last().copied()
         });
         report.annotate(&name_cold_sparse, n as u64, nnz);
@@ -421,13 +305,9 @@ fn bench_instr_overhead(report: &mut Report) {
     let t_bias = 0.5e-9;
     let (ckt, asm, states) = read_solve_fixture(16, 16);
     let n = asm.n_unknowns();
-    let opts_off = SolverOptions {
-        backend: SolverBackend::Sparse,
-        ..SolverOptions::default()
-    };
+    let opts_off = SolverOptions::default();
     let instr = Instrumentation::enabled();
     let opts_on = SolverOptions {
-        backend: SolverBackend::Sparse,
         instr: instr.clone(),
         ..SolverOptions::default()
     };
@@ -484,7 +364,7 @@ fn bench_instr_overhead(report: &mut Report) {
         report.attach_telemetry(
             "newton_array_16x16_instr_on",
             tel.solver.newton_iterations.sum() as u64,
-            tel.solver.sparse_refactors.get() + tel.solver.dense_factors.get(),
+            tel.solver.sparse_refactors.get(),
         );
     }
     // Min-of-batches ratio: on a shared 1-core host, scheduler noise
@@ -609,7 +489,7 @@ fn bench_fastpaths(report: &mut Report) {
         t.instr = Instrumentation::enabled();
         t.read_row(0, t_read).expect("instrumented row read");
         if let Some(tel) = t.instr.get() {
-            factors[k] = tel.solver.sparse_refactors.get() + tel.solver.dense_factors.get();
+            factors[k] = tel.solver.sparse_refactors.get();
             report.attach_telemetry(name, tel.solver.newton_iterations.sum() as u64, factors[k]);
         }
     }
@@ -638,10 +518,9 @@ fn bench_fastpaths(report: &mut Report) {
 }
 
 /// One warm served escalation (a `write_row` + `read_row` pair) on the
-/// seeded 32×32 array under `Auto`: each call writes the complement of
-/// the previous word into row 0 and reads it back, with the array's
-/// analysis cache warmed before timing. The row ops solve a row slice
-/// (384 unknowns), so `Auto` runs it on sparse LU.
+/// seeded 32×32 array: each call writes the complement of the previous
+/// word into row 0 and reads it back, with the array's analysis cache
+/// warmed before timing. The row ops solve a row slice (384 unknowns).
 fn bench_escalation(report: &mut Report) {
     let t_read = 0.3e-9;
     let t_write = 1.0e-9;
@@ -666,11 +545,7 @@ fn bench_escalation(report: &mut Report) {
 }
 
 fn bench_array_sweep(report: &mut Report) {
-    // `Auto` picks the sparse backend here (n > SPARSE_CROSSOVER); a forced-
-    // dense copy is measured alongside as the seed-equivalent baseline.
     let a = seeded(8, 8);
-    let mut dense_a = a.clone();
-    dense_a.solver_backend = SolverBackend::Dense;
     let n8 = a.row_op_dims().expect("8x8 dims").n_unknowns as u64;
     let rows: Vec<usize> = (0..8).collect();
     let t_read = 0.3e-9;
@@ -706,14 +581,8 @@ fn bench_array_sweep(report: &mut Report) {
             tel.pool.tasks_stolen.get(),
         );
     }
-    let mut dense = Vec::new();
-    report.bench_once("array_read_sweep_8x8_dense_serial", || {
-        dense = dense_a.read_rows(&rows, t_read, 1).expect("dense sweep");
-        dense.len()
-    });
     report.annotate("array_read_sweep_8x8_serial", n8, None);
     report.annotate("array_read_sweep_8x8_par4", n8, None);
-    report.annotate("array_read_sweep_8x8_dense_serial", n8, None);
     // The acceptance bar for the parallel sweep: serial and threaded
     // results agree to the last mantissa bit.
     assert_eq!(serial.len(), par.len());
@@ -727,26 +596,8 @@ fn bench_array_sweep(report: &mut Report) {
         assert_eq!(s.max_sneak.to_bits(), p.max_sneak.to_bits());
     }
     println!("array_read_sweep serial/par4: bit-identical over all 8 rows");
-    // And for the sparse backend: same bits and step sequences as the
-    // dense reference. With the fast paths on, the two backends stop at
-    // solver tolerance along different Newton trajectories, so currents
-    // agree to 1e-6 relative (tolerance-limited), not machine epsilon.
-    assert_eq!(serial.len(), dense.len());
-    for (s, d) in serial.iter().zip(&dense) {
-        assert_eq!(s.bits, d.bits);
-        assert_eq!(s.op.steps, d.op.steps);
-        for (cs, cd) in s.currents.iter().zip(&d.currents) {
-            let scale = cs.abs().max(cd.abs()).max(1e-30);
-            assert!(
-                (cs - cd).abs() / scale < 1e-6,
-                "sparse/dense current mismatch: {cs:e} vs {cd:e}"
-            );
-        }
-    }
-    println!("array_read_sweep sparse/dense: bits + step counts agree, currents < 1e-6 rel");
-
     // The scaling headline: a 16×16 sweep (4x the cells, 2x the
-    // row-slice unknowns) under the sparse backend.
+    // row-slice unknowns).
     let a16 = seeded(16, 16);
     let n16 = a16.row_op_dims().expect("16x16 dims").n_unknowns as u64;
     let rows16: Vec<usize> = (0..16).collect();
@@ -1065,34 +916,7 @@ fn main() {
     bench_lk_stepper(&mut report);
     bench_device_scans(&mut report);
 
-    // Derived headline ratios.
-    if let (Some(alloc), Some(inplace)) = (
-        report.median_of("newton_cell_2t_alloc"),
-        report.median_of("newton_cell_2t"),
-    ) {
-        println!(
-            "newton_cell speedup (alloc/inplace):          {:.2}x",
-            alloc / inplace
-        );
-    }
-    if let (Some(alloc), Some(inplace)) = (
-        report.median_of("newton_cell_2t_step_alloc"),
-        report.median_of("newton_cell_2t_step"),
-    ) {
-        println!(
-            "newton_cell_step speedup (alloc/inplace):     {:.2}x",
-            alloc / inplace
-        );
-    }
-    if let (Some(alloc), Some(inplace)) = (
-        report.median_of("newton_array_8x8_alloc"),
-        report.median_of("newton_array_8x8"),
-    ) {
-        println!(
-            "newton_array_8x8 speedup (alloc/inplace):     {:.2}x",
-            alloc / inplace
-        );
-    }
+    // Derived headline ratio.
     if let (Some(serial), Some(par)) = (
         report.median_of("array_read_sweep_8x8_serial"),
         report.median_of("array_read_sweep_8x8_par4"),
@@ -1100,26 +924,6 @@ fn main() {
         println!(
             "array_read_sweep 4-thread speedup:            {:.2}x",
             serial / par
-        );
-    }
-    for size in ["8x8", "16x16"] {
-        if let (Some(dense), Some(sparse)) = (
-            report.median_of(&format!("newton_array_{size}_dense")),
-            report.median_of(&format!("newton_array_{size}_sparse")),
-        ) {
-            println!(
-                "newton_array_{size} speedup (dense/sparse):   {:.2}x",
-                dense / sparse
-            );
-        }
-    }
-    if let (Some(dense), Some(sparse)) = (
-        report.median_of("array_read_sweep_8x8_dense_serial"),
-        report.median_of("array_read_sweep_8x8_serial"),
-    ) {
-        println!(
-            "array_read_sweep_8x8 speedup (dense/sparse):  {:.2}x",
-            dense / sparse
         );
     }
 

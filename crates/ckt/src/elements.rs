@@ -12,6 +12,7 @@
 
 use crate::models::{FeCapParams, MosCard, MosPolarity};
 use crate::waveform::Waveform;
+#[cfg(test)]
 use fefet_numerics::linalg::Matrix;
 use std::cell::Cell;
 
@@ -198,7 +199,9 @@ impl<'a> EvalCtx<'a> {
 /// `values[slot] += g` with zero searching or hashing.
 #[derive(Debug)]
 pub(crate) enum JacTarget<'a> {
-    /// Dense stamping straight into a [`Matrix`].
+    /// Dense stamping straight into a [`Matrix`]: the element unit
+    /// tests read their stamps from it.
+    #[cfg(test)]
     Dense(&'a mut Matrix),
     /// Slot-indexed sparse stamping into a CSR value array.
     Sparse {
@@ -227,7 +230,8 @@ pub struct Sys<'a> {
 }
 
 impl<'a> Sys<'a> {
-    /// Dense-target view, the historical default.
+    /// Dense-target view for the element unit tests.
+    #[cfg(test)]
     pub(crate) fn dense(jac: &'a mut Matrix, res: &'a mut [f64], n_nodes: usize) -> Self {
         Sys {
             jac: JacTarget::Dense(jac),
@@ -248,6 +252,7 @@ impl<'a> Sys<'a> {
     #[inline]
     pub(crate) fn jac_add(&mut self, r: usize, c: usize, g: f64) {
         match &mut self.jac {
+            #[cfg(test)]
             JacTarget::Dense(m) => m.add(r, c, g),
             JacTarget::Sparse {
                 values,

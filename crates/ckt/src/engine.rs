@@ -13,33 +13,9 @@ use crate::elements::{
 };
 use crate::plan::AnalysisCache;
 use crate::CktError;
-use fefet_numerics::linalg::{norm_inf, LuWorkspace, Matrix};
+use fefet_numerics::linalg::norm_inf;
 use fefet_numerics::sparse::{CsrMatrix, CsrPattern, SparseLu};
 use fefet_telemetry::{ConvergenceReport, Instrumentation, TraceEvent};
-
-/// Linear-solver backend for the Newton inner solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverBackend {
-    /// Dense LU below [`SPARSE_CROSSOVER`] unknowns, pattern-cached
-    /// sparse LU at or above it. Cells run dense; every array netlist
-    /// (FEFET row slices, full FEFET read circuits, FERAM arrays) runs
-    /// sparse.
-    #[default]
-    Auto,
-    /// Dense LU with partial pivoting, regardless of size.
-    Dense,
-    /// Pattern-cached sparse LU, regardless of size.
-    Sparse,
-}
-
-/// System order at which `Auto` switches from dense to sparse LU.
-///
-/// Single-cell circuits (≈ 13 unknowns) factor faster dense — the CSR
-/// indirection is pure overhead at that size — while an 8×8 array
-/// (≈ 216 unknowns) is already an order of magnitude faster sparse.
-/// The break-even sits near a few dozen unknowns; 64 is conservative in
-/// the safe direction on both sides.
-pub const SPARSE_CROSSOVER: usize = 64;
 
 /// Residual contraction a modified-Newton iteration must reach: a fast
 /// iteration is kept only if it cuts the residual norm to this fraction
@@ -63,6 +39,9 @@ const REFRESH_AFTER_ITERS: usize = 3;
 
 /// Newton solver tuning knobs shared by DC and transient analyses.
 ///
+/// There is no linear-solver choice: every system, a single cell as
+/// well as a full array, is factored by the pattern-cached sparse LU.
+///
 /// Not `Copy`: the [`Instrumentation`] handle holds an optional shared
 /// telemetry sink, so options are cloned where they used to be copied
 /// (a cheap `Option<Arc>` clone).
@@ -78,8 +57,6 @@ pub struct SolverOptions {
     pub max_v_step: f64,
     /// Conductance from every node to ground for conditioning (S).
     pub gmin: f64,
-    /// Linear-solver backend for the inner solve.
-    pub backend: SolverBackend,
     /// Modified Newton: keep the factored Jacobian and skip
     /// restamp+refactor while each iteration cuts the residual norm at
     /// least 4x, falling back to exact Newton for the rest of the solve
@@ -122,7 +99,6 @@ impl Default for SolverOptions {
             tol_i: 1e-12,
             max_v_step: 0.5,
             gmin: 1e-12,
-            backend: SolverBackend::Auto,
             jacobian_reuse: true,
             bypass: true,
             bypass_vtol: 1e-6,
@@ -136,39 +112,31 @@ impl Default for SolverOptions {
 ///
 /// The modified-Newton fast path reuses factors across iterations *and*
 /// across solves (timesteps); any change that alters the Jacobian's
-/// structure or scaling — backend, stamping mode, step size, gmin, or
+/// structure or scaling — stamping mode, step size, gmin, or
 /// integration method — invalidates them. Time is deliberately *not*
 /// part of the key: source values only enter the residual, and the rare
 /// time-dependent Jacobian change (a switch toggling) is caught by the
 /// residual-contraction fallback instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FactorKey {
-    backend: BackendKind,
     dc: bool,
     h_bits: u64,
     gmin_bits: u64,
     method: Integration,
 }
 
-/// Resolved backend for one solve — [`SolverBackend`] with `Auto`
-/// already decided by system order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BackendKind {
-    Dense,
-    Sparse,
-}
-
 /// Reusable Newton-iteration buffers: Jacobian, residual, update vector,
 /// and factorization storage for one system size.
 ///
 /// Owned by the analysis drivers ([`crate::dc`], [`crate::transient`])
-/// and threaded through [`Assembly::solve_point_with`]. Backend state is
-/// built lazily on the first solve that needs it — dense Jacobian + LU
-/// buffers for the dense backend, CSR pattern + slot table + symbolic
-/// factorization for the sparse one (per stamping mode, since DC and
-/// transient patterns differ) — and reused for every subsequent
-/// iteration of every step, so a warmed-up analysis run performs **zero
-/// heap allocation** in the Newton loop. Element `stamp` implementations
+/// and threaded through [`Assembly::solve_point_with`]. Every system,
+/// from a single cell to a full array, is factored by the
+/// pattern-cached sparse LU. Its state — CSR pattern, slot table and
+/// symbolic factorization, one per stamping mode since DC and transient
+/// patterns differ — is built lazily on the first solve that needs it
+/// and reused for every subsequent iteration of every step, so a
+/// warmed-up analysis run performs **zero heap allocation** in the
+/// Newton loop. Element `stamp` implementations
 /// must likewise not allocate — they only accumulate into the borrowed
 /// Jacobian/residual.
 #[derive(Debug)]
@@ -176,7 +144,6 @@ pub struct NewtonWorkspace {
     n: usize,
     res: Vec<f64>,
     dx: Vec<f64>,
-    dense: Option<DenseState>,
     sparse_dc: Option<SparseState>,
     sparse_tr: Option<SparseState>,
     /// Device-bypass operating-point cache, one slot per element; built
@@ -192,14 +159,7 @@ pub struct NewtonWorkspace {
     refresh: bool,
 }
 
-/// Dense backend: full Jacobian storage plus LU workspace.
-#[derive(Debug)]
-struct DenseState {
-    jac: Matrix,
-    lu: LuWorkspace,
-}
-
-/// Sparse backend for one stamping mode (DC or transient): the CSR
+/// Sparse solver state for one stamping mode (DC or transient): the CSR
 /// Jacobian over the circuit's fixed pattern, the preresolved slot per
 /// Jacobian add in stamp order, and the analyzed sparse LU.
 #[derive(Debug)]
@@ -218,7 +178,6 @@ impl NewtonWorkspace {
             n,
             res: vec![0.0; n],
             dx: vec![0.0; n],
-            dense: None,
             sparse_dc: None,
             sparse_tr: None,
             bypass: None,
@@ -352,33 +311,11 @@ impl Assembly {
         self.n_nodes - 1 + self.n_branches
     }
 
-    /// Assembles residual and Jacobian at iterate `x` (dense target)
-    /// at time `t` (s) with step `h` (s) and diagonal leak `gmin` (S).
-    #[allow(clippy::too_many_arguments)]
-    pub fn stamp_all(
-        &self,
-        ckt: &Circuit,
-        t: f64,
-        h: f64,
-        method: Integration,
-        dc: bool,
-        gmin: f64,
-        x: &[f64],
-        states: &[ElemState],
-        jac: &mut Matrix,
-        res: &mut [f64],
-    ) {
-        jac.clear();
-        res.fill(0.0);
-        let mut sys = Sys::dense(jac, res, self.n_nodes);
-        self.stamp_sys(ckt, t, h, method, dc, gmin, x, states, &mut sys, None);
-    }
-
     /// Stamps every element plus the gmin conditioning diagonal into an
     /// already-cleared system view.
     ///
-    /// This is the single assembly path behind all three Jacobian
-    /// targets (dense, slot-indexed sparse, pattern recording), which is
+    /// This is the single assembly path behind every Jacobian target
+    /// (slot-indexed sparse, pattern recording, residual-only), which is
     /// what makes the slot-indexed invariant hold by construction: the
     /// sequence of Jacobian adds is identical for a given circuit and
     /// `dc` flag no matter the target. The gmin diagonal is stamped
@@ -541,16 +478,14 @@ impl Assembly {
 
     /// Newton iteration for one solution point at time `t` (s) with
     /// step `h` (s), in place. Returns the number of Newton iterations
-    /// performed (so callers can compare iteration trajectories across
-    /// solver backends).
+    /// performed (so callers can compare iteration trajectories).
     ///
     /// `x` holds the initial iterate on entry and the converged unknown
     /// vector on successful return (on error it holds the last partial
     /// iterate — callers that retry must keep their own copy). All
-    /// scratch storage lives in `ws`; backend state (dense buffers or
-    /// the sparse pattern/symbolic factorization) is built inside `ws`
-    /// on first use, after which the Newton loop performs no heap
-    /// allocation.
+    /// scratch storage lives in `ws`; the sparse pattern and symbolic
+    /// factorization are built inside `ws` on first use, after which the
+    /// Newton loop performs no heap allocation.
     ///
     /// # Errors
     ///
@@ -584,37 +519,9 @@ impl Assembly {
                 ws.order()
             )));
         }
-        let kind = match opts.backend {
-            SolverBackend::Dense => BackendKind::Dense,
-            SolverBackend::Sparse => BackendKind::Sparse,
-            SolverBackend::Auto if n >= SPARSE_CROSSOVER => BackendKind::Sparse,
-            SolverBackend::Auto => BackendKind::Dense,
-        };
-        // Lazy one-time backend setup; every later call reuses it.
-        match kind {
-            BackendKind::Sparse => {
-                let slot = if dc {
-                    &mut ws.sparse_dc
-                } else {
-                    &mut ws.sparse_tr
-                };
-                if slot.is_none() {
-                    *slot = Some(self.build_sparse_state(ckt, t, h, method, dc, opts, x, states)?);
-                }
-            }
-            BackendKind::Dense => {
-                if ws.dense.is_none() {
-                    ws.dense = Some(DenseState {
-                        jac: Matrix::zeros(n, n),
-                        lu: LuWorkspace::new(n),
-                    });
-                }
-            }
-        }
         let NewtonWorkspace {
             res,
             dx,
-            dense,
             sparse_dc,
             sparse_tr,
             bypass,
@@ -622,7 +529,13 @@ impl Assembly {
             refresh,
             ..
         } = ws;
+        // Lazy one-time setup of this stamping mode's sparse state;
+        // every later call reuses it.
         let sparse = if dc { sparse_dc } else { sparse_tr };
+        let SparseState { a, slots, lu } = match sparse {
+            Some(sp) => sp,
+            None => sparse.insert(self.build_sparse_state(ckt, t, h, method, dc, opts, x, states)?),
+        };
 
         // Device bypass: per-element operating-point cache, built lazily
         // on the first bypass-enabled transient solve and rebuilt if the
@@ -646,7 +559,6 @@ impl Assembly {
         // Configuration this solve's factorizations belong to. Factors
         // stored by a previous solve are reusable iff the keys match.
         let key = FactorKey {
-            backend: kind,
             dc,
             h_bits: h.to_bits(),
             gmin_bits: opts.gmin.to_bits(),
@@ -679,11 +591,7 @@ impl Assembly {
         let mut stamp_passes: usize = 0;
         for it in 0..opts.max_newton {
             // Is the stored factorization valid for this configuration?
-            let stored_ok = *factor_key == Some(key)
-                && match kind {
-                    BackendKind::Sparse => sparse.as_ref().is_some_and(|sp| sp.lu.is_factored()),
-                    BackendKind::Dense => dense.as_ref().is_some_and(|dn| dn.lu.is_factored()),
-                };
+            let stored_ok = *factor_key == Some(key) && lu.is_factored();
             // Fast path: residual-only stamp (Jacobian adds discarded by
             // the Null target), accepted only while each iteration cuts
             // the residual to FAST_CONTRACTION of the last one or less.
@@ -724,35 +632,24 @@ impl Assembly {
             let (res_kcl, res_branch) = match fast_norms {
                 Some(norms) => norms,
                 None => {
-                    // Exact iteration: assemble into the active
-                    // backend's Jacobian storage.
-                    let csr = sparse.as_mut().filter(|_| kind == BackendKind::Sparse);
-                    if let Some(SparseState { a, slots, .. }) = csr {
-                        a.clear();
-                        res.fill(0.0);
-                        let n_slots = slots.len();
-                        let mut sys = Sys {
-                            jac: JacTarget::Sparse {
-                                values: a.values_mut(),
-                                slots,
-                                cursor: 0,
-                            },
-                            res,
-                            n_nodes: self.n_nodes,
-                        };
-                        self.stamp_sys(ckt, t, h, method, dc, opts.gmin, x, states, &mut sys, bank);
-                        stamp_passes += 1;
-                        if sys.sparse_cursor() != Some(n_slots) {
-                            return Err(CktError::Netlist(
-                                "stamp sequence diverged from the cached sparse pattern".into(),
-                            ));
-                        }
-                    } else if let Some(dn) = dense.as_mut() {
-                        dn.jac.clear();
-                        res.fill(0.0);
-                        let mut sys = Sys::dense(&mut dn.jac, res, self.n_nodes);
-                        self.stamp_sys(ckt, t, h, method, dc, opts.gmin, x, states, &mut sys, bank);
-                        stamp_passes += 1;
+                    // Exact iteration: assemble into the CSR Jacobian.
+                    a.clear();
+                    res.fill(0.0);
+                    let mut sys = Sys {
+                        jac: JacTarget::Sparse {
+                            values: a.values_mut(),
+                            slots,
+                            cursor: 0,
+                        },
+                        res,
+                        n_nodes: self.n_nodes,
+                    };
+                    self.stamp_sys(ckt, t, h, method, dc, opts.gmin, x, states, &mut sys, bank);
+                    stamp_passes += 1;
+                    if sys.sparse_cursor() != Some(slots.len()) {
+                        return Err(CktError::Netlist(
+                            "stamp sequence diverged from the cached sparse pattern".into(),
+                        ));
                     }
                     let k = self.kcl_norm(&res[..nv]);
                     let b = if nv < n { norm_inf(&res[nv..]) } else { 0.0 };
@@ -765,13 +662,7 @@ impl Assembly {
             };
             // dx = -res, then solve. Fast path: permuted triangular
             // solves against the stored factors only — no stamp of the
-            // Jacobian, no elimination. Exact dense path: fused in-place
-            // elimination — the stamped Jacobian's buffer is swapped
-            // into the LU workspace (no n x n copy) and eliminated with
-            // dx carried as an augmented column, so each matrix row is
-            // visited once while cache-hot; `jac` gets the previous
-            // factorization's buffer back, which the next stamp
-            // re-zeroes before use. Exact sparse path: numeric
+            // Jacobian, no elimination. Exact path: numeric
             // refactorization over the cached pattern, then permuted
             // triangular solves.
             for (d, r) in dx.iter_mut().zip(res.iter()) {
@@ -779,50 +670,18 @@ impl Assembly {
             }
             let solved = if fast {
                 reuses += 1;
-                match kind {
-                    BackendKind::Sparse => match sparse.as_mut() {
-                        Some(sp) => sp.lu.solve_in_place(dx),
-                        // `stored_ok` proved the backend state exists.
-                        None => {
-                            return Err(CktError::Netlist("newton workspace has no backend".into()))
-                        }
-                    },
-                    BackendKind::Dense => match dense.as_mut() {
-                        Some(dn) => dn.lu.solve_into(dx),
-                        None => {
-                            return Err(CktError::Netlist("newton workspace has no backend".into()))
-                        }
-                    },
-                }
+                lu.solve_in_place(dx)
             } else {
                 // The stored factors are about to be overwritten; clear
                 // the key first so a factorization error cannot leave a
                 // stale key pointing at garbage.
                 *factor_key = None;
-                let r = match kind {
-                    BackendKind::Sparse => match sparse.as_mut() {
-                        Some(sp) => sp.lu.factor_solve_in_place(&sp.a, dx),
-                        None => {
-                            return Err(CktError::Netlist("newton workspace has no backend".into()))
-                        }
-                    },
-                    // One of the setup branches always built its state.
-                    BackendKind::Dense => match dense.as_mut() {
-                        Some(dn) => dn.lu.factor_solve_in_place(&mut dn.jac, dx),
-                        None => {
-                            return Err(CktError::Netlist("newton workspace has no backend".into()))
-                        }
-                    },
-                };
+                let r = lu.factor_solve_in_place(a, dx);
                 if r.is_ok() {
                     factors += 1;
                     *factor_key = Some(key);
                     if let Some((_, tr)) = opts.instr.profile() {
-                        let backend = match kind {
-                            BackendKind::Dense => 0,
-                            BackendKind::Sparse => 1,
-                        };
-                        tr.instant(TraceEvent::Factor, backend);
+                        tr.instant(TraceEvent::Factor, 1);
                     }
                 }
                 r
@@ -874,17 +733,9 @@ impl Assembly {
                     tel.solver.newton_iterations.record_usize(iters);
                     tel.solver.residual_at_convergence.record(res_kcl);
                     tel.solver.factors_per_solve.record_usize(factors);
-                    // Fresh factorizations on whichever backend ran (a
-                    // fully reused solve records zero); one
-                    // back-substitution per iteration on either path.
-                    match kind {
-                        BackendKind::Sparse => {
-                            tel.solver.sparse_refactors.add(factors as u64);
-                        }
-                        BackendKind::Dense => {
-                            tel.solver.dense_factors.add(factors as u64);
-                        }
-                    }
+                    // Fresh factorizations (a fully reused solve records
+                    // zero); one back-substitution per iteration.
+                    tel.solver.sparse_refactors.add(factors as u64);
                     tel.solver.back_substitutions.add(iters as u64);
                     tel.solver.jacobian_reuses.add(reuses as u64);
                     tel.solver.stamp_passes.add(stamp_passes as u64);
@@ -1066,13 +917,13 @@ mod tests {
         damping: Vec<f64>,
     }
 
-    /// Reference Newton loop in the seed's allocating style: fresh
-    /// Jacobian/residual/negated-residual vectors and an owning
-    /// [`LuFactors::factor`] every exact iteration. Mirrors the
-    /// arithmetic of [`Assembly::solve_point_with`] without cross-solve
-    /// reuse operation for operation, confirming iterations on the
-    /// previous iteration's factors included, so the two must agree bit
-    /// for bit.
+    /// Reference Newton loop in allocating style: every exact
+    /// iteration records the sparse pattern afresh, stamps into a new
+    /// CSR matrix and residual, and runs a new symbolic analysis and
+    /// numeric factorization. Mirrors the arithmetic of
+    /// [`Assembly::solve_point_with`] without cross-solve reuse
+    /// operation for operation, confirming iterations on the previous
+    /// iteration's factors included, so the two must agree bit for bit.
     #[allow(clippy::too_many_arguments)]
     fn solve_point_allocating(
         asm: &Assembly,
@@ -1085,21 +936,29 @@ mod tests {
         x0: &[f64],
         states: &[ElemState],
     ) -> Result<RefSolve, CktError> {
-        use fefet_numerics::linalg::LuFactors;
         let n = asm.n_unknowns();
         let nv = asm.n_nodes - 1;
         let mut x = x0.to_vec();
         let mut damping = Vec::new();
         // Factors the last exact iteration handed on, and the residual
         // norm they were stamped at.
-        let mut handed: Option<LuFactors> = None;
+        let mut handed: Option<SparseLu> = None;
         let mut prev_res = f64::INFINITY;
         for _it in 0..opts.max_newton {
-            let mut jac = Matrix::zeros(n, n);
+            let (pattern, slots) =
+                asm.record_pattern(ckt, t, h, method, dc, opts.gmin, &x, states)?;
+            let mut jac = CsrMatrix::from_pattern(pattern.clone());
             let mut res = vec![0.0; n];
-            asm.stamp_all(
-                ckt, t, h, method, dc, opts.gmin, &x, states, &mut jac, &mut res,
-            );
+            let mut sys = Sys {
+                jac: JacTarget::Sparse {
+                    values: jac.values_mut(),
+                    slots: &slots,
+                    cursor: 0,
+                },
+                res: &mut res,
+                n_nodes: asm.n_nodes,
+            };
+            asm.stamp_sys(ckt, t, h, method, dc, opts.gmin, &x, states, &mut sys, None);
             let res_kcl = asm.kcl_norm(&res[..nv]);
             let res_branch = if nv < n { norm_inf(&res[nv..]) } else { 0.0 };
             let cur = res_kcl.max(res_branch);
@@ -1110,15 +969,19 @@ mod tests {
                 prev_res = cur;
             }
             let fast = own.is_some();
-            let lu = match own {
+            let mut lu = match own {
                 Some(lu) => lu,
-                None => LuFactors::factor(jac.clone()).map_err(|e| CktError::Convergence {
-                    time: t,
-                    detail: format!("jacobian factorization failed: {e}"),
-                })?,
+                None => {
+                    let mut lu = SparseLu::analyze(&pattern)?;
+                    lu.refactor(&jac).map_err(|e| CktError::Convergence {
+                        time: t,
+                        detail: format!("jacobian factorization failed: {e}"),
+                    })?;
+                    lu
+                }
             };
-            let neg: Vec<f64> = res.iter().map(|r| -r).collect();
-            let mut dx = lu.solve(&neg).map_err(CktError::from)?;
+            let mut dx: Vec<f64> = res.iter().map(|r| -r).collect();
+            lu.solve_in_place(&mut dx)?;
             let clamp = super::damping(opts, &dx[..nv]);
             damping.push(clamp.unwrap_or(1.0));
             if let Some(s) = clamp {
@@ -1143,217 +1006,17 @@ mod tests {
         })
     }
 
-    /// The workspace path must reproduce the seed's allocating Newton
-    /// loop bit for bit: same pivots, same arithmetic order, so the
-    /// converged unknown vectors match exactly, not just to tolerance.
+    /// The workspace path must reproduce the allocating Newton loop bit
+    /// for bit: same pattern, same pivots, same arithmetic order, so
+    /// the converged unknown vectors match exactly, not just to
+    /// tolerance. Checked in both stamping modes.
     #[test]
     fn workspace_newton_is_bit_identical_to_allocating_reference() {
-        use crate::models::MosParams;
-
-        let mut c = Circuit::new();
-        let vdd = c.node("vdd");
-        let d = c.node("d");
-        let g = c.node("g");
-        c.vsource("VDD", vdd, Circuit::GND, Waveform::dc(1.0));
-        c.vsource("VG", g, Circuit::GND, Waveform::dc(0.6));
-        c.resistor("RD", vdd, d, 50e3);
-        c.mosfet("M1", d, g, Circuit::GND, MosParams::nmos_45nm());
-        c.capacitor("CL", d, Circuit::GND, 1e-15);
-
-        let asm = Assembly::new(&c);
-        let states: Vec<ElemState> = c.elements().iter().map(|_| ElemState::None).collect();
-        // The reference refactors every iteration; force the exact path
-        // so the trajectories are comparable bit for bit.
-        let opts = SolverOptions {
-            jacobian_reuse: false,
-            bypass: false,
-            ..SolverOptions::default()
-        };
+        let (c, asm, states) = mos_test_circuit();
         let x0 = vec![0.0; asm.n_unknowns()];
-
-        let reference = solve_point_allocating(
-            &asm,
-            &c,
-            0.0,
-            0.0,
-            Integration::BackwardEuler,
-            true,
-            &opts,
-            &x0,
-            &states,
-        )
-        .unwrap()
-        .x;
-
-        let mut x = x0.clone();
-        let mut ws = NewtonWorkspace::new(asm.n_unknowns());
-        asm.solve_point_with(
-            &c,
-            0.0,
-            0.0,
-            Integration::BackwardEuler,
-            true,
-            &opts,
-            &mut x,
-            &states,
-            &mut ws,
-        )
-        .unwrap();
-
-        assert_eq!(reference.len(), x.len());
-        for (i, (a, b)) in reference.iter().zip(&x).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "unknown {i} differs: reference {a:?} vs workspace {b:?}"
-            );
+        for (name, dc, t) in [("dc", true, 0.0), ("transient", false, 1e-9)] {
+            assert_matches_reference(name, &asm, &c, t, dc, &exact(), &x0, &states);
         }
-    }
-
-    /// The sparse backend must track the dense one: same Newton
-    /// iteration count (both backends see the same Jacobian, only
-    /// factored differently) and solutions matching to tight tolerance
-    /// on a nonlinear MOSFET circuit, in both DC and transient stamping
-    /// modes. Exercises the full pattern-record → slot-resolve →
-    /// slot-indexed-stamp → refactor → solve pipeline.
-    #[test]
-    fn sparse_backend_matches_dense_newton() {
-        use crate::models::MosParams;
-
-        let mut c = Circuit::new();
-        let vdd = c.node("vdd");
-        let d = c.node("d");
-        let g = c.node("g");
-        c.vsource("VDD", vdd, Circuit::GND, Waveform::dc(1.0));
-        c.vsource("VG", g, Circuit::GND, Waveform::dc(0.6));
-        c.resistor("RD", vdd, d, 50e3);
-        c.mosfet("M1", d, g, Circuit::GND, MosParams::nmos_45nm());
-        c.capacitor("CL", d, Circuit::GND, 1e-15);
-
-        let asm = Assembly::new(&c);
-        let states: Vec<ElemState> = c.elements().iter().map(|_| ElemState::None).collect();
-        let n = asm.n_unknowns();
-
-        for (dc, t, h) in [(true, 0.0, 0.0), (false, 1e-9, 1e-9)] {
-            // Equal iteration counts require both backends to run exact
-            // Newton: the fast paths change the trajectory (legally).
-            let dense_opts = SolverOptions {
-                backend: SolverBackend::Dense,
-                jacobian_reuse: false,
-                bypass: false,
-                ..SolverOptions::default()
-            };
-            let sparse_opts = SolverOptions {
-                backend: SolverBackend::Sparse,
-                jacobian_reuse: false,
-                bypass: false,
-                ..SolverOptions::default()
-            };
-            let mut xd = vec![0.0; n];
-            let mut ws_d = NewtonWorkspace::new(n);
-            let it_d = asm
-                .solve_point_with(
-                    &c,
-                    t,
-                    h,
-                    Integration::BackwardEuler,
-                    dc,
-                    &dense_opts,
-                    &mut xd,
-                    &states,
-                    &mut ws_d,
-                )
-                .unwrap();
-            let mut xs = vec![0.0; n];
-            let mut ws_s = NewtonWorkspace::new(n);
-            let it_s = asm
-                .solve_point_with(
-                    &c,
-                    t,
-                    h,
-                    Integration::BackwardEuler,
-                    dc,
-                    &sparse_opts,
-                    &mut xs,
-                    &states,
-                    &mut ws_s,
-                )
-                .unwrap();
-            assert_eq!(it_d, it_s, "newton iteration counts diverged (dc={dc})");
-            for i in 0..n {
-                let scale = xd[i].abs().max(1.0);
-                assert!(
-                    (xs[i] - xd[i]).abs() <= 1e-9 * scale,
-                    "dc={dc} unknown {i}: sparse {} vs dense {}",
-                    xs[i],
-                    xd[i]
-                );
-            }
-            assert!(ws_s.sparse_nnz(dc).is_some());
-            assert!(ws_s.sparse_nnz(!dc).is_none());
-        }
-    }
-
-    /// `Auto` resolves by system order: small systems stay dense (the
-    /// workspace never builds sparse state), large ones go sparse.
-    #[test]
-    fn auto_backend_selects_by_size() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        c.vsource("V1", a, Circuit::GND, Waveform::dc(1.0));
-        let mut prev = a;
-        for i in 0..(SPARSE_CROSSOVER + 4) {
-            let nn = c.node(&format!("n{i}"));
-            c.resistor(&format!("R{i}"), prev, nn, 1e3);
-            prev = nn;
-        }
-        c.resistor("Rend", prev, Circuit::GND, 1e3);
-        let asm = Assembly::new(&c);
-        assert!(asm.n_unknowns() >= SPARSE_CROSSOVER);
-        let states: Vec<ElemState> = c.elements().iter().map(|_| ElemState::None).collect();
-        let mut x = vec![0.0; asm.n_unknowns()];
-        let mut ws = NewtonWorkspace::new(asm.n_unknowns());
-        asm.solve_point_with(
-            &c,
-            0.0,
-            0.0,
-            Integration::BackwardEuler,
-            true,
-            &SolverOptions::default(),
-            &mut x,
-            &states,
-            &mut ws,
-        )
-        .unwrap();
-        assert!(
-            ws.sparse_nnz(true).is_some(),
-            "auto should have picked sparse at this size"
-        );
-
-        // A two-resistor divider stays dense under Auto.
-        let mut c2 = Circuit::new();
-        let b = c2.node("b");
-        let m = c2.node("m");
-        c2.vsource("V1", b, Circuit::GND, Waveform::dc(1.0));
-        c2.resistor("R1", b, m, 1e3);
-        c2.resistor("R2", m, Circuit::GND, 1e3);
-        let asm2 = Assembly::new(&c2);
-        let states2: Vec<ElemState> = c2.elements().iter().map(|_| ElemState::None).collect();
-        let mut x2 = vec![0.0; asm2.n_unknowns()];
-        let mut ws2 = NewtonWorkspace::new(asm2.n_unknowns());
-        asm2.solve_point_with(
-            &c2,
-            0.0,
-            0.0,
-            Integration::BackwardEuler,
-            true,
-            &SolverOptions::default(),
-            &mut x2,
-            &states2,
-            &mut ws2,
-        )
-        .unwrap();
-        assert!(ws2.sparse_nnz(true).is_none());
     }
 
     /// A circuit of only branch unknowns (voltage source dead-ended into
@@ -1485,7 +1148,7 @@ mod tests {
             let tel = opts.instr.get().unwrap();
             (
                 x,
-                tel.solver.dense_factors.get(),
+                tel.solver.sparse_refactors.get(),
                 tel.solver.jacobian_reuses.get(),
             )
         };
@@ -1538,7 +1201,6 @@ mod tests {
         let n = asm.n_unknowns();
         let nv = asm.n_nodes - 1;
         let opts = SolverOptions {
-            backend: SolverBackend::Sparse,
             instr: Instrumentation::enabled(),
             ..exact()
         };
@@ -1730,7 +1392,6 @@ mod tests {
         let states: Vec<ElemState> = c.elements().iter().map(|_| ElemState::None).collect();
         let n = asm.n_unknowns();
         let opts = SolverOptions {
-            backend: SolverBackend::Sparse,
             cache: Some(AnalysisCache::new()),
             instr: Instrumentation::enabled(),
             ..SolverOptions::default()
@@ -1764,18 +1425,20 @@ mod tests {
         );
     }
 
-    /// Two sources driving `a` (1 V and, when `conflict`, 2 V on the
-    /// same node; otherwise 2 V on `b`), joined by a resistor and padded
-    /// with a `ladder`-node resistor chain from `b`. Both variants have
-    /// the same unknown count; the conflicting one is structurally
-    /// singular (both branch rows hold only `v(a)`).
-    fn parallel_sources(ladder: usize, conflict: bool) -> Circuit {
+    /// A faulty netlist and its healthy twin of the same unknown count:
+    /// a source driving `a`, a resistor to `b` and a `ladder`-node
+    /// resistor chain from `b`, plus one fault.
+    /// - `SourceLoop`: a second source on `a` (its healthy twin drives
+    ///   `b`), so both branch rows hold only `v(a)` and the Jacobian is
+    ///   structurally singular.
+    /// - `FloatingNode`: a node `f` reached only through a capacitor,
+    ///   open at DC (the healthy twin also ties it to ground through a
+    ///   resistor); with gmin off its row is numerically zero.
+    fn faulty_netlist(ladder: usize, fault: Fault, healthy: bool) -> Circuit {
         let mut c = Circuit::new();
         let a = c.node("a");
         let b = c.node("b");
         c.vsource("V1", a, Circuit::GND, Waveform::dc(1.0));
-        let v2 = if conflict { a } else { b };
-        c.vsource("V2", v2, Circuit::GND, Waveform::dc(2.0));
         c.resistor("Rab", a, b, 1e3);
         let mut prev = b;
         for i in 0..ladder {
@@ -1784,60 +1447,98 @@ mod tests {
             c.resistor(&format!("Rg{i}"), n, Circuit::GND, 1e3);
             prev = n;
         }
+        match fault {
+            Fault::SourceLoop => {
+                c.vsource(
+                    "V2",
+                    if healthy { b } else { a },
+                    Circuit::GND,
+                    Waveform::dc(2.0),
+                );
+            }
+            Fault::FloatingNode => {
+                let f = c.node("f");
+                c.capacitor("Cf", b, f, 1e-15);
+                if healthy {
+                    c.resistor("Rf", f, Circuit::GND, 1e3);
+                }
+            }
+        }
         c
     }
 
-    /// A singular Jacobian is a typed error on both `Auto` tiers —
-    /// dense below [`SPARSE_CROSSOVER`] unknowns, sparse at or above
-    /// it — and leaves the workspace usable: the same workspace then
-    /// solves a healthy circuit of the same order.
+    #[derive(Debug, Clone, Copy)]
+    enum Fault {
+        SourceLoop,
+        FloatingNode,
+    }
+
+    /// A singular Jacobian is a typed error, not a panic, at cell size
+    /// (under 64 unknowns) and at array size, for a voltage-source loop
+    /// and for a floating node. It leaves the workspace usable: the same
+    /// workspace then solves the healthy twin of the same order, building
+    /// the sparse state of the stamping mode it solves in and no other.
     #[test]
-    fn singular_netlists_are_typed_errors_on_both_backends() {
-        for (ladder, sparse) in [(4, false), (SPARSE_CROSSOVER, true)] {
-            let bad = parallel_sources(ladder, true);
-            let good = parallel_sources(ladder, false);
-            let asm_bad = Assembly::new(&bad);
-            let asm_good = Assembly::new(&good);
-            let n = asm_bad.n_unknowns();
-            assert_eq!(n, asm_good.n_unknowns());
-            assert_eq!(n >= SPARSE_CROSSOVER, sparse, "n = {n}");
-            let states: Vec<ElemState> = bad.elements().iter().map(|_| ElemState::None).collect();
-            let opts = SolverOptions::default();
-            let mut ws = NewtonWorkspace::new(n);
-            let mut x = vec![0.0; n];
-            let r = asm_bad.solve_point_with(
-                &bad,
-                0.0,
-                0.0,
-                Integration::BackwardEuler,
-                true,
-                &opts,
-                &mut x,
-                &states,
-                &mut ws,
-            );
-            assert!(
-                matches!(r, Err(CktError::Convergence { .. } | CktError::Numerics(_))),
-                "n = {n}: expected a typed singular-matrix error, got {r:?}"
-            );
-            let mut x = vec![0.0; n];
-            asm_good
-                .solve_point_with(
-                    &good,
+    fn singular_netlists_are_typed_errors_at_cell_and_array_size() {
+        for fault in [Fault::SourceLoop, Fault::FloatingNode] {
+            for ladder in [4, 100] {
+                let bad = faulty_netlist(ladder, fault, false);
+                let good = faulty_netlist(ladder, fault, true);
+                let asm_bad = Assembly::new(&bad);
+                let asm_good = Assembly::new(&good);
+                let n = asm_bad.n_unknowns();
+                assert_eq!(n, asm_good.n_unknowns());
+                assert_eq!(n < 64, ladder == 4, "{fault:?}: n = {n}");
+                let states = |c: &Circuit| -> Vec<ElemState> {
+                    c.elements().iter().map(|_| ElemState::None).collect()
+                };
+                let opts = SolverOptions {
+                    gmin: 0.0,
+                    ..SolverOptions::default()
+                };
+                let mut ws = NewtonWorkspace::new(n);
+                let mut x = vec![0.0; n];
+                let r = asm_bad.solve_point_with(
+                    &bad,
                     0.0,
                     0.0,
                     Integration::BackwardEuler,
                     true,
                     &opts,
                     &mut x,
-                    &states,
+                    &states(&bad),
                     &mut ws,
-                )
-                .unwrap();
-            assert_eq!(ws.sparse_nnz(true).is_some(), sparse, "n = {n}");
-            let v = |name: &str| x[good.find_node(name).unwrap().index() - 1];
-            assert!((v("a") - 1.0).abs() < 1e-9, "n = {n}: v(a) = {}", v("a"));
-            assert!((v("b") - 2.0).abs() < 1e-9, "n = {n}: v(b) = {}", v("b"));
+                );
+                assert!(
+                    matches!(r, Err(CktError::Convergence { .. } | CktError::Numerics(_))),
+                    "{fault:?}, n = {n}: expected a typed singular-matrix error, got {r:?}"
+                );
+                let mut x = vec![0.0; n];
+                asm_good
+                    .solve_point_with(
+                        &good,
+                        0.0,
+                        0.0,
+                        Integration::BackwardEuler,
+                        true,
+                        &opts,
+                        &mut x,
+                        &states(&good),
+                        &mut ws,
+                    )
+                    .unwrap();
+                // The DC solve built DC sparse state only.
+                assert!(ws.sparse_nnz(true).is_some() && ws.sparse_nnz(false).is_none());
+                let v = |name: &str| x[good.find_node(name).unwrap().index() - 1];
+                assert!(
+                    (v("a") - 1.0).abs() < 1e-9,
+                    "{fault:?}, n = {n}: v(a) = {}",
+                    v("a")
+                );
+                if let Fault::SourceLoop = fault {
+                    assert!((v("b") - 2.0).abs() < 1e-9, "n = {n}: v(b) = {}", v("b"));
+                }
+            }
         }
     }
 
@@ -1867,7 +1568,7 @@ mod tests {
         )
         .unwrap();
         let tel = opts.instr.get().unwrap();
-        let factors_before = tel.solver.dense_factors.get();
+        let factors_before = tel.solver.sparse_refactors.get();
         assert!(factors_before > 0);
         asm.solve_point_with(
             &c,
@@ -1882,7 +1583,7 @@ mod tests {
         )
         .unwrap();
         assert!(
-            tel.solver.dense_factors.get() > factors_before,
+            tel.solver.sparse_refactors.get() > factors_before,
             "h change did not trigger a refactor"
         );
     }
@@ -1900,7 +1601,7 @@ mod tests {
     ) -> (usize, u64, u64) {
         let states: Vec<ElemState> = c.elements().iter().map(|_| ElemState::None).collect();
         let tel = opts.instr.get().expect("counted solves need telemetry");
-        let factors = || tel.solver.dense_factors.get() + tel.solver.sparse_refactors.get();
+        let factors = || tel.solver.sparse_refactors.get();
         let (f0, r0) = (factors(), tel.solver.jacobian_reuses.get());
         let iters = asm
             .solve_point_with(

@@ -26,7 +26,7 @@ use crate::cell::FefetCell;
 use crate::slice::{self, CellGroup, Groups, Stored, Unaccessed};
 use fefet_ckt::circuit::Circuit;
 use fefet_ckt::elements::{ElemState, EvalCtx, Integration, Node};
-use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverBackend, SolverOptions};
+use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverOptions};
 use fefet_ckt::models::MosParams;
 use fefet_ckt::plan::AnalysisCache;
 use fefet_ckt::probe::CurrentsAt;
@@ -126,6 +126,7 @@ impl FastPathToggles {
 }
 
 /// An m×n array of 2T FEFET cells with explicit stored polarization.
+/// Every simulation it runs solves on the pattern-cached sparse LU.
 #[derive(Debug, Clone)]
 pub struct FefetArray {
     /// Number of rows.
@@ -135,12 +136,6 @@ pub struct FefetArray {
     /// Cell/bias template (line capacitances are recomputed from the
     /// array dimensions).
     pub cell: FefetCell,
-    /// Linear-solver backend for every simulation this array runs.
-    /// `Auto` (the default) picks dense below
-    /// [`fefet_ckt::engine::SPARSE_CROSSOVER`] unknowns and the
-    /// pattern-cached sparse LU above, so every array netlist runs
-    /// sparse; force `Dense` or `Sparse` for A/B comparisons.
-    pub solver_backend: SolverBackend,
     /// Transient fast-path switches for every simulation this array
     /// runs; defaults to all on.
     pub fastpaths: FastPathToggles,
@@ -291,7 +286,6 @@ impl FefetArray {
             rows,
             cols,
             cell,
-            solver_backend: SolverBackend::default(),
             fastpaths: FastPathToggles::default(),
             instr: Instrumentation::off(),
             cache: AnalysisCache::new(),
@@ -548,14 +542,9 @@ impl FefetArray {
     }
 
     /// Newton settings for every simulation this array runs: its
-    /// backend, fast-path switches, telemetry and analysis cache.
+    /// fast-path switches, telemetry and analysis cache.
     fn solver_options(&self) -> SolverOptions {
-        slice::solver_options(
-            self.solver_backend,
-            self.fastpaths,
-            &self.instr,
-            &self.cache,
-        )
+        slice::solver_options(self.fastpaths, &self.instr, &self.cache)
     }
 
     /// Writes `data` into `row` (Table 1 write biasing) with a pulse of
@@ -1031,10 +1020,7 @@ mod tests {
             .map(|(_, e)| e.initial_state(&x))
             .collect();
         asm.seed_polarization(&net.circuit, &states, 0.0, &mut x);
-        let opts = SolverOptions {
-            backend: SolverBackend::Sparse,
-            ..SolverOptions::default()
-        };
+        let opts = SolverOptions::default();
         let mut ws = NewtonWorkspace::new(asm.n_unknowns());
         asm.solve_point_with(
             &net.circuit,
@@ -1209,7 +1195,6 @@ mod tests {
     fn varied_data_adds_no_symbolic_analysis_once_warm() {
         let mut a = FefetArray::new(6, 4, FefetCell::default());
         a.cell.dt = 40e-12;
-        a.solver_backend = SolverBackend::Sparse;
         a.instr = Instrumentation::enabled();
         let (p_lo, p_hi) = a.cell.memory_states();
         for i in 0..6 {
@@ -1262,7 +1247,7 @@ mod tests {
         a.instr = Instrumentation::enabled();
         let instr = a.instr.clone();
         let tel = instr.get().unwrap();
-        let factors = || tel.solver.sparse_refactors.get() + tel.solver.dense_factors.get();
+        let factors = || tel.solver.sparse_refactors.get();
         for w in 0..4 {
             let row = (w * 5 + 3) % 16;
             let data: Vec<bool> = (0..16).map(|_| rng.uniform() > 0.5).collect();
@@ -1365,43 +1350,12 @@ mod tests {
         );
     }
 
-    /// The solver-backend knob must reach the engine, and the two
-    /// backends must tell the same physical story: same digitized bits,
-    /// same step sequence, cell currents within 1e-6 relative. (With
-    /// the fast paths on, each backend's Newton lands within solver
-    /// tolerance of the true solution rather than machine accuracy, so
-    /// the cross-backend bound is 1e-6, not 1e-9.)
-    #[test]
-    fn sparse_and_dense_backends_agree_on_a_read() {
-        let mut a = small_array();
-        a.write_row(0, &[true, false, true], 1.0e-9).unwrap();
-        let mut dense = a.clone();
-        dense.solver_backend = SolverBackend::Dense;
-        let mut sparse = a;
-        sparse.solver_backend = SolverBackend::Sparse;
-        let rd = dense.read_row(0, 3e-9).unwrap();
-        let rs = sparse.read_row(0, 3e-9).unwrap();
-        assert_eq!(rd.bits, rs.bits);
-        assert_eq!(
-            rd.op.steps, rs.op.steps,
-            "backends accepted different step sequences"
-        );
-        for (d, s) in rd.currents.iter().zip(&rs.currents) {
-            let scale = d.abs().max(s.abs()).max(1e-30);
-            assert!(
-                (d - s).abs() / scale < 1e-6,
-                "currents diverge: dense {d:e} vs sparse {s:e}"
-            );
-        }
-    }
-
     /// Pooled sweep workers share the array's analysis cache: the number
     /// of symbolic analyses is set by the number of distinct matrix
     /// patterns, not by the worker or row count.
     #[test]
     fn pooled_sweep_shares_one_symbolic_analysis_per_pattern() {
         let mut a = small_array();
-        a.solver_backend = SolverBackend::Sparse;
         a.instr = Instrumentation::enabled();
         // Warm the cache with one serial read: every pattern analyzed.
         a.read_row(0, 3e-9).unwrap();

@@ -35,7 +35,6 @@ use crate::feram::FeramCell;
 use crate::slice::{self, Groups, Stored, Unaccessed};
 use fefet_ckt::circuit::Circuit;
 use fefet_ckt::elements::Node;
-use fefet_ckt::engine::SolverBackend;
 use fefet_ckt::models::MosParams;
 use fefet_ckt::plan::AnalysisCache;
 use fefet_ckt::probe::WindowMax;
@@ -50,6 +49,7 @@ const T_EDGE: f64 = 50e-12;
 const T_START: f64 = 0.2e-9;
 
 /// An m×n array of 1T-1C FERAM cells with explicit stored polarization.
+/// Every simulation it runs solves on the pattern-cached sparse LU.
 #[derive(Debug, Clone)]
 pub struct FeramArray {
     /// Rows.
@@ -58,9 +58,6 @@ pub struct FeramArray {
     pub cols: usize,
     /// Cell template.
     pub cell: FeramCell,
-    /// Linear-solver backend for every simulation this array runs, as
-    /// for [`crate::array::FefetArray::solver_backend`].
-    pub solver_backend: SolverBackend,
     /// Telemetry sink for every simulation this array runs, as for
     /// [`crate::array::FefetArray::instr`]: row ops record
     /// `array.write_row` / `array.read_row` spans, op counts and the
@@ -109,7 +106,6 @@ impl FeramArray {
             rows,
             cols,
             cell,
-            solver_backend: SolverBackend::default(),
             instr: Instrumentation::off(),
             cache: AnalysisCache::new(),
             state: vec![p_lo; rows * cols],
@@ -303,7 +299,7 @@ impl FeramArray {
             self.cell.dt,
             Vec::new(),
             fastpaths.predict,
-            slice::solver_options(self.solver_backend, fastpaths, &self.instr, &self.cache),
+            slice::solver_options(fastpaths, &self.instr, &self.cache),
             observe,
         )
     }

@@ -18,7 +18,7 @@
 use crate::array::FastPathToggles;
 use fefet_ckt::circuit::Circuit;
 use fefet_ckt::elements::{Integration, Node};
-use fefet_ckt::engine::{SolverBackend, SolverOptions};
+use fefet_ckt::engine::SolverOptions;
 use fefet_ckt::plan::AnalysisCache;
 use fefet_ckt::transient::{transient_with, Step, TransientOptions, TransientRun};
 use fefet_ckt::Result;
@@ -370,16 +370,14 @@ fn interpolate(points: &[(f64, f64)], x: f64) -> f64 {
     points[points.len() - 1].1
 }
 
-/// Newton settings for every simulation an array runs: its backend,
-/// fast-path switches, telemetry and analysis cache.
+/// Newton settings for every simulation an array runs: its fast-path
+/// switches, telemetry and analysis cache.
 pub(crate) fn solver_options(
-    backend: SolverBackend,
     fastpaths: FastPathToggles,
     instr: &Instrumentation,
     cache: &AnalysisCache,
 ) -> SolverOptions {
     SolverOptions {
-        backend,
         jacobian_reuse: fastpaths.jacobian_reuse,
         bypass: fastpaths.bypass,
         instr: instr.clone(),

@@ -58,7 +58,7 @@ use crate::cell::FefetCell;
 use crate::shmoo::shmoo_walk_mask;
 use fefet_ckt::circuit::Circuit;
 use fefet_ckt::elements::ElemState;
-use fefet_ckt::engine::{NewtonWorkspace, SolverBackend, SolverOptions};
+use fefet_ckt::engine::{NewtonWorkspace, SolverOptions};
 use fefet_ckt::parallel::pool_map;
 use fefet_ckt::plan::AnalysisCache;
 use fefet_ckt::{CktError, Result};
@@ -635,9 +635,6 @@ impl YieldEngine {
         }
         let slice = array.read_slice(0, 3e-9)?;
         let opts = SolverOptions {
-            // Pinned: under `Auto` small arrays (n < 64) would go dense
-            // and change trial numerics.
-            backend: SolverBackend::Sparse,
             // No factors cross a solve, so none cross a trial. Device
             // bypass does carry state in the worker workspace, and each
             // trial clears it first (`trial_body`): a trial stays a pure

@@ -61,13 +61,14 @@ pub struct SolverStats {
     pub failed_iterations: Counter,
     /// |KCL residual| (A) at convergence, per solve.
     pub residual_at_convergence: Histogram,
-    /// Dense LU factorizations (one per Newton iteration on the dense
-    /// backend).
+    /// Dense LU factorizations: always 0, since every Newton solve runs
+    /// on the sparse LU. Kept only for readers of the JSON report until
+    /// the benchmark's layer metrics stop reading it.
     pub dense_factors: Counter,
-    /// Sparse LU numeric refactorizations (one per Newton iteration on
-    /// the sparse backend).
+    /// Sparse LU numeric refactorizations (one per exact Newton
+    /// iteration; an iteration on stored factors takes none).
     pub sparse_refactors: Counter,
-    /// Triangular back-substitutions (dense or sparse), total.
+    /// Triangular back-substitutions, total.
     pub back_substitutions: Counter,
     /// LU (re)factorizations per converged solve.
     pub factors_per_solve: Histogram,

@@ -50,8 +50,8 @@ pub const DEFAULT_EVENTS_PER_LANE: usize = 16 * 1024;
 pub enum TraceEvent {
     /// One converged (or failed) Newton point solve. `arg` = iterations.
     NewtonSolve = 0,
-    /// A Jacobian (re)factorization. `arg` = backend (0 dense, 1
-    /// sparse).
+    /// A Jacobian (re)factorization. `arg` = 1 (the sparse LU, the
+    /// only Newton backend).
     Factor = 1,
     /// One accepted transient step. `arg` = step size in femtoseconds.
     TransientStep = 2,
