@@ -5,7 +5,8 @@
 
 use fefet_bench::{fmt_current, fmt_time, section};
 use fefet_ckt::circuit::Circuit;
-use fefet_ckt::transient::{transient, TransientOptions};
+use fefet_ckt::probe::{CurrentsAt, VoltagesAt};
+use fefet_ckt::transient::{transient_with, TransientOptions};
 use fefet_ckt::waveform::Waveform;
 use fefet_mem::array::FefetArray;
 use fefet_mem::cell::FefetCell;
@@ -14,6 +15,7 @@ use fefet_mem::NvmParams;
 use fefet_nvp::harvester::HarvesterScenario;
 use fefet_nvp::processor::{simulate, NvpConfig};
 use fefet_nvp::workload::mibench_suite;
+use std::ops::ControlFlow;
 
 fn main() {
     ablate_unaccessed_select();
@@ -95,20 +97,32 @@ fn ablate_clamp() {
             Circuit::GND,
             Waveform::dc(cell.fefet.v_mos_of(p_hi)),
         );
+        let mfet = c.elements().len();
         c.mosfet("Mfet", rs, gi, sl, cell.fefet.mos);
         c.capacitor("Csl", sl, Circuit::GND, cell.c_sense_line);
         c.resistor("Rload", sl, Circuit::GND, r_load);
-        let tr = transient(
+        let mut i_read = CurrentsAt::new(3.0e-9, vec![mfet]);
+        let mut v_read = VoltagesAt::new(3.0e-9, vec![sl]);
+        transient_with(
             &c,
             3.6e-9,
             TransientOptions {
                 dt: 10e-12,
                 ..TransientOptions::default()
             },
+            |s| {
+                i_read.observe(s);
+                v_read.observe(s);
+                // Both samples are taken at 3.0 ns; the run need not go on.
+                match v_read.values() {
+                    Some(_) => ControlFlow::Break(()),
+                    None => ControlFlow::Continue(()),
+                }
+            },
         )
         .expect("sim");
-        let i = tr.value_at("i(Mfet)", 3.0e-9).unwrap_or(0.0);
-        let v_sl = tr.value_at("v(sl)", 3.0e-9).unwrap_or(0.0);
+        let i = i_read.values().map_or(0.0, |v| v[0]);
+        let v_sl = v_read.values().map_or(0.0, |v| v[0]);
         println!(
             "{label}: read current {} | sense line at {:.3} V",
             fmt_current(i),
@@ -128,11 +142,9 @@ fn ablate_precharge() {
         t_precharge: 0.0,
         ..chain
     };
-    let fast_t = chain
-        .read_bit(&cell, p_hi, 25e-9)
-        .expect("sense")
-        .t_decision;
-    let slow_t = slow.read_bit(&cell, p_hi, 25e-9).expect("sense").t_decision;
+    // Only the decision time is read, so each 25 ns read stops there.
+    let fast_t = chain.decision_time(&cell, p_hi, 25e-9).expect("sense");
+    let slow_t = slow.decision_time(&cell, p_hi, 25e-9).expect("sense");
     println!(
         "with pre-charge:    decision at {}",
         fast_t.map(fmt_time).unwrap_or_else(|| "never".into())

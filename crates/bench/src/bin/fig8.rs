@@ -3,6 +3,7 @@
 //! timing decomposition.
 
 use fefet_bench::{fmt_energy, fmt_time, section};
+use fefet_ckt::probe::Recorder;
 use fefet_mem::cell::FefetCell;
 use fefet_mem::sense::{ReadTiming, SenseChain};
 
@@ -12,8 +13,11 @@ fn main() {
     let (p_lo, p_hi) = cell.memory_states();
 
     section("Fig 8(b): read of a stored '1' through the sensing chain");
-    let r1 = chain.read_bit(&cell, p_hi, 2.5e-9).expect("sense '1'");
-    print_wave(&r1.trace);
+    let mut wave = Recorder::new();
+    let r1 = chain
+        .read_bit_observed(&cell, p_hi, 2.5e-9, |s| wave.observe(s))
+        .expect("sense '1'");
+    print_wave(&wave.into_trace());
     println!(
         "bit = {} | V_SENSE(end) = {:.3} V | decision at {} | sense-line excursion {:.1} mV | energy {}",
         r1.bit as u8,
@@ -24,8 +28,11 @@ fn main() {
     );
 
     section("Fig 8(b): read of a stored '0'");
-    let r0 = chain.read_bit(&cell, p_lo, 2.5e-9).expect("sense '0'");
-    print_wave(&r0.trace);
+    let mut wave = Recorder::new();
+    let r0 = chain
+        .read_bit_observed(&cell, p_lo, 2.5e-9, |s| wave.observe(s))
+        .expect("sense '0'");
+    print_wave(&wave.into_trace());
     println!(
         "bit = {} | V_SENSE(end) = {:.3} V (collapses below V_PRE = {:.2} V)",
         r0.bit as u8, r0.v_sense_end, chain.v_pre

@@ -27,10 +27,12 @@
 //!   point (including the ferroelectric's negative capacitance).
 //! - [`transient`] — implicit (backward-Euler / trapezoidal) transient
 //!   analysis with per-step Newton, waveform breakpoints and per-source
-//!   energy metering; each accepted point goes to an observer, which for
-//!   [`transient::transient`] records every signal.
+//!   energy metering; each accepted point goes to an observer, which may
+//!   end the run and which for [`transient::transient`] records every
+//!   signal.
 //! - [`probe`] — streaming observers that keep only what a measurement
-//!   reads (currents at a sample time, windowed voltage maxima).
+//!   reads (currents and voltages at a sample time, windowed voltage
+//!   extrema, threshold crossings), and the full-waveform recorder.
 //! - [`trace`] — recorded waveforms plus measurement helpers (threshold
 //!   crossings, rise time, settling, integrals).
 //!

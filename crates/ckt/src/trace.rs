@@ -23,6 +23,85 @@ pub(crate) fn interpolate(t: f64, (t0, y0): (f64, f64), (t1, y1): (f64, f64)) ->
     y0 + frac * (y1 - y0)
 }
 
+/// The time at which the segment from `(t0, y0)` to `(t1, y1)` crosses
+/// `level` with the `edge` asked for, linearly interpolated, or `None`
+/// if it does not: the one formula [`Trace::cross_time`] and the
+/// streaming [`crate::probe::Crossing`] share.
+pub(crate) fn crossing(
+    level: f64,
+    edge: Edge,
+    (t0, y0): (f64, f64),
+    (t1, y1): (f64, f64),
+) -> Option<f64> {
+    let rising = y0 < level && y1 >= level;
+    let falling = y0 > level && y1 <= level;
+    let hit = match edge {
+        Edge::Rising => rising,
+        Edge::Falling => falling,
+        Edge::Any => rising || falling,
+    };
+    if !hit {
+        return None;
+    }
+    let frac = if (y1 - y0).abs() > 0.0 {
+        (level - y0) / (y1 - y0)
+    } else {
+        0.0
+    };
+    Some(t0 + frac * (t1 - t0))
+}
+
+/// The validation of [`Trace::checked_signal`], one sample at a time:
+/// it notes the first non-increasing time step, non-finite time and
+/// non-finite value it sees, so the streaming
+/// [`crate::probe::Crossing`] reports the same errors as the full trace.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SampleCheck {
+    n: usize,
+    prev_t: f64,
+    non_monotonic: Option<(usize, f64, f64)>,
+    non_finite_t: Option<usize>,
+    non_finite_y: Option<usize>,
+}
+
+impl SampleCheck {
+    /// Takes in the next sample `(t, y)`.
+    pub(crate) fn push(&mut self, t: f64, y: f64) {
+        if self.n > 0 && self.non_monotonic.is_none() && !(t > self.prev_t) {
+            self.non_monotonic = Some((self.n, self.prev_t, t));
+        }
+        if self.non_finite_t.is_none() && !t.is_finite() {
+            self.non_finite_t = Some(self.n);
+        }
+        if self.non_finite_y.is_none() && !y.is_finite() {
+            self.non_finite_y = Some(self.n);
+        }
+        self.prev_t = t;
+        self.n += 1;
+    }
+
+    /// `Ok` if the samples taken in are measurable, else the
+    /// [`CktError::Measurement`] for `signal` that
+    /// [`Trace::checked_signal`] returns.
+    pub(crate) fn result(&self, signal: &str) -> Result<()> {
+        let reason = if self.n < 2 {
+            format!("needs at least two samples, trace has {}", self.n)
+        } else if let Some((i, t0, t1)) = self.non_monotonic {
+            format!("non-monotonic time axis at index {i} ({t0:e} then {t1:e})")
+        } else if let Some(i) = self.non_finite_t {
+            format!("non-finite time at index {i}")
+        } else if let Some(i) = self.non_finite_y {
+            format!("non-finite sample at index {i}")
+        } else {
+            return Ok(());
+        };
+        Err(CktError::Measurement {
+            signal: signal.to_string(),
+            reason,
+        })
+    }
+}
+
 /// A set of recorded signals over a common time axis.
 ///
 /// Signals are named `v(<node>)` for node voltages, `i(<element>)` for
@@ -126,22 +205,8 @@ impl Trace {
             if self.t[i] < after {
                 continue;
             }
-            let (y0, y1) = (y[i - 1], y[i]);
-            let rising = y0 < level && y1 >= level;
-            let falling = y0 > level && y1 <= level;
-            let hit = match edge {
-                Edge::Rising => rising,
-                Edge::Falling => falling,
-                Edge::Any => rising || falling,
-            };
-            if hit {
-                let (t0, t1) = (self.t[i - 1], self.t[i]);
-                let frac = if (y1 - y0).abs() > 0.0 {
-                    (level - y0) / (y1 - y0)
-                } else {
-                    0.0
-                };
-                let tc = t0 + frac * (t1 - t0);
+            let seg = ((self.t[i - 1], y[i - 1]), (self.t[i], y[i]));
+            if let Some(tc) = crossing(level, edge, seg.0, seg.1) {
                 if tc >= after {
                     return Some(tc);
                 }
@@ -206,32 +271,11 @@ impl Trace {
     /// [`CktError::Measurement`] for a degenerate axis or data.
     pub fn checked_signal(&self, name: &str) -> Result<&[f64]> {
         let y = self.try_signal(name)?;
-        let ill = |reason: String| CktError::Measurement {
-            signal: name.to_string(),
-            reason,
-        };
-        if self.t.len() < 2 {
-            return Err(ill(format!(
-                "needs at least two samples, trace has {}",
-                self.t.len()
-            )));
+        let mut check = SampleCheck::default();
+        for (t, v) in self.t.iter().zip(y) {
+            check.push(*t, *v);
         }
-        for (i, w) in self.t.windows(2).enumerate() {
-            if !(w[1] > w[0]) {
-                return Err(ill(format!(
-                    "non-monotonic time axis at index {} ({:e} then {:e})",
-                    i + 1,
-                    w[0],
-                    w[1]
-                )));
-            }
-        }
-        if let Some(i) = self.t.iter().position(|v| !v.is_finite()) {
-            return Err(ill(format!("non-finite time at index {i}")));
-        }
-        if let Some(i) = y.iter().position(|v| !v.is_finite()) {
-            return Err(ill(format!("non-finite sample at index {i}")));
-        }
+        check.result(name)?;
         Ok(y)
     }
 

@@ -2,14 +2,17 @@
 //! waveform breakpoint alignment, automatic step halving on convergence
 //! failure, and per-source energy metering. Each accepted point goes to
 //! an observer: [`transient`] records every signal, other callers keep
-//! only what they read (see [`crate::probe`]).
+//! only what they read (see [`crate::probe`]) and may end the run once
+//! their answer is fixed.
 
 use crate::circuit::Circuit;
 use crate::elements::{ElemState, Element, EvalCtx, Integration, Node};
 use crate::engine::{Assembly, NewtonWorkspace, SolverOptions};
+use crate::probe::Recorder;
 use crate::trace::Trace;
 use crate::{CktError, Result};
 use fefet_telemetry::TraceEvent;
+use std::ops::ControlFlow;
 
 /// Bounded accepted-point history for step prediction: the times and
 /// node-voltage parts of the last (up to) two accepted solutions, held
@@ -143,7 +146,12 @@ pub struct Step<'a> {
     ctx: StepCtx<'a>,
 }
 
-impl Step<'_> {
+impl<'a> Step<'a> {
+    /// The circuit being simulated.
+    pub fn circuit(&self) -> &'a Circuit {
+        self.ctx.ckt
+    }
+
     /// Voltage of `node` at this point (V); ground is 0 V.
     pub fn v(&self, node: Node) -> f64 {
         if node.index() == 0 {
@@ -245,7 +253,8 @@ fn source_vi(ckt: &Circuit, branch0: &[usize], elem: usize, t: f64, x: &[f64]) -
 }
 
 /// What a [`transient_with`] run returns besides what its observer
-/// kept.
+/// kept. For a run its observer ended early, everything here is as of
+/// the point at which it stopped.
 #[derive(Debug, Clone)]
 pub struct TransientRun {
     /// Accepted time steps (the `t = 0` point is not a step).
@@ -264,6 +273,18 @@ impl TransientRun {
         self.energies.iter().map(|(_, e)| e).sum()
     }
 
+    /// Energy delivered by each independent source of `ckt` (the circuit
+    /// that was run) as `(source name, joules)`, in element order: what
+    /// [`Trace::energies`] lists.
+    pub fn source_energies<'a>(
+        &'a self,
+        ckt: &'a Circuit,
+    ) -> impl Iterator<Item = (&'a str, f64)> + 'a {
+        self.energies
+            .iter()
+            .map(move |&(i, e)| (ckt.elements()[i].0.as_str(), e))
+    }
+
     /// Final polarization (C/m²) of the FE capacitor at element
     /// position `elem` — the last sample [`transient`] records as
     /// `p(<element>)`; 0 for other elements.
@@ -277,49 +298,24 @@ impl TransientRun {
 /// Records every node voltage (`v(<node>)`), every element current
 /// (`i(<element>)`), and every ferroelectric polarization
 /// (`p(<element>)`), plus delivered energy per independent source. This
-/// is [`transient_with`] with an observer that keeps every signal at
-/// every accepted point.
+/// is [`transient_with`] with a [`Recorder`] as the observer: the
+/// waveform API. A measurement that reads a few values passes the
+/// probes of [`crate::probe`] to [`transient_with`] instead.
 ///
 /// # Errors
 ///
 /// As for [`transient_with`].
-// fefet-lint: allow-item(hot-alloc) -- full-trace entry point: allocates the signal layout and sample buffer once per run; the trace grows per step by design
+// fefet-lint: allow-item(hot-alloc) -- full-trace entry point: names the source energies once per run; the trace grows per step by design
 pub fn transient(ckt: &Circuit, t_end: f64, opts: TransientOptions) -> Result<Trace> {
-    // Signal layout: node voltages, element currents, FE polarizations.
-    let mut names: Vec<String> = Vec::new();
-    for n in 1..ckt.n_nodes() {
-        names.push(format!("v({})", ckt.node_name(Node(n))));
-    }
-    for (name, _) in ckt.elements() {
-        names.push(format!("i({name})"));
-    }
-    for (name, e) in ckt.elements() {
-        if matches!(e, Element::FeCap { .. }) {
-            names.push(format!("p({name})"));
-        }
-    }
-    let mut trace = Trace::new(names);
-    let mut sample = vec![0.0; trace.names().count()];
-    let nv = ckt.n_nodes() - 1;
+    let mut rec = Recorder::new();
     let run = transient_with(ckt, t_end, opts, |s| {
-        sample[..nv].copy_from_slice(&s.x[..nv]);
-        let mut k = nv;
-        for i in 0..ckt.elements().len() {
-            sample[k] = s.current(i);
-            k += 1;
-        }
-        for (i, (_, e)) in ckt.elements().iter().enumerate() {
-            if matches!(e, Element::FeCap { .. }) {
-                sample[k] = s.polarization(i);
-                k += 1;
-            }
-        }
-        trace.push_sample(s.t, &sample);
+        rec.observe(s);
+        ControlFlow::Continue(())
     })?;
+    let mut trace = rec.into_trace();
     trace.set_energies(
-        run.energies
-            .iter()
-            .map(|&(i, e)| (ckt.elements()[i].0.clone(), e))
+        run.source_energies(ckt)
+            .map(|(name, e)| (name.to_string(), e))
             .collect(),
     );
     Ok(trace)
@@ -330,7 +326,9 @@ pub fn transient(ckt: &Circuit, t_end: f64, opts: TransientOptions) -> Result<Tr
 /// `observe`, which keeps whatever it needs. Energy per independent
 /// source, the accepted-step count and the final element states come
 /// back in the [`TransientRun`]. The stepping is the same whatever the
-/// observer does, so any two observers see the same points.
+/// observer does, so any two observers see the same points; an observer
+/// that returns [`ControlFlow::Break`] ends the run at that point, and
+/// every point up to it is the one a full run would have taken.
 ///
 /// # Errors
 ///
@@ -342,7 +340,7 @@ pub fn transient_with(
     ckt: &Circuit,
     t_end: f64,
     opts: TransientOptions,
-    mut observe: impl FnMut(&Step<'_>),
+    mut observe: impl FnMut(&Step<'_>) -> ControlFlow<()>,
 ) -> Result<TransientRun> {
     if !(t_end > 0.0) {
         return Err(CktError::Netlist(
@@ -435,14 +433,15 @@ pub fn transient_with(
         method: opts.method,
     };
 
-    observe(&Step {
-        t: 0.0,
+    let mut t = 0.0;
+    let mut stopped = observe(&Step {
+        t,
         x: &x,
         states: &states,
         ctx: step_ctx,
-    });
+    })
+    .is_break();
 
-    let mut t = 0.0;
     let mut steps = 0usize;
     let mut bp_cursor = 0usize;
     // The step following t=0 or any waveform corner uses backward Euler:
@@ -455,7 +454,7 @@ pub fn transient_with(
     // Attempt buffer: each trial step solves into `x_new` so a rejected
     // step leaves `x` untouched; on acceptance the two swap pointers.
     let mut x_new = vec![0.0; asm.n_unknowns()];
-    while t < t_end * (1.0 - 1e-15) {
+    while !stopped && t < t_end * (1.0 - 1e-15) {
         // Profiling: the step timer spans every attempt (rejections
         // included) so the latency distribution reflects what a step
         // actually cost, not just its final successful solve.
@@ -603,12 +602,13 @@ pub fn transient_with(
         t = t_new;
         hist.push(t, &x);
         steps += 1;
-        observe(&Step {
+        stopped = observe(&Step {
             t,
             x: &x,
             states: &states,
             ctx: step_ctx,
-        });
+        })
+        .is_break();
     }
 
     Ok(TransientRun {

@@ -73,9 +73,10 @@ pub struct WritePoint {
 ///
 /// # Errors
 ///
-/// Propagates simulator convergence failures.
+/// As for [`FefetCell::write`]: a cell that cannot store data, before
+/// anything is simulated; simulator convergence failures.
 pub fn fefet_write_sweep(cell: &FefetCell, voltages: &[f64]) -> Result<Vec<WritePoint>> {
-    let states = cell.memory_states();
+    let states = cell.checked_memory_states()?;
     voltages
         .iter()
         .map(|&v| fefet_write_point(cell, states, v))
@@ -86,9 +87,10 @@ pub fn fefet_write_sweep(cell: &FefetCell, voltages: &[f64]) -> Result<Vec<Write
 ///
 /// # Errors
 ///
-/// Propagates simulator convergence failures.
+/// As for [`FeramCell::write`]: a paraelectric film, before anything
+/// is simulated; simulator convergence failures.
 pub fn feram_write_sweep(cell: &FeramCell, voltages: &[f64]) -> Result<Vec<WritePoint>> {
-    let states = cell.memory_states();
+    let states = cell.checked_memory_states()?;
     voltages
         .iter()
         .map(|&v| feram_write_point(cell, states, v))
@@ -229,8 +231,10 @@ pub struct IsoComparison {
 ///
 /// # Errors
 ///
-/// Propagates simulator convergence failures; returns a netlist error if
-/// neither memory can meet the target time on the swept grid.
+/// As for [`FefetCell::write`] and [`FeramCell::write`] (a cell that
+/// cannot store data is refused before anything is simulated);
+/// simulator convergence failures; a netlist error if either memory
+/// cannot meet the target time on the swept grid.
 pub fn iso_comparison(
     fefet: &FefetCell,
     feram: &FeramCell,
@@ -238,8 +242,8 @@ pub fn iso_comparison(
     word_bits: usize,
 ) -> Result<IsoComparison> {
     let (fefet_grid, feram_grid) = iso_grids();
-    let (p_lo_f, p_hi_f) = fefet.memory_states();
-    let (p_lo_r, p_hi_r) = feram.memory_states();
+    let (p_lo_f, p_hi_f) = fefet.checked_memory_states()?;
+    let (p_lo_r, p_hi_r) = feram.checked_memory_states()?;
     let f_op = bisect_iso_point(&fefet_grid, t_target, |v| {
         fefet_write_point(fefet, (p_lo_f, p_hi_f), v)
     })?

@@ -9,18 +9,16 @@
 //!   which is why the paper's FERAM read energy (15.5 pJ) is as large as
 //!   its write energy.
 
+use crate::cell::{CellSim, T_EDGE, T_START};
 use fefet_ckt::circuit::Circuit;
-use fefet_ckt::elements::Integration;
+use fefet_ckt::elements::{Integration, Node};
 use fefet_ckt::models::{FeCapParams, MosParams};
-use fefet_ckt::trace::{Edge, Trace};
-use fefet_ckt::transient::{transient, TransientOptions};
+use fefet_ckt::probe::{Crossing, WindowMax};
+use fefet_ckt::trace::Edge;
+use fefet_ckt::transient::TransientOptions;
 use fefet_ckt::waveform::Waveform;
-use fefet_ckt::Result;
-
-/// Edge time for control ramps (s).
-const T_EDGE: f64 = 50e-12;
-/// Quiescent lead-in (s).
-const T_START: f64 = 0.2e-9;
+use fefet_ckt::{CktError, Result};
+use std::ops::ControlFlow;
 
 /// A 1T-1C FERAM cell with line parasitics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,11 +66,9 @@ impl Default for FeramCell {
     }
 }
 
-/// Outcome of a FERAM write.
+/// Outcome of a FERAM write: the measurements its run keeps.
 #[derive(Debug, Clone)]
 pub struct FeramWriteResult {
-    /// Recorded waveforms.
-    pub trace: Trace,
     /// Final polarization (C/m²).
     pub p_final: f64,
     /// Time from pulse onset until the polarization entered the
@@ -84,11 +80,10 @@ pub struct FeramWriteResult {
     pub energy: f64,
 }
 
-/// Outcome of a FERAM (destructive) read.
+/// Outcome of a FERAM (destructive) read: the measurements its run
+/// keeps.
 #[derive(Debug, Clone)]
 pub struct FeramReadResult {
-    /// Recorded waveforms of the charge-development phase.
-    pub trace: Trace,
     /// Peak bit-line voltage developed during the plate pulse (V).
     pub v_bl_swing: f64,
     /// Polarization after the read (C/m²) — flipped for a stored '1'.
@@ -99,23 +94,46 @@ pub struct FeramReadResult {
     pub energy: f64,
 }
 
+/// A FERAM op's simulation with the positions of what the op reads.
+pub(crate) struct FeramOp {
+    pub(crate) sim: CellSim,
+    /// Position of the FE capacitor `Fcap`.
+    pub(crate) fcap: usize,
+    /// The bit line.
+    pub(crate) bl: Node,
+}
+
 impl FeramCell {
     /// The two remnant storage states `(p_low, p_high)`.
     ///
     /// # Panics
     ///
-    /// Panics if the film's Landau coefficients are paraelectric — a
-    /// `FeramCell` is only constructible with the ferroelectric defaults.
+    /// Panics if the film's Landau coefficients are paraelectric; see
+    /// [`FeramCell::checked_memory_states`] for the typed error.
     pub fn memory_states(&self) -> (f64, f64) {
-        let pr = self
-            .cap
-            .lk
-            .remnant_polarization()
-            // fefet-lint: allow(panic) -- a paraelectric film in a FERAM cell is a construction bug, not a runtime condition
-            .expect("FERAM film must be ferroelectric");
-        (-pr, pr)
+        match self.checked_memory_states() {
+            Ok(states) => states,
+            // fefet-lint: allow(panic) -- documented panicking form of checked_memory_states
+            Err(e) => panic!("{e}"),
+        }
     }
 
+    /// [`FeramCell::memory_states`] as a typed result: the writes and
+    /// the sweeps over them check this before they simulate anything.
+    ///
+    /// # Errors
+    ///
+    /// [`CktError::Netlist`] if the film is paraelectric (no remnant
+    /// polarization to store data in).
+    pub fn checked_memory_states(&self) -> Result<(f64, f64)> {
+        let pr = self.cap.lk.remnant_polarization().ok_or_else(|| {
+            CktError::Netlist("FERAM film must be ferroelectric: no remnant polarization".into())
+        })?;
+        Ok((-pr, pr))
+    }
+
+    /// Builds the cell netlist for stored polarization `p0` (C/m²), run
+    /// to `t_end` (s).
     fn build(
         &self,
         p0: f64,
@@ -123,7 +141,8 @@ impl FeramCell {
         w_wl: Waveform,
         w_pl: Waveform,
         bl_release: Option<Waveform>,
-    ) -> Circuit {
+        t_end: f64,
+    ) -> FeramOp {
         let mut c = Circuit::new();
         let bl = c.node("bl");
         let wl = c.node("wl");
@@ -147,17 +166,25 @@ impl FeramCell {
         c.capacitor("Cbl", bl, Circuit::GND, self.c_bit_line);
         c.capacitor("Cpl", pl, Circuit::GND, self.c_plate_line);
         c.mosfet("Macc", bl, wl, n, self.access);
+        let fcap = c.elements().len();
         c.fecap("Fcap", n, pl, self.cap, p0);
-        c
+        FeramOp {
+            sim: CellSim {
+                circuit: c,
+                t_end,
+                opts: TransientOptions {
+                    dt: self.dt,
+                    method: Integration::Trapezoidal,
+                    ..TransientOptions::default()
+                },
+            },
+            fcap,
+            bl,
+        }
     }
 
-    /// Writes logic `data` starting from stored polarization `p_from`
-    /// (C/m²) with a pulse of width `t_pulse` (s).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator convergence failures.
-    pub fn write(&self, data: bool, p_from: f64, t_pulse: f64) -> Result<FeramWriteResult> {
+    /// The simulation of [`FeramCell::write`].
+    pub(crate) fn write_op(&self, data: bool, p_from: f64, t_pulse: f64) -> FeramOp {
         // The word line stays on past the data pulse so the cell node
         // returns to ground and the polarization settles at its remnant
         // value before the access transistor isolates the capacitor.
@@ -181,35 +208,58 @@ impl FeramCell {
                 Waveform::pulse(0.0, self.v_write, T_START, T_EDGE, T_EDGE, t_pulse),
             )
         };
-        let ckt = self.build(p_from, Some(bl), wl, pl, None);
         let t_end = T_START + t_pulse + t_restore + 0.4e-9;
-        let trace = transient(
-            &ckt,
-            t_end,
-            TransientOptions {
-                dt: self.dt,
-                method: Integration::Trapezoidal,
-                ..TransientOptions::default()
-            },
-        )?;
-        let p_final = trace.last("p(Fcap)").unwrap_or(p_from);
-        let (p_lo, p_hi) = self.memory_states();
-        // Switched once the polarization enters the ±0.05 C/m² band
-        // around the target state, interpolated between samples.
-        let (band_edge, edge) = if data {
+        self.build(p_from, Some(bl), wl, pl, None, t_end)
+    }
+
+    /// The polarization level (C/m²) and edge at which a write of `data`
+    /// into a cell with memory states `(p_lo, p_hi)` has switched: the
+    /// edge of the ±0.05 C/m² band around the target state.
+    pub(crate) fn write_band((p_lo, p_hi): (f64, f64), data: bool) -> (f64, Edge) {
+        if data {
             (p_hi - 0.05, Edge::Rising)
         } else {
             (p_lo + 0.05, Edge::Falling)
-        };
-        let switch_time = trace
-            .checked_cross_time("p(Fcap)", band_edge, edge, 0.0)?
-            .map(|t| (t - T_START).max(0.0));
+        }
+    }
+
+    /// Writes logic `data` starting from stored polarization `p_from`
+    /// (C/m²) with a pulse of width `t_pulse` (s).
+    ///
+    /// # Errors
+    ///
+    /// As for [`FeramCell::checked_memory_states`], before anything is
+    /// simulated; simulator convergence failures.
+    pub fn write(&self, data: bool, p_from: f64, t_pulse: f64) -> Result<FeramWriteResult> {
+        let (band_edge, edge) = Self::write_band(self.checked_memory_states()?, data);
+        let op = self.write_op(data, p_from, t_pulse);
+        // Switched once the polarization enters the band, interpolated
+        // between samples.
+        let mut cross = Crossing::new(band_edge, edge, 0.0);
+        let run = op.sim.run(|s| {
+            cross.observe(s.t, s.polarization(op.fcap));
+            ControlFlow::Continue(())
+        })?;
+        let switch_time = cross.checked("p(Fcap)")?.map(|t| (t - T_START).max(0.0));
         Ok(FeramWriteResult {
-            p_final,
+            p_final: run.polarization(op.fcap),
             switch_time,
-            energy: trace.total_source_energy(),
-            trace,
+            energy: run.total_source_energy(),
         })
+    }
+
+    /// The simulation of [`FeramCell::read`].
+    pub(crate) fn read_op(&self, p0: f64, t_dev: f64) -> FeramOp {
+        // Switch closed (grounding bl) until just before the plate pulse.
+        let release = Waveform::pwl(vec![
+            (0.0, 1.0),
+            (T_START - 60e-12, 1.0),
+            (T_START - 50e-12, 0.0),
+        ]);
+        let wl = Waveform::pulse(0.0, self.v_wordline, T_START, T_EDGE, T_EDGE, t_dev);
+        let pl = Waveform::pulse(0.0, self.v_write, T_START, T_EDGE, T_EDGE, t_dev);
+        let t_end = T_START + t_dev + 0.4e-9;
+        self.build(p0, None, wl, pl, Some(release), t_end)
     }
 
     /// Destructive read of stored polarization `p0` (C/m²): the bit line
@@ -221,36 +271,18 @@ impl FeramCell {
     ///
     /// Propagates simulator convergence failures.
     pub fn read(&self, p0: f64, t_dev: f64) -> Result<FeramReadResult> {
-        // Switch closed (grounding bl) until just before the plate pulse.
-        let release = Waveform::pwl(vec![
-            (0.0, 1.0),
-            (T_START - 60e-12, 1.0),
-            (T_START - 50e-12, 0.0),
-        ]);
-        let wl = Waveform::pulse(0.0, self.v_wordline, T_START, T_EDGE, T_EDGE, t_dev);
-        let pl = Waveform::pulse(0.0, self.v_write, T_START, T_EDGE, T_EDGE, t_dev);
-        let ckt = self.build(p0, None, wl, pl, Some(release));
-        let t_end = T_START + t_dev + 0.4e-9;
-        let trace = transient(
-            &ckt,
-            t_end,
-            TransientOptions {
-                dt: self.dt,
-                method: Integration::Trapezoidal,
-                ..TransientOptions::default()
-            },
-        )?;
-        let v_bl_swing = trace
-            .window_max("v(bl)", T_START, T_START + t_dev)
-            .unwrap_or(0.0);
-        let p_after = trace.last("p(Fcap)").unwrap_or(p0);
-        let destructive = (p_after - p0).abs() > 0.2;
+        let op = self.read_op(p0, t_dev);
+        let mut swing = WindowMax::new(T_START, T_START + t_dev, vec![op.bl]);
+        let run = op.sim.run(|s| {
+            swing.observe(s);
+            ControlFlow::Continue(())
+        })?;
+        let p_after = run.polarization(op.fcap);
         Ok(FeramReadResult {
-            v_bl_swing,
+            v_bl_swing: swing.values().map_or(0.0, |v| v[0]),
             p_after,
-            destructive,
-            energy: trace.total_source_energy(),
-            trace,
+            destructive: (p_after - p0).abs() > 0.2,
+            energy: run.total_source_energy(),
         })
     }
 
@@ -261,14 +293,14 @@ impl FeramCell {
     ///
     /// # Errors
     ///
-    /// Propagates simulator convergence failures.
+    /// As for [`FeramCell::write`].
     pub fn read_with_writeback(
         &self,
         p0: f64,
         t_dev: f64,
         t_pulse: f64,
     ) -> Result<(FeramReadResult, f64, f64)> {
-        let (p_lo, p_hi) = self.memory_states();
+        let (p_lo, p_hi) = self.checked_memory_states()?;
         let was_one = (p0 - p_hi).abs() < (p0 - p_lo).abs();
         let read = self.read(p0, t_dev)?;
         let mut total = read.energy;
@@ -286,9 +318,31 @@ impl FeramCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::parity::{full, same, same_opt};
 
     fn cell() -> FeramCell {
         FeramCell::default()
+    }
+
+    /// A paraelectric film is refused with a typed error by the write,
+    /// the read cycle and the sweeps over writes, before any of them
+    /// simulates.
+    #[test]
+    fn paraelectric_film_is_a_typed_error_not_a_panic() {
+        use crate::compare::{feram_write_sweep, iso_comparison};
+        use crate::FefetCell;
+        let mut c = cell();
+        c.cap.lk.alpha = c.cap.lk.alpha.abs();
+        c.cap.lk.beta = c.cap.lk.beta.abs();
+        let refused =
+            |r: Result<()>| matches!(r, Err(CktError::Netlist(m)) if m.contains("ferroelectric"));
+        assert!(refused(c.checked_memory_states().map(drop)));
+        assert!(refused(c.write(true, 0.0, 0.55e-9).map(drop)));
+        assert!(refused(c.read_with_writeback(0.0, 1e-9, 1e-9).map(drop)));
+        assert!(refused(feram_write_sweep(&c, &[1.64]).map(drop)));
+        assert!(refused(
+            iso_comparison(&FefetCell::default(), &c, 0.55e-9, 32).map(drop)
+        ));
     }
 
     #[test]
@@ -392,5 +446,51 @@ mod tests {
             read_total,
             w.energy
         );
+    }
+
+    #[test]
+    fn feram_cell_ops_equal_the_full_trace_lookups() {
+        let cell = FeramCell::default();
+        let (lo, hi) = cell.memory_states();
+        for (data, from) in [(true, lo), (false, hi), (true, hi)] {
+            let what = format!("write {data} from {from:.3}");
+            let w = cell.write(data, from, 0.55e-9).unwrap();
+            let tr = full(&cell.write_op(data, from, 0.55e-9).sim);
+            let (band_edge, edge) = FeramCell::write_band((lo, hi), data);
+            let switch_time = tr
+                .checked_cross_time("p(Fcap)", band_edge, edge, 0.0)
+                .unwrap()
+                .map(|t| (t - T_START).max(0.0));
+            same_opt(&format!("{what} switch_time"), w.switch_time, switch_time);
+            same(
+                &format!("{what} p_final"),
+                w.p_final,
+                tr.last("p(Fcap)").unwrap(),
+            );
+            same(
+                &format!("{what} energy"),
+                w.energy,
+                tr.total_source_energy(),
+            );
+        }
+        for p0 in [hi, lo] {
+            let what = format!("read of {p0:.3}");
+            let t_dev = 1e-9;
+            let r = cell.read(p0, t_dev).unwrap();
+            let tr = full(&cell.read_op(p0, t_dev).sim);
+            let p_after = tr.last("p(Fcap)").unwrap();
+            same(
+                &format!("{what} v_bl_swing"),
+                r.v_bl_swing,
+                tr.window_max("v(bl)", T_START, T_START + t_dev).unwrap(),
+            );
+            same(&format!("{what} p_after"), r.p_after, p_after);
+            assert_eq!(r.destructive, (p_after - p0).abs() > 0.2, "{what}");
+            same(
+                &format!("{what} energy"),
+                r.energy,
+                tr.total_source_energy(),
+            );
+        }
     }
 }

@@ -11,13 +11,16 @@
 //! `t_read = max(t_pre, t_dec) + t_sa + t_buffer`; with the paper's
 //! component estimates (0.5/0.5/1.5/0.5 ns) this gives 3.0 ns.
 
-use crate::cell::FefetCell;
+use crate::cell::{CellSim, FefetCell, T_EDGE, T_START};
 use fefet_ckt::circuit::Circuit;
+use fefet_ckt::elements::Node;
 use fefet_ckt::models::MosParams;
-use fefet_ckt::trace::{Edge, Trace};
-use fefet_ckt::transient::{transient, TransientOptions};
+use fefet_ckt::probe::{Crossing, VoltagesAt, WindowMax, WindowMin};
+use fefet_ckt::trace::Edge;
+use fefet_ckt::transient::{Step, TransientOptions};
 use fefet_ckt::waveform::Waveform;
 use fefet_ckt::Result;
+use std::ops::ControlFlow;
 
 /// Equation (2) read-time decomposition.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,11 +106,12 @@ impl Default for SenseChain {
     }
 }
 
-/// Outcome of a sensed read.
+/// Outcome of a sensed read: the measurements its run keeps.
+/// [`SenseChain::read_bit_observed`] hands the run's points to an
+/// observer as well (a `fefet_ckt::probe::Recorder` for the Fig 8
+/// waveforms).
 #[derive(Debug, Clone)]
 pub struct SenseResult {
-    /// Recorded waveforms: `v(vsense)`, `v(sl)`, `v(vsa)`, cell signals.
-    pub trace: Trace,
     /// The digitized bit.
     pub bit: bool,
     /// `V_SENSE` at the end of the evaluation window (V).
@@ -117,6 +121,8 @@ pub struct SenseResult {
     /// Time after read-enable at which `V_SENSE` crossed the decision
     /// threshold upward (s); `None` for a '0'.
     pub t_decision: Option<f64>,
+    /// Polarization of the cell's FE film at the end of the run (C/m²).
+    pub p_after: f64,
     /// Total driver energy (J).
     pub energy: f64,
 }
@@ -167,20 +173,24 @@ impl SenseChain {
     }
 }
 
-/// Quiescent lead-in before read-enable (s).
-const T_START: f64 = 0.2e-9;
-/// Control-edge time (s).
-const T_EDGE: f64 = 50e-12;
+/// A sensed read's simulation with the positions of what the read
+/// measures.
+pub(crate) struct SenseOp {
+    pub(crate) sim: CellSim,
+    /// Position of the cell's FE capacitor `Ffe`.
+    pub(crate) fe: usize,
+    /// The sensing node `V_SENSE`.
+    pub(crate) vsense: Node,
+    /// The sense-amplifier output.
+    pub(crate) vsa: Node,
+    /// The sense line.
+    pub(crate) sl: Node,
+}
 
 impl SenseChain {
-    /// Reads one FEFET cell storing polarization `p0` (C/m²) through the
-    /// full chain; `t_eval` is the evaluation window (s) after
-    /// read-enable.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator convergence failures.
-    pub fn read_bit(&self, cell: &FefetCell, p0: f64, t_eval: f64) -> Result<SenseResult> {
+    /// The simulation of a read of `cell` storing polarization `p0`
+    /// (C/m²) over the evaluation window `t_eval` (s).
+    pub(crate) fn read_op(&self, cell: &FefetCell, p0: f64, t_eval: f64) -> SenseOp {
         let mut c = Circuit::new();
         let rs = c.node("rs");
         let sl = c.node("sl");
@@ -205,6 +215,7 @@ impl SenseChain {
         c.vsource("Vws", ws, Circuit::GND, w_ws);
         c.vsource("Vbl", bl, Circuit::GND, Waveform::dc(0.0));
         c.mosfet("Macc", bl, ws, g, cell.access);
+        let fe = c.elements().len();
         c.fecap("Ffe", g, gi, cell.fefet.fe, p0);
         c.mosfet("Mfet", rs, gi, sl, cell.fefet.mos);
         c.capacitor("Csl", sl, Circuit::GND, cell.c_sense_line);
@@ -251,59 +262,117 @@ impl SenseChain {
             MosParams::nmos_45nm().with_vt(0.35),
         );
 
-        let ics = vec![
+        let node_ics = vec![
             (gi, cell.fefet.v_mos_of(p0)),
             (g, cell.fefet.v_gate_static(p0)),
             (vsa, self.v_dd),
         ];
-        let t_end = T_START + t_eval + 0.3e-9;
-        let trace = transient(
-            &c,
-            t_end,
-            TransientOptions {
-                dt: self.dt,
-                node_ics: ics,
-                ..TransientOptions::default()
+        SenseOp {
+            sim: CellSim {
+                circuit: c,
+                t_end: T_START + t_eval + 0.3e-9,
+                opts: TransientOptions {
+                    dt: self.dt,
+                    node_ics,
+                    ..TransientOptions::default()
+                },
             },
-        )?;
+            fe,
+            vsense,
+            vsa,
+            sl,
+        }
+    }
 
+    /// The decision probe: the first upward crossing of the threshold by
+    /// `V_SENSE` once the pre-charge window has closed.
+    fn decision(&self) -> Crossing {
+        Crossing::new(self.v_threshold, Edge::Rising, T_START + self.t_precharge)
+    }
+
+    /// Reads one FEFET cell storing polarization `p0` (C/m²) through the
+    /// full chain; `t_eval` is the evaluation window (s) after
+    /// read-enable.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator convergence failures.
+    pub fn read_bit(&self, cell: &FefetCell, p0: f64, t_eval: f64) -> Result<SenseResult> {
+        self.read_bit_observed(cell, p0, t_eval, |_| {})
+    }
+
+    /// [`SenseChain::read_bit`] of a cell storing `p0` (C/m²) over the
+    /// evaluation window `t_eval` (s), also handing every accepted point
+    /// of the run to `observe`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SenseChain::read_bit`].
+    pub fn read_bit_observed(
+        &self,
+        cell: &FefetCell,
+        p0: f64,
+        t_eval: f64,
+        mut observe: impl FnMut(&Step<'_>),
+    ) -> Result<SenseResult> {
+        let op = self.read_op(cell, p0, t_eval);
+        let t_end = op.sim.t_end;
         let t_sample = T_START + t_eval - 2.0 * T_EDGE;
-        let v_sense_end = trace.value_at("v(vsense)", t_sample).unwrap_or(0.0);
+        let mut at_end = VoltagesAt::new(t_sample, vec![op.vsense, op.vsa]);
+        let mut sl_max = WindowMax::new(T_START, t_end, vec![op.sl]);
+        let mut sl_min = WindowMin::new(T_START, t_end, vec![op.sl]);
+        let mut decision = self.decision();
+        let run = op.sim.run(|s| {
+            at_end.observe(s);
+            sl_max.observe(s);
+            sl_min.observe(s);
+            decision.observe(s.t, s.v(op.vsense));
+            observe(s);
+            ControlFlow::Continue(())
+        })?;
+
+        let (v_sense_end, v_sa_end) = at_end.values().map_or((0.0, self.v_dd), |v| (v[0], v[1]));
         // The SA inverter output is low for a '1' (V_SENSE high).
-        let v_sa_end = trace.value_at("v(vsa)", t_sample).unwrap_or(self.v_dd);
         let bit = v_sa_end < 0.5 * self.v_dd;
-        let v_bl_excursion = trace
-            .window_max("v(sl)", T_START, t_end)
-            .unwrap_or(0.0)
-            .abs()
-            .max(
-                trace
-                    .window_min("v(sl)", T_START, t_end)
-                    .unwrap_or(0.0)
-                    .abs(),
-            );
-        let t_decision = trace
-            .cross_time(
-                "v(vsense)",
-                self.v_threshold,
-                Edge::Rising,
-                T_START + self.t_precharge,
-            )
-            .map(|t| t - T_START);
+        let extreme = |v: Option<&[f64]>| v.map_or(0.0, |v| v[0]).abs();
+        let v_bl_excursion = extreme(sl_max.values()).max(extreme(sl_min.values()));
         Ok(SenseResult {
             bit,
             v_sense_end,
             v_bl_excursion,
-            t_decision,
-            energy: trace.total_source_energy(),
-            trace,
+            t_decision: decision.time().map(|t| t - T_START),
+            p_after: run.polarization(op.fe),
+            energy: run.total_source_energy(),
         })
+    }
+
+    /// The decision time alone of a read of `cell` storing `p0` (C/m²)
+    /// over the evaluation window `t_eval` (s): bit for bit
+    /// [`SenseChain::read_bit`]'s `t_decision`, from a run that ends at
+    /// the threshold crossing instead of running out the window. `None`
+    /// (after the whole window) if `V_SENSE` never crosses.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator convergence failures.
+    pub fn decision_time(&self, cell: &FefetCell, p0: f64, t_eval: f64) -> Result<Option<f64>> {
+        let op = self.read_op(cell, p0, t_eval);
+        let mut decision = self.decision();
+        op.sim.run(|s| {
+            decision.observe(s.t, s.v(op.vsense));
+            match decision.time() {
+                Some(_) => ControlFlow::Break(()),
+                None => ControlFlow::Continue(()),
+            }
+        })?;
+        Ok(decision.time().map(|t| t - T_START))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::parity::{full, same, same_opt};
 
     #[test]
     fn eq2_read_time_components() {
@@ -382,16 +451,8 @@ mod tests {
             ..chain
         };
         let (_, p_hi) = cell.memory_states();
-        let fast_t = chain
-            .read_bit(&cell, p_hi, 25e-9)
-            .unwrap()
-            .t_decision
-            .unwrap();
-        let slow_t = slow
-            .read_bit(&cell, p_hi, 25e-9)
-            .unwrap()
-            .t_decision
-            .unwrap();
+        let fast_t = chain.decision_time(&cell, p_hi, 25e-9).unwrap().unwrap();
+        let slow_t = slow.decision_time(&cell, p_hi, 25e-9).unwrap().unwrap();
         assert!(
             slow_t > fast_t,
             "precharge should accelerate: {slow_t:.3e} vs {fast_t:.3e}"
@@ -446,11 +507,80 @@ mod tests {
         let chain = SenseChain::default();
         let (p_lo, p_hi) = cell.memory_states();
         for p in [p_lo, p_hi] {
-            let r = chain.read_bit(&cell, p, 2.5e-9).unwrap();
-            let p_after = r.trace.last("p(Ffe)").unwrap();
+            let p_after = chain.read_bit(&cell, p, 2.5e-9).unwrap().p_after;
             // Tolerance covers the small select-line feedthrough kick; the
             // state itself must be untouched (well separation is ≈0.4).
             assert!((p_after - p).abs() < 0.02, "disturb {} -> {}", p, p_after);
+        }
+    }
+
+    #[test]
+    fn sense_reads_equal_the_full_trace_lookups() {
+        let cell = FefetCell::default();
+        let (lo, hi) = cell.memory_states();
+        let chain = SenseChain::default();
+        let t_eval = 2.5e-9;
+        for p0 in [hi, lo] {
+            let what = format!("sensed read of {p0:.3}");
+            let r = chain.read_bit(&cell, p0, t_eval).unwrap();
+            let op = chain.read_op(&cell, p0, t_eval);
+            let tr = full(&op.sim);
+            let t_end = op.sim.t_end;
+            let t_sample = T_START + t_eval - 2.0 * T_EDGE;
+            let v_sa_end = tr.value_at("v(vsa)", t_sample).unwrap();
+            same(
+                &format!("{what} v_sense_end"),
+                r.v_sense_end,
+                tr.value_at("v(vsense)", t_sample).unwrap(),
+            );
+            assert_eq!(r.bit, v_sa_end < 0.5 * chain.v_dd, "{what}");
+            let excursion = tr
+                .window_max("v(sl)", T_START, t_end)
+                .unwrap()
+                .abs()
+                .max(tr.window_min("v(sl)", T_START, t_end).unwrap().abs());
+            same(&format!("{what} excursion"), r.v_bl_excursion, excursion);
+            let t_decision = tr
+                .cross_time(
+                    "v(vsense)",
+                    chain.v_threshold,
+                    Edge::Rising,
+                    T_START + chain.t_precharge,
+                )
+                .map(|t| t - T_START);
+            same_opt(&format!("{what} t_decision"), r.t_decision, t_decision);
+            same(
+                &format!("{what} p_after"),
+                r.p_after,
+                tr.last("p(Ffe)").unwrap(),
+            );
+            same(
+                &format!("{what} energy"),
+                r.energy,
+                tr.total_source_energy(),
+            );
+        }
+    }
+
+    /// The decision-time read, which stops at the threshold crossing, gives
+    /// the full read's `t_decision` for both stored states, with and
+    /// without pre-charge, over the ablation's 25 ns window.
+    #[test]
+    fn decision_time_read_equals_the_full_read() {
+        let cell = FefetCell::default();
+        let (lo, hi) = cell.memory_states();
+        let chain = SenseChain::default();
+        let slow = SenseChain {
+            t_precharge: 0.0,
+            ..chain
+        };
+        for (label, c) in [("pre-charged", chain), ("no pre-charge", slow)] {
+            for p0 in [hi, lo] {
+                let full = c.read_bit(&cell, p0, 25e-9).unwrap().t_decision;
+                let early = c.decision_time(&cell, p0, 25e-9).unwrap();
+                same_opt(&format!("{label}, stored {p0:.3}"), early, full);
+                assert_eq!(full.is_some(), p0 > 0.0, "{label}, stored {p0:.3}");
+            }
         }
     }
 }

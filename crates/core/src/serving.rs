@@ -470,20 +470,14 @@ impl Bank {
     /// organization exceeds 64 columns (a row must fit one `u64`), or
     /// the cell's FEFET is not nonvolatile (no two stable zero-bias
     /// states).
-    // fefet-lint: allow-item(hot-alloc) -- one-time bank construction
     pub fn fefet(config: MacroConfig, cell: FefetCell) -> Result<Self, ServeError> {
         if config.kind != MemoryKind::Fefet {
             return Err(ServeError::Config("config kind is not FEFET".to_string()));
         }
         Self::check_dims(&config)?;
-        let states = cell.fefet.stable_states_at_zero();
-        let p_lo = states.iter().cloned().fold(f64::INFINITY, f64::min);
-        let p_hi = states.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        if !(p_lo < -0.05 && p_hi > 0.05) {
-            return Err(ServeError::Config(format!(
-                "FEFET cell is not nonvolatile: zero-bias states {states:?}"
-            )));
-        }
+        let (p_lo, p_hi) = cell
+            .checked_memory_states()
+            .map_err(|e| ServeError::Config(e.to_string()))?;
         let array = FefetArray::new(config.rows, config.cols, cell);
         Ok(Self::build(
             config,
@@ -498,14 +492,17 @@ impl Bank {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Config`] when the config's kind is not FERAM or
-    /// the organization exceeds 64 columns.
+    /// [`ServeError::Config`] when the config's kind is not FERAM, the
+    /// organization exceeds 64 columns, or the cell's film is not
+    /// ferroelectric (no remnant states).
     pub fn feram(config: MacroConfig, cell: FeramCell) -> Result<Self, ServeError> {
         if config.kind != MemoryKind::Feram {
             return Err(ServeError::Config("config kind is not FERAM".to_string()));
         }
         Self::check_dims(&config)?;
-        let (p_lo, p_hi) = cell.memory_states();
+        let (p_lo, p_hi) = cell
+            .checked_memory_states()
+            .map_err(|e| ServeError::Config(e.to_string()))?;
         let array = FeramArray::new(config.rows, config.cols, cell);
         Ok(Self::build(
             config,

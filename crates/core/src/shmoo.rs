@@ -177,34 +177,36 @@ pub(crate) fn shmoo_walk_mask(
 ///
 /// # Errors
 ///
-/// Propagates simulator convergence failures of the writes the walk
-/// runs.
+/// As for [`FefetCell::checked_memory_states`], before any write: a
+/// cell that cannot store data; simulator convergence failures of the
+/// writes the walk runs.
 pub fn write_shmoo(cell: &FefetCell, voltages: &[f64], widths: &[f64], tol: f64) -> Result<Shmoo> {
     walk_shmoo(
         voltages,
         widths,
-        polarity_writes(cell, voltages, widths, tol),
+        polarity_writes(cell, voltages, widths, tol)?,
     )
 }
 
 /// Whether a write of polarity `one` ('1' from `p_lo`, else '0' from
 /// `p_hi`) at `voltages[iv]` and `widths[it]` lands within `tol` (C/m²)
-/// of the commanded state.
+/// of the commanded state; an error, before any write, for a cell that
+/// cannot store data.
 fn polarity_writes<'a>(
     cell: &'a FefetCell,
     voltages: &'a [f64],
     widths: &'a [f64],
     tol: f64,
-) -> impl Fn(bool, usize, usize) -> Result<bool> + 'a {
-    let (p_lo, p_hi) = cell.memory_states();
-    move |one, iv, it| {
+) -> Result<impl Fn(bool, usize, usize) -> Result<bool> + 'a> {
+    let (p_lo, p_hi) = cell.checked_memory_states()?;
+    Ok(move |one, iv, it| {
         let mut c = *cell;
         c.bias.v_write = voltages[iv];
         c.bias.v_boost = voltages[iv] + 0.72;
         let (from, to) = if one { (p_lo, p_hi) } else { (p_hi, p_lo) };
         c.write(one, from, widths[it])
             .map(|w| (w.p_final - to).abs() < tol)
-    }
+    })
 }
 
 /// The shmoo from one [`shmoo_walk`] per polarity of `writes` (see
@@ -289,7 +291,7 @@ mod tests {
         volts: &[f64],
         widths: &[f64],
     ) -> usize {
-        let writes = polarity_writes(cell, volts, widths, 0.06);
+        let writes = polarity_writes(cell, volts, widths, 0.06).unwrap();
         let mut count = 0;
         let walked = walk_shmoo(volts, widths, |one, iv, it| {
             count += 1;

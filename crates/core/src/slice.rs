@@ -23,7 +23,7 @@ use fefet_ckt::plan::AnalysisCache;
 use fefet_ckt::transient::{transient_with, Step, TransientOptions, TransientRun};
 use fefet_ckt::Result;
 use fefet_telemetry::Instrumentation;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 
 /// How a row-op netlist represents the cells the op does not access —
 /// the one thing that differs between the full array and the row slice.
@@ -387,7 +387,9 @@ pub(crate) fn solver_options(
 }
 
 /// Runs a row op's trapezoidal transient of `circuit` to `t_end` (s) at
-/// step `dt` (s) from the node initial conditions `node_ics`.
+/// step `dt` (s) from the node initial conditions `node_ics`, handing
+/// every accepted point to `observe`. A row op reads its final states,
+/// so the run always goes to `t_end`.
 pub(crate) fn run(
     circuit: &Circuit,
     t_end: f64,
@@ -395,7 +397,7 @@ pub(crate) fn run(
     node_ics: Vec<(Node, f64)>,
     predict: bool,
     solver: SolverOptions,
-    observe: impl FnMut(&Step<'_>),
+    mut observe: impl FnMut(&Step<'_>),
 ) -> Result<TransientRun> {
     transient_with(
         circuit,
@@ -408,6 +410,9 @@ pub(crate) fn run(
             solver,
             ..TransientOptions::default()
         },
-        observe,
+        |s| {
+            observe(s);
+            ControlFlow::Continue(())
+        },
     )
 }
