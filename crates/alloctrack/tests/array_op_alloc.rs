@@ -20,7 +20,7 @@ use fefet_mem::cell::FefetCell;
 #[test]
 fn row_read_allocations_do_not_scale_with_the_window() {
     let mut a = FefetArray::new(16, 16, FefetCell::default());
-    let (p_lo, p_hi) = a.cell.memory_states();
+    let (p_lo, p_hi) = a.memory_states();
     for i in 0..16 {
         for j in 0..16 {
             a.set_polarization(i, j, if (i + j) % 3 == 0 { p_hi } else { p_lo });

@@ -65,7 +65,13 @@ pub fn fefet_cell() -> Circuit {
     c.capacitor("Crs", rs, Circuit::GND, cell.c_read_select);
     c.capacitor("Csl", sl, Circuit::GND, cell.c_sense_line);
     c.mosfet("Macc", bl, ws, g, cell.access);
-    c.fecap("Ffe", g, gi, cell.fefet.fe, cell.memory_states().0);
+    c.fecap(
+        "Ffe",
+        g,
+        gi,
+        cell.fefet.fe,
+        cell.checked_memory_states().unwrap().0,
+    );
     c.mosfet("Mfet", rs, gi, sl, cell.fefet.mos);
     c
 }

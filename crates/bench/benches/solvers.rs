@@ -417,7 +417,7 @@ fn bench_rc_transient(report: &mut Report) {
 /// 4-point bisection per memory, then the read energies).
 fn bench_cell_write(report: &mut Report) {
     let cell = FefetCell::default();
-    let (p_lo, _) = cell.memory_states();
+    let (p_lo, _) = cell.checked_memory_states().expect("the cell stores data");
     report.bench("cell_write_transient_2t", || {
         cell.write(true, opaque(p_lo), 1.0e-9).unwrap()
     });
@@ -441,7 +441,7 @@ fn bench_cell_write(report: &mut Report) {
 fn seeded(rows: usize, cols: usize) -> FefetArray {
     let mut a = FefetArray::new(rows, cols, FefetCell::default());
     a.cell.dt = 40e-12;
-    let (p_lo, p_hi) = a.cell.memory_states();
+    let (p_lo, p_hi) = a.memory_states();
     let mut rng = Rng::seed_from_u64(0x8a_8a);
     for i in 0..rows {
         for j in 0..cols {

@@ -61,7 +61,7 @@ fn ablate_boost() {
     for (label, boost) in [("boosted 1.40 V", 1.4), ("unboosted 1.00 V", 1.0)] {
         let mut cell = FefetCell::default();
         cell.bias.v_boost = boost;
-        let (p_lo, _) = cell.memory_states();
+        let (p_lo, _) = cell.checked_memory_states().expect("the cell stores data");
         let w = cell.write(true, p_lo, 4e-9).expect("write");
         println!(
             "{label}: commit {} | final P {:+.3}",
@@ -78,7 +78,7 @@ fn ablate_boost() {
 fn ablate_clamp() {
     section("Ablation 3: sense-line virtual-ground clamp removed");
     let cell = FefetCell::default();
-    let (_, p_hi) = cell.memory_states();
+    let (_, p_hi) = cell.checked_memory_states().expect("the cell stores data");
     for (label, r_load) in [("clamped (50 ohm)", 50.0), ("floating (1 Mohm)", 1e6)] {
         let mut c = Circuit::new();
         let rs = c.node("rs");
@@ -136,7 +136,7 @@ fn ablate_clamp() {
 fn ablate_precharge() {
     section("Ablation 4: pre-charge driver disabled");
     let cell = FefetCell::default();
-    let (_, p_hi) = cell.memory_states();
+    let (_, p_hi) = cell.checked_memory_states().expect("the cell stores data");
     let chain = SenseChain::default();
     let slow = SenseChain {
         t_precharge: 0.0,

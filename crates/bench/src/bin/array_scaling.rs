@@ -44,7 +44,8 @@ fn main() {
 
     section("FERAM baseline array: plate-line disturb per write");
     for n in [2usize, 3, 4] {
-        let mut a = FeramArray::new(n, n, FeramCell::default());
+        let mut a =
+            FeramArray::new(n, n, FeramCell::default()).expect("array of a ferroelectric cell");
         let ones = vec![true; n];
         a.write_row(n - 1, &ones, 1.2e-9).expect("park");
         let zeros = vec![false; n];

@@ -1,7 +1,7 @@
 //! Fig 6: transient waveforms of the 2T FEFET cell — write '1', read,
 //! write '0', read, with the Table 1 biasing.
 
-use fefet_bench::{fmt_current, fmt_energy, fmt_time, section};
+use fefet_bench::{fmt_current, fmt_energy, fmt_time, print_wave, section};
 use fefet_ckt::probe::Recorder;
 use fefet_mem::cell::FefetCell;
 
@@ -60,32 +60,4 @@ fn main() {
         "read distinguishability I('1')/I('0') = {:.2e}",
         r1.i_read / r0.i_read.max(1e-30)
     );
-}
-
-fn print_wave(trace: &fefet_ckt::trace::Trace, signals: &[&str]) {
-    print!("{:>9}", "t (ns)");
-    for s in signals {
-        // Currents are printed in microamps.
-        if s.starts_with("i(") {
-            print!(" {:>10}", format!("{s} uA"));
-        } else {
-            print!(" {:>10}", s);
-        }
-    }
-    println!();
-    // Thirteen fixed times across the run, interpolated, so tables from
-    // different step sizes line up row for row.
-    let t_end = trace.time().last().copied().unwrap_or(0.0);
-    for k in 0..=12 {
-        let t = t_end * k as f64 / 12.0;
-        print!("{:>9.3}", t * 1e9);
-        for s in signals {
-            let mut v = trace.value_at(s, t).unwrap_or(f64::NAN);
-            if s.starts_with("i(") {
-                v *= 1e6;
-            }
-            print!(" {:>10.4}", v);
-        }
-        println!();
-    }
 }

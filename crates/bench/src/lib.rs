@@ -24,6 +24,8 @@
 
 pub mod tinybench;
 
+use fefet_ckt::trace::Trace;
+
 /// Prints a labelled section header.
 pub fn section(title: &str) {
     println!();
@@ -76,6 +78,35 @@ pub fn fmt_current(i: f64) -> String {
         format!("{:.3} pA", i * 1e12)
     } else {
         format!("{:.3e} A", i)
+    }
+}
+
+/// Prints `signals` of `trace` as a table at 13 fixed times from 0 to
+/// the last sample, interpolated, so that tables from different step
+/// grids line up row for row. Currents (`i(...)`) are printed in
+/// microamps.
+pub fn print_wave(trace: &Trace, signals: &[&str]) {
+    print!("{:>9}", "t (ns)");
+    for s in signals {
+        if s.starts_with("i(") {
+            print!(" {:>10}", format!("{s} uA"));
+        } else {
+            print!(" {:>10}", s);
+        }
+    }
+    println!();
+    let t_end = trace.time().last().copied().unwrap_or(0.0);
+    for k in 0..=12 {
+        let t = t_end * k as f64 / 12.0;
+        print!("{:>9.3}", t * 1e9);
+        for s in signals {
+            let mut v = trace.value_at(s, t).unwrap_or(f64::NAN);
+            if s.starts_with("i(") {
+                v *= 1e6;
+            }
+            print!(" {:>10.4}", v);
+        }
+        println!();
     }
 }
 

@@ -83,10 +83,30 @@ pub enum StartMode {
 }
 
 /// Options for [`transient`].
+///
+/// Steps run between a floor, [`TransientOptions::dt`], and a ceiling,
+/// [`TransientOptions::dt_max`]. Every run starts at the floor and
+/// returns to it, with a backward-Euler step, at each waveform corner.
+/// Between corners each step is checked against the prediction made
+/// for it (the linear extrapolation of the node voltages and each FE
+/// polarization advanced at its last rate): while the difference stays
+/// under 1e-4 and no node voltage or polarization moves by more than
+/// 1e-3 over the step (volts and C/m²), the next step may grow, by at
+/// most 2× per step, up to the ceiling. A grown step that misses either
+/// bound is retried smaller, never below the floor, and counted in
+/// `StepStats::rejected_lte`. With the default ceiling (the floor) every
+/// step is `dt`, apart from breakpoint landings and Newton halvings, and
+/// no check is made.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransientOptions {
-    /// Nominal time step (s); `0.0` selects `t_end / 2000`.
+    /// Step floor (s): the step of every run without a larger
+    /// [`TransientOptions::dt_max`], and the step each run restarts at
+    /// after a waveform corner; `0.0` selects `t_end / 2000`.
     pub dt: f64,
+    /// Step ceiling (s) for the error-controlled growth between waveform
+    /// corners; `0.0` selects `dt`, which keeps every step at the floor.
+    /// Must be finite and, unless `0.0`, at least `dt`.
+    pub dt_max: f64,
     /// Smallest step (s) before giving up; `0.0` selects `dt / 1e7`.
     pub dt_min: f64,
     /// Integration method (backward Euler by default).
@@ -111,6 +131,7 @@ impl Default for TransientOptions {
     fn default() -> Self {
         TransientOptions {
             dt: 0.0,
+            dt_max: 0.0,
             dt_min: 0.0,
             method: Integration::BackwardEuler,
             solver: SolverOptions::default(),
@@ -252,6 +273,65 @@ fn source_vi(ckt: &Circuit, branch0: &[usize], elem: usize, t: f64, x: &[f64]) -
     }
 }
 
+/// Step-control tolerance: the largest predictor–corrector difference a
+/// grown step may show, in volts on node voltages and in C/m² on FE
+/// polarizations (both swing O(1) in the circuits simulated here).
+const STEP_TOL: f64 = 1e-4;
+
+/// The most a grown step may move any node voltage (V) or FE
+/// polarization (C/m²): steps grow only where nothing moves. A level
+/// crossing interpolated inside a long step that the state is still
+/// moving through, or the lag a backward-Euler step builds up while a
+/// node drifts, is off by more than the floor schedule's would be even
+/// when the step's curvature is small.
+const STEP_MOVE: f64 = 1e-3;
+
+/// Largest factor by which one step may grow on the next.
+const STEP_GROWTH: f64 = 2.0;
+
+/// Step control's measure of a solved attempt, each part the largest
+/// over node voltages and FE polarizations.
+#[derive(Debug, Clone, Copy)]
+struct StepCheck {
+    /// Difference between the prediction and the solution.
+    diff: f64,
+    /// Change of the solution over the step.
+    moved: f64,
+}
+
+impl StepCheck {
+    /// Whether a grown step showing this must be retried smaller.
+    fn over(self) -> bool {
+        self.diff > STEP_TOL || self.moved > STEP_MOVE
+    }
+
+    /// The factor by which to scale the step, aiming at 0.9 of both
+    /// bounds: the difference from a linear extrapolation grows with the
+    /// square of the step, the change over it with the step. At most
+    /// [`STEP_GROWTH`]; below 1 once either nears its bound.
+    fn factor(self) -> f64 {
+        let by_diff = (STEP_TOL / self.diff).sqrt();
+        let by_move = STEP_MOVE / self.moved;
+        (0.9 * by_diff.min(by_move)).min(STEP_GROWTH)
+    }
+}
+
+/// [`StepCheck`] of the attempt from `x` to `x_new` predicted as
+/// `x_pred`, over the first `nv` unknowns (node voltages) and the FE
+/// polarization rows `p_rows`.
+fn step_check(x: &[f64], x_pred: &[f64], x_new: &[f64], nv: usize, p_rows: &[usize]) -> StepCheck {
+    (0..nv).chain(p_rows.iter().copied()).fold(
+        StepCheck {
+            diff: 0.0,
+            moved: 0.0,
+        },
+        |c, r| StepCheck {
+            diff: c.diff.max((x_new[r] - x_pred[r]).abs()),
+            moved: c.moved.max((x_new[r] - x[r]).abs()),
+        },
+    )
+}
+
 /// What a [`transient_with`] run returns besides what its observer
 /// kept. For a run its observer ended early, everything here is as of
 /// the point at which it stopped.
@@ -355,6 +435,20 @@ pub fn transient_with(
     } else {
         t_end / 2000.0
     };
+    if !opts.dt_max.is_finite() || (opts.dt_max != 0.0 && opts.dt_max < dt_nom) {
+        return Err(CktError::Netlist(format!(
+            "transient: dt_max = {:e} s must be finite and at least dt = {dt_nom:e} s",
+            opts.dt_max
+        )));
+    }
+    let dt_max = if opts.dt_max > 0.0 {
+        opts.dt_max
+    } else {
+        dt_nom
+    };
+    // Step control is on only when the ceiling leaves room to grow;
+    // otherwise every step is the floor and no estimate is taken.
+    let grow = dt_max > dt_nom;
     let dt_min = if opts.dt_min > 0.0 {
         opts.dt_min
     } else {
@@ -454,6 +548,26 @@ pub fn transient_with(
     // Attempt buffer: each trial step solves into `x_new` so a rejected
     // step leaves `x` untouched; on acceptance the two swap pointers.
     let mut x_new = vec![0.0; asm.n_unknowns()];
+    // Under step control: the prediction each attempt is measured
+    // against, and the FE polarization rows the estimate covers.
+    let mut x_pred = if grow {
+        vec![0.0; asm.n_unknowns()]
+    } else {
+        Vec::new()
+    };
+    let p_rows: Vec<usize> = if grow {
+        ckt.elements()
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, e))| matches!(e, Element::FeCap { .. }))
+            .map(|(k, _)| nv + asm.branch0[k])
+            .collect()
+    } else {
+        Vec::new()
+    };
+    // The step the next attempt starts from: the floor, or what step
+    // control grew it to.
+    let mut h_next = dt_nom;
     while !stopped && t < t_end * (1.0 - 1e-15) {
         // Profiling: the step timer spans every attempt (rejections
         // included) so the latency distribution reflects what a step
@@ -472,12 +586,12 @@ pub fn transient_with(
         } else {
             opts.method
         };
-        let mut dt_try = dt_nom.min(t_ceiling - t);
+        let mut dt_try = h_next.min(t_ceiling - t);
         // Halving from dt_nom to dt_min covers ~23 attempts at the
         // default ratio; the cap turns a pathological reject cycle into
         // a typed error instead of an unbounded retry loop.
         const MAX_STEP_ATTEMPTS: usize = 256;
-        let mut accepted: Option<f64> = None;
+        let mut accepted: Option<(f64, Option<f64>)> = None;
         for _attempt in 0..MAX_STEP_ATTEMPTS {
             let t_attempt = if (t + dt_try - t_ceiling).abs() < snap_eps {
                 t_ceiling
@@ -486,28 +600,42 @@ pub fn transient_with(
             };
             x_new.copy_from_slice(&x);
             // Transient prediction: linear extrapolation of the node
-            // voltages through the last two accepted points as the
-            // Newton initial guess, and each FE polarization advanced at
-            // its last rate. Branch currents keep their previous values
-            // — they are linear consequences of the voltages and
-            // converge in the same iteration either way. Skipped on the
-            // step after a corner (history was cleared there anyway) and
-            // clamped to the damping bound so a wild extrapolation can
-            // never fling the iterate further than Newton itself may.
+            // voltages through the last two accepted points, and each FE
+            // polarization advanced at its last rate. It is the Newton
+            // initial guess (with `predict`) and step control's
+            // reference. Branch currents keep their previous values —
+            // they are linear consequences of the voltages and converge
+            // in the same iteration either way. Skipped on the step after
+            // a corner (history was cleared there anyway) and clamped to
+            // the damping bound so a wild extrapolation can never fling
+            // the iterate further than Newton itself may.
+            let mut predicted = false;
             if let (true, true, Some(((t0, x0), (t1, x1)))) =
-                (opts.predict, !at_corner, hist.last_two())
+                (opts.predict || grow, !at_corner, hist.last_two())
             {
                 let h0 = t1 - t0;
                 if h0 > 0.0 {
+                    let guess = if opts.predict {
+                        &mut x_new
+                    } else {
+                        x_pred.copy_from_slice(&x);
+                        &mut x_pred
+                    };
                     let w = (t_attempt - t1) / h0;
                     let bound = opts.solver.max_v_step;
                     for i in 0..nv {
-                        x_new[i] = x1[i] + (w * (x1[i] - x0[i])).clamp(-bound, bound);
+                        guess[i] = x1[i] + (w * (x1[i] - x0[i])).clamp(-bound, bound);
                     }
-                    asm.seed_polarization(ckt, &states, t_attempt - t, &mut x_new);
-                    if let Some(tel) = opts.solver.instr.get() {
-                        tel.steps.predicted.inc();
+                    asm.seed_polarization(ckt, &states, t_attempt - t, guess);
+                    if opts.predict {
+                        if grow {
+                            x_pred.copy_from_slice(&x_new);
+                        }
+                        if let Some(tel) = opts.solver.instr.get() {
+                            tel.steps.predicted.inc();
+                        }
                     }
+                    predicted = true;
                 }
             }
             let solved = asm.solve_point_with(
@@ -523,7 +651,26 @@ pub fn transient_with(
             );
             match solved {
                 Ok(_) => {
-                    accepted = Some(t_attempt);
+                    // Step control: the next step's scale factor from
+                    // this one's predictor–corrector difference and
+                    // change; a grown step outside either bound is
+                    // retried smaller. A step without a prediction (the
+                    // first past a corner) is not checked, and the next
+                    // one stays at the floor.
+                    let factor = if grow && predicted {
+                        let check = step_check(&x, &x_pred, &x_new, nv, &p_rows);
+                        if check.over() && dt_try > dt_nom {
+                            if let Some(tel) = opts.solver.instr.get() {
+                                tel.steps.rejected_lte.inc();
+                            }
+                            dt_try = (dt_try * check.factor()).max(dt_nom);
+                            continue;
+                        }
+                        Some(check.factor())
+                    } else {
+                        None
+                    };
+                    accepted = Some((t_attempt, factor));
                     break;
                 }
                 // A non-finite iterate comes from NaN/Inf in the stimulus
@@ -544,7 +691,7 @@ pub fn transient_with(
                 }
             }
         }
-        let t_new = accepted.ok_or_else(|| CktError::Convergence {
+        let (t_new, factor) = accepted.ok_or_else(|| CktError::Convergence {
             time: t,
             detail: format!("no accepted step within {MAX_STEP_ATTEMPTS} attempts"),
         })?;
@@ -592,6 +739,12 @@ pub fn transient_with(
             // Prediction restarts after a stimulus corner.
             hist.clear();
         }
+        // The next step: this one scaled by its check, or the floor
+        // after a corner or an unchecked step.
+        h_next = match factor {
+            Some(f) if !at_corner => (h * f).clamp(dt_nom, dt_max),
+            _ => dt_nom,
+        };
         for m in meters.iter_mut() {
             m.accept(
                 step_method,
@@ -621,6 +774,7 @@ pub fn transient_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elements::Node;
     use crate::models::{FeCapParams, MosParams};
     use crate::trace::Edge;
     use crate::waveform::Waveform;
@@ -1152,5 +1306,233 @@ mod tests {
             err_tr < err_be,
             "trap ({err_tr:.2e}) should beat BE ({err_be:.2e})"
         );
+    }
+
+    /// FNV-1a fingerprint of a run: every accepted point's time and
+    /// solution, the step count and the source energies, all as bits.
+    fn fingerprint(ckt: &Circuit, t_end: f64, opts: TransientOptions) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let run = transient_with(ckt, t_end, opts, |s| {
+            mix(s.t.to_bits());
+            for v in s.x {
+                mix(v.to_bits());
+            }
+            ControlFlow::Continue(())
+        })
+        .unwrap();
+        mix(run.steps as u64);
+        for (_, e) in &run.energies {
+            mix(e.to_bits());
+        }
+        h
+    }
+
+    /// A three-stage RC ladder driven by a pulse with flat plateaus.
+    fn rc_ladder() -> Circuit {
+        let mut c = Circuit::new();
+        let vin = c.node("in");
+        c.vsource(
+            "V1",
+            vin,
+            Circuit::GND,
+            Waveform::pulse(0.0, 1.0, 0.5e-9, 50e-12, 50e-12, 3e-9),
+        );
+        let mut prev = vin;
+        for k in 0..3 {
+            let n = c.node(&format!("n{k}"));
+            c.resistor(&format!("R{k}"), prev, n, 1e3);
+            c.capacitor(&format!("C{k}"), n, Circuit::GND, 50e-15);
+            prev = n;
+        }
+        c
+    }
+
+    /// The 2T FEFET cell's topology: bit line into the FE gate stack
+    /// through an access NMOS, the stack on a read NMOS's gate, every
+    /// line driven through a resistance and loaded by a capacitance; a
+    /// write pulse on the bit line under a boosted select.
+    fn two_t_cell() -> (Circuit, Vec<(Node, f64)>) {
+        let mut c = Circuit::new();
+        let bl = c.node("bl");
+        let ws = c.node("ws");
+        let rs = c.node("rs");
+        let sl = c.node("sl");
+        let g = c.node("g");
+        let gi = c.node("gi");
+        let bld = c.node("bl_drv");
+        let wsd = c.node("ws_drv");
+        c.vsource(
+            "Vbl",
+            bld,
+            Circuit::GND,
+            Waveform::pulse(0.0, 2.0, 0.2e-9, 50e-12, 50e-12, 1e-9),
+        );
+        c.resistor("Rbl", bld, bl, 1e3);
+        c.vsource(
+            "Vws",
+            wsd,
+            Circuit::GND,
+            Waveform::pulse(0.0, 2.8, 0.2e-9, 50e-12, 50e-12, 2.5e-9),
+        );
+        c.resistor("Rws", wsd, ws, 1e3);
+        c.vsource("Vrs", rs, Circuit::GND, Waveform::dc(0.0));
+        c.vsource("Vsl", sl, Circuit::GND, Waveform::dc(0.0));
+        c.capacitor("Cbl", bl, Circuit::GND, 10e-15);
+        c.capacitor("Cws", ws, Circuit::GND, 2e-15);
+        c.mosfet("Macc", bl, ws, g, MosParams::nmos_45nm());
+        c.fecap("Ffe", g, gi, FeCapParams::new(1e-9, 65e-9 * 65e-9), -0.4);
+        c.mosfet("Mfet", rs, gi, sl, MosParams::nmos_45nm());
+        (c, Vec::new())
+    }
+
+    /// Trapezoidal options at step `dt` (s) with ceiling `dt_max` (s).
+    fn trap(dt: f64, dt_max: f64) -> TransientOptions {
+        TransientOptions {
+            dt,
+            dt_max,
+            method: Integration::Trapezoidal,
+            ..TransientOptions::default()
+        }
+    }
+
+    /// With the ceiling at the floor — set explicitly or left at its
+    /// default — every time point, solution, step count and energy is
+    /// bit for bit what the fixed-step engine gave before step control
+    /// existed (fingerprints recorded from it). Row ops keep this
+    /// schedule.
+    #[test]
+    fn ceiling_at_the_floor_is_the_fixed_step_schedule_bit_for_bit() {
+        let dt = 20e-12;
+        for dt_max in [0.0, dt] {
+            assert_eq!(
+                fingerprint(&rc_ladder(), 5e-9, trap(dt, dt_max)),
+                0xf11a_6313_736b_943a,
+                "RC ladder, dt_max = {dt_max:e}"
+            );
+            let (c, node_ics) = two_t_cell();
+            let opts = TransientOptions {
+                node_ics,
+                ..trap(dt, dt_max)
+            };
+            assert_eq!(
+                fingerprint(&c, 4e-9, opts),
+                0x962e_1966_d972_0d48,
+                "2T cell, dt_max = {dt_max:e}"
+            );
+        }
+        // The write drives the film's polarization through its
+        // nonlinear range.
+        let (c, node_ics) = two_t_cell();
+        let opts = TransientOptions {
+            node_ics,
+            ..trap(dt, 0.0)
+        };
+        let p = transient(&c, 4e-9, opts).unwrap();
+        assert!(p.max("p(Ffe)").unwrap() > -0.37, "P stayed near its start");
+    }
+
+    /// On the RC ladder's plateaus the step grows: the run takes far
+    /// fewer steps, still lands on every waveform corner, and stays
+    /// within a tight band of the fixed-step run. A small ripple source,
+    /// whose sine has no corner to restart at, makes some grown steps
+    /// miss the tolerance; each is retried and counted, and every
+    /// Newton solve is an accepted step or a counted retry.
+    #[test]
+    fn grown_steps_on_rc_plateaus_land_on_corners_and_stay_in_band() {
+        use fefet_telemetry::Instrumentation;
+        let (dt, t_end) = (20e-12, 10e-9);
+        let mut c = rc_ladder();
+        let s = c.node("s");
+        let q = c.node("q");
+        let ripple = Waveform::Sin {
+            offset: 0.0,
+            ampl: 2e-3,
+            freq: 0.5e9,
+            delay: 0.0,
+        };
+        c.vsource("Vs", s, Circuit::GND, ripple);
+        c.resistor("Rq", s, q, 1e3);
+        c.capacitor("Cq", q, Circuit::GND, 50e-15);
+        let floor = transient(&c, t_end, trap(dt, 0.0)).unwrap();
+        let mut opts = trap(dt, 10.0 * dt);
+        opts.solver.instr = Instrumentation::enabled();
+        let instr = opts.solver.instr.clone();
+        let grown = transient(&c, t_end, opts).unwrap();
+        let (n_floor, n_grown) = (floor.time().len() - 1, grown.time().len() - 1);
+        assert!(
+            3 * n_grown < 2 * n_floor,
+            "{n_grown} grown steps against {n_floor} at the floor"
+        );
+        let tel = instr.get().unwrap();
+        let accepted = tel.steps.accepted.get();
+        let rejected = tel.steps.rejected_lte.get();
+        assert_eq!(accepted, n_grown as u64);
+        assert!(rejected > 0, "no grown step was retried");
+        assert_eq!(tel.steps.rejected_newton.get(), 0);
+        assert_eq!(tel.solver.solves.get(), accepted + rejected);
+        // Every corner of the pulse is a time point of both runs.
+        for corner in [0.5e-9, 0.55e-9, 3.55e-9, 3.6e-9] {
+            for (name, tr) in [("floor", &floor), ("grown", &grown)] {
+                assert!(
+                    tr.time().iter().any(|t| (t - corner).abs() < 1e-9 * dt),
+                    "{name}: corner {corner:e} not sampled"
+                );
+            }
+        }
+        // No step is longer than the ceiling.
+        for w in grown.time().windows(2) {
+            assert!(
+                w[1] - w[0] <= 10.0 * dt * (1.0 + 1e-12),
+                "step {:e}",
+                w[1] - w[0]
+            );
+        }
+        // Node voltages at the floor run's points, and the energy.
+        let mut worst = 0.0f64;
+        for (k, &t) in floor.time().iter().enumerate() {
+            for s in ["v(n0)", "v(n1)", "v(n2)", "v(q)"] {
+                let v = floor.signal(s).unwrap()[k];
+                worst = worst.max((grown.value_at(s, t).unwrap() - v).abs());
+            }
+        }
+        assert!(
+            worst < 2e-4,
+            "node voltages {worst:e} V off the fixed-step run"
+        );
+        let (e_floor, e_grown) = (floor.energy("V1").unwrap(), grown.energy("V1").unwrap());
+        assert!(
+            ((e_grown - e_floor) / e_floor).abs() < 1e-4,
+            "energy {e_grown:e} J against {e_floor:e} J"
+        );
+    }
+
+    #[test]
+    fn a_ceiling_below_the_floor_or_not_finite_is_a_typed_error() {
+        let c = rc_ladder();
+        for dt_max in [10e-12, -1.0, f64::NAN, f64::INFINITY] {
+            let res = transient(&c, 1e-9, trap(20e-12, dt_max));
+            assert!(
+                matches!(&res, Err(CktError::Netlist(m)) if m.contains("dt_max")),
+                "dt_max = {dt_max:e}: {res:?}"
+            );
+        }
+        // The default step (t_end / 2000) is the floor a ceiling is
+        // checked against.
+        let opts = TransientOptions {
+            dt_max: 0.4e-12,
+            ..TransientOptions::default()
+        };
+        assert!(transient(&c, 1e-9, opts).is_err());
+        let opts = TransientOptions {
+            dt_max: 0.5e-12,
+            ..TransientOptions::default()
+        };
+        assert!(transient(&c, 1e-9, opts).is_ok());
     }
 }

@@ -134,7 +134,8 @@ pub struct FefetArray {
     /// Number of columns.
     pub cols: usize,
     /// Cell/bias template (line capacitances are recomputed from the
-    /// array dimensions).
+    /// array dimensions). Change its bias or step, not its FEFET: the
+    /// array keeps the memory states it found at construction.
     pub cell: FefetCell,
     /// Transient fast-path switches for every simulation this array
     /// runs; defaults to all on.
@@ -150,6 +151,8 @@ pub struct FefetArray {
     /// including the pooled sweep workers of [`FefetArray::read_rows`]
     /// and [`FefetArray::write_disturb_map`].
     cache: AnalysisCache,
+    /// The cell's memory states, found at construction.
+    memory_states: (f64, f64),
     state: Vec<f64>,
 }
 
@@ -269,10 +272,18 @@ pub struct RowSense {
 }
 
 impl FefetArray {
-    /// Creates an array with every cell initialized to logic '0'
-    /// (the low-polarization state).
-    pub fn new(rows: usize, cols: usize, mut cell: FefetCell) -> Self {
-        assert!(rows >= 1 && cols >= 1, "array: need at least 1x1");
+    /// Creates a `rows × cols` array of `cell` with every cell at logic
+    /// '0' (the low-polarization state).
+    ///
+    /// # Errors
+    ///
+    /// [`CktError::Netlist`] for an array without a row or a column, and
+    /// as for [`FefetCell::checked_memory_states`] for a FEFET that
+    /// cannot store data.
+    pub fn try_new(rows: usize, cols: usize, mut cell: FefetCell) -> Result<Self> {
+        if rows == 0 || cols == 0 {
+            return Err(CktError::Netlist("array: need at least 1x1".into()));
+        }
         // Scale the line parasitics to this array's physical extent.
         let metal_per_m = 0.2e-15 / 1e-6;
         let pitch_x = 20.0 * crate::layout::LAMBDA_45NM;
@@ -281,16 +292,37 @@ impl FefetArray {
         cell.c_sense_line = metal_per_m * rows as f64 * pitch_y;
         cell.c_write_select = metal_per_m * cols as f64 * pitch_x;
         cell.c_read_select = metal_per_m * cols as f64 * pitch_x;
-        let (p_lo, _) = cell.memory_states();
-        FefetArray {
+        let memory_states = cell.checked_memory_states()?;
+        Ok(FefetArray {
             rows,
             cols,
             cell,
             fastpaths: FastPathToggles::default(),
             instr: Instrumentation::off(),
             cache: AnalysisCache::new(),
-            state: vec![p_lo; rows * cols],
+            memory_states,
+            state: vec![memory_states.0; rows * cols],
+        })
+    }
+
+    /// [`FefetArray::try_new`] for a `rows × cols` array of a `cell`
+    /// known to store data.
+    ///
+    /// # Panics
+    ///
+    /// Where [`FefetArray::try_new`] returns an error.
+    pub fn new(rows: usize, cols: usize, cell: FefetCell) -> Self {
+        match Self::try_new(rows, cols, cell) {
+            Ok(array) => array,
+            // fefet-lint: allow(panic) -- documented panicking form of try_new, kept while the benchmark harness constructs arrays infallibly
+            Err(e) => panic!("{e}"),
         }
+    }
+
+    /// The memory states `(p_low, p_high)` (C/m²) of this array's cell,
+    /// found at construction.
+    pub fn memory_states(&self) -> (f64, f64) {
+        self.memory_states
     }
 
     /// MNA problem size of this array's full read-phase circuit
@@ -334,7 +366,7 @@ impl FefetArray {
 
     /// Logic value of cell `(row, col)` (nearest memory state).
     pub fn bit(&self, row: usize, col: usize) -> bool {
-        let (p_lo, p_hi) = self.cell.memory_states();
+        let (p_lo, p_hi) = self.memory_states;
         let p = self.polarization(row, col);
         (p - p_hi).abs() < (p - p_lo).abs()
     }
@@ -386,7 +418,7 @@ impl FefetArray {
             rows: self.rows,
             cols: self.cols,
             state: &self.state,
-            memory_states: self.cell.memory_states(),
+            memory_states: self.memory_states,
         };
         slice::cell_groups(stored, row, unaccessed, |idx| {
             if read {
@@ -1004,6 +1036,28 @@ pub(crate) fn pattern_text(p: &fefet_numerics::sparse::CsrPattern) -> String {
 mod tests {
     use super::*;
 
+    /// An array of a FEFET too thin to hold two states, or one without
+    /// a row or a column, is refused with a typed error at construction;
+    /// so is a yield engine over such a cell.
+    #[test]
+    fn array_of_a_volatile_fefet_is_a_typed_error_not_a_panic() {
+        use crate::yield_engine::{YieldEngine, YieldSpec};
+        let mut cell = FefetCell::default();
+        cell.fefet = cell.fefet.with_thickness(1.5e-9);
+        let volatile =
+            |r: Result<()>| matches!(r, Err(CktError::Netlist(m)) if m.contains("not nonvolatile"));
+        assert!(volatile(FefetArray::try_new(2, 2, cell).map(drop)));
+        assert!(volatile(
+            YieldEngine::new(cell, YieldSpec::default(), Instrumentation::off()).map(drop)
+        ));
+        for (rows, cols) in [(0, 2), (2, 0)] {
+            let r = FefetArray::try_new(rows, cols, FefetCell::default());
+            assert!(matches!(r, Err(CktError::Netlist(m)) if m.contains("1x1")));
+        }
+        let a = FefetArray::try_new(2, 2, FefetCell::default()).unwrap();
+        assert_eq!(a.memory_states(), a.cell.checked_memory_states().unwrap());
+    }
+
     /// The 32×32 row-op slice's pattern (writes and reads share it) is
     /// the one the numerics crate's refactorization test reads from its
     /// committed file.
@@ -1196,7 +1250,7 @@ mod tests {
         let mut a = FefetArray::new(6, 4, FefetCell::default());
         a.cell.dt = 40e-12;
         a.instr = Instrumentation::enabled();
-        let (p_lo, p_hi) = a.cell.memory_states();
+        let (p_lo, p_hi) = a.memory_states();
         for i in 0..6 {
             // Column 0 all '1', column 1 all '0', the rest mixed.
             for (j, bit) in [true, false, i % 2 == 0, i % 3 == 0]
@@ -1238,7 +1292,7 @@ mod tests {
         const MAX_STAMP_PASSES_PER_WRITE: u64 = 460;
         let mut rng = fefet_numerics::rng::Rng::seed_from_u64(0x16_16);
         let mut a = FefetArray::new(16, 16, FefetCell::default());
-        let (p_lo, p_hi) = a.cell.memory_states();
+        let (p_lo, p_hi) = a.memory_states();
         for i in 0..16 {
             for j in 0..16 {
                 a.set_polarization(i, j, if rng.uniform() > 0.5 { p_hi } else { p_lo });
@@ -1284,7 +1338,7 @@ mod tests {
         const H: f64 = 100e-12;
         let mut rng = fefet_numerics::rng::Rng::seed_from_u64(7);
         let mut a = FefetArray::new(16, 16, FefetCell::default());
-        let (p_lo, p_hi) = a.cell.memory_states();
+        let (p_lo, p_hi) = a.memory_states();
         let lk = a.cell.fefet.fe.lk;
         let tau = |p: f64| lk.rho / lk.de_dp(p).abs();
         assert!(lk.de_dp(p_lo) < 0.0 && lk.de_dp(p_hi) < 0.0);

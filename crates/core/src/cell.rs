@@ -37,7 +37,36 @@ pub(crate) struct CellSim {
     pub(crate) opts: TransientOptions,
 }
 
+/// Step ceiling of a cell-level op, as a multiple of its step floor:
+/// between waveform corners its transient grows the step wherever the
+/// circuit is quiescent (see `fefet_ckt::transient::TransientOptions`).
+const CELL_STEP_CEILING: f64 = 10.0;
+
 impl CellSim {
+    /// A cell-level op's simulation of `circuit` to `t_end` (s) with
+    /// step floor `dt` (s), integrator `method` and initial node
+    /// voltages `node_ics`; the step ceiling is [`CELL_STEP_CEILING`]
+    /// floors.
+    pub(crate) fn new(
+        circuit: Circuit,
+        t_end: f64,
+        dt: f64,
+        method: Integration,
+        node_ics: Vec<(Node, f64)>,
+    ) -> Self {
+        CellSim {
+            circuit,
+            t_end,
+            opts: TransientOptions {
+                dt,
+                dt_max: CELL_STEP_CEILING * dt.max(0.0),
+                method,
+                node_ics,
+                ..TransientOptions::default()
+            },
+        }
+    }
+
     /// Runs the simulation, handing every accepted point to `observe`,
     /// which may end the run.
     pub(crate) fn run(
@@ -150,22 +179,8 @@ pub(crate) struct CellOp {
 
 impl FefetCell {
     /// Target stable states of this cell's FEFET at zero bias, as
-    /// `(p_low, p_high)` = (logic '0', logic '1').
-    ///
-    /// # Panics
-    ///
-    /// Panics if the FEFET is not nonvolatile (no two states); see
-    /// [`FefetCell::checked_memory_states`] for the typed error.
-    pub fn memory_states(&self) -> (f64, f64) {
-        match self.checked_memory_states() {
-            Ok(states) => states,
-            // fefet-lint: allow(panic) -- documented panicking form of checked_memory_states
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`FefetCell::memory_states`] as a typed result: the writes and
-    /// every sweep over them check this before they simulate anything.
+    /// `(p_low, p_high)` = (logic '0', logic '1'): the writes and every
+    /// sweep over them check this before they simulate anything.
     ///
     /// # Errors
     ///
@@ -227,16 +242,7 @@ impl FefetCell {
             (g, self.fefet.v_gate_static(p0)),
         ];
         CellOp {
-            sim: CellSim {
-                circuit: c,
-                t_end,
-                opts: TransientOptions {
-                    dt: self.dt,
-                    method: Integration::Trapezoidal,
-                    node_ics,
-                    ..TransientOptions::default()
-                },
-            },
+            sim: CellSim::new(c, t_end, self.dt, Integration::Trapezoidal, node_ics),
             fe,
             mfet,
         }
@@ -476,7 +482,7 @@ mod tests {
         use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverOptions};
         const H: f64 = 100e-12;
         let cell = cell();
-        let (p_lo, p_hi) = cell.memory_states();
+        let (p_lo, p_hi) = cell.checked_memory_states().unwrap();
         let b = &cell.bias;
         let op = cell.build(
             p_lo,
@@ -551,7 +557,7 @@ mod tests {
 
     #[test]
     fn memory_states_are_bipolar() {
-        let (lo, hi) = cell().memory_states();
+        let (lo, hi) = cell().checked_memory_states().unwrap();
         assert!(lo < -0.1);
         assert!(hi > 0.15);
     }
@@ -559,7 +565,7 @@ mod tests {
     #[test]
     fn write_one_switches_polarization() {
         let c = cell();
-        let (p_lo, p_hi) = c.memory_states();
+        let (p_lo, p_hi) = c.checked_memory_states().unwrap();
         let w = c.write(true, p_lo, 2e-9).unwrap();
         assert!(
             (w.p_final - p_hi).abs() < 0.03,
@@ -575,7 +581,7 @@ mod tests {
     #[test]
     fn write_zero_switches_polarization() {
         let c = cell();
-        let (p_lo, p_hi) = c.memory_states();
+        let (p_lo, p_hi) = c.checked_memory_states().unwrap();
         let w = c.write(false, p_hi, 2e-9).unwrap();
         assert!(
             (w.p_final - p_lo).abs() < 0.03,
@@ -590,7 +596,7 @@ mod tests {
         // Table 3: 0.55 ns write at 0.68 V bit line. A 0.7 ns pulse leaves
         // margin for the access-transistor RC.
         let c = cell();
-        let (p_lo, p_hi) = c.memory_states();
+        let (p_lo, p_hi) = c.checked_memory_states().unwrap();
         let w = c.write(true, p_lo, 0.7e-9).unwrap();
         assert!((w.p_final - p_hi).abs() < 0.05, "p_final {}", w.p_final);
     }
@@ -598,7 +604,7 @@ mod tests {
     #[test]
     fn read_is_disturb_free_for_both_states() {
         let c = cell();
-        let (p_lo, p_hi) = c.memory_states();
+        let (p_lo, p_hi) = c.checked_memory_states().unwrap();
         for p in [p_lo, p_hi] {
             let r = c.read(p, 3e-9).unwrap();
             // The read current itself leaves P untouched; the residual
@@ -617,7 +623,7 @@ mod tests {
     fn repeated_reads_do_not_ratchet_the_state() {
         // Feedthrough must not accumulate read over read.
         let c = cell();
-        let (p_lo, _) = c.memory_states();
+        let (p_lo, _) = c.checked_memory_states().unwrap();
         let p1 = c.read(p_lo, 3e-9).unwrap().p_after;
         let p2 = c.read(p1, 3e-9).unwrap().p_after;
         assert!(
@@ -629,7 +635,7 @@ mod tests {
     #[test]
     fn read_distinguishability_exceeds_1e5() {
         let c = cell();
-        let (p_lo, p_hi) = c.memory_states();
+        let (p_lo, p_hi) = c.checked_memory_states().unwrap();
         let i1 = c.read(p_hi, 3e-9).unwrap().i_read;
         let i0 = c.read(p_lo, 3e-9).unwrap().i_read;
         assert!(i1 > 0.0);
@@ -641,7 +647,7 @@ mod tests {
     fn read_energy_much_smaller_than_write_energy() {
         // Table 3: 0.28 pJ read vs 4.82 pJ write for the FEFET block.
         let c = cell();
-        let (p_lo, _) = c.memory_states();
+        let (p_lo, _) = c.checked_memory_states().unwrap();
         let w = c.write(true, p_lo, 0.7e-9).unwrap();
         let r = c.read(p_lo, 3e-9).unwrap();
         assert!(
@@ -655,7 +661,7 @@ mod tests {
     #[test]
     fn write_energy_breakdown_sums_to_total() {
         let c = cell();
-        let (p_lo, _) = c.memory_states();
+        let (p_lo, _) = c.checked_memory_states().unwrap();
         let w = c.write(true, p_lo, 1.0e-9).unwrap();
         let parts: f64 = w.energy_breakdown().iter().map(|(_, e)| e).sum();
         assert!((parts - w.energy).abs() < 1e-18 * parts.abs().max(1.0));
@@ -691,7 +697,7 @@ mod tests {
         // After the write pulse ends (all lines back to 0), the trace tail
         // must show the polarization holding its state.
         let c = cell();
-        let (p_lo, p_hi) = c.memory_states();
+        let (p_lo, p_hi) = c.checked_memory_states().unwrap();
         let mut rec = Recorder::new();
         let w = c
             .write_observed(true, p_lo, 1e-9, |s| rec.observe(s))
@@ -709,7 +715,7 @@ mod tests {
     #[test]
     fn fefet_cell_ops_equal_the_full_trace_lookups() {
         let cell = FefetCell::default();
-        let (lo, hi) = cell.memory_states();
+        let (lo, hi) = cell.checked_memory_states().unwrap();
         for (data, from, pulse) in [
             (true, lo, 1e-9),
             (false, hi, 1e-9),

@@ -389,8 +389,8 @@ mod tests {
         let (fefet_iso, feram_iso) = iso_grids();
         let fefet_fig10: Vec<f64> = (0..=12).map(|i| 0.20 + 0.075 * i as f64).collect();
         let feram_fig10: Vec<f64> = (0..=12).map(|i| 1.00 + 0.10 * i as f64).collect();
-        let fefet_states = fefet.memory_states();
-        let feram_states = feram.memory_states();
+        let fefet_states = fefet.checked_memory_states().unwrap();
+        let feram_states = feram.checked_memory_states().unwrap();
         let fefet_point = |v| fefet_write_point(&fefet, fefet_states, v);
         let feram_point = |v| feram_write_point(&feram, feram_states, v);
         type Point<'a> = &'a dyn Fn(f64) -> Result<WritePoint>;

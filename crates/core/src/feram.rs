@@ -15,7 +15,6 @@ use fefet_ckt::elements::{Integration, Node};
 use fefet_ckt::models::{FeCapParams, MosParams};
 use fefet_ckt::probe::{Crossing, WindowMax};
 use fefet_ckt::trace::Edge;
-use fefet_ckt::transient::TransientOptions;
 use fefet_ckt::waveform::Waveform;
 use fefet_ckt::{CktError, Result};
 use std::ops::ControlFlow;
@@ -104,21 +103,7 @@ pub(crate) struct FeramOp {
 }
 
 impl FeramCell {
-    /// The two remnant storage states `(p_low, p_high)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the film's Landau coefficients are paraelectric; see
-    /// [`FeramCell::checked_memory_states`] for the typed error.
-    pub fn memory_states(&self) -> (f64, f64) {
-        match self.checked_memory_states() {
-            Ok(states) => states,
-            // fefet-lint: allow(panic) -- documented panicking form of checked_memory_states
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`FeramCell::memory_states`] as a typed result: the writes and
+    /// The two remnant storage states `(p_low, p_high)`: the writes and
     /// the sweeps over them check this before they simulate anything.
     ///
     /// # Errors
@@ -169,15 +154,7 @@ impl FeramCell {
         let fcap = c.elements().len();
         c.fecap("Fcap", n, pl, self.cap, p0);
         FeramOp {
-            sim: CellSim {
-                circuit: c,
-                t_end,
-                opts: TransientOptions {
-                    dt: self.dt,
-                    method: Integration::Trapezoidal,
-                    ..TransientOptions::default()
-                },
-            },
+            sim: CellSim::new(c, t_end, self.dt, Integration::Trapezoidal, Vec::new()),
             fcap,
             bl,
         }
@@ -347,7 +324,7 @@ mod tests {
 
     #[test]
     fn memory_states_are_remnant_polarization() {
-        let (lo, hi) = cell().memory_states();
+        let (lo, hi) = cell().checked_memory_states().unwrap();
         assert!((hi - 0.4637).abs() < 0.01);
         assert!((lo + hi).abs() < 1e-12);
     }
@@ -355,7 +332,7 @@ mod tests {
     #[test]
     fn write_one_and_zero() {
         let c = cell();
-        let (p_lo, p_hi) = c.memory_states();
+        let (p_lo, p_hi) = c.checked_memory_states().unwrap();
         let w1 = c.write(true, p_lo, 1.5e-9).unwrap();
         assert!(
             (w1.p_final - p_hi).abs() < 0.05,
@@ -373,7 +350,7 @@ mod tests {
     #[test]
     fn write_at_1v64_completes_near_550ps() {
         let c = cell();
-        let (p_lo, _) = c.memory_states();
+        let (p_lo, _) = c.checked_memory_states().unwrap();
         let w = c.write(true, p_lo, 1.2e-9).unwrap();
         let t = w.switch_time.expect("1.64V write must complete");
         assert!(
@@ -390,7 +367,7 @@ mod tests {
         // cannot switch at all.
         let mut c = cell();
         c.v_write = 1.0;
-        let (p_lo, p_hi) = c.memory_states();
+        let (p_lo, p_hi) = c.checked_memory_states().unwrap();
         let w = c.write(true, p_lo, 1.5e-9).unwrap();
         assert!(
             (w.p_final - p_hi).abs() > 0.3,
@@ -402,7 +379,7 @@ mod tests {
     #[test]
     fn read_is_destructive_for_one_only() {
         let c = cell();
-        let (p_lo, p_hi) = c.memory_states();
+        let (p_lo, p_hi) = c.checked_memory_states().unwrap();
         let r1 = c.read(p_hi, 2e-9).unwrap();
         assert!(r1.destructive, "stored '1' must flip: {}", r1.p_after);
         let r0 = c.read(p_lo, 2e-9).unwrap();
@@ -412,7 +389,7 @@ mod tests {
     #[test]
     fn read_margin_between_states() {
         let c = cell();
-        let (p_lo, p_hi) = c.memory_states();
+        let (p_lo, p_hi) = c.checked_memory_states().unwrap();
         let v1 = c.read(p_hi, 2e-9).unwrap().v_bl_swing;
         let v0 = c.read(p_lo, 2e-9).unwrap().v_bl_swing;
         assert!(
@@ -424,7 +401,7 @@ mod tests {
     #[test]
     fn writeback_restores_the_one() {
         let c = cell();
-        let (_, p_hi) = c.memory_states();
+        let (_, p_hi) = c.checked_memory_states().unwrap();
         let (read, restored, total) = c.read_with_writeback(p_hi, 2e-9, 1.5e-9).unwrap();
         assert!(read.destructive);
         assert!((restored - p_hi).abs() < 0.05, "restored to {restored}");
@@ -437,7 +414,7 @@ mod tests {
         // write-back). Compare at cell level: the '1'-read with write-back
         // costs at least as much as a write.
         let c = cell();
-        let (p_lo, p_hi) = c.memory_states();
+        let (p_lo, p_hi) = c.checked_memory_states().unwrap();
         let w = c.write(true, p_lo, 1.5e-9).unwrap();
         let (_, _, read_total) = c.read_with_writeback(p_hi, 2e-9, 1.5e-9).unwrap();
         assert!(
@@ -451,7 +428,7 @@ mod tests {
     #[test]
     fn feram_cell_ops_equal_the_full_trace_lookups() {
         let cell = FeramCell::default();
-        let (lo, hi) = cell.memory_states();
+        let (lo, hi) = cell.checked_memory_states().unwrap();
         for (data, from) in [(true, lo), (false, hi), (true, hi)] {
             let what = format!("write {data} from {from:.3}");
             let w = cell.write(data, from, 0.55e-9).unwrap();

@@ -56,7 +56,8 @@ pub struct FeramArray {
     pub rows: usize,
     /// Columns.
     pub cols: usize,
-    /// Cell template.
+    /// Cell template. Change its biases or step, not its film: the
+    /// array keeps the memory states it found at construction.
     pub cell: FeramCell,
     /// Telemetry sink for every simulation this array runs, as for
     /// [`crate::array::FefetArray::instr`]: row ops record
@@ -66,6 +67,8 @@ pub struct FeramArray {
     /// Shared symbolic-analysis cache: one analysis per matrix pattern
     /// for this array's lifetime, shared (by `Arc`) into every clone.
     cache: AnalysisCache,
+    /// The cell's memory states, found at construction.
+    memory_states: (f64, f64),
     state: Vec<f64>,
 }
 
@@ -93,23 +96,39 @@ pub struct FeramArrayOp {
 }
 
 impl FeramArray {
-    /// Creates an array with every cell at logic '0' (−P_r).
-    pub fn new(rows: usize, cols: usize, mut cell: FeramCell) -> Self {
-        assert!(rows >= 1 && cols >= 1, "array: need at least 1x1");
+    /// Creates a `rows × cols` array of `cell` with every cell at logic
+    /// '0' (−P_r).
+    ///
+    /// # Errors
+    ///
+    /// [`CktError::Netlist`] for an array without a row or a column, and
+    /// as for [`FeramCell::checked_memory_states`] for a paraelectric
+    /// film.
+    pub fn new(rows: usize, cols: usize, mut cell: FeramCell) -> Result<Self> {
+        if rows == 0 || cols == 0 {
+            return Err(CktError::Netlist("array: need at least 1x1".into()));
+        }
         let metal_per_m = 0.2e-15 / 1e-6;
         let pitch_y = 8.0 * crate::layout::LAMBDA_45NM;
         let pitch_x = 10.0 * crate::layout::LAMBDA_45NM;
         cell.c_bit_line = metal_per_m * rows as f64 * pitch_y + 20e-15;
         cell.c_plate_line = metal_per_m * cols as f64 * pitch_x;
-        let (p_lo, _) = cell.memory_states();
-        FeramArray {
+        let memory_states = cell.checked_memory_states()?;
+        Ok(FeramArray {
             rows,
             cols,
             cell,
             instr: Instrumentation::off(),
             cache: AnalysisCache::new(),
-            state: vec![p_lo; rows * cols],
-        }
+            memory_states,
+            state: vec![memory_states.0; rows * cols],
+        })
+    }
+
+    /// The memory states `(p_low, p_high)` (C/m²) of this array's cell,
+    /// found at construction.
+    pub fn memory_states(&self) -> (f64, f64) {
+        self.memory_states
     }
 
     /// Stored polarization of cell `(row, col)`.
@@ -153,7 +172,7 @@ impl FeramArray {
 
     /// Logic value of cell `(row, col)`.
     pub fn bit(&self, row: usize, col: usize) -> bool {
-        let (p_lo, p_hi) = self.cell.memory_states();
+        let (p_lo, p_hi) = self.memory_states;
         let p = self.polarization(row, col);
         (p - p_hi).abs() < (p - p_lo).abs()
     }
@@ -237,7 +256,7 @@ impl FeramArray {
             rows: self.rows,
             cols: self.cols,
             state: &self.state,
-            memory_states: self.cell.memory_states(),
+            memory_states: self.memory_states,
         };
         let (cells, members) = slice::cell_groups(stored, row, unaccessed, |idx| {
             slice::mean_polarization(&self.state, idx)
@@ -477,7 +496,24 @@ mod tests {
     use super::*;
 
     fn small() -> FeramArray {
-        FeramArray::new(2, 2, FeramCell::default())
+        FeramArray::new(2, 2, FeramCell::default()).unwrap()
+    }
+
+    /// An array of a paraelectric film, or one without a row or a
+    /// column, is refused with a typed error at construction.
+    #[test]
+    fn array_of_a_paraelectric_film_is_a_typed_error_not_a_panic() {
+        let mut cell = FeramCell::default();
+        cell.cap.lk.alpha = cell.cap.lk.alpha.abs();
+        cell.cap.lk.beta = cell.cap.lk.beta.abs();
+        let r = FeramArray::new(2, 2, cell);
+        assert!(matches!(r, Err(CktError::Netlist(m)) if m.contains("ferroelectric")));
+        for (rows, cols) in [(0, 2), (2, 0)] {
+            let r = FeramArray::new(rows, cols, FeramCell::default());
+            assert!(matches!(r, Err(CktError::Netlist(m)) if m.contains("1x1")));
+        }
+        let a = small();
+        assert_eq!(a.memory_states(), a.cell.checked_memory_states().unwrap());
     }
 
     #[test]
@@ -571,7 +607,9 @@ mod tests {
     fn mna_dims_reflect_the_read_circuit() {
         let d = small().mna_dims();
         assert!(d.n_nodes > 0 && d.n_unknowns > d.n_nodes);
-        let big = FeramArray::new(4, 4, FeramCell::default()).mna_dims();
+        let big = FeramArray::new(4, 4, FeramCell::default())
+            .unwrap()
+            .mna_dims();
         assert!(big.n_unknowns > d.n_unknowns);
     }
 }

@@ -13,11 +13,11 @@
 
 use crate::cell::{CellSim, FefetCell, T_EDGE, T_START};
 use fefet_ckt::circuit::Circuit;
-use fefet_ckt::elements::Node;
+use fefet_ckt::elements::{Integration, Node};
 use fefet_ckt::models::MosParams;
 use fefet_ckt::probe::{Crossing, VoltagesAt, WindowMax, WindowMin};
 use fefet_ckt::trace::Edge;
-use fefet_ckt::transient::{Step, TransientOptions};
+use fefet_ckt::transient::Step;
 use fefet_ckt::waveform::Waveform;
 use fefet_ckt::Result;
 use std::ops::ControlFlow;
@@ -268,15 +268,13 @@ impl SenseChain {
             (vsa, self.v_dd),
         ];
         SenseOp {
-            sim: CellSim {
-                circuit: c,
-                t_end: T_START + t_eval + 0.3e-9,
-                opts: TransientOptions {
-                    dt: self.dt,
-                    node_ics,
-                    ..TransientOptions::default()
-                },
-            },
+            sim: CellSim::new(
+                c,
+                T_START + t_eval + 0.3e-9,
+                self.dt,
+                Integration::BackwardEuler,
+                node_ics,
+            ),
             fe,
             vsense,
             vsa,
@@ -397,7 +395,7 @@ mod tests {
     fn sense_distinguishes_the_two_states() {
         let cell = FefetCell::default();
         let chain = SenseChain::default();
-        let (p_lo, p_hi) = cell.memory_states();
+        let (p_lo, p_hi) = cell.checked_memory_states().unwrap();
         let r1 = chain.read_bit(&cell, p_hi, 2.5e-9).unwrap();
         let r0 = chain.read_bit(&cell, p_lo, 2.5e-9).unwrap();
         assert!(
@@ -416,7 +414,7 @@ mod tests {
     fn fig8b_vsense_diverges_after_precharge() {
         let cell = FefetCell::default();
         let chain = SenseChain::default();
-        let (p_lo, p_hi) = cell.memory_states();
+        let (p_lo, p_hi) = cell.checked_memory_states().unwrap();
         let r1 = chain.read_bit(&cell, p_hi, 2.5e-9).unwrap();
         let r0 = chain.read_bit(&cell, p_lo, 2.5e-9).unwrap();
         // '1': V_SENSE keeps rising past V_PRE; '0': collapses below it.
@@ -431,7 +429,7 @@ mod tests {
     fn clamp_keeps_sense_line_near_virtual_ground() {
         let cell = FefetCell::default();
         let chain = SenseChain::default();
-        let (_, p_hi) = cell.memory_states();
+        let (_, p_hi) = cell.checked_memory_states().unwrap();
         let r = chain.read_bit(&cell, p_hi, 2.5e-9).unwrap();
         assert!(
             r.v_bl_excursion < 0.06,
@@ -450,7 +448,7 @@ mod tests {
             t_precharge: 0.0,
             ..chain
         };
-        let (_, p_hi) = cell.memory_states();
+        let (_, p_hi) = cell.checked_memory_states().unwrap();
         let fast_t = chain.decision_time(&cell, p_hi, 25e-9).unwrap().unwrap();
         let slow_t = slow.decision_time(&cell, p_hi, 25e-9).unwrap().unwrap();
         assert!(
@@ -466,7 +464,7 @@ mod tests {
         // distinguishability at the cell level".
         let cell = FefetCell::default();
         let chain = SenseChain::default();
-        let (p_lo, p_hi) = cell.memory_states();
+        let (p_lo, p_hi) = cell.checked_memory_states().unwrap();
         let i0 = cell.fefet.drain_current(p_lo, chain.v_dd);
         let i1 = cell.fefet.drain_current(p_hi, chain.v_dd);
         let w = chain.reference_window(i0, i1, 10.0);
@@ -505,7 +503,7 @@ mod tests {
     fn read_does_not_disturb_stored_state() {
         let cell = FefetCell::default();
         let chain = SenseChain::default();
-        let (p_lo, p_hi) = cell.memory_states();
+        let (p_lo, p_hi) = cell.checked_memory_states().unwrap();
         for p in [p_lo, p_hi] {
             let p_after = chain.read_bit(&cell, p, 2.5e-9).unwrap().p_after;
             // Tolerance covers the small select-line feedthrough kick; the
@@ -517,7 +515,7 @@ mod tests {
     #[test]
     fn sense_reads_equal_the_full_trace_lookups() {
         let cell = FefetCell::default();
-        let (lo, hi) = cell.memory_states();
+        let (lo, hi) = cell.checked_memory_states().unwrap();
         let chain = SenseChain::default();
         let t_eval = 2.5e-9;
         for p0 in [hi, lo] {
@@ -568,7 +566,7 @@ mod tests {
     #[test]
     fn decision_time_read_equals_the_full_read() {
         let cell = FefetCell::default();
-        let (lo, hi) = cell.memory_states();
+        let (lo, hi) = cell.checked_memory_states().unwrap();
         let chain = SenseChain::default();
         let slow = SenseChain {
             t_precharge: 0.0,

@@ -475,10 +475,9 @@ impl Bank {
             return Err(ServeError::Config("config kind is not FEFET".to_string()));
         }
         Self::check_dims(&config)?;
-        let (p_lo, p_hi) = cell
-            .checked_memory_states()
+        let array = FefetArray::try_new(config.rows, config.cols, cell)
             .map_err(|e| ServeError::Config(e.to_string()))?;
-        let array = FefetArray::new(config.rows, config.cols, cell);
+        let (p_lo, p_hi) = array.memory_states();
         Ok(Self::build(
             config,
             BankArray::Fefet(array),
@@ -500,10 +499,9 @@ impl Bank {
             return Err(ServeError::Config("config kind is not FERAM".to_string()));
         }
         Self::check_dims(&config)?;
-        let (p_lo, p_hi) = cell
-            .checked_memory_states()
+        let array = FeramArray::new(config.rows, config.cols, cell)
             .map_err(|e| ServeError::Config(e.to_string()))?;
-        let array = FeramArray::new(config.rows, config.cols, cell);
+        let (p_lo, p_hi) = array.memory_states();
         Ok(Self::build(
             config,
             BankArray::Feram(array),

@@ -249,7 +249,7 @@ mod tests {
         widths: &[f64],
         tol: f64,
     ) -> Result<Shmoo> {
-        let (p_lo, p_hi) = cell.memory_states();
+        let (p_lo, p_hi) = cell.checked_memory_states().unwrap();
         let mut grid = Vec::with_capacity(voltages.len());
         for &v in voltages {
             let mut c = *cell;

@@ -622,12 +622,13 @@ impl YieldEngine {
     /// beyond 64 points; a non-finite `margin_min`, shmoo amplitude or
     /// `disturb_v`; a shmoo width or `disturb_t` that is not finite and
     /// positive; `write_frac` outside (0, 1]; a `disturb_max_dp` that is
-    /// not finite and non-negative. Solver errors if the nominal
-    /// bootstrap fails to converge.
+    /// not finite and non-negative; a FEFET that cannot store data (as
+    /// for [`FefetCell::checked_memory_states`]). Solver errors if the
+    /// nominal bootstrap fails to converge.
     pub fn new(cell: FefetCell, spec: YieldSpec, instr: Instrumentation) -> Result<Self> {
         validate_spec(&spec)?;
-        let mut array = FefetArray::new(spec.rows, spec.cols, cell);
-        let (p_lo, p_hi) = array.cell.memory_states();
+        let mut array = FefetArray::try_new(spec.rows, spec.cols, cell)?;
+        let (p_lo, p_hi) = array.memory_states();
         for i in 0..spec.rows {
             for j in 0..spec.cols {
                 array.set_polarization(i, j, if stores_hi(i, j) { p_hi } else { p_lo });

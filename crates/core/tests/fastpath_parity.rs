@@ -16,7 +16,7 @@ use fefet_numerics::rng::Rng;
 fn seeded_8x8() -> (FefetArray, Vec<Vec<bool>>) {
     let mut a = FefetArray::new(8, 8, FefetCell::default());
     a.cell.dt = 40e-12;
-    let (p_lo, p_hi) = a.cell.memory_states();
+    let (p_lo, p_hi) = a.memory_states();
     let mut rng = Rng::seed_from_u64(0x8a_8a);
     let mut pattern = Vec::new();
     for i in 0..8 {

@@ -190,9 +190,12 @@ pub struct StepStats {
     pub accepted: Counter,
     /// Steps rejected because Newton failed (dt halved).
     pub rejected_newton: Counter,
-    /// Steps rejected by local-truncation-error control. The stepping
-    /// loop has no LTE control, so this stays 0; it remains in the
-    /// report because the repository benchmark's layer metrics read it.
+    /// Grown steps rejected by step control and retried smaller: runs
+    /// whose `TransientOptions::dt_max` lies above their `dt` (the
+    /// cell-level ops) grow the step on quiescent stretches, and a grown
+    /// step whose predictor–corrector difference or change over the step
+    /// is over its bound is retried. Always 0 at a fixed step, which is
+    /// every row op and yield trial.
     pub rejected_lte: Counter,
     /// Accepted steps that landed on a waveform corner via snapping.
     pub corner_snaps: Counter,

@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Cell: write a '1' with the paper's 0.68 V bit line.
     let cell = FefetCell::default();
-    let (p_lo, _p_hi) = cell.memory_states();
+    let (p_lo, _p_hi) = cell.checked_memory_states().expect("the cell stores data");
     let write = cell.write(true, p_lo, 1.0e-9)?;
     println!(
         "write '1': switched in {:.0} ps using {:.1} fJ",

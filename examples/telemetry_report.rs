@@ -45,7 +45,7 @@ fn seeded_array(instr: &Instrumentation) -> FefetArray {
     let mut a = FefetArray::new(ROWS, COLS, FefetCell::default());
     a.cell.dt = 40e-12;
     a.instr = instr.clone();
-    let (p_lo, p_hi) = a.cell.memory_states();
+    let (p_lo, p_hi) = a.memory_states();
     let mut rng = Rng::seed_from_u64(0x8a_8a);
     for i in 0..ROWS {
         for j in 0..COLS {

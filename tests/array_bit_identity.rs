@@ -62,7 +62,7 @@ fn seeded_arrays() -> (FefetArray, Vec<bool>, FeramArray, Vec<bool>) {
     let mut rng = Rng::seed_from_u64(0x0b17_1de7);
     let mut fefet = FefetArray::new(8, 8, FefetCell::default());
     fefet.cell.dt = 40e-12;
-    let (p_lo, p_hi) = fefet.cell.memory_states();
+    let (p_lo, p_hi) = fefet.memory_states();
     for i in 0..8 {
         for j in 0..8 {
             let p = if rng.uniform() > 0.5 { p_hi } else { p_lo };
@@ -70,9 +70,9 @@ fn seeded_arrays() -> (FefetArray, Vec<bool>, FeramArray, Vec<bool>) {
         }
     }
     let fefet_data: Vec<bool> = (0..8).map(|_| rng.uniform() > 0.5).collect();
-    let mut feram = FeramArray::new(8, 8, FeramCell::default());
+    let mut feram = FeramArray::new(8, 8, FeramCell::default()).unwrap();
     feram.cell.dt = 20e-12;
-    let (q_lo, q_hi) = feram.cell.memory_states();
+    let (q_lo, q_hi) = feram.memory_states();
     for i in 0..8 {
         for j in 0..8 {
             let p = if rng.uniform() > 0.5 { q_hi } else { q_lo };

@@ -24,7 +24,7 @@ use fefet::telemetry::Instrumentation;
 fn seeded(n: usize, seed: u64) -> (FefetArray, Rng) {
     let mut a = FefetArray::new(n, n, FefetCell::default());
     a.cell.dt = 40e-12;
-    let (p_lo, p_hi) = a.cell.memory_states();
+    let (p_lo, p_hi) = a.memory_states();
     let mut rng = Rng::seed_from_u64(seed);
     for i in 0..n {
         for j in 0..n {

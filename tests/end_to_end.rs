@@ -13,7 +13,7 @@ fn device_states_feed_cell_and_array_consistently() {
     let dev = paper_fefet();
     let states = dev.stable_states_at_zero();
     let cell = FefetCell::default();
-    let (p_lo, p_hi) = cell.memory_states();
+    let (p_lo, p_hi) = cell.checked_memory_states().unwrap();
     assert!(states.iter().any(|p| (p - p_lo).abs() < 1e-9));
     assert!(states.iter().any(|p| (p - p_hi).abs() < 1e-9));
 }
@@ -45,7 +45,7 @@ fn hold_state_is_truly_quiescent() {
     // polarization (zero standby claim): simulate a cell read far in the
     // future by reusing the stored state directly.
     let cell = FefetCell::default();
-    let (p_lo, _) = cell.memory_states();
+    let (p_lo, _) = cell.checked_memory_states().unwrap();
     let w = cell.write(true, p_lo, 1.0e-9).expect("write");
     // Device-level hold for 1 µs.
     let hold = cell

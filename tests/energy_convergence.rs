@@ -83,7 +83,9 @@ fn fefet_write_energy_converges() {
         .iter()
         .map(|&dt| {
             let c = fefet_cell(dt);
-            let w = c.write(true, c.memory_states().0, 1e-9).expect("write");
+            let w = c
+                .write(true, c.checked_memory_states().unwrap().0, 1e-9)
+                .expect("write");
             (w.energy, w.p_final)
         })
         .unzip();
@@ -104,7 +106,9 @@ fn fefet_read_energy_converges() {
         .iter()
         .map(|&dt| {
             let c = fefet_cell(dt);
-            c.read(c.memory_states().1, 3e-9).expect("read").energy
+            c.read(c.checked_memory_states().unwrap().1, 3e-9)
+                .expect("read")
+                .energy
         })
         .collect();
     check("FEFET read", &energies, (-0.01, 0.0));
@@ -117,7 +121,7 @@ fn feram_write_energy_converges() {
         .iter()
         .map(|&dt| {
             let c = feram_cell(dt);
-            c.write(true, c.memory_states().0, 1e-9)
+            c.write(true, c.checked_memory_states().unwrap().0, 1e-9)
                 .expect("write")
                 .energy
         })
@@ -132,7 +136,9 @@ fn feram_read_energy_converges() {
         .iter()
         .map(|&dt| {
             let c = feram_cell(dt);
-            c.read(c.memory_states().1, 3e-9).expect("read").energy
+            c.read(c.checked_memory_states().unwrap().1, 3e-9)
+                .expect("read")
+                .energy
         })
         .collect();
     check("FERAM read", &energies, (-0.06, -0.035));

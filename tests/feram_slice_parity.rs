@@ -43,8 +43,8 @@ const DISTURB_RATIO: f64 = 2.0;
 /// An n×n FERAM array with a seeded random pattern installed as stored
 /// polarizations.
 fn seeded(n: usize, seed: u64) -> (FeramArray, Rng) {
-    let mut a = FeramArray::new(n, n, FeramCell::default());
-    let (p_lo, p_hi) = a.cell.memory_states();
+    let mut a = FeramArray::new(n, n, FeramCell::default()).unwrap();
+    let (p_lo, p_hi) = a.memory_states();
     let mut rng = Rng::seed_from_u64(seed);
     for i in 0..n {
         for j in 0..n {
@@ -161,9 +161,9 @@ fn feram_slice_matches_full_array_after_24_writes() {
 /// op solves 144 unknowns against the full array's 624.
 #[test]
 fn feram_row_slice_is_smaller_than_the_full_array() {
-    let a = FeramArray::new(16, 16, FeramCell::default());
+    let a = FeramArray::new(16, 16, FeramCell::default()).unwrap();
     assert_eq!(a.mna_dims().n_unknowns, 624);
     assert_eq!(a.row_op_dims().n_unknowns, 144);
-    let tall = FeramArray::new(64, 16, FeramCell::default());
+    let tall = FeramArray::new(64, 16, FeramCell::default()).unwrap();
     assert_eq!(tall.row_op_dims(), a.row_op_dims());
 }

@@ -34,7 +34,7 @@ fn cell_write_converges_from_any_start() {
         let p0 = rng.uniform_in(-0.25, 0.25);
         let data = rng.bool();
         let cell = FefetCell::default();
-        let (p_lo, p_hi) = cell.memory_states();
+        let (p_lo, p_hi) = cell.checked_memory_states().unwrap();
         let w = cell.write(data, p0, 2.0e-9).unwrap();
         let target = if data { p_hi } else { p_lo };
         assert!(

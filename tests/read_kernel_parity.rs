@@ -52,7 +52,7 @@ const MAX_ITERS_PER_READ: f64 = 100.0;
 /// ±0.02 C/m² on every stored polarization.
 fn array(n: usize, seed: u64, perturbed: bool) -> FefetArray {
     let mut a = FefetArray::new(n, n, FefetCell::default());
-    let (p_lo, p_hi) = a.cell.memory_states();
+    let (p_lo, p_hi) = a.memory_states();
     let mut rng = Rng::seed_from_u64(seed);
     for i in 0..n {
         for j in 0..n {
@@ -146,7 +146,7 @@ fn kernel_matches_transient_32x32_perturbed() {
 fn sense_near_the_former_singular_widths_never_fails() {
     for n in [16, 32] {
         let mut a = FefetArray::new(n, n, FefetCell::default());
-        let (p_lo, p_hi) = a.cell.memory_states();
+        let (p_lo, p_hi) = a.memory_states();
         let mut rng = Rng::seed_from_u64(7);
         for i in 0..n {
             for j in 0..n {
