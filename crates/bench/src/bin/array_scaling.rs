@@ -2,7 +2,7 @@
 //! of the FEFET array as it grows, plus the FERAM baseline array's
 //! disturb behavior (the §4 isolation claim, side by side).
 
-use fefet_bench::{fmt_current, fmt_energy, section};
+use fefet_bench::{fmt_current, fmt_energy, fmt_sneak, section};
 use fefet_mem::array::FefetArray;
 use fefet_mem::cell::FefetCell;
 use fefet_mem::feram::FeramCell;
@@ -67,5 +67,5 @@ fn main() {
     for (j, i) in r.currents.iter().enumerate() {
         println!("col {j}: {}", fmt_current(*i));
     }
-    println!("max sneak current: {}", fmt_current(r.max_sneak));
+    println!("max sneak current: {}", fmt_sneak(r.max_sneak));
 }

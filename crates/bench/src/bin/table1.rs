@@ -2,7 +2,7 @@
 //! array of Fig 7 — every write leaves unaccessed rows undisturbed, every
 //! read is disturb-free and sneak-current-free.
 
-use fefet_bench::{fmt_current, fmt_energy, section};
+use fefet_bench::{fmt_current, fmt_energy, fmt_sneak, section};
 use fefet_mem::array::FefetArray;
 use fefet_mem::bias::{BiasSpec, Operation};
 use fefet_mem::cell::FefetCell;
@@ -63,7 +63,7 @@ fn main() {
             "read row{row}: bits {:?}, currents {:?}, max sneak {} | disturb {:.2e}",
             r.bits,
             currents,
-            fmt_current(r.max_sneak),
+            fmt_sneak(r.max_sneak),
             r.op.max_disturb
         );
     }

@@ -24,6 +24,7 @@
 
 pub mod tinybench;
 
+use fefet_ckt::engine::SolverOptions;
 use fefet_ckt::trace::Trace;
 
 /// Prints a labelled section header.
@@ -81,6 +82,28 @@ pub fn fmt_current(i: f64) -> String {
     }
 }
 
+/// Formats a sneak current (A): one below the Newton solver's KCL
+/// tolerance ([`SolverOptions::tol_i`]) is rounding noise of the solve,
+/// so it prints as that bound rather than as a number.
+pub fn fmt_sneak(i: f64) -> String {
+    let tol_i = SolverOptions::default().tol_i;
+    if i.abs() < tol_i {
+        format!("< {}", fmt_current(tol_i))
+    } else {
+        fmt_current(i)
+    }
+}
+
+/// `v` at 4 decimals, with a value that rounds to zero printed as
+/// `0.0000` whatever its sign.
+fn fixed4(v: f64) -> String {
+    let s = format!("{v:.4}");
+    match s.strip_prefix('-') {
+        Some(zero) if zero == "0.0000" => zero.to_string(),
+        _ => s,
+    }
+}
+
 /// Prints `signals` of `trace` as a table at 13 fixed times from 0 to
 /// the last sample, interpolated, so that tables from different step
 /// grids line up row for row. Currents (`i(...)`) are printed in
@@ -104,7 +127,7 @@ pub fn print_wave(trace: &Trace, signals: &[&str]) {
             if s.starts_with("i(") {
                 v *= 1e6;
             }
-            print!(" {:>10.4}", v);
+            print!(" {:>10}", fixed4(v));
         }
         println!();
     }
@@ -146,6 +169,21 @@ mod tests {
     fn current_formatting() {
         assert_eq!(fmt_current(30e-6), "30.000 uA");
         assert_eq!(fmt_current(5e-11), "50.000 pA");
+    }
+
+    #[test]
+    fn sneak_currents_below_tol_i_print_as_the_bound() {
+        assert_eq!(fmt_sneak(6.731e-36), "< 1.000 pA");
+        assert_eq!(fmt_sneak(-2e-13), "< 1.000 pA");
+        assert_eq!(fmt_sneak(2.5e-12), "2.500 pA");
+    }
+
+    #[test]
+    fn wave_values_that_round_to_zero_print_unsigned() {
+        assert_eq!(fixed4(-0.0), "0.0000");
+        assert_eq!(fixed4(-4e-5), "0.0000");
+        assert_eq!(fixed4(-6e-5), "-0.0001");
+        assert_eq!(fixed4(0.2965), "0.2965");
     }
 
     #[test]

@@ -485,7 +485,7 @@ mod tests {
             tel.solver.solves.get(),
             "only converged solves enter the iteration histogram"
         );
-        let json = tel.solver.to_json();
+        let json = tel.solver.counters_json();
         assert!(
             json.contains(&format!("\"failed_iterations\":{}", 2 * failures)),
             "{json}"

@@ -632,6 +632,32 @@ impl FefetArray {
         t_pulse: f64,
         unaccessed: Unaccessed,
     ) -> Result<(ArrayOp, TransientRun, Netlist)> {
+        let (mut net, t_end) = self.write_netlist(row, data, t_pulse, unaccessed)?;
+        let _span = self.instr.span("array.write_row");
+        let run = self.run(&mut net, t_end, |_| {})?;
+        let max_disturb = net.groups.max_disturb(&run, &self.state, true);
+        if let Some(tel) = self.instr.get() {
+            tel.array.row_writes.inc();
+            tel.array.disturb_max.update_max(max_disturb);
+        }
+        let op = ArrayOp {
+            steps: run.steps,
+            energy: run.total_source_energy(),
+            max_disturb,
+        };
+        Ok((op, run, net))
+    }
+
+    /// Builds the write netlist of `row` for `data` under Table 1 write
+    /// biasing with a pulse of width `t_pulse` (s), and the end time (s)
+    /// of its run.
+    fn write_netlist(
+        &self,
+        row: usize,
+        data: &[bool],
+        t_pulse: f64,
+        unaccessed: Unaccessed,
+    ) -> Result<(Netlist, f64)> {
         if data.len() != self.cols {
             return Err(CktError::Netlist(format!(
                 "write_row: got {} bits for {} columns",
@@ -673,7 +699,7 @@ impl FefetArray {
                 Waveform::dc(0.0),
             ));
         }
-        let mut net = self.build(
+        let net = self.build(
             row,
             unaccessed,
             false,
@@ -681,20 +707,7 @@ impl FefetArray {
             &(Waveform::dc(0.0), others),
             &col_waves,
         );
-        let t_end = T_START + t_pulse + t_restore + 0.5e-9;
-        let _span = self.instr.span("array.write_row");
-        let run = self.run(&mut net, t_end, |_| {})?;
-        let max_disturb = net.groups.max_disturb(&run, &self.state, true);
-        if let Some(tel) = self.instr.get() {
-            tel.array.row_writes.inc();
-            tel.array.disturb_max.update_max(max_disturb);
-        }
-        let op = ArrayOp {
-            steps: run.steps,
-            energy: run.total_source_energy(),
-            max_disturb,
-        };
-        Ok((op, run, net))
+        Ok((net, T_START + t_pulse + t_restore + 0.5e-9))
     }
 
     /// Builds the full-array read-phase circuit for `row` without
@@ -1035,6 +1048,25 @@ pub(crate) fn pattern_text(p: &fefet_numerics::sparse::CsrPattern) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every trapezoidal step of a 4×4 row-slice write, taken from each
+    /// point the write's run accepts, lands within `tol_v` on every
+    /// node, and within 1e-9 C/m² on every FE polarization, of the same
+    /// step solved with `tol_v = 1e-13`.
+    #[test]
+    fn accepted_row_slice_steps_lie_within_tol_v_of_a_tight_solve() {
+        use crate::cell::accuracy::{point, tight_step_gaps};
+        let a = FefetArray::new(4, 4, FefetCell::default());
+        let (mut net, t_end) = a
+            .write_netlist(1, &[true, false, true, false], 1e-9, Unaccessed::Classes)
+            .unwrap();
+        let mut points = Vec::new();
+        a.run(&mut net, t_end, |s| points.push(point(s))).unwrap();
+        let opts = a.solver_options();
+        let (gap_v, gap_p) = tight_step_gaps(&net.circuit, &points, a.cell.dt, &opts);
+        assert!(gap_v < opts.tol_v, "nodes off by {gap_v:e} V");
+        assert!(gap_p < 1e-9, "P off by {gap_p:e} C/m^2");
+    }
 
     /// An array of a FEFET too thin to hold two states, or one without
     /// a row or a column, is refused with a typed error at construction;

@@ -462,6 +462,78 @@ pub(crate) mod parity {
     }
 }
 
+/// Helper of the Newton-acceptance tests: how far the solution a step
+/// accepts lies from the same step solved to a tight tolerance.
+#[cfg(test)]
+pub(crate) mod accuracy {
+    use fefet_ckt::circuit::Circuit;
+    use fefet_ckt::elements::{ElemState, Element, Integration};
+    use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverOptions};
+    use fefet_ckt::transient::Step;
+
+    /// One accepted point of a transient run: time, solution, states.
+    pub(crate) type Point = (f64, Vec<f64>, Vec<ElemState>);
+
+    /// Records an accepted point.
+    pub(crate) fn point(s: &Step<'_>) -> Point {
+        (s.t, s.x.to_vec(), s.states.to_vec())
+    }
+
+    /// Largest gaps, over node voltages (V) and over FE polarizations
+    /// (C/m²), between a trapezoidal step of width `h` (s) from each of
+    /// `points` solved with `opts` and the same step solved with
+    /// `tol_v = 1e-13`. Each solve starts from the point's solution with
+    /// its polarizations advanced at their last rate, on a fresh
+    /// workspace.
+    pub(crate) fn tight_step_gaps(
+        ckt: &Circuit,
+        points: &[Point],
+        h: f64,
+        opts: &SolverOptions,
+    ) -> (f64, f64) {
+        let asm = Assembly::new(ckt);
+        let nv = ckt.n_nodes() - 1;
+        let p_rows: Vec<usize> = ckt
+            .elements()
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, e))| matches!(e, Element::FeCap { .. }))
+            .map(|(k, _)| nv + asm.branch0[k])
+            .collect();
+        assert!(!p_rows.is_empty(), "no FE capacitor to compare");
+        let tight = SolverOptions {
+            tol_v: 1e-13,
+            ..opts.clone()
+        };
+        let solve = |(t, x, states): &Point, opts: &SolverOptions| {
+            let mut x = x.clone();
+            asm.seed_polarization(ckt, states, h, &mut x);
+            let mut ws = NewtonWorkspace::new(asm.n_unknowns());
+            asm.solve_point_with(
+                ckt,
+                t + h,
+                h,
+                Integration::Trapezoidal,
+                false,
+                opts,
+                &mut x,
+                states,
+                &mut ws,
+            )
+            .unwrap_or_else(|e| panic!("step from t = {t:e}: {e}"));
+            x
+        };
+        let (mut gap_v, mut gap_p) = (0.0f64, 0.0f64);
+        for point in points {
+            let (x, x_tight) = (solve(point, opts), solve(point, &tight));
+            let gap = |i: usize| (x[i] - x_tight[i]).abs();
+            gap_v = (0..nv).map(gap).fold(gap_v, f64::max);
+            gap_p = p_rows.iter().copied().map(gap).fold(gap_p, f64::max);
+        }
+        (gap_v, gap_p)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::parity::{full, same, same_opt};
@@ -528,6 +600,34 @@ mod tests {
         match states[fe] {
             ElemState::Fe { p, .. } => assert!(p > 0.6 * p_hi, "P = {p} after 2 ns"),
             other => panic!("wrong state {other:?}"),
+        }
+    }
+
+    /// Every 20 ps trapezoidal step of a '1' write and a '0' write,
+    /// taken from each point the write's run accepts, lands within
+    /// `tol_v` on every node, and within 1e-9 C/m² on the film's
+    /// polarization, of the same step solved with `tol_v = 1e-13`.
+    #[test]
+    fn accepted_cell_steps_lie_within_tol_v_of_a_tight_solve() {
+        use super::accuracy::{point, tight_step_gaps};
+        let cell = cell();
+        let (p_lo, p_hi) = cell.checked_memory_states().unwrap();
+        for (data, p_from) in [(true, p_lo), (false, p_hi)] {
+            let op = cell.write_op(data, p_from, 1e-9);
+            let mut points = Vec::new();
+            op.sim
+                .run(|s| {
+                    points.push(point(s));
+                    ControlFlow::Continue(())
+                })
+                .unwrap();
+            let opts = &op.sim.opts;
+            let (gap_v, gap_p) = tight_step_gaps(&op.sim.circuit, &points, opts.dt, &opts.solver);
+            assert!(
+                gap_v < opts.solver.tol_v,
+                "write {data}: nodes off by {gap_v:e} V"
+            );
+            assert!(gap_p < 1e-9, "write {data}: P off by {gap_p:e} C/m^2");
         }
     }
 

@@ -1691,7 +1691,12 @@ mod tests {
     /// currents −5.1e-14, −2.2e-14, +3.1e-13); iteration counts and
     /// everything device-owned stayed. Solving the cell's memory states
     /// in `V_MOS` moved only the disturb shifts, by +1.1e-16, +5.6e-17
-    /// and +1.1e-16 C/m² at trials 0, 100 and 128.
+    /// and +1.1e-16 C/m² at trials 0, 100 and 128. Accepting Newton
+    /// iterates on their measured contraction cut the bootstrap from 42
+    /// to 32 iterations and the trials' from 12, 12 and 11 to 9, 11 and
+    /// 9, and moved the nominal margin by −1.8e-16 and the trials'
+    /// margins by +1.1e-14, +1.8e-14 and −3.2e-15 relative (ON currents
+    /// alike, OFF currents by 4.3e-16 or less).
     #[test]
     fn clean_trial_outcomes_are_pinned() {
         let engine = YieldEngine::new(
@@ -1700,16 +1705,16 @@ mod tests {
             Instrumentation::off(),
         )
         .expect("engine");
-        assert_eq!(engine.bootstrap_iters(), 42);
-        assert_eq!(engine.nominal_margin().to_bits(), 0x4134_2b4e_6293_17af);
+        assert_eq!(engine.bootstrap_iters(), 32);
+        assert_eq!(engine.nominal_margin().to_bits(), 0x4134_2b4e_6293_17ae);
         let pins: [(usize, OutcomeBits); 3] = [
             (
                 0,
                 (
-                    0x4120_6034_e6b8_6bda,
-                    0x3ee9_8d81_0b29_841b,
-                    0x3db8_f762_31fa_9952,
-                    12,
+                    0x4120_6034_e6b8_6c0e,
+                    0x3ee9_8d81_0b29_8468,
+                    0x3db8_f762_31fa_994f,
+                    9,
                     0xf_ffff_efbc,
                     0x3fa5_4e3c_b136_e72c,
                     1,
@@ -1720,10 +1725,10 @@ mod tests {
             (
                 100,
                 (
-                    0x40d4_682a_e01f_2c09,
-                    0x3ea1_2655_30f1_06d4,
-                    0x3dba_e477_6dbd_1004,
-                    12,
+                    0x40d4_682a_e01f_2c71,
+                    0x3ea1_2655_30f1_072b,
+                    0x3dba_e477_6dbd_1003,
+                    11,
                     0xf_ffff_efbc,
                     0x3fd6_145f_ebe7_55c6,
                     3,
@@ -1734,10 +1739,10 @@ mod tests {
             (
                 128,
                 (
-                    0x412a_e6c8_c3e7_60da,
-                    0x3ef5_c10e_5b7f_4aff,
-                    0x3db9_e087_a124_fb90,
-                    11,
+                    0x412a_e6c8_c3e7_60c2,
+                    0x3ef5_c10e_5b7f_4aed,
+                    0x3db9_e087_a124_fb91,
+                    9,
                     0xf_ffff_efa0,
                     0x3f91_5560_6534_d0b8,
                     1,

@@ -144,11 +144,13 @@ impl Default for SolverStats {
 }
 
 impl SolverStats {
-    pub fn to_json(&self) -> String {
+    /// Every solver counter and histogram but `residual_at_convergence`,
+    /// whose float sum depends on the order parallel workers record in
+    /// (see [`Telemetry::timings_json`]).
+    pub fn counters_json(&self) -> String {
         format!(
             "{{\"solves\":{},\"failures\":{},\"gmin_retries\":{},\
              \"newton_iterations\":{},\"failed_iterations\":{},\
-             \"residual_at_convergence\":{},\
              \"dense_factors\":{},\"sparse_refactors\":{},\
              \"back_substitutions\":{},\"factors_per_solve\":{},\
              \"jacobian_reuses\":{},\"stamp_passes\":{},\
@@ -163,7 +165,6 @@ impl SolverStats {
             self.gmin_retries.get(),
             self.newton_iterations.to_json(),
             self.failed_iterations.get(),
-            self.residual_at_convergence.to_json(),
             self.dense_factors.get(),
             self.sparse_refactors.get(),
             self.back_substitutions.get(),
@@ -220,16 +221,18 @@ impl Default for StepStats {
 }
 
 impl StepStats {
-    pub fn to_json(&self) -> String {
+    /// Every step counter but the `dt_seconds` histogram, whose float
+    /// sum depends on the order parallel workers record in (see
+    /// [`Telemetry::timings_json`]).
+    pub fn counters_json(&self) -> String {
         format!(
             "{{\"accepted\":{},\"rejected_newton\":{},\"rejected_lte\":{},\
-             \"corner_snaps\":{},\"predicted\":{},\"dt_seconds\":{}}}",
+             \"corner_snaps\":{},\"predicted\":{}}}",
             self.accepted.get(),
             self.rejected_newton.get(),
             self.rejected_lte.get(),
             self.corner_snaps.get(),
             self.predicted.get(),
-            self.dt_seconds.to_json(),
         )
     }
 }
@@ -612,28 +615,53 @@ impl Telemetry {
         self.trace.get().map(Arc::as_ref)
     }
 
-    /// Serializes the full snapshot as one JSON object, suitable as a
-    /// [`RunReport`] section.
-    pub fn to_json(&self) -> String {
+    /// The deterministic part of the snapshot as one JSON object, suitable
+    /// as a [`RunReport`] section: every counter, histogram and span
+    /// count that a rerun of the same workload reproduces exactly,
+    /// whatever the thread interleaving. [`Telemetry::timings_json`]
+    /// holds the rest.
+    pub fn counters_json(&self) -> String {
         let mut s = String::with_capacity(1024);
-        s.push_str(&format!("{{\"solver\":{}", self.solver.to_json()));
-        s.push_str(&format!(",\"steps\":{}", self.steps.to_json()));
+        s.push_str(&format!("{{\"solver\":{}", self.solver.counters_json()));
+        s.push_str(&format!(",\"steps\":{}", self.steps.counters_json()));
         s.push_str(&format!(",\"array\":{}", self.array.to_json()));
         s.push_str(&format!(",\"nvp\":{}", self.nvp.to_json()));
-        s.push_str(&format!(",\"pool\":{}", self.pool.to_json()));
-        s.push_str(&format!(",\"serving\":{}", self.serving.to_json()));
-        s.push_str(&format!(",\"latency\":{}", self.latency.to_json()));
-        s.push_str(",\"spans\":{");
-        for (i, (name, count, total_ns)) in self.spans.snapshot().iter().enumerate() {
+        s.push_str(",\"span_counts\":{");
+        for (i, (name, count, _)) in self.spans.snapshot().iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"total_ns\":{}}}",
-                json::escape(name),
-                count,
-                total_ns
-            ));
+            s.push_str(&format!("\"{}\":{count}", json::escape(name)));
+        }
+        s.push_str("}}");
+        s
+    }
+
+    /// The part of the snapshot a rerun does not reproduce, as one JSON
+    /// object: latencies, pool scheduling, span wall times, the
+    /// float-summed histograms (`residual_at_convergence`,
+    /// `dt_seconds`), whose sums depend on the order parallel workers
+    /// record in, and the serving group, whose op latencies sit next to
+    /// its counters.
+    pub fn timings_json(&self) -> String {
+        let mut s = String::with_capacity(1024);
+        s.push_str(&format!(
+            "{{\"residual_at_convergence\":{}",
+            self.solver.residual_at_convergence.to_json()
+        ));
+        s.push_str(&format!(
+            ",\"dt_seconds\":{}",
+            self.steps.dt_seconds.to_json()
+        ));
+        s.push_str(&format!(",\"pool\":{}", self.pool.to_json()));
+        s.push_str(&format!(",\"serving\":{}", self.serving.to_json()));
+        s.push_str(&format!(",\"latency\":{}", self.latency.to_json()));
+        s.push_str(",\"span_ns\":{");
+        for (i, (name, _, total_ns)) in self.spans.snapshot().iter().enumerate() {
+            if i > 0 {
+                s.push(',');
+            }
+            s.push_str(&format!("\"{}\":{total_ns}", json::escape(name)));
         }
         s.push_str("}}");
         s
@@ -834,7 +862,9 @@ mod tests {
     #[test]
     fn telemetry_snapshot_is_valid_json() {
         let tel = Telemetry::new();
-        assert!(json::validate(&tel.to_json()).is_ok(), "{}", tel.to_json());
+        for j in [tel.counters_json(), tel.timings_json()] {
+            assert!(json::validate(&j).is_ok(), "{j}");
+        }
 
         tel.solver.solves.inc();
         tel.solver.newton_iterations.record_usize(3);
@@ -856,16 +886,21 @@ mod tests {
         tel.serving.escalations.add(10);
         tel.serving.read_ns.record_ns(250);
         let _ = tel.spans.handle("x");
-        let j = tel.to_json();
+        let j = tel.counters_json();
         assert!(json::validate(&j).is_ok(), "{j}");
         assert!(j.contains("\"solves\":1"));
         assert!(j.contains("\"accepted\":10"));
         assert!(j.contains("\"jacobian_reuses\":7"));
         assert!(j.contains("\"stamp_passes\":11"));
         assert!(j.contains("\"predicted\":9"));
-        assert!(j.contains("\"workers_active\":4"));
-        assert!(j.contains("\"fast_path\":990"));
-        assert!(j.contains("\"x\":{\"count\":0"));
+        assert!(j.contains("\"span_counts\":{\"x\":0}"), "{j}");
+        assert!(!j.contains("residual_at_convergence") && !j.contains("dt_seconds"));
+        let t = tel.timings_json();
+        assert!(json::validate(&t).is_ok(), "{t}");
+        assert!(t.contains("\"workers_active\":4"));
+        assert!(t.contains("\"fast_path\":990"));
+        assert!(t.contains("\"dt_seconds\":{\"count\":1"), "{t}");
+        assert!(t.contains("\"span_ns\":{\"x\":0}"), "{t}");
     }
 
     #[test]
