@@ -1,7 +1,5 @@
-//! Performance benches for the numerical substrate: the LU kernel
-//! (against the original allocating implementation it replaced), the
-//! Newton/transient engine on its one sparse LU path, and the
-//! array-level sweeps.
+//! Performance benches for the numerical substrate: the Newton/transient
+//! engine on its one sparse LU path, and the array-level sweeps.
 //!
 //! A full run writes `BENCH_solvers.json` at the repository root (the
 //! committed baseline); `TINYBENCH_SMOKE=1` runs every workload once
@@ -22,80 +20,8 @@ use fefet_mem::compare::iso_comparison;
 use fefet_mem::feram::FeramCell;
 use fefet_mem::shmoo::write_shmoo;
 use fefet_mem::yield_engine::{YieldEngine, YieldSpec};
-use fefet_numerics::linalg::{LuWorkspace, Matrix};
 use fefet_numerics::rng::Rng;
 use fefet_telemetry::Instrumentation;
-
-/// The original (pre-workspace) LU implementation, kept verbatim as the
-/// bench baseline: `Index`-based element access with its per-access
-/// bounds checks, a gathered final permutation, and an allocating solve.
-mod seed_lu {
-    use fefet_numerics::linalg::Matrix;
-
-    pub struct SeedLu {
-        lu: Matrix,
-        perm: Vec<usize>,
-    }
-
-    #[allow(clippy::needless_range_loop)]
-    pub fn factor(mut a: Matrix) -> SeedLu {
-        let n = a.rows();
-        let mut perm: Vec<usize> = (0..n).collect();
-        for k in 0..n {
-            let mut p = k;
-            let mut max = a[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = a[(i, k)].abs();
-                if v > max {
-                    max = v;
-                    p = i;
-                }
-            }
-            assert!(max >= 1e-300, "seed_lu: singular at column {k}");
-            if p != k {
-                for c in 0..n {
-                    let tmp = a[(k, c)];
-                    a[(k, c)] = a[(p, c)];
-                    a[(p, c)] = tmp;
-                }
-                perm.swap(k, p);
-            }
-            let pivot = a[(k, k)];
-            for i in (k + 1)..n {
-                let factor = a[(i, k)] / pivot;
-                a[(i, k)] = factor;
-                for c in (k + 1)..n {
-                    let akc = a[(k, c)];
-                    a[(i, c)] -= factor * akc;
-                }
-            }
-        }
-        SeedLu { lu: a, perm }
-    }
-
-    impl SeedLu {
-        #[allow(clippy::needless_range_loop)]
-        pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-            let n = self.lu.rows();
-            let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
-            for i in 1..n {
-                let mut s = x[i];
-                for j in 0..i {
-                    s -= self.lu[(i, j)] * x[j];
-                }
-                x[i] = s;
-            }
-            for i in (0..n).rev() {
-                let mut s = x[i];
-                for j in (i + 1)..n {
-                    s -= self.lu[(i, j)] * x[j];
-                }
-                x[i] = s / self.lu[(i, i)];
-            }
-            x
-        }
-    }
-}
 
 /// One DC Newton solve at time `t` (s) from `x0`, into `x`, on the
 /// caller's workspace.
@@ -123,39 +49,6 @@ fn newton_inplace(
         ws,
     )
     .expect("newton_inplace failed to converge");
-}
-
-fn bench_lu(report: &mut Report) {
-    for n in [8usize, 16, 32, 64] {
-        // Diagonally dominant matrix like an MNA system.
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    m[(i, j)] = -1.0 / (1.0 + (i + j) as f64);
-                    m[(i, i)] += 1.0 / (1.0 + (i + j) as f64);
-                }
-            }
-            m[(i, i)] += 1.0;
-        }
-        let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let mut ws = LuWorkspace::new(n);
-        let mut x = vec![0.0; n];
-        report.bench_pair(
-            &format!("lu_factor_solve_alloc/{n}"),
-            &format!("lu_factor_solve_inplace/{n}"),
-            || {
-                let lu = seed_lu::factor(opaque(m.clone()));
-                lu.solve(&b)
-            },
-            || {
-                ws.factor(opaque(&m)).unwrap();
-                x.copy_from_slice(&b);
-                ws.solve_into(&mut x).unwrap();
-                x.last().copied()
-            },
-        );
-    }
 }
 
 /// The read-phase circuit of an array, at a bias point inside the read
@@ -903,7 +796,6 @@ fn bench_device_scans(report: &mut Report) {
 
 fn main() {
     let mut report = Report::new();
-    bench_lu(&mut report);
     bench_newton(&mut report);
     bench_newton_scaling(&mut report);
     bench_instr_overhead(&mut report);

@@ -37,15 +37,10 @@ pub(crate) struct CellSim {
     pub(crate) opts: TransientOptions,
 }
 
-/// Step ceiling of a cell-level op, as a multiple of its step floor:
-/// between waveform corners its transient grows the step wherever the
-/// circuit is quiescent (see `fefet_ckt::transient::TransientOptions`).
-const CELL_STEP_CEILING: f64 = 10.0;
-
 impl CellSim {
     /// A cell-level op's simulation of `circuit` to `t_end` (s) with
     /// step floor `dt` (s), integrator `method` and initial node
-    /// voltages `node_ics`; the step ceiling is [`CELL_STEP_CEILING`]
+    /// voltages `node_ics`; the step ceiling is [`crate::STEP_CEILING`]
     /// floors.
     pub(crate) fn new(
         circuit: Circuit,
@@ -59,7 +54,7 @@ impl CellSim {
             t_end,
             opts: TransientOptions {
                 dt,
-                dt_max: CELL_STEP_CEILING * dt.max(0.0),
+                dt_max: crate::STEP_CEILING * dt.max(0.0),
                 method,
                 node_ics,
                 ..TransientOptions::default()
@@ -96,7 +91,9 @@ pub struct FefetCell {
     pub c_sense_line: f64,
     /// Line-driver output resistance (Ω) — makes CV² driver losses real.
     pub r_driver: f64,
-    /// Simulation step (s) of the trapezoidal transient; 20 ps by default.
+    /// Step floor (s) of the trapezoidal transient of its cell and row
+    /// ops, 20 ps by default; steps grow up to ten floors on quiescent
+    /// stretches.
     pub dt: f64,
 }
 

@@ -37,7 +37,9 @@ pub struct FeramCell {
     pub c_plate_line: f64,
     /// Line-driver output resistance (Ω).
     pub r_driver: f64,
-    /// Simulation step (s) of the trapezoidal transient; 20 ps by default.
+    /// Step floor (s) of the trapezoidal transient of its cell and row
+    /// ops, 20 ps by default; steps grow up to ten floors on quiescent
+    /// stretches.
     pub dt: f64,
 }
 

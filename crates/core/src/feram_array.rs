@@ -542,6 +542,36 @@ mod tests {
         assert!(op.energy > 0.0);
     }
 
+    /// Work pin of one seeded 16×16 destructive read over a 2 ns
+    /// window: accepted steps, Newton solves, iterations and
+    /// factorizations. Growing the step on the read's flat stretches
+    /// took it from 131 steps, 401 iterations and 73 factorizations on
+    /// the fixed 20 ps schedule.
+    #[test]
+    fn seeded_16x16_read_newton_work_is_pinned() {
+        let mut rng = fefet_numerics::rng::Rng::seed_from_u64(0x1616);
+        let mut a = FeramArray::new(16, 16, FeramCell::default()).unwrap();
+        let (p_lo, p_hi) = a.memory_states();
+        for i in 0..16 {
+            for j in 0..16 {
+                a.set_polarization(i, j, if rng.uniform() > 0.5 { p_hi } else { p_lo });
+            }
+        }
+        a.instr = Instrumentation::enabled();
+        let (op, _) = a.read_row(2, 2e-9).unwrap();
+        let solver = &a.instr.get().unwrap().solver;
+        let iters = solver.back_substitutions.get() + solver.failed_iterations.get();
+        assert_eq!(
+            (
+                op.steps,
+                solver.solves.get(),
+                iters,
+                solver.sparse_refactors.get()
+            ),
+            (79, 79, 298, 79)
+        );
+    }
+
     #[test]
     fn feram_array_suffers_more_disturb_than_fefet_array() {
         // Plate-line architecture: neighbors of the accessed row see

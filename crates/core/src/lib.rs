@@ -51,6 +51,12 @@ pub mod shmoo;
 mod slice;
 pub mod yield_engine;
 
+/// Step ceiling of every cell-level op and row op, as a multiple of its
+/// step floor: between waveform corners its transient grows the step
+/// wherever the circuit is quiescent (see
+/// `fefet_ckt::transient::TransientOptions`).
+pub(crate) const STEP_CEILING: f64 = 10.0;
+
 pub use bias::{BiasSpec, LineBias, Operation};
 pub use cell::FefetCell;
 pub use compare::{MemoryKind, NvmParams};

@@ -387,9 +387,10 @@ pub(crate) fn solver_options(
 }
 
 /// Runs a row op's trapezoidal transient of `circuit` to `t_end` (s) at
-/// step `dt` (s) from the node initial conditions `node_ics`, handing
-/// every accepted point to `observe`. A row op reads its final states,
-/// so the run always goes to `t_end`.
+/// step floor `dt` (s) and ceiling [`crate::STEP_CEILING`] floors from
+/// the node initial conditions `node_ics`, handing every accepted point
+/// to `observe`. A row op reads its final states, so the run always
+/// goes to `t_end`.
 pub(crate) fn run(
     circuit: &Circuit,
     t_end: f64,
@@ -404,6 +405,7 @@ pub(crate) fn run(
         t_end,
         TransientOptions {
             dt,
+            dt_max: crate::STEP_CEILING * dt.max(0.0),
             method: Integration::Trapezoidal,
             node_ics,
             predict,

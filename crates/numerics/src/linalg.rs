@@ -208,10 +208,8 @@ const PIVOT_EPS: f64 = 1e-300;
 /// recording the row swapped into position at each step (`ipiv[k] == k`
 /// when no swap happened). Returns the permutation sign.
 ///
-/// Shared by [`LuFactors::factor`] and [`LuWorkspace::factor`], so the
-/// owning and in-place entry points produce identical factors and pivots
-/// bit for bit. The elimination works on whole-row slices so the inner
-/// loops carry no per-element bounds checks.
+/// The elimination works on whole-row slices so the inner loops carry no
+/// per-element bounds checks.
 fn eliminate_in_place(data: &mut [f64], n: usize, ipiv: &mut [usize]) -> Result<f64> {
     let mut sign = 1.0;
     for k in 0..n {
@@ -251,57 +249,6 @@ fn eliminate_in_place(data: &mut [f64], n: usize, ipiv: &mut [usize]) -> Result<
     Ok(sign)
 }
 
-/// Elimination with `b` carried as an augmented column: the same row
-/// swaps and multiplier updates are applied to `b`, so on return `b`
-/// holds the permuted, forward-substituted right-hand side. Each update
-/// `b[i] -= l_ik * b[k]` runs in ascending `k` with the same operands as
-/// pivoted forward substitution would use, so the result is bit-identical
-/// to [`substitute_in_place`]'s permute + forward pass — while touching
-/// each matrix row once, while it is already cache-hot.
-fn eliminate_with_rhs(
-    data: &mut [f64],
-    n: usize,
-    ipiv: &mut [usize],
-    b: &mut [f64],
-) -> Result<f64> {
-    let mut sign = 1.0;
-    for k in 0..n {
-        let mut p = k;
-        let mut max = 0.0;
-        for (i, row) in data[k * n..].chunks_exact(n).enumerate() {
-            let v = row[k].abs();
-            if v > max {
-                max = v;
-                p = k + i;
-            }
-        }
-        if max < PIVOT_EPS {
-            return Err(Error::Singular { column: k });
-        }
-        ipiv[k] = p;
-        if p != k {
-            let (head, tail) = data.split_at_mut(p * n);
-            head[k * n..k * n + n].swap_with_slice(&mut tail[..n]);
-            b.swap(k, p);
-            sign = -sign;
-        }
-        let pivot = data[k * n + k];
-        let (fixed, active) = data.split_at_mut((k + 1) * n);
-        let row_k = &fixed[k * n..];
-        let (b_done, b_active) = b.split_at_mut(k + 1);
-        let b_k = b_done[k];
-        for (row_i, b_i) in active.chunks_exact_mut(n).zip(b_active.iter_mut()) {
-            let factor = row_i[k] / pivot;
-            row_i[k] = factor;
-            for (aic, akc) in row_i[k + 1..n].iter_mut().zip(&row_k[k + 1..n]) {
-                *aic -= factor * akc;
-            }
-            *b_i -= factor * b_k;
-        }
-    }
-    Ok(sign)
-}
-
 /// Permutation + triangular substitution on `x` in place, using the
 /// factored storage `lu` and the recorded swap sequence `ipiv`.
 fn substitute_in_place(lu: &[f64], n: usize, ipiv: &[usize], x: &mut [f64]) {
@@ -325,12 +272,6 @@ fn substitute_in_place(lu: &[f64], n: usize, ipiv: &[usize], x: &mut [f64]) {
     // Back substitution, accumulating in ascending-j order like the
     // indexed form it replaced (the sum order is part of the result's
     // bit pattern).
-    back_substitute(lu, n, x);
-}
-
-/// Back substitution alone, for a right-hand side that has already been
-/// permuted and forward-substituted (by [`eliminate_with_rhs`]).
-fn back_substitute(lu: &[f64], n: usize, x: &mut [f64]) {
     for i in (0..n).rev() {
         let row = &lu[i * n..(i + 1) * n];
         let (head, tail) = x.split_at_mut(i + 1);
@@ -416,234 +357,6 @@ impl LuFactors {
             d *= self.lu[(i, i)];
         }
         d
-    }
-}
-
-/// Reusable LU factorization storage: factor a borrowed matrix into the
-/// workspace's own buffers, then solve right-hand sides in place.
-///
-/// Unlike [`LuFactors::factor`], which consumes its argument, a
-/// `LuWorkspace` copies the matrix into storage it already owns:
-/// re-factoring a same-sized system performs **zero heap allocation**.
-/// This is the kernel the circuit simulator's Newton loop runs on every
-/// iteration of every timestep.
-///
-/// # Example
-///
-/// ```
-/// use fefet_numerics::linalg::{LuWorkspace, Matrix};
-///
-/// # fn main() -> Result<(), fefet_numerics::Error> {
-/// let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]])?;
-/// let mut ws = LuWorkspace::new(2);
-/// ws.factor(&a)?; // `a` still usable; no allocation on repeat calls
-/// let mut x = [3.0, 7.0];
-/// ws.solve_into(&mut x)?;
-/// assert_eq!(x, [7.0, 3.0]);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct LuWorkspace {
-    lu: Matrix,
-    ipiv: Vec<usize>,
-    sign: f64,
-    factored: bool,
-}
-
-impl LuWorkspace {
-    /// Creates a workspace sized for `n x n` systems.
-    pub fn new(n: usize) -> Self {
-        LuWorkspace {
-            lu: Matrix::zeros(n, n),
-            ipiv: (0..n).collect(),
-            sign: 1.0,
-            factored: false,
-        }
-    }
-
-    /// Order of the systems this workspace is currently sized for.
-    pub fn order(&self) -> usize {
-        self.lu.rows
-    }
-
-    /// Whether the workspace holds a successful factorization, i.e.
-    /// whether [`LuWorkspace::solve_into`] can run against it without
-    /// refactoring. Modified-Newton callers use this to re-solve with a
-    /// stale Jacobian instead of paying a fresh elimination.
-    pub fn is_factored(&self) -> bool {
-        self.factored
-    }
-
-    /// Factors `a` into the workspace's own storage without consuming or
-    /// cloning it. Allocates only if `a`'s order differs from
-    /// [`LuWorkspace::order`]; repeated same-size factorizations are
-    /// allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::DimensionMismatch`] if `a` is not square;
-    /// [`Error::Singular`] if elimination finds a zero pivot column (the
-    /// workspace is left unfactored).
-    pub fn factor(&mut self, a: &Matrix) -> Result<()> {
-        if a.rows != a.cols {
-            return Err(Error::DimensionMismatch {
-                found: (a.rows, a.cols),
-                expected: (a.rows, a.rows),
-            });
-        }
-        let n = a.rows;
-        if self.lu.rows != n {
-            self.lu = Matrix::zeros(n, n);
-            self.ipiv = (0..n).collect();
-        }
-        self.lu.data.copy_from_slice(&a.data);
-        self.factored = false;
-        self.sign = eliminate_in_place(&mut self.lu.data, n, &mut self.ipiv)?;
-        self.factored = true;
-        Ok(())
-    }
-
-    /// Factors `a` by taking its storage: `a`'s buffer is swapped into
-    /// the workspace (an O(1) pointer exchange, no `n x n` copy) and
-    /// eliminated there. On return `a` holds the workspace's previous
-    /// buffer, resized to `a`'s order with unspecified contents — callers
-    /// that refill the matrix from scratch each round (as the Newton
-    /// stamping loop does) lose nothing.
-    ///
-    /// Produces bit-identical factors, pivots, and solutions to
-    /// [`LuWorkspace::factor`]; only the memory traffic differs.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::DimensionMismatch`] if `a` is not square;
-    /// [`Error::Singular`] if elimination finds a zero pivot column (the
-    /// workspace is left unfactored).
-    pub fn factor_in_place(&mut self, a: &mut Matrix) -> Result<()> {
-        if a.rows != a.cols {
-            return Err(Error::DimensionMismatch {
-                found: (a.rows, a.cols),
-                expected: (a.rows, a.rows),
-            });
-        }
-        let n = a.rows;
-        std::mem::swap(&mut self.lu, a);
-        if a.rows != n {
-            // The returned buffer must stay usable as an `n x n` staging
-            // matrix for the caller's next stamping round.
-            *a = Matrix::zeros(n, n);
-        }
-        if self.ipiv.len() != n {
-            self.ipiv = (0..n).collect();
-        }
-        self.factored = false;
-        self.sign = eliminate_in_place(&mut self.lu.data, n, &mut self.ipiv)?;
-        self.factored = true;
-        Ok(())
-    }
-
-    /// Fused factor-and-solve: factors `a` by buffer swap (like
-    /// [`LuWorkspace::factor_in_place`]) while carrying `b` through the
-    /// elimination as an augmented column, then back-substitutes into
-    /// `b`. This touches each matrix row exactly once while it is
-    /// cache-hot, skipping the separate permutation + forward
-    /// substitution pass a factor-then-solve pair would make.
-    ///
-    /// The solution written to `b` is bit-identical to
-    /// `factor_in_place(a)` followed by [`LuWorkspace::solve_into`]`(b)`:
-    /// every update `b[i] -= l_ik * b[k]` happens with the same operands
-    /// in the same ascending-`k` order as pivoted forward substitution
-    /// (row `k` of the factorization is final after step `k`, and the
-    /// multipliers travel with their full rows through pivot swaps).
-    ///
-    /// On success the workspace holds the factorization, so
-    /// [`LuWorkspace::solve_into`] and [`LuWorkspace::det`] remain
-    /// usable for further right-hand sides.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::DimensionMismatch`] if `a` is not square or `b`'s length
-    /// does not match; [`Error::Singular`] on a zero pivot column (the
-    /// workspace is left unfactored and `b` partially transformed).
-    pub fn factor_solve_in_place(&mut self, a: &mut Matrix, b: &mut [f64]) -> Result<()> {
-        if a.rows != a.cols {
-            return Err(Error::DimensionMismatch {
-                found: (a.rows, a.cols),
-                expected: (a.rows, a.rows),
-            });
-        }
-        let n = a.rows;
-        if b.len() != n {
-            return Err(Error::DimensionMismatch {
-                found: (b.len(), 1),
-                expected: (n, 1),
-            });
-        }
-        std::mem::swap(&mut self.lu, a);
-        if a.rows != n {
-            // The returned buffer must stay usable as an `n x n` staging
-            // matrix for the caller's next stamping round.
-            *a = Matrix::zeros(n, n);
-        }
-        if self.ipiv.len() != n {
-            self.ipiv = (0..n).collect();
-        }
-        self.factored = false;
-        self.sign = eliminate_with_rhs(&mut self.lu.data, n, &mut self.ipiv, b)?;
-        self.factored = true;
-        back_substitute(&self.lu.data, n, b);
-        Ok(())
-    }
-
-    /// The packed `L\U` factors from the last successful
-    /// [`LuWorkspace::factor`].
-    pub fn factors(&self) -> &Matrix {
-        &self.lu
-    }
-
-    /// The pivot swap sequence from the last successful factorization.
-    pub fn pivots(&self) -> &[usize] {
-        &self.ipiv
-    }
-
-    /// Solves `A x = b` in place against the stored factorization: `b`
-    /// holds the right-hand side on entry and the solution on return.
-    /// Performs no allocation.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidArgument`] if the workspace holds no successful
-    /// factorization; [`Error::DimensionMismatch`] if
-    /// `b.len() != self.order()`.
-    pub fn solve_into(&self, b: &mut [f64]) -> Result<()> {
-        if !self.factored {
-            return Err(Error::InvalidArgument(
-                "solve_into: workspace holds no factorization",
-            ));
-        }
-        let n = self.order();
-        if b.len() != n {
-            return Err(Error::DimensionMismatch {
-                found: (b.len(), 1),
-                expected: (n, 1),
-            });
-        }
-        substitute_in_place(&self.lu.data, n, &self.ipiv, b);
-        Ok(())
-    }
-
-    /// Determinant of the last factored matrix (product of pivots times
-    /// the permutation sign), or `None` before a successful
-    /// [`LuWorkspace::factor`].
-    pub fn det(&self) -> Option<f64> {
-        if !self.factored {
-            return None;
-        }
-        let mut d = self.sign;
-        for i in 0..self.order() {
-            d *= self.lu[(i, i)];
-        }
-        Some(d)
     }
 }
 
@@ -803,74 +516,6 @@ mod tests {
     fn index_out_of_bounds_panics() {
         let m = Matrix::zeros(2, 2);
         let _ = m[(2, 0)];
-    }
-
-    #[test]
-    fn workspace_matches_owning_factor_exactly() {
-        let a = Matrix::from_rows(&[&[0.0, 2.0, 1.0], &[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0]]).unwrap();
-        let lu = LuFactors::factor(a.clone()).unwrap();
-        let mut ws = LuWorkspace::new(3);
-        ws.factor(&a).unwrap();
-        assert_eq!(lu.factors(), ws.factors());
-        assert_eq!(lu.pivots(), ws.pivots());
-        let b = [5.0, 1.0, 2.0];
-        let x_owned = lu.solve(&b).unwrap();
-        let mut x_ws = b;
-        ws.solve_into(&mut x_ws).unwrap();
-        let owned_bits: Vec<u64> = x_owned.iter().map(|v| v.to_bits()).collect();
-        let ws_bits: Vec<u64> = x_ws.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(owned_bits, ws_bits);
-        // `a` is untouched by the borrow-based factorization.
-        assert_eq!(a[(0, 1)], 2.0);
-    }
-
-    #[test]
-    fn workspace_resizes_and_reuses() {
-        let mut ws = LuWorkspace::new(2);
-        let a2 = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]).unwrap();
-        ws.factor(&a2).unwrap();
-        let mut x = [5.0, 10.0];
-        ws.solve_into(&mut x).unwrap();
-        assert_close(x[0], 1.0, 1e-12);
-        assert_close(x[1], 3.0, 1e-12);
-        // Growing to a different order works (with a one-time realloc).
-        let a3 =
-            Matrix::from_rows(&[&[4.0, 0.0, 0.0], &[0.0, 2.0, 0.0], &[0.0, 0.0, 1.0]]).unwrap();
-        ws.factor(&a3).unwrap();
-        assert_eq!(ws.order(), 3);
-        let mut y = [8.0, 4.0, 5.0];
-        ws.solve_into(&mut y).unwrap();
-        assert_close(y[0], 2.0, 1e-12);
-        assert_close(y[1], 2.0, 1e-12);
-        assert_close(y[2], 5.0, 1e-12);
-        assert_close(ws.det().unwrap(), 8.0, 1e-12);
-    }
-
-    #[test]
-    fn workspace_guards_misuse() {
-        let mut ws = LuWorkspace::new(2);
-        // Unfactored solves are rejected.
-        assert!(matches!(
-            ws.solve_into(&mut [1.0, 2.0]),
-            Err(Error::InvalidArgument(_))
-        ));
-        assert_eq!(ws.det(), None);
-        // Non-square rejected.
-        assert!(matches!(
-            ws.factor(&Matrix::zeros(2, 3)),
-            Err(Error::DimensionMismatch { .. })
-        ));
-        // A singular matrix leaves the workspace unfactored.
-        let s = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
-        assert!(matches!(ws.factor(&s), Err(Error::Singular { .. })));
-        assert!(ws.solve_into(&mut [1.0, 2.0]).is_err());
-        // Recovering with a good matrix works.
-        let g = Matrix::identity(2);
-        ws.factor(&g).unwrap();
-        let mut x = [3.0, 4.0];
-        ws.solve_into(&mut x).unwrap();
-        assert_close(x[0], 3.0, 0.0);
-        assert_close(x[1], 4.0, 0.0);
     }
 
     #[test]

@@ -193,10 +193,10 @@ pub struct StepStats {
     pub rejected_newton: Counter,
     /// Grown steps rejected by step control and retried smaller: runs
     /// whose `TransientOptions::dt_max` lies above their `dt` (the
-    /// cell-level ops) grow the step on quiescent stretches, and a grown
-    /// step whose predictor–corrector difference or change over the step
-    /// is over its bound is retried. Always 0 at a fixed step, which is
-    /// every row op and yield trial.
+    /// cell-level ops and the row ops) grow the step on quiescent
+    /// stretches, and a grown step whose predictor–corrector difference
+    /// or change over the step is over its bound is retried. Always 0 at
+    /// a fixed step.
     pub rejected_lte: Counter,
     /// Accepted steps that landed on a waveform corner via snapping.
     pub corner_snaps: Counter,
