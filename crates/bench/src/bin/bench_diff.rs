@@ -18,6 +18,12 @@
 //! table but always exits 0 — for single-core containers where pool
 //! workloads aren't representative.
 //!
+//! Each row also prints the baseline's and the candidate's spread,
+//! `median_s/min_s − 1`, and marks an entry `noisy` when either spread
+//! is above the threshold: its own batches scatter more than the gate
+//! allows, so its verdict says little either way. The mark does not
+//! change the gate.
+//!
 //! Exit codes: 0 no regression (or skipped/report-only), 1 regression,
 //! 2 usage or parse error.
 
@@ -28,6 +34,48 @@ use std::process::ExitCode;
 struct Entry {
     name: String,
     min_s: f64,
+    /// The median batch (s), where the baseline records one.
+    median_s: Option<f64>,
+}
+
+impl Entry {
+    /// `median_s/min_s − 1`, the spread of the entry's own batches.
+    fn spread(&self) -> Option<f64> {
+        self.median_s.map(|m| m / self.min_s.max(1e-12) - 1.0)
+    }
+}
+
+/// One table row comparing baseline `b` with candidate `c` at the
+/// relative `threshold`, and whether it is a regression.
+fn row(b: &Entry, c: &Entry, threshold: f64) -> (String, bool) {
+    let delta = c.min_s / b.min_s.max(1e-12) - 1.0;
+    let regression = delta > threshold;
+    let verdict = if regression {
+        "REGRESSION"
+    } else if delta < -threshold {
+        "improved"
+    } else {
+        "ok"
+    };
+    let spread = |e: &Entry| match e.spread() {
+        Some(s) => format!("{:+.0}%", s * 100.0),
+        None => "?".to_string(),
+    };
+    let noisy = [b, c]
+        .iter()
+        .any(|e| e.spread().is_some_and(|s| s > threshold));
+    let line = format!(
+        "  {:<44} {:>12} -> {:>12}  {:>+7.1}%  spread {:>5} / {:<5} {}{}",
+        b.name,
+        fmt_time(b.min_s),
+        fmt_time(c.min_s),
+        delta * 100.0,
+        spread(b),
+        spread(c),
+        verdict,
+        if noisy { " (noisy)" } else { "" }
+    );
+    (line, regression)
 }
 
 /// Extracts `(suite, mode, samples)` from a parsed baseline, validating
@@ -62,6 +110,7 @@ fn load(path: &str) -> Result<(String, String, Vec<Entry>), String> {
         out.push(Entry {
             name: name.to_string(),
             min_s,
+            median_s: s.get("median_s").and_then(Json::as_f64),
         });
     }
     Ok((suite, mode, out))
@@ -128,23 +177,9 @@ fn run() -> Result<ExitCode, String> {
             continue;
         };
         compared += 1;
-        let delta = c.min_s / b.min_s.max(1e-12) - 1.0;
-        let verdict = if delta > threshold {
-            regressions += 1;
-            "REGRESSION"
-        } else if delta < -threshold {
-            "improved"
-        } else {
-            "ok"
-        };
-        println!(
-            "  {:<44} {:>12} -> {:>12}  {:>+7.1}%  {}",
-            b.name,
-            fmt_time(b.min_s),
-            fmt_time(c.min_s),
-            delta * 100.0,
-            verdict
-        );
+        let (line, regression) = row(b, c, threshold);
+        regressions += usize::from(regression);
+        println!("{line}");
     }
     for c in &cand {
         if !base.iter().any(|b| b.name == c.name) {
@@ -179,5 +214,34 @@ fn main() -> ExitCode {
             eprintln!("bench-diff: {msg}");
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry(min_s: f64, median_s: Option<f64>) -> Entry {
+        Entry {
+            name: "w".to_string(),
+            min_s,
+            median_s,
+        }
+    }
+
+    /// The spread columns and the noisy mark ride along; the verdict is
+    /// the min-against-threshold gate either way.
+    #[test]
+    fn rows_report_spread_and_mark_noisy_entries() {
+        let (line, regression) = row(&entry(1.0, Some(1.1)), &entry(1.2, Some(1.26)), 0.3);
+        assert!(!regression);
+        assert!(line.contains("spread  +10% / +5%"), "{line}");
+        assert!(line.ends_with("ok"), "{line}");
+        let (line, regression) = row(&entry(1.0, Some(1.5)), &entry(1.4, None), 0.3);
+        assert!(regression);
+        assert!(line.contains("/ ?"), "{line}");
+        assert!(line.ends_with("REGRESSION (noisy)"), "{line}");
+        let (line, _) = row(&entry(1.0, None), &entry(0.5, Some(0.7)), 0.3);
+        assert!(line.ends_with("improved (noisy)"), "{line}");
     }
 }

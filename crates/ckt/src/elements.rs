@@ -10,10 +10,9 @@
 //! - A voltage source's branch unknown is the current entering terminal
 //!   `a`; its branch equation is `v(a) - v(b) - V(t) = 0`.
 
+use crate::models::mosfet::MosReplay;
 use crate::models::{FeCapParams, MosCard, MosPolarity};
 use crate::waveform::Waveform;
-#[cfg(test)]
-use fefet_numerics::linalg::Matrix;
 use std::cell::Cell;
 
 /// A circuit node handle. Node 0 is ground.
@@ -199,10 +198,6 @@ impl<'a> EvalCtx<'a> {
 /// `values[slot] += g` with zero searching or hashing.
 #[derive(Debug)]
 pub(crate) enum JacTarget<'a> {
-    /// Dense stamping straight into a [`Matrix`]: the element unit
-    /// tests read their stamps from it.
-    #[cfg(test)]
-    Dense(&'a mut Matrix),
     /// Slot-indexed sparse stamping into a CSR value array.
     Sparse {
         /// CSR values of the sparse Jacobian.
@@ -230,16 +225,6 @@ pub struct Sys<'a> {
 }
 
 impl<'a> Sys<'a> {
-    /// Dense-target view for the element unit tests.
-    #[cfg(test)]
-    pub(crate) fn dense(jac: &'a mut Matrix, res: &'a mut [f64], n_nodes: usize) -> Self {
-        Sys {
-            jac: JacTarget::Dense(jac),
-            res,
-            n_nodes,
-        }
-    }
-
     /// Slots consumed so far on a sparse target (`None` otherwise).
     pub(crate) fn sparse_cursor(&self) -> Option<usize> {
         match &self.jac {
@@ -252,8 +237,6 @@ impl<'a> Sys<'a> {
     #[inline]
     pub(crate) fn jac_add(&mut self, r: usize, c: usize, g: f64) {
         match &mut self.jac {
-            #[cfg(test)]
-            JacTarget::Dense(m) => m.add(r, c, g),
             JacTarget::Sparse {
                 values,
                 slots,
@@ -345,18 +328,25 @@ impl<'a> Sys<'a> {
     }
 }
 
+/// The move (V) on every terminal drive inside which a bypassed device
+/// always replays, and from which the replay's error budget is derived:
+/// the remainder such a move leaves in the worst case the model allows.
+pub(crate) const BYPASS_BOX_V: f64 = 1e-6;
+
 /// Cached outputs of one element's expensive model evaluation, keyed by
 /// the operating point they were computed at. Only the diode and the
 /// MOSFET are cached: linear elements and sources are cheap or
 /// time-dependent, and the ferroelectric capacitor's stamp is a
 /// polynomial in its own polarization unknown, cheaper than a lookup.
 ///
-/// A *hit* (terminal voltages within the caller's `vtol` of the cached
-/// point) returns the cached derivatives with the current/charge
-/// linearized to first order around the cached point, so the bypass
-/// error is O(vtol²) — far below solver tolerance at the default
-/// `bypass_vtol`. Stamps are always issued either way, which preserves
-/// the slot-indexed stamping invariant untouched.
+/// A *hit* returns the cached derivatives with the current/charge
+/// linearized to first order around the cached point. Whether a device
+/// may replay is decided on a bound of that linearization's error, not
+/// on a fixed voltage window: a move within [`BYPASS_BOX_V`] on every
+/// drive always replays, and a larger one replays while its estimated
+/// second-order remainder stays within the remainder such a move could
+/// leave (DESIGN.md "Device bypass"). Stamps are always issued either
+/// way, which preserves the slot-indexed stamping invariant untouched.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) enum ModelCache {
     #[default]
@@ -364,17 +354,10 @@ pub(crate) enum ModelCache {
     /// Diode: exponential current and conductance at the cached bias.
     Diode { v: f64, i: f64, g: f64 },
     /// MOSFET: channel current and conductances at the cached
-    /// polarity-normalized (vgs, vds), plus raw gate charge/capacitance
-    /// (state-free, so valid across timesteps).
-    Mos {
-        vgs: f64,
-        vds: f64,
-        i: f64,
-        gm: f64,
-        gds: f64,
-        q: f64,
-        c: f64,
-    },
+    /// polarity-normalized drives, raw gate charge/capacitance
+    /// (state-free, so valid across timesteps), and what a replay of
+    /// them is held to.
+    Mos(MosReplay),
 }
 
 /// Per-element model-evaluation cache for the device-bypass fast path.
@@ -433,8 +416,6 @@ impl BypassBank {
 pub(crate) struct BypassCtx<'a> {
     pub(crate) bank: &'a BypassBank,
     pub(crate) index: usize,
-    /// Terminal-voltage tolerance for a cache hit (V).
-    pub(crate) vtol: f64,
 }
 
 impl<'a> BypassCtx<'a> {
@@ -637,7 +618,10 @@ impl Element {
                         g: gc,
                     } = bp.slot().get()
                     {
-                        if (v - vc).abs() <= bp.vtol {
+                        // A pure exponential: the worst case the
+                        // budget is taken from is the diode itself, so
+                        // its bound is the box.
+                        if (v - vc).abs() <= BYPASS_BOX_V {
                             // First-order update around the cached bias.
                             hit = Some((ic + gc * (v - vc), gc));
                         }
@@ -729,58 +713,38 @@ impl Element {
         };
         let mut hit = None;
         if let Some(bp) = bypass {
-            if let ModelCache::Mos {
-                vgs,
-                vds,
-                i,
-                gm,
-                gds,
-                q,
-                c,
-            } = bp.slot().get()
-            {
-                if (a1 - vgs).abs() <= bp.vtol && (a2 - vds).abs() <= bp.vtol {
-                    // First-order updates around the cached point.
-                    hit = Some((
-                        i + gm * (a1 - vgs) + gds * (a2 - vds),
-                        gm,
-                        gds,
-                        q + c * (a1 - vgs),
-                        c,
-                    ));
-                }
+            if let ModelCache::Mos(cached) = bp.slot().get() {
+                let h_eff = match ctx.method {
+                    Integration::BackwardEuler => ctx.h,
+                    Integration::Trapezoidal => 0.5 * ctx.h,
+                };
+                hit = card.replay(&cached, a1, a2, BYPASS_BOX_V, h_eff);
             }
         }
-        let (i, gm, gds, q_raw, c) = match hit {
+        let ((i, gm, gds), (q_raw, c)) = match hit {
             Some(v) => {
                 if let Some(bp) = bypass {
                     bp.bank.record_hit();
                 }
                 v
             }
-            None => {
-                let (i, gm, gds) = card.ids(a1, a2);
-                // Gate charge is state-free, so cache it alongside the
-                // channel even though DC stamps never read it.
-                let (q_raw, c) = if ctx.dc && bypass.is_none() {
-                    (0.0, 0.0)
-                } else {
-                    card.q_c_gate(a1)
-                };
-                if let Some(bp) = bypass {
+            None => match bypass {
+                Some(bp) => {
+                    let ev = card.eval_bounded(a1, a2);
                     bp.bank.record_miss();
-                    bp.slot().set(ModelCache::Mos {
-                        vgs: a1,
-                        vds: a2,
-                        i,
-                        gm,
-                        gds,
-                        q: q_raw,
-                        c,
-                    });
+                    bp.slot().set(ModelCache::Mos(ev));
+                    ev.values()
                 }
-                (i, gm, gds, q_raw, c)
-            }
+                None => {
+                    // DC stamps never read the gate charge.
+                    let q_c = if ctx.dc {
+                        (0.0, 0.0)
+                    } else {
+                        card.q_c_gate(a1)
+                    };
+                    (card.ids(a1, a2), q_c)
+                }
+            },
         };
         match polarity {
             MosPolarity::Nmos => {
@@ -957,6 +921,8 @@ fn fe_companion(p_prev: f64, dp_prev: f64, h: f64, method: Integration) -> (f64,
 mod tests {
     use super::*;
     use crate::models::{FeCapParams, MosParams};
+    use fefet_numerics::linalg::Matrix;
+    use fefet_numerics::sparse::{CsrMatrix, CsrPattern};
 
     fn ctx<'a>(x: &'a [f64], h: f64, state: ElemState) -> EvalCtx<'a> {
         EvalCtx {
@@ -969,6 +935,47 @@ mod tests {
         }
     }
 
+    /// Stamps `e` at `c` into an `n`-unknown system the way the engine
+    /// does: a pattern pass records the Jacobian adds, every unknown's
+    /// diagonal joins the pattern (as the gmin pass puts it there), and
+    /// a slot-indexed pass stamps the values. Returns the residual and
+    /// the Jacobian's dense view.
+    fn stamped(e: &Element, c: &EvalCtx<'_>, n: usize, n_nodes: usize) -> (Vec<f64>, Matrix) {
+        let mut adds = Vec::new();
+        let mut res = vec![0.0; n];
+        let mut sys = Sys {
+            jac: JacTarget::Pattern(&mut adds),
+            res: &mut res,
+            n_nodes,
+        };
+        e.stamp(0, c, &mut sys);
+        let entries: Vec<(usize, usize)> =
+            adds.iter().copied().chain((0..n).map(|i| (i, i))).collect();
+        let pattern = CsrPattern::from_entries(n, &entries).unwrap();
+        let slots: Vec<usize> = adds
+            .iter()
+            .map(|&(r, col)| pattern.slot_of(r, col).unwrap())
+            .collect();
+        let mut jac = CsrMatrix::from_pattern(pattern);
+        let mut res = vec![0.0; n];
+        let mut sys = Sys {
+            jac: JacTarget::Sparse {
+                values: jac.values_mut(),
+                slots: &slots,
+                cursor: 0,
+            },
+            res: &mut res,
+            n_nodes,
+        };
+        e.stamp(0, c, &mut sys);
+        assert_eq!(
+            sys.sparse_cursor(),
+            Some(slots.len()),
+            "every slot consumed"
+        );
+        (res, jac.to_dense())
+    }
+
     #[test]
     fn node_display_and_index() {
         let n = Node(3);
@@ -979,8 +986,6 @@ mod tests {
     #[test]
     fn resistor_stamp_into_2node_system() {
         // Nodes 1,2 with R between them; check residual and Jacobian.
-        let mut jac = Matrix::zeros(2, 2);
-        let mut res = vec![0.0; 2];
         let x = [1.0, 0.0];
         let e = Element::Resistor {
             a: Node(1),
@@ -988,12 +993,7 @@ mod tests {
             ohms: 100.0,
         };
         let c = ctx(&x, 1e-9, ElemState::None);
-        let mut sys = Sys {
-            jac: JacTarget::Dense(&mut jac),
-            res: &mut res,
-            n_nodes: 3,
-        };
-        e.stamp(0, &c, &mut sys);
+        let (res, jac) = stamped(&e, &c, 2, 3);
         assert!((res[0] - 0.01).abs() < 1e-15);
         assert!((res[1] + 0.01).abs() < 1e-15);
         assert!((jac[(0, 0)] - 0.01).abs() < 1e-15);
@@ -1002,8 +1002,6 @@ mod tests {
 
     #[test]
     fn resistor_to_ground_skips_ground_row() {
-        let mut jac = Matrix::zeros(1, 1);
-        let mut res = vec![0.0; 1];
         let x = [2.0];
         let e = Element::Resistor {
             a: Node(1),
@@ -1011,20 +1009,13 @@ mod tests {
             ohms: 1000.0,
         };
         let c = ctx(&x, 1e-9, ElemState::None);
-        let mut sys = Sys {
-            jac: JacTarget::Dense(&mut jac),
-            res: &mut res,
-            n_nodes: 2,
-        };
-        e.stamp(0, &c, &mut sys);
+        let (res, jac) = stamped(&e, &c, 1, 2);
         assert!((res[0] - 0.002).abs() < 1e-15);
         assert!((jac[(0, 0)] - 0.001).abs() < 1e-15);
     }
 
     #[test]
     fn capacitor_open_in_dc() {
-        let mut jac = Matrix::zeros(1, 1);
-        let mut res = vec![0.0; 1];
         let x = [1.0];
         let e = Element::Capacitor {
             a: Node(1),
@@ -1035,12 +1026,7 @@ mod tests {
             dc: true,
             ..ctx(&x, 0.0, ElemState::Cap { v: 0.0, i: 0.0 })
         };
-        let mut sys = Sys {
-            jac: JacTarget::Dense(&mut jac),
-            res: &mut res,
-            n_nodes: 2,
-        };
-        e.stamp(0, &c, &mut sys);
+        let (res, jac) = stamped(&e, &c, 1, 2);
         assert_eq!(res[0], 0.0);
         assert_eq!(jac[(0, 0)], 0.0);
     }
@@ -1048,8 +1034,6 @@ mod tests {
     #[test]
     fn capacitor_backward_euler_companion() {
         // v_prev = 0, v = 1, h = 1ns, C = 1nF -> i = C dv/dt = 1 A.
-        let mut jac = Matrix::zeros(1, 1);
-        let mut res = vec![0.0; 1];
         let x = [1.0];
         let e = Element::Capacitor {
             a: Node(1),
@@ -1057,12 +1041,7 @@ mod tests {
             farads: 1e-9,
         };
         let c = ctx(&x, 1e-9, ElemState::Cap { v: 0.0, i: 0.0 });
-        let mut sys = Sys {
-            jac: JacTarget::Dense(&mut jac),
-            res: &mut res,
-            n_nodes: 2,
-        };
-        e.stamp(0, &c, &mut sys);
+        let (res, _) = stamped(&e, &c, 1, 2);
         assert!((res[0] - 1.0).abs() < 1e-12);
         let st = e.next_state(0, 2, &c);
         match st {
@@ -1077,8 +1056,6 @@ mod tests {
     #[test]
     fn vsource_branch_equation() {
         // One node, one branch. x = [v1, i_br].
-        let mut jac = Matrix::zeros(2, 2);
-        let mut res = vec![0.0; 2];
         let x = [0.3, 0.001];
         let e = Element::VSource {
             a: Node(1),
@@ -1086,12 +1063,7 @@ mod tests {
             wave: Waveform::dc(1.0),
         };
         let c = ctx(&x, 1e-9, ElemState::None);
-        let mut sys = Sys {
-            jac: JacTarget::Dense(&mut jac),
-            res: &mut res,
-            n_nodes: 2,
-        };
-        e.stamp(0, &c, &mut sys);
+        let (res, jac) = stamped(&e, &c, 2, 2);
         // KCL at node 1: +i_br.
         assert!((res[0] - 0.001).abs() < 1e-15);
         // Branch: v1 - 1.0.
@@ -1102,8 +1074,6 @@ mod tests {
 
     #[test]
     fn isource_pushes_current() {
-        let mut jac = Matrix::zeros(2, 2);
-        let mut res = vec![0.0; 2];
         let x = [0.0, 0.0];
         let e = Element::ISource {
             a: Node(1),
@@ -1111,12 +1081,7 @@ mod tests {
             wave: Waveform::dc(1e-3),
         };
         let c = ctx(&x, 1e-9, ElemState::None);
-        let mut sys = Sys {
-            jac: JacTarget::Dense(&mut jac),
-            res: &mut res,
-            n_nodes: 3,
-        };
-        e.stamp(0, &c, &mut sys);
+        let (res, _) = stamped(&e, &c, 2, 3);
         assert_eq!(res[0], 1e-3);
         assert_eq!(res[1], -1e-3);
     }
@@ -1168,16 +1133,9 @@ mod tests {
             i_sat: 1e-14,
             n_ideality: 1.0,
         };
-        let mut jac = Matrix::zeros(1, 1);
-        let mut res = vec![0.0; 1];
         let x = [100.0];
         let c = ctx(&x, 1e-12, ElemState::None);
-        let mut sys = Sys {
-            jac: JacTarget::Dense(&mut jac),
-            res: &mut res,
-            n_nodes: 2,
-        };
-        e.stamp(0, &c, &mut sys);
+        let (res, jac) = stamped(&e, &c, 1, 2);
         assert!(res[0].is_finite());
         assert!(jac[(0, 0)].is_finite());
     }
@@ -1185,8 +1143,6 @@ mod tests {
     #[test]
     fn nmos_stamp_kcl_consistent() {
         // Current leaving drain equals current entering source.
-        let mut jac = Matrix::zeros(3, 3);
-        let mut res = vec![0.0; 3];
         let x = [1.0, 0.8, 0.0]; // vd, vg, vs
         let e = Element::Mosfet {
             d: Node(1),
@@ -1198,12 +1154,7 @@ mod tests {
             dc: true,
             ..ctx(&x, 0.0, ElemState::None)
         };
-        let mut sys = Sys {
-            jac: JacTarget::Dense(&mut jac),
-            res: &mut res,
-            n_nodes: 4,
-        };
-        e.stamp(0, &c, &mut sys);
+        let (res, _) = stamped(&e, &c, 3, 4);
         assert!(res[0] > 0.0); // drain sinks current
         assert!((res[0] + res[2]).abs() < 1e-18); // KCL through the device
         assert_eq!(res[1], 0.0); // no DC gate current
@@ -1211,8 +1162,6 @@ mod tests {
 
     #[test]
     fn pmos_stamp_mirror() {
-        let mut jac = Matrix::zeros(3, 3);
-        let mut res = vec![0.0; 3];
         // PMOS with source at 1V, gate 0, drain 0: strongly on.
         let x = [0.0, 0.0, 1.0]; // d, g, s
         let e = Element::Mosfet {
@@ -1225,12 +1174,7 @@ mod tests {
             dc: true,
             ..ctx(&x, 0.0, ElemState::None)
         };
-        let mut sys = Sys {
-            jac: JacTarget::Dense(&mut jac),
-            res: &mut res,
-            n_nodes: 4,
-        };
-        e.stamp(0, &c, &mut sys);
+        let (res, _) = stamped(&e, &c, 3, 4);
         assert!(res[2] > 0.0); // current leaves source node into device
         assert!((res[0] + res[2]).abs() < 1e-18);
     }
@@ -1252,10 +1196,7 @@ mod tests {
         let h = 1e-12;
         let x = [params.v_static(pr), pr];
         let c = ctx(&x, h, ElemState::Fe { p: pr, dp_dt: 0.0 });
-        let mut jac = Matrix::zeros(2, 2);
-        let mut res = vec![0.0; 2];
-        let mut sys = Sys::dense(&mut jac, &mut res, 2);
-        e.stamp(0, &c, &mut sys);
+        let (res, jac) = stamped(&e, &c, 2, 2);
         assert_eq!(res, vec![0.0, 0.0]);
         assert_eq!(jac[(0, 1)], params.area / h);
         assert_eq!(jac[(1, 0)], -1.0);
@@ -1331,10 +1272,7 @@ mod tests {
             dc: true,
             ..ctx(&x, 0.0, ElemState::None)
         };
-        let mut jac = Matrix::zeros(2, 2);
-        let mut res = vec![0.0; 2];
-        let mut sys = Sys::dense(&mut jac, &mut res, 2);
-        e.stamp(0, &c, &mut sys);
+        let (res, jac) = stamped(&e, &c, 2, 2);
         assert_eq!(res, vec![0.0, 0.1 + 0.3]);
         assert_eq!((jac[(0, 0)], jac[(0, 1)], jac[(1, 0)]), (0.0, 0.0, 0.0));
         assert_eq!(jac[(1, 1)], 1.0);

@@ -83,14 +83,10 @@ pub struct SolverOptions {
     /// test and is redone exactly when it fails it.
     pub jacobian_reuse: bool,
     /// Device bypass: each MOSFET and diode caches its last operating
-    /// point, and one whose terminal voltages moved less than
-    /// [`SolverOptions::bypass_vtol`] skips its model evaluation
-    /// (stamping first-order-updated cached values instead). Default
-    /// on.
+    /// point and skips its model evaluation (stamping first-order-updated
+    /// cached values instead) while a bound on that linearization's
+    /// error stays within the error a 1 µV move could leave. Default on.
     pub bypass: bool,
-    /// Terminal-voltage tolerance for a device-bypass cache hit (V).
-    /// The bypass error is O(vtol²) in the stamped currents.
-    pub bypass_vtol: f64,
     /// Shared analysis cache: workers solving structurally identical
     /// systems (array clones in a pooled sweep) reuse one symbolic
     /// analysis per pattern instead of re-analyzing per worker.
@@ -109,7 +105,6 @@ impl Default for SolverOptions {
             gmin: 1e-12,
             jacobian_reuse: true,
             bypass: true,
-            bypass_vtol: 1e-6,
             cache: None,
             instr: Instrumentation::off(),
         }
@@ -372,7 +367,7 @@ impl Assembly {
     /// diagonals are always part of the sparse pattern and the add
     /// sequence never depends on the gmin value.
     ///
-    /// `bypass` (bank + voltage tolerance) enables the device-bypass
+    /// `bypass` (the bank) enables the device-bypass
     /// fast path for this stamp pass; bypassed elements still issue the
     /// full stamp sequence, so the slot-indexed sparse invariant holds
     /// regardless of cache hits.
@@ -389,7 +384,7 @@ impl Assembly {
         x: &[f64],
         states: &[ElemState],
         sys: &mut Sys<'_>,
-        bypass: Option<(&BypassBank, f64)>,
+        bypass: Option<&BypassBank>,
     ) {
         for (i, (_, e)) in ckt.elements().iter().enumerate() {
             let ctx = EvalCtx {
@@ -400,11 +395,7 @@ impl Assembly {
                 x,
                 state: states[i],
             };
-            let bp = bypass.map(|(bank, vtol)| BypassCtx {
-                bank,
-                index: i,
-                vtol,
-            });
+            let bp = bypass.map(|bank| BypassCtx { bank, index: i });
             e.stamp_cached(self.branch0[i], &ctx, sys, bp);
         }
         // gmin to ground at every node for conditioning; a lumped node
@@ -599,11 +590,7 @@ impl Assembly {
         if want_bypass && rebuild_bank {
             *bypass = Some(BypassBank::new(ckt.elements().len()));
         }
-        let bank: Option<(&BypassBank, f64)> = if want_bypass {
-            bypass.as_ref().map(|b| (b, opts.bypass_vtol))
-        } else {
-            None
-        };
+        let bank = bypass.as_ref().filter(|_| want_bypass);
 
         // Configuration this solve's factorizations belong to. Factors
         // stored by a previous solve are reusable iff the keys match.
@@ -790,7 +777,7 @@ impl Assembly {
                     tel.solver.back_substitutions.add(iters as u64);
                     tel.solver.jacobian_reuses.add(reuses as u64);
                     tel.solver.stamp_passes.add(stamp_passes as u64);
-                    if let Some((b, _)) = bank {
+                    if let Some(b) = bank {
                         let (bh, bm) = b.take_counts();
                         tel.solver.bypass_hits.add(bh);
                         tel.solver.bypass_misses.add(bm);
@@ -814,7 +801,7 @@ impl Assembly {
             tel.solver.failed_iterations.add(opts.max_newton as u64);
             tel.solver.jacobian_reuses.add(reuses as u64);
             tel.solver.stamp_passes.add(stamp_passes as u64);
-            if let Some((b, _)) = bank {
+            if let Some(b) = bank {
                 let (bh, bm) = b.take_counts();
                 tel.solver.bypass_hits.add(bh);
                 tel.solver.bypass_misses.add(bm);

@@ -214,33 +214,143 @@ impl Channel {
     /// [`MosParams::ids`] of `mos`, the card these constants belong to.
     #[inline]
     fn ids(&self, mos: &MosParams, v_gs: f64, v_ds: f64) -> (f64, f64, f64) {
+        self.eval(mos, v_gs, v_ds).ids
+    }
+
+    /// [`Channel::ids`] with the EKV terms it was computed from.
+    #[inline]
+    fn eval(&self, mos: &MosParams, v_gs: f64, v_ds: f64) -> ChannelEval {
         if v_ds >= 0.0 {
-            self.ids_fwd(mos, v_gs, v_ds)
+            self.eval_fwd(mos, v_gs, v_ds)
         } else {
             // Source/drain swap: I(vgs, vds) = -I(vgs - vds, -vds).
-            let (i, gm, gds) = self.ids_fwd(mos, v_gs - v_ds, -v_ds);
+            let fwd = self.eval_fwd(mos, v_gs - v_ds, -v_ds);
+            let (i, gm, gds) = fwd.ids;
             // I' = -I(vgs', vds') with vgs' = vgs - vds, vds' = -vds:
             // dI'/dvgs = -gm; dI'/dvds = gm + gds.
-            (-i, -gm, gm + gds)
+            ChannelEval {
+                ids: (-i, -gm, gm + gds),
+                ..fwd
+            }
         }
     }
 
     #[inline]
-    fn ids_fwd(&self, mos: &MosParams, v_gs: f64, v_ds: f64) -> (f64, f64, f64) {
+    fn eval_fwd(&self, mos: &MosParams, v_gs: f64, v_ds: f64) -> ChannelEval {
         let vp = (v_gs - mos.vt0) / mos.n;
-        let (f_f, df_f) = ekv_f(vp, mos.phi_t);
-        let (f_r, df_r) = ekv_f(vp - v_ds, mos.phi_t);
+        let fwd = Ekv::at(vp, mos.phi_t);
+        let rev = Ekv::at(vp - v_ds, mos.phi_t);
+        let (f_f, df_f) = (fwd.f, fwd.df);
+        let (f_r, df_r) = (rev.f, rev.df);
         let clm = 1.0 + mos.lambda * v_ds;
         let i = self.i_spec * (f_f - f_r) * clm + self.g_leak * v_ds;
         let gm = self.i_spec * clm * (df_f - df_r) / mos.n;
         let gds = self.i_spec * (mos.lambda * (f_f - f_r) + clm * df_r) + self.g_leak;
-        (i, gm, gds)
+        ChannelEval {
+            ids: (i, gm, gds),
+            terms: [fwd, rev],
+        }
+    }
+}
+
+/// One channel evaluation: `(id, gm, gds)` and, in the orientation
+/// that puts the drain at the higher potential, its two EKV terms
+/// (forward end, then reverse end).
+#[derive(Debug, Clone, Copy)]
+struct ChannelEval {
+    ids: (f64, f64, f64),
+    terms: [Ekv; 2],
+}
+
+/// One cached device evaluation and what a device-bypass replay of it
+/// is held to. [`MosCard::eval_bounded`] derives it; [`MosCard::replay`]
+/// applies it.
+///
+/// A replay stamps the channel current `id + gm·Δv_gs + gds·Δv_ds` and
+/// the gate charge `q + c·Δv_gs`, so its error is the second-order
+/// remainder of each part:
+/// - *Channel*, `i_spec·clm·(F_f − F_r)`: each EKV term
+///   `F = ln²(1 + e^(u/2φt))` is log-concave, so `F'' ≤ F'²/F`, and
+///   `F'²/F` grows by at most `e^(|Δu|/φt)` over a move `Δu`. A term's
+///   remainder is at most `φt²·(F'²/F)·ψ(|Δu|/φt)`, with
+///   `ψ(y) = e^y − 1 − y`; `clm`'s own move adds a cross term.
+/// - *Gate charge*: `q'' = W·L·(C_high − C_low)·σ'/v_smooth`, where `σ'`,
+///   the slope of the C-V step's logistic, grows by at most `e^|Δz|`
+///   over `Δz = Δv_gs/v_smooth`. The remainder is at most
+///   `W·L·(C_high − C_low)·v_smooth·σ'·ψ(|Δz|)`, and the companion
+///   current carries it times `1/h` (backward Euler) or `2/h`
+///   (trapezoidal).
+///
+/// The budgets are the remainder a move of the box on each drive can
+/// leave in the worst case, an exponential subthreshold term: for the
+/// channel `½·|id|·(box/nφt)²`, and for the gate charge
+/// `½·W·L·(C_high − C_low)/(4·v_smooth)·box²`, at the steepest point of
+/// the C-V step. The channel may also use what the gate part leaves
+/// of its budget ([`MosCard::replay`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MosReplay {
+    /// Polarity-normalized drives (V) of the evaluation.
+    v_gs: f64,
+    v_ds: f64,
+    /// Channel current (A) and its derivatives (S).
+    ids: (f64, f64, f64),
+    /// Gate charge (C) and capacitance (F).
+    q_c: (f64, f64),
+    /// `i_spec·φt²·F'²/F = i_spec·σ²` of each EKV term (A), forward end
+    /// first, in the orientation that puts the drain at the higher
+    /// potential.
+    curv: [f64; 2],
+    /// `i_spec·φt·F' = i_spec·sp·σ` of each term (A).
+    slope: [f64; 2],
+    /// `W·L·(C_high − C_low)·v_smooth·σ'` at `v_gs` (C).
+    gate_curv: f64,
+}
+
+/// `((id, gm, gds), (q, c))`: a channel current (A) with its
+/// derivatives (S), and a gate charge (C) with its capacitance (F).
+pub(crate) type MosValues = ((f64, f64, f64), (f64, f64));
+
+impl MosReplay {
+    /// The evaluation's [`MosValues`].
+    pub(crate) fn values(&self) -> MosValues {
+        (self.ids, self.q_c)
+    }
+}
+
+/// `2e − 5`: on `0 ≤ y ≤ 1`, `2ψ(y)/y² = Σ 2y^k/(k+2)!` is convex and
+/// runs from 1 to `2(e − 2)`, so it lies below `1 + (2e − 5)·y`.
+const PSI_CHORD: f64 = 2.0 * std::f64::consts::E - 5.0;
+
+/// The per-card constants a replay test reads, derived once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ReplayConsts {
+    /// `1/n`, `1/φt`, `1/v_smooth`.
+    inv_n: f64,
+    inv_phi_t: f64,
+    inv_v_smooth: f64,
+    /// `½/(n·φt)²` (1/V²): times `|id|·box²`, the channel's budget.
+    channel_budget: f64,
+    /// `½·W·L·(C_high − C_low)/(4·v_smooth)` (F/V): times `box²`, the
+    /// gate charge's budget.
+    gate_budget: f64,
+}
+
+impl ReplayConsts {
+    fn of(mos: &MosParams, cv: &ChargeBranch) -> Self {
+        ReplayConsts {
+            inv_n: 1.0 / mos.n,
+            inv_phi_t: 1.0 / mos.phi_t,
+            inv_v_smooth: 1.0 / cv.v_smooth,
+            channel_budget: 0.5 / (mos.n * mos.phi_t).powi(2),
+            gate_budget: 0.5 * mos.w * mos.l * cv.dc / (4.0 * cv.v_smooth),
+        }
     }
 }
 
 /// A MOSFET card with its evaluation constants derived once: the
-/// specific current, the leakage conductance, the C-V charge branch and
-/// its softplus term at 0 V. A circuit element holds one per device, so
+/// specific current, the leakage conductance, the C-V charge branch,
+/// its softplus term at 0 V, and what a device-bypass replay test reads.
+/// A circuit element holds one per device, so
 /// a Newton stamp pass evaluates the model without re-deriving the card;
 /// the evaluations return the same bits as the [`MosParams`] methods.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -250,6 +360,7 @@ pub struct MosCard {
     cv: ChargeBranch,
     /// `softplus(−vt_q/v_smooth)`.
     sp0: f64,
+    rc: ReplayConsts,
 }
 
 impl MosCard {
@@ -261,6 +372,7 @@ impl MosCard {
             ch: Channel::of(&params),
             cv,
             sp0: cv.softplus_at_zero(),
+            rc: ReplayConsts::of(&params, &cv),
         }
     }
 
@@ -274,6 +386,145 @@ impl MosCard {
     #[inline]
     pub(crate) fn ids(&self, v_gs: f64, v_ds: f64) -> (f64, f64, f64) {
         self.ch.ids(&self.params, v_gs, v_ds)
+    }
+
+    /// One evaluation at polarity-normalized `v_gs`, `v_ds` (V) with
+    /// what a replay of it is held to. Its [`MosReplay::values`] are
+    /// [`MosCard::ids`]'s and [`MosCard::q_c_gate`]'s, bit for bit.
+    pub(crate) fn eval_bounded(&self, v_gs: f64, v_ds: f64) -> MosReplay {
+        let ev = self.ch.eval(&self.params, v_gs, v_ds);
+        let i_spec = self.ch.i_spec;
+        // With F = sp², F' = sp·σ/φt: φt²·F'²/F = σ² and φt·F' = sp·σ.
+        let curv = ev.terms.map(|t| i_spec * t.sg * t.sg);
+        let slope = ev.terms.map(|t| i_spec * t.sp * t.sg);
+        let (q, c, sg) = self.cv.q_c_sg_density(v_gs, self.sp0);
+        let (w, l) = (self.params.w, self.params.l);
+        // σ' = σ(1 − σ), plus the rounding `1 − σ` can lose near 1.
+        let sigma_slope = sg * (1.0 - sg) + f64::EPSILON;
+        MosReplay {
+            v_gs,
+            v_ds,
+            ids: ev.ids,
+            q_c: (q * w * l, c * w * l),
+            curv,
+            slope,
+            gate_curv: w * l * self.cv.dc * self.cv.v_smooth * sigma_slope,
+        }
+    }
+
+    /// Upper bounds on the errors of replaying `cached` at the drives
+    /// `v_gs`, `v_ds` (V): the channel current's (A) and the gate
+    /// charge's (C). `None` when the move carries an EKV term's argument
+    /// more than `φt` or the gate more than `v_smooth`, or swaps source
+    /// and drain from a cached `|v_ds|` of `φt` or more, where the bound
+    /// is not taken.
+    ///
+    /// Kept out of line: inlined into the stamp loop, it slowed every
+    /// MOSFET stamp by more than the evaluations it saves.
+    #[inline(never)]
+    pub(crate) fn remainder(&self, cached: &MosReplay, v_gs: f64, v_ds: f64) -> Option<(f64, f64)> {
+        let rc = &self.rc;
+        let (d_gs, d_ds) = (v_gs - cached.v_gs, v_ds - cached.v_ds);
+        let z = d_gs.abs() * rc.inv_v_smooth;
+        if z > 1.0 {
+            return None;
+        }
+        let reverse = cached.v_ds < 0.0;
+        let (curv, slope) = (cached.curv, cached.slope);
+        let mut channel =
+            self.orientation_remainder(reverse, curv, slope, cached.v_ds, d_gs, d_ds)?;
+        if (v_ds < 0.0) != reverse {
+            // The current is C¹ across v_ds = 0, and past it the other
+            // orientation's terms apply. At the cached point their
+            // arguments lie at most |v_ds| above the cached forward
+            // term's, so their F'²/F and F' are at most the cached
+            // ones times e^(|v_ds|/φt) ≤ 1/(1 − |v_ds|/φt).
+            let x = cached.v_ds.abs() * rc.inv_phi_t;
+            if x >= 1.0 {
+                return None;
+            }
+            let grow = 1.0 / (1.0 - x);
+            let c = curv[0].max(curv[1]) * grow;
+            let s = slope[0].max(slope[1]) * grow;
+            channel +=
+                self.orientation_remainder(!reverse, [c; 2], [s; 2], cached.v_ds, d_gs, d_ds)?;
+        }
+        let gate = cached.gate_curv * 0.5 * z * z * (1.0 + PSI_CHORD * z);
+        Some((channel, gate))
+    }
+
+    /// The channel's remainder bound (A) along a move of `d_gs`, `d_ds`
+    /// (V) from a cached `v_ds0` (V) in one orientation (`reverse` for
+    /// the swapped one), from terms of `curv` and `slope` (see
+    /// [`MosReplay`]): the integral of `(1 − t)·|I''|` along the move,
+    /// with `clm·G''` and the cross term `2·clm'·G'` of
+    /// `I = i_spec·clm·G` bounded apart. `ψ(y)` and `2ψ(y)/y²`, the
+    /// integral of `(1 − t)·e^(ty)`, are bounded by [`PSI_CHORD`].
+    fn orientation_remainder(
+        &self,
+        reverse: bool,
+        curv: [f64; 2],
+        slope: [f64; 2],
+        v_ds0: f64,
+        d_gs: f64,
+        d_ds: f64,
+    ) -> Option<f64> {
+        let (m, rc) = (&self.params, &self.rc);
+        // The terms' arguments u_f = (v_gs' − vt0)/n and u_r = u_f −
+        // v_ds' in the orientation's own drives (v_gs', v_ds').
+        let (du_f, dd) = if reverse {
+            ((d_gs - d_ds) * rc.inv_n, -d_ds)
+        } else {
+            (d_gs * rc.inv_n, d_ds)
+        };
+        // clm = 1 + λ·|v_ds| at the start moves by λ·|Δv_ds| along it.
+        let dclm = m.lambda * d_ds.abs();
+        let clm = 1.0 + m.lambda * v_ds0.abs() + dclm;
+        let mut sum = 0.0;
+        for (k, du) in [du_f, du_f - dd].into_iter().enumerate() {
+            let y = du.abs() * rc.inv_phi_t;
+            if y > 1.0 {
+                return None;
+            }
+            sum += y * (1.0 + PSI_CHORD * y) * (0.5 * clm * curv[k] * y + dclm * slope[k]);
+        }
+        Some(sum)
+    }
+
+    /// `cached`'s values replayed at the drives `v_gs`, `v_ds` (V) —
+    /// `(id, gm, gds)` and `(q, c)` first-order updated — when the replay
+    /// may stand in for an evaluation: always within `box_v` (V) of the
+    /// cached drives, and beyond it while the gate part of
+    /// [`MosCard::remainder`] stays within its budget and both parts, the
+    /// gate's as the companion current over a step of `h_eff` (s: `h`
+    /// for backward Euler, `h/2` for the trapezoidal rule), within both
+    /// budgets.
+    pub(crate) fn replay(
+        &self,
+        cached: &MosReplay,
+        v_gs: f64,
+        v_ds: f64,
+        box_v: f64,
+        h_eff: f64,
+    ) -> Option<MosValues> {
+        let (d_gs, d_ds) = (v_gs - cached.v_gs, v_ds - cached.v_ds);
+        let replays = (d_gs.abs() <= box_v && d_ds.abs() <= box_v)
+            || self
+                .remainder(cached, v_gs, v_ds)
+                .is_some_and(|(channel, gate)| {
+                    let b2 = box_v * box_v;
+                    let gate_budget = self.rc.gate_budget * b2;
+                    let channel_budget = self.rc.channel_budget * b2 * cached.ids.0.abs();
+                    // The companion current's parts times h_eff, to spare a
+                    // division.
+                    gate <= gate_budget
+                        && channel * h_eff + gate <= channel_budget * h_eff + gate_budget
+                });
+        replays.then(|| {
+            let (i, gm, gds) = cached.ids;
+            let (q, c) = cached.q_c;
+            ((i + gm * d_gs + gds * d_ds, gm, gds), (q + c * d_gs, c))
+        })
     }
 
     /// Gate charge (C) at gate voltage `v` (V): [`MosParams::q_gate`].
@@ -343,11 +594,20 @@ impl ChargeBranch {
     /// one gate voltage `v` (V).
     #[inline]
     fn q_c_density(&self, v: f64, sp0: f64) -> (f64, f64) {
+        let (q, c, _) = self.q_c_sg_density(v, sp0);
+        (q, c)
+    }
+
+    /// [`ChargeBranch::q_c_density`] with the C-V step's logistic
+    /// `σ((v − vt_q)/v_smooth)`.
+    #[inline]
+    fn q_c_sg_density(&self, v: f64, sp0: f64) -> (f64, f64, f64) {
         let vs = self.v_smooth;
         let (sp, sg) = softplus_sigmoid((v - self.vt_q) / vs);
         (
             self.c_low * v + self.dc * vs * (sp - sp0),
             self.c_low + self.dc * sg,
+            sg,
         )
     }
 }
@@ -385,7 +645,10 @@ impl GateInverse {
     /// The gate voltage (V) that holds charge density `q` (C/m²). The
     /// charge is strictly monotone with slope in `[C_low, C_high]`, so
     /// Newton from a plateau-based guess converges in a handful of
-    /// iterations (at most 60).
+    /// iterations (at most 60). The step taken from the first residual
+    /// within `1e-15·(1 + |q|)` is kept: Newton converges quadratically
+    /// there, so it puts `V` at rounding rather than up to about 1e-14 V
+    /// short of it.
     pub fn v_gate(&self, q: f64) -> f64 {
         let cv = &self.cv;
         let mut v = if q > self.q_knee {
@@ -396,10 +659,10 @@ impl GateInverse {
         let tol = 1e-15 * (1.0 + q.abs());
         for _ in 0..60 {
             let f = cv.q_density(v, self.sp0) - q;
+            v -= f / cv.c_density(v);
             if f.abs() < tol {
                 break;
             }
-            v -= f / cv.c_density(v);
         }
         v
     }
@@ -451,12 +714,28 @@ fn softplus_sigmoid(x: f64) -> (f64, f64) {
     }
 }
 
-/// EKV interpolation function `F(v) = ln²(1 + e^(v/2φt))` and its
-/// derivative with respect to `v`.
-#[inline]
-fn ekv_f(v: f64, phi_t: f64) -> (f64, f64) {
-    let (sp, sg) = softplus_sigmoid(v / (2.0 * phi_t));
-    (sp * sp, sp * sg / phi_t)
+/// One EKV interpolation term `F(v) = ln²(1 + e^(v/2φt))` at `v`: its
+/// value, its derivative with respect to `v`, and the softplus and
+/// sigmoid of `v/2φt` they are built from.
+#[derive(Debug, Clone, Copy)]
+struct Ekv {
+    f: f64,
+    df: f64,
+    sp: f64,
+    sg: f64,
+}
+
+impl Ekv {
+    #[inline]
+    fn at(v: f64, phi_t: f64) -> Self {
+        let (sp, sg) = softplus_sigmoid(v / (2.0 * phi_t));
+        Ekv {
+            f: sp * sp,
+            df: sp * sg / phi_t,
+            sp,
+            sg,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -608,8 +887,9 @@ mod tests {
     }
 
     /// The MOSFET model as it stood before [`MosCard`] existed,
-    /// verbatim: every call re-derives the card, and softplus and
-    /// sigmoid each take their own exponential.
+    /// verbatim but for the gate-charge inverse keeping its last Newton
+    /// step: every call re-derives the card, and softplus and sigmoid
+    /// each take their own exponential.
     mod reference {
         use super::super::MosParams;
 
@@ -693,10 +973,10 @@ mod tests {
             };
             for _ in 0..60 {
                 let f = q_gate_density(m, v) - q;
+                v -= f / c_gate_density(m, v);
                 if f.abs() < 1e-15 * (1.0 + q.abs()) {
                     break;
                 }
-                v -= f / c_gate_density(m, v);
             }
             v
         }
@@ -758,6 +1038,7 @@ mod tests {
 
     #[test]
     fn held_inverse_matches_the_per_call_inverse_bit_for_bit() {
+        let mut worst_step = 0.0f64;
         for m in cv_cards() {
             let inv = GateInverse::new(&m);
             for q in probe_charges(&m) {
@@ -782,8 +1063,14 @@ mod tests {
                     (qv - q).abs() <= 1e-15 * (1.0 + q.abs()),
                     "{m:?} at q = {q:e}"
                 );
+                // At rounding: one more Newton step moves V by ulps
+                // (2.8ε at most; stopping at the charge tolerance left
+                // up to 1.7e-12 relative to max(|V|, 1 mV)).
+                let step = (qv - q) / cv;
+                worst_step = worst_step.max(step.abs() / v.abs().max(1e-3));
             }
         }
+        assert!(worst_step <= 4.0 * f64::EPSILON, "{worst_step:e}");
     }
 
     /// NMOS, PMOS, the FEFET's base card, and 90 cards with every
@@ -899,6 +1186,153 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The replay bound holds on every card of
+    /// `held_card_matches_the_per_call_model_bit_for_bit`, at cached
+    /// points from deep subthreshold to strong inversion, through the
+    /// C-V knee, at both signs of `v_ds` and across `v_ds = 0`, for moves
+    /// from 0.3 µV to 10 mV along both drives and both diagonals:
+    /// - the evaluation returns [`MosCard::ids`]'s and
+    ///   [`MosCard::q_c_gate`]'s bits;
+    /// - wherever [`MosCard::remainder`] is taken, a fresh evaluation
+    ///   differs from the replay by at most it, in the channel current
+    ///   and in the gate charge;
+    /// - every move [`MosCard::replay`] accepts beyond the 1 µV box keeps
+    ///   the gate charge within its budget and the channel plus gate
+    ///   companion currents within theirs, at three companion steps, and
+    ///   replays the first-order update;
+    /// - every move of at most 1 µV on both drives replays, as the fixed
+    ///   1 µV window did.
+    ///
+    /// Each comparison allows the rounding of the two evaluations, a few
+    /// ulps of the largest term they add.
+    #[test]
+    fn replay_stays_within_its_error_bound() {
+        const BOX_V: f64 = 1e-6;
+        let moves: Vec<(f64, f64)> = [3e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 1e-3, 1e-2]
+            .into_iter()
+            .flat_map(|d| {
+                [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)]
+                    .into_iter()
+                    .flat_map(move |(a, b)| [(a * d, b * d), (-a * d, -b * d)])
+            })
+            .collect();
+        let v_ds = [
+            -1.0, -0.2, -1e-3, -2e-5, -1e-7, 0.0, 1e-7, 2e-5, 1e-3, 0.2, 1.0,
+        ];
+        // Companion steps h_eff: h for backward Euler, h/2 trapezoidal.
+        let h_effs = [1e-12, 10e-12, 200e-12];
+        let (mut replayed, mut beyond_box) = (0u64, 0u64);
+        for m in model_cards() {
+            let card = MosCard::new(m);
+            let (w, l) = (m.w, m.l);
+            let cv = ChargeBranch::of(&m);
+            // The largest terms each evaluation adds, for its rounding.
+            let channel_scale = |vgs: f64, vds: f64| {
+                let ev = card.ch.eval(&m, vgs, vds);
+                let clm = 1.0 + m.lambda * vds.abs();
+                card.ch.i_spec * clm * (ev.terms[0].f + ev.terms[1].f) + card.ch.g_leak * vds.abs()
+            };
+            let charge_scale = |v: f64| {
+                let sp = softplus((v - cv.vt_q) / cv.v_smooth);
+                w * l * (cv.c_low * v.abs() + cv.dc * cv.v_smooth * (sp + card.sp0))
+            };
+            let mut v_gs: Vec<f64> = [-0.6, -0.3, -0.1, 0.0, 0.1, 0.3, 0.6, 1.0]
+                .iter()
+                .map(|d| m.vt0 + d)
+                .collect();
+            v_gs.extend(
+                [-3.0, -1.0, 0.0, 1.0, 3.0]
+                    .iter()
+                    .map(|k| m.vt_q + k * m.v_smooth),
+            );
+            v_gs.push(0.0);
+            for &vgs in &v_gs {
+                for &vds in &v_ds {
+                    let cached = card.eval_bounded(vgs, vds);
+                    let (ids, (q, c)) = cached.values();
+                    let want = card.ids(vgs, vds);
+                    let (q_want, c_want) = card.q_c_gate(vgs);
+                    assert_eq!(
+                        [ids.0, ids.1, ids.2, q, c].map(f64::to_bits),
+                        [want.0, want.1, want.2, q_want, c_want].map(f64::to_bits),
+                        "eval_bounded({vgs:e}, {vds:e}) on {m:?}"
+                    );
+                    let (i, gm, gds) = ids;
+                    for &(dg, dd) in &moves {
+                        let (g1, s1) = (vgs + dg, vds + dd);
+                        // The drives' moves as the stamp computes them.
+                        let (d1, d2) = (g1 - vgs, s1 - vds);
+                        let replay_i = i + gm * d1 + gds * d2;
+                        let replay_q = q + c * d1;
+                        let err_i = (card.ids(g1, s1).0 - replay_i).abs();
+                        let err_q = (card.q_c_gate(g1).0 - replay_q).abs();
+                        let round_i = 64.0
+                            * f64::EPSILON
+                            * (channel_scale(vgs, vds)
+                                + channel_scale(g1, s1)
+                                + (gm * d1).abs()
+                                + (gds * d2).abs());
+                        let round_q = 64.0
+                            * f64::EPSILON
+                            * (charge_scale(vgs) + charge_scale(g1) + (c * d1).abs());
+                        let at = || format!("({vgs:e}, {vds:e}) + ({d1:e}, {d2:e}) on {m:?}");
+                        let remainder = card.remainder(&cached, g1, s1);
+                        if let Some((e_i, e_q)) = remainder {
+                            assert!(
+                                err_i <= e_i + round_i,
+                                "channel {err_i:e} > {e_i:e} at {}",
+                                at()
+                            );
+                            assert!(
+                                err_q <= e_q + round_q,
+                                "gate {err_q:e} > {e_q:e} at {}",
+                                at()
+                            );
+                        }
+                        let in_box = d1.abs() <= BOX_V && d2.abs() <= BOX_V;
+                        let gate_budget = card.rc.gate_budget * BOX_V * BOX_V;
+                        let channel_budget = card.rc.channel_budget * BOX_V * BOX_V * i.abs();
+                        for h_eff in h_effs {
+                            let replay = card.replay(&cached, g1, s1, BOX_V, h_eff);
+                            assert!(replay.is_some() || !in_box, "box move refused at {}", at());
+                            let Some(((ri, rgm, rgds), (rq, rc))) = replay else {
+                                continue;
+                            };
+                            assert_eq!(
+                                [ri, rgm, rgds, rq, rc].map(f64::to_bits),
+                                [replay_i, gm, gds, replay_q, c].map(f64::to_bits),
+                                "replayed values at {}",
+                                at()
+                            );
+                            replayed += 1;
+                            if in_box {
+                                continue;
+                            }
+                            beyond_box += 1;
+                            assert!(
+                                err_q <= gate_budget + round_q,
+                                "gate {err_q:e} over its budget {gate_budget:e} at {}",
+                                at()
+                            );
+                            // The companion current's errors, times h_eff.
+                            let budget = channel_budget * h_eff + gate_budget;
+                            let err = err_i * h_eff + err_q;
+                            let round = round_i * h_eff + round_q;
+                            assert!(
+                                err <= budget + round,
+                                "{err:e} over the budget {budget:e} at h_eff {h_eff:e}, {}",
+                                at()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // Both kinds of replay occur often enough to test.
+        println!("COUNTS {replayed} {beyond_box}");
+        assert!(beyond_box > 100_000 && replayed - beyond_box > 100_000);
     }
 
     #[test]

@@ -1406,7 +1406,8 @@ mod tests {
     /// bit for bit what the fixed-step engine gave before step control
     /// existed (fingerprints recorded from it; the 2T cell's re-recorded
     /// when Newton came to accept an iterate on its measured
-    /// contraction, which ends some of its solves an iteration sooner).
+    /// contraction, which ends some of its solves an iteration sooner,
+    /// and when device bypass came to replay on its error bound).
     /// Row ops keep this schedule.
     #[test]
     fn ceiling_at_the_floor_is_the_fixed_step_schedule_bit_for_bit() {
@@ -1424,7 +1425,7 @@ mod tests {
             };
             assert_eq!(
                 fingerprint(&c, 4e-9, opts),
-                0x7a5a_ee70_bc66_c54d,
+                0xe2d0_f758_dd3d_5092,
                 "2T cell, dt_max = {dt_max:e}"
             );
         }

@@ -1317,6 +1317,10 @@ mod tests {
     /// steps (104 on the fixed 20 ps schedule), 350–368 iterations,
     /// 83–86 factorizations and 357–375 stamp passes each; a halving
     /// contraction rule without refreshes takes about 582 iterations.
+    /// Device evaluations (bypass misses) and replays (hits) are pinned
+    /// exactly: holding the bypass to its replay's error bound took the
+    /// evaluations from 21,621, 21,395, 20,868 and 21,832 to the pinned
+    /// counts, with the same stamps in total.
     #[test]
     fn seeded_16x16_writes_stay_within_newton_work_ceilings() {
         const MAX_ITERS_PER_WRITE: f64 = 450.0;
@@ -1334,19 +1338,35 @@ mod tests {
         let instr = a.instr.clone();
         let tel = instr.get().unwrap();
         let factors = || tel.solver.sparse_refactors.get();
-        for (w, steps) in [102, 102, 99, 102].into_iter().enumerate() {
+        let evals = || (tel.solver.bypass_misses.get(), tel.solver.bypass_hits.get());
+        for (w, (steps, misses, hits)) in [
+            (102, 9881, 32807),
+            (102, 10300, 32620),
+            (99, 10057, 31355),
+            (102, 9656, 33844),
+        ]
+        .into_iter()
+        .enumerate()
+        {
             let row = (w * 5 + 3) % 16;
             let data: Vec<bool> = (0..16).map(|_| rng.uniform() > 0.5).collect();
-            let (i0, f0, s0) = (
+            let (i0, f0, s0, e0) = (
                 tel.solver.newton_iterations.sum(),
                 factors(),
                 tel.solver.stamp_passes.get(),
+                evals(),
             );
             let op = a.write_row(row, &data, 1.0e-9).unwrap();
             let iters = tel.solver.newton_iterations.sum() - i0;
             let f = factors() - f0;
             let passes = tel.solver.stamp_passes.get() - s0;
+            let e = evals();
             assert_eq!(op.steps, steps, "write {w}");
+            assert_eq!(
+                (e.0 - e0.0, e.1 - e0.1),
+                (misses, hits),
+                "write {w} device evaluations"
+            );
             assert!(
                 iters <= MAX_ITERS_PER_WRITE,
                 "write {w}: {iters} Newton iterations"
@@ -1364,7 +1384,9 @@ mod tests {
     /// steps, Newton solves, iterations and factorizations. Growing the
     /// step on the read plateau took it from 181 steps, 414 iterations
     /// and 36 factorizations on the fixed 20 ps schedule; a step change
-    /// refactors, so factorizations rose while iterations halved.
+    /// refactors, so factorizations rose while iterations halved. Device
+    /// evaluations (bypass misses) and replays (hits) follow: holding the
+    /// bypass to its replay's error bound took them from 4,368 and 4,564.
     #[test]
     fn seeded_4x4_read_newton_work_is_pinned() {
         let mut rng = fefet_numerics::rng::Rng::seed_from_u64(0x44);
@@ -1388,6 +1410,10 @@ mod tests {
                 solver.sparse_refactors.get()
             ),
             (71, 71, 199, 51)
+        );
+        assert_eq!(
+            (solver.bypass_misses.get(), solver.bypass_hits.get()),
+            (1_680, 7_252)
         );
     }
 

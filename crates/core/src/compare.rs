@@ -344,7 +344,10 @@ mod tests {
     /// Newton work of Fig 10's FEFET sweep: 26 writes, both polarities
     /// at each of its 13 bit-line voltages. Accepting an iterate on its
     /// measured contraction cut it from 13,297 iterations and 3,045
-    /// factorizations to the pinned counts.
+    /// factorizations to 12,132 and 2,409. Holding device bypass to its
+    /// replay's error bound took device evaluations (bypass misses) from
+    /// 17,725 to the pinned count, and replays (hits) from 6,893; it moved
+    /// the factorizations to 2,410.
     #[test]
     fn fig10_fefet_sweep_newton_work_is_pinned() {
         use fefet_telemetry::Instrumentation;
@@ -363,7 +366,11 @@ mod tests {
         let solver = &instr.get().unwrap().solver;
         let iters = solver.back_substitutions.get() + solver.failed_iterations.get();
         let factors = solver.sparse_refactors.get();
-        assert_eq!((iters, factors), (12_132, 2_409));
+        assert_eq!((iters, factors), (12_132, 2_410));
+        assert_eq!(
+            (solver.bypass_misses.get(), solver.bypass_hits.get()),
+            (13_528, 11_090)
+        );
     }
 
     #[test]

@@ -546,7 +546,9 @@ mod tests {
     /// window: accepted steps, Newton solves, iterations and
     /// factorizations. Growing the step on the read's flat stretches
     /// took it from 131 steps, 401 iterations and 73 factorizations on
-    /// the fixed 20 ps schedule.
+    /// the fixed 20 ps schedule. Device evaluations (bypass misses) and
+    /// replays (hits) follow: holding the bypass to its replay's error
+    /// bound took them from 10,699 and 6,875.
     #[test]
     fn seeded_16x16_read_newton_work_is_pinned() {
         let mut rng = fefet_numerics::rng::Rng::seed_from_u64(0x1616);
@@ -569,6 +571,10 @@ mod tests {
                 solver.sparse_refactors.get()
             ),
             (79, 79, 298, 79)
+        );
+        assert_eq!(
+            (solver.bypass_misses.get(), solver.bypass_hits.get()),
+            (5_395, 12_179)
         );
     }
 

@@ -1138,8 +1138,8 @@ mod tests {
     /// A reused workspace carries a bypass bank from trial to trial;
     /// running trials out of order, one of them twice, on it must give
     /// what a fresh workspace gives for each. (A stale entry only hits
-    /// where a device's terminals sit within `bypass_vtol` of its last
-    /// evaluation; `fefet-ckt`'s
+    /// where a device's terminals sit close enough to its last
+    /// evaluation for the replay's error bound to hold; `fefet-ckt`'s
     /// `clearing_the_bypass_forgets_replaced_devices` forces that.)
     #[test]
     fn reused_scratch_matches_fresh_scratch() {
@@ -1696,7 +1696,11 @@ mod tests {
     /// to 32 iterations and the trials' from 12, 12 and 11 to 9, 11 and
     /// 9, and moved the nominal margin by −1.8e-16 and the trials'
     /// margins by +1.1e-14, +1.8e-14 and −3.2e-15 relative (ON currents
-    /// alike, OFF currents by 4.3e-16 or less).
+    /// alike, OFF currents by 4.3e-16 or less). Holding device bypass to
+    /// its replay's error bound moved the nominal margin by −1.4e-14 and
+    /// the trials' margins by −1.2e-13, +6.8e-15 and −1.6e-13 relative
+    /// (ON currents −1.2e-13, +9.1e-15, −1.4e-13; OFF currents 1.7e-14
+    /// or less); iteration counts and everything device-owned stayed.
     #[test]
     fn clean_trial_outcomes_are_pinned() {
         let engine = YieldEngine::new(
@@ -1706,14 +1710,14 @@ mod tests {
         )
         .expect("engine");
         assert_eq!(engine.bootstrap_iters(), 32);
-        assert_eq!(engine.nominal_margin().to_bits(), 0x4134_2b4e_6293_17ae);
+        assert_eq!(engine.nominal_margin().to_bits(), 0x4134_2b4e_6293_175d);
         let pins: [(usize, OutcomeBits); 3] = [
             (
                 0,
                 (
-                    0x4120_6034_e6b8_6c0e,
-                    0x3ee9_8d81_0b29_8468,
-                    0x3db8_f762_31fa_994f,
+                    0x4120_6034_e6b8_69d6,
+                    0x3ee9_8d81_0b29_8112,
+                    0x3db8_f762_31fa_996e,
                     9,
                     0xf_ffff_efbc,
                     0x3fa5_4e3c_b136_e72c,
@@ -1725,9 +1729,9 @@ mod tests {
             (
                 100,
                 (
-                    0x40d4_682a_e01f_2c71,
-                    0x3ea1_2655_30f1_072b,
-                    0x3dba_e477_6dbd_1003,
+                    0x40d4_682a_e01f_2c98,
+                    0x3ea1_2655_30f1_0757,
+                    0x3dba_e477_6dbd_1015,
                     11,
                     0xf_ffff_efbc,
                     0x3fd6_145f_ebe7_55c6,
@@ -1739,9 +1743,9 @@ mod tests {
             (
                 128,
                 (
-                    0x412a_e6c8_c3e7_60c2,
-                    0x3ef5_c10e_5b7f_4aed,
-                    0x3db9_e087_a124_fb91,
+                    0x412a_e6c8_c3e7_5c08,
+                    0x3ef5_c10e_5b7f_4784,
+                    0x3db9_e087_a124_fc0f,
                     9,
                     0xf_ffff_efa0,
                     0x3f91_5560_6534_d0b8,
