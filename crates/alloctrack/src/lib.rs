@@ -9,12 +9,12 @@
 //! event, so integration tests can assert "this call allocated exactly
 //! zero times".
 //!
-//! Counting is kept **per thread** as well as globally:
-//! [`count_allocations`] reads the calling thread's counter, so the
-//! assertion is immune to unrelated allocations on other threads of
-//! the test process — in particular the libtest main thread, whose
-//! timeout watchdog occasionally allocates an `mpmc` parking context
-//! mid-window and would otherwise make zero-allocation tests flaky.
+//! Counting is kept **per thread**: [`count_allocations`] reads the
+//! calling thread's counter, so the assertion is immune to unrelated
+//! allocations on other threads of the test process — in particular
+//! the libtest main thread, whose timeout watchdog occasionally
+//! allocates an `mpmc` parking context mid-window and would otherwise
+//! make zero-allocation tests flaky.
 //!
 //! The workspace forbids `unsafe_code`; this crate deliberately does
 //! not opt into that lint set (see its `Cargo.toml`) because
@@ -24,13 +24,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// System allocator wrapper that counts allocation events
 /// (`alloc`, `alloc_zeroed`, and `realloc` calls).
 pub struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     // `const`-initialized and `!Drop`, so accessing it from inside the
@@ -39,7 +36,6 @@ thread_local! {
 }
 
 fn count_event() {
-    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     // `try_with` rather than `with`: allocation can happen while this
     // thread's TLS block is being torn down, where access must fail
     // softly instead of aborting.
@@ -69,15 +65,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Total allocation events since process start, across all threads.
-///
-/// Relaxed matches the `fetch_add` side: the counter is a monotonic
-/// statistic, not a synchronization point, and a `SeqCst` load cannot
-/// order anything against relaxed increments anyway.
-pub fn allocation_count() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 /// Allocation events performed by the calling thread since it started.
 pub fn thread_allocation_count() -> usize {

@@ -165,29 +165,6 @@ impl Circuit {
         }
     }
 
-    /// Sets the initial polarization `p` (C/m²) of an existing
-    /// ferroelectric capacitor.
-    ///
-    /// # Errors
-    ///
-    /// [`CktError::UnknownSignal`] if `name` does not exist,
-    /// [`CktError::Netlist`] if the element is not an FE capacitor.
-    pub fn set_fe_polarization(&mut self, name: &str, p: f64) -> Result<(), CktError> {
-        let idx = *self
-            .element_index
-            .get(name)
-            .ok_or_else(|| CktError::UnknownSignal(name.to_string()))?;
-        match &mut self.elements[idx].1 {
-            Element::FeCap { p0, .. } => {
-                *p0 = p;
-                Ok(())
-            }
-            other => Err(CktError::Netlist(format!(
-                "element {name} is not an FE capacitor: {other:?}"
-            ))),
-        }
-    }
-
     /// Replaces the parameter set of the MOSFET at element position
     /// `idx` ([`Circuit::element_position`] order), allowing one netlist
     /// to be re-simulated under perturbed device parameters. The
@@ -214,25 +191,9 @@ impl Circuit {
         }
     }
 
-    /// Replaces the parameter set of an existing ferroelectric
-    /// capacitor (initial polarization is left untouched; see
-    /// [`Circuit::set_fe_polarization`]).
-    ///
-    /// # Errors
-    ///
-    /// [`CktError::UnknownSignal`] if `name` does not exist,
-    /// [`CktError::Netlist`] if the element is not an FE capacitor.
-    pub fn set_fecap_params(&mut self, name: &str, params: FeCapParams) -> Result<(), CktError> {
-        let idx = *self
-            .element_index
-            .get(name)
-            .ok_or_else(|| CktError::UnknownSignal(name.to_string()))?;
-        self.set_fecap_params_at(idx, params)
-    }
-
     /// Replaces the parameter set of the FE capacitor at element
-    /// position `idx` ([`Circuit::element_position`] order); the
-    /// allocation-free counterpart of [`Circuit::set_fecap_params`].
+    /// position `idx` ([`Circuit::element_position`] order); the initial
+    /// polarization is left untouched.
     ///
     /// # Errors
     ///
@@ -525,22 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn set_fe_polarization_updates() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        c.fecap("F1", a, Circuit::GND, FeCapParams::new(2.25e-9, 1e-15), 0.0);
-        c.set_fe_polarization("F1", 0.4).unwrap();
-        assert!(matches!(
-            c.set_fe_polarization("ghost", 0.0),
-            Err(CktError::UnknownSignal(_))
-        ));
-        match c.find_element("F1").unwrap() {
-            Element::FeCap { p0, .. } => assert_eq!(*p0, 0.4),
-            _ => panic!(),
-        }
-    }
-
-    #[test]
     fn set_device_params_updates_in_place() {
         let mut c = Circuit::new();
         let a = c.node("a");
@@ -576,10 +521,6 @@ mod tests {
         assert!(matches!(
             c.set_mosfet_params_at(99, mos),
             Err(CktError::Netlist(_))
-        ));
-        assert!(matches!(
-            c.set_fecap_params("ghost", fe),
-            Err(CktError::UnknownSignal(_))
         ));
         assert!(matches!(
             c.set_fecap_params_at(99, fe),

@@ -33,8 +33,8 @@
 //! - [`probe`] — streaming observers that keep only what a measurement
 //!   reads (currents and voltages at a sample time, windowed voltage
 //!   extrema, threshold crossings), and the full-waveform recorder.
-//! - [`trace`] — recorded waveforms plus measurement helpers (threshold
-//!   crossings, rise time, settling, integrals).
+//! - [`trace`] — recorded waveforms plus measurement helpers (values at
+//!   a time, threshold crossings, extrema over a window).
 //!
 //! # Example: RC step response
 //!

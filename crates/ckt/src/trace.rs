@@ -1,7 +1,6 @@
 //! Recorded transient waveforms and measurement helpers.
 
 use crate::{CktError, Result};
-use fefet_numerics::quad::trapezoid_samples;
 use std::collections::HashMap;
 
 /// Edge selector for threshold-crossing measurements.
@@ -339,17 +338,6 @@ impl Trace {
         Ok(self.cross_time(name, level, edge, after))
     }
 
-    /// Time integral of the named signal over the whole trace.
-    ///
-    /// # Errors
-    ///
-    /// [`CktError::UnknownSignal`] for a missing signal; an integration
-    /// error if the trace has fewer than two samples.
-    pub fn integral(&self, name: &str) -> Result<f64> {
-        let y = self.try_signal(name)?;
-        trapezoid_samples(&self.t, y).map_err(CktError::from)
-    }
-
     /// Energy delivered by the named independent source over the run (J).
     pub fn energy(&self, source: &str) -> Option<f64> {
         self.energies
@@ -366,34 +354,6 @@ impl Trace {
     /// Total energy delivered by all independent sources (J).
     pub fn total_source_energy(&self) -> f64 {
         self.energies.iter().map(|(_, e)| e).sum()
-    }
-
-    /// Exports the selected signals as CSV text (`time` first column) for
-    /// external plotting. Unknown signal names are reported as an error.
-    ///
-    /// # Errors
-    ///
-    /// [`CktError::UnknownSignal`] if any requested signal is missing.
-    pub fn to_csv(&self, signals: &[&str]) -> Result<String> {
-        use std::fmt::Write as _;
-        let cols: Vec<&[f64]> = signals
-            .iter()
-            .map(|s| self.try_signal(s))
-            .collect::<Result<_>>()?;
-        let mut out = String::new();
-        let _ = write!(out, "time");
-        for s in signals {
-            let _ = write!(out, ",{s}");
-        }
-        out.push('\n');
-        for (k, t) in self.t.iter().enumerate() {
-            let _ = write!(out, "{t:.9e}");
-            for col in &cols {
-                let _ = write!(out, ",{:.9e}", col[k]);
-            }
-            out.push('\n');
-        }
-        Ok(out)
     }
 }
 
@@ -463,25 +423,6 @@ mod tests {
         assert!((tr.window_max("v(a)", 0.0, 0.5).unwrap() - 0.5).abs() < 1e-12);
         assert!((tr.window_min("v(a)", 0.5, 1.0).unwrap() - 0.5).abs() < 1e-12);
         assert!(tr.window_min("v(a)", 5.0, 6.0).is_none());
-    }
-
-    #[test]
-    fn integral_of_ramp() {
-        let tr = ramp_trace();
-        // ∫ 2t dt over [0,1] = 1.
-        assert!((tr.integral("i(E)").unwrap() - 1.0).abs() < 1e-12);
-        assert!(tr.integral("nope").is_err());
-    }
-
-    #[test]
-    fn csv_export() {
-        let tr = ramp_trace();
-        let csv = tr.to_csv(&["v(a)", "i(E)"]).unwrap();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next().unwrap(), "time,v(a),i(E)");
-        assert_eq!(lines.count(), 11);
-        assert!(csv.contains("1.000000000e0,1.000000000e0,2.000000000e0"));
-        assert!(tr.to_csv(&["nope"]).is_err());
     }
 
     fn measurement_err(r: Result<impl std::fmt::Debug>) -> String {

@@ -22,7 +22,7 @@
 //! full-array netlist as the reference the slice is tested against.
 
 use crate::bias::Operation;
-use crate::cell::FefetCell;
+use crate::cell::{FefetCell, T_EDGE, T_START};
 use crate::slice::{self, CellGroup, Groups, Stored, Unaccessed};
 use fefet_ckt::circuit::Circuit;
 use fefet_ckt::elements::{ElemState, EvalCtx, Integration, Node};
@@ -35,11 +35,6 @@ use fefet_ckt::waveform::Waveform;
 use fefet_ckt::{CktError, Result};
 use fefet_telemetry::Instrumentation;
 use std::sync::Arc;
-
-/// Edge time for control ramps (s).
-const T_EDGE: f64 = 50e-12;
-/// Quiescent lead-in (s).
-const T_START: f64 = 0.2e-9;
 
 /// Point solves a [`FefetArray::sense_row`] takes. At windows of
 /// 0.8–2 ns the stored states are still relaxing when the transient
@@ -234,14 +229,15 @@ impl ReadSlice {
     }
 }
 
-/// Result of an array-level operation.
+/// Result of a row op of either array ([`FefetArray`] or
+/// [`crate::feram_array::FeramArray`]).
 #[derive(Debug, Clone)]
 pub struct ArrayOp {
     /// Accepted transient time steps.
     pub steps: usize,
     /// Total driver energy (J).
     pub energy: f64,
-    /// Largest polarization drift of any **unaccessed** cell (C/m²).
+    /// Largest polarization drift |ΔP| of any **unaccessed** cell (C/m²).
     pub max_disturb: f64,
 }
 

@@ -18,11 +18,11 @@ use fefet_device::Fefet;
 use std::ops::ControlFlow;
 
 /// Edge time used for all control-line ramps of the cell-level ops
-/// (FEFET cell, FERAM cell, sense chain) (s).
+/// (FEFET cell, FERAM cell, sense chain) and of both arrays' row ops (s).
 pub(crate) const T_EDGE: f64 = 50e-12;
 
-/// Delay before any line of a cell-level op moves (s) — shows the
-/// quiescent hold level in the Fig 6 waveforms.
+/// Delay before any line of a cell-level or row op moves (s) — shows
+/// the quiescent hold level in the Fig 6 waveforms.
 pub(crate) const T_START: f64 = 0.2e-9;
 
 /// One cell-level op's simulation — its netlist, end time and transient

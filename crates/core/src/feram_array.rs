@@ -30,7 +30,8 @@
 //! The `*_full` row ops keep the full-array netlist as the reference
 //! the slice is tested against.
 
-use crate::array::{check_window, FastPathToggles, MnaDims};
+use crate::array::{check_window, ArrayOp, FastPathToggles, MnaDims};
+use crate::cell::{T_EDGE, T_START};
 use crate::feram::FeramCell;
 use crate::slice::{self, Groups, Stored, Unaccessed};
 use fefet_ckt::circuit::Circuit;
@@ -42,11 +43,6 @@ use fefet_ckt::transient::{Step, TransientRun};
 use fefet_ckt::waveform::Waveform;
 use fefet_ckt::{CktError, Result};
 use fefet_telemetry::Instrumentation;
-
-/// Edge time for control ramps (s).
-const T_EDGE: f64 = 50e-12;
-/// Quiescent lead-in (s).
-const T_START: f64 = 0.2e-9;
 
 /// An m×n array of 1T-1C FERAM cells with explicit stored polarization.
 /// Every simulation it runs solves on the pattern-cached sparse LU.
@@ -82,17 +78,6 @@ struct Netlist {
     groups: Groups,
     /// Bit-line node per column.
     bl: Vec<Node>,
-}
-
-/// Result of a FERAM array operation.
-#[derive(Debug, Clone)]
-pub struct FeramArrayOp {
-    /// Accepted transient time steps.
-    pub steps: usize,
-    /// Driver energy (J).
-    pub energy: f64,
-    /// Largest |ΔP| on any unaccessed cell (C/m²).
-    pub max_disturb: f64,
 }
 
 impl FeramArray {
@@ -333,7 +318,7 @@ impl FeramArray {
     /// # Errors
     ///
     /// Dimension, `t_pulse` or convergence errors as in the FEFET array.
-    pub fn write_row(&mut self, row: usize, data: &[bool], t_pulse: f64) -> Result<FeramArrayOp> {
+    pub fn write_row(&mut self, row: usize, data: &[bool], t_pulse: f64) -> Result<ArrayOp> {
         self.write_row_with(row, data, t_pulse, Unaccessed::Classes)
     }
 
@@ -345,12 +330,7 @@ impl FeramArray {
     /// # Errors
     ///
     /// As for [`FeramArray::write_row`].
-    pub fn write_row_full(
-        &mut self,
-        row: usize,
-        data: &[bool],
-        t_pulse: f64,
-    ) -> Result<FeramArrayOp> {
+    pub fn write_row_full(&mut self, row: usize, data: &[bool], t_pulse: f64) -> Result<ArrayOp> {
         self.write_row_with(row, data, t_pulse, Unaccessed::Cells)
     }
 
@@ -360,7 +340,7 @@ impl FeramArray {
         data: &[bool],
         t_pulse: f64,
         unaccessed: Unaccessed,
-    ) -> Result<FeramArrayOp> {
+    ) -> Result<ArrayOp> {
         if data.len() != self.cols {
             return Err(CktError::Netlist(format!(
                 "write_row: got {} bits for {} columns",
@@ -413,7 +393,7 @@ impl FeramArray {
         if let Some(tel) = self.instr.get() {
             tel.array.row_writes.inc();
         }
-        Ok(FeramArrayOp {
+        Ok(ArrayOp {
             steps: run.steps,
             energy: run.total_source_energy(),
             max_disturb,
@@ -432,7 +412,7 @@ impl FeramArray {
     ///
     /// [`CktError::Netlist`] if `row` is out of range or `t_dev` is not
     /// finite and positive; convergence errors.
-    pub fn read_row(&mut self, row: usize, t_dev: f64) -> Result<(FeramArrayOp, Vec<f64>)> {
+    pub fn read_row(&mut self, row: usize, t_dev: f64) -> Result<(ArrayOp, Vec<f64>)> {
         self.read_row_with(row, t_dev, Unaccessed::Classes)
     }
 
@@ -443,7 +423,7 @@ impl FeramArray {
     /// # Errors
     ///
     /// As for [`FeramArray::read_row`].
-    pub fn read_row_full(&mut self, row: usize, t_dev: f64) -> Result<(FeramArrayOp, Vec<f64>)> {
+    pub fn read_row_full(&mut self, row: usize, t_dev: f64) -> Result<(ArrayOp, Vec<f64>)> {
         self.read_row_with(row, t_dev, Unaccessed::Cells)
     }
 
@@ -452,7 +432,7 @@ impl FeramArray {
         row: usize,
         t_dev: f64,
         unaccessed: Unaccessed,
-    ) -> Result<(FeramArrayOp, Vec<f64>)> {
+    ) -> Result<(ArrayOp, Vec<f64>)> {
         if row >= self.rows {
             return Err(CktError::Netlist(format!(
                 "read_row: row {row} out of range"
@@ -481,7 +461,7 @@ impl FeramArray {
             tel.array.row_reads.inc();
         }
         Ok((
-            FeramArrayOp {
+            ArrayOp {
                 steps: run.steps,
                 energy: run.total_source_energy(),
                 max_disturb,

@@ -119,22 +119,19 @@ impl MacroConfig {
         self.array_area() + self.periphery_area()
     }
 
-    /// Energy to write one word (J): bit-line swings on every column,
-    /// polarization switching in every cell of the row, the boosted
-    /// accessed select, and the FEFET scheme's negative select swing on
-    /// every unaccessed row.
+    /// Computes the per-word energy/latency table of this organization
+    /// — the one place the macro's word energies are derived — so
+    /// op-rate consumers (the serving fast path) pay the
+    /// layout/pitch/capacitance chain **once per config** instead of on
+    /// every word.
     ///
-    /// `burst_len` is the number of consecutive word writes sharing one
-    /// isolation setup: the unaccessed selects are driven to −V_DD once
-    /// at the start of a burst and released at its end, so their CV² cost
-    /// amortizes. Use `burst_len = 1` for a random single-word access and
-    /// a large value for NVP backups, which stream the whole block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `burst_len == 0`.
-    pub fn write_energy_per_word(&self, burst_len: usize) -> f64 {
-        assert!(burst_len > 0, "burst_len must be at least 1");
+    /// A word write swings the bit lines on every column, switches the
+    /// polarization of every cell of the row, boosts the accessed select
+    /// and, in the FEFET scheme, swings the negative select on every
+    /// unaccessed row. That isolation charge is kept apart from the
+    /// burst-independent rest because it amortizes over a burst (see
+    /// [`MacroTable::write_energy_per_word`]).
+    pub fn table(&self) -> MacroTable {
         let b = &self.bias;
         let e_bitlines = self.cols as f64 * self.c_col_line() * b.v_write * b.v_write;
         let e_cells = self.cols as f64 * self.q_switch * b.v_write;
@@ -147,18 +144,12 @@ impl MacroConfig {
                     * self.c_row_line()
                     * b.v_ws_unaccessed
                     * b.v_ws_unaccessed
-                    / burst_len as f64
             }
             // FERAM needs no negative isolation (plate-line scheme).
             MemoryKind::Feram => 0.0,
         };
-        e_bitlines + e_cells + e_boost + e_isolation
-    }
-
-    /// Energy to read one word (J).
-    pub fn read_energy_per_word(&self) -> f64 {
-        let b = &self.bias;
-        match self.kind {
+        let write_energy_base_j = e_bitlines + e_cells + e_boost;
+        let read_energy_j = match self.kind {
             MemoryKind::Fefet => {
                 // Read-select swing + current sensing while the cell must
                 // conduct (pre-charge + SA decision; the output buffer
@@ -173,54 +164,20 @@ impl MacroConfig {
             MemoryKind::Feram => {
                 // Destructive read: plate pulse on the row, charge
                 // development on every bit line, then a write-back —
-                // essentially a write plus the development swings.
+                // essentially a write (which has no isolation term)
+                // plus the development swings.
                 let e_dev = self.cols as f64 * self.c_col_line() * b.v_write * b.v_write
                     + self.c_row_line() * b.v_write * b.v_write
                     + 0.5 * self.cols as f64 * self.q_switch * b.v_write;
-                e_dev + self.write_energy_per_word(1)
+                e_dev + write_energy_base_j
             }
-        }
-    }
-
-    /// The macro summarized as Table 3-style word parameters, for NVP
-    /// backup bursts of `burst_len` consecutive word writes.
-    pub fn nvm_params(&self, burst_len: usize) -> NvmParams {
-        NvmParams {
-            kind: self.kind,
-            bit_line_voltage: self.bias.v_write,
-            write_time: self.t_write,
-            write_energy: self.write_energy_per_word(burst_len),
-            read_energy: self.read_energy_per_word(),
-        }
-    }
-
-    /// Precomputes the derived energy/latency table for this
-    /// organization, so op-rate consumers (the serving fast path) pay
-    /// the layout/pitch/capacitance chain **once per config** instead of
-    /// on every word. [`MacroTable::write_energy_per_word`] and friends
-    /// reproduce the uncached methods bit-for-bit: the write energy
-    /// splits into a burst-independent base plus the isolation charge
-    /// that amortizes as `1/burst_len`, and both terms are frozen here.
-    pub fn table(&self) -> MacroTable {
-        let b = &self.bias;
-        let e_bitlines = self.cols as f64 * self.c_col_line() * b.v_write * b.v_write;
-        let e_cells = self.cols as f64 * self.q_switch * b.v_write;
-        let e_boost = self.c_row_line() * b.v_boost * b.v_boost;
-        let e_isolation = match self.kind {
-            MemoryKind::Fefet => {
-                (self.rows.saturating_sub(1)) as f64
-                    * self.c_row_line()
-                    * b.v_ws_unaccessed
-                    * b.v_ws_unaccessed
-            }
-            MemoryKind::Feram => 0.0,
         };
         MacroTable {
             kind: self.kind,
             bit_line_voltage_v: b.v_write,
-            write_energy_base_j: e_bitlines + e_cells + e_boost,
+            write_energy_base_j,
             write_energy_isolation_j: e_isolation,
-            read_energy_j: self.read_energy_per_word(),
+            read_energy_j,
             write_time_s: self.t_write,
             read_time_s: self.timing.total(),
         }
@@ -254,8 +211,13 @@ pub struct MacroTable {
 
 impl MacroTable {
     /// Energy to write one word (J) in a burst of `burst_len`
-    /// consecutive word writes; bit-identical to
-    /// [`MacroConfig::write_energy_per_word`] on the source config.
+    /// consecutive word writes.
+    ///
+    /// The bursts share one isolation setup: the unaccessed selects are
+    /// driven to −V_DD once at the start of a burst and released at its
+    /// end, so their CV² cost amortizes. Use `burst_len = 1` for a
+    /// random single-word access and a large value for NVP backups,
+    /// which stream the whole block.
     ///
     /// # Panics
     ///
@@ -265,15 +227,13 @@ impl MacroTable {
         self.write_energy_base_j + self.write_energy_isolation_j / burst_len as f64
     }
 
-    /// Energy to read one word (J); bit-identical to
-    /// [`MacroConfig::read_energy_per_word`] on the source config.
+    /// Energy to read one word (J).
     pub fn read_energy_per_word(&self) -> f64 {
         self.read_energy_j
     }
 
-    /// Table 3-style word parameters for bursts of `burst_len`,
-    /// bit-identical to [`MacroConfig::nvm_params`] on the source
-    /// config.
+    /// The macro summarized as Table 3-style word parameters, for NVP
+    /// backup bursts of `burst_len` consecutive word writes.
     ///
     /// # Panics
     ///
@@ -325,8 +285,8 @@ mod tests {
     fn table3_scale_word_energies_for_backup_bursts() {
         // NVP backups stream the block: the isolation setup amortizes and
         // the paper's strong write-energy advantage appears.
-        let f = MacroConfig::fefet(64, 64).nvm_params(16);
-        let r = MacroConfig::feram(64, 64).nvm_params(16);
+        let f = MacroConfig::fefet(64, 64).table().nvm_params(16);
+        let r = MacroConfig::feram(64, 64).table().nvm_params(16);
         assert!(
             (0.05e-12..20e-12).contains(&f.write_energy),
             "FEFET write/word {:.3e}",
@@ -357,8 +317,8 @@ mod tests {
         // §6.2.2: the negative select and boost "contribute to increase
         // in the write power" — for single random writes the overhead is
         // large; the paper's accounting still favors the FEFET.
-        let f = MacroConfig::fefet(64, 64);
-        let r = MacroConfig::feram(64, 64);
+        let f = MacroConfig::fefet(64, 64).table();
+        let r = MacroConfig::feram(64, 64).table();
         let e_random = f.write_energy_per_word(1);
         let e_burst = f.write_energy_per_word(64);
         assert!(e_random > 2.0 * e_burst, "{e_random:.3e} vs {e_burst:.3e}");
@@ -370,47 +330,16 @@ mod tests {
     fn isolation_swing_grows_with_rows() {
         // The -V_DD swing on unaccessed rows grows linearly with rows —
         // the §6.2.2 overhead the paper says it accounts for.
-        let short = MacroConfig::fefet(32, 32);
-        let tall = MacroConfig::fefet(512, 32);
+        let short = MacroConfig::fefet(32, 32).table();
+        let tall = MacroConfig::fefet(512, 32).table();
         assert!(tall.write_energy_per_word(1) > 3.0 * short.write_energy_per_word(1));
-    }
-
-    #[test]
-    fn table_matches_uncached_methods_bit_for_bit() {
-        // The serving fast path answers from the cached table; any drift
-        // against the per-call chain would silently skew energy totals.
-        for cfg in [
-            MacroConfig::fefet(64, 64),
-            MacroConfig::fefet(256, 32),
-            MacroConfig::feram(64, 64),
-            MacroConfig::feram(128, 16),
-        ] {
-            let table = cfg.table();
-            for burst in [1usize, 2, 16, 64, 1024] {
-                assert_eq!(
-                    table.write_energy_per_word(burst).to_bits(),
-                    cfg.write_energy_per_word(burst).to_bits(),
-                    "write energy, burst {burst}"
-                );
-            }
-            assert_eq!(
-                table.read_energy_per_word().to_bits(),
-                cfg.read_energy_per_word().to_bits()
-            );
-            let a = table.nvm_params(8);
-            let b = cfg.nvm_params(8);
-            assert_eq!(a.kind, b.kind);
-            assert_eq!(a.write_energy.to_bits(), b.write_energy.to_bits());
-            assert_eq!(a.read_energy.to_bits(), b.read_energy.to_bits());
-            assert_eq!(table.read_time_s.to_bits(), cfg.timing.total().to_bits());
-        }
     }
 
     #[test]
     fn feram_table_has_no_isolation_term() {
         let table = MacroConfig::feram(64, 64).table();
         assert_eq!(table.write_energy_isolation_j, 0.0);
-        // Burst length is then irrelevant, as for the uncached method.
+        // Burst length is then irrelevant.
         assert_eq!(
             table.write_energy_per_word(1).to_bits(),
             table.write_energy_per_word(64).to_bits()
@@ -419,10 +348,10 @@ mod tests {
 
     #[test]
     fn nvm_params_consistent_with_kind() {
-        let f = MacroConfig::fefet(128, 32).nvm_params(8);
+        let f = MacroConfig::fefet(128, 32).table().nvm_params(8);
         assert_eq!(f.kind, MemoryKind::Fefet);
         assert_eq!(f.bit_line_voltage, 0.68);
-        let r = MacroConfig::feram(128, 32).nvm_params(8);
+        let r = MacroConfig::feram(128, 32).table().nvm_params(8);
         assert_eq!(r.kind, MemoryKind::Feram);
         assert_eq!(r.bit_line_voltage, 1.64);
     }

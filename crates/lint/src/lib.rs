@@ -58,23 +58,20 @@
 //! unknown rule, or suppressing nothing (stale) is itself a finding.
 //! Directives in doc comments are documentation, not directives.
 //!
-//! Workspace findings ratchet against the committed
-//! [`LINT_BASELINE.json`](baseline::BASELINE_FILE): fresh findings fail
-//! the gate, grandfathered ones are tracked and may only shrink.
+//! The workspace gate passes only with zero findings: nothing is
+//! grandfathered.
 
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub mod baseline;
 mod directives;
 mod items;
 mod lexer;
 pub mod report;
 mod rules;
 
-pub use baseline::{Baseline, BaselineEntry, BaselineStatus, BucketDiff};
 pub use report::render_json;
 pub use rules::UNIT_SUFFIXES;
 
@@ -336,7 +333,7 @@ pub fn lint_source(file: &str, src: &str, mode: Mode) -> Vec<Finding> {
 
 /// All library source files the workspace walk covers: `src/` of the
 /// root package and of every crate under `crates/`.
-pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
+fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     collect_rs(&root.join("src"), &mut files)?;
     let crates_dir = root.join("crates");
@@ -370,52 +367,40 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Walks the workspace at `root` and lints every library source file in
-/// [`Mode::Workspace`]. Findings carry root-relative path labels.
-pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
-    for path in workspace_files(root)? {
-        let label = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .into_owned();
-        let src = fs::read_to_string(&path)?;
-        findings.extend(lint_source(&norm_path(&label), &src, Mode::Workspace));
-    }
-    Ok(findings)
-}
-
-/// The full workspace gate: findings, ratchet state, and counts.
+/// The workspace gate's result: how many files were linted and what
+/// was found in them.
 #[derive(Debug)]
 pub struct WorkspaceLint {
     /// Number of files linted.
     pub files_checked: usize,
-    /// The committed baseline, if one exists.
-    pub baseline: Option<Baseline>,
-    /// Findings vs. baseline split. The gate passes iff
-    /// `status.fresh` and `status.stale` are both empty.
-    pub status: BaselineStatus,
+    /// Every finding, with root-relative path labels.
+    pub findings: Vec<Finding>,
 }
 
 impl WorkspaceLint {
-    /// Gate verdict: no fresh findings, no stale baseline buckets.
+    /// Gate verdict: no findings.
     pub fn is_clean(&self) -> bool {
-        self.status.fresh.is_empty() && self.status.stale.is_empty()
+        self.findings.is_empty()
     }
 }
 
-/// Lints the workspace and applies the committed
-/// [`LINT_BASELINE.json`](baseline::BASELINE_FILE) ratchet.
+/// Walks the workspace at `root` and lints every library source file in
+/// [`Mode::Workspace`].
 pub fn check_workspace(root: &Path) -> io::Result<WorkspaceLint> {
     let files = workspace_files(root)?;
-    let findings = lint_workspace(root)?;
-    let baseline = Baseline::load(&root.join(baseline::BASELINE_FILE))?;
-    let status = baseline::apply(&findings, baseline.as_ref().unwrap_or(&Baseline::default()));
+    let mut findings = Vec::new();
+    for path in &files {
+        let label = path
+            .strip_prefix(root)
+            .unwrap_or(path)
+            .to_string_lossy()
+            .into_owned();
+        let src = fs::read_to_string(path)?;
+        findings.extend(lint_source(&norm_path(&label), &src, Mode::Workspace));
+    }
     Ok(WorkspaceLint {
         files_checked: files.len(),
-        baseline,
-        status,
+        findings,
     })
 }
 

@@ -1,38 +1,30 @@
 //! CLI for `fefet-lint`.
 //!
-//! - `fefet-lint` (no args): walks the workspace's library sources,
-//!   applies path-scoped rules and the `LINT_BASELINE.json` ratchet.
+//! - `fefet-lint` (no args): walks the workspace's library sources and
+//!   applies path-scoped rules.
 //! - `fefet-lint FILE...`: lints the named files in strict mode (every
-//!   rule applies regardless of path, no baseline) — the mode fixtures
-//!   are checked under.
+//!   rule applies regardless of path) — the mode fixtures are checked
+//!   under.
 //!
-//! Exit codes: 0 clean (all findings grandfathered), 1 findings (fresh
-//! findings or a stale baseline), 2 usage or I/O error.
+//! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fefet_lint::baseline::{self, Baseline};
-use fefet_lint::{check_workspace, lint_source, render_json, BaselineStatus, Finding, Mode, Rule};
+use fefet_lint::{check_workspace, lint_source, render_json, Finding, Mode, Rule};
 
 const USAGE: &str = "\
 usage: fefet-lint [OPTIONS] [FILE...]
 
 With no file arguments, lints every library source file of the
-enclosing workspace (src/ and crates/*/src/) with path-scoped rules and
-ratchets the result against LINT_BASELINE.json. With file arguments,
-lints those files in strict mode (all rules apply, no baseline).
+enclosing workspace (src/ and crates/*/src/) with path-scoped rules.
+With file arguments, lints those files in strict mode (all rules
+apply).
 
 Options:
   --json PATH         write the machine-readable findings report to
                       PATH ('-' for stdout)
   --rule NAME         only report the named rule (name or r1..r8 alias)
-  --update-baseline   rewrite LINT_BASELINE.json from current findings
-                      (the ratchet: run after paying down grandfathered
-                      debt)
-  --ratchet PATH      compare the committed LINT_BASELINE.json against
-                      an older baseline at PATH; fail if any bucket
-                      grew (CI uses this against the merge base)
   -h, --help          show this help
 
 Rules: panic (r1), unbounded-loop (r2), float-eq (r3), solver-result
@@ -48,8 +40,6 @@ struct Options {
     files: Vec<String>,
     json: Option<String>,
     rule: Option<Rule>,
-    update_baseline: bool,
-    ratchet: Option<String>,
 }
 
 fn usage_error(msg: &str) -> ExitCode {
@@ -67,8 +57,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         files: Vec::new(),
         json: None,
         rule: None,
-        update_baseline: false,
-        ratchet: None,
     };
     let mut i = 0;
     while i < args.len() {
@@ -87,10 +75,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         } else if a == "--rule" || a.starts_with("--rule=") {
             let name = take_value("--rule")?;
             opts.rule = Some(Rule::parse(&name).ok_or_else(|| format!("unknown rule `{name}`"))?);
-        } else if a == "--ratchet" || a.starts_with("--ratchet=") {
-            opts.ratchet = Some(take_value("--ratchet")?);
-        } else if a == "--update-baseline" {
-            opts.update_baseline = true;
         } else if a.starts_with('-') && a != "-" {
             return Err(format!("unknown option `{a}`"));
         } else {
@@ -124,13 +108,6 @@ fn find_workspace_root() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("."))
 }
 
-fn filter_by_rule(findings: Vec<Finding>, rule: Option<Rule>) -> Vec<Finding> {
-    match rule {
-        Some(r) => findings.into_iter().filter(|f| f.rule == r).collect(),
-        None => findings,
-    }
-}
-
 fn write_report(path: &str, text: &str) -> Result<(), ExitCode> {
     if path == "-" {
         print!("{text}");
@@ -139,161 +116,49 @@ fn write_report(path: &str, text: &str) -> Result<(), ExitCode> {
     std::fs::write(path, text).map_err(|e| io_error(&format!("cannot write {path}: {e}")))
 }
 
-/// `--ratchet OLD`: the committed baseline may only shrink relative to
-/// the one at OLD.
-fn run_ratchet(old_path: &str) -> ExitCode {
-    let root = find_workspace_root();
-    let committed = match Baseline::load(&root.join(baseline::BASELINE_FILE)) {
-        Ok(b) => b.unwrap_or_default(),
-        Err(e) => return io_error(&e.to_string()),
-    };
-    let old_text = match std::fs::read_to_string(old_path) {
-        Ok(t) => t,
-        Err(e) => return io_error(&format!("cannot read {old_path}: {e}")),
-    };
-    let old = match Baseline::parse(&old_text) {
-        Ok(b) => b,
-        Err(e) => return io_error(&format!("{old_path}: {e}")),
-    };
-    let grown = baseline::growth(&committed, &old);
-    if grown.is_empty() {
-        println!(
-            "fefet-lint: baseline ratchet ok ({} -> {} grandfathered findings)",
-            old.total(),
-            committed.total()
-        );
-        ExitCode::SUCCESS
-    } else {
-        for g in &grown {
-            println!(
-                "{}: [{}] baseline grew {} -> {} (new findings must be fixed, not grandfathered)",
-                g.file, g.rule, g.baseline, g.current
-            );
-        }
-        eprintln!(
-            "fefet-lint: baseline grew in {} bucket(s); the ratchet only turns down",
-            grown.len()
-        );
-        ExitCode::FAILURE
+/// Lints the named files in strict mode: `(files checked, findings)`.
+fn lint_files(files: &[String]) -> Result<(usize, Vec<Finding>), ExitCode> {
+    let mut findings = Vec::new();
+    for arg in files {
+        let src = std::fs::read_to_string(arg)
+            .map_err(|e| io_error(&format!("cannot read {arg}: {e}")))?;
+        findings.extend(lint_source(arg, &src, Mode::Strict));
     }
+    Ok((files.len(), findings))
 }
 
-fn run_strict(opts: &Options) -> ExitCode {
-    let mut findings = Vec::new();
-    for arg in &opts.files {
-        match std::fs::read_to_string(arg) {
-            Ok(src) => findings.extend(lint_source(arg, &src, Mode::Strict)),
-            Err(e) => return io_error(&format!("cannot read {arg}: {e}")),
-        }
+/// Lints the enclosing workspace: `(files checked, findings)`.
+fn lint_workspace() -> Result<(usize, Vec<Finding>), ExitCode> {
+    let root = find_workspace_root();
+    let ws = check_workspace(&root)
+        .map_err(|e| io_error(&format!("cannot lint {}: {e}", root.display())))?;
+    Ok((ws.files_checked, ws.findings))
+}
+
+fn run(opts: &Options) -> Result<ExitCode, ExitCode> {
+    let (files_checked, mut findings) = if opts.files.is_empty() {
+        lint_workspace()?
+    } else {
+        lint_files(&opts.files)?
+    };
+    if let Some(rule) = opts.rule {
+        findings.retain(|f| f.rule == rule);
     }
-    let findings = filter_by_rule(findings, opts.rule);
     for f in &findings {
         println!("{f}");
     }
     if let Some(path) = &opts.json {
-        let status = BaselineStatus {
-            baselined: Vec::new(),
-            fresh: findings.clone(),
-            stale: Vec::new(),
-        };
-        let text = render_json(opts.files.len(), &status, None);
-        if let Err(code) = write_report(path, &text) {
-            return code;
-        }
+        write_report(path, &render_json(files_checked, &findings))?;
     }
     if findings.is_empty() {
-        println!("fefet-lint: clean ({} files)", opts.files.len());
-        ExitCode::SUCCESS
+        println!("fefet-lint: clean ({files_checked} files)");
+        Ok(ExitCode::SUCCESS)
     } else {
         eprintln!(
-            "fefet-lint: {} finding(s) in {} files",
-            findings.len(),
-            opts.files.len()
+            "fefet-lint: {} finding(s) in {files_checked} files",
+            findings.len()
         );
-        ExitCode::FAILURE
-    }
-}
-
-fn run_workspace(opts: &Options) -> ExitCode {
-    let root = find_workspace_root();
-    let mut ws = match check_workspace(&root) {
-        Ok(ws) => ws,
-        Err(e) => return io_error(&format!("cannot lint {}: {e}", root.display())),
-    };
-
-    if opts.update_baseline {
-        // Rebuild the baseline from everything currently firing
-        // (malformed/stale directives stay fatal).
-        let mut all: Vec<Finding> = ws.status.fresh.clone();
-        all.extend(ws.status.baselined.iter().cloned());
-        let new_baseline = Baseline::from_findings(&all);
-        let path = root.join(baseline::BASELINE_FILE);
-        if let Err(e) = std::fs::write(&path, new_baseline.to_json()) {
-            return io_error(&format!("cannot write {}: {e}", path.display()));
-        }
-        println!(
-            "fefet-lint: baseline updated ({} findings in {} buckets)",
-            new_baseline.total(),
-            new_baseline.entries.len()
-        );
-        let directive_debt: Vec<&Finding> =
-            all.iter().filter(|f| f.rule == Rule::Directive).collect();
-        if directive_debt.is_empty() {
-            return ExitCode::SUCCESS;
-        }
-        for f in &directive_debt {
-            println!("{f}");
-        }
-        eprintln!(
-            "fefet-lint: {} directive finding(s) cannot be baselined; fix them",
-            directive_debt.len()
-        );
-        return ExitCode::FAILURE;
-    }
-
-    if let Some(rule) = opts.rule {
-        ws.status.fresh.retain(|f| f.rule == rule);
-        ws.status.baselined.retain(|f| f.rule == rule);
-        ws.status.stale.retain(|b| b.rule == rule);
-    }
-
-    for f in &ws.status.fresh {
-        println!("{f}");
-    }
-    for s in &ws.status.stale {
-        println!(
-            "{}: [{}] stale baseline bucket: {} grandfathered, {} current; \
-             run --update-baseline to ratchet down",
-            s.file, s.rule, s.baseline, s.current
-        );
-    }
-    if let Some(path) = &opts.json {
-        let text = render_json(ws.files_checked, &ws.status, ws.baseline.as_ref());
-        if let Err(code) = write_report(path, &text) {
-            return code;
-        }
-    }
-
-    if ws.status.fresh.is_empty() && ws.status.stale.is_empty() {
-        let grandfathered = ws.status.baselined.len();
-        if grandfathered > 0 {
-            println!(
-                "fefet-lint: clean ({} files, {grandfathered} grandfathered finding(s) tracked in {})",
-                ws.files_checked,
-                baseline::BASELINE_FILE
-            );
-        } else {
-            println!("fefet-lint: clean ({} files)", ws.files_checked);
-        }
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "fefet-lint: {} fresh finding(s), {} stale baseline bucket(s) in {} files",
-            ws.status.fresh.len(),
-            ws.status.stale.len(),
-            ws.files_checked
-        );
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
@@ -303,19 +168,8 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(e) => return usage_error(&e),
-    };
-    if let Some(old) = &opts.ratchet {
-        return run_ratchet(old);
-    }
-    if opts.update_baseline && !opts.files.is_empty() {
-        return usage_error("--update-baseline only applies to the workspace walk");
-    }
-    if opts.files.is_empty() {
-        run_workspace(&opts)
-    } else {
-        run_strict(&opts)
+    match parse_args(&args) {
+        Ok(opts) => run(&opts).unwrap_or_else(|code| code),
+        Err(e) => usage_error(&e),
     }
 }

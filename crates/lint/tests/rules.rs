@@ -2,8 +2,8 @@
 //! its violation fixture, stay silent on its clean twin, and honour the
 //! `fefet-lint: allow(...)` / `allow-item(...)` escape hatches. The
 //! binary's exit codes (0 clean, 1 findings, 2 usage/IO), `--rule`
-//! filtering, `--json` report, and `--ratchet` baseline comparison are
-//! exercised the same way.
+//! filtering, `--json` report and the workspace gate's failing side
+//! are exercised the same way.
 
 use fefet_lint::{lint_source, Mode, Rule};
 use std::path::PathBuf;
@@ -246,38 +246,40 @@ fn binary_exits_two_on_unknown_option() {
 }
 
 #[test]
-fn binary_ratchet_rejects_baseline_growth() {
-    // An older, empty baseline: any committed grandfathered bucket is
-    // "growth" and must fail the ratchet.
-    let dir = std::env::temp_dir().join(format!("fefet-lint-ratchet-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let old = dir.join("old_baseline.json");
-    std::fs::write(&old, "{\n  \"version\": 1,\n  \"entries\": []\n}\n").expect("write");
-    let committed = fefet_lint::Baseline::load(
-        &PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../LINT_BASELINE.json"),
+fn workspace_gate_fails_on_a_finding() {
+    // A throwaway workspace whose one library file holds one R1
+    // violation (R1 is scoped to the core crates, hence `crates/ckt`).
+    let dir = std::env::temp_dir().join(format!("fefet-lint-gate-{}", std::process::id()));
+    let src = dir.join("crates/ckt/src");
+    std::fs::create_dir_all(&src).expect("mkdir");
+    std::fs::write(dir.join("Cargo.toml"), "[workspace]\nmembers = []\n").expect("write");
+    std::fs::write(
+        src.join("lib.rs"),
+        "pub fn first(v: &[u8]) -> u8 {\n    *v.first().unwrap()\n}\n",
     )
-    .expect("read committed baseline")
-    .unwrap_or_default();
+    .expect("write");
+
+    let ws = fefet_lint::check_workspace(&dir).expect("walk");
+    assert_eq!(ws.files_checked, 1);
+    assert!(!ws.is_clean());
+    let found: Vec<(&str, usize, Rule)> = ws
+        .findings
+        .iter()
+        .map(|f| (f.file.as_str(), f.line, f.rule))
+        .collect();
+    assert_eq!(found, [("crates/ckt/src/lib.rs", 2, Rule::Panic)]);
+
     let out = Command::new(env!("CARGO_BIN_EXE_fefet-lint"))
-        .arg(format!("--ratchet={}", old.display()))
-        .current_dir(PathBuf::from(env!("CARGO_MANIFEST_DIR")))
+        .current_dir(&dir)
         .output()
         .expect("spawn fefet-lint");
-    if committed.total() > 0 {
-        assert_eq!(out.status.code(), Some(1), "grown baseline must fail");
-    } else {
-        assert!(out.status.success(), "empty-to-empty ratchet passes");
-    }
-    // Against itself the ratchet always passes.
-    let same = dir.join("same_baseline.json");
-    std::fs::write(&same, committed.to_json()).expect("write");
-    let out = Command::new(env!("CARGO_BIN_EXE_fefet-lint"))
-        .arg(format!("--ratchet={}", same.display()))
-        .current_dir(PathBuf::from(env!("CARGO_MANIFEST_DIR")))
-        .output()
-        .expect("spawn fefet-lint");
-    assert!(out.status.success(), "identical baselines must pass");
     let _ = std::fs::remove_dir_all(&dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "stdout: {stdout}");
+    assert!(
+        stdout.contains("crates/ckt/src/lib.rs:2: [panic]"),
+        "stdout: {stdout}"
+    );
 }
 
 #[test]

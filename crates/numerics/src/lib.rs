@@ -7,8 +7,6 @@
 //!   (frequency-domain) analysis.
 //! - [`linalg`] — dense matrices, LU factorization with partial pivoting,
 //!   and linear solves (the inner kernel of modified nodal analysis).
-//! - [`quad`] — the sample-based trapezoid integral behind
-//!   `Trace::integral`.
 //! - [`rng`] — seedable, dependency-free pseudo-random numbers for the
 //!   Monte-Carlo and harvester-trace machinery.
 //! - [`sparse`] — CSR sparse matrices and a pattern-cached sparse LU
@@ -37,7 +35,6 @@
 
 pub mod complex;
 pub mod linalg;
-pub mod quad;
 pub mod rng;
 pub mod sparse;
 

@@ -49,50 +49,6 @@ impl PowerTrace {
         e / self.total
     }
 
-    /// Parses a trace from CSV text with `duration_s,power_w` rows;
-    /// empty lines and `#` comments are skipped. This is the import path
-    /// for *measured* harvester logs.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed line.
-    pub fn parse_csv(text: &str) -> Result<PowerTrace, String> {
-        let mut segments = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split(',');
-            let d: f64 = parts
-                .next()
-                .ok_or_else(|| format!("line {}: missing duration", lineno + 1))?
-                .trim()
-                .parse()
-                .map_err(|e| format!("line {}: bad duration: {e}", lineno + 1))?;
-            let p: f64 = parts
-                .next()
-                .ok_or_else(|| format!("line {}: missing power", lineno + 1))?
-                .trim()
-                .parse()
-                .map_err(|e| format!("line {}: bad power: {e}", lineno + 1))?;
-            if parts.next().is_some() {
-                return Err(format!("line {}: too many fields", lineno + 1));
-            }
-            if d <= 0.0 {
-                return Err(format!("line {}: duration must be positive", lineno + 1));
-            }
-            if p < 0.0 {
-                return Err(format!("line {}: power cannot be negative", lineno + 1));
-            }
-            segments.push((d, p));
-        }
-        if segments.is_empty() {
-            return Err("no segments in CSV".to_string());
-        }
-        Ok(PowerTrace::from_segments(segments))
-    }
-
     /// Number of power outages: transitions to a segment below the
     /// power threshold `p_min` (W).
     pub fn outage_count(&self, p_min: f64) -> usize {
@@ -209,25 +165,6 @@ mod tests {
     #[should_panic(expected = "duration must be positive")]
     fn rejects_bad_segment() {
         PowerTrace::from_segments(vec![(0.0, 1.0)]);
-    }
-
-    #[test]
-    fn csv_round_trip() {
-        let csv = "# measured harvester log\n100e-6, 250e-6\n\n200e-6, 0.0\n";
-        let tr = PowerTrace::parse_csv(csv).unwrap();
-        assert_eq!(tr.segments().len(), 2);
-        assert!((tr.duration() - 300e-6).abs() < 1e-18);
-        assert!((tr.mean_power() - 250e-6 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn csv_rejects_malformed_input() {
-        assert!(PowerTrace::parse_csv("").is_err());
-        assert!(PowerTrace::parse_csv("abc,1.0").is_err());
-        assert!(PowerTrace::parse_csv("1.0").is_err());
-        assert!(PowerTrace::parse_csv("1.0,2.0,3.0").is_err());
-        assert!(PowerTrace::parse_csv("-1.0,2.0").is_err());
-        assert!(PowerTrace::parse_csv("1.0,-2.0").is_err());
     }
 
     #[test]

@@ -43,10 +43,6 @@ impl SpanStats {
     pub fn total_ns(&self) -> u64 {
         self.total_ns.load(Ordering::Relaxed)
     }
-
-    pub fn total_s(&self) -> f64 {
-        self.total_ns() as f64 * 1e-9
-    }
 }
 
 /// A thread-safe `(thread slot, name)` → [`SpanStats`] registry. The

@@ -4,7 +4,7 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! - [`numerics`] — dense and sparse LU, complex solves for AC
-//!   analysis, trapezoid integrals, seeded RNG.
+//!   analysis, seeded RNG.
 //! - [`ckt`] — a SPICE-class circuit simulator (MNA, DC + transient)
 //!   with MOSFET and Landau-Khalatnikov ferroelectric models.
 //! - [`device`] — the composite FEFET device: hysteresis, load lines,

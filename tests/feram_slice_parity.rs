@@ -15,8 +15,9 @@
 //! below, and disturb within 2×. Each band is about three times the worst
 //! value measured over the four cases; the measured value sits next to it.
 
+use fefet::mem::array::ArrayOp;
 use fefet::mem::feram::FeramCell;
-use fefet::mem::feram_array::{FeramArray, FeramArrayOp};
+use fefet::mem::feram_array::FeramArray;
 use fefet::mem::serving::FERAM_SWING_THRESHOLD_V;
 use fefet::numerics::rng::Rng;
 use fefet::telemetry::Instrumentation;
@@ -55,7 +56,7 @@ fn seeded(n: usize, seed: u64) -> (FeramArray, Rng) {
     (a, rng)
 }
 
-fn assert_ops_agree(what: &str, full: &FeramArrayOp, slice: &FeramArrayOp, energy_band: f64) {
+fn assert_ops_agree(what: &str, full: &ArrayOp, slice: &ArrayOp, energy_band: f64) {
     assert_eq!(full.steps, slice.steps, "{what}: accepted steps");
     assert!(
         (full.energy - slice.energy).abs() <= energy_band * full.energy.abs(),

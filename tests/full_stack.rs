@@ -12,8 +12,8 @@ use fefet::nvp::workload::mibench_suite;
 fn geometry_to_forward_progress() {
     // Macro-level word parameters derived from the λ-rule layouts, the
     // Table 2 metal capacitance, and the device models.
-    let fefet = MacroConfig::fefet(64, 32).nvm_params(16);
-    let feram = MacroConfig::feram(64, 32).nvm_params(16);
+    let fefet = MacroConfig::fefet(64, 32).table().nvm_params(16);
+    let feram = MacroConfig::feram(64, 32).table().nvm_params(16);
 
     let trace = HarvesterScenario::Weak.trace(0.4, 77);
     let bench = mibench_suite()[0];
@@ -44,8 +44,8 @@ fn geometry_to_forward_progress() {
 
 #[test]
 fn macro_params_qualitatively_match_table3() {
-    let f = MacroConfig::fefet(64, 32).nvm_params(16);
-    let r = MacroConfig::feram(64, 32).nvm_params(16);
+    let f = MacroConfig::fefet(64, 32).table().nvm_params(16);
+    let r = MacroConfig::feram(64, 32).table().nvm_params(16);
     // Same orderings as the published table.
     assert!(f.bit_line_voltage < r.bit_line_voltage);
     assert!(f.write_energy < r.write_energy);

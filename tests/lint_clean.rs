@@ -1,7 +1,6 @@
 //! Gate: the whole workspace must satisfy the fefet-lint invariants
-//! (R1–R8) modulo the committed `LINT_BASELINE.json` ratchet. This runs
-//! the same analysis as `cargo run -p fefet-lint`, so a fresh finding
-//! or a stale baseline bucket fails `cargo test` too.
+//! (R1–R8) with zero findings. This runs the same analysis as
+//! `cargo run -p fefet-lint`, so any finding fails `cargo test` too.
 
 use std::path::Path;
 
@@ -10,31 +9,13 @@ fn workspace_is_lint_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let ws = fefet_lint::check_workspace(root).expect("walk workspace sources");
     assert!(
-        ws.status.fresh.is_empty(),
-        "fefet-lint found {} fresh violation(s) (not in LINT_BASELINE.json):\n{}",
-        ws.status.fresh.len(),
-        ws.status
-            .fresh
+        ws.is_clean(),
+        "fefet-lint found {} violation(s):\n{}",
+        ws.findings.len(),
+        ws.findings
             .iter()
             .map(|f| f.to_string())
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert!(
-        ws.status.stale.is_empty(),
-        "LINT_BASELINE.json is stale — {} bucket(s) grandfather more findings \
-         than currently exist; run `cargo run -p fefet-lint -- --update-baseline` \
-         to ratchet down:\n{}",
-        ws.status.stale.len(),
-        ws.status
-            .stale
-            .iter()
-            .map(|b| format!(
-                "{}: [{}] baseline {}, current {}",
-                b.file, b.rule, b.baseline, b.current
-            ))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    assert!(ws.is_clean());
 }
