@@ -137,58 +137,6 @@ pub fn dc_operating_point(ckt: &Circuit, opts: DcOptions) -> Result<DcSolution> 
     })
 }
 
-/// Sweeps the DC value of the named voltage source over `values`,
-/// re-solving the operating point at each step with continuation from
-/// the previous solution.
-///
-/// # Errors
-///
-/// [`CktError::UnknownSignal`] if `source` does not name a voltage
-/// source; [`CktError::Convergence`] if any point fails.
-///
-/// # Example
-///
-/// ```
-/// use fefet_ckt::circuit::Circuit;
-/// use fefet_ckt::dc::{dc_sweep, DcOptions};
-/// use fefet_ckt::waveform::Waveform;
-///
-/// # fn main() -> Result<(), fefet_ckt::CktError> {
-/// let mut c = Circuit::new();
-/// let a = c.node("a");
-/// let b = c.node("b");
-/// c.vsource("V1", a, Circuit::GND, Waveform::dc(0.0));
-/// c.resistor("R1", a, b, 1e3);
-/// c.resistor("R2", b, Circuit::GND, 1e3);
-/// let pts = dc_sweep(&mut c, "V1", &[0.0, 1.0, 2.0], DcOptions::default())?;
-/// assert!((pts[2].v(b) - 1.0).abs() < 1e-6);
-/// # Ok(())
-/// # }
-/// ```
-// fefet-lint: allow-item(hot-alloc) -- sweep driver: per-point results accumulate into the output vector; the warm path is the solve underneath
-pub fn dc_sweep(
-    ckt: &mut Circuit,
-    source: &str,
-    values: &[f64],
-    opts: DcOptions,
-) -> Result<Vec<DcSolution>> {
-    use crate::elements::Element;
-    match ckt.find_element(source) {
-        Some(Element::VSource { .. }) => {}
-        _ => return Err(CktError::UnknownSignal(format!("voltage source {source}"))),
-    }
-    let mut out = Vec::with_capacity(values.len());
-    for &v in values {
-        ckt.set_waveform(source, crate::waveform::Waveform::dc(v))?;
-        // Continuation: reuse the previous solution as the initial guess
-        // by solving directly (the engine starts Newton from zero, but
-        // gmin stepping handles hard cases; for swept nonlinear circuits
-        // the solve from scratch is robust at these sizes).
-        out.push(dc_operating_point(ckt, opts.clone())?);
-    }
-    Ok(out)
-}
-
 // fefet-lint: allow-item(hot-alloc) -- continuation fallback for hard operating points: robustness, not throughput; clones the iterate to allow retry after a failed step
 fn gmin_stepping(
     ckt: &Circuit,
@@ -374,36 +322,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn dc_sweep_tracks_diode_clamp() {
-        // Sweep the source through the diode knee: the clamp engages.
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let b = c.node("b");
-        c.vsource("V1", a, Circuit::GND, Waveform::dc(0.0));
-        c.resistor("R1", a, b, 1e3);
-        c.diode("D1", b, Circuit::GND, 1e-14, 1.0);
-        let vals: Vec<f64> = (0..=10).map(|i| 0.3 * i as f64).collect();
-        let pts = dc_sweep(&mut c, "V1", &vals, DcOptions::default()).unwrap();
-        let node_b = c.find_node("b").unwrap();
-        // Below the knee v(b) ~ v(a); above, clamped near 0.75 V.
-        assert!((pts[1].v(node_b) - 0.3).abs() < 0.01);
-        assert!(pts[10].v(node_b) < 0.95, "clamped: {}", pts[10].v(node_b));
-        // Monotone non-decreasing.
-        for w in pts.windows(2) {
-            assert!(w[1].v(node_b) >= w[0].v(node_b) - 1e-9);
-        }
-    }
-
-    #[test]
-    fn dc_sweep_rejects_non_source() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        c.resistor("R1", a, Circuit::GND, 1e3);
-        assert!(dc_sweep(&mut c, "R1", &[1.0], DcOptions::default()).is_err());
-        assert!(dc_sweep(&mut c, "nope", &[1.0], DcOptions::default()).is_err());
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //! - [`parallel`] — std-only fan-out: the process-wide persistent
 //!   work-stealing pool behind [`parallel::pool_map`], shared by array
 //!   sweeps, Monte Carlo evaluation, the yield engine, and serving.
-//! - [`dc`] — DC operating point via Newton with gmin stepping, plus
-//!   source sweeps.
+//! - [`dc`] — DC operating point via Newton with gmin stepping.
 //! - [`ac`] — small-signal frequency-domain analysis around a bias
 //!   point (including the ferroelectric's negative capacitance).
 //! - [`transient`] — implicit (backward-Euler / trapezoidal) transient

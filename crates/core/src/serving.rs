@@ -650,14 +650,6 @@ impl Bank {
         }
     }
 
-    /// The underlying FERAM array, when this bank is FERAM.
-    pub fn as_feram(&self) -> Option<&FeramArray> {
-        match &self.array {
-            BankArray::Feram(a) => Some(a),
-            BankArray::Fefet(_) => None,
-        }
-    }
-
     /// Decides whether a read of `row` must leave the fast path, in
     /// cause-priority order: forced, disturb accumulator, then the
     /// calibration cache (first touch before guard band). The two-tier
@@ -687,27 +679,6 @@ impl Bank {
             if margin <= guard {
                 return Some(EscalationCause::GuardBand);
             }
-        }
-        None
-    }
-
-    /// Decides whether a write-class row op (write or persist) must
-    /// escalate. Writes overwrite the row outright, so neither the
-    /// calibration cache nor guard band applies; persists additionally
-    /// escalate when the accumulated disturb makes the stored state
-    /// suspect, because a macro refresh of a suspect word would persist
-    /// a possibly-wrong value.
-    fn write_escalation_cause(
-        &self,
-        row: usize,
-        is_persist: bool,
-        spec: &ServeSpec,
-    ) -> Option<EscalationCause> {
-        if spec.force_escalate {
-            return Some(EscalationCause::Forced);
-        }
-        if is_persist && self.stress[row] >= spec.disturb_threshold {
-            return Some(EscalationCause::DisturbThreshold);
         }
         None
     }
@@ -757,45 +728,39 @@ impl Bank {
         Ok(energy)
     }
 
-    /// Serves one row-level write (the coalesced word of a window
-    /// group). Returns the fidelity and attributed energy (J).
+    /// Serves one row-level write-class op: a write commits
+    /// `Some(word)`, its group's coalesced word; a persist (`None`)
+    /// re-commits the tracked word. Writes overwrite the row outright,
+    /// so neither the calibration cache nor the guard band applies; a
+    /// persist also escalates when the accumulated disturb makes the
+    /// stored state suspect, because a macro refresh of a suspect word
+    /// would persist a possibly-wrong value. Returns the committed word,
+    /// the fidelity and the attributed energy (J).
     fn serve_write(
         &mut self,
         row: usize,
-        word: u64,
+        word: Option<u64>,
         burst_len: usize,
         spec: &ServeSpec,
-    ) -> Result<(Fidelity, f64), ServeError> {
-        let out = match self.write_escalation_cause(row, false, spec) {
-            None => {
-                self.macro_commit(row, word);
-                (Fidelity::Macro, self.table.write_energy_per_word(burst_len))
-            }
-            Some(cause) => {
-                let energy = self.circuit_write(row, word, spec.t_write_s)?;
-                (Fidelity::Circuit(cause), energy)
-            }
+    ) -> Result<(u64, Fidelity, f64), ServeError> {
+        let persist = word.is_none();
+        let word = word.unwrap_or(self.words[row]);
+        let cause = if spec.force_escalate {
+            Some(EscalationCause::Forced)
+        } else if persist && self.stress[row] >= spec.disturb_threshold {
+            Some(EscalationCause::DisturbThreshold)
+        } else {
+            None
         };
-        self.apply_write_stress(row, spec);
-        Ok(out)
-    }
-
-    /// Serves one row-level persist: re-commits the tracked word.
-    fn serve_persist(
-        &mut self,
-        row: usize,
-        burst_len: usize,
-        spec: &ServeSpec,
-    ) -> Result<(Fidelity, f64), ServeError> {
-        let word = self.words[row];
-        let out = match self.write_escalation_cause(row, true, spec) {
+        let out = match cause {
             None => {
                 self.macro_commit(row, word);
-                (Fidelity::Macro, self.table.write_energy_per_word(burst_len))
+                let energy = self.table.write_energy_per_word(burst_len);
+                (word, Fidelity::Macro, energy)
             }
             Some(cause) => {
                 let energy = self.circuit_write(row, word, spec.t_write_s)?;
-                (Fidelity::Circuit(cause), energy)
+                (word, Fidelity::Circuit(cause), energy)
             }
         };
         self.apply_write_stress(row, spec);
@@ -858,6 +823,14 @@ impl Bank {
         self.stress[row] = 0.0;
         self.calibration_refreshes += 1;
         Ok((measured, Fidelity::Circuit(cause), energy, corrections))
+    }
+
+    /// Modeled service latency of a row-level op of `class` (s).
+    fn latency_s(&self, class: OpClass) -> f64 {
+        match class {
+            OpClass::Read => self.table.read_time_s,
+            OpClass::Write | OpClass::Persist => self.table.write_time_s,
+        }
     }
 }
 
@@ -997,53 +970,47 @@ impl ServeSummary {
 // Window scheduler
 // ---------------------------------------------------------------------
 
-/// Sentinel for "no op of this class in the group yet".
-const NO_OP: u32 = u32::MAX;
+/// The fixed order a row group's classes execute in: the coalesced
+/// write commits first, reads observe it, persists refresh it.
+const EXEC_ORDER: [OpClass; 3] = [OpClass::Write, OpClass::Read, OpClass::Persist];
+
+/// One op class's share of a row group: the ops it coalesced, the
+/// stream index of the first (which carries the energy attribution),
+/// and the executed outcome the scatter pass hands to every op.
+#[derive(Debug, Clone, Copy)]
+struct ClassGroup {
+    count: u32,
+    first: u32,
+    served: OpResult,
+}
 
 /// One coalesced (bank, row) group within a batch window: the pending
-/// write word, per-class op counts, the stream index of each class's
-/// first op (which carries the energy attribution), and the executed
-/// outcomes the scatter pass reads back.
+/// (last-write-wins) write word and one record per op class, indexed by
+/// `OpClass as usize`.
 #[derive(Debug, Clone, Copy)]
 struct RowGroup {
     row: u32,
     pending_word: u64,
-    has_write: bool,
-    write_count: u32,
-    read_count: u32,
-    persist_count: u32,
-    first_write: u32,
-    first_read: u32,
-    first_persist: u32,
-    w_fid: Fidelity,
-    w_energy_j: f64,
-    r_word: u64,
-    r_fid: Fidelity,
-    r_energy_j: f64,
-    p_fid: Fidelity,
-    p_energy_j: f64,
+    classes: [ClassGroup; 3],
 }
 
 impl RowGroup {
     fn fresh(row: u32) -> Self {
+        let class = ClassGroup {
+            count: 0,
+            first: 0,
+            served: OpResult::default(),
+        };
         RowGroup {
             row,
             pending_word: 0,
-            has_write: false,
-            write_count: 0,
-            read_count: 0,
-            persist_count: 0,
-            first_write: NO_OP,
-            first_read: NO_OP,
-            first_persist: NO_OP,
-            w_fid: Fidelity::Macro,
-            w_energy_j: 0.0,
-            r_word: 0,
-            r_fid: Fidelity::Macro,
-            r_energy_j: 0.0,
-            p_fid: Fidelity::Macro,
-            p_energy_j: 0.0,
+            classes: [class; 3],
         }
+    }
+
+    /// Whether the group holds an op of `class`.
+    fn has(&self, class: OpClass) -> bool {
+        self.classes[class as usize].count > 0
     }
 }
 
@@ -1084,38 +1051,26 @@ impl BankScratch {
     }
 }
 
-/// Records per-op telemetry counters for one executed row-op phase.
-fn record_phase(tel: &Telemetry, class: OpClass, op_count: u32, fidelity: Fidelity, t0: Instant) {
+/// Records one row-level operation's wall time once for each op it
+/// served, in its class's latency histogram.
+fn record_latency(tel: &Telemetry, class: OpClass, ops: u32, t0: Instant) {
     let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let hist = match class {
         OpClass::Read => &tel.serving.read_ns,
         OpClass::Write => &tel.serving.write_ns,
         OpClass::Persist => &tel.serving.persist_ns,
     };
-    for _ in 0..op_count {
+    for _ in 0..ops {
         hist.record_ns(ns);
-    }
-    tel.serving.row_ops.inc();
-    match fidelity {
-        Fidelity::Macro => tel.serving.fast_path.inc(),
-        Fidelity::Circuit(cause) => {
-            tel.serving.escalations.inc();
-            match cause {
-                EscalationCause::FirstTouch => tel.serving.esc_first_touch.inc(),
-                EscalationCause::GuardBand => tel.serving.esc_guard_band.inc(),
-                EscalationCause::DisturbThreshold => tel.serving.esc_disturb.inc(),
-                EscalationCause::Forced => tel.serving.esc_forced.inc(),
-            }
-        }
     }
 }
 
-/// Folds one executed row-op phase into the per-bank summary.
-fn tally_phase(summary: &mut ServeSummary, fidelity: Fidelity, energy_j: f64, time_s: f64) {
+/// Folds one executed row-level operation into the per-bank summary.
+fn tally(summary: &mut ServeSummary, served: &OpResult) {
     summary.row_ops += 1;
-    summary.energy_j += energy_j;
-    summary.modeled_time_s += time_s;
-    match fidelity {
+    summary.energy_j += served.energy_j;
+    summary.modeled_time_s += served.latency_s;
+    match served.fidelity {
         Fidelity::Macro => summary.fast_path += 1,
         Fidelity::Circuit(cause) => {
             summary.escalations += 1;
@@ -1129,9 +1084,9 @@ fn tally_phase(summary: &mut ServeSummary, fidelity: Fidelity, energy_j: f64, ti
     }
 }
 
-/// Executes one bank's slice of one batch window: group, execute in
-/// first-touch order (write phase, then read, then persist within each
-/// group), then scatter per-op results through `sink` in stream order.
+/// Executes one bank's slice of one batch window: group, execute each
+/// group's classes in [`EXEC_ORDER`] (groups in first-touch order), then
+/// scatter per-op results through `sink` in stream order.
 fn run_window<F: FnMut(u32, OpResult)>(
     bank: &mut Bank,
     chunk: &[(u32, MemOp)],
@@ -1154,133 +1109,68 @@ fn run_window<F: FnMut(u32, OpResult)>(
             scratch.groups.len() - 1
         };
         let g = &mut scratch.groups[slot];
-        match op {
-            MemOp::Write { word, .. } => {
-                g.pending_word = word;
-                g.has_write = true;
-                g.write_count += 1;
-                if g.first_write == NO_OP {
-                    g.first_write = gi;
-                }
-            }
-            MemOp::Read { .. } => {
-                g.read_count += 1;
-                if g.first_read == NO_OP {
-                    g.first_read = gi;
-                }
-            }
-            MemOp::Persist { .. } => {
-                g.persist_count += 1;
-                if g.first_persist == NO_OP {
-                    g.first_persist = gi;
-                }
-            }
+        if let MemOp::Write { word, .. } = op {
+            g.pending_word = word;
         }
+        let c = &mut g.classes[op.class() as usize];
+        if c.count == 0 {
+            c.first = gi;
+        }
+        c.count += 1;
     }
 
     // Write-class row activations in this bank-window share one burst:
     // the isolation setup cost amortizes across them.
     let mut burst_len = 0usize;
     for g in scratch.groups.iter() {
-        if g.has_write {
-            burst_len += 1;
-        }
-        if g.persist_count > 0 {
-            burst_len += 1;
-        }
+        burst_len += usize::from(g.has(OpClass::Write)) + usize::from(g.has(OpClass::Persist));
     }
     let burst_len = burst_len.max(1);
 
     let tel = instr.get();
-    for idx in 0..scratch.groups.len() {
-        let g = &scratch.groups[idx];
+    for g in scratch.groups.iter_mut() {
         let row = g.row as usize;
-        let (has_write, pending, reads, persists) =
-            (g.has_write, g.pending_word, g.read_count, g.persist_count);
-        let write_count = g.write_count;
-        if has_write {
-            let t0 = tel.map(|_| Instant::now());
-            let (fid, energy) = bank.serve_write(row, pending, burst_len, spec)?;
-            if let (Some(tel), Some(t0)) = (tel, t0) {
-                record_phase(tel, OpClass::Write, write_count, fid, t0);
+        for class in EXEC_ORDER {
+            let c = &mut g.classes[class as usize];
+            if c.count == 0 {
+                continue;
             }
-            tally_phase(summary, fid, energy, bank.table.write_time_s);
-            let g = &mut scratch.groups[idx];
-            g.w_fid = fid;
-            g.w_energy_j = energy;
-        }
-        if reads > 0 {
             let t0 = tel.map(|_| Instant::now());
-            let (word, fid, energy, corrections) = bank.serve_read(row, spec)?;
-            if let (Some(tel), Some(t0)) = (tel, t0) {
-                record_phase(tel, OpClass::Read, reads, fid, t0);
-                tel.serving.word_corrections.add(corrections);
-            }
-            summary.word_corrections += corrections;
-            if let Fidelity::Circuit(_) = fid {
-                summary.calibration_refreshes += 1;
-                if let Some(tel) = tel {
-                    tel.serving.calibration_refreshes.inc();
+            let (word, fidelity, energy_j) = match class {
+                OpClass::Write => bank.serve_write(row, Some(g.pending_word), burst_len, spec)?,
+                OpClass::Persist => bank.serve_write(row, None, burst_len, spec)?,
+                OpClass::Read => {
+                    let (word, fidelity, energy_j, corrections) = bank.serve_read(row, spec)?;
+                    summary.word_corrections += corrections;
+                    if let Fidelity::Circuit(_) = fidelity {
+                        summary.calibration_refreshes += 1;
+                    }
+                    (word, fidelity, energy_j)
                 }
-            }
-            tally_phase(summary, fid, energy, bank.table.read_time_s);
-            let g = &mut scratch.groups[idx];
-            g.r_word = word;
-            g.r_fid = fid;
-            g.r_energy_j = energy;
-        }
-        if persists > 0 {
-            let t0 = tel.map(|_| Instant::now());
-            let (fid, energy) = bank.serve_persist(row, burst_len, spec)?;
+            };
             if let (Some(tel), Some(t0)) = (tel, t0) {
-                record_phase(tel, OpClass::Persist, persists, fid, t0);
+                record_latency(tel, class, c.count, t0);
             }
-            tally_phase(summary, fid, energy, bank.table.write_time_s);
-            let g = &mut scratch.groups[idx];
-            g.p_fid = fid;
-            g.p_energy_j = energy;
+            c.served = OpResult {
+                word,
+                class,
+                fidelity,
+                energy_j,
+                latency_s: bank.latency_s(class),
+            };
+            tally(summary, &c.served);
         }
     }
 
-    // Scatter per-op results in stream order.
+    // Scatter per-op results in stream order; coalesced followers carry
+    // zero energy.
     for &(gi, op) in chunk {
-        let row = op.row() as usize;
-        let g = &scratch.groups[scratch.row_slot[row] as usize];
-        let res = match op {
-            MemOp::Write { .. } => OpResult {
-                word: g.pending_word,
-                class: OpClass::Write,
-                fidelity: g.w_fid,
-                energy_j: if gi == g.first_write {
-                    g.w_energy_j
-                } else {
-                    0.0
-                },
-                latency_s: bank.table.write_time_s,
-            },
-            MemOp::Read { .. } => OpResult {
-                word: g.r_word,
-                class: OpClass::Read,
-                fidelity: g.r_fid,
-                energy_j: if gi == g.first_read {
-                    g.r_energy_j
-                } else {
-                    0.0
-                },
-                latency_s: bank.table.read_time_s,
-            },
-            MemOp::Persist { .. } => OpResult {
-                word: bank.words[row],
-                class: OpClass::Persist,
-                fidelity: g.p_fid,
-                energy_j: if gi == g.first_persist {
-                    g.p_energy_j
-                } else {
-                    0.0
-                },
-                latency_s: bank.table.write_time_s,
-            },
-        };
+        let g = &scratch.groups[scratch.row_slot[op.row() as usize] as usize];
+        let c = &g.classes[op.class() as usize];
+        let mut res = c.served;
+        if gi != c.first {
+            res.energy_j = 0.0;
+        }
         sink(gi, res);
     }
 
@@ -1320,14 +1210,6 @@ fn process_bank_ops<F: FnMut(u32, OpResult)>(
         }
     }
     summary.coalesced = summary.ops - summary.row_ops;
-    if let Some(tel) = instr.get() {
-        tel.serving.ops.add(summary.ops);
-        tel.serving.reads.add(summary.reads);
-        tel.serving.writes.add(summary.writes);
-        tel.serving.persists.add(summary.persists);
-        tel.serving.coalesced.add(summary.coalesced);
-        tel.serving.windows.add(summary.windows);
-    }
     Ok(summary)
 }
 
@@ -1846,7 +1728,6 @@ mod tests {
         assert_eq!(bank.cols(), 4);
         assert_eq!(bank.kind(), MemoryKind::Fefet);
         assert!(bank.as_fefet().is_some());
-        assert!(bank.as_feram().is_none());
     }
 
     #[test]
@@ -1917,6 +1798,59 @@ mod tests {
         assert_eq!(out[1].energy_j, 0.0);
         assert!(out[2].energy_j > 0.0);
         assert_eq!(out[3].energy_j, 0.0);
+        summary.validate().expect("summary invariants");
+
+        // All three classes, arriving out of execution order on the same
+        // row in one window: the coalesced write still commits first, the
+        // reads observe it and the persists refresh it.
+        let ops = [
+            MemOp::Persist { bank: 0, row: 1 },
+            MemOp::Read { bank: 0, row: 1 },
+            MemOp::Write {
+                bank: 0,
+                row: 1,
+                word: 0x5,
+            },
+            MemOp::Persist { bank: 0, row: 1 },
+            MemOp::Write {
+                bank: 0,
+                row: 1,
+                word: 0x6,
+            },
+            MemOp::Read { bank: 0, row: 1 },
+        ];
+        let summary = svc.serve(&ops, &mut out).expect("serve");
+        assert_eq!(
+            (summary.ops, summary.reads, summary.writes, summary.persists),
+            (6, 2, 2, 2)
+        );
+        // One activation per class.
+        assert_eq!(summary.row_ops, 3);
+        assert_eq!(summary.coalesced, 3);
+        assert_eq!(summary.windows, 1);
+        assert_eq!(summary.escalations, 0);
+        for r in &out {
+            assert_eq!(r.word, 0x6, "{r:?}");
+            assert_eq!(r.fidelity, Fidelity::Macro);
+        }
+        assert_eq!(svc.bank(0).expect("bank").word(1), 0x6);
+        let table = *svc.bank(0).expect("bank").table();
+        // One write group and one persist group share the window's burst.
+        let (write_energy, read_energy) =
+            (table.write_energy_per_word(2), table.read_energy_per_word());
+        let expected = [
+            (OpClass::Persist, write_energy, table.write_time_s),
+            (OpClass::Read, read_energy, table.read_time_s),
+            (OpClass::Write, write_energy, table.write_time_s),
+            (OpClass::Persist, 0.0, table.write_time_s),
+            (OpClass::Write, 0.0, table.write_time_s),
+            (OpClass::Read, 0.0, table.read_time_s),
+        ];
+        for (i, (r, &(class, energy_j, latency_s))) in out.iter().zip(&expected).enumerate() {
+            assert_eq!(r.class, class, "op {i}");
+            assert_eq!(r.energy_j.to_bits(), energy_j.to_bits(), "op {i}");
+            assert_eq!(r.latency_s.to_bits(), latency_s.to_bits(), "op {i}");
+        }
         summary.validate().expect("summary invariants");
     }
 
@@ -2384,13 +2318,12 @@ mod tests {
         ] {
             assert!(json.contains(needle), "report missing {needle}: {json}");
         }
+        // Each served op records one latency sample in its class.
         let tel = instr.get().expect("telemetry");
-        assert_eq!(tel.serving.ops.get(), summary.ops);
-        assert_eq!(tel.serving.row_ops.get(), summary.row_ops);
-        assert!(
-            tel.serving.read_ns.count() > 0,
-            "read latency histogram must have samples"
-        );
+        assert!(summary.reads > 0 && summary.writes > 0 && summary.persists > 0);
+        assert_eq!(tel.serving.read_ns.count(), summary.reads);
+        assert_eq!(tel.serving.write_ns.count(), summary.writes);
+        assert_eq!(tel.serving.persist_ns.count(), summary.persists);
     }
 
     #[test]

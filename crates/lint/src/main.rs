@@ -85,27 +85,27 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-fn find_workspace_root() -> PathBuf {
-    // Ascend from the current directory to the first Cargo.toml that
-    // declares a [workspace]; fall back to this crate's grandparent
-    // (crates/lint -> workspace root) for out-of-tree invocations.
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+/// Ascends from the current directory to the first `Cargo.toml` that
+/// declares a `[workspace]`. Outside any workspace this is a usage
+/// error (exit 2) naming the directory, so a mistyped cwd cannot pass
+/// the gate by linting some other tree.
+fn find_workspace_root() -> Result<PathBuf, ExitCode> {
+    let cwd = std::env::current_dir()
+        .map_err(|e| io_error(&format!("cannot read the current directory: {e}")))?;
+    let mut dir = cwd.clone();
     loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
+        if let Ok(text) = std::fs::read_to_string(dir.join("Cargo.toml")) {
             if text.contains("[workspace]") {
-                return dir;
+                return Ok(dir);
             }
         }
         if !dir.pop() {
-            break;
+            return Err(io_error(&format!(
+                "no Cargo.toml with a [workspace] in {} or above it",
+                cwd.display()
+            )));
         }
     }
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."))
 }
 
 fn write_report(path: &str, text: &str) -> Result<(), ExitCode> {
@@ -129,7 +129,7 @@ fn lint_files(files: &[String]) -> Result<(usize, Vec<Finding>), ExitCode> {
 
 /// Lints the enclosing workspace: `(files checked, findings)`.
 fn lint_workspace() -> Result<(usize, Vec<Finding>), ExitCode> {
-    let root = find_workspace_root();
+    let root = find_workspace_root()?;
     let ws = check_workspace(&root)
         .map_err(|e| io_error(&format!("cannot lint {}: {e}", root.display())))?;
     Ok((ws.files_checked, ws.findings))

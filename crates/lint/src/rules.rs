@@ -352,7 +352,7 @@ impl<'a> FileLint<'a> {
 
     /// R7: atomic operations must name an explicit `Ordering`;
     /// `SeqCst` is always "justify or weaken"; `Relaxed` is reserved
-    /// for the telemetry/alloctrack counter crates.
+    /// for the telemetry counter crate.
     pub fn rule_atomic_ordering(&mut self, relaxed_ok: bool) {
         for k in 0..self.toks.len() {
             let t = self.toks[k];
@@ -410,8 +410,8 @@ impl<'a> FileLint<'a> {
                     self.push(
                         t.start,
                         Rule::AtomicOrdering,
-                        "`Ordering::Relaxed` outside the telemetry/alloctrack \
-                         counter crates; state why no synchronization is needed \
+                        "`Ordering::Relaxed` outside the telemetry counter \
+                         crate; state why no synchronization is needed \
                          with an allow, or strengthen the ordering"
                             .to_string(),
                     );

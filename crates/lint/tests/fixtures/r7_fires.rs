@@ -15,6 +15,6 @@ pub fn snapshot() -> usize {
 }
 
 pub fn reset() {
-    // Relaxed outside the telemetry/alloctrack counter crates.
+    // Relaxed outside the telemetry counter crate.
     COUNTER.store(0, Ordering::Relaxed);
 }

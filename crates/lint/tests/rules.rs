@@ -2,8 +2,8 @@
 //! its violation fixture, stay silent on its clean twin, and honour the
 //! `fefet-lint: allow(...)` / `allow-item(...)` escape hatches. The
 //! binary's exit codes (0 clean, 1 findings, 2 usage/IO), `--rule`
-//! filtering, `--json` report and the workspace gate's failing side
-//! are exercised the same way.
+//! filtering, `--json` report, the workspace gate's failing side and
+//! its refusal to run outside a workspace are exercised the same way.
 
 use fefet_lint::{lint_source, Mode, Rule};
 use std::path::PathBuf;
@@ -279,6 +279,35 @@ fn workspace_gate_fails_on_a_finding() {
     assert!(
         stdout.contains("crates/ckt/src/lib.rs:2: [panic]"),
         "stdout: {stdout}"
+    );
+}
+
+#[test]
+fn binary_exits_two_outside_any_workspace() {
+    // A directory with no `[workspace]` manifest in it or above it is a
+    // usage error, not a lint of some other tree.
+    let dir = std::env::temp_dir().join(format!("fefet-lint-no-ws-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let has_workspace_above = dir.ancestors().any(|d| {
+        std::fs::read_to_string(d.join("Cargo.toml")).is_ok_and(|t| t.contains("[workspace]"))
+    });
+    assert!(
+        !has_workspace_above,
+        "{} sits inside a workspace",
+        dir.display()
+    );
+    let shown = dir.canonicalize().expect("canonical temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_fefet-lint"))
+        .current_dir(&dir)
+        .output()
+        .expect("spawn fefet-lint");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stdout: {stdout}");
+    assert!(
+        stderr.contains(&*shown.to_string_lossy()),
+        "stderr must name the directory: {stderr}"
     );
 }
 

@@ -467,46 +467,17 @@ impl LatencyStats {
     }
 }
 
-/// Memory-macro serving statistics, recorded by `fefet_mem::serving`.
+/// Memory-macro serving latencies, recorded by `fefet_mem::serving`.
 ///
-/// Counters split the op stream by class and by fidelity; the per-class
-/// histograms hold wall-clock service latency (ns per op, the row-level
-/// operation's cost attributed to each op it served) and are recorded
-/// whenever instrumentation is enabled — unlike [`LatencyStats`], they
-/// do not wait for a trace recorder, because escalation-rate and p50/p99
-/// service latency are first-class outputs of a serving run.
+/// The per-class histograms hold wall-clock service latency (ns per op,
+/// the row-level operation's cost attributed to each op it served) and
+/// are recorded whenever instrumentation is enabled — unlike
+/// [`LatencyStats`], they do not wait for a trace recorder, because
+/// p50/p99 service latency is a first-class output of a serving run.
+/// The serving counts (ops, coalescing, fidelity, escalation causes)
+/// live in the `ServeSummary` each serve call returns, not here.
 #[derive(Debug)]
 pub struct ServingStats {
-    /// Ops accepted (reads + writes + persists).
-    pub ops: Counter,
-    /// Read ops served.
-    pub reads: Counter,
-    /// Write ops served.
-    pub writes: Counter,
-    /// Persist ops served.
-    pub persists: Counter,
-    /// Ops that coalesced into an earlier same-row op in their window.
-    pub coalesced: Counter,
-    /// Batch windows executed.
-    pub windows: Counter,
-    /// Row-level operations actually performed (post-coalescing).
-    pub row_ops: Counter,
-    /// Row-level operations answered at macro fidelity (no solve).
-    pub fast_path: Counter,
-    /// Row-level operations escalated to the circuit solver.
-    pub escalations: Counter,
-    /// Escalations caused by an uncalibrated column (first touch).
-    pub esc_first_touch: Counter,
-    /// Escalations caused by a sense margin inside the guard band.
-    pub esc_guard_band: Counter,
-    /// Escalations caused by the disturb-stress accumulator threshold.
-    pub esc_disturb: Counter,
-    /// Escalations forced by configuration (`force_escalate`).
-    pub esc_forced: Counter,
-    /// Per-bank calibration-cache refreshes from escalated reads.
-    pub calibration_refreshes: Counter,
-    /// Bits where an escalated read corrected the macro-tracked word.
-    pub word_corrections: Counter,
     /// Wall-clock service latency per read op (ns).
     pub read_ns: QuantileHistogram,
     /// Wall-clock service latency per write op (ns).
@@ -518,21 +489,6 @@ pub struct ServingStats {
 impl Default for ServingStats {
     fn default() -> Self {
         Self {
-            ops: Counter::new(),
-            reads: Counter::new(),
-            writes: Counter::new(),
-            persists: Counter::new(),
-            coalesced: Counter::new(),
-            windows: Counter::new(),
-            row_ops: Counter::new(),
-            fast_path: Counter::new(),
-            escalations: Counter::new(),
-            esc_first_touch: Counter::new(),
-            esc_guard_band: Counter::new(),
-            esc_disturb: Counter::new(),
-            esc_forced: Counter::new(),
-            calibration_refreshes: Counter::new(),
-            word_corrections: Counter::new(),
             read_ns: QuantileHistogram::latency_ns(),
             write_ns: QuantileHistogram::latency_ns(),
             persist_ns: QuantileHistogram::latency_ns(),
@@ -543,28 +499,7 @@ impl Default for ServingStats {
 impl ServingStats {
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"ops\":{},\"reads\":{},\"writes\":{},\"persists\":{},\
-             \"coalesced\":{},\"windows\":{},\"row_ops\":{},\
-             \"fast_path\":{},\"escalations\":{},\
-             \"esc_first_touch\":{},\"esc_guard_band\":{},\
-             \"esc_disturb\":{},\"esc_forced\":{},\
-             \"calibration_refreshes\":{},\"word_corrections\":{},\
-             \"read_ns\":{},\"write_ns\":{},\"persist_ns\":{}}}",
-            self.ops.get(),
-            self.reads.get(),
-            self.writes.get(),
-            self.persists.get(),
-            self.coalesced.get(),
-            self.windows.get(),
-            self.row_ops.get(),
-            self.fast_path.get(),
-            self.escalations.get(),
-            self.esc_first_touch.get(),
-            self.esc_guard_band.get(),
-            self.esc_disturb.get(),
-            self.esc_forced.get(),
-            self.calibration_refreshes.get(),
-            self.word_corrections.get(),
+            "{{\"read_ns\":{},\"write_ns\":{},\"persist_ns\":{}}}",
             self.read_ns.to_json(),
             self.write_ns.to_json(),
             self.persist_ns.to_json(),
@@ -641,8 +576,7 @@ impl Telemetry {
     /// object: latencies, pool scheduling, span wall times, the
     /// float-summed histograms (`residual_at_convergence`,
     /// `dt_seconds`), whose sums depend on the order parallel workers
-    /// record in, and the serving group, whose op latencies sit next to
-    /// its counters.
+    /// record in, and the serving group's op latencies.
     pub fn timings_json(&self) -> String {
         let mut s = String::with_capacity(1024);
         s.push_str(&format!(
@@ -881,9 +815,6 @@ mod tests {
         tel.pool.sweeps.inc();
         tel.pool.workers_active.record_max(4);
         tel.pool.tasks_stolen.add(2);
-        tel.serving.ops.add(1000);
-        tel.serving.fast_path.add(990);
-        tel.serving.escalations.add(10);
         tel.serving.read_ns.record_ns(250);
         let _ = tel.spans.handle("x");
         let j = tel.counters_json();
@@ -898,33 +829,20 @@ mod tests {
         let t = tel.timings_json();
         assert!(json::validate(&t).is_ok(), "{t}");
         assert!(t.contains("\"workers_active\":4"));
-        assert!(t.contains("\"fast_path\":990"));
+        assert!(t.contains("\"serving\":{\"read_ns\":{\"count\":1"), "{t}");
         assert!(t.contains("\"dt_seconds\":{\"count\":1"), "{t}");
         assert!(t.contains("\"span_ns\":{\"x\":0}"), "{t}");
     }
 
     #[test]
-    fn serving_stats_group_serializes_counters_and_quantiles() {
+    fn serving_stats_group_serializes_quantiles() {
         let s = ServingStats::default();
-        s.ops.add(12);
-        s.reads.add(6);
-        s.writes.add(5);
-        s.persists.add(1);
-        s.coalesced.add(2);
-        s.windows.inc();
-        s.row_ops.add(10);
-        s.fast_path.add(9);
-        s.escalations.inc();
-        s.esc_guard_band.inc();
-        s.calibration_refreshes.inc();
         for ns in [100u64, 200, 400] {
             s.read_ns.record_ns(ns);
         }
         let j = s.to_json();
         assert!(json::validate(&j).is_ok(), "{j}");
-        assert!(j.contains("\"ops\":12"), "{j}");
-        assert!(j.contains("\"esc_guard_band\":1"), "{j}");
-        assert!(j.contains("\"read_ns\":{\"count\":3"), "{j}");
+        assert!(j.starts_with("{\"read_ns\":{\"count\":3"), "{j}");
         // Untouched classes still serialize (count 0), so report
         // consumers can rely on the keys being present.
         assert!(j.contains("\"persist_ns\":{\"count\":0"), "{j}");

@@ -9,7 +9,7 @@
 //!   line, holds the rest: the self-checked `latency` quantiles
 //!   (solve / transient-step / pool-task), pool scheduling, span wall
 //!   times, the float-summed residual and step-size histograms, the
-//!   serving group and the tracing overhead. Then comes the
+//!   serving op latencies and the tracing overhead. Then comes the
 //!   tracing-overhead A/B bench, whose samples carry their timings on
 //!   their own lines. CI diffs the file against the committed copy
 //!   ignoring those lines only;
