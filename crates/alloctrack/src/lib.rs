@@ -75,7 +75,7 @@ pub fn thread_allocation_count() -> usize {
 ///
 /// Only allocations made by the **calling thread** are counted, so
 /// concurrent allocator traffic elsewhere in the process (test-harness
-/// bookkeeping, detached pool workers between sweeps) cannot leak into
+/// bookkeeping, other threads' sweeps) cannot leak into
 /// the measurement. Code under test that spawns threads and asserts on
 /// their allocations must count inside those threads.
 pub fn count_allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {

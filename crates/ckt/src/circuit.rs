@@ -140,31 +140,6 @@ impl Circuit {
         self.element_index.get(name).copied()
     }
 
-    /// Replaces the waveform of an existing independent source, allowing
-    /// one netlist to be re-simulated under different stimuli.
-    ///
-    /// # Errors
-    ///
-    /// [`CktError::UnknownSignal`] if `name` does not exist,
-    /// [`CktError::Netlist`] if the element has no waveform.
-    pub fn set_waveform(&mut self, name: &str, wave: Waveform) -> Result<(), CktError> {
-        let idx = *self
-            .element_index
-            .get(name)
-            .ok_or_else(|| CktError::UnknownSignal(name.to_string()))?;
-        match &mut self.elements[idx].1 {
-            Element::VSource { wave: w, .. }
-            | Element::ISource { wave: w, .. }
-            | Element::Switch { ctrl: w, .. } => {
-                *w = wave;
-                Ok(())
-            }
-            other => Err(CktError::Netlist(format!(
-                "element {name} has no waveform: {other:?}"
-            ))),
-        }
-    }
-
     /// Replaces the parameter set of the MOSFET at element position
     /// `idx` ([`Circuit::element_position`] order), allowing one netlist
     /// to be re-simulated under perturbed device parameters. The
@@ -459,30 +434,6 @@ mod tests {
             Circuit::GND,
             Waveform::pwl(vec![(1.0, 0.0), (0.5, 1.0)]),
         );
-    }
-
-    #[test]
-    fn set_waveform_replaces_stimulus() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        c.vsource("V1", a, Circuit::GND, Waveform::dc(1.0));
-        c.set_waveform("V1", Waveform::dc(2.0)).unwrap();
-        match c.find_element("V1").unwrap() {
-            Element::VSource { wave, .. } => assert_eq!(wave.eval(0.0), 2.0),
-            _ => panic!(),
-        }
-    }
-
-    #[test]
-    fn set_waveform_unknown_name_errors() {
-        let mut c = Circuit::new();
-        let res = c.set_waveform("nope", Waveform::dc(0.0));
-        assert!(matches!(res, Err(CktError::UnknownSignal(_))));
-        // Wrong element kind is a netlist error.
-        let a = c.node("a");
-        c.resistor("R1", a, Circuit::GND, 1e3);
-        let res = c.set_waveform("R1", Waveform::dc(0.0));
-        assert!(matches!(res, Err(CktError::Netlist(_))));
     }
 
     #[test]

@@ -1052,7 +1052,7 @@ mod tests {
     /// tolerance. Checked in both stamping modes.
     #[test]
     fn workspace_newton_is_bit_identical_to_allocating_reference() {
-        let (c, asm, states) = mos_test_circuit();
+        let (c, asm, states) = mos_test_circuit(0.6);
         let x0 = vec![0.0; asm.n_unknowns()];
         for (name, dc, t) in [("dc", true, 0.0), ("transient", false, 1e-9)] {
             assert_matches_reference(name, &asm, &c, t, dc, &exact(), &x0, &states);
@@ -1154,16 +1154,17 @@ mod tests {
         assert!((x[2] + 1e-3).abs() < 1e-8);
     }
 
-    /// Common-source MOSFET stage used by the fast-path tests: nonlinear
-    /// enough that Newton takes several iterations from a cold start.
-    fn mos_test_circuit() -> (Circuit, Assembly, Vec<ElemState>) {
+    /// Common-source MOSFET stage used by the fast-path tests, its gate
+    /// at `v_g` (V): nonlinear enough that Newton takes several
+    /// iterations from a cold start.
+    fn mos_test_circuit(v_g: f64) -> (Circuit, Assembly, Vec<ElemState>) {
         use crate::models::MosParams;
         let mut c = Circuit::new();
         let vdd = c.node("vdd");
         let d = c.node("d");
         let g = c.node("g");
         c.vsource("VDD", vdd, Circuit::GND, Waveform::dc(1.0));
-        c.vsource("VG", g, Circuit::GND, Waveform::dc(0.6));
+        c.vsource("VG", g, Circuit::GND, Waveform::dc(v_g));
         c.resistor("RD", vdd, d, 50e3);
         c.mosfet("M1", d, g, Circuit::GND, MosParams::nmos_45nm());
         c.capacitor("CL", d, Circuit::GND, 1e-15);
@@ -1178,7 +1179,7 @@ mod tests {
     /// the same solution to solver tolerance.
     #[test]
     fn jacobian_reuse_drops_factor_count_and_matches_exact() {
-        let (c, asm, states) = mos_test_circuit();
+        let (c, asm, states) = mos_test_circuit(0.6);
         let n = asm.n_unknowns();
 
         let run = |reuse: bool| -> (Vec<f64>, u64, u64) {
@@ -1245,7 +1246,7 @@ mod tests {
         // The drain node of a common-source stage, converged at a 0.6 V
         // gate, after the gate steps to 0.601 V: the drain moves 2.7 mV,
         // then 10 µV, then converges.
-        let (mut c, asm, states) = mos_test_circuit();
+        let (c, asm, states) = mos_test_circuit(0.6);
         let mut x0 = vec![0.0; asm.n_unknowns()];
         asm.solve_point_with(
             &c,
@@ -1259,7 +1260,7 @@ mod tests {
             &mut NewtonWorkspace::new(asm.n_unknowns()),
         )
         .unwrap();
-        c.set_waveform("VG", Waveform::dc(0.601)).unwrap();
+        let (c, _, _) = mos_test_circuit(0.601);
         let n = asm.n_unknowns();
         let nv = asm.n_nodes - 1;
         let opts = SolverOptions {
@@ -1333,7 +1334,7 @@ mod tests {
     /// record misses.
     #[test]
     fn bypass_hits_accumulate_across_warm_solves() {
-        let (c, asm, states) = mos_test_circuit();
+        let (c, asm, states) = mos_test_circuit(0.6);
         let n = asm.n_unknowns();
         let opts = SolverOptions {
             jacobian_reuse: false,
@@ -1377,7 +1378,7 @@ mod tests {
     #[test]
     fn clearing_the_bypass_forgets_replaced_devices() {
         use crate::models::MosParams;
-        let (mut c, asm, states) = mos_test_circuit();
+        let (mut c, asm, states) = mos_test_circuit(0.6);
         let n = asm.n_unknowns();
         let opts = SolverOptions {
             bypass: true,
@@ -1609,7 +1610,7 @@ mod tests {
     /// factors scaled for the old `h`.
     #[test]
     fn step_size_change_forces_refactor() {
-        let (c, asm, states) = mos_test_circuit();
+        let (c, asm, states) = mos_test_circuit(0.6);
         let n = asm.n_unknowns();
         let opts = SolverOptions {
             instr: Instrumentation::enabled(),
@@ -1699,7 +1700,7 @@ mod tests {
     /// hands clean factors on again.
     #[test]
     fn a_long_solve_refreshes_the_next_solves_factors() {
-        let (mut c, asm, _) = mos_test_circuit();
+        let (c, asm, _) = mos_test_circuit(0.6);
         let opts = reuse_counted();
         let n = asm.n_unknowns();
         let mut x = vec![0.0; n];
@@ -1719,7 +1720,7 @@ mod tests {
         assert!(!ws.refresh);
         // A small gate step: every iteration contracts under the stored
         // factors, but it takes more than REFRESH_AFTER_ITERS of them.
-        c.set_waveform("VG", Waveform::dc(0.62)).unwrap();
+        let (c, _, _) = mos_test_circuit(0.62);
         let (iters, factors, reuses) = counted_solve(&asm, &c, 1e-9, &opts, &mut x, &mut ws);
         assert!(iters > REFRESH_AFTER_ITERS, "{iters} iterations");
         assert_eq!(

@@ -18,9 +18,9 @@
 //!   iteration allocation-free.
 //! - [`plan`] — [`plan::AnalysisCache`] shares one sparse symbolic
 //!   analysis per pattern across parallel sweep workers.
-//! - [`parallel`] — std-only fan-out: the process-wide persistent
-//!   work-stealing pool behind [`parallel::pool_map`], shared by array
-//!   sweeps, Monte Carlo evaluation, the yield engine, and serving.
+//! - [`parallel`] — std-only fan-out: [`parallel::pool_map`] runs a
+//!   sweep on scoped threads that claim chunks from one shared cursor;
+//!   shared by array sweeps, the yield engine, and serving.
 //! - [`dc`] — DC operating point via Newton with gmin stepping.
 //! - [`ac`] — small-signal frequency-domain analysis around a bias
 //!   point (including the ferroelectric's negative capacitance).

@@ -34,7 +34,6 @@ use fefet_ckt::transient::{Step, TransientRun};
 use fefet_ckt::waveform::Waveform;
 use fefet_ckt::{CktError, Result};
 use fefet_telemetry::Instrumentation;
-use std::sync::Arc;
 
 /// Point solves a [`FefetArray::sense_row`] takes. At windows of
 /// 0.8–2 ns the stored states are still relaxing when the transient
@@ -138,13 +137,13 @@ pub struct FefetArray {
     /// Telemetry sink for every simulation this array runs. Off by
     /// default; set to [`Instrumentation::enabled`] (or a shared
     /// handle) to aggregate Newton/step/array statistics — the handle
-    /// is cloned into worker threads by [`FefetArray::read_rows`], so
+    /// is shared by every participant of [`FefetArray::read_rows`], so
     /// one sink collects a whole parallel sweep.
     pub instr: Instrumentation,
     /// Shared symbolic-analysis cache: one analysis per matrix pattern
-    /// for this array's lifetime, shared (by `Arc`) into every clone —
-    /// including the pooled sweep workers of [`FefetArray::read_rows`]
-    /// and [`FefetArray::write_disturb_map`].
+    /// for this array's lifetime, shared (by `Arc`) into every clone
+    /// and by every participant of [`FefetArray::read_rows`] and
+    /// [`FefetArray::write_disturb_map`].
     cache: AnalysisCache,
     /// The cell's memory states, found at construction.
     memory_states: (f64, f64),
@@ -943,24 +942,27 @@ impl FefetArray {
     }
 
     /// Reads several rows, fanning the independent row transients out
-    /// over the persistent worker pool ([`fefet_ckt::parallel::pool_map`];
-    /// `threads = 0` means one per available hardware thread). Results
-    /// are returned in the order of `rows` and are bit-identical to
-    /// calling [`FefetArray::read_row`] serially — each read is a
-    /// deterministic simulation of the same stored state, and the
-    /// fan-out preserves ordering. The array's telemetry handle is
-    /// shared into the pool workers, so one sink collects the whole
-    /// sweep.
+    /// over scoped threads that borrow the array
+    /// ([`fefet_ckt::parallel::pool_map`]; `threads = 0` means one per
+    /// available hardware thread). Results are returned in the order of
+    /// `rows` and are bit-identical to calling [`FefetArray::read_row`]
+    /// serially — each read is a deterministic simulation of the same
+    /// stored state, and the fan-out preserves ordering. The array's
+    /// telemetry handle is shared by every participant, so one sink
+    /// collects the whole sweep.
     ///
     /// # Errors
     ///
     /// The first row-range or convergence error, in `rows` order.
     /// `t_read` is the read window (s).
     pub fn read_rows(&self, rows: &[usize], t_read: f64, threads: usize) -> Result<Vec<ArrayRead>> {
-        let this = Arc::new(self.clone());
-        fefet_ckt::parallel::pool_map(rows.to_vec(), threads, &self.instr, move |&row| {
-            this.read_row(row, t_read)
-        })
+        fefet_ckt::parallel::pool_map(
+            rows.to_vec(),
+            threads,
+            &self.instr,
+            || (),
+            |_, row| self.read_row(row, t_read),
+        )
         .into_iter()
         .collect()
     }
@@ -980,9 +982,9 @@ impl FefetArray {
     /// transient against the stored state and records the worst
     /// unaccessed-cell polarization drift, without ever committing. The
     /// array itself is never modified, so the per-row trials are
-    /// independent and run on the persistent worker pool (`threads = 0`
-    /// = one per available hardware thread) against **one** shared
-    /// array — no per-trial deep clone.
+    /// independent and fan out over scoped threads (`threads = 0` = one
+    /// per available hardware thread) that borrow **one** shared array
+    /// — no clone.
     ///
     /// Returns the per-row `max_disturb` values (C/m²), indexed by the
     /// accessed row.
@@ -1004,12 +1006,16 @@ impl FefetArray {
             )));
         }
         let rows: Vec<usize> = (0..self.rows).collect();
-        let this = Arc::new(self.clone());
-        let data = data.to_vec();
-        fefet_ckt::parallel::pool_map(rows, threads, &self.instr, move |&row| {
-            this.write_row_trial(row, &data, t_pulse, Unaccessed::Classes)
-                .map(|(op, _, _)| op.max_disturb)
-        })
+        fefet_ckt::parallel::pool_map(
+            rows,
+            threads,
+            &self.instr,
+            || (),
+            |_, row| {
+                self.write_row_trial(row, data, t_pulse, Unaccessed::Classes)
+                    .map(|(op, _, _)| op.max_disturb)
+            },
+        )
         .into_iter()
         .collect()
     }

@@ -34,7 +34,8 @@
 //! then reads observe the post-write word, then persists refresh it.
 //! Banks are independent, and every bank processes its own sub-stream
 //! in global-index order with its own seeded RNG, so a pooled run
-//! ([`ServeSpec::threads`] > 1 via `pool_map_mut`) is **bit-identical**
+//! ([`ServeSpec::threads`] > 1, each bank a `&mut` item of
+//! `fefet_ckt::parallel::pool_map`) is **bit-identical**
 //! to the serial one.
 
 use crate::array::{FefetArray, I_SENSE_THRESHOLD_A, MIN_T_READ_S};
@@ -43,7 +44,7 @@ use crate::compare::MemoryKind;
 use crate::feram::FeramCell;
 use crate::feram_array::FeramArray;
 use crate::macro_model::{MacroConfig, MacroTable};
-use fefet_ckt::parallel::{default_threads, effective_threads, pool_map_mut};
+use fefet_ckt::parallel::{default_threads, effective_threads, pool_map};
 use fefet_ckt::CktError;
 use fefet_device::variability::{sample_write_cycle, VariationSpec};
 use fefet_numerics::rng::Rng;
@@ -1234,11 +1235,8 @@ fn bank_seed(seed: u64, bank_id: u32) -> u64 {
 pub struct MemoryService {
     spec: ServeSpec,
     instr: Instrumentation,
-    /// `Option` so the pooled path can move banks out to workers and
-    /// restore them afterwards; always `Some` between serve calls.
-    banks: Vec<Option<Bank>>,
-    /// Per-bank scheduling scratch (serial path; pooled workers build
-    /// their own).
+    banks: Vec<Bank>,
+    /// Per-bank scheduling scratch.
     scratch: Vec<BankScratch>,
     /// Per-bank op partitions, reused across serve calls.
     bank_ops: Vec<Vec<(u32, MemOp)>>,
@@ -1276,7 +1274,7 @@ impl MemoryService {
         }
         self.scratch.push(BankScratch::for_rows(bank.rows()));
         self.bank_ops.push(Vec::new());
-        self.banks.push(Some(bank));
+        self.banks.push(bank);
         id
     }
 
@@ -1292,7 +1290,7 @@ impl MemoryService {
 
     /// Borrows bank `id`, if present.
     pub fn bank(&self, id: u32) -> Option<&Bank> {
-        self.banks.get(id as usize).and_then(|b| b.as_ref())
+        self.banks.get(id as usize)
     }
 
     /// Calibrates bank `id`'s cache for every (column, state) pair by
@@ -1312,7 +1310,6 @@ impl MemoryService {
         let bank = self
             .banks
             .get_mut(id as usize)
-            .and_then(|b| b.as_mut())
             .ok_or_else(|| ServeError::Config(format!("unknown bank id {id}")))?;
         let pattern = 0xaaaa_aaaa_aaaa_aaaa_u64 & bank.col_mask;
         let complement = !pattern & bank.col_mask;
@@ -1342,9 +1339,8 @@ impl MemoryService {
     /// aggregates the run. With `spec.threads <= 1` (or one hardware
     /// thread) the loop runs serially in place and performs **zero heap
     /// allocations once warm** — `fefet-alloctrack` pins this. With
-    /// more threads, banks fan out over the persistent pool via
-    /// `pool_map_mut`; results and summary are bit-identical to the
-    /// serial run.
+    /// more threads, banks fan out over scoped threads via `pool_map`;
+    /// results and summary are bit-identical to the serial run.
     ///
     /// # Errors
     ///
@@ -1393,7 +1389,6 @@ impl MemoryService {
             let bank = self
                 .banks
                 .get(b)
-                .and_then(|x| x.as_ref())
                 .ok_or_else(|| ServeError::Config(format!("op {i}: unknown bank {b}")))?;
             if op.row() as usize >= bank.rows() {
                 return Err(ServeError::Config(format!(
@@ -1423,9 +1418,7 @@ impl MemoryService {
             if self.bank_ops[b].is_empty() {
                 continue;
             }
-            let Some(bank) = self.banks[b].as_mut() else {
-                continue;
-            };
+            let bank = &mut self.banks[b];
             let ops = &self.bank_ops[b];
             let mut sink = |gi: u32, res: OpResult| {
                 out[gi as usize] = res;
@@ -1443,8 +1436,8 @@ impl MemoryService {
         Ok(total)
     }
 
-    /// The pooled path: banks (with their op slices) move onto the
-    /// persistent worker pool, process independently, and fold back in
+    /// The pooled path: each bank with ops, its op slice and its scratch
+    /// fan out as borrows, process independently, and fold back in
     /// ascending bank order — bit-identical to [`Self::serve_serial`].
     // fefet-lint: allow-item(hot-alloc) -- pooled fan-out setup allocates per call; the zero-allocation guarantee is the serial path
     fn serve_pooled(
@@ -1452,44 +1445,31 @@ impl MemoryService {
         threads: usize,
         out: &mut [OpResult],
     ) -> Result<ServeSummary, ServeError> {
-        type WorkerOut = Result<(ServeSummary, Vec<(u32, OpResult)>), ServeError>;
-        let mut items: Vec<(usize, Bank, Vec<(u32, MemOp)>)> = Vec::new();
-        for b in 0..self.banks.len() {
-            if self.bank_ops[b].is_empty() {
-                continue;
-            }
-            let Some(bank) = self.banks[b].take() else {
-                continue;
-            };
-            items.push((b, bank, std::mem::take(&mut self.bank_ops[b])));
-        }
-        let spec = self.spec.clone();
-        let instr = self.instr.clone();
-        let worker_instr = instr.clone();
-        let done = pool_map_mut(
+        let (spec, instr) = (&self.spec, &self.instr);
+        let items: Vec<_> = self
+            .banks
+            .iter_mut()
+            .zip(&self.bank_ops)
+            .zip(&mut self.scratch)
+            .filter(|((_, ops), _)| !ops.is_empty())
+            .collect();
+        let done = pool_map(
             items,
             threads,
-            &instr,
-            move |(b, bank, ops): &mut (usize, Bank, Vec<(u32, MemOp)>)| -> WorkerOut {
-                let _ = b;
-                let mut scratch = BankScratch::for_rows(bank.rows());
+            instr,
+            || (),
+            |_, ((bank, ops), scratch)| {
                 let mut results: Vec<(u32, OpResult)> = Vec::with_capacity(ops.len());
                 let mut sink = |gi: u32, res: OpResult| {
                     results.push((gi, res));
                 };
-                let summary =
-                    process_bank_ops(bank, ops, &spec, &worker_instr, &mut scratch, &mut sink)?;
+                let summary = process_bank_ops(bank, ops, spec, instr, scratch, &mut sink)?;
                 Ok((summary, results))
             },
         );
-        // Restore every bank (and its op-list buffer) before touching
-        // any result, so an op error cannot strand a bank outside the
-        // service.
         let mut total = ServeSummary::default();
         let mut first_err: Option<ServeError> = None;
-        for ((b, bank, ops), res) in done {
-            self.banks[b] = Some(bank);
-            self.bank_ops[b] = ops;
+        for res in done {
             match res {
                 Ok((summary, results)) => {
                     total.merge(&summary);
@@ -1578,35 +1558,30 @@ impl MemoryService {
             if i > 0 {
                 banks.push(',');
             }
-            match bank {
-                Some(bank) => {
-                    let max_stress = bank.stress.iter().cloned().fold(0.0f64, f64::max);
-                    banks.push_str(&format!(
-                        "{{\"kind\":\"{:?}\",\"rows\":{},\"cols\":{},\
-                         \"calibrated_on\":{},\"calibrated_off\":{},\
-                         \"min_on_margin_dec\":{},\"min_off_margin_dec\":{},\
-                         \"max_stress\":{},\"calibration_refreshes\":{}}}",
-                        bank.kind(),
-                        bank.rows(),
-                        bank.cols(),
-                        bank.calib.learned_on.count_ones(),
-                        bank.calib.learned_off.count_ones(),
-                        if bank.calib.min_on_margin_dec.is_finite() {
-                            fmt_f64(bank.calib.min_on_margin_dec)
-                        } else {
-                            "null".to_string()
-                        },
-                        if bank.calib.min_off_margin_dec.is_finite() {
-                            fmt_f64(bank.calib.min_off_margin_dec)
-                        } else {
-                            "null".to_string()
-                        },
-                        fmt_f64(max_stress),
-                        bank.calibration_refreshes
-                    ));
-                }
-                None => banks.push_str("null"),
-            }
+            let max_stress = bank.stress.iter().cloned().fold(0.0f64, f64::max);
+            banks.push_str(&format!(
+                "{{\"kind\":\"{:?}\",\"rows\":{},\"cols\":{},\
+                 \"calibrated_on\":{},\"calibrated_off\":{},\
+                 \"min_on_margin_dec\":{},\"min_off_margin_dec\":{},\
+                 \"max_stress\":{},\"calibration_refreshes\":{}}}",
+                bank.kind(),
+                bank.rows(),
+                bank.cols(),
+                bank.calib.learned_on.count_ones(),
+                bank.calib.learned_off.count_ones(),
+                if bank.calib.min_on_margin_dec.is_finite() {
+                    fmt_f64(bank.calib.min_on_margin_dec)
+                } else {
+                    "null".to_string()
+                },
+                if bank.calib.min_off_margin_dec.is_finite() {
+                    fmt_f64(bank.calib.min_off_margin_dec)
+                } else {
+                    "null".to_string()
+                },
+                fmt_f64(max_stress),
+                bank.calibration_refreshes
+            ));
         }
         banks.push(']');
         r.section("banks", banks);

@@ -17,10 +17,11 @@
 //!   solves a structurally identical MNA system (perturbations change
 //!   values, never the pattern), so all trials share one
 //!   [`AnalysisCache`] entry instead of re-analyzing per trial.
-//! - **Reusable per-worker trial workspaces.** Each pooled worker owns a
-//!   [`TrialScratch`] (read-slice clone, Newton workspace, state/solution
-//!   vectors, device scratch) that is re-parameterized in place — the
-//!   warm trial loop performs zero heap allocations.
+//! - **Reusable per-participant trial workspaces.** Each participant
+//!   of a batch's fan-out builds one [`TrialScratch`] (read-slice clone,
+//!   Newton workspace, state/solution vectors, device scratch) and
+//!   re-parameterizes it in place for every trial it runs — the warm
+//!   trial loop performs zero heap allocations.
 //! - **Warm-started Newton.** Trials start from the converged nominal
 //!   read-bias solution rather than from cold initial conditions, and
 //!   the per-trial iteration counts recorded in [`TrialOutcome`] prove
@@ -43,9 +44,9 @@
 //! are the bits the full grid on the same step gives.
 //!
 //! Trial randomness is drawn **serially** at setup (one sub-seed per
-//! trial from the master seed); only the evaluation fans out over the
-//! persistent pool ([`fefet_ckt::parallel::pool_map`]). Every outcome is a
-//! pure function of its sub-seed, and the pool preserves order, so a
+//! trial from the master seed); only the evaluation fans out
+//! ([`fefet_ckt::parallel::pool_map`]). Every outcome is a pure
+//! function of its sub-seed, and the fan-out preserves order, so a
 //! pooled run is bit-identical to a serial (`threads = 1`) run.
 //!
 //! Results stream into fixed-memory accumulators ([`Streaming`] and a
@@ -67,8 +68,6 @@ use fefet_device::variability::{sample_device, VariationSpec};
 use fefet_numerics::rng::Rng;
 use fefet_telemetry::json::fmt_f64;
 use fefet_telemetry::{Histogram, Instrumentation, RunReport, TraceEvent};
-use std::cell::RefCell;
-use std::sync::Arc;
 
 /// Read-window bias point (s) at which trials are evaluated — inside
 /// the read-select plateau of the 3 ns read the engine builds.
@@ -472,12 +471,12 @@ impl YieldReport {
     }
 }
 
-/// Immutable state shared by every trial: the nominal read row slice
-/// with its assembly and accessed-row positions, the solver options
-/// carrying the process-wide analysis cache, the converged warm-start
-/// solution, and the pre-drawn trial sub-seeds.
+/// The yield engine: immutable state shared by every trial — the
+/// nominal read row slice with its assembly and accessed-row positions,
+/// the solver options carrying the process-wide analysis cache, the
+/// converged warm-start solution, and the pre-drawn trial sub-seeds.
 #[derive(Debug)]
-struct EngineCore {
+pub struct YieldEngine {
     cell: FefetCell,
     spec: YieldSpec,
     slice: ReadSlice,
@@ -490,19 +489,6 @@ struct EngineCore {
     boot_iters: u64,
     nominal_margin: f64,
     instr: Instrumentation,
-}
-
-/// The yield engine itself. Cheap to clone (one `Arc`); every clone
-/// shares the same analysis cache and warm-start state.
-#[derive(Debug, Clone)]
-pub struct YieldEngine {
-    core: Arc<EngineCore>,
-}
-
-thread_local! {
-    /// Per-worker trial workspace, keyed by the owning engine core so a
-    /// new engine on the same pool thread rebuilds it.
-    static SCRATCH: RefCell<Option<(usize, TrialScratch)>> = const { RefCell::new(None) };
 }
 
 /// Closed-form coercive voltage (V) of a ferroelectric film: the
@@ -669,7 +655,7 @@ impl YieldEngine {
         let states_nominal = slice.states_at(&x_nominal);
         let mut rng = Rng::seed_from_u64(spec.seed ^ SEED_SALT);
         let trial_seeds: Vec<u64> = (0..spec.n_trials).map(|_| rng.next_u64()).collect();
-        let mut core = EngineCore {
+        let mut engine = YieldEngine {
             cell,
             spec,
             slice,
@@ -683,47 +669,44 @@ impl YieldEngine {
             nominal_margin: 0.0,
             instr,
         };
-        let (margin, _, _, _) = margin_of(&core, &core.slice.circuit, &core.x_nominal);
-        core.nominal_margin = margin;
-        Ok(YieldEngine {
-            core: Arc::new(core),
-        })
+        let (margin, _, _, _) = margin_of(&engine, &engine.slice.circuit, &engine.x_nominal);
+        engine.nominal_margin = margin;
+        Ok(engine)
     }
 
     /// The spec this engine runs.
     pub fn spec(&self) -> &YieldSpec {
-        &self.core.spec
+        &self.spec
     }
 
     /// MNA unknowns per trial solve: the read row slice's. From 4 rows
     /// up they depend on `cols` alone (266 at 16 columns).
     pub fn n_unknowns(&self) -> usize {
-        self.core.slice.asm.n_unknowns()
+        self.slice.asm.n_unknowns()
     }
 
     /// Newton iterations the nominal bootstrap spent reaching the
     /// shared warm-start solution.
     pub fn bootstrap_iters(&self) -> u64 {
-        self.core.boot_iters
+        self.boot_iters
     }
 
     /// Nominal (unperturbed) read margin (dimensionless ratio).
     pub fn nominal_margin(&self) -> f64 {
-        self.core.nominal_margin
+        self.nominal_margin
     }
 
     /// Builds a fresh trial workspace. One per worker is enough; after
     /// its first use, [`YieldEngine::run_trial`] reuses it without
     /// allocating.
     pub fn make_scratch(&self) -> TrialScratch {
-        let core = &*self.core;
-        let n = core.slice.asm.n_unknowns();
+        let n = self.slice.asm.n_unknowns();
         TrialScratch {
-            circuit: core.slice.circuit.clone(),
+            circuit: self.slice.circuit.clone(),
             ws: NewtonWorkspace::new(n),
             x: vec![0.0; n],
-            states: core.states_nominal.clone(),
-            devices: vec![core.cell.fefet; core.spec.rows * core.spec.cols],
+            states: self.states_nominal.clone(),
+            devices: vec![self.cell.fefet; self.spec.rows * self.spec.cols],
         }
     }
 
@@ -733,12 +716,12 @@ impl YieldEngine {
     /// and the disturb stress. Allocation-free once `scratch` is warm.
     pub fn run_trial(&self, scratch: &mut TrialScratch, trial: usize) -> TrialOutcome {
         trial_body(
-            &self.core,
+            self,
             scratch,
             trial,
-            &self.core.opts,
-            &self.core.x_nominal,
-            &self.core.states_nominal,
+            &self.opts,
+            &self.x_nominal,
+            &self.states_nominal,
         )
     }
 
@@ -747,30 +730,29 @@ impl YieldEngine {
     /// Newton started from the initial-condition seed instead of the
     /// converged nominal solution.
     pub fn run_trial_cold(&self, trial: usize) -> TrialOutcome {
-        let core = &*self.core;
         let mut scratch = self.make_scratch();
         let opts = SolverOptions {
             cache: None,
-            ..core.opts.clone()
+            ..self.opts.clone()
         };
         trial_body(
-            core,
+            self,
             &mut scratch,
             trial,
             &opts,
-            &core.slice.x_hold,
-            &core.slice.states_at(&core.slice.x_hold),
+            &self.slice.x_hold,
+            &self.slice.states_at(&self.slice.x_hold),
         )
     }
 
     /// Runs every trial and streams the outcomes into fixed-memory
     /// accumulators. Sub-seeds were drawn serially at construction;
-    /// evaluation fans out over the persistent pool in `spec.threads`-
-    /// wide batches, and outcomes fold in trial order — the report is
-    /// bit-identical for any thread count.
+    /// evaluation fans out over `spec.threads` participants in batches
+    /// of `spec.batch` trials, each participant on a [`TrialScratch`] of
+    /// its own per batch, and outcomes fold in trial order — the report
+    /// is bit-identical for any thread count.
     pub fn run(&self) -> YieldReport {
-        let core = &*self.core;
-        let spec = &core.spec;
+        let spec = &self.spec;
         let nv = spec.shmoo_nv;
         let nt = spec.shmoo_nt;
         let mut margin_s = Streaming::new();
@@ -783,14 +765,25 @@ impl YieldEngine {
         let mut disturb_pass = 0usize;
         let mut failures = 0usize;
         let mut worst: Option<WorstCorner> = None;
+        let prof = self.instr.profile();
         let mut start = 0usize;
         while start < spec.n_trials {
             let end = (start + spec.batch).min(spec.n_trials);
             let idx: Vec<usize> = (start..end).collect();
-            let core_cl = self.core.clone();
-            let outcomes = pool_map(idx, spec.threads, &core.instr, move |&i| {
-                run_trial_pooled(&core_cl, i)
-            });
+            let outcomes = pool_map(
+                idx,
+                spec.threads,
+                &self.instr,
+                || self.make_scratch(),
+                |scratch, i| {
+                    let t0 = prof.map(|(_, tr)| tr.now_ns());
+                    let out = self.run_trial(scratch, i);
+                    if let (Some(t0), Some((_, tr))) = (t0, prof) {
+                        tr.complete_at(TraceEvent::YieldTrial, t0, tr.now_ns(), i as u64);
+                    }
+                    out
+                },
+            );
             for o in &outcomes {
                 if o.solver_ok {
                     margin_s.push(o.margin_ratio);
@@ -844,8 +837,8 @@ impl YieldEngine {
             margin_hist_json: hist.to_json(),
             disturb: disturb_s.stats(),
             warm_iters: iters_s.stats(),
-            nominal_bootstrap_iters: core.boot_iters,
-            nominal_margin: core.nominal_margin,
+            nominal_bootstrap_iters: self.boot_iters,
+            nominal_margin: self.nominal_margin,
             shmoo_pass_counts: shmoo_counts,
             shmoo_nv: nv,
             shmoo_nt: nt,
@@ -854,42 +847,15 @@ impl YieldEngine {
     }
 }
 
-/// Pool entry point: fetches (or rebuilds) this worker's thread-local
-/// scratch and evaluates the trial on it.
-fn run_trial_pooled(core: &Arc<EngineCore>, trial: usize) -> TrialOutcome {
-    let engine = YieldEngine { core: core.clone() };
-    let key = Arc::as_ptr(core) as usize;
-    let trial_t0 = core.instr.profile().map(|(_, tr)| tr.now_ns());
-    let out = SCRATCH.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        let fresh = !matches!(&*slot, Some((k, _)) if *k == key);
-        if fresh {
-            *slot = Some((key, engine.make_scratch()));
-        }
-        if let Some((_, scratch)) = &mut *slot {
-            engine.run_trial(scratch, trial)
-        } else {
-            // The slot was just populated above; this branch only
-            // protects against a poisoned borrow pattern.
-            let mut scratch = engine.make_scratch();
-            engine.run_trial(&mut scratch, trial)
-        }
-    });
-    if let (Some(t0), Some((_, tr))) = (trial_t0, core.instr.profile()) {
-        tr.complete_at(TraceEvent::YieldTrial, t0, tr.now_ns(), trial as u64);
-    }
-    out
-}
-
 /// Read margin of the accessed row from a solved iterate `x` with the
 /// devices of `ckt`: smallest ON over largest OFF cell current, plus
 /// the limiting ON column.
-fn margin_of(core: &EngineCore, ckt: &Circuit, x: &[f64]) -> (f64, f64, f64, usize) {
+fn margin_of(engine: &YieldEngine, ckt: &Circuit, x: &[f64]) -> (f64, f64, f64, usize) {
     let mut i_on_min = f64::INFINITY;
     let mut i_off_max = 0.0f64;
     let mut worst_col = 0usize;
-    for j in 0..core.spec.cols {
-        let i_d = core.slice.read_current(ckt, x, j);
+    for j in 0..engine.spec.cols {
+        let i_d = engine.slice.read_current(ckt, x, j);
         if stores_hi(0, j) {
             if i_d < i_on_min {
                 i_on_min = i_d;
@@ -909,10 +875,10 @@ fn margin_of(core: &EngineCore, ckt: &Circuit, x: &[f64]) -> (f64, f64, f64, usi
 
 /// Draws trial `trial`'s devices from its sub-seed into `devices`
 /// (`rows × cols`, row-major).
-fn draw_devices(core: &EngineCore, trial: usize, devices: &mut [Fefet]) {
-    let mut rng = Rng::seed_from_u64(core.trial_seeds[trial]);
+fn draw_devices(engine: &YieldEngine, trial: usize, devices: &mut [Fefet]) {
+    let mut rng = Rng::seed_from_u64(engine.trial_seeds[trial]);
     for dev in devices.iter_mut() {
-        *dev = sample_device(&core.cell.fefet, &core.spec.variation, &mut rng);
+        *dev = sample_device(&engine.cell.fefet, &engine.spec.variation, &mut rng);
     }
 }
 
@@ -939,8 +905,8 @@ fn grid_at(lo: f64, hi: f64, i: usize, n: usize) -> f64 {
 /// writes each polarity at least as far. In width (`h = t_p/N_PULSE`
 /// changes with it) monotonicity is checked against the full-grid
 /// reference in the tests, not proven.
-fn stress_of(core: &EngineCore, devices: &[Fefet]) -> (u64, f64) {
-    let spec = &core.spec;
+fn stress_of(engine: &YieldEngine, devices: &[Fefet]) -> (u64, f64) {
+    let spec = &engine.spec;
     // Shmoo the hardest cell (largest closed-form coercive voltage).
     let mut hard = 0usize;
     let mut easy = 0usize;
@@ -964,20 +930,20 @@ fn stress_of(core: &EngineCore, devices: &[Fefet]) -> (u64, f64) {
         let t_p = grid_at(spec.shmoo_t_lo, spec.shmoo_t_hi, it, nt);
         // A point passes only if both polarities write, so the down
         // write runs only after the up write passed.
-        pulse_then_hold(&rate, v_w, core.p_lo, t_p)
-            .is_some_and(|p1| p1 >= spec.write_frac * core.p_hi)
-            && pulse_then_hold(&rate, -v_w, core.p_hi, t_p)
-                .is_some_and(|p0| p0 <= spec.write_frac * core.p_lo)
+        pulse_then_hold(&rate, v_w, engine.p_lo, t_p)
+            .is_some_and(|p1| p1 >= spec.write_frac * engine.p_hi)
+            && pulse_then_hold(&rate, -v_w, engine.p_hi, t_p)
+                .is_some_and(|p0| p0 <= spec.write_frac * engine.p_lo)
     });
     // Disturb-stress the easiest cell (smallest coercive voltage) from
     // both stored states with both stress polarities.
     let rate = devices[easy].lk_rate();
     let mut disturb_dp = 0.0f64;
     for &(p0, v) in &[
-        (core.p_lo, spec.disturb_v),
-        (core.p_lo, -spec.disturb_v),
-        (core.p_hi, spec.disturb_v),
-        (core.p_hi, -spec.disturb_v),
+        (engine.p_lo, spec.disturb_v),
+        (engine.p_lo, -spec.disturb_v),
+        (engine.p_hi, spec.disturb_v),
+        (engine.p_hi, -spec.disturb_v),
     ] {
         match pulse_then_hold(&rate, v, p0, spec.disturb_t) {
             Some(p) => disturb_dp = disturb_dp.max((p - p0).abs()),
@@ -988,25 +954,25 @@ fn stress_of(core: &EngineCore, devices: &[Fefet]) -> (u64, f64) {
 }
 
 fn trial_body(
-    core: &EngineCore,
+    engine: &YieldEngine,
     scratch: &mut TrialScratch,
     trial: usize,
     opts: &SolverOptions,
     x0: &[f64],
     states0: &[ElemState],
 ) -> TrialOutcome {
-    let spec = &core.spec;
-    draw_devices(core, trial, &mut scratch.devices);
+    let spec = &engine.spec;
+    draw_devices(engine, trial, &mut scratch.devices);
     // Row 0 is the accessed row: its devices are the first `cols` draws.
     let mut solver_ok = true;
     for (j, dev) in scratch.devices[..spec.cols].iter().enumerate() {
         solver_ok &= scratch
             .circuit
-            .set_fecap_params_at(core.slice.ffe[j], dev.fe)
+            .set_fecap_params_at(engine.slice.ffe[j], dev.fe)
             .is_ok();
         solver_ok &= scratch
             .circuit
-            .set_mosfet_params_at(core.slice.mfet[j], dev.mos)
+            .set_mosfet_params_at(engine.slice.mfet[j], dev.mos)
             .is_ok();
     }
     // Cache entries hold the previous trial's devices at their
@@ -1016,7 +982,7 @@ fn trial_body(
     scratch.states.copy_from_slice(states0);
     let mut warm_iters = 0u64;
     if solver_ok {
-        match core.slice.asm.relax_at_bias(
+        match engine.slice.asm.relax_at_bias(
             &scratch.circuit,
             T_BIAS,
             H_STEP,
@@ -1031,11 +997,11 @@ fn trial_body(
         }
     }
     let (margin_ratio, i_on_min, i_off_max, worst_col) = if solver_ok {
-        margin_of(core, &scratch.circuit, &scratch.x)
+        margin_of(engine, &scratch.circuit, &scratch.x)
     } else {
         (0.0, 0.0, 0.0, 0)
     };
-    let (shmoo_pass, disturb_dp) = stress_of(core, &scratch.devices);
+    let (shmoo_pass, disturb_dp) = stress_of(engine, &scratch.devices);
     let limiter = &scratch.devices[worst_col];
     TrialOutcome {
         trial,
@@ -1072,6 +1038,36 @@ mod tests {
             shmoo_nv: 2,
             shmoo_nt: 2,
             ..YieldSpec::default()
+        }
+    }
+
+    /// Engines built, run and dropped one after another on one thread
+    /// share no trial workspace, even where a later engine is allocated
+    /// at an earlier one's address: sizes alternate between 4×4 and 6×6,
+    /// and same-size engines differ in read bias by 1–2%. Each report
+    /// equals the same engine's run on a freshly spawned thread.
+    #[test]
+    fn back_to_back_engines_share_no_trial_workspace() {
+        for k in 0..66 {
+            let n = if k % 2 == 0 { 4 } else { 6 };
+            let mut cell = FefetCell::default();
+            cell.bias.v_read *= [1.00, 1.01, 1.02][(k / 2) % 3];
+            let spec = YieldSpec {
+                rows: n,
+                cols: n,
+                n_trials: 2,
+                batch: 2,
+                ..small_spec()
+            };
+            let engine =
+                YieldEngine::new(cell, spec.clone(), Instrumentation::off()).expect("engine");
+            let here = engine.run().to_run_report(&spec).to_json();
+            let fresh = std::thread::scope(|s| {
+                s.spawn(|| engine.run().to_run_report(&spec).to_json())
+                    .join()
+                    .expect("fresh-thread run")
+            });
+            assert_eq!(here, fresh, "engine {k} ({n}x{n})");
         }
     }
 
@@ -1367,7 +1363,7 @@ mod tests {
     /// write polarities at every point of the full shmoo grid, each one
     /// a `stress(device, v, p0, t_p)` pulse-and-hold integration.
     fn stress_reference(
-        core: &EngineCore,
+        core: &YieldEngine,
         devices: &[Fefet],
         stress: impl Fn(&Fefet, f64, f64, f64) -> Option<f64>,
     ) -> (u64, f64) {
@@ -1437,7 +1433,7 @@ mod tests {
         );
         let engine = YieldEngine::new(FefetCell::default(), spec.clone(), Instrumentation::off())
             .expect("engine");
-        let core = &*engine.core;
+        let core = &engine;
         let mut devices = vec![core.cell.fefet; spec.rows * spec.cols];
         (0..spec.n_trials)
             .map(|trial| {
@@ -1525,7 +1521,7 @@ mod tests {
             let engine =
                 YieldEngine::new(FefetCell::default(), spec.clone(), Instrumentation::off())
                     .expect("engine");
-            let core = &*engine.core;
+            let core = &engine;
             let mut devices = vec![core.cell.fefet; spec.rows * spec.cols];
             for trial in 0..spec.n_trials {
                 draw_devices(core, trial, &mut devices);
@@ -1559,7 +1555,7 @@ mod tests {
         let spec = committed_spec();
         let engine = YieldEngine::new(FefetCell::default(), spec.clone(), Instrumentation::off())
             .expect("engine");
-        let core = &*engine.core;
+        let core = &engine;
         let mut cards = vec![core.cell.fefet];
         let mut devices = vec![core.cell.fefet; spec.rows * spec.cols];
         for trial in 0..8 {
@@ -1625,7 +1621,7 @@ mod tests {
             let instr = Instrumentation::enabled();
             let engine =
                 YieldEngine::new(FefetCell::default(), spec, instr.clone()).expect("engine");
-            let core = &*engine.core;
+            let core = &engine;
             let fine = SolverOptions {
                 max_v_step: 0.1,
                 ..core.opts.clone()
@@ -1783,7 +1779,7 @@ mod tests {
 
     impl FullNetlist {
         fn new(engine: &YieldEngine) -> Self {
-            let core = &*engine.core;
+            let core = &engine;
             let (rows, cols) = (core.spec.rows, core.spec.cols);
             let mut array = FefetArray::new(rows, cols, FefetCell::default());
             for i in 0..rows {
@@ -1854,7 +1850,7 @@ mod tests {
         /// Trial `trial` of `engine`, its read solved on the full
         /// netlist; the device workloads run on the same draws.
         fn trial(&self, engine: &YieldEngine, trial: usize) -> TrialOutcome {
-            let core = &*engine.core;
+            let core = &engine;
             let cols = core.spec.cols;
             let mut devices = vec![core.cell.fefet; core.spec.rows * cols];
             draw_devices(core, trial, &mut devices);

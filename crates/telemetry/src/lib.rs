@@ -339,8 +339,8 @@ impl Default for NvpStats {
 }
 
 /// Per-participant pool accounting slots. Slot 0 is the calling
-/// thread (every `pool_map` caller folds into it); slots 1+ are the
-/// persistent pool workers by spawn index.
+/// thread (every `pool_map` caller folds into it); slot `i` is helper
+/// `i` of every sweep.
 pub const POOL_WORKER_SLOTS: usize = 32;
 
 /// One pool participant's share of the sweep work: items it actually
@@ -357,24 +357,23 @@ pub struct PoolWorkerStats {
     pub busy_ns: Counter,
 }
 
-/// Persistent sweep-pool statistics, recorded by
+/// Sweep fan-out statistics, recorded by
 /// `fefet_ckt::parallel::pool_map`.
 #[derive(Debug)]
 pub struct PoolStats {
-    /// Pool sweeps dispatched (one per `pool_map` call that actually
-    /// fanned out; inline fallbacks are not counted).
+    /// Sweeps run (one per `pool_map` call, inline ones included).
     pub sweeps: Counter,
-    /// Work items executed across all pool sweeps.
+    /// Work items executed across all sweeps.
     pub items: Counter,
-    /// High-water mark: participants (caller + pool workers) observed
+    /// High-water mark: participants (caller + helpers) observed
     /// running chunks of the same sweep concurrently.
     pub workers_active: Counter,
     /// Chunks a participant claimed beyond its first — work "stolen"
     /// from the static equal split by the self-scheduling counter.
     pub tasks_stolen: Counter,
-    /// Per-participant breakdown (slot 0 = callers, 1+ = pool
-    /// workers). Participants beyond [`POOL_WORKER_SLOTS`] fold into
-    /// the last slot so nothing is ever lost.
+    /// Per-participant breakdown (slot 0 = callers, `i` = helper `i`
+    /// of every sweep). Participants beyond [`POOL_WORKER_SLOTS`] fold
+    /// into the last slot so nothing is ever lost.
     pub workers: Vec<PoolWorkerStats>,
 }
 
@@ -393,8 +392,8 @@ impl Default for PoolStats {
 }
 
 impl PoolStats {
-    /// The accounting slot for participant `idx` (0 = caller, 1+ =
-    /// pool worker); out-of-range participants share the last slot.
+    /// The accounting slot for participant `idx` (0 = caller, `i` =
+    /// helper `i`); out-of-range participants share the last slot.
     #[inline]
     pub fn worker(&self, idx: usize) -> Option<&PoolWorkerStats> {
         let last = self.workers.len().saturating_sub(1);

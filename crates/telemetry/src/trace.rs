@@ -5,7 +5,9 @@
 //! fields (the workspace forbids `unsafe`, so the classic
 //! `UnsafeCell` ring is off the table; single-writer relaxed stores
 //! give the same cost without it). A thread claims a lane on its first
-//! event and keeps it for the recorder's lifetime, so the warm record
+//! event and keeps it for the recorder's lifetime (fan-out helpers
+//! reuse the lane of their participant slot, see
+//! [`claim_participant_slot`]), so the warm record
 //! path is: one thread-local lookup, one `fetch_add` on the lane
 //! cursor, and four relaxed stores — no locks, no allocation (pinned
 //! by the alloctrack suite), no ordering stronger than `Relaxed`.
@@ -27,13 +29,13 @@ use std::cell::{Cell, RefCell};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::json::escape;
 
-/// Maximum lanes (concurrent recording threads) per recorder. The pool
-/// sizes itself to the hardware thread count, so 32 covers every
+/// Maximum lanes (recording thread slots) per recorder. A sweep's
+/// participants are capped at the hardware thread count, so 32 covers every
 /// machine this workspace targets with room for auxiliary threads.
 pub const MAX_LANES: usize = 32;
 
@@ -57,7 +59,7 @@ pub enum TraceEvent {
     TransientStep = 2,
     /// A pool participant claimed a chunk. `arg` = first item index.
     PoolClaim = 3,
-    /// A pool worker claimed a chunk beyond its first — stolen work.
+    /// A sweep helper claimed a chunk beyond its first — stolen work.
     /// `arg` = first item index.
     PoolSteal = 4,
     /// One pool work item ran. `arg` = item index.
@@ -98,9 +100,10 @@ impl TraceEvent {
 const KIND_COMPLETE: u64 = 0;
 const KIND_INSTANT: u64 = 1;
 
-/// One ring slot. Written by exactly one thread (the lane owner) with
-/// relaxed stores; the exporter reads concurrently and tolerates a
-/// torn in-flight slot (at worst one garbled event in the dump — never
+/// One ring slot. Written by the lane's owner (one thread, or one
+/// fan-out participant's successive helper threads) with relaxed
+/// stores; the exporter reads concurrently and tolerates a torn
+/// in-flight slot (at worst one garbled event in the dump — never
 /// UB, never a malformed file, because every field round-trips through
 /// a total decoder).
 #[derive(Debug, Default)]
@@ -115,9 +118,9 @@ struct EventSlot {
     arg: AtomicU64,
 }
 
-/// One thread's ring. The slot vector and label are set exactly once,
-/// on the claiming thread's first event (the only allocating moment in
-/// a lane's life).
+/// One thread slot's ring. The slot vector, label and owner are set
+/// exactly once, on the claiming thread's first event (the only
+/// allocating moment in a lane's life).
 #[derive(Debug, Default)]
 struct Lane {
     /// Total events ever written; `cursor % capacity` is the next slot.
@@ -125,6 +128,10 @@ struct Lane {
     events: OnceLock<Vec<EventSlot>>,
     /// Claiming thread's name, for the `thread_name` metadata record.
     label: OnceLock<String>,
+    /// Claiming thread's [`thread_slot`]: a later thread with the same
+    /// slot (a fan-out participant, see [`claim_participant_slot`])
+    /// records into this lane instead of claiming another.
+    owner: OnceLock<usize>,
 }
 
 /// Process-wide monotone thread-slot ids: the first time a thread asks,
@@ -132,6 +139,10 @@ struct Lane {
 /// span registry (per-worker span keys) and anything else that needs a
 /// stable small integer per thread without hashing `ThreadId`s.
 static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
+
+/// The slot of fan-out participant `i`, assigned on the first claim of
+/// `i` (see [`claim_participant_slot`]).
+static PARTICIPANT_SLOTS: Mutex<Vec<usize>> = Mutex::new(Vec::new());
 
 thread_local! {
     static THREAD_SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
@@ -151,6 +162,26 @@ pub fn thread_slot() -> usize {
         s.set(v);
         v
     })
+}
+
+/// Makes the calling thread record as fan-out participant
+/// `participant`: every thread that claims the same index gets the same
+/// [`thread_slot`], and with it the same span entries and trace lane.
+/// A sweep's helper threads live for that sweep only, so keying their
+/// telemetry by participant keeps it bounded however many sweeps run.
+/// Concurrent sweeps from different callers share participant slots;
+/// counters stay exact, and a shared lane may interleave their events.
+pub fn claim_participant_slot(participant: usize) {
+    // Pushes leave the list whole, so a poisoned guard is still usable.
+    let mut slots = PARTICIPANT_SLOTS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    while slots.len() <= participant {
+        slots.push(NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed));
+    }
+    if let Some(&slot) = slots.get(participant) {
+        THREAD_SLOT.with(|s| s.set(slot));
+    }
 }
 
 /// Recorder identity for the thread-local lane cache.
@@ -208,14 +239,24 @@ impl TraceRecorder {
         })
     }
 
-    /// Claims (and initializes) a lane for this thread. Cold path: runs
-    /// once per (thread, recorder) pair; this is the "setup" the
-    /// zero-allocation-after-setup contract refers to.
+    /// Claims (and initializes) a lane for this thread, or finds the one
+    /// its thread slot already owns. Cold path: runs once per (thread,
+    /// recorder) pair; this is the "setup" the zero-allocation-after-setup
+    /// contract refers to.
     // fefet-lint: allow-item(hot-alloc) -- lane registration: one-time ring + label allocation per (thread, recorder); the per-event path is `push`
     fn claim_lane(&self) -> usize {
-        let idx = self.next_lane.fetch_add(1, Ordering::Relaxed);
-        let lane = if idx < MAX_LANES { idx } else { usize::MAX };
+        let slot = thread_slot();
+        let owned = self.lanes.iter().position(|l| l.owner.get() == Some(&slot));
+        let lane = owned.unwrap_or_else(|| {
+            let idx = self.next_lane.fetch_add(1, Ordering::Relaxed);
+            if idx < MAX_LANES {
+                idx
+            } else {
+                usize::MAX
+            }
+        });
         if let Some(l) = self.lanes.get(lane) {
+            let _ = l.owner.set(slot);
             let cap = self.capacity;
             let _ = l
                 .events
@@ -224,7 +265,7 @@ impl TraceRecorder {
                 std::thread::current()
                     .name()
                     .map(str::to_string)
-                    .unwrap_or_else(|| format!("thread-{}", thread_slot()))
+                    .unwrap_or_else(|| format!("thread-{slot}"))
             });
         }
         LANE_CACHE.with(|c| c.borrow_mut().push((self.id, lane)));
@@ -296,7 +337,7 @@ impl TraceRecorder {
         self.push(KIND_INSTANT, ev, now, 0, arg);
     }
 
-    /// Lanes claimed so far (one per recording thread, up to
+    /// Lanes claimed so far (one per recording thread slot, up to
     /// [`MAX_LANES`]).
     pub fn lanes_claimed(&self) -> usize {
         self.next_lane.load(Ordering::Relaxed).min(MAX_LANES)
