@@ -10,11 +10,12 @@
 //!
 //! 1. **Macro fast path** (the common case): answers come from the
 //!    per-config [`MacroTable`] energy/latency cache plus cheap
-//!    per-row state tracking — the stored word, nominal polarization
-//!    pokes, and a disturb-stress accumulator fed by the per-write
-//!    cycle-to-cycle variation draws of
-//!    [`fefet_device::variability::sample_write_cycle`]. Zero circuit
-//!    solves, zero heap allocations once warm.
+//!    per-row state tracking — the stored word and a disturb-stress
+//!    accumulator fed by the per-write cycle-to-cycle variation draws
+//!    of [`fefet_device::variability::sample_write_cycle`]. The array's
+//!    cells catch up to the committed words (nominal polarization
+//!    pokes) only before a circuit op and before a public call
+//!    returns. Zero circuit solves, zero heap allocations once warm.
 //! 2. **Circuit escalation** (the marginal case): an op escalates to a
 //!    circuit solve of its row when its sense margin sits inside a
 //!    configurable guard band, its row's disturb accumulator passed the
@@ -439,9 +440,16 @@ pub struct Bank {
     config: MacroConfig,
     table: MacroTable,
     array: BankArray,
-    /// Tracked word per row — the macro-fidelity ground truth, kept in
-    /// sync with the array's stored polarization.
+    /// Tracked word per row — the macro-fidelity ground truth. A macro
+    /// commit records only this word; the row's cells catch up to its
+    /// nominal polarizations at the next [`Bank::sync_cells`], which
+    /// runs before every circuit op and before a public call returns.
     words: Vec<u64>,
+    /// Rows macro-committed since the cells were last synced, each at
+    /// most once (`unsynced[row]` marks membership). Sized at
+    /// construction, so the warm loop never grows it.
+    unsynced_rows: Vec<u32>,
+    unsynced: Vec<bool>,
     /// Disturb-stress accumulator per row (dimensionless).
     stress: Vec<f64>,
     calib: Calibration,
@@ -545,6 +553,8 @@ impl Bank {
             table: config.table(),
             array,
             words: vec![0; config.rows],
+            unsynced_rows: Vec::with_capacity(config.rows),
+            unsynced: vec![false; config.rows],
             stress: vec![0.0; config.rows],
             calib: Calibration::new(config.cols),
             rng: Rng::seed_from_u64(0),
@@ -696,28 +706,49 @@ impl Bank {
         self.stress[row] = 0.0;
     }
 
-    /// Macro-fidelity row write: update the tracked word and poke every
-    /// cell's stored polarization to its nominal state, keeping the
-    /// circuit ground truth consistent with the fast path.
+    /// Macro-fidelity row write: records `word` as the row's tracked
+    /// word and queues the row for [`Self::sync_cells`], which pokes its
+    /// cells to the nominal polarizations of whatever word the row then
+    /// tracks.
     fn macro_commit(&mut self, row: usize, word: u64) {
-        let (p_lo, p_hi) = (self.p_lo, self.p_hi);
-        let cells = match &mut self.array {
-            BankArray::Fefet(a) => a.row_state_mut(row),
-            BankArray::Feram(a) => a.row_state_mut(row),
-        };
-        for (col, p) in cells.iter_mut().enumerate() {
-            *p = if word & (1u64 << col) != 0 {
-                p_hi
-            } else {
-                p_lo
-            };
-        }
         self.words[row] = word;
+        if !self.unsynced[row] {
+            self.unsynced[row] = true;
+            self.unsynced_rows.push(row as u32);
+        }
+    }
+
+    /// Writes `p_hi`/`p_lo` into the cells of every row macro-committed
+    /// since the last sync, from its tracked word — the array the eager
+    /// per-commit pokes would leave. Kept out of line: it runs once per
+    /// circuit op and once per pass, and inlining it would only grow
+    /// the escalation paths that call it.
+    #[inline(never)]
+    fn sync_cells(&mut self) {
+        let (p_lo, p_hi) = (self.p_lo, self.p_hi);
+        for &row in &self.unsynced_rows {
+            let row = row as usize;
+            let word = self.words[row];
+            let cells = match &mut self.array {
+                BankArray::Fefet(a) => a.row_state_mut(row),
+                BankArray::Feram(a) => a.row_state_mut(row),
+            };
+            for (col, p) in cells.iter_mut().enumerate() {
+                *p = if word & (1u64 << col) != 0 {
+                    p_hi
+                } else {
+                    p_lo
+                };
+            }
+            self.unsynced[row] = false;
+        }
+        self.unsynced_rows.clear();
     }
 
     /// Circuit-fidelity row write of `word`; returns measured driver
     /// energy (J).
     fn circuit_write(&mut self, row: usize, word: u64, t_pulse_s: f64) -> Result<f64, ServeError> {
+        self.sync_cells();
         for (col, slot) in self.data_scratch.iter_mut().enumerate() {
             *slot = word & (1u64 << col) != 0;
         }
@@ -780,6 +811,7 @@ impl Bank {
             let word = self.words[row];
             return Ok((word, Fidelity::Macro, self.table.read_energy_per_word(), 0));
         };
+        self.sync_cells();
         let tracked = self.words[row];
         let (measured, energy) = match &mut self.array {
             BankArray::Fefet(a) => {
@@ -1181,7 +1213,8 @@ fn run_window<F: FnMut(u32, OpResult)>(
 
 /// Processes one bank's full sub-stream: cuts it at the global window
 /// boundaries (`global index / window`) and runs each bank-window.
-/// Identical between the serial and pooled paths by construction.
+/// Identical between the serial and pooled paths by construction. The
+/// bank's cells are synced before it returns, `Ok` or `Err`.
 fn process_bank_ops<F: FnMut(u32, OpResult)>(
     bank: &mut Bank,
     ops: &[(u32, MemOp)],
@@ -1199,9 +1232,13 @@ fn process_bank_ops<F: FnMut(u32, OpResult)>(
         while j < ops.len() && ops[j].0 as usize / window == wid {
             j += 1;
         }
-        run_window(bank, &ops[i..j], spec, instr, scratch, sink, &mut summary)?;
+        if let Err(e) = run_window(bank, &ops[i..j], spec, instr, scratch, sink, &mut summary) {
+            bank.sync_cells();
+            return Err(e);
+        }
         i = j;
     }
+    bank.sync_cells();
     for &(_, op) in ops {
         summary.ops += 1;
         match op.class() {
@@ -1325,12 +1362,14 @@ impl MemoryService {
                 continue;
             }
             if measured != word {
+                bank.sync_cells();
                 return Err(ServeError::Config(format!(
                     "calibration read of bank {id} measured {measured:#x}, wrote {word:#x}: \
                      the cell cannot serve at macro fidelity"
                 )));
             }
         }
+        bank.sync_cells();
         Ok(())
     }
 
@@ -2238,6 +2277,221 @@ mod tests {
         assert_eq!(out[0].fidelity, Fidelity::Macro);
         assert_eq!(out[0].word, word);
         assert_eq!(s.escalations, 0);
+    }
+
+    /// Every cell's stored polarization, row-major, as raw bits.
+    fn stored_bits(bank: &Bank) -> Vec<u64> {
+        let mut bits = Vec::with_capacity(bank.rows() * bank.cols());
+        for row in 0..bank.rows() {
+            for col in 0..bank.cols() {
+                let p = match &bank.array {
+                    BankArray::Fefet(a) => a.polarization(row, col),
+                    BankArray::Feram(a) => a.polarization(row, col),
+                };
+                bits.push(p.to_bits());
+            }
+        }
+        bits
+    }
+
+    /// One row's stored polarizations, as raw bits.
+    fn row_bits(bank: &Bank, row: usize) -> Vec<u64> {
+        let cols = bank.cols();
+        stored_bits(bank)[row * cols..(row + 1) * cols].to_vec()
+    }
+
+    /// The nominal polarizations a macro commit of `word` stands for.
+    fn nominal_bits(bank: &Bank, word: u64) -> Vec<u64> {
+        (0..bank.cols())
+            .map(|col| {
+                let p = if word & (1u64 << col) != 0 {
+                    bank.p_hi
+                } else {
+                    bank.p_lo
+                };
+                p.to_bits()
+            })
+            .collect()
+    }
+
+    /// Serves `ops` on two services built from `bank`, once in one
+    /// `serve()` call and once one op per call, and returns each side's
+    /// per-op results and final stored polarizations.
+    fn same_and_split_calls(
+        bank: &Bank,
+        spec: &ServeSpec,
+        calibrate: bool,
+        ops: &[MemOp],
+    ) -> [(Vec<OpResult>, Vec<u64>); 2] {
+        let build = || {
+            let mut svc =
+                MemoryService::new(spec.clone(), Instrumentation::off()).expect("service");
+            svc.add_bank(bank.clone());
+            if calibrate {
+                svc.calibrate_bank(0).expect("calibrate");
+            }
+            svc
+        };
+        let mut same = build();
+        let mut same_out = Vec::new();
+        same.serve(ops, &mut same_out).expect("same-call serve");
+        let mut split = build();
+        let mut split_out = Vec::new();
+        let mut out = Vec::new();
+        for op in ops {
+            split
+                .serve(std::slice::from_ref(op), &mut out)
+                .expect("split serve");
+            split_out.push(out[0]);
+        }
+        [
+            (same_out, stored_bits(same.bank(0).expect("bank"))),
+            (split_out, stored_bits(split.bank(0).expect("bank"))),
+        ]
+    }
+
+    /// Deferred cell sync is invisible to circuit ops: macro writes and
+    /// a circuit op of the same bank in one `serve()` call return, bit
+    /// for bit, what the same ops return served one per call. The
+    /// circuit op's slice reads the macro-written rows' stored P, so it
+    /// sees a stale array unless the cells sync before it runs.
+    #[test]
+    fn macro_writes_then_a_circuit_op_match_one_op_per_call() {
+        let spec = ServeSpec {
+            window: 1,
+            disturb_threshold: 0.5,
+            disturb_per_write: 0.3,
+            ..ServeSpec::default()
+        };
+        let write = |row, word| MemOp::Write { bank: 0, row, word };
+
+        // FEFET: row 1's persist escalates on the disturb its neighbours'
+        // macro writes left; its write slice holds rows 0 and 2.
+        let fefet_ops = [
+            write(1, 0xa),
+            write(0, 0x5),
+            write(2, 0x3),
+            MemOp::Persist { bank: 0, row: 1 },
+        ];
+        let [same, split] = same_and_split_calls(&fefet_bank(3, 4), &spec, true, &fefet_ops);
+        for r in &same.0[..3] {
+            assert_eq!(r.fidelity, Fidelity::Macro);
+        }
+        assert_eq!(
+            same.0[3].fidelity,
+            Fidelity::Circuit(EscalationCause::DisturbThreshold)
+        );
+        assert_eq!(same.0, split.0, "FEFET per-op results");
+        assert_eq!(same.1, split.1, "FEFET stored polarizations");
+
+        // FERAM: the first-touch read of row 0 restores by a macro
+        // commit; row 1's persist then escalates as above.
+        let feram_ops = [
+            write(1, 0x9),
+            write(0, 0x6),
+            MemOp::Read { bank: 0, row: 0 },
+            write(2, 0x3),
+            MemOp::Persist { bank: 0, row: 1 },
+        ];
+        let [same, split] = same_and_split_calls(&feram_bank(3, 4), &spec, false, &feram_ops);
+        assert_eq!(
+            same.0[2].fidelity,
+            Fidelity::Circuit(EscalationCause::FirstTouch)
+        );
+        assert_eq!(
+            same.0[4].fidelity,
+            Fidelity::Circuit(EscalationCause::DisturbThreshold)
+        );
+        assert_eq!(same.0, split.0, "FERAM per-op results");
+        assert_eq!(same.1, split.1, "FERAM stored polarizations");
+    }
+
+    /// Between public calls the array is what eager pokes would leave:
+    /// after `serve()` and after `calibrate_bank()`, a row last
+    /// committed at macro fidelity holds exactly `p_hi`/`p_lo` for its
+    /// tracked word, and a row last written by the circuit keeps the
+    /// circuit's P.
+    #[test]
+    fn cells_are_synced_at_every_public_boundary() {
+        let spec = ServeSpec {
+            disturb_threshold: 0.5,
+            disturb_per_write: 0.3,
+            ..ServeSpec::default()
+        };
+        let write = |row, word| MemOp::Write { bank: 0, row, word };
+        let mut svc = service_with_fefet_bank(4, 4, spec.clone(), Instrumentation::off());
+        let fresh = stored_bits(svc.bank(0).expect("bank"));
+        let mut out = Vec::new();
+
+        // Calibration leaves row 0 at the complement pattern; the other
+        // rows are untouched.
+        svc.calibrate_bank(0).expect("calibrate");
+        let bank = svc.bank(0).expect("bank");
+        assert_eq!(row_bits(bank, 0), nominal_bits(bank, 0x5));
+        assert_eq!(stored_bits(bank)[4..], fresh[4..]);
+
+        // One call of macro writes (rows 0 and 2 stress row 1 past the
+        // threshold).
+        svc.serve(&[write(1, 0xa), write(0, 0x6), write(2, 0x3)], &mut out)
+            .expect("macro writes");
+        assert!(out.iter().all(|r| r.fidelity == Fidelity::Macro));
+        let bank = svc.bank(0).expect("bank");
+        for (row, word) in [(0, 0x6), (1, 0xa), (2, 0x3)] {
+            assert_eq!(row_bits(bank, row), nominal_bits(bank, word), "row {row}");
+        }
+        assert_eq!(stored_bits(bank)[12..], fresh[12..], "row 3");
+
+        // Row 1's persist runs the write transient, then rows 0 and 2
+        // take macro writes: rows 1 and 3 hold what a direct write_row
+        // leaves, rows 0 and 2 their nominal words.
+        let mut reference = bank.as_fefet().expect("array").clone();
+        let data: Vec<bool> = (0..4).map(|col| 0xa & (1 << col) != 0).collect();
+        reference
+            .write_row(1, &data, spec.t_write_s)
+            .expect("direct write");
+        svc.serve(
+            &[
+                MemOp::Persist { bank: 0, row: 1 },
+                write(0, 0x9),
+                write(2, 0xc),
+            ],
+            &mut out,
+        )
+        .expect("persist");
+        assert_eq!(
+            out[0].fidelity,
+            Fidelity::Circuit(EscalationCause::DisturbThreshold)
+        );
+        let bank = svc.bank(0).expect("bank");
+        let circuit_p = |row: usize| -> Vec<u64> {
+            (0..4)
+                .map(|col| reference.polarization(row, col).to_bits())
+                .collect()
+        };
+        assert_eq!(row_bits(bank, 1), circuit_p(1), "circuit-written row 1");
+        assert_ne!(row_bits(bank, 1), nominal_bits(bank, 0xa));
+        assert_eq!(row_bits(bank, 3), circuit_p(3), "row 3 keeps its disturb");
+        for (row, word) in [(0, 0x9), (2, 0xc)] {
+            assert_eq!(row_bits(bank, row), nominal_bits(bank, word), "row {row}");
+        }
+
+        // Recalibrating a calibrated bank serves its reads at macro
+        // fidelity; row 0 still ends at the complement's nominal P.
+        svc.calibrate_bank(0).expect("recalibrate");
+        let bank = svc.bank(0).expect("bank");
+        assert_eq!(row_bits(bank, 0), nominal_bits(bank, 0x5));
+        assert_eq!(row_bits(bank, 1), circuit_p(1));
+
+        // A FERAM escalated read destroys the row and restores it by a
+        // macro commit: the call returns with the nominal word stored.
+        let mut svc =
+            MemoryService::new(ServeSpec::default(), Instrumentation::off()).expect("service");
+        svc.add_bank(feram_bank(2, 4));
+        svc.serve(&[write(0, 0x6), MemOp::Read { bank: 0, row: 0 }], &mut out)
+            .expect("feram");
+        assert!(matches!(out[1].fidelity, Fidelity::Circuit(_)));
+        let bank = svc.bank(0).expect("bank");
+        assert_eq!(row_bits(bank, 0), nominal_bits(bank, 0x6));
     }
 
     /// A FERAM bank's escalations are as observable as a FEFET bank's:
