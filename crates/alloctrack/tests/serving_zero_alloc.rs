@@ -3,7 +3,8 @@
 //! partitions, window groups, result buffer), every further serial
 //! serve of fast-path traffic — window grouping, coalescing, macro
 //! reads/writes/persists, stress bookkeeping, summary folding — must
-//! perform exactly zero heap allocations.
+//! perform exactly zero heap allocations, with instrumentation off and
+//! with it on (one latency-histogram sample per served op).
 //!
 //! This file holds a single `#[test]` on purpose: the allocation
 //! counter is process-global, so a concurrently running sibling test
@@ -31,8 +32,10 @@ fn mixed_stream(rows: u32, n: u32) -> Vec<MemOp> {
     ops
 }
 
-#[test]
-fn warm_serial_serving_allocates_nothing() {
+/// Builds a calibrated one-bank service on `instr`, then serves the
+/// same 96-op stream once cold and eight times warm, asserting every
+/// warm serve allocates nothing. Returns the number of serves.
+fn serve_warm(instr: Instrumentation) -> u64 {
     let spec = ServeSpec {
         threads: 1,
         // Disturb accumulation off so no op ever leaves the fast path
@@ -40,7 +43,7 @@ fn warm_serial_serving_allocates_nothing() {
         disturb_per_write: 0.0,
         ..ServeSpec::default()
     };
-    let mut svc = MemoryService::new(spec, Instrumentation::off()).expect("service");
+    let mut svc = MemoryService::new(spec, instr).expect("service");
     let bank = Bank::fefet(MacroConfig::fefet(4, 4), FefetCell::default()).expect("bank");
     svc.add_bank(bank);
     // Calibrate every (column, state) pair so reads stay macro.
@@ -56,7 +59,8 @@ fn warm_serial_serving_allocates_nothing() {
     assert!(cold > 0, "first serve should build scratch state");
 
     // Warm serves: the whole serving loop, zero allocations.
-    for pass in 0..8 {
+    let warm_passes = 8;
+    for pass in 0..warm_passes {
         let (warm, res) = count_allocations(|| svc.serve(&ops, &mut out));
         let summary = res.expect("warm serve");
         assert_eq!(summary.escalations, 0, "pass {pass} left the fast path");
@@ -66,4 +70,19 @@ fn warm_serial_serving_allocates_nothing() {
             "warm serve pass {pass} performed {warm} heap allocations"
         );
     }
+    1 + warm_passes
+}
+
+#[test]
+fn warm_serial_serving_allocates_nothing() {
+    serve_warm(Instrumentation::off());
+
+    // Instrumented, every served op also records one latency sample
+    // in its class's histogram; that path must not allocate either.
+    let instr = Instrumentation::enabled();
+    let serves = serve_warm(instr.clone());
+    let tel = instr.get().expect("enabled");
+    let samples =
+        tel.serving.read_ns.count() + tel.serving.write_ns.count() + tel.serving.persist_ns.count();
+    assert_eq!(samples, 96 * serves, "one latency sample per served op");
 }

@@ -95,7 +95,7 @@ pub const PANIC_FREE_CRATES: &[&str] = &["numerics", "ckt", "device", "core", "n
 
 /// Warm-path modules where R6 forbids allocation: these hold the
 /// Newton/transient inner loops, the sweep pool, and the telemetry
-/// record paths (trace ring, quantile histograms) — the code
+/// record paths (trace ring, metric primitives) — the code
 /// `fefet-alloctrack` pins zero-allocation dynamically. Entries
 /// without a `/` match by basename anywhere in the tree; entries with
 /// a `/` match as a path suffix, for modules whose basename collides
@@ -109,7 +109,7 @@ pub const HOT_PATH_MODULES: &[&str] = &[
     "parallel.rs",
     "ckt/src/probe.rs",
     "telemetry/src/trace.rs",
-    "telemetry/src/quantile.rs",
+    "telemetry/src/metrics.rs",
     "core/src/serving.rs",
 ];
 
@@ -666,7 +666,7 @@ fn warm() { let x = Box::new(1); }
         // The telemetry record paths are R6-scoped by path suffix...
         let f = lint_source("crates/telemetry/src/trace.rs", src, Mode::Workspace);
         assert!(f.iter().any(|f| f.rule == Rule::HotAlloc), "{f:?}");
-        let f = lint_source("crates/telemetry/src/quantile.rs", src, Mode::Workspace);
+        let f = lint_source("crates/telemetry/src/metrics.rs", src, Mode::Workspace);
         assert!(f.iter().any(|f| f.rule == Rule::HotAlloc), "{f:?}");
         // ...so an unrelated module sharing the basename stays out of
         // scope (`ckt/src/trace.rs` would be a different file).
